@@ -9,13 +9,13 @@ covering STORM, PAGE, and Loopless SARAH as special cases.
 from .engine import EngineConfig, EngineState, MetricsSeries, RoundMetrics, \
     init_engine, run_and_measure, step
 from .errors import AscentCapError, ConfigError, DegenerateModeError, \
-    DivergenceError, EigConvergenceError, NotPSDError
+    DivergenceError, NotPSDError
 from .estimator import EstimatorMode, GraceParams, GraceState, \
     estimator_error, init_estimator, preset_params, update_estimator
 from .harness import RunConfig, config_from_dict, load_config, \
     run_experiment, sweep, verify_invariants, write_outputs
 from .mixing import MixingMatrix, Topology, build_graph, eigh_symmetric, \
-    metropolis_weights, mixing_for_topology, sqrt_psd
+    metropolis_weights, mixing_for_topology
 from .problems import ProblemConstants, QuadraticMinimaxProblem, \
     SinPLProblem, make_quadratic_problem, make_sinpl_problem, \
     maximizer_oracle

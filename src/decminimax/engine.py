@@ -142,7 +142,7 @@ def _check_finite(state: EngineState) -> None:
 
 
 def _record(state: EngineState, config: EngineConfig, problem,
-            ops: StrategyOps, bundle: TransformBundle | None) -> RoundMetrics:
+            bundle: TransformBundle | None) -> RoundMetrics:
     x_c = state.X.mean(axis=0)
     y_c = state.Y.mean(axis=0)
     Xc = np.tile(x_c, (problem.K, 1))
@@ -158,7 +158,7 @@ def _record(state: EngineState, config: EngineConfig, problem,
     if bundle is not None:
         err = coupled_error_norms(
             state.X, state.Y, state.grace.M_x, state.grace.M_y,
-            state.D_x, state.D_y, ops, bundle, config.mu_x, config.mu_y,
+            state.D_x, state.D_y, bundle, config.mu_x, config.mu_y,
         )
         ehat_x_sq = err.ehat_x_sq
         ehat_y_sq = err.ehat_y_sq
@@ -177,19 +177,22 @@ def _record(state: EngineState, config: EngineConfig, problem,
 
 
 def run_and_measure(config: EngineConfig, problem, mixing, x0=None, y0=None,
-                    ops: StrategyOps | None = None) -> MetricsSeries:
+                    ops: StrategyOps | None = None,
+                    bundle: TransformBundle | None = None) -> MetricsSeries:
     """Run T rounds and return T+1 metric rows (rounds 0..T).
 
     Each row reflects the state after that round's estimator update but
     before its iterate advance; the final row gets one extra estimator
-    update so its estimation-error columns are well-defined.
+    update so its estimation-error columns are well-defined. The transform
+    bundle is used only with diagnostics on, and built here if not passed.
 
     On divergence the partial series is attached to the raised error.
     """
     if ops is None:
         ops = build_strategy(config.strategy, mixing)
-    bundle = None
-    if config.record_transform_diagnostics:
+    if not config.record_transform_diagnostics:
+        bundle = None
+    elif bundle is None:
         bundle = build_transform_bundle(ops, mixing, d=problem.d1)
     state = init_engine(config, problem, x0=x0, y0=y0)
     series = MetricsSeries()
@@ -197,12 +200,12 @@ def run_and_measure(config: EngineConfig, problem, mixing, x0=None, y0=None,
         for _ in range(config.T):
             update_estimator(state.grace, config.grace, state.X, state.Y,
                              problem, is_online=config.is_online)
-            series.rows.append(_record(state, config, problem, ops, bundle))
+            series.rows.append(_record(state, config, problem, bundle))
             _advance(state, config, ops)
             _check_finite(state)
         update_estimator(state.grace, config.grace, state.X, state.Y,
                          problem, is_online=config.is_online)
-        series.rows.append(_record(state, config, problem, ops, bundle))
+        series.rows.append(_record(state, config, problem, bundle))
     except (DivergenceError, FloatingPointError) as exc:
         if isinstance(exc, DivergenceError):
             exc.partial = series

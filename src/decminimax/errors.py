@@ -9,14 +9,6 @@ class NotPSDError(ValueError):
     """Matrix expected to be positive semi-definite is not."""
 
 
-class EigConvergenceError(RuntimeError):
-    """Eigensolver failed to converge within the sweep cap."""
-
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual
-
-
 class DegenerateModeError(RuntimeError):
     """A non-principal eigenmode has a zero mixing-gap eigenvalue."""
 

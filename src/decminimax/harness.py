@@ -9,6 +9,7 @@ byte-identical across thread counts.
 import csv
 import json
 import math
+import numbers
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,6 +101,15 @@ class RunConfig:
         }
 
 
+def _integer(name, value) -> int:
+    """value as an int; an integral float passes, anything else is rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
@@ -122,10 +132,13 @@ def config_from_dict(raw: dict) -> RunConfig:
         ) from None
     if "T" not in raw:
         raise ConfigError("missing required key 'T'")
-    T = int(raw["T"])
+    T = _integer("'T'", raw["T"])
     seeds = raw.get("seeds", _SCHEMA["seeds"])
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError("'seeds' must be a non-empty list")
+    seeds = tuple(_integer("each seed", s) for s in seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"'seeds' has duplicates: {list(seeds)}")
     if prob["kind"] not in ("quadratic", "sinpl"):
         raise ConfigError(f"unknown problem kind {prob['kind']!r}")
     if topo["lazy"] is None:
@@ -138,7 +151,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         problem=prob,
         schedule=sched,
         T=T,
-        seeds=tuple(int(s) for s in seeds),
+        seeds=seeds,
         x0=None if x0 is None else tuple(float(v) for v in x0),
         y0=None if y0 is None else tuple(float(v) for v in y0),
         diagnostics=diag,
@@ -203,6 +216,9 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
             c_mu=s["c_mu"], c_beta=s["c_beta"], c_p=s["c_p"], c_b=s["c_b"],
         )
         mu_x, mu_y, grace = schedule_for_mode(spec)
+    if problem.N is None and grace.p > 0 and grace.B_big is None:
+        raise ConfigError("an online problem with p > 0 needs schedule.B_big, "
+                          "the batch size of its refreshes")
     if s["shrink_to_valid"]:
         mu_x, mu_y, halvings, report = shrink_to_valid(
             mu_x, mu_y, grace, problem.constants, bundle)
@@ -245,7 +261,8 @@ def run_experiment(config: RunConfig, max_workers: int | None = None) -> RunResu
                 config.diagnostics["transform"]),
         )
         return run_and_measure(engine_config, problem, mixing,
-                               x0=config.x0, y0=config.y0, ops=ops)
+                               x0=config.x0, y0=config.y0, ops=ops,
+                               bundle=bundle)
 
     result = RunResult(config=config, mixing=mixing, problem=problem,
                        mu_x=mu_x, mu_y=mu_y, grace=grace,

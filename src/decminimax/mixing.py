@@ -1,19 +1,16 @@
 """Network topologies, Metropolis mixing matrices, and their spectra.
 
 All weight matrices produced here are symmetric and doubly stochastic.
-The eigensolver is a cyclic Jacobi iteration, which is exact enough for
-the desk-scale agent counts this simulator targets (K up to a few
-hundred).
+Each mixing matrix is decomposed once, with LAPACK's symmetric solver
+(numpy.linalg.eigh); every strategy matrix and spectral constant
+downstream is derived from that one spectrum.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EigConvergenceError, NotPSDError
-
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,8 @@ def _edges_to_adj(K: int, edges: set[tuple[int, int]]) -> list[list[int]]:
     return [sorted(n) for n in adj]
 
 
-def eigh_symmetric(M: np.ndarray, tol: float = JACOBI_TOL):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+def eigh_symmetric(M: np.ndarray):
+    """Eigendecomposition of a symmetric matrix.
 
     Returns (eigvals descending, eigvecs with orthonormal columns).
     Eigenvector signs are canonicalized so the largest-magnitude entry
@@ -128,60 +125,10 @@ def eigh_symmetric(M: np.ndarray, tol: float = JACOBI_TOL):
     M = np.asarray(M, dtype=float)
     if np.max(np.abs(M - M.T)) > 1e-12:
         raise ValueError("matrix is not symmetric")
-    K = M.shape[0]
-    A = M.copy()
-    V = np.eye(K)
-    norm_scale = max(1.0, np.linalg.norm(M))
-    def offdiag(M_):
-        # norm of the off-diagonal part only, to avoid cancellation
-        return np.linalg.norm(M_ - np.diag(np.diag(M_)))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = offdiag(A)
-        if off <= tol * norm_scale:
-            break
-        for p in range(K - 1):
-            for q in range(p + 1, K):
-                apq = A[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:  # avoid overflow in theta**2
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate rows/columns p, q
-                Ap = A[:, p].copy()
-                Aq = A[:, q].copy()
-                A[:, p] = c * Ap - s * Aq
-                A[:, q] = s * Ap + c * Aq
-                Ap = A[p, :].copy()
-                Aq = A[q, :].copy()
-                A[p, :] = c * Ap - s * Aq
-                A[q, :] = s * Ap + c * Aq
-                Vp = V[:, p].copy()
-                Vq = V[:, q].copy()
-                V[:, p] = c * Vp - s * Vq
-                V[:, q] = s * Vp + c * Vq
-    else:
-        off = offdiag(A)
-        raise EigConvergenceError(
-            f"Jacobi sweeps did not converge (off-diagonal {off:.3e})",
-            residual=off,
-        )
-    d = np.diag(A).copy()
-    order = np.argsort(-d)
-    d = d[order]
-    V = V[:, order]
-    for j in range(K):
-        i = np.argmax(np.abs(V[:, j]))
-        if V[i, j] < 0:
-            V[:, j] = -V[:, j]
-    return d, V
+    d, V = np.linalg.eigh(M)
+    d, V = d[::-1], V[:, ::-1]
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return d.copy(), V * np.where(top < 0, -1.0, 1.0)
 
 
 def metropolis_weights(adj: list[list[int]], lazy: bool = False) -> MixingMatrix:
@@ -216,18 +163,6 @@ def metropolis_weights(adj: list[list[int]], lazy: bool = False) -> MixingMatrix
         lam_min_nonzero=lam_min_nonzero,
         is_psd=is_psd,
     )
-
-
-def sqrt_psd(M: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues in [-1e-10, 0) are clamped."""
-    eigvals, eigvecs = eigh_symmetric(M)
-    if np.min(eigvals) < -1e-10:
-        raise NotPSDError(
-            f"matrix has eigenvalue {np.min(eigvals):.3e} < -1e-10; not PSD"
-        )
-    d = np.clip(eigvals, 0.0, None)
-    S = (eigvecs * np.sqrt(d)) @ eigvecs.T
-    return (S + S.T) / 2.0
 
 
 def mixing_for_topology(topo: Topology, lazy: bool = False) -> MixingMatrix:

@@ -1,7 +1,9 @@
 """Design-matrix triples (A, B, C) for the decentralized strategies.
 
-Each strategy materializes three K x K polynomials in the mixing matrix
-W. They act on K x d block iterates along the agent axis only, which is
+Each strategy is three scalar maps of the mixing spectrum: on the
+eigenvector of W with eigenvalue lam, A, B and C act as the scalars
+a(lam), b(lam), c(lam) returned by mode_values. The dense K x K matrices
+act on K x d block iterates along the agent axis only, which is
 equivalent to applying (M kron I_d) to the stacked vector.
 
 Strategy rows:
@@ -10,6 +12,9 @@ Strategy rows:
     ATC-GT      A = W^2    B = I - W           C = I
     semi-ATC-GT A = W      B = I - W           C = W
     non-ATC-GT  A = I      B = I - W           C = W^2
+
+A and C are exact products of W; the square root is V sqrt(1 - Lam) V^T
+on the consensus complement, from the mixing matrix's own eigenpairs.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NotPSDError
-from .mixing import MixingMatrix, sqrt_psd
+from .mixing import MixingMatrix
 
 
 class StrategyKind(Enum):
@@ -29,8 +34,17 @@ class StrategyKind(Enum):
     NON_ATC_GT = "non_atc_gt"
 
 
+# kind -> (power of W in A, power of W in C, B is (I - W)^{1/2} not I - W)
+_ROWS = {
+    StrategyKind.ED: (1, 0, True),
+    StrategyKind.EXTRA: (0, 1, True),
+    StrategyKind.ATC_GT: (2, 0, False),
+    StrategyKind.SEMI_ATC_GT: (1, 1, False),
+    StrategyKind.NON_ATC_GT: (0, 2, False),
+}
+
 # strategies whose B = (I - W)^{1/2} requires W to be PSD
-SQRT_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA)
+SQRT_STRATEGIES = tuple(kind for kind, row in _ROWS.items() if row[2])
 
 
 @dataclass(frozen=True)
@@ -41,39 +55,34 @@ class StrategyOps:
     C: np.ndarray
 
 
+def mode_values(kind: StrategyKind, lam: np.ndarray):
+    """(a, b, c): the scalars A, B and C take on eigenvalues lam of W."""
+    pow_a, pow_c, sqrt_b = _ROWS[kind]
+    lam = np.asarray(lam, dtype=float)
+    gap = 1.0 - lam
+    return lam**pow_a, np.sqrt(gap) if sqrt_b else gap, lam**pow_c
+
+
+def _power(W: np.ndarray, n: int) -> np.ndarray:
+    return np.eye(W.shape[0]) if n == 0 else W if n == 1 else W @ W
+
+
 def build_strategy(kind: StrategyKind, mixing: MixingMatrix) -> StrategyOps:
+    pow_a, pow_c, sqrt_b = _ROWS[kind]
     W = mixing.W
-    K = W.shape[0]
-    I = np.eye(K)
-    if kind in SQRT_STRATEGIES:
+    if sqrt_b:
         if not mixing.is_psd:
             raise NotPSDError(
                 f"{kind.value} needs a PSD mixing matrix "
                 f"(min eigenvalue {np.min(mixing.eigvals):.3e}); use lazy weights"
             )
-        B = sqrt_psd(I - W)
+        # the principal mode has b = 0, so only the complement contributes
+        U = mixing.eigvecs[:, 1:]
+        B = (U * np.sqrt(1.0 - mixing.eigvals[1:])) @ U.T
+        B = (B + B.T) / 2.0
     else:
-        B = I - W
-    if kind == StrategyKind.ED:
-        A, C = W, I
-    elif kind == StrategyKind.EXTRA:
-        A, C = I, W
-    elif kind == StrategyKind.ATC_GT:
-        A, C = W @ W, I
-    elif kind == StrategyKind.SEMI_ATC_GT:
-        A, C = W, W
-    elif kind == StrategyKind.NON_ATC_GT:
-        A, C = I, W @ W
-    else:
-        raise ValueError(f"unknown strategy {kind!r}")
-    return StrategyOps(kind=kind, A=A, B=B, C=C)
-
-
-def apply(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Apply a K x K operator to a K x d block vector on the agent axis."""
-    if M.shape[1] != V.shape[0]:
-        raise ValueError(f"shape mismatch: {M.shape} @ {V.shape}")
-    return M @ V
+        B = np.eye(W.shape[0]) - W
+    return StrategyOps(kind=kind, A=_power(W, pow_a), B=B, C=_power(W, pow_c))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Coupled-error coordinates and spectral diagnostics.
 
 For each non-principal eigenvalue of W, the strategy matrices reduce to
-scalars (a_j, b_j, c_j) and the consensus/dual dynamics to the 2x2 block
+scalars (a_j, b_j, c_j) = strategies.mode_values(kind, lam_j) and the
+consensus/dual dynamics to the 2x2 block
 
     P_j = [[a_j c_j - b_j^2, -b_j],
            [b_j,             1   ]].
 
-The bundle holds a block similarity P = Q T Q^{-1} with contractive T:
+The bundle holds the similarities P_j = Q_j T_j Q_j^{-1} of all modes as
+(K-1, 2, 2) stacks, with contractive T_j:
 
 * distinct real eigenvalues  -> diagonal T_j, unit eigenvector columns;
 * complex conjugate pair     -> real rotation-scaling block whose norm is
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateModeError
 from .mixing import MixingMatrix
-from .strategies import StrategyKind, StrategyOps
+from .strategies import StrategyKind, StrategyOps, mode_values
 
 _JORDAN_COL_SCALES = (np.sqrt(3.0), 1.0 / 3.0)
 
@@ -41,9 +43,9 @@ class TransformBundle:
     Lam_a: np.ndarray       # (K-1,) eigenvalues of A on the complement
     Lam_b: np.ndarray
     Lam_c: np.ndarray
-    Q: np.ndarray           # (2(K-1), 2(K-1))
-    Q_inv: np.ndarray
-    T_mat: np.ndarray
+    Q: np.ndarray           # (K-1, 2, 2) per-mode similarity
+    Q_inv: np.ndarray       # (K-1, 2, 2)
+    T_mat: np.ndarray       # (K-1, 2, 2)
     rho: float
     v1_sq: float
     v2_sq: float
@@ -57,63 +59,59 @@ class TransformBundle:
         return self.U_hat.shape[0]
 
     def block_P(self) -> np.ndarray:
-        """The full block matrix the similarity diagonalizes."""
-        m = len(self.lam_modes)
-        P = np.zeros((2 * m, 2 * m))
-        P[:m, :m] = np.diag(self.Lam_a * self.Lam_c - self.Lam_b**2)
-        P[:m, m:] = np.diag(-self.Lam_b)
-        P[m:, :m] = np.diag(self.Lam_b)
-        P[m:, m:] = np.eye(m)
-        return P
+        """The (K-1, 2, 2) stack of mode blocks the similarity diagonalizes."""
+        return _mode_blocks(self.Lam_a, self.Lam_b, self.Lam_c)
 
 
-def _mode_block(a, b, c):
-    return np.array([[a * c - b * b, -b], [b, 1.0]])
+def _mode_blocks(a, b, c):
+    return np.stack([np.stack([a * c - b * b, -b], axis=-1),
+                     np.stack([b, np.ones_like(b)], axis=-1)], axis=-2)
 
 
 def _similarity_2x2(P, disc_tol=1e-9):
-    """Q, T with P = Q T Q^{-1}; returns (Q, T, defective_flag)."""
-    tr = P[0, 0] + P[1, 1]
-    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
+    """Q, T with P = Q T Q^{-1} for each block of an (m, 2, 2) stack.
+
+    Returns (Q, Q^{-1}, T, defective), defective flagging the Jordan-branch
+    modes.
+    """
+    p00, p01, p11 = P[:, 0, 0], P[:, 0, 1], P[:, 1, 1]
+    tr = p00 + p11
+    det = p00 * p11 - p01 * P[:, 1, 0]
     disc = tr * tr - 4.0 * det
-    scale = max(1.0, abs(tr) ** 2, abs(det))
-    if disc > disc_tol * scale:  # real distinct
-        sq = np.sqrt(disc)
-        Q = np.zeros((2, 2))
-        for j, th in enumerate(((tr + sq) / 2.0, (tr - sq) / 2.0)):
-            M = P - th * np.eye(2)
-            v = np.array([M[0, 1], -M[0, 0]])
-            if np.linalg.norm(v) < 1e-13:
-                v = np.array([M[1, 1], -M[1, 0]])
-            Q[:, j] = v / np.linalg.norm(v)
-        T = np.linalg.inv(Q) @ P @ Q
-        return Q, T, False
-    if disc < -disc_tol * scale:  # complex conjugate pair
-        al = tr / 2.0
-        om = np.sqrt(-disc) / 2.0
-        M = P - (al + 1j * om) * np.eye(2)
-        v = np.array([M[0, 1], -M[0, 0]], dtype=complex)
-        vr, vi = v.real, v.imag
-        # rotate the phase so the real and imaginary parts have equal norm
-        A = vr @ vr - vi @ vi
-        B = 2.0 * (vr @ vi)
-        phi = 0.5 * np.arctan2(A, B)
-        w = np.exp(1j * phi) * v
-        Q = np.column_stack([w.real, w.imag]) / np.linalg.norm(w.real)
-        T = np.linalg.inv(Q) @ P @ Q
-        return Q, T, False
-    # repeated eigenvalue: eigenvector + orthogonal generalized direction
-    th = tr / 2.0
-    M = P - th * np.eye(2)
-    U, s, Vt = np.linalg.svd(M)
-    if s[0] < 1e-12:  # P is already th*I
-        return np.eye(2), P.copy(), False
-    vhat = Vt[1]
-    what = Vt[0]
+    scale = np.maximum(1.0, np.maximum(tr**2, np.abs(det)))
+    real = disc > disc_tol * scale
+    cplx = disc < -disc_tol * scale
+    rep = ~(real | cplx)
+    Q = np.empty_like(P)
+    # real distinct: unit eigenvector columns (p01, theta - p00), larger first
+    # (p01 = -b is nonzero on every mode)
+    th = (tr[real, None] + np.sqrt(disc[real])[:, None] * [1.0, -1.0]) / 2.0
+    v = np.stack([np.broadcast_to(p01[real, None], th.shape),
+                  th - p00[real, None]], axis=1)
+    Q[real] = v / np.linalg.norm(v, axis=1, keepdims=True)
+    # complex conjugate pair: eigenvector (p01, al + i om - p00), its phase
+    # rotated so the real and imaginary parts have equal norm
+    al = tr[cplx] / 2.0
+    om = np.sqrt(-disc[cplx]) / 2.0
+    vr = np.stack([p01[cplx], al - p00[cplx]], axis=-1)
+    vi = np.stack([np.zeros_like(om), om], axis=-1)
+    phi = 0.5 * np.arctan2(np.sum(vr * vr, axis=-1) - np.sum(vi * vi, axis=-1),
+                           2.0 * np.sum(vr * vi, axis=-1))
+    w = np.exp(1j * phi)[:, None] * (vr + 1j * vi)
+    Q[cplx] = np.stack([w.real, w.imag], axis=-1) \
+        / np.linalg.norm(w.real, axis=-1)[:, None, None]
+    # repeated eigenvalue: eigenvector + orthogonal generalized direction,
+    # unless the block is already a multiple of I
+    M = P[rep] - (tr[rep] / 2.0)[:, None, None] * np.eye(2)
+    _, s, Vt = np.linalg.svd(M)
+    scalar = s[:, 0] < 1e-12
     alpha, beta = _JORDAN_COL_SCALES
-    Q = np.column_stack([alpha * vhat, beta * what])
-    T = np.linalg.inv(Q) @ P @ Q
-    return Q, T, True
+    Q[rep] = np.where(scalar[:, None, None], np.eye(2),
+                      np.stack([alpha * Vt[:, 1], beta * Vt[:, 0]], axis=-1))
+    defective = np.zeros(len(P), dtype=bool)
+    defective[rep] = ~scalar
+    Q_inv = np.linalg.inv(Q)
+    return Q, Q_inv, Q_inv @ P @ Q, defective
 
 
 def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
@@ -122,40 +120,23 @@ def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
     U_hat = mixing.eigvecs[:, 1:]
     lam_modes = mixing.eigvals[1:]
     m = K - 1
-    # A, B, C are polynomials in W, so they are scalar on each eigenmode
-    Lam_a = np.einsum("ij,jk,ki->i", U_hat.T, ops.A, U_hat) if m else np.zeros(0)
-    Lam_b = np.einsum("ij,jk,ki->i", U_hat.T, ops.B, U_hat) if m else np.zeros(0)
-    Lam_c = np.einsum("ij,jk,ki->i", U_hat.T, ops.C, U_hat) if m else np.zeros(0)
-    if m and np.min(np.abs(Lam_b)) < 1e-12:
+    Lam_a, Lam_b, Lam_c = mode_values(ops.kind, lam_modes)
+    if np.any(np.abs(Lam_b) < 1e-12):
         raise DegenerateModeError(
             "a non-principal mode has a zero dual-coupling eigenvalue; "
             "the graph effectively has a disconnected consensus subspace"
         )
-    Q = np.zeros((2 * m, 2 * m))
-    Qi = np.zeros((2 * m, 2 * m))
-    Tm = np.zeros((2 * m, 2 * m))
-    rho = 0.0
-    v1_sq = 0.0 if m else 1.0
-    v2_sq = 0.0 if m else 1.0
-    defective = []
-    for j in range(m):
-        Pj = _mode_block(Lam_a[j], Lam_b[j], Lam_c[j])
-        Qj, Tj, is_def = _similarity_2x2(Pj)
-        if is_def:
-            defective.append(j)
-        Qij = np.linalg.inv(Qj)
-        if np.linalg.cond(Qj) > cond_cap:
-            raise DegenerateModeError(
-                f"mode {j} similarity is ill-conditioned (cond > {cond_cap:g})"
-            )
-        for r in range(2):
-            for s in range(2):
-                Q[r * m + j, s * m + j] = Qj[r, s]
-                Qi[r * m + j, s * m + j] = Qij[r, s]
-                Tm[r * m + j, s * m + j] = Tj[r, s]
-        rho = max(rho, float(np.linalg.norm(Tj, 2)))
-        v1_sq = max(v1_sq, float(np.linalg.norm(Qj, 2) ** 2))
-        v2_sq = max(v2_sq, float(np.linalg.norm(Qij, 2) ** 2))
+    Q, Qi, Tm, defective = _similarity_2x2(_mode_blocks(Lam_a, Lam_b, Lam_c))
+    norm_q = np.linalg.norm(Q, 2, axis=(1, 2))
+    norm_qi = np.linalg.norm(Qi, 2, axis=(1, 2))
+    cond = norm_q * norm_qi
+    if np.any(cond > cond_cap):
+        raise DegenerateModeError(
+            f"mode {int(np.argmax(cond))} similarity is ill-conditioned "
+            f"(cond > {cond_cap:g})"
+        )
+    v1_sq = float(np.max(norm_q**2)) if m else 1.0
+    v2_sq = float(np.max(norm_qi**2)) if m else 1.0
     return TransformBundle(
         kind=ops.kind,
         d=d,
@@ -167,22 +148,20 @@ def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
         Q=Q,
         Q_inv=Qi,
         T_mat=Tm,
-        rho=rho,
+        rho=float(np.max(np.linalg.norm(Tm, 2, axis=(1, 2)))) if m else 0.0,
         v1_sq=v1_sq,
         v2_sq=v2_sq,
         lam_a_sq=float(np.max(Lam_a**2)) if m else 0.0,
         lam_b_underline_sq=float(np.min(Lam_b**2)) if m else 1.0,
         tau=float(np.sqrt(K) * np.sqrt(v2_sq)),
-        defective_modes=tuple(defective),
+        defective_modes=tuple(np.flatnonzero(defective).tolist()),
     )
 
 
 @dataclass(frozen=True)
 class CoupledError:
-    ehat_x: np.ndarray  # (2(K-1), d1)
+    ehat_x: np.ndarray  # (2(K-1), d1): first components of every mode, then second
     ehat_y: np.ndarray  # (2(K-1), d2)
-    z_x: np.ndarray     # (K, d1)
-    z_y: np.ndarray
 
     @property
     def ehat_x_sq(self) -> float:
@@ -193,27 +172,24 @@ class CoupledError:
         return float(np.sum(self.ehat_y**2))
 
 
-def coupled_error_norms(X, Y, M_x, M_y, D_x, D_y, ops: StrategyOps,
-                        bundle: TransformBundle, mu_x: float, mu_y: float) -> CoupledError:
-    """Transformed deviation coordinates of the current engine state."""
-    B2 = ops.B @ ops.B
-    z_x = mu_x * ops.A @ M_x + ops.B @ D_x - B2 @ X
-    z_y = -mu_y * ops.A @ M_y + ops.B @ D_y - B2 @ Y
-    m = len(bundle.lam_modes)
-    if m == 0:
-        return CoupledError(
-            ehat_x=np.zeros((0, X.shape[1])),
-            ehat_y=np.zeros((0, Y.shape[1])),
-            z_x=z_x,
-            z_y=z_y,
-        )
-    Ut = bundle.U_hat.T
-    inv_b = 1.0 / bundle.Lam_b
-    stack_x = np.vstack([Ut @ X, inv_b[:, None] * (Ut @ z_x)])
-    stack_y = np.vstack([Ut @ Y, inv_b[:, None] * (Ut @ z_y)])
-    ehat_x = bundle.Q_inv @ stack_x / bundle.tau
-    ehat_y = bundle.Q_inv @ stack_y / bundle.tau
-    return CoupledError(ehat_x=ehat_x, ehat_y=ehat_y, z_x=z_x, z_y=z_y)
+def coupled_error_norms(X, Y, M_x, M_y, D_x, D_y, bundle: TransformBundle,
+                        mu_x: float, mu_y: float) -> CoupledError:
+    """Transformed deviation coordinates of the current engine state.
+
+    On mode j the coupled coordinates are (u_j^T X, u_j^T z / b_j) with
+    z = mu A M + B D - B^2 X, so z_j / b_j = mu a_j m_j / b_j + d_j - b_j x_j.
+    X and Y go through side by side, as the columns of one block.
+    """
+    d1 = X.shape[1]
+    d = d1 + Y.shape[1]
+    proj = bundle.U_hat.T @ np.hstack([X, Y, mu_x * M_x, -mu_y * M_y, D_x, D_y])
+    x, mu_m, dual = proj[:, :d], proj[:, d:2 * d], proj[:, 2 * d:]
+    b = bundle.Lam_b[:, None]
+    z = bundle.Lam_a[:, None] * mu_m / b + dual - b * x
+    Qi = bundle.Q_inv[:, :, :, None]
+    ehat = np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
+                           Qi[:, 1, 0] * x + Qi[:, 1, 1] * z]) / bundle.tau
+    return CoupledError(ehat_x=ehat[:, :d1], ehat_y=ehat[:, d1:])
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,7 @@ def test_criterion_4_consensus_inequality(ring8, quad8):
                              is_online=False)
             err = coupled_error_norms(
                 state.X, state.Y, state.grace.M_x, state.grace.M_y,
-                state.D_x, state.D_y, ops, bundle, config.mu_x, config.mu_y)
+                state.D_x, state.D_y, bundle, config.mu_x, config.mu_y)
             rep = check_consensus_bound(state.X, state.Y, err, bundle)
             if not rep.passed:
                 ok = False

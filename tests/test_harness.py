@@ -6,6 +6,7 @@ import yaml
 
 from decminimax import ConfigError, config_from_dict, load_config, \
     run_experiment, verify_invariants, write_outputs
+from decminimax import harness
 from decminimax.harness import CSV_HEADER, sweep
 
 MINIMAL = {
@@ -56,6 +57,32 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="strategy"):
             config_from_dict(raw)
 
+    def test_duplicate_seeds_rejected(self):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["seeds"] = [0, 0, 1]
+        with pytest.raises(ConfigError, match="duplicates"):
+            config_from_dict(raw)
+
+    def test_non_integer_T_rejected(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(MINIMAL).replace("T: 20", "T: 1e3"))
+        with pytest.raises(ConfigError, match="'T' must be an integer"):
+            load_config(path)  # YAML reads 1e3 as a string
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["T"] = 2.5
+        with pytest.raises(ConfigError, match="'T' must be an integer"):
+            config_from_dict(raw)
+        raw["T"] = 20.0
+        assert config_from_dict(raw).T == 20
+
+    def test_online_refresh_needs_B_big(self, monkeypatch):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["problem"]["N"] = None  # online, p = 0.2, no B_big
+        monkeypatch.setattr(harness, "run_and_measure",
+                            lambda *a, **k: pytest.fail("a seed started"))
+        with pytest.raises(ConfigError, match="B_big"):
+            run_experiment(config_from_dict(raw))
+
     def test_gt_strategy_defaults_to_plain_weights(self):
         raw = json.loads(json.dumps(MINIMAL))
         raw["strategy"] = "atc_gt"
@@ -72,12 +99,6 @@ class TestRunExperiment:
         assert s["seeds_ok"] == [0]
         assert s["constants"]["nu"] > 0
         assert len(result.series[0].rows) == 21
-
-    def test_repeated_seed_zero_std(self):
-        raw = json.loads(json.dumps(MINIMAL))
-        raw["seeds"] = [3, 3]
-        result = run_experiment(config_from_dict(raw))
-        assert result.summary["avg_stationarity"]["std"] == 0.0
 
     def test_divergent_seed_recorded(self):
         raw = json.loads(json.dumps(MINIMAL))

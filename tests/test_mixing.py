@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decminimax import (
+    SQRT_STRATEGIES,
     ConfigError,
     NotPSDError,
+    StrategyKind,
     Topology,
     build_graph,
+    build_strategy,
     eigh_symmetric,
     metropolis_weights,
     mixing_for_topology,
-    sqrt_psd,
 )
 
-from conftest import assert_close
+from conftest import assert_close, random_connected_mixing
 
 
 def edges_of(adj):
@@ -129,30 +131,45 @@ class TestEighSymmetric:
 
 
 class TestSqrtPSD:
-    def test_identity(self):
-        assert_close(sqrt_psd(np.eye(3)), np.eye(3), 1e-14, "sqrt(I)")
+    """B = (I - W)^{1/2} of the square-root strategies, built from the
+    eigenpairs of the mixing matrix."""
 
-    def test_diagonal(self):
-        assert_close(sqrt_psd(np.diag([4.0, 1.0, 0.0])),
-                     np.diag([2.0, 1.0, 0.0]), 1e-12, "sqrt(diag)")
+    def test_identity(self):
+        # lazy complete graph: W = (I + J/K)/2, so I - W is half the
+        # identity on the consensus complement and B is that over sqrt(2)
+        K = 5
+        mix = mixing_for_topology(Topology(kind="complete", K=K), lazy=True)
+        B = build_strategy(StrategyKind.ED, mix).B
+        assert_close(B, (np.eye(K) - 1.0 / K) / np.sqrt(2.0), 1e-14,
+                     "sqrt on the complement identity")
+
+    def test_diagonal(self, ring8_lazy):
+        U = ring8_lazy.eigvecs
+        B = build_strategy(StrategyKind.EXTRA, ring8_lazy).B
+        b = np.sqrt(1.0 - ring8_lazy.eigvals[1:])
+        assert_close(U.T @ B @ U, np.diag(np.r_[0.0, b]), 1e-14,
+                     "B diagonal in the eigenbasis of W")
 
     def test_lazy_ring_gap_spectrum(self, ring4_lazy):
-        S = sqrt_psd(np.eye(4) - ring4_lazy.W)
-        d, _ = eigh_symmetric(S)
-        assert_close(np.sort(d),
-                     np.sort([0.0, np.sqrt(1 / 3), np.sqrt(1 / 3),
-                              np.sqrt(2 / 3)]), 1e-10, "sqrt spectrum")
+        B = build_strategy(StrategyKind.ED, ring4_lazy).B
+        assert_close(np.linalg.eigvalsh(B),
+                     [0.0, np.sqrt(1 / 3), np.sqrt(1 / 3), np.sqrt(2 / 3)],
+                     1e-12, "sqrt spectrum")
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            sqrt_psd(np.diag([1.0, -0.5]))
+        mix = mixing_for_topology(Topology(kind="ring", K=5), lazy=False)
+        assert np.min(mix.eigvals) < -0.2
+        for kind in SQRT_STRATEGIES:
+            with pytest.raises(NotPSDError, match="PSD"):
+                build_strategy(kind, mix)
 
-    @given(seed=st.integers(0, 10**6), K=st.integers(1, 16))
-    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**6), K=st.integers(2, 64))
+    @settings(max_examples=40, deadline=None)
     def test_square_roundtrip(self, seed, K):
-        rng = np.random.default_rng(seed)
-        G = rng.standard_normal((K, K))
-        M = G @ G.T / K
-        S = sqrt_psd(M)
-        assert np.linalg.norm(S @ S - M) <= 1e-10 * max(1.0, np.linalg.norm(M))
-        assert_close(S, S.T, 1e-12, "sqrt symmetry")
+        mix = random_connected_mixing(np.random.default_rng(seed), K)
+        gap = np.eye(K) - mix.W
+        for kind in SQRT_STRATEGIES:
+            B = build_strategy(kind, mix).B
+            assert_close(B @ B, gap, 1e-10, "B^2 = I - W")
+            assert_close(np.ones(K) @ B, np.zeros(K), 1e-10, "1^T B = 0")
+            assert_close(B, B.T, 1e-12, "sqrt symmetry")

@@ -10,7 +10,6 @@ from decminimax import (
     mixing_for_topology,
     verify_strategy_assumptions,
 )
-from decminimax.strategies import apply
 
 from conftest import assert_close, random_connected_mixing
 
@@ -49,28 +48,6 @@ class TestBuildStrategy:
         for kind in (StrategyKind.ATC_GT, StrategyKind.SEMI_ATC_GT,
                      StrategyKind.NON_ATC_GT):
             build_strategy(kind, mix)
-
-
-class TestApply:
-    def test_identity(self):
-        V = np.arange(12.0).reshape(4, 3)
-        assert_close(apply(np.eye(4), V), V, 0, "identity apply")
-
-    def test_averaging_projector(self):
-        V = np.arange(12.0).reshape(4, 3)
-        P = np.full((4, 4), 0.25)
-        out = apply(P, V)
-        assert_close(out, np.tile(V.mean(axis=0), (4, 1)), 1e-14, "projector")
-
-    def test_one_hot_selects_column(self, ring4_lazy):
-        e = np.zeros((4, 1))
-        e[2, 0] = 1.0
-        assert_close(apply(ring4_lazy.W, e)[:, 0], ring4_lazy.W[:, 2], 0,
-                     "one-hot")
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply(np.eye(3), np.zeros((4, 2)))
 
 
 class TestAssumptions:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from decminimax import (
     EngineConfig,
@@ -15,8 +16,10 @@ from decminimax import (
 )
 from decminimax.engine import _advance
 from decminimax.estimator import update_estimator
+from decminimax.strategies import mode_values
+from decminimax.transform import _similarity_2x2
 
-from conftest import random_connected_mixing
+from conftest import assert_close, random_connected_mixing
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
 
@@ -31,6 +34,120 @@ def closed_form_bounds(kind, mixing):
     if kind == StrategyKind.ATC_GT:
         return (1 + lam) / 2, False, lam**2, 1 - lam, 3.0, 9.0
     raise ValueError(kind)
+
+
+def reference_similarity(P, disc_tol=1e-9):
+    """The dense route's similarity of one 2x2 mode block, one mode at a
+    time: (Q, T) with P = Q T Q^{-1}."""
+    tr = P[0, 0] + P[1, 1]
+    det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
+    disc = tr * tr - 4.0 * det
+    scale = max(1.0, abs(tr) ** 2, abs(det))
+    if disc > disc_tol * scale:  # real distinct
+        sq = np.sqrt(disc)
+        Q = np.zeros((2, 2))
+        for j, th in enumerate(((tr + sq) / 2.0, (tr - sq) / 2.0)):
+            M = P - th * np.eye(2)
+            v = np.array([M[0, 1], -M[0, 0]])
+            if np.linalg.norm(v) < 1e-13:
+                v = np.array([M[1, 1], -M[1, 0]])
+            Q[:, j] = v / np.linalg.norm(v)
+    elif disc < -disc_tol * scale:  # complex conjugate pair
+        al = tr / 2.0
+        om = np.sqrt(-disc) / 2.0
+        M = P - (al + 1j * om) * np.eye(2)
+        v = np.array([M[0, 1], -M[0, 0]], dtype=complex)
+        vr, vi = v.real, v.imag
+        phi = 0.5 * np.arctan2(vr @ vr - vi @ vi, 2.0 * (vr @ vi))
+        w = np.exp(1j * phi) * v
+        Q = np.column_stack([w.real, w.imag]) / np.linalg.norm(w.real)
+    else:  # repeated eigenvalue
+        M = P - tr / 2.0 * np.eye(2)
+        _, s, Vt = np.linalg.svd(M)
+        if s[0] < 1e-12:
+            return np.eye(2), P.copy()
+        Q = np.column_stack([np.sqrt(3.0) * Vt[1], Vt[0] / 3.0])
+    return Q, np.linalg.inv(Q) @ P @ Q
+
+
+class TestSpectralForm:
+    """The per-mode bundle against the dense route it replaced: mode values
+    projected from the dense (A, B, C), then one 2x2 similarity per mode."""
+
+    @given(seed=st.integers(0, 10**6), K=st.integers(2, 64))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_dense_route(self, seed, K):
+        mixing = random_connected_mixing(np.random.default_rng(seed), K)
+        for kind in StrategyKind:
+            ops = build_strategy(kind, mixing)
+            bundle = build_transform_bundle(ops, mixing)
+            U = bundle.U_hat
+            dense = [np.diag(U.T @ M @ U) for M in (ops.A, ops.B, ops.C)]
+            for got, ref, name in zip(
+                    (bundle.Lam_a, bundle.Lam_b, bundle.Lam_c), dense, "abc"):
+                assert_close(got, ref, 1e-12, f"{kind.value} Lam_{name}")
+            rho = v1_sq = v2_sq = 0.0
+            for a, b, c in zip(*dense):
+                Q, T = reference_similarity(
+                    np.array([[a * c - b * b, -b], [b, 1.0]]))
+                rho = max(rho, np.linalg.norm(T, 2))
+                v1_sq = max(v1_sq, np.linalg.norm(Q, 2) ** 2)
+                v2_sq = max(v2_sq, np.linalg.norm(np.linalg.inv(Q), 2) ** 2)
+            assert bundle.rho == pytest.approx(rho, abs=1e-10)
+            assert bundle.v1_sq == pytest.approx(v1_sq, abs=1e-10)
+            assert bundle.v2_sq == pytest.approx(v2_sq, abs=1e-10)
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_similarity_matches_reference(self, seed):
+        """Every branch, the real-distinct one included (no strategy row
+        reaches it on a PSD spectrum), picks the reference's Q and T."""
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-1.0, 1.0, 24)
+        a, b, c = rng.uniform(-1.0, 1.0, (3, 24))
+        b = np.where(np.abs(b) < 0.05, 0.5, b)
+        # the last 8 blocks follow the gradient-tracking rows: a c = lam^2,
+        # b = 1 - lam, a double eigenvalue at lam
+        a[16:], b[16:], c[16:] = lam[16:] ** 2, 1.0 - lam[16:], 1.0
+        P = np.stack([[a * c - b * b, -b], [b, np.ones_like(b)]]).transpose(2, 0, 1)
+        Q, Q_inv, T, defective = _similarity_2x2(P)
+        assert defective[16:].all()
+        for j in range(len(P)):
+            Q_ref, T_ref = reference_similarity(P[j])
+            assert_close(Q[j], Q_ref, 1e-12, f"Q of block {j}")
+            assert_close(T[j], T_ref, 1e-12, f"T of block {j}")
+            assert_close(Q_inv[j], np.linalg.inv(Q_ref), 1e-10, f"Q^-1 {j}")
+
+    @pytest.mark.parametrize("kind", (StrategyKind.ED, StrategyKind.EXTRA))
+    def test_ehat_of_consensual_state(self, kind):
+        """Consensual X and Y with zero duals: U^T X = 0, so on mode j the
+        coordinates are (0, mu a_j m_j / b_j), with m = U^T M."""
+        K, mu = 64, 1e-8
+        mixing = mixing_for_topology(Topology(kind="ring", K=K), lazy=True)
+        bundle = build_transform_bundle(build_strategy(kind, mixing), mixing)
+        a, b, _ = mode_values(kind, mixing.eigvals[1:])
+        rng = np.random.default_rng(1)
+        X = np.tile(rng.standard_normal(3), (K, 1))
+        Y = np.tile(rng.standard_normal(2), (K, 1))
+        M_x = rng.standard_normal((K, 3))
+        M_y = rng.standard_normal((K, 2))
+        err = coupled_error_norms(X, Y, M_x, M_y, np.zeros_like(X),
+                                  np.zeros_like(Y), bundle, mu, mu)
+        for got, M, sign in ((err.ehat_x_sq, M_x, 1.0),
+                             (err.ehat_y_sq, M_y, -1.0)):
+            z_over_b = sign * mu * (a / b)[:, None] * (bundle.U_hat.T @ M)
+            e = bundle.Q_inv[:, :, 1, None] * z_over_b[:, None, :]
+            exact = np.sum(e**2) / bundle.tau**2
+            assert got == pytest.approx(exact, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("kind", (StrategyKind.ED, StrategyKind.EXTRA))
+    def test_closed_forms_at_K256(self, kind):
+        mixing = mixing_for_topology(Topology(kind="ring", K=256), lazy=True)
+        bundle = build_transform_bundle(build_strategy(kind, mixing), mixing)
+        assert bundle.rho == pytest.approx(np.sqrt(mixing.lam), abs=1e-8)
+        assert bundle.lam_b_underline_sq == pytest.approx(1 - mixing.lam,
+                                                          abs=1e-8)
+        assert bundle.v1_sq <= 4.0 + 1e-8
 
 
 class TestBundleConstants:
@@ -107,7 +224,7 @@ class TestCoupledError:
         M_x = np.tile(np.full(3, 0.7), (K, 1))
         M_y = np.tile(np.full(2, -0.3), (K, 1))
         D = np.zeros_like(X)
-        err = coupled_error_norms(X, Y, M_x, M_y, D, np.zeros_like(Y), ops,
+        err = coupled_error_norms(X, Y, M_x, M_y, D, np.zeros_like(Y),
                                   bundle, 0.1, 0.1)
         assert err.ehat_x_sq <= 1e-24
         assert err.ehat_y_sq <= 1e-24
@@ -118,7 +235,7 @@ class TestCoupledError:
         bundle = build_transform_bundle(ops, mixing)
         err = coupled_error_norms(
             np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)),
-            np.ones((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), ops, bundle,
+            np.ones((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), bundle,
             0.1, 0.1)
         assert err.ehat_x.shape == (0, 2)
         assert err.ehat_x_sq == 0.0
@@ -134,7 +251,7 @@ class TestCoupledError:
             M_y = rng.standard_normal((8, 2))
             D_x = ops.B @ rng.standard_normal((8, 3))  # duals live in range(B)
             D_y = ops.B @ rng.standard_normal((8, 2))
-            err = coupled_error_norms(X, Y, M_x, M_y, D_x, D_y, ops, bundle,
+            err = coupled_error_norms(X, Y, M_x, M_y, D_x, D_y, bundle,
                                       0.05, 0.1)
             report = check_consensus_bound(X, Y, err, bundle)
             assert report.passed, (report.lhs, report.rhs)
@@ -152,7 +269,7 @@ class TestCoupledError:
                              quad_problem, is_online=False)
             err = coupled_error_norms(
                 state.X, state.Y, state.grace.M_x, state.grace.M_y,
-                state.D_x, state.D_y, ops, bundle, config.mu_x, config.mu_y)
+                state.D_x, state.D_y, bundle, config.mu_x, config.mu_y)
             report = check_consensus_bound(state.X, state.Y, err, bundle)
             assert report.passed, (state.round, report.lhs, report.rhs)
             _advance(state, config, ops)
