@@ -45,8 +45,7 @@ def main():
         avgs = []
         for seed in range(args.seeds):
             config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x,
-                                  mu_y=mu_y, grace=grace, T=T, seed=seed,
-                                  is_online=True)
+                                  mu_y=mu_y, grace=grace, T=T, seed=seed)
             series = run_and_measure(config, problem, mixing, ops=ops)
             avgs.append(series.avg_stationarity)
         avg = float(np.mean(avgs))

@@ -11,7 +11,7 @@ from .engine import EngineConfig, EngineState, MetricsSeries, RoundMetrics, \
 from .errors import AscentCapError, ConfigError, DegenerateModeError, \
     DivergenceError, NotPSDError
 from .estimator import EstimatorMode, GraceParams, GraceState, \
-    estimator_error, init_estimator, preset_params, update_estimator
+    estimator_error, init_estimator, update_estimator
 from .harness import RunConfig, config_from_dict, load_config, \
     run_experiment, sweep, verify_invariants, write_outputs
 from .mixing import MixingMatrix, Topology, build_graph, eigh_symmetric, \

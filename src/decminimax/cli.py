@@ -20,7 +20,7 @@ from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
 def _cmd_run(args):
     config = load_config(args.config)
-    result = run_experiment(config, max_workers=args.workers)
+    result = run_experiment(config)
     files = write_outputs(result, args.out)
     if args.dump_mixing:
         from pathlib import Path
@@ -86,8 +86,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="seed-level thread pool size")
     p_run.add_argument("--dump-mixing", action="store_true",
                        help="also write the mixing matrix as CSV")
     p_run.set_defaults(func=_cmd_run)

@@ -33,7 +33,6 @@ class EngineConfig:
     grace: GraceParams
     T: int
     seed: int = 0
-    is_online: bool = False
     record_transform_diagnostics: bool = False
 
     def __post_init__(self):
@@ -91,8 +90,7 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
         )
     X = np.tile(x0, (K, 1))
     Y = np.tile(y0, (K, 1))
-    grace = init_estimator(problem, config.grace, config.seed, X, Y,
-                           is_online=config.is_online)
+    grace = init_estimator(problem, config.grace, config.seed, X, Y)
     return EngineState(
         X=X,
         Y=Y,
@@ -118,8 +116,7 @@ def _advance(state: EngineState, config: EngineConfig, ops: StrategyOps) -> None
 def step(state: EngineState, config: EngineConfig, problem,
          ops: StrategyOps) -> None:
     """One full round: estimator update then primal/dual advance."""
-    update_estimator(state.grace, config.grace, state.X, state.Y, problem,
-                     is_online=config.is_online)
+    update_estimator(state.grace, config.grace, state.X, state.Y, problem)
     _advance(state, config, ops)
     _check_finite(state)
 
@@ -153,7 +150,7 @@ def _record(state: EngineState, config: EngineConfig, problem,
     consensus = float(np.sum((state.X - x_c) ** 2) + np.sum((state.Y - y_c) ** 2))
     _, P_val = maximizer_oracle(problem, x_c)
     delta_c = P_val - problem.objective(x_c, y_c)
-    ex, ey, exc, eyc = estimator_error(state.grace, problem, state.X, state.Y)
+    ex, ey, exc, eyc = estimator_error(state.grace)
     ehat_x_sq = ehat_y_sq = None
     if bundle is not None:
         err = coupled_error_norms(
@@ -199,12 +196,12 @@ def run_and_measure(config: EngineConfig, problem, mixing, x0=None, y0=None,
     try:
         for _ in range(config.T):
             update_estimator(state.grace, config.grace, state.X, state.Y,
-                             problem, is_online=config.is_online)
+                             problem)
             series.rows.append(_record(state, config, problem, bundle))
             _advance(state, config, ops)
             _check_finite(state)
         update_estimator(state.grace, config.grace, state.X, state.Y,
-                         problem, is_online=config.is_online)
+                         problem)
         series.rows.append(_record(state, config, problem, bundle))
     except (DivergenceError, FloatingPointError) as exc:
         if isinstance(exc, DivergenceError):

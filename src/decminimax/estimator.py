@@ -8,10 +8,16 @@ One shared Bernoulli(p) draw per round selects between a batch refresh
 where the same minibatch is evaluated at the previous and current
 iterates. beta > 0, p = 0 recovers STORM; beta = 0, p > 0 recovers
 PAGE (large b) and Loopless SARAH (b = 1).
+
+The sampling mode is the problem's: offline when it has a finite sample
+count N, online otherwise. Each seed replicate owns one random stream,
+spawned from SeedSequence(seed), so it shares no draws with another
+replicate or with a problem built from default_rng(seed). A round draws
+the switch uniform, then (unless it is an offline refresh) one noise
+block for all K agents, and updates the (K, d) estimates in one step.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,148 +54,69 @@ class GraceParams:
         return self.p + self.beta - self.p * self.beta
 
 
-def preset_params(mode: EstimatorMode, N=None, K=1, T=None,
-                  c_beta=1.0, c_p=1.0, c_b=1.0) -> GraceParams:
-    """Schedule-order parameter presets with constants fixed at the knobs."""
-    if mode == EstimatorMode.STORM:
-        if T is None:
-            raise ConfigError("STORM preset needs the round budget T")
-        beta = min(1.0, c_beta * K ** (1 / 3) / T ** (2 / 3))
-        b0 = max(1, math.ceil(c_b * T ** (1 / 3) / K ** (2 / 3)))
-        return GraceParams(beta=beta, p=0.0, b=1, b0=b0, mode_tag=mode)
-    if mode == EstimatorMode.PAGE:
-        if N is None:
-            raise ConfigError("offline PAGE preset needs the sample count N")
-        b = max(1, math.ceil(c_b * math.sqrt(N / K)))
-        p = min(1.0, c_p / math.sqrt(K * N))
-        return GraceParams(beta=0.0, p=p, b=b, B_big=N, b0=b, mode_tag=mode)
-    if mode == EstimatorMode.LOOPLESS_SARAH:
-        if N is None:
-            raise ConfigError("offline Loopless-SARAH preset needs N")
-        b0 = max(1, math.ceil(c_b * math.sqrt(N) / K))
-        p = min(1.0, c_p * K / N)
-        return GraceParams(
-            beta=0.0, p=p, b=1, B_big=max(1, math.ceil(N / K)), b0=b0, mode_tag=mode
-        )
-    raise ConfigError(f"no preset for mode {mode!r}")
-
-
 @dataclass
 class GraceState:
     M_x: np.ndarray  # (K, d1) current gradient estimates
     M_y: np.ndarray  # (K, d2)
-    prev_X: np.ndarray
-    prev_Y: np.ndarray
-    switch_rng: np.random.Generator
-    agent_rngs: list
+    G_x: np.ndarray  # (K, d1) exact gradients at the iterates of the last update
+    G_y: np.ndarray  # (K, d2)
+    rng: np.random.Generator  # the replicate's one stream
     samples_used: int = 0  # cumulative per-agent sample draws
-    branch_log: list = field(default_factory=list)
-    last_indices: list | None = None  # offline minibatch indices, per agent
-
-
-def _agent_rngs(seed: int, K: int):
-    return [np.random.default_rng(seed ^ (k + 1)) for k in range(K)]
 
 
 def init_estimator(problem, params: GraceParams, seed: int,
-                   X0: np.ndarray, Y0: np.ndarray, is_online: bool) -> GraceState:
+                   X0: np.ndarray, Y0: np.ndarray) -> GraceState:
     """Initial estimates from a size-b0 minibatch at the start iterates."""
-    K = problem.K
-    state = GraceState(
-        M_x=np.zeros((K, problem.d1)),
-        M_y=np.zeros((K, problem.d2)),
-        prev_X=X0.copy(),
-        prev_Y=Y0.copy(),
-        switch_rng=np.random.default_rng(seed),
-        agent_rngs=_agent_rngs(seed, K),
-    )
-    b0 = params.b0
-    if not is_online:
-        if problem.N is None:
-            raise ConfigError("offline estimator needs a finite-sum problem")
-        b0 = min(b0, problem.N)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    b0 = params.b0 if problem.N is None else min(params.b0, problem.N)
     gx, gy = problem.exact_grads_block(X0, Y0)
-    for k in range(K):
-        rng = state.agent_rngs[k]
-        if is_online:
-            na, nb = problem.batch_noise(k, rng=rng, batch=b0)
-        else:
-            idx = rng.integers(0, problem.N, size=b0)
-            na, nb = problem.batch_noise(k, idx=idx)
-        state.M_x[k] = gx[k] + na
-        state.M_y[k] = gy[k] + nb
-    state.samples_used += b0
-    return state
+    na, nb = problem.batch_noise(rng, b0)
+    return GraceState(M_x=gx + na, M_y=gy + nb, G_x=gx, G_y=gy, rng=rng,
+                      samples_used=b0)
 
 
 def update_estimator(state: GraceState, params: GraceParams,
-                     cur_X: np.ndarray, cur_Y: np.ndarray,
-                     problem, is_online: bool) -> None:
+                     cur_X: np.ndarray, cur_Y: np.ndarray, problem) -> None:
     """One estimator round: shared switch draw, then refresh or recursion.
 
-    The previous iterates held in the state are overwritten with the
-    current ones after use.
+    The exact gradients at the current iterates replace the stored ones,
+    which served as the previous-iterate gradients of the recursion.
     """
-    K = problem.K
-    take_refresh = bool(state.switch_rng.random() < params.p)
-    state.branch_log.append(1 if take_refresh else 0)
-    gx_cur, gy_cur = problem.exact_grads_block(cur_X, cur_Y)
-    if take_refresh:
-        state.last_indices = None
-        if is_online:
-            B = params.B_big
-            if B is None:
-                raise ConfigError("online refresh branch needs B_big")
-            for k in range(K):
-                na, nb = problem.batch_noise(k, rng=state.agent_rngs[k], batch=B)
-                state.M_x[k] = gx_cur[k] + na
-                state.M_y[k] = gy_cur[k] + nb
-            state.samples_used += B
-        else:
-            # full local batch; sample means are exact by construction
-            state.M_x = gx_cur.copy()
-            state.M_y = gy_cur.copy()
-            state.samples_used += problem.N
-    else:
-        b = params.b
-        if not is_online:
-            if problem.N is None:
-                raise ConfigError("offline update on an online-only problem")
-            if b > problem.N:
-                raise ConfigError(f"minibatch b={b} exceeds sample count N={problem.N}")
-        gx_prev, gy_prev = problem.exact_grads_block(state.prev_X, state.prev_Y)
-        one_m_beta = 1.0 - params.beta
-        indices = []
-        for k in range(K):
-            rng = state.agent_rngs[k]
-            if is_online:
-                # the same averaged noise realization enters the prev and
-                # cur evaluations, so it survives with weight beta only
-                da, db = problem.batch_noise(k, rng=rng, batch=b)
-            else:
-                idx = rng.integers(0, problem.N, size=b)
-                indices.append(idx)
-                da, db = problem.batch_noise(k, idx=idx)
-            gpx, gpy = gx_prev[k] + da, gy_prev[k] + db
-            gcx, gcy = gx_cur[k] + da, gy_cur[k] + db
-            state.M_x[k] = one_m_beta * (state.M_x[k] - gpx) + gcx
-            state.M_y[k] = one_m_beta * (state.M_y[k] - gpy) + gcy
-        state.last_indices = indices if indices else None
-        state.samples_used += b
-    if not (np.all(np.isfinite(state.M_x)) and np.all(np.isfinite(state.M_y))):
-        bad = int(np.argwhere(~np.isfinite(state.M_x))[0][0]) if not np.all(
-            np.isfinite(state.M_x)) else int(np.argwhere(~np.isfinite(state.M_y))[0][0])
-        raise FloatingPointError(f"non-finite gradient estimate at agent {bad}")
-    state.prev_X = cur_X.copy()
-    state.prev_Y = cur_Y.copy()
-
-
-def estimator_error(state: GraceState, problem,
-                    cur_X: np.ndarray, cur_Y: np.ndarray):
-    """Squared norms of the block estimation error and its network average."""
+    take_refresh = state.rng.random() < params.p
     gx, gy = problem.exact_grads_block(cur_X, cur_Y)
-    Sx = state.M_x - gx
-    Sy = state.M_y - gy
+    if take_refresh and problem.N is not None:
+        # full local batch; sample means are exact by construction
+        state.M_x, state.M_y = gx.copy(), gy.copy()
+        state.samples_used += problem.N
+    elif take_refresh:
+        if params.B_big is None:
+            raise ConfigError("online refresh branch needs B_big")
+        na, nb = problem.batch_noise(state.rng, params.B_big)
+        state.M_x, state.M_y = gx + na, gy + nb
+        state.samples_used += params.B_big
+    else:
+        if problem.N is not None and params.b > problem.N:
+            raise ConfigError(f"minibatch b={params.b} exceeds sample count "
+                              f"N={problem.N}")
+        # the same minibatch enters the prev and cur evaluations, so its
+        # noise survives with weight beta only
+        na, nb = problem.batch_noise(state.rng, params.b)
+        one_m_beta = 1.0 - params.beta
+        state.M_x = one_m_beta * (state.M_x - (state.G_x + na)) + (gx + na)
+        state.M_y = one_m_beta * (state.M_y - (state.G_y + nb)) + (gy + nb)
+        state.samples_used += params.b
+    state.G_x, state.G_y = gx, gy
+    for M in (state.M_x, state.M_y):
+        if not np.isfinite(M).all():
+            bad = int(np.argwhere(~np.isfinite(M))[0][0])
+            raise FloatingPointError(f"non-finite gradient estimate at agent {bad}")
+
+
+def estimator_error(state: GraceState):
+    """Squared norms of the block estimation error and its network average,
+    against the exact gradients at the iterates of the last update."""
+    Sx = state.M_x - state.G_x
+    Sy = state.M_y - state.G_y
     sxc = Sx.mean(axis=0)
     syc = Sy.mean(axis=0)
     return (

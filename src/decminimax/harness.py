@@ -1,9 +1,10 @@
 """Configuration loading, experiment orchestration, and persistence.
 
 A run is described by one YAML file (strict schema: unknown keys are
-rejected). Each (config, seed) pair runs one engine; seeds may execute
-in parallel but aggregation is in ascending seed order, so outputs are
-byte-identical across thread counts.
+rejected, and malformed values raise ConfigError before any seed runs).
+Each (config, seed) pair runs one engine, one seed after another in
+ascending order. A seed's random stream depends on its seed alone, so its
+CSV is byte-identical whether it runs alone or among other seeds.
 """
 
 import csv
@@ -11,7 +12,6 @@ import json
 import math
 import numbers
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +53,19 @@ _SCHEMA = {
     "x0": None,
     "y0": None,
     "diagnostics": {"transform": False},
+}
+# numeric values: "section.key" -> (int or float, minimum or None); a key
+# whose default is None may also be null
+_NUMBERS = {
+    "topology.K": (int, 1), "topology.seed": (int, 0),
+    "topology.edge_prob": (float, None),
+    "problem.d1": (int, 1), "problem.d2": (int, 1), "problem.N": (int, 1),
+    "problem.sigma": (float, 0.0), "problem.seed": (int, 0),
+    **{f"problem.{k}": (float, None)
+       for k in ("nu_target", "hetero", "r_scale", "q_spread", "s_spread")},
+    **{f"schedule.{k}": (float, None)
+       for k in ("mu_x", "mu_y", "beta", "p", "c_mu", "c_beta", "c_p", "c_b")},
+    **{f"schedule.{k}": (int, 1) for k in ("b", "B_big", "b0")},
 }
 
 
@@ -101,13 +114,23 @@ class RunConfig:
         }
 
 
-def _integer(name, value) -> int:
-    """value as an int; an integral float passes, anything else is rejected."""
-    if isinstance(value, float) and value.is_integer():
+def _number(name, value, kind, minimum=None):
+    """value as an int (an integral float passes) or a float, no smaller
+    than minimum; anything else is rejected."""
+    if kind is int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    else:
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -121,6 +144,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     sched = _merge_section("schedule", _SCHEMA["schedule"], raw.get("schedule"))
     diag = _merge_section("diagnostics", _SCHEMA["diagnostics"],
                           raw.get("diagnostics"))
+    sections = {"topology": topo, "problem": prob, "schedule": sched}
+    for dotted, (kind, minimum) in _NUMBERS.items():
+        name, key = dotted.split(".")
+        if sections[name][key] is not None or _SCHEMA[name][key] is not None:
+            sections[name][key] = _number(f"{dotted!r}", sections[name][key],
+                                          kind, minimum)
     if "strategy" not in raw:
         raise ConfigError("missing required key 'strategy'")
     try:
@@ -132,11 +161,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         ) from None
     if "T" not in raw:
         raise ConfigError("missing required key 'T'")
-    T = _integer("'T'", raw["T"])
+    T = _number("'T'", raw["T"], int, 1)
     seeds = raw.get("seeds", _SCHEMA["seeds"])
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError("'seeds' must be a non-empty list")
-    seeds = tuple(_integer("each seed", s) for s in seeds)
+    seeds = tuple(_number("each seed", s, int, 0) for s in seeds)
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"'seeds' has duplicates: {list(seeds)}")
     if prob["kind"] not in ("quadratic", "sinpl"):
@@ -244,52 +273,29 @@ class RunResult:
     summary: dict = field(default_factory=dict)
 
 
-def run_experiment(config: RunConfig, max_workers: int | None = None) -> RunResult:
+def run_experiment(config: RunConfig) -> RunResult:
     problem = build_problem(config)
     mixing = build_mixing(config)
     ops = build_strategy(config.strategy, mixing)
     bundle = build_transform_bundle(ops, mixing, d=problem.d1)
     mu_x, mu_y, grace, sched_info = _resolve_schedule(
         config, problem, mixing, bundle)
-    is_online = problem.N is None
-
-    def one_seed(seed):
-        engine_config = EngineConfig(
-            strategy=config.strategy, mu_x=mu_x, mu_y=mu_y, grace=grace,
-            T=config.T, seed=seed, is_online=is_online,
-            record_transform_diagnostics=bool(
-                config.diagnostics["transform"]),
-        )
-        return run_and_measure(engine_config, problem, mixing,
-                               x0=config.x0, y0=config.y0, ops=ops,
-                               bundle=bundle)
-
     result = RunResult(config=config, mixing=mixing, problem=problem,
                        mu_x=mu_x, mu_y=mu_y, grace=grace,
                        schedule_info=sched_info)
-    seeds = config.seeds
-    if max_workers is not None and max_workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {s: pool.submit(one_seed, s) for s in seeds}
-        outcomes = {}
-        for s in seeds:
-            try:
-                outcomes[s] = ("ok", futures[s].result())
-            except (DivergenceError, FloatingPointError) as exc:
-                outcomes[s] = ("err", str(exc))
-    else:
-        outcomes = {}
-        for s in seeds:
-            try:
-                outcomes[s] = ("ok", one_seed(s))
-            except (DivergenceError, FloatingPointError) as exc:
-                outcomes[s] = ("err", str(exc))
-    for s in sorted(seeds):
-        status, payload = outcomes[s]
-        if status == "ok":
-            result.series[s] = payload
-        else:
-            result.failures[s] = payload
+    for seed in sorted(config.seeds):
+        engine_config = EngineConfig(
+            strategy=config.strategy, mu_x=mu_x, mu_y=mu_y, grace=grace,
+            T=config.T, seed=seed,
+            record_transform_diagnostics=bool(
+                config.diagnostics["transform"]),
+        )
+        try:
+            result.series[seed] = run_and_measure(
+                engine_config, problem, mixing, x0=config.x0, y0=config.y0,
+                ops=ops, bundle=bundle)
+        except (DivergenceError, FloatingPointError) as exc:
+            result.failures[seed] = str(exc)
     result.summary = _summarize(result, bundle)
     return result
 
@@ -455,8 +461,7 @@ def verify_invariants(verbose: bool = False) -> list:
         from .estimator import update_estimator
         from .engine import _advance
         for _ in range(50):
-            update_estimator(state.grace, grace, state.X, state.Y, problem,
-                             is_online=False)
+            update_estimator(state.grace, grace, state.X, state.Y, problem)
             xc = state.X.mean(axis=0)
             yc = state.Y.mean(axis=0)
             gx = state.grace.M_x.mean(axis=0)

@@ -62,12 +62,6 @@ class QuadraticMinimaxProblem:
 
     # -- exact gradients -------------------------------------------------
 
-    def exact_grad_x(self, k, x, y):
-        return self.Q[k] @ x + self.R[k] @ y + self.a[k]
-
-    def exact_grad_y(self, k, x, y):
-        return self.R[k].T @ x - self.S[k] @ y + self.b[k]
-
     def exact_grads_block(self, X, Y):
         GX = (
             np.einsum("kij,kj->ki", self.Q, X)
@@ -93,50 +87,21 @@ class QuadraticMinimaxProblem:
 
     # -- stochastic gradients --------------------------------------------
 
-    def batch_noise(self, k, idx=None, rng=None, batch=1):
-        """Averaged linear-term deviation from the mean over a minibatch.
+    def batch_noise(self, rng, batch):
+        """Averaged linear-term deviation from the mean over one size-`batch`
+        minibatch per agent, as (K, d1) and (K, d2) arrays.
 
-        Offline: idx is an index array into the sample tables. Online:
-        rng draws the averaged Gaussian noise of a fresh size-`batch`
-        minibatch directly.
+        Offline: each agent draws `batch` indices into its sample tables.
+        Online: one Gaussian block gives every agent's averaged noise.
         """
-        if idx is not None:
-            if self.a_samples is None:
-                raise ConfigError("offline sampling requested on an online problem")
-            if np.max(idx) >= self.N:
-                raise IndexError(f"sample index {int(np.max(idx))} >= N={self.N}")
-            return (
-                self.a_samples[k, idx].mean(axis=0) - self.a[k],
-                self.b_samples[k, idx].mean(axis=0) - self.b[k],
-            )
-        if self.sigma == 0.0:
-            if rng is not None:  # keep the stream position deterministic
-                rng.standard_normal(self.d1 + self.d2)
-            return self.a[k] * 0.0, self.b[k] * 0.0
-        z = rng.standard_normal(self.d1 + self.d2)
-        na = z[: self.d1] * self.sigma / np.sqrt(self.d1 * batch)
-        nb = z[self.d1:] * self.sigma / np.sqrt(self.d2 * batch)
-        return na, nb
-
-    def grad_sample(self, k, sample_ref, x, y, side):
-        """Single-sample stochastic gradient; sample_ref is an offline
-        index or an rng for a fresh online draw."""
-        if isinstance(sample_ref, (int, np.integer)):
-            if self.a_samples is None:
-                raise ConfigError("offline index on an online problem")
-            if not 0 <= sample_ref < self.N:
-                raise IndexError(f"sample index {sample_ref} out of range [0, {self.N})")
-            da = self.a_samples[k, sample_ref] - self.a[k]
-            db = self.b_samples[k, sample_ref] - self.b[k]
-        else:
-            rng = sample_ref
-            da = rng.standard_normal(self.d1) * self.sigma / np.sqrt(self.d1)
-            db = rng.standard_normal(self.d2) * self.sigma / np.sqrt(self.d2)
-        if side == "x":
-            return self.exact_grad_x(k, x, y) + da
-        if side == "y":
-            return self.exact_grad_y(k, x, y) + db
-        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+        if self.N is None:
+            return _gaussian_noise(rng, self.K, self.d1, self.d2, self.sigma, batch)
+        idx = rng.integers(0, self.N, size=(self.K, batch))
+        rows = np.arange(self.K)[:, None]
+        return (
+            self.a_samples[rows, idx].mean(axis=1) - self.a,
+            self.b_samples[rows, idx].mean(axis=1) - self.b,
+        )
 
 
 class SinPLProblem:
@@ -153,16 +118,6 @@ class SinPLProblem:
         # |J_yy| <= 6 + 8 + 20 with room for the cross term
         self.constants = ProblemConstants(nu=nu_hat, L_f=35.0, kappa=35.0 / nu_hat)
 
-    def exact_grad_x(self, k, x, y):
-        x0, y0 = x[0], y[0]
-        g = 2 * x0 + 3 * np.sin(2 * x0) * np.sin(y0) ** 2 + self.cx[k]
-        return np.array([g])
-
-    def exact_grad_y(self, k, x, y):
-        x0, y0 = x[0], y[0]
-        g = (3 * np.sin(x0) ** 2 - 10) * np.sin(2 * y0) - 8 * y0 + self.cy[k]
-        return np.array([g])
-
     def exact_grads_block(self, X, Y):
         x, y = X[:, 0], Y[:, 0]
         gx = 2 * x + 3 * np.sin(2 * x) * np.sin(y) ** 2 + self.cx
@@ -178,24 +133,18 @@ class SinPLProblem:
             - 10 * np.sin(y0) ** 2
         )
 
-    def batch_noise(self, k, idx=None, rng=None, batch=1):
-        if idx is not None:
-            raise ConfigError("SinPL problem has no offline sample table")
-        if self.sigma == 0.0:
-            if rng is not None:
-                rng.standard_normal(2)
-            return np.zeros(1), np.zeros(1)
-        z = rng.standard_normal(2) * self.sigma / np.sqrt(batch)
-        return z[:1], z[1:]
+    def batch_noise(self, rng, batch):
+        return _gaussian_noise(rng, self.K, 1, 1, self.sigma, batch)
 
-    def grad_sample(self, k, sample_ref, x, y, side):
-        rng = sample_ref
-        noise = rng.standard_normal() * self.sigma
-        if side == "x":
-            return self.exact_grad_x(k, x, y) + noise
-        if side == "y":
-            return self.exact_grad_y(k, x, y) + noise
-        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+
+def _gaussian_noise(rng, K, d1, d2, sigma, batch):
+    """Averaged noise of K fresh size-`batch` minibatches, from one (K, d1+d2)
+    Gaussian block; each side has total variance sigma^2 / batch. The block
+    is drawn also when sigma = 0, so the stream position does not depend on
+    sigma."""
+    z = rng.standard_normal((K, d1 + d2))
+    return (z[:, :d1] * (sigma / np.sqrt(d1 * batch)),
+            z[:, d1:] * (sigma / np.sqrt(d2 * batch)))
 
 
 # -- constructors ---------------------------------------------------------
@@ -228,8 +177,8 @@ def make_quadratic_problem(
     zero-sum indefinite per-agent deltas), so individual J_k are
     nonconvex in x while the envelope stays bounded below.
     """
-    if d2 < 1:
-        raise ConfigError("d2 must be >= 1")
+    if d1 < 1 or d2 < 1:
+        raise ConfigError(f"d1 and d2 must be >= 1, got {d1} and {d2}")
     if nu_target <= 0:
         raise ConfigError("nu_target must be > 0")
     rng = np.random.default_rng(seed)
@@ -303,13 +252,12 @@ def maximizer_oracle(problem, x, use_closed_form=True, tol=1e-10, cap=10**6):
     if use_closed_form and isinstance(problem, QuadraticMinimaxProblem):
         y_opt = np.linalg.solve(problem.Sbar, problem.Rbar.T @ x + problem.bbar)
         return y_opt, problem.objective(x, y_opt)
+    X = np.tile(x, (problem.K, 1))
     y = np.zeros(problem.d2)
     step = 1.0 / problem.constants.L_f
     for _ in range(cap):
-        g = np.zeros(problem.d2)
-        for k in range(problem.K):
-            g += problem.exact_grad_y(k, x, y)
-        g /= problem.K
+        _, GY = problem.exact_grads_block(X, np.tile(y, (problem.K, 1)))
+        g = GY.mean(axis=0)
         if np.max(np.abs(g)) <= tol and np.linalg.norm(g) <= tol:
             return y, problem.objective(x, y)
         y = y + step * g

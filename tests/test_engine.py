@@ -63,7 +63,7 @@ class TestStep:
         state = init_engine(config, quad_problem, x0=np.ones(3))
         for _ in range(100):
             update_estimator(state.grace, grace, state.X, state.Y,
-                             quad_problem, is_online=False)
+                             quad_problem)
             xc = state.X.mean(axis=0)
             yc = state.Y.mean(axis=0)
             gx = state.grace.M_x.mean(axis=0)
@@ -121,14 +121,12 @@ class TestReduction:
 
         # reference: centralized descent/ascent driven by the same estimator
         ref_state = init_estimator(problem, grace, seed=9,
-                                   X0=np.ones((1, 2)), Y0=np.zeros((1, 2)),
-                                   is_online=False)
+                                   X0=np.ones((1, 2)), Y0=np.zeros((1, 2)))
         ref_X = np.ones((1, 2))
         ref_Y = np.zeros((1, 2))
         ref_traj = []
         for _ in range(1000):
-            update_estimator(ref_state, grace, ref_X, ref_Y, problem,
-                             is_online=False)
+            update_estimator(ref_state, grace, ref_X, ref_Y, problem)
             ref_X = ref_X - mu_x * ref_state.M_x
             ref_Y = ref_Y + mu_y * ref_state.M_y
             ref_traj.append((ref_X.copy(), ref_Y.copy()))
@@ -155,6 +153,24 @@ class TestRunAndMeasure:
         s2 = run_and_measure(config, quad_problem, ring8_lazy, x0=np.ones(3))
         for r1, r2 in zip(s1.rows, s2.rows):
             assert r1 == r2
+
+    def test_two_gradient_blocks_per_round(self, ring8_lazy, monkeypatch):
+        problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.5,
+                                         seed=5)
+        calls = []
+        block = problem.exact_grads_block
+        monkeypatch.setattr(problem, "exact_grads_block",
+                            lambda X, Y: calls.append(1) or block(X, Y))
+        grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
+        extra = set()
+        for T in (10, 30):
+            calls.clear()
+            config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002,
+                                  mu_y=0.01, grace=grace, T=T,
+                                  record_transform_diagnostics=True)
+            run_and_measure(config, problem, ring8_lazy)
+            extra.add(len(calls) - 2 * T)
+        assert len(extra) == 1  # iterates and centroid, plus a constant
 
     def test_row_count_and_round_column(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=8)

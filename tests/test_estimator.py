@@ -4,16 +4,26 @@ from hypothesis import given, settings, strategies as st
 
 from decminimax import (
     ConfigError,
-    EstimatorMode,
     GraceParams,
+    ScheduleMode,
+    ScheduleSpec,
     estimator_error,
     init_estimator,
     make_quadratic_problem,
-    preset_params,
+    schedule_for_mode,
     update_estimator,
 )
 
 from conftest import assert_close
+
+
+def replicate_stream(seed):
+    """The replicate's one stream, rebuilt as the estimator documents it."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
+def grace_of(mode, **spec):
+    return schedule_for_mode(ScheduleSpec(mode=mode, kappa=1.0, **spec))[2]
 
 
 def start_blocks(problem, x0=None, y0=None):
@@ -45,7 +55,7 @@ class TestParams:
 
 class TestPresets:
     def test_page_offline_example(self):
-        params = preset_params(EstimatorMode.PAGE, N=1024, K=4)
+        params = grace_of(ScheduleMode.PAGE_OFFLINE, N=1024, K=4, T=1000)
         assert params.b == 16
         assert params.b0 == 16
         assert params.p == pytest.approx(1 / 64)
@@ -53,29 +63,28 @@ class TestPresets:
         assert params.beta == 0.0
 
     def test_lsarah_offline_example(self):
-        params = preset_params(EstimatorMode.LOOPLESS_SARAH, N=1024, K=4)
+        params = grace_of(ScheduleMode.LSARAH_OFFLINE, N=1024, K=4, T=1000)
         assert params.b == 1
         assert params.b0 == 8
         assert params.p == pytest.approx(1 / 256)
         assert params.B_big == 256
 
     def test_storm_degenerate(self):
-        params = preset_params(EstimatorMode.STORM, K=1, T=1)
+        params = grace_of(ScheduleMode.STORM_ED, K=1, T=1)
         assert params.beta == 1.0
         assert params.p == 0.0
         assert params.b0 == 1
 
     def test_offline_modes_need_N(self):
         with pytest.raises(ConfigError):
-            preset_params(EstimatorMode.PAGE, K=4)
+            grace_of(ScheduleMode.PAGE_OFFLINE, K=4, T=1000)
 
 
 class TestInit:
     def test_full_batch_init_is_exact(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         state = init_estimator(quad_problem, GraceParams(beta=0, p=1, b0=64),
-                               seed=0, X0=X, Y0=Y, is_online=False)
-        ex, ey, _, _ = estimator_error(state, quad_problem, X, Y)
+                               seed=0, X0=X, Y0=Y)
         # b0 = N draws with replacement are not the full sum; use mean check
         assert state.samples_used == 64
 
@@ -84,8 +93,8 @@ class TestInit:
                                          seed=1)
         X, Y = start_blocks(problem)
         state = init_estimator(problem, GraceParams(beta=1, p=0, b0=1),
-                               seed=0, X0=X, Y0=Y, is_online=True)
-        ex, ey, _, _ = estimator_error(state, problem, X, Y)
+                               seed=0, X0=X, Y0=Y)
+        ex, ey, _, _ = estimator_error(state)
         assert ex + ey <= 1e-24
 
     def test_offline_init_matches_logged_indices(self):
@@ -93,28 +102,47 @@ class TestInit:
                                          seed=2)
         X, Y = start_blocks(problem)
         state = init_estimator(problem, GraceParams(beta=0, p=0.5, b0=4),
-                               seed=7, X0=X, Y0=Y, is_online=False)
-        # recompute by hand from independent streams with the same seeding
+                               seed=7, X0=X, Y0=Y)
+        # recompute by hand: the init's only draw is a (K, b0) index block
+        idx = replicate_stream(7).integers(0, 8, size=(problem.K, 4))
         for k in range(problem.K):
-            rng = np.random.default_rng(7 ^ (k + 1))
-            idx = rng.integers(0, 8, size=4)
             gx = problem.Q[k] @ X[k] + problem.R[k] @ Y[k] \
-                + problem.a_samples[k, idx].mean(axis=0)
+                + problem.a_samples[k, idx[k]].mean(axis=0)
             assert_close(state.M_x[k], gx, 1e-14, f"agent {k} init")
+
+    def test_replicate_streams_independent(self):
+        K, d1, d2 = 8, 3, 2
+        problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
+                                         sigma=1.0, seed=0)
+        X, Y = start_blocks(problem)
+        params = GraceParams(beta=1, p=0, b0=1)
+        blocks = []
+        for seed in range(32):
+            state = init_estimator(problem, params, seed=seed, X0=X, Y0=Y)
+            # the first draw is one standard-normal block, scaled per side
+            blocks.append(np.hstack([(state.M_x - state.G_x) * np.sqrt(d1),
+                                     (state.M_y - state.G_y) * np.sqrt(d2)]))
+        rows = np.vstack(blocks)
+        plain = np.vstack([np.random.default_rng(s).standard_normal((K, d1 + d2))
+                           for s in range(32)])
+        # no row of one replicate's block recurs in another replicate's
+        # block or in the first draws of default_rng(s), s = 0..31
+        gaps = np.abs(rows[:, None, :] - np.vstack([rows, plain])[None]).max(axis=2)
+        gaps[np.arange(len(rows)), np.arange(len(rows))] = np.inf
+        assert gaps.min() > 1e-6
 
 
 class TestUpdate:
     def test_full_refresh_zero_error(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         params = GraceParams(beta=0, p=1, b0=64)
-        state = init_estimator(quad_problem, params, 0, X, Y, is_online=False)
+        state = init_estimator(quad_problem, params, 0, X, Y)
         rng = np.random.default_rng(3)
         for _ in range(5):
             Xc = X + rng.standard_normal(X.shape)
             Yc = Y + rng.standard_normal(Y.shape)
-            update_estimator(state, params, Xc, Yc, quad_problem,
-                             is_online=False)
-            ex, ey, exc, eyc = estimator_error(state, quad_problem, Xc, Yc)
+            update_estimator(state, params, Xc, Yc, quad_problem)
+            ex, ey, exc, eyc = estimator_error(state)
             assert ex + ey == 0.0
             assert exc + eyc == 0.0
 
@@ -123,11 +151,11 @@ class TestUpdate:
                                          seed=4)
         X, Y = start_blocks(problem)
         params = GraceParams(beta=1, p=0, b=1, b0=1)
-        state = init_estimator(problem, params, 0, X, Y, is_online=True)
+        state = init_estimator(problem, params, 0, X, Y)
         Xc = X + 1.0
         Yc = Y - 1.0
-        update_estimator(state, params, Xc, Yc, problem, is_online=True)
-        ex, ey, _, _ = estimator_error(state, problem, Xc, Yc)
+        update_estimator(state, params, Xc, Yc, problem)
+        ex, ey, _, _ = estimator_error(state)
         assert ex + ey <= 1e-24
 
     def test_sarah_hand_example(self):
@@ -145,47 +173,46 @@ class TestUpdate:
         params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
         X = np.array([[1.0]])
         Y = np.array([[0.0]])
-        state = init_estimator(problem, params, 0, X, Y, is_online=False)
+        state = init_estimator(problem, params, 0, X, Y)
         state.M_x[:] = 1.0  # g_{i-1} = 1 at prev x = 1
-        update_estimator(state, params, np.array([[0.5]]), Y, problem,
-                         is_online=False)
+        update_estimator(state, params, np.array([[0.5]]), Y, problem)
         assert state.M_x[0, 0] == 0.5
 
     def test_shared_switch_across_agents(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         params = GraceParams(beta=0.1, p=0.5, b=2, b0=4)
-        state = init_estimator(quad_problem, params, 11, X, Y, is_online=False)
+        state = init_estimator(quad_problem, params, 11, X, Y)
         rng = np.random.default_rng(0)
+        kinds = []
         for _ in range(50):
             Xc = rng.standard_normal(X.shape)
             Yc = rng.standard_normal(Y.shape)
-            update_estimator(state, params, Xc, Yc, quad_problem,
-                             is_online=False)
-        log = state.branch_log
-        assert set(log) <= {0, 1}
-        assert 0 < sum(log) < len(log)  # both branches exercised
-        # the switch stream is one scalar per round, shared by construction:
-        # replay it and compare
-        replay = np.random.default_rng(11).random(len(log)) < params.p
-        assert list(replay.astype(int)) == log
+            update_estimator(state, params, Xc, Yc, quad_problem)
+            # a refresh makes every agent's estimate exact, a recursion none
+            exact = np.all(state.M_x == state.G_x, axis=1) \
+                & np.all(state.M_y == state.G_y, axis=1)
+            assert exact.all() or not exact.any()
+            kinds.append(bool(exact.all()))
+        assert 0 < sum(kinds) < len(kinds)  # both branches exercised
 
     def test_correlated_pair_indices_logged(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         params = GraceParams(beta=0.0, p=0.0, b=3, b0=4)
-        state = init_estimator(quad_problem, params, 5, X, Y, is_online=False)
-        update_estimator(state, params, X + 1, Y + 1, quad_problem,
-                         is_online=False)
-        assert state.last_indices is not None
-        assert len(state.last_indices) == quad_problem.K
-        assert all(len(ix) == 3 for ix in state.last_indices)
+        state = init_estimator(quad_problem, params, 5, X, Y)
+        M_x, M_y = state.M_x.copy(), state.M_y.copy()
+        G_x, G_y = quad_problem.exact_grads_block(X, Y)
+        update_estimator(state, params, X + 1, Y + 1, quad_problem)
+        H_x, H_y = quad_problem.exact_grads_block(X + 1, Y + 1)
+        # the same minibatch enters both evaluations, so its noise cancels
+        assert_close(state.M_x, M_x - G_x + H_x, 1e-12, "x recursion")
+        assert_close(state.M_y, M_y - G_y + H_y, 1e-12, "y recursion")
 
     def test_b_exceeding_N_rejected(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         params = GraceParams(beta=0.0, p=0.0, b=65, b0=4)
-        state = init_estimator(quad_problem, params, 5, X, Y, is_online=False)
+        state = init_estimator(quad_problem, params, 5, X, Y)
         with pytest.raises(ConfigError):
-            update_estimator(state, params, X, Y, quad_problem,
-                             is_online=False)
+            update_estimator(state, params, X, Y, quad_problem)
 
     def test_initial_variance_monotone_in_b0(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=256, sigma=1.0,
@@ -196,8 +223,8 @@ class TestUpdate:
             errs = []
             for seed in range(32):
                 state = init_estimator(problem, GraceParams(beta=0, p=0, b0=b0),
-                                       seed=seed, X0=X, Y0=Y, is_online=False)
-                ex, ey, _, _ = estimator_error(state, problem, X, Y)
+                                       seed=seed, X0=X, Y0=Y)
+                ex, ey, _, _ = estimator_error(state)
                 errs.append(ex + ey)
             means.append(np.mean(errs))
         # variance shrinks roughly like 1/b0; allow 2x statistical slack

@@ -83,6 +83,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="B_big"):
             run_experiment(config_from_dict(raw))
 
+    @pytest.mark.parametrize("dotted, value", [
+        ("problem.d1", 0), ("topology.K", 0), ("problem.N", 0),
+        ("schedule.mu_x", "abc"), ("seeds", [0, -1]), ("problem.sigma", -1),
+        ("problem.kind", "sinpl"),  # online-only, but N is set
+    ])
+    def test_bad_value_rejected_before_any_seed(self, monkeypatch, dotted,
+                                                value):
+        raw = json.loads(json.dumps(MINIMAL))
+        harness._set_nested(raw, dotted, value)
+        monkeypatch.setattr(harness, "run_and_measure",
+                            lambda *a, **k: pytest.fail("a seed started"))
+        with pytest.raises(ConfigError):
+            run_experiment(config_from_dict(raw))
+
     def test_gt_strategy_defaults_to_plain_weights(self):
         raw = json.loads(json.dumps(MINIMAL))
         raw["strategy"] = "atc_gt"
@@ -142,15 +156,16 @@ class TestWriteOutputs:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_parallel_matches_serial(self, tmp_path):
-        result_serial = run_experiment(config_from_dict(MINIMAL))
-        result_parallel = run_experiment(config_from_dict(MINIMAL),
-                                         max_workers=2)
-        write_outputs(result_serial, tmp_path / "serial")
-        write_outputs(result_parallel, tmp_path / "parallel")
-        for name in ("seed_0.csv", "seed_1.csv"):
-            assert (tmp_path / "serial" / name).read_bytes() == \
-                (tmp_path / "parallel" / name).read_bytes()
+    def test_seed_alone_matches_seed_among_others(self, tmp_path):
+        write_outputs(run_experiment(config_from_dict(MINIMAL)),
+                      tmp_path / "both")
+        for seed in MINIMAL["seeds"]:
+            alone = dict(MINIMAL, seeds=[seed])
+            write_outputs(run_experiment(config_from_dict(alone)),
+                          tmp_path / f"alone_{seed}")
+            name = f"seed_{seed}.csv"
+            assert (tmp_path / f"alone_{seed}" / name).read_bytes() == \
+                (tmp_path / "both" / name).read_bytes()
 
 
 class TestSweep:

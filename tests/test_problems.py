@@ -23,6 +23,13 @@ def finite_difference(f, z, h=1e-5):
     return g
 
 
+def agent_grads(problem, k, x, y):
+    """Row k of exact_grads_block with every agent at (x, y)."""
+    GX, GY = problem.exact_grads_block(np.tile(x, (problem.K, 1)),
+                                       np.tile(y, (problem.K, 1)))
+    return GX[k], GY[k]
+
+
 def agent_objective_quadratic(problem, k, x, y):
     return (0.5 * x @ problem.Q[k] @ x + x @ problem.R[k] @ y
             + problem.a[k] @ x - 0.5 * y @ problem.S[k] @ y
@@ -90,8 +97,7 @@ class TestGradients:
                 lambda z: agent_objective_quadratic(problem, k, z, y), x)
             gy = finite_difference(
                 lambda z: agent_objective_quadratic(problem, k, x, z), y)
-            gx_a = problem.exact_grad_x(k, x, y)
-            gy_a = problem.exact_grad_y(k, x, y)
+            gx_a, gy_a = agent_grads(problem, k, x, y)
             assert np.linalg.norm(gx - gx_a) <= 1e-6 * max(1, np.linalg.norm(gx_a))
             assert np.linalg.norm(gy - gy_a) <= 1e-6 * max(1, np.linalg.norm(gy_a))
 
@@ -109,30 +115,20 @@ class TestGradients:
             y = rng.uniform(-3, 3, size=1)
             gx = finite_difference(lambda z: agent_obj(k, z, y), x)
             gy = finite_difference(lambda z: agent_obj(k, x, z), y)
-            assert np.linalg.norm(gx - problem.exact_grad_x(k, x, y)) <= 1e-5
-            assert np.linalg.norm(gy - problem.exact_grad_y(k, x, y)) <= 1e-5
+            gx_a, gy_a = agent_grads(problem, k, x, y)
+            assert np.linalg.norm(gx - gx_a) <= 1e-5
+            assert np.linalg.norm(gy - gy_a) <= 1e-5
 
     def test_offline_sample_mean_matches_exact(self):
         problem = make_quadratic_problem(K=2, d1=2, d2=2, N=16, sigma=0.5,
                                          seed=4)
-        x = np.ones(2)
-        y = -np.ones(2)
+        # averaged over its whole table, each agent's per-sample gradient
+        # deviation (a_samples - a, b_samples - b) vanishes
         for k in range(2):
-            gx = np.mean([problem.grad_sample(k, s, x, y, "x")
-                          for s in range(16)], axis=0)
-            assert_close(gx, problem.exact_grad_x(k, x, y), 1e-12,
-                         f"agent {k} sample mean")
-
-    def test_block_gradients_match_scalar(self, quad_problem):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((8, 3))
-        Y = rng.standard_normal((8, 2))
-        GX, GY = quad_problem.exact_grads_block(X, Y)
-        for k in range(8):
-            assert_close(GX[k], quad_problem.exact_grad_x(k, X[k], Y[k]),
-                         1e-13, f"x agent {k}")
-            assert_close(GY[k], quad_problem.exact_grad_y(k, X[k], Y[k]),
-                         1e-13, f"y agent {k}")
+            assert_close(problem.a_samples[k].mean(axis=0), problem.a[k],
+                         1e-12, f"agent {k} a sample mean")
+            assert_close(problem.b_samples[k].mean(axis=0), problem.b[k],
+                         1e-12, f"agent {k} b sample mean")
 
 
 class TestSinPL:
@@ -156,9 +152,34 @@ class TestSinPL:
         assert problem.constants.nu > 0
 
     def test_online_only(self):
-        problem = make_sinpl_problem(K=2, sigma=0.0, seed=0)
-        with pytest.raises(ConfigError):
-            problem.batch_noise(0, idx=np.array([0]))
+        problem = make_sinpl_problem(K=2, sigma=0.5, seed=0)
+        assert problem.N is None
+        na, nb = problem.batch_noise(np.random.default_rng(0), 4)
+        assert na.shape == nb.shape == (2, 1)
+
+
+class TestBatchNoise:
+    def test_offline_gathers_one_index_block(self):
+        problem = make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5,
+                                         seed=2)
+        na, nb = problem.batch_noise(np.random.default_rng(1), 5)
+        idx = np.random.default_rng(1).integers(0, 8, size=(3, 5))
+        for k in range(3):
+            assert_close(na[k], problem.a_samples[k, idx[k]].mean(axis=0)
+                         - problem.a[k], 1e-15, f"agent {k} a noise")
+            assert_close(nb[k], problem.b_samples[k, idx[k]].mean(axis=0)
+                         - problem.b[k], 1e-15, f"agent {k} b noise")
+
+    def test_online_draws_one_block_even_without_noise(self):
+        problem = make_quadratic_problem(K=3, d1=2, d2=1, N=None, sigma=0.0,
+                                         seed=2)
+        rng = np.random.default_rng(1)
+        na, nb = problem.batch_noise(rng, 5)
+        assert not na.any() and not nb.any()
+        assert na.shape == (3, 2) and nb.shape == (3, 1)
+        ref = np.random.default_rng(1)
+        ref.standard_normal((3, 3))
+        assert rng.random() == ref.random()
 
 
 class TestMaximizerOracle:

@@ -266,7 +266,7 @@ class TestCoupledError:
         state = init_engine(config, quad_problem, x0=np.ones(3))
         for _ in range(200):
             update_estimator(state.grace, grace, state.X, state.Y,
-                             quad_problem, is_online=False)
+                             quad_problem)
             err = coupled_error_norms(
                 state.X, state.Y, state.grace.M_x, state.grace.M_y,
                 state.D_x, state.D_y, bundle, config.mu_x, config.mu_y)
