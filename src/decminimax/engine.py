@@ -1,7 +1,9 @@
-"""Main simulation loop: estimator update, primal steps, dual steps.
+"""Main simulation loop over a batch of seed replicates.
 
-Per round i the order is fixed: (1) the gradient estimator advances using
-the current and previous iterates; (2) primal updates
+The iterates of S seed replicates are stacked as (S, K, d) arrays, and one
+array round advances every replicate. Per round i the order is fixed:
+(1) the gradient estimator advances using the current and previous
+iterates; (2) primal updates
 
     X_{i+1} = A_x (C_x X_i - mu_x M_{x,i}) - B_x D_{x,i}
     Y_{i+1} = A_y (C_y Y_i + mu_y M_{y,i}) - B_y D_{y,i}   (ascent sign)
@@ -9,6 +11,12 @@ the current and previous iterates; (2) primal updates
 (3) dual updates D_{+} = D + B X_{+}. Metrics for round i are recorded
 after the estimator update but before the iterate advance, so the round-0
 row reflects the initialization.
+
+Every operation acts on each replicate's (K, d) slice alone, so a seed's
+numbers are the same whatever other seeds share its batch. A replicate
+whose estimate or iterate stops being finite, or whose iterate passes
+DIVERGENCE_CAP, leaves the batch; its error is kept and its columns stop
+at its last recorded round.
 """
 
 from dataclasses import dataclass, field
@@ -18,11 +26,14 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .estimator import GraceParams, GraceState, init_estimator, update_estimator, \
     estimator_error
-from .problems import maximizer_oracle
 from .strategies import StrategyKind, StrategyOps, build_strategy
 from .transform import TransformBundle, build_transform_bundle, coupled_error_norms
 
 DIVERGENCE_CAP = 1e12
+
+# the metric columns of one round, in CSV order after "round"
+COLUMNS = ("grad_x_sq", "grad_y_sq", "consensus_sq", "delta_c", "est_err_sq",
+           "est_err_avg_sq", "ehat_x_sq", "ehat_y_sq", "samples_used")
 
 
 @dataclass(frozen=True)
@@ -32,7 +43,7 @@ class EngineConfig:
     mu_y: float
     grace: GraceParams
     T: int
-    seed: int = 0
+    seeds: tuple = (0,)
     record_transform_diagnostics: bool = False
 
     def __post_init__(self):
@@ -40,47 +51,68 @@ class EngineConfig:
             raise ConfigError("step sizes must be positive")
         if self.T < 1:
             raise ConfigError(f"round budget must be >= 1, got {self.T}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct and non-empty, "
+                              f"got {self.seeds}")
 
 
 @dataclass
 class EngineState:
-    X: np.ndarray   # (K, d1)
-    Y: np.ndarray   # (K, d2)
+    X: np.ndarray   # (S, K, d1)
+    Y: np.ndarray   # (S, K, d2)
     D_x: np.ndarray
     D_y: np.ndarray
     grace: GraceState
+    rows: np.ndarray  # (S,) position of each replicate in config.seeds
     round: int = 0
 
-
-@dataclass(frozen=True)
-class RoundMetrics:
-    round: int
-    grad_x_sq: float
-    grad_y_sq: float
-    consensus_sq: float
-    delta_c: float
-    est_err_sq: float
-    est_err_avg_sq: float
-    ehat_x_sq: float | None
-    ehat_y_sq: float | None
-    samples_used: int
+    def select(self, keep: np.ndarray) -> None:
+        """Keep only the replicates where keep is true."""
+        self.X, self.Y = self.X[keep], self.Y[keep]
+        self.D_x, self.D_y = self.D_x[keep], self.D_y[keep]
+        self.rows = self.rows[keep]
+        self.grace.select(keep)
 
 
 @dataclass
 class MetricsSeries:
-    rows: list = field(default_factory=list)
+    """Metric columns of a batch: columns[name][s] holds rounds 0..T of
+    seeds[s]. A failed seed's row is NaN (-1 for samples_used) past its
+    last recorded round; without diagnostics the ehat columns are absent."""
+    seeds: tuple
+    columns: dict
+    failures: dict = field(default_factory=dict)  # seed -> DivergenceError
+
+    @classmethod
+    def empty(cls, seeds, T: int, diagnostics: bool) -> "MetricsSeries":
+        names = [n for n in COLUMNS if diagnostics or not n.startswith("ehat")]
+        columns = {n: np.full((len(seeds), T + 1), np.nan) for n in names}
+        columns["samples_used"] = np.full((len(seeds), T + 1), -1)
+        return cls(seeds=tuple(seeds), columns=columns)
 
     @property
-    def avg_stationarity(self) -> float:
-        """(1/T) sum over rounds 0..T-1 of the squared gradient metric
-        (the final row, recorded after the last update, is excluded)."""
-        body = self.rows[:-1] if len(self.rows) > 1 else self.rows
-        return float(np.mean([r.grad_x_sq + r.grad_y_sq for r in body]))
+    def ok_rows(self) -> np.ndarray:
+        """Rows of the seeds that did not fail, in seed order."""
+        return np.array([i for i, s in enumerate(self.seeds)
+                         if s not in self.failures], dtype=int)
+
+    @property
+    def ok_seeds(self) -> list:
+        return [self.seeds[i] for i in self.ok_rows]
+
+    @property
+    def avg_stationarity(self) -> np.ndarray:
+        """Per seed, (1/T) sum over rounds 0..T-1 of the squared gradient
+        metric (the final row, recorded after the last update, is
+        excluded)."""
+        stat = self.columns["grad_x_sq"] + self.columns["grad_y_sq"]
+        return np.mean(stat[:, :-1], axis=1)
 
 
 def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
-    """All agents start from the same point with zero duals."""
-    K = problem.K
+    """All agents of every replicate start from the same point with zero
+    duals."""
+    K, S = problem.K, len(config.seeds)
     x0 = np.zeros(problem.d1) if x0 is None else np.asarray(x0, dtype=float)
     y0 = np.zeros(problem.d2) if y0 is None else np.asarray(y0, dtype=float)
     if x0.shape != (problem.d1,) or y0.shape != (problem.d2,):
@@ -88,15 +120,16 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
             f"start point dims {x0.shape}/{y0.shape} do not match "
             f"problem dims ({problem.d1},)/({problem.d2},)"
         )
-    X = np.tile(x0, (K, 1))
-    Y = np.tile(y0, (K, 1))
-    grace = init_estimator(problem, config.grace, config.seed, X, Y)
+    X = np.tile(x0, (S, K, 1))
+    Y = np.tile(y0, (S, K, 1))
+    grace = init_estimator(problem, config.grace, config.seeds, X, Y)
     return EngineState(
         X=X,
         Y=Y,
         D_x=np.zeros_like(X),
         D_y=np.zeros_like(Y),
         grace=grace,
+        rows=np.arange(S),
         round=0,
     )
 
@@ -113,77 +146,85 @@ def _advance(state: EngineState, config: EngineConfig, ops: StrategyOps) -> None
     state.round += 1
 
 
-def step(state: EngineState, config: EngineConfig, problem,
-         ops: StrategyOps) -> None:
-    """One full round: estimator update then primal/dual advance."""
-    update_estimator(state.grace, config.grace, state.X, state.Y, problem)
-    _advance(state, config, ops)
-    _check_finite(state)
+def _iterate_errors(state: EngineState) -> dict:
+    """Batch position -> DivergenceError for every replicate whose iterates
+    are not finite or exceed DIVERGENCE_CAP in magnitude."""
+    worst = np.max([np.abs(a).max(axis=(1, 2))
+                    for a in (state.X, state.Y, state.D_x, state.D_y)], axis=0)
+    errors = {}
+    for i in np.flatnonzero(~(worst <= DIVERGENCE_CAP)):
+        w = float(worst[i])
+        if not np.isfinite(w):
+            msg = f"non-finite iterate at round {state.round}"
+            w = float("inf")
+        else:
+            msg = (f"iterate magnitude {w:.3e} exceeds {DIVERGENCE_CAP:g} "
+                   f"at round {state.round}")
+        errors[i] = DivergenceError(msg, round_index=state.round, max_entry=w)
+    return errors
 
 
-def _check_finite(state: EngineState) -> None:
-    worst = 0.0
-    for arr in (state.X, state.Y, state.D_x, state.D_y):
-        if not np.all(np.isfinite(arr)):
-            raise DivergenceError(
-                f"non-finite iterate at round {state.round}",
-                round_index=state.round, max_entry=float("inf"),
-            )
-        worst = max(worst, float(np.max(np.abs(arr))))
-    if worst > DIVERGENCE_CAP:
-        raise DivergenceError(
-            f"iterate magnitude {worst:.3e} exceeds {DIVERGENCE_CAP:g} "
-            f"at round {state.round}",
-            round_index=state.round, max_entry=worst,
-        )
+def _estimate_errors(state: EngineState, bad_agent: np.ndarray) -> dict:
+    """Batch position -> DivergenceError for every replicate with a
+    non-finite gradient estimate (bad_agent from update_estimator)."""
+    return {i: DivergenceError(
+                f"non-finite gradient estimate at agent {bad_agent[i]}",
+                round_index=state.round, max_entry=float("inf"))
+            for i in np.flatnonzero(bad_agent >= 0)}
+
+
+def _drop(state: EngineState, series: MetricsSeries, errors: dict) -> None:
+    """Move the failed replicates out of the batch, keeping their errors."""
+    if not errors:
+        return
+    keep = np.ones(len(state.rows), dtype=bool)
+    for i, exc in errors.items():
+        series.failures[series.seeds[state.rows[i]]] = exc
+        keep[i] = False
+    state.select(keep)
 
 
 def _record(state: EngineState, config: EngineConfig, problem,
-            bundle: TransformBundle | None) -> RoundMetrics:
-    x_c = state.X.mean(axis=0)
-    y_c = state.Y.mean(axis=0)
-    Xc = np.tile(x_c, (problem.K, 1))
-    Yc = np.tile(y_c, (problem.K, 1))
-    gx, gy = problem.exact_grads_block(Xc, Yc)
-    grad_x = gx.mean(axis=0)
-    grad_y = gy.mean(axis=0)
-    consensus = float(np.sum((state.X - x_c) ** 2) + np.sum((state.Y - y_c) ** 2))
-    _, P_val = maximizer_oracle(problem, x_c)
-    delta_c = P_val - problem.objective(x_c, y_c)
+            bundle: TransformBundle | None, series: MetricsSeries) -> None:
+    """Write round state.round of every replicate still in the batch."""
+    x_c = state.X.mean(axis=1)
+    y_c = state.Y.mean(axis=1)
+    grad_x, grad_y, delta_c = problem.centroid_metrics(x_c, y_c)
     ex, ey, exc, eyc = estimator_error(state.grace)
-    ehat_x_sq = ehat_y_sq = None
+    row = {
+        "grad_x_sq": np.sum(grad_x**2, axis=1),
+        "grad_y_sq": np.sum(grad_y**2, axis=1),
+        "consensus_sq": np.sum((state.X - x_c[:, None]) ** 2, axis=(1, 2))
+        + np.sum((state.Y - y_c[:, None]) ** 2, axis=(1, 2)),
+        "delta_c": delta_c,
+        "est_err_sq": ex + ey,
+        "est_err_avg_sq": exc + eyc,
+        "samples_used": state.grace.samples_used,
+    }
     if bundle is not None:
         err = coupled_error_norms(
             state.X, state.Y, state.grace.M_x, state.grace.M_y,
             state.D_x, state.D_y, bundle, config.mu_x, config.mu_y,
         )
-        ehat_x_sq = err.ehat_x_sq
-        ehat_y_sq = err.ehat_y_sq
-    return RoundMetrics(
-        round=state.round,
-        grad_x_sq=float(np.sum(grad_x**2)),
-        grad_y_sq=float(np.sum(grad_y**2)),
-        consensus_sq=consensus,
-        delta_c=float(delta_c),
-        est_err_sq=ex + ey,
-        est_err_avg_sq=exc + eyc,
-        ehat_x_sq=ehat_x_sq,
-        ehat_y_sq=ehat_y_sq,
-        samples_used=state.grace.samples_used,
-    )
+        row["ehat_x_sq"] = err.ehat_x_sq
+        row["ehat_y_sq"] = err.ehat_y_sq
+    for name, values in row.items():
+        series.columns[name][state.rows, state.round] = values
 
 
 def run_and_measure(config: EngineConfig, problem, mixing, x0=None, y0=None,
                     ops: StrategyOps | None = None,
                     bundle: TransformBundle | None = None) -> MetricsSeries:
-    """Run T rounds and return T+1 metric rows (rounds 0..T).
+    """Run T rounds of every seed in config.seeds as one batch and return
+    T+1 metric rows (rounds 0..T) per seed.
 
     Each row reflects the state after that round's estimator update but
     before its iterate advance; the final row gets one extra estimator
     update so its estimation-error columns are well-defined. The transform
     bundle is used only with diagnostics on, and built here if not passed.
 
-    On divergence the partial series is attached to the raised error.
+    A diverged seed leaves the batch: series.failures holds its error and
+    its columns end at its last recorded round.
     """
     if ops is None:
         ops = build_strategy(config.strategy, mixing)
@@ -192,19 +233,18 @@ def run_and_measure(config: EngineConfig, problem, mixing, x0=None, y0=None,
     elif bundle is None:
         bundle = build_transform_bundle(ops, mixing, d=problem.d1)
     state = init_engine(config, problem, x0=x0, y0=y0)
-    series = MetricsSeries()
-    try:
-        for _ in range(config.T):
-            update_estimator(state.grace, config.grace, state.X, state.Y,
-                             problem)
-            series.rows.append(_record(state, config, problem, bundle))
-            _advance(state, config, ops)
-            _check_finite(state)
-        update_estimator(state.grace, config.grace, state.X, state.Y,
-                         problem)
-        series.rows.append(_record(state, config, problem, bundle))
-    except (DivergenceError, FloatingPointError) as exc:
-        if isinstance(exc, DivergenceError):
-            exc.partial = series
-        raise
+    series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
+    while True:
+        bad_agent = update_estimator(state.grace, config.grace, state.X,
+                                     state.Y, problem)
+        _drop(state, series, _estimate_errors(state, bad_agent))
+        if not len(state.rows):
+            break
+        _record(state, config, problem, bundle, series)
+        if state.round == config.T:
+            break
+        _advance(state, config, ops)
+        _drop(state, series, _iterate_errors(state))
+        if not len(state.rows):
+            break
     return series

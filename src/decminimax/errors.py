@@ -14,18 +14,10 @@ class DegenerateModeError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Iterates became non-finite or exceeded the magnitude guard."""
+    """A replicate's gradient estimates or iterates became non-finite, or
+    its iterates exceeded the magnitude guard."""
 
-    def __init__(self, msg, round_index=None, max_entry=None, partial=None):
+    def __init__(self, msg, round_index=None, max_entry=None):
         super().__init__(msg)
         self.round_index = round_index
         self.max_entry = max_entry
-        self.partial = partial
-
-
-class AscentCapError(RuntimeError):
-    """Inner maximization did not reach tolerance within the step cap."""
-
-    def __init__(self, msg, residual=None):
-        super().__init__(msg)
-        self.residual = residual

@@ -1,7 +1,8 @@
-"""Switching variance-reduced gradient estimator.
+"""Switching variance-reduced gradient estimator over a batch of replicates.
 
-One shared Bernoulli(p) draw per round selects between a batch refresh
-(full batch offline, size-B batch online) and the recursive branch
+One shared Bernoulli(p) draw per round and replicate selects between a
+batch refresh (full batch offline, size-B batch online) and the recursive
+branch
 
     g_i = (1 - beta) * (g_{i-1} - mean_batch grad(prev)) + mean_batch grad(cur),
 
@@ -10,26 +11,21 @@ iterates. beta > 0, p = 0 recovers STORM; beta = 0, p > 0 recovers
 PAGE (large b) and Loopless SARAH (b = 1).
 
 The sampling mode is the problem's: offline when it has a finite sample
-count N, online otherwise. Each seed replicate owns one random stream,
-spawned from SeedSequence(seed), so it shares no draws with another
-replicate or with a problem built from default_rng(seed). A round draws
-the switch uniform, then (unless it is an offline refresh) one noise
-block for all K agents, and updates the (K, d) estimates in one step.
+count N, online otherwise. The estimates of S seed replicates are stacked
+as (S, K, d) arrays and updated together. Each replicate owns one random
+stream, spawned from SeedSequence(seed), so it shares no draws with
+another replicate or with a problem built from default_rng(seed). A
+round draws, per stream, the switch uniform and then (unless it is an
+offline refresh) one noise block for all K agents; one masked array step
+then applies each replicate's branch, so a replicate's numbers do not
+depend on the other replicates in its batch.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-class EstimatorMode(Enum):
-    STORM = "storm"
-    PAGE = "page"
-    LOOPLESS_SARAH = "loopless_sarah"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,6 @@ class GraceParams:
     b: int = 1
     B_big: int | None = None  # refresh batch size (online only)
     b0: int = 1
-    mode_tag: EstimatorMode = EstimatorMode.CUSTOM
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
@@ -56,72 +51,93 @@ class GraceParams:
 
 @dataclass
 class GraceState:
-    M_x: np.ndarray  # (K, d1) current gradient estimates
-    M_y: np.ndarray  # (K, d2)
-    G_x: np.ndarray  # (K, d1) exact gradients at the iterates of the last update
-    G_y: np.ndarray  # (K, d2)
-    rng: np.random.Generator  # the replicate's one stream
-    samples_used: int = 0  # cumulative per-agent sample draws
+    M_x: np.ndarray  # (S, K, d1) current gradient estimates
+    M_y: np.ndarray  # (S, K, d2)
+    G_x: np.ndarray  # (S, K, d1) exact gradients at the iterates of the last update
+    G_y: np.ndarray  # (S, K, d2)
+    rngs: list       # each replicate's one stream
+    samples_used: np.ndarray  # (S,) cumulative per-agent sample draws
+
+    def select(self, keep: np.ndarray) -> None:
+        """Keep only the replicates where keep is true."""
+        self.M_x, self.M_y = self.M_x[keep], self.M_y[keep]
+        self.G_x, self.G_y = self.G_x[keep], self.G_y[keep]
+        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        self.samples_used = self.samples_used[keep]
 
 
-def init_estimator(problem, params: GraceParams, seed: int,
+def init_estimator(problem, params: GraceParams, seeds,
                    X0: np.ndarray, Y0: np.ndarray) -> GraceState:
-    """Initial estimates from a size-b0 minibatch at the start iterates."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    """Initial estimates from a size-b0 minibatch at the start iterates
+    X0 (S, K, d1), Y0 (S, K, d2), one replicate per seed."""
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            for seed in seeds]
     b0 = params.b0 if problem.N is None else min(params.b0, problem.N)
     gx, gy = problem.exact_grads_block(X0, Y0)
-    na, nb = problem.batch_noise(rng, b0)
-    return GraceState(M_x=gx + na, M_y=gy + nb, G_x=gx, G_y=gy, rng=rng,
-                      samples_used=b0)
+    na, nb = problem.batch_noise(rngs, b0)
+    return GraceState(M_x=gx + na, M_y=gy + nb, G_x=gx, G_y=gy, rngs=rngs,
+                      samples_used=np.full(len(rngs), b0))
 
 
 def update_estimator(state: GraceState, params: GraceParams,
-                     cur_X: np.ndarray, cur_Y: np.ndarray, problem) -> None:
-    """One estimator round: shared switch draw, then refresh or recursion.
+                     cur_X: np.ndarray, cur_Y: np.ndarray,
+                     problem) -> np.ndarray:
+    """One estimator round: per-replicate switch draw, then refresh or
+    recursion.
 
     The exact gradients at the current iterates replace the stored ones,
     which served as the previous-iterate gradients of the recursion.
+    Returns, per replicate, the first agent whose estimate is not finite,
+    or -1.
     """
-    take_refresh = state.rng.random() < params.p
+    refresh = np.array([rng.random() for rng in state.rngs]) < params.p
     gx, gy = problem.exact_grads_block(cur_X, cur_Y)
-    if take_refresh and problem.N is not None:
-        # full local batch; sample means are exact by construction
-        state.M_x, state.M_y = gx.copy(), gy.copy()
-        state.samples_used += problem.N
-    elif take_refresh:
-        if params.B_big is None:
-            raise ConfigError("online refresh branch needs B_big")
-        na, nb = problem.batch_noise(state.rng, params.B_big)
-        state.M_x, state.M_y = gx + na, gy + nb
-        state.samples_used += params.B_big
-    else:
-        if problem.N is not None and params.b > problem.N:
+    if problem.N is not None:
+        # a refresh takes the full local batch, whose sample means are
+        # exact by construction, and draws nothing
+        recurse = ~refresh
+        if params.b > problem.N and recurse.any():
             raise ConfigError(f"minibatch b={params.b} exceeds sample count "
                               f"N={problem.N}")
-        # the same minibatch enters the prev and cur evaluations, so its
-        # noise survives with weight beta only
-        na, nb = problem.batch_noise(state.rng, params.b)
-        one_m_beta = 1.0 - params.beta
-        state.M_x = one_m_beta * (state.M_x - (state.G_x + na)) + (gx + na)
-        state.M_y = one_m_beta * (state.M_y - (state.G_y + nb)) + (gy + nb)
-        state.samples_used += params.b
+        na, nb = np.zeros_like(gx), np.zeros_like(gy)
+        if recurse.any():
+            na[recurse], nb[recurse] = problem.batch_noise(
+                [rng for rng, r in zip(state.rngs, recurse) if r], params.b)
+        fresh_x, fresh_y = gx, gy
+        used = np.where(refresh, problem.N, params.b)
+    else:
+        if params.B_big is None and refresh.any():
+            raise ConfigError("online refresh branch needs B_big")
+        used = np.where(refresh, params.B_big or 0, params.b)
+        na, nb = problem.batch_noise(state.rngs, used)
+        fresh_x, fresh_y = gx + na, gy + nb
+    # the same minibatch enters the prev and cur evaluations, so its noise
+    # survives with weight beta only
+    one_m_beta = 1.0 - params.beta
+    pick = refresh[:, None, None]
+    state.M_x = np.where(pick, fresh_x,
+                         one_m_beta * (state.M_x - (state.G_x + na)) + (gx + na))
+    state.M_y = np.where(pick, fresh_y,
+                         one_m_beta * (state.M_y - (state.G_y + nb)) + (gy + nb))
+    state.samples_used = state.samples_used + used
     state.G_x, state.G_y = gx, gy
-    for M in (state.M_x, state.M_y):
-        if not np.isfinite(M).all():
-            bad = int(np.argwhere(~np.isfinite(M))[0][0])
-            raise FloatingPointError(f"non-finite gradient estimate at agent {bad}")
+    bad_x = ~np.isfinite(state.M_x).all(axis=2)
+    bad_y = ~np.isfinite(state.M_y).all(axis=2)
+    return np.where(bad_x.any(axis=1), bad_x.argmax(axis=1),
+                    np.where(bad_y.any(axis=1), bad_y.argmax(axis=1), -1))
 
 
 def estimator_error(state: GraceState):
-    """Squared norms of the block estimation error and its network average,
-    against the exact gradients at the iterates of the last update."""
+    """Per replicate, squared norms of the block estimation error and of
+    its network average, against the exact gradients at the iterates of
+    the last update: four (S,) arrays."""
     Sx = state.M_x - state.G_x
     Sy = state.M_y - state.G_y
-    sxc = Sx.mean(axis=0)
-    syc = Sy.mean(axis=0)
+    sxc = Sx.mean(axis=1)
+    syc = Sy.mean(axis=1)
     return (
-        float(np.sum(Sx**2)),
-        float(np.sum(Sy**2)),
-        float(np.sum(sxc**2)),
-        float(np.sum(syc**2)),
+        np.sum(Sx**2, axis=(1, 2)),
+        np.sum(Sy**2, axis=(1, 2)),
+        np.sum(sxc**2, axis=1),
+        np.sum(syc**2, axis=1),
     )

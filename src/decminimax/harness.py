@@ -2,9 +2,11 @@
 
 A run is described by one YAML file (strict schema: unknown keys are
 rejected, and malformed values raise ConfigError before any seed runs).
-Each (config, seed) pair runs one engine, one seed after another in
-ascending order. A seed's random stream depends on its seed alone, so its
-CSV is byte-identical whether it runs alone or among other seeds.
+All seeds of a config run as one engine batch, in ascending seed order.
+A seed's random stream depends on its seed alone and the engine treats
+each replicate's slice on its own, so its CSV is byte-identical whether
+it runs alone or among other seeds. The CSVs are formatted from the
+batch's metric columns.
 """
 
 import csv
@@ -18,9 +20,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .engine import EngineConfig, MetricsSeries, run_and_measure
-from .errors import ConfigError, DivergenceError
-from .estimator import EstimatorMode, GraceParams
+from .engine import COLUMNS, EngineConfig, MetricsSeries, run_and_measure
+from .errors import ConfigError
+from .estimator import GraceParams
 from .mixing import MixingMatrix, Topology, mixing_for_topology
 from .problems import make_quadratic_problem, make_sinpl_problem
 from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode, \
@@ -29,10 +31,7 @@ from .strategies import SQRT_STRATEGIES, StrategyKind, build_strategy, \
     verify_strategy_assumptions
 from .transform import build_transform_bundle
 
-CSV_HEADER = [
-    "round", "grad_x_sq", "grad_y_sq", "consensus_sq", "delta_c",
-    "est_err_sq", "est_err_avg_sq", "ehat_x_sq", "ehat_y_sq", "samples_used",
-]
+CSV_HEADER = ["round", *COLUMNS]
 
 # schema: section -> {key: default}; _REQUIRED marks keys without defaults
 _REQUIRED = object()
@@ -67,6 +66,9 @@ _NUMBERS = {
        for k in ("mu_x", "mu_y", "beta", "p", "c_mu", "c_beta", "c_p", "c_b")},
     **{f"schedule.{k}": (int, 1) for k in ("b", "B_big", "b0")},
 }
+# true/false values; topology.lazy may also be null
+_BOOLEANS = ("topology.lazy", "problem.zero_mean_linear",
+             "schedule.shrink_to_valid", "diagnostics.transform")
 
 
 def _merge_section(name, schema, given):
@@ -76,7 +78,7 @@ def _merge_section(name, schema, given):
         raise ConfigError(f"section {name!r} must be a mapping")
     unknown = set(given) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown, key=str)}")
     out = {}
     for key, default in schema.items():
         if key in given:
@@ -115,8 +117,8 @@ class RunConfig:
 
 
 def _number(name, value, kind, minimum=None):
-    """value as an int (an integral float passes) or a float, no smaller
-    than minimum; anything else is rejected."""
+    """value as an int (an integral float passes) or a finite float, no
+    smaller than minimum; anything else is rejected."""
     if kind is int:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -125,12 +127,27 @@ def _number(name, value, kind, minimum=None):
         value = int(value)
     else:
         try:
-            value = float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a number, got {value!r}") from None
+            number = None if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        if number is None:
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not math.isfinite(number):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        value = number
     if minimum is not None and value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
     return value
+
+
+def _point(name, value, dim):
+    """A start point: null, or a list of dim finite numbers."""
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != dim:
+        raise ConfigError(f"{name!r} must be a list of {dim} numbers, "
+                          f"got {value!r}")
+    return tuple(_number(f"each entry of {name!r}", v, float) for v in value)
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -138,18 +155,25 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("config root must be a mapping")
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
+        raise ConfigError(f"unknown top-level key(s): {sorted(unknown, key=str)}")
     topo = _merge_section("topology", _SCHEMA["topology"], raw.get("topology"))
     prob = _merge_section("problem", _SCHEMA["problem"], raw.get("problem"))
     sched = _merge_section("schedule", _SCHEMA["schedule"], raw.get("schedule"))
     diag = _merge_section("diagnostics", _SCHEMA["diagnostics"],
                           raw.get("diagnostics"))
-    sections = {"topology": topo, "problem": prob, "schedule": sched}
+    sections = {"topology": topo, "problem": prob, "schedule": sched,
+                "diagnostics": diag}
     for dotted, (kind, minimum) in _NUMBERS.items():
         name, key = dotted.split(".")
         if sections[name][key] is not None or _SCHEMA[name][key] is not None:
             sections[name][key] = _number(f"{dotted!r}", sections[name][key],
                                           kind, minimum)
+    for dotted in _BOOLEANS:
+        name, key = dotted.split(".")
+        value = sections[name][key]
+        if not isinstance(value, bool) and (value is not None
+                                            or _SCHEMA[name][key] is not None):
+            raise ConfigError(f"{dotted!r} must be true or false, got {value!r}")
     if "strategy" not in raw:
         raise ConfigError("missing required key 'strategy'")
     try:
@@ -170,10 +194,18 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"'seeds' has duplicates: {list(seeds)}")
     if prob["kind"] not in ("quadratic", "sinpl"):
         raise ConfigError(f"unknown problem kind {prob['kind']!r}")
+    if prob["kind"] == "sinpl":
+        for key in ("d1", "d2"):
+            if key in (raw.get("problem") or {}) and prob[key] != 1:
+                raise ConfigError(f"the sinpl problem is scalar: "
+                                  f"'problem.{key}' must be 1, got {prob[key]!r}")
+            prob[key] = 1
+    modes = ["explicit", *(m.value for m in ScheduleMode)]
+    if sched["mode"] not in modes:
+        raise ConfigError(f"unknown schedule mode {sched['mode']!r}; "
+                          f"valid: {modes}")
     if topo["lazy"] is None:
         topo["lazy"] = strategy in SQRT_STRATEGIES
-    x0 = raw.get("x0")
-    y0 = raw.get("y0")
     return RunConfig(
         topology=topo,
         strategy=strategy,
@@ -181,8 +213,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         schedule=sched,
         T=T,
         seeds=seeds,
-        x0=None if x0 is None else tuple(float(v) for v in x0),
-        y0=None if y0 is None else tuple(float(v) for v in y0),
+        x0=_point("x0", raw.get("x0"), prob["d1"]),
+        y0=_point("y0", raw.get("y0"), prob["d2"]),
         diagnostics=diag,
     )
 
@@ -215,7 +247,7 @@ def build_mixing(config: RunConfig) -> MixingMatrix:
     t = config.topology
     topo = Topology(kind=t["kind"], K=int(t["K"]), edge_prob=t["edge_prob"],
                     seed=t["seed"])
-    return mixing_for_topology(topo, lazy=bool(t["lazy"]))
+    return mixing_for_topology(topo, lazy=t["lazy"])
 
 
 def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
@@ -232,15 +264,8 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
         )
         mu_x, mu_y = float(s["mu_x"]), float(s["mu_y"])
     else:
-        try:
-            mode = ScheduleMode(s["mode"])
-        except ValueError:
-            raise ConfigError(
-                f"unknown schedule mode {s['mode']!r}; valid: explicit, "
-                f"{[m.value for m in ScheduleMode]}"
-            ) from None
         spec = ScheduleSpec(
-            mode=mode, T=config.T, K=problem.K,
+            mode=ScheduleMode(s["mode"]), T=config.T, K=problem.K,
             kappa=problem.constants.kappa, N=problem.N, lam=mixing.lam,
             c_mu=s["c_mu"], c_beta=s["c_beta"], c_p=s["c_p"], c_b=s["c_b"],
         )
@@ -268,7 +293,7 @@ class RunResult:
     mu_y: float
     grace: GraceParams
     schedule_info: dict
-    series: dict = field(default_factory=dict)   # seed -> MetricsSeries
+    series: MetricsSeries | None = None  # every seed's columns, one batch
     failures: dict = field(default_factory=dict)  # seed -> error message
     summary: dict = field(default_factory=dict)
 
@@ -283,32 +308,29 @@ def run_experiment(config: RunConfig) -> RunResult:
     result = RunResult(config=config, mixing=mixing, problem=problem,
                        mu_x=mu_x, mu_y=mu_y, grace=grace,
                        schedule_info=sched_info)
-    for seed in sorted(config.seeds):
-        engine_config = EngineConfig(
-            strategy=config.strategy, mu_x=mu_x, mu_y=mu_y, grace=grace,
-            T=config.T, seed=seed,
-            record_transform_diagnostics=bool(
-                config.diagnostics["transform"]),
-        )
-        try:
-            result.series[seed] = run_and_measure(
-                engine_config, problem, mixing, x0=config.x0, y0=config.y0,
-                ops=ops, bundle=bundle)
-        except (DivergenceError, FloatingPointError) as exc:
-            result.failures[seed] = str(exc)
+    engine_config = EngineConfig(
+        strategy=config.strategy, mu_x=mu_x, mu_y=mu_y, grace=grace,
+        T=config.T, seeds=tuple(sorted(config.seeds)),
+        record_transform_diagnostics=config.diagnostics["transform"],
+    )
+    result.series = run_and_measure(
+        engine_config, problem, mixing, x0=config.x0, y0=config.y0,
+        ops=ops, bundle=bundle)
+    result.failures = {seed: str(exc)
+                       for seed, exc in sorted(result.series.failures.items())}
     result.summary = _summarize(result, bundle)
     return result
 
 
 def _summarize(result: RunResult, bundle) -> dict:
     c = result.problem.constants
-    avg = [result.series[s].avg_stationarity for s in sorted(result.series)]
-    final = [
-        result.series[s].rows[-1].grad_x_sq + result.series[s].rows[-1].grad_y_sq
-        for s in sorted(result.series)
-    ]
-    samples = [result.series[s].rows[-1].samples_used
-               for s in sorted(result.series)]
+    series = result.series
+    ok = series.ok_rows
+    avg = series.avg_stationarity[ok].tolist()
+    last = {name: series.columns[name][ok, -1].tolist()
+            for name in ("grad_x_sq", "grad_y_sq", "samples_used")}
+    final = [gx + gy for gx, gy in zip(last["grad_x_sq"], last["grad_y_sq"])]
+    samples = last["samples_used"]
 
     def mean_std(vals):
         if not vals:
@@ -339,37 +361,36 @@ def _summarize(result: RunResult, bundle) -> dict:
         "avg_stationarity": mean_std(avg),
         "final_stationarity": mean_std(final),
         "samples_per_agent": mean_std([float(v) for v in samples]),
-        "seeds_ok": sorted(result.series),
+        "seeds_ok": series.ok_seeds,
         "seeds_failed": {str(s): msg for s, msg in sorted(result.failures.items())},
     }
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(value)
+    return format(value, ".17g")
 
 
 def write_outputs(result: RunResult, out_dir) -> list:
-    """Write seed_<s>.csv per seed, summary.json, config.resolved.json."""
+    """Write seed_<s>.csv per surviving seed, summary.json and
+    config.resolved.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for seed in sorted(result.series):
-        path = out / f"seed_{seed}.csv"
+    series = result.series
+    rounds = range(result.config.T + 1)
+    for row in series.ok_rows:
+        cols = []
+        for name in COLUMNS:
+            col = series.columns.get(name)
+            cols.append([""] * len(rounds) if col is None
+                        else [_fmt(v) for v in col[row].tolist()])
+        path = out / f"seed_{series.seeds[row]}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for row in result.series[seed].rows:
-                writer.writerow([
-                    row.round, _fmt(row.grad_x_sq), _fmt(row.grad_y_sq),
-                    _fmt(row.consensus_sq), _fmt(row.delta_c),
-                    _fmt(row.est_err_sq), _fmt(row.est_err_avg_sq),
-                    _fmt(row.ehat_x_sq), _fmt(row.ehat_y_sq),
-                    row.samples_used,
-                ])
+            writer.writerows(zip(rounds, *cols))
         written.append(path)
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(result.summary, indent=2,
@@ -417,7 +438,8 @@ def sweep(config_path, dotted_key: str, values, out_root) -> list:
 
 def verify_invariants(verbose: bool = False) -> list:
     """Quick cross-module invariant checks; returns [(name, ok, detail)]."""
-    from .engine import init_engine  # local import to avoid cycles at load
+    from .engine import _advance, init_engine
+    from .estimator import update_estimator
 
     checks = []
 
@@ -449,28 +471,26 @@ def verify_invariants(verbose: bool = False) -> list:
         check(f"transform {kind.value} similarity residual",
               res <= 1e-8 and bundle.rho < 1.0,
               f"res={res:.1e} rho={bundle.rho:.3f}")
-    # engine centroid identity over a short run
+    # engine centroid identity over a short run, as a batch of one
     problem = make_quadratic_problem(K=8, d1=3, d2=2, N=64, sigma=0.5, seed=3)
     grace = GraceParams(beta=0.2, p=0.1, b=4, b0=4)
     for kind in StrategyKind:
         ops = build_strategy(kind, mix)
         config = EngineConfig(strategy=kind, mu_x=1e-3, mu_y=1e-3,
-                              grace=grace, T=50, seed=1)
+                              grace=grace, T=50, seeds=(1,))
         state = init_engine(config, problem)
         worst = 0.0
-        from .estimator import update_estimator
-        from .engine import _advance
         for _ in range(50):
             update_estimator(state.grace, grace, state.X, state.Y, problem)
-            xc = state.X.mean(axis=0)
-            yc = state.Y.mean(axis=0)
-            gx = state.grace.M_x.mean(axis=0)
-            gy = state.grace.M_y.mean(axis=0)
+            xc = state.X.mean(axis=1)
+            yc = state.Y.mean(axis=1)
+            gx = state.grace.M_x.mean(axis=1)
+            gy = state.grace.M_y.mean(axis=1)
             _advance(state, config, ops)
             worst = max(
                 worst,
-                float(np.max(np.abs(state.X.mean(axis=0) - (xc - 1e-3 * gx)))),
-                float(np.max(np.abs(state.Y.mean(axis=0) - (yc + 1e-3 * gy)))),
+                float(np.max(np.abs(state.X.mean(axis=1) - (xc - 1e-3 * gx)))),
+                float(np.max(np.abs(state.Y.mean(axis=1) - (yc + 1e-3 * gy)))),
             )
         check(f"engine {kind.value} centroid identity", worst <= 1e-10,
               f"residual={worst:.1e}")

@@ -10,13 +10,18 @@ Two instances:
 * SinPLProblem: a 1-D landscape that is PL but nonconcave in y,
       J(x, y) = x^2 + 3 sin^2(x) sin^2(y) - 4 y^2 - 10 sin^2(y),
   plus zero-sum per-agent linear perturbations.
+
+Every array method takes iterates with any leading batch axes, (..., K, d),
+so one call serves a whole batch of seed replicates. centroid_metrics
+gives the metrics at the network centroid in closed form: the mean of the
+agents' gradients there and the envelope gap max_y J(x_c, y) - J(x_c, y_c).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AscentCapError, ConfigError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -54,26 +59,36 @@ class QuadraticMinimaxProblem:
         nu = float(np.min(np.linalg.eigvalsh(self.Sbar)))
         if nu <= 0:
             raise ConfigError(f"mean S block must be positive definite (nu={nu:.3e})")
-        L_f = 0.0
-        for k in range(self.K):
-            H = np.block([[Q[k], R[k]], [R[k].T, -S[k]]])
-            L_f = max(L_f, float(np.max(np.abs(np.linalg.eigvalsh(H)))))
+        H = np.block([[Q, R], [R.transpose(0, 2, 1), -S]])
+        L_f = float(np.max(np.abs(np.linalg.eigvalsh(H))))
         self.constants = ProblemConstants(nu=nu, L_f=L_f, kappa=L_f / nu)
+        # Sbar = L L', so the gap 1/2 g' Sbar^{-1} g is 1/2 |L^{-1} g|^2
+        self.Linv = np.linalg.inv(np.linalg.cholesky(self.Sbar))
 
     # -- exact gradients -------------------------------------------------
 
     def exact_grads_block(self, X, Y):
         GX = (
-            np.einsum("kij,kj->ki", self.Q, X)
-            + np.einsum("kij,kj->ki", self.R, Y)
+            np.einsum("kij,...kj->...ki", self.Q, X)
+            + np.einsum("kij,...kj->...ki", self.R, Y)
             + self.a
         )
         GY = (
-            np.einsum("kji,kj->ki", self.R, X)
-            - np.einsum("kij,kj->ki", self.S, Y)
+            np.einsum("kji,...kj->...ki", self.R, X)
+            - np.einsum("kij,...kj->...ki", self.S, Y)
             + self.b
         )
         return GX, GY
+
+    def centroid_metrics(self, x_c, y_c):
+        """(grad_x, grad_y, delta_c) at centroids x_c (..., d1), y_c (..., d2).
+
+        With g_y the y-gradient at the centroid, y* - y_c = Sbar^{-1} g_y,
+        so the gap is 1/2 g_y' Sbar^{-1} g_y: non-negative by construction.
+        """
+        grad_x, grad_y = _centroid_grads(self, x_c, y_c)
+        v = np.einsum("ij,...j->...i", self.Linv, grad_y)
+        return grad_x, grad_y, 0.5 * np.sum(v**2, axis=-1)
 
     def objective(self, x, y):
         """Global objective J(x, y) = mean_k J_k(x, y)."""
@@ -87,20 +102,24 @@ class QuadraticMinimaxProblem:
 
     # -- stochastic gradients --------------------------------------------
 
-    def batch_noise(self, rng, batch):
+    def batch_noise(self, rngs, batch):
         """Averaged linear-term deviation from the mean over one size-`batch`
-        minibatch per agent, as (K, d1) and (K, d2) arrays.
+        minibatch per agent and replicate, as (S, K, d1) and (S, K, d2)
+        arrays for the S generators in rngs; batch is one size or one per
+        replicate.
 
-        Offline: each agent draws `batch` indices into its sample tables.
-        Online: one Gaussian block gives every agent's averaged noise.
+        Offline: each replicate draws a (K, batch) index block into the
+        agents' sample tables (all replicates share one batch size here).
+        Online: one Gaussian block per replicate gives every agent's noise.
         """
         if self.N is None:
-            return _gaussian_noise(rng, self.K, self.d1, self.d2, self.sigma, batch)
-        idx = rng.integers(0, self.N, size=(self.K, batch))
+            return _gaussian_noise(rngs, self.K, self.d1, self.d2, self.sigma, batch)
+        idx = np.stack([rng.integers(0, self.N, size=(self.K, batch))
+                        for rng in rngs])
         rows = np.arange(self.K)[:, None]
         return (
-            self.a_samples[rows, idx].mean(axis=1) - self.a,
-            self.b_samples[rows, idx].mean(axis=1) - self.b,
+            self.a_samples[rows, idx].mean(axis=-2) - self.a,
+            self.b_samples[rows, idx].mean(axis=-2) - self.b,
         )
 
 
@@ -119,10 +138,20 @@ class SinPLProblem:
         self.constants = ProblemConstants(nu=nu_hat, L_f=35.0, kappa=35.0 / nu_hat)
 
     def exact_grads_block(self, X, Y):
-        x, y = X[:, 0], Y[:, 0]
+        x, y = X[..., 0], Y[..., 0]
         gx = 2 * x + 3 * np.sin(2 * x) * np.sin(y) ** 2 + self.cx
         gy = (3 * np.sin(x) ** 2 - 10) * np.sin(2 * y) - 8 * y + self.cy
-        return gx[:, None], gy[:, None]
+        return gx[..., None], gy[..., None]
+
+    def centroid_metrics(self, x_c, y_c):
+        """(grad_x, grad_y, delta_c) at centroids x_c, y_c of shape (..., 1).
+
+        The perturbations sum to zero, so max_y J(x, y) = x^2 at y* = 0 and
+        the gap is (10 - 3 sin^2 x) sin^2 y + 4 y^2.
+        """
+        grad_x, grad_y = _centroid_grads(self, x_c, y_c)
+        x, y = x_c[..., 0], y_c[..., 0]
+        return grad_x, grad_y, (10 - 3 * np.sin(x) ** 2) * np.sin(y) ** 2 + 4 * y**2
 
     def objective(self, x, y):
         x0, y0 = x[0], y[0]
@@ -133,18 +162,28 @@ class SinPLProblem:
             - 10 * np.sin(y0) ** 2
         )
 
-    def batch_noise(self, rng, batch):
-        return _gaussian_noise(rng, self.K, 1, 1, self.sigma, batch)
+    def batch_noise(self, rngs, batch):
+        return _gaussian_noise(rngs, self.K, 1, 1, self.sigma, batch)
 
 
-def _gaussian_noise(rng, K, d1, d2, sigma, batch):
-    """Averaged noise of K fresh size-`batch` minibatches, from one (K, d1+d2)
-    Gaussian block; each side has total variance sigma^2 / batch. The block
-    is drawn also when sigma = 0, so the stream position does not depend on
-    sigma."""
-    z = rng.standard_normal((K, d1 + d2))
-    return (z[:, :d1] * (sigma / np.sqrt(d1 * batch)),
-            z[:, d1:] * (sigma / np.sqrt(d2 * batch)))
+def _centroid_grads(problem, x_c, y_c):
+    """Mean over the agents of their gradients, all taken at the centroid."""
+    lead = x_c.shape[:-1] + (problem.K,)
+    gx, gy = problem.exact_grads_block(
+        np.broadcast_to(x_c[..., None, :], lead + x_c.shape[-1:]),
+        np.broadcast_to(y_c[..., None, :], lead + y_c.shape[-1:]))
+    return gx.mean(axis=-2), gy.mean(axis=-2)
+
+
+def _gaussian_noise(rngs, K, d1, d2, sigma, batch):
+    """Averaged noise of K fresh size-`batch` minibatches per generator, from
+    one (K, d1+d2) Gaussian block each; each side has total variance
+    sigma^2 / batch. The block is drawn also when sigma = 0, so the stream
+    position does not depend on sigma."""
+    z = np.stack([rng.standard_normal((K, d1 + d2)) for rng in rngs])
+    n = np.asarray(batch)[..., None, None]
+    return (z[..., :d1] * (sigma / np.sqrt(d1 * n)),
+            z[..., d1:] * (sigma / np.sqrt(d2 * n)))
 
 
 # -- constructors ---------------------------------------------------------
@@ -242,26 +281,13 @@ def make_sinpl_problem(K, sigma, seed, grid_halfwidth=3.0, grid_points=121):
 # -- inner maximization ----------------------------------------------------
 
 
-def maximizer_oracle(problem, x, use_closed_form=True, tol=1e-10, cap=10**6):
-    """argmax_y J(x, y) and the envelope value P(x).
+def maximizer_oracle(problem, x):
+    """argmax_y J(x, y) and the envelope value P(x), in closed form.
 
-    Quadratic problems use the closed form y = Sbar^{-1}(Rbar' x + bbar);
-    anything else (or use_closed_form=False) falls back to gradient
-    ascent with step 1/L_f.
+    Quadratic problems: y* = Sbar^{-1}(Rbar' x + bbar). The sin-PL problem:
+    y* = 0 and P(x) = x^2.
     """
-    if use_closed_form and isinstance(problem, QuadraticMinimaxProblem):
-        y_opt = np.linalg.solve(problem.Sbar, problem.Rbar.T @ x + problem.bbar)
-        return y_opt, problem.objective(x, y_opt)
-    X = np.tile(x, (problem.K, 1))
-    y = np.zeros(problem.d2)
-    step = 1.0 / problem.constants.L_f
-    for _ in range(cap):
-        _, GY = problem.exact_grads_block(X, np.tile(y, (problem.K, 1)))
-        g = GY.mean(axis=0)
-        if np.max(np.abs(g)) <= tol and np.linalg.norm(g) <= tol:
-            return y, problem.objective(x, y)
-        y = y + step * g
-    raise AscentCapError(
-        f"inner ascent did not reach tol={tol} in {cap} steps",
-        residual=float(np.linalg.norm(g)),
-    )
+    if isinstance(problem, SinPLProblem):
+        return np.zeros(1), float(x[0] ** 2)
+    y_opt = np.linalg.solve(problem.Sbar, problem.Rbar.T @ x + problem.bbar)
+    return y_opt, problem.objective(x, y_opt)

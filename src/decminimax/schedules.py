@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
-from .estimator import EstimatorMode, GraceParams
+from .estimator import GraceParams
 from .problems import ProblemConstants
 from .transform import TransformBundle
 
@@ -60,8 +60,7 @@ def schedule_for_mode(spec: ScheduleSpec):
         mu_x = mu_y / kap**2
         beta = min(1.0, spec.c_beta * K ** (1 / 3) / T ** (2 / 3))
         b0 = max(1, math.ceil(spec.c_b * T ** (1 / 3) / K ** (2 / 3)))
-        grace = GraceParams(beta=beta, p=0.0, b=1, b0=b0,
-                            mode_tag=EstimatorMode.STORM)
+        grace = GraceParams(beta=beta, p=0.0, b=1, b0=b0)
         return mu_x, mu_y, grace
     if spec.mode == ScheduleMode.PAGE_OFFLINE:
         N = spec.N
@@ -69,8 +68,7 @@ def schedule_for_mode(spec: ScheduleSpec):
         p = min(1.0, spec.c_p / math.sqrt(K * N))
         mu_y = spec.c_mu * min(1.0, K / math.sqrt(N))
         mu_x = mu_y / kap**2
-        grace = GraceParams(beta=0.0, p=p, b=b, B_big=N, b0=b,
-                            mode_tag=EstimatorMode.PAGE)
+        grace = GraceParams(beta=0.0, p=p, b=b, B_big=N, b0=b)
         return mu_x, mu_y, grace
     if spec.mode == ScheduleMode.PAGE_ONLINE:
         gap = 1.0 - spec.lam
@@ -81,8 +79,7 @@ def schedule_for_mode(spec: ScheduleSpec):
         p = min(1.0, spec.c_p / (gap**0.75 * math.sqrt(T)))
         mu_y = spec.c_mu * gap**1.5
         mu_x = mu_y / kap**2
-        grace = GraceParams(beta=0.0, p=p, b=b, B_big=B, b0=b,
-                            mode_tag=EstimatorMode.PAGE)
+        grace = GraceParams(beta=0.0, p=p, b=b, B_big=B, b0=b)
         return mu_x, mu_y, grace
     if spec.mode == ScheduleMode.LSARAH_OFFLINE:
         N = spec.N
@@ -91,7 +88,7 @@ def schedule_for_mode(spec: ScheduleSpec):
         mu_y = spec.c_mu * min(1.0, K / math.sqrt(N))
         mu_x = mu_y / kap**2
         grace = GraceParams(beta=0.0, p=p, b=1, B_big=max(1, math.ceil(N / K)),
-                            b0=b0, mode_tag=EstimatorMode.LOOPLESS_SARAH)
+                            b0=b0)
         return mu_x, mu_y, grace
     raise ConfigError(f"unknown schedule mode {spec.mode!r}")
 

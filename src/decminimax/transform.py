@@ -52,7 +52,6 @@ class TransformBundle:
     lam_a_sq: float
     lam_b_underline_sq: float
     tau: float
-    defective_modes: tuple  # mode indices handled by the Jordan branch
 
     @property
     def K(self) -> int:
@@ -71,8 +70,7 @@ def _mode_blocks(a, b, c):
 def _similarity_2x2(P, disc_tol=1e-9):
     """Q, T with P = Q T Q^{-1} for each block of an (m, 2, 2) stack.
 
-    Returns (Q, Q^{-1}, T, defective), defective flagging the Jordan-branch
-    modes.
+    Returns (Q, Q^{-1}, T).
     """
     p00, p01, p11 = P[:, 0, 0], P[:, 0, 1], P[:, 1, 1]
     tr = p00 + p11
@@ -108,10 +106,8 @@ def _similarity_2x2(P, disc_tol=1e-9):
     alpha, beta = _JORDAN_COL_SCALES
     Q[rep] = np.where(scalar[:, None, None], np.eye(2),
                       np.stack([alpha * Vt[:, 1], beta * Vt[:, 0]], axis=-1))
-    defective = np.zeros(len(P), dtype=bool)
-    defective[rep] = ~scalar
     Q_inv = np.linalg.inv(Q)
-    return Q, Q_inv, Q_inv @ P @ Q, defective
+    return Q, Q_inv, Q_inv @ P @ Q
 
 
 def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
@@ -126,7 +122,7 @@ def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
             "a non-principal mode has a zero dual-coupling eigenvalue; "
             "the graph effectively has a disconnected consensus subspace"
         )
-    Q, Qi, Tm, defective = _similarity_2x2(_mode_blocks(Lam_a, Lam_b, Lam_c))
+    Q, Qi, Tm = _similarity_2x2(_mode_blocks(Lam_a, Lam_b, Lam_c))
     norm_q = np.linalg.norm(Q, 2, axis=(1, 2))
     norm_qi = np.linalg.norm(Qi, 2, axis=(1, 2))
     cond = norm_q * norm_qi
@@ -154,42 +150,44 @@ def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
         lam_a_sq=float(np.max(Lam_a**2)) if m else 0.0,
         lam_b_underline_sq=float(np.min(Lam_b**2)) if m else 1.0,
         tau=float(np.sqrt(K) * np.sqrt(v2_sq)),
-        defective_modes=tuple(np.flatnonzero(defective).tolist()),
     )
 
 
 @dataclass(frozen=True)
 class CoupledError:
-    ehat_x: np.ndarray  # (2(K-1), d1): first components of every mode, then second
-    ehat_y: np.ndarray  # (2(K-1), d2)
+    ehat_x: np.ndarray  # (..., 2(K-1), d1): first components of every mode, then second
+    ehat_y: np.ndarray  # (..., 2(K-1), d2)
 
     @property
-    def ehat_x_sq(self) -> float:
-        return float(np.sum(self.ehat_x**2))
+    def ehat_x_sq(self):
+        """Squared norm, one per leading index (a scalar for one state)."""
+        return np.sum(self.ehat_x**2, axis=(-2, -1))
 
     @property
-    def ehat_y_sq(self) -> float:
-        return float(np.sum(self.ehat_y**2))
+    def ehat_y_sq(self):
+        return np.sum(self.ehat_y**2, axis=(-2, -1))
 
 
 def coupled_error_norms(X, Y, M_x, M_y, D_x, D_y, bundle: TransformBundle,
                         mu_x: float, mu_y: float) -> CoupledError:
-    """Transformed deviation coordinates of the current engine state.
+    """Transformed deviation coordinates of the current engine state, for
+    (K, d) blocks or (S, K, d) batches of them.
 
     On mode j the coupled coordinates are (u_j^T X, u_j^T z / b_j) with
     z = mu A M + B D - B^2 X, so z_j / b_j = mu a_j m_j / b_j + d_j - b_j x_j.
     X and Y go through side by side, as the columns of one block.
     """
-    d1 = X.shape[1]
-    d = d1 + Y.shape[1]
-    proj = bundle.U_hat.T @ np.hstack([X, Y, mu_x * M_x, -mu_y * M_y, D_x, D_y])
-    x, mu_m, dual = proj[:, :d], proj[:, d:2 * d], proj[:, 2 * d:]
+    d1 = X.shape[-1]
+    d = d1 + Y.shape[-1]
+    proj = bundle.U_hat.T @ np.concatenate(
+        [X, Y, mu_x * M_x, -mu_y * M_y, D_x, D_y], axis=-1)
+    x, mu_m, dual = proj[..., :d], proj[..., d:2 * d], proj[..., 2 * d:]
     b = bundle.Lam_b[:, None]
     z = bundle.Lam_a[:, None] * mu_m / b + dual - b * x
     Qi = bundle.Q_inv[:, :, :, None]
     ehat = np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
-                           Qi[:, 1, 0] * x + Qi[:, 1, 1] * z]) / bundle.tau
-    return CoupledError(ehat_x=ehat[:, :d1], ehat_y=ehat[:, d1:])
+                           Qi[:, 1, 0] * x + Qi[:, 1, 1] * z], axis=-2) / bundle.tau
+    return CoupledError(ehat_x=ehat[..., :d1], ehat_y=ehat[..., d1:])
 
 
 @dataclass(frozen=True)
@@ -204,5 +202,5 @@ def check_consensus_bound(X, Y, err: CoupledError,
     """Consensus error vs. K v1^2 v2^2 (||ehat_x||^2 + ||ehat_y||^2)."""
     K = X.shape[0]
     lhs = float(np.sum((X - X.mean(axis=0)) ** 2) + np.sum((Y - Y.mean(axis=0)) ** 2))
-    rhs = K * bundle.v1_sq * bundle.v2_sq * (err.ehat_x_sq + err.ehat_y_sq)
+    rhs = float(K * bundle.v1_sq * bundle.v2_sq * (err.ehat_x_sq + err.ehat_y_sq))
     return ConsensusBoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-9 * max(1.0, rhs))

@@ -22,15 +22,16 @@ from decminimax import (
     make_sinpl_problem,
     maximizer_oracle,
     mixing_for_topology,
-    run_and_measure,
     run_experiment,
     shrink_to_valid,
     verify_strategy_assumptions,
     write_outputs,
 )
-from decminimax.engine import _advance, step
-from decminimax.estimator import init_estimator, update_estimator
+from decminimax.engine import _advance
+from decminimax.estimator import init_estimator
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
+
+from conftest import ascent_maximizer, run_ok, step, update_checked
 
 ALL_KINDS = list(StrategyKind)
 CLOSED_FORM_KINDS = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
@@ -40,8 +41,9 @@ DELTA_C_MIN = {"value": np.inf}
 
 
 def _track_delta_c(series):
-    DELTA_C_MIN["value"] = min(DELTA_C_MIN["value"],
-                               min(r.delta_c for r in series.rows))
+    col = series.columns["delta_c"]
+    assert np.isfinite(col).all(), "delta_c column holds a failed round"
+    DELTA_C_MIN["value"] = min(DELTA_C_MIN["value"], float(col.min()))
 
 
 def report(num, desc, ok, detail=""):
@@ -79,21 +81,21 @@ def test_criterion_2_centroid_identity(ring8, quad8):
     for kind in ALL_KINDS:
         ops = build_strategy(kind, ring8)
         config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
-                              grace=grace, T=200, seed=2)
+                              grace=grace, T=200, seeds=(2,))
         state = init_engine(config, quad8, x0=np.ones(3))
         for _ in range(200):
-            update_estimator(state.grace, grace, state.X, state.Y, quad8)
-            xc = state.X.mean(axis=0)
-            yc = state.Y.mean(axis=0)
-            gx = state.grace.M_x.mean(axis=0)
-            gy = state.grace.M_y.mean(axis=0)
+            update_checked(state.grace, grace, state.X, state.Y, quad8)
+            xc = state.X.mean(axis=1)
+            yc = state.Y.mean(axis=1)
+            gx = state.grace.M_x.mean(axis=1)
+            gy = state.grace.M_y.mean(axis=1)
             _advance(state, config, ops)
             worst = max(
                 worst,
                 float(np.max(np.abs(
-                    state.X.mean(axis=0) - (xc - config.mu_x * gx)))),
+                    state.X.mean(axis=1) - (xc - config.mu_x * gx)))),
                 float(np.max(np.abs(
-                    state.Y.mean(axis=0) - (yc + config.mu_y * gy)))),
+                    state.Y.mean(axis=1) - (yc + config.mu_y * gy)))),
             )
     report(2, "centroid descent/ascent identity, 200 rounds x 5 strategies",
            worst <= 1e-10, f"max residual {worst:.2e}")
@@ -149,14 +151,14 @@ def test_criterion_4_consensus_inequality(ring8, quad8):
         ops = build_strategy(kind, ring8)
         bundle = build_transform_bundle(ops, ring8, d=quad8.d1)
         config = EngineConfig(strategy=kind, mu_x=0.005, mu_y=0.02,
-                              grace=grace, T=500, seed=3)
+                              grace=grace, T=500, seeds=(3,))
         state = init_engine(config, quad8, x0=np.ones(3))
         for _ in range(500):
-            update_estimator(state.grace, grace, state.X, state.Y, quad8)
+            update_checked(state.grace, grace, state.X, state.Y, quad8)
             err = coupled_error_norms(
-                state.X, state.Y, state.grace.M_x, state.grace.M_y,
-                state.D_x, state.D_y, bundle, config.mu_x, config.mu_y)
-            rep = check_consensus_bound(state.X, state.Y, err, bundle)
+                state.X[0], state.Y[0], state.grace.M_x[0], state.grace.M_y[0],
+                state.D_x[0], state.D_y[0], bundle, config.mu_x, config.mu_y)
+            rep = check_consensus_bound(state.X[0], state.Y[0], err, bundle)
             if not rep.passed:
                 ok = False
                 detail = (f"{kind.value} round {state.round}: "
@@ -186,11 +188,11 @@ def test_criterion_5_deterministic_convergence(ring8):
         mu_x0 = min(1 / (32 * c.L), mu_y0 / (16 * c.kappa**2))
         mu_x, mu_y, _, _ = shrink_to_valid(mu_x0, mu_y0, grace, c, bundle)
         config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
-                              grace=grace, T=5000, seed=0)
-        series = run_and_measure(config, problem, ring8, ops=ops)
+                              grace=grace, T=5000, seeds=(0,))
+        series = run_ok(config, problem, ring8, ops=ops)
         _track_delta_c(series)
-        avg = series.avg_stationarity
-        cons = series.rows[-1].consensus_sq
+        avg = series.avg_stationarity[0]
+        cons = series.columns["consensus_sq"][0, -1]
         if avg > 1e-6 or cons > 1e-8:
             ok = False
             detail = f"{kind.value}: avg={avg:.2e} consensus={cons:.2e}"
@@ -203,12 +205,12 @@ def test_criterion_6_single_agent_reduction():
     mixing = mixing_for_topology(Topology(kind="complete", K=1))
     grace = GraceParams(beta=0.05, p=0.05, b=2, b0=4)
     mu_x, mu_y = 0.01, 0.04
-    ref = init_estimator(problem, grace, seed=9, X0=np.ones((1, 2)),
-                         Y0=np.zeros((1, 2)))
-    X, Y = np.ones((1, 2)), np.zeros((1, 2))
+    ref = init_estimator(problem, grace, seeds=(9,), X0=np.ones((1, 1, 2)),
+                         Y0=np.zeros((1, 1, 2)))
+    X, Y = np.ones((1, 1, 2)), np.zeros((1, 1, 2))
     traj = []
     for _ in range(1000):
-        update_estimator(ref, grace, X, Y, problem)
+        update_checked(ref, grace, X, Y, problem)
         X = X - mu_x * ref.M_x
         Y = Y + mu_y * ref.M_y
         traj.append((X.copy(), Y.copy()))
@@ -216,7 +218,7 @@ def test_criterion_6_single_agent_reduction():
     for kind in ALL_KINDS:
         ops = build_strategy(kind, mixing)
         config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
-                              grace=grace, T=1000, seed=9)
+                              grace=grace, T=1000, seeds=(9,))
         state = init_engine(config, problem, x0=np.ones(2))
         for i in range(1000):
             step(state, config, problem, ops)
@@ -231,19 +233,19 @@ def test_criterion_7_estimator_degenerations(ring8, quad8):
     # (a) full refresh every round: zero estimation error
     grace_a = GraceParams(beta=0.0, p=1.0, b0=64)
     config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002, mu_y=0.01,
-                          grace=grace_a, T=100, seed=0)
-    series = run_and_measure(config, quad8, ring8, x0=np.ones(3))
+                          grace=grace_a, T=100, seeds=(0,))
+    series = run_ok(config, quad8, ring8, x0=np.ones(3))
     _track_delta_c(series)
-    ok_a = all(r.est_err_sq == 0.0 for r in series.rows)
+    ok_a = bool((series.columns["est_err_sq"] == 0.0).all())
     # (b) beta=1, p=0 on a noiseless online problem
     noiseless = make_quadratic_problem(K=8, d1=3, d2=2, N=None, sigma=0.0,
                                        seed=5)
     grace_b = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
     config_b = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002, mu_y=0.01,
-                            grace=grace_b, T=100, seed=0)
-    series_b = run_and_measure(config_b, noiseless, ring8, x0=np.ones(3))
+                            grace=grace_b, T=100, seeds=(0,))
+    series_b = run_ok(config_b, noiseless, ring8, x0=np.ones(3))
     _track_delta_c(series_b)
-    ok_b = all(r.est_err_sq <= 1e-20 for r in series_b.rows)
+    ok_b = bool((series_b.columns["est_err_sq"] <= 1e-20).all())
     # (c) hand-derived recursion value on grad(x) = x
     hand = make_quadratic_problem(K=1, d1=1, d2=1, N=8, sigma=0.0, seed=0)
     hand.Q[:] = 1.0
@@ -251,12 +253,12 @@ def test_criterion_7_estimator_degenerations(ring8, quad8):
     hand.a[:] = 0.0
     hand.a_samples[:] = 0.0
     params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
-    state = init_estimator(hand, params, 0, np.array([[1.0]]),
-                           np.array([[0.0]]))
+    state = init_estimator(hand, params, (0,), np.array([[[1.0]]]),
+                           np.array([[[0.0]]]))
     state.M_x[:] = 1.0
-    update_estimator(state, params, np.array([[0.5]]), np.array([[0.0]]),
-                     hand)
-    ok_c = state.M_x[0, 0] == 0.5
+    update_checked(state, params, np.array([[[0.5]]]), np.array([[[0.0]]]),
+                   hand)
+    ok_c = state.M_x[0, 0, 0] == 0.5
     report(7, "estimator degenerations (full batch, beta=1, hand recursion)",
            ok_a and ok_b and ok_c, f"a={ok_a} b={ok_b} c={ok_c}")
 
@@ -270,14 +272,12 @@ def test_criterion_8_storm_rate_scaling(ring8):
         spec = ScheduleSpec(mode=ScheduleMode.STORM_ED, T=T, K=8, kappa=kappa)
         mu_x, mu_y, grace = schedule_for_mode(spec)
         ops = build_strategy(StrategyKind.ED, ring8)
-        avgs = []
-        for seed in range(32):
-            config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x,
-                                  mu_y=mu_y, grace=grace, T=T, seed=seed)
-            series = run_and_measure(config, problem, ring8, ops=ops)
-            _track_delta_c(series)
-            avgs.append(series.avg_stationarity)
-        metrics[T] = float(np.mean(avgs))
+        # the 32 seeds run as one batch
+        config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x, mu_y=mu_y,
+                              grace=grace, T=T, seeds=tuple(range(32)))
+        series = run_ok(config, problem, ring8, ops=ops)
+        _track_delta_c(series)
+        metrics[T] = float(np.mean(series.avg_stationarity))
     ratio = metrics[500] / metrics[4000]
     lo, hi = 8 ** (2 / 3) / 2, 2 * 8 ** (2 / 3)
     report(8, "metric ratio across T matches the T^(-2/3) scaling",
@@ -294,11 +294,11 @@ def test_criterion_9_page_accounting_and_decay():
                         kappa=problem.constants.kappa, N=1024)
     mu_x, mu_y, grace = schedule_for_mode(spec)
     config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x, mu_y=mu_y,
-                          grace=grace, T=10**4, seed=0)
-    series = run_and_measure(config, problem, mixing, x0=np.ones(3), ops=ops)
+                          grace=grace, T=10**4, seeds=(0,))
+    series = run_ok(config, problem, mixing, x0=np.ones(3), ops=ops)
     _track_delta_c(series)
-    per_round = (series.rows[-1].samples_used
-                 - series.rows[0].samples_used) / 10**4
+    samples = series.columns["samples_used"][0]
+    per_round = (samples[-1] - samples[0]) / 10**4
     expected = grace.p * 1024 + (1 - grace.p) * grace.b
     ok_samples = abs(per_round - expected) <= 0.1 * expected
     # 1/T decay in a regime dominated by the deterministic transient
@@ -310,11 +310,10 @@ def test_criterion_9_page_accounting_and_decay():
                               kappa=quiet.constants.kappa, N=1024)
         mu_x, mu_y, grace_T = schedule_for_mode(spec_T)
         config_T = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x,
-                                mu_y=mu_y, grace=grace_T, T=T, seed=0)
-        series_T = run_and_measure(config_T, quiet, mixing, x0=np.ones(3),
-                                   ops=ops)
+                                mu_y=mu_y, grace=grace_T, T=T, seeds=(0,))
+        series_T = run_ok(config_T, quiet, mixing, x0=np.ones(3), ops=ops)
         _track_delta_c(series_T)
-        avgs[T] = series_T.avg_stationarity
+        avgs[T] = series_T.avg_stationarity[0]
     ratio = avgs[2000] / avgs[4000]
     ok_decay = 1.4 <= ratio <= 2.6
     report(9, "sample accounting within 10% and 1/T metric decay",
@@ -382,8 +381,7 @@ def test_criterion_10_gradient_correctness():
     for _ in range(5):
         x = rng.standard_normal(3)
         y_cf, P_cf = maximizer_oracle(quad, x)
-        y_it, P_it = maximizer_oracle(quad, x, use_closed_form=False,
-                                      tol=1e-12)
+        y_it, P_it = ascent_maximizer(quad, x, tol=1e-12)
         worst_oracle = max(worst_oracle,
                            float(np.linalg.norm(y_cf - y_it)),
                            abs(P_cf - P_it))

@@ -14,10 +14,10 @@ from decminimax import (
     mixing_for_topology,
     run_and_measure,
 )
-from decminimax.engine import _advance, step
-from decminimax.estimator import init_estimator, update_estimator
+from decminimax.engine import COLUMNS, _advance
+from decminimax.estimator import init_estimator
 
-from conftest import assert_close
+from conftest import assert_close, run_ok, step, update_checked
 
 ALL_KINDS = list(StrategyKind)
 
@@ -34,7 +34,8 @@ class TestInit:
         config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10)
         state = init_engine(config, quad_problem, x0=np.ones(3))
-        assert np.ptp(state.X, axis=0).max() == 0.0
+        assert state.X.shape == (1, 8, 3)
+        assert np.ptp(state.X, axis=1).max() == 0.0
         assert np.all(state.D_x == 0.0)
         assert np.all(state.D_y == 0.0)
 
@@ -51,6 +52,10 @@ class TestInit:
         with pytest.raises(ConfigError):
             EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
                          grace=GraceParams(beta=0, p=1), T=0)
+        for seeds in ((), (1, 1)):
+            with pytest.raises(ConfigError):
+                EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
+                             grace=GraceParams(beta=0, p=1), T=1, seeds=seeds)
 
 
 class TestStep:
@@ -59,19 +64,19 @@ class TestStep:
         ops = build_strategy(kind, ring8_lazy)
         grace = GraceParams(beta=0.2, p=0.2, b=4, b0=4)
         config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
-                              grace=grace, T=100, seed=2)
+                              grace=grace, T=100, seeds=(2,))
         state = init_engine(config, quad_problem, x0=np.ones(3))
         for _ in range(100):
-            update_estimator(state.grace, grace, state.X, state.Y,
-                             quad_problem)
-            xc = state.X.mean(axis=0)
-            yc = state.Y.mean(axis=0)
-            gx = state.grace.M_x.mean(axis=0)
-            gy = state.grace.M_y.mean(axis=0)
+            update_checked(state.grace, grace, state.X, state.Y,
+                           quad_problem)
+            xc = state.X.mean(axis=1)
+            yc = state.Y.mean(axis=1)
+            gx = state.grace.M_x.mean(axis=1)
+            gy = state.grace.M_y.mean(axis=1)
             _advance(state, config, ops)
-            assert_close(state.X.mean(axis=0), xc - config.mu_x * gx, 1e-10,
+            assert_close(state.X.mean(axis=1), xc - config.mu_x * gx, 1e-10,
                          f"x centroid round {state.round}")
-            assert_close(state.Y.mean(axis=0), yc + config.mu_y * gy, 1e-10,
+            assert_close(state.Y.mean(axis=1), yc + config.mu_y * gy, 1e-10,
                          f"y centroid round {state.round}")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -79,12 +84,12 @@ class TestStep:
         ops = build_strategy(kind, ring8_lazy)
         grace = GraceParams(beta=0.1, p=0.1, b=2, b0=4)
         config = EngineConfig(strategy=kind, mu_x=0.002, mu_y=0.01,
-                              grace=grace, T=500, seed=4)
+                              grace=grace, T=500, seeds=(4,))
         state = init_engine(config, quad_problem)
         for _ in range(500):
             step(state, config, quad_problem, ops)
-        assert np.max(np.abs(state.D_x.sum(axis=0))) <= 1e-9
-        assert np.max(np.abs(state.D_y.sum(axis=0))) <= 1e-9
+        assert np.max(np.abs(state.D_x.sum(axis=1))) <= 1e-9
+        assert np.max(np.abs(state.D_y.sum(axis=1))) <= 1e-9
 
     def test_zero_steps_freeze(self, ring8_lazy, quad_problem):
         # smallest representable positive step keeps validation happy while
@@ -93,22 +98,63 @@ class TestStep:
         grace = GraceParams(beta=0, p=1, b0=64)
         config = EngineConfig(strategy=StrategyKind.ED, mu_x=1e-300,
                               mu_y=1e-300, grace=grace, T=5)
-        series = run_and_measure(config, quad_problem, ring8_lazy,
-                                 x0=np.ones(3))
-        g0 = series.rows[0].grad_x_sq
-        assert all(r.grad_x_sq == pytest.approx(g0, rel=1e-10)
-                   for r in series.rows)
+        series = run_ok(config, quad_problem, ring8_lazy, x0=np.ones(3))
+        col = series.columns["grad_x_sq"][0]
+        assert all(g == pytest.approx(col[0], rel=1e-10) for g in col)
 
     def test_divergence_detected(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=64)
         config = EngineConfig(strategy=StrategyKind.ED, mu_x=50.0, mu_y=50.0,
                               grace=grace, T=500)
-        with pytest.raises(DivergenceError) as exc_info:
-            run_and_measure(config, quad_problem, ring8_lazy, x0=np.ones(3))
-        err = exc_info.value
+        series = run_and_measure(config, quad_problem, ring8_lazy,
+                                 x0=np.ones(3))
+        err = series.failures[0]
+        assert isinstance(err, DivergenceError)
         assert err.round_index is not None
-        assert err.partial is not None
-        assert len(err.partial.rows) >= 1
+        assert series.ok_seeds == []
+        # the partial columns end at the last round recorded before the failure
+        recorded = np.isfinite(series.columns["consensus_sq"][0])
+        assert recorded.sum() == err.round_index >= 1
+        assert recorded[:err.round_index].all()
+
+    def test_divergent_seed_leaves_batch(self, ring4_lazy):
+        # sigma puts the first rounds' largest entries near the cap: seeds 0
+        # and 5 stay below it, seed 4 passes it at round 1 and seeds 2 and 6
+        # at round 2, when seed 6 no longer sits at its first position
+        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=7e13,
+                                         seed=0)
+        grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
+
+        def run(seeds):
+            config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01,
+                                  mu_y=0.01, grace=grace, T=3, seeds=seeds)
+            return run_and_measure(config, problem, ring4_lazy)
+
+        batch = run((0, 2, 4, 5, 6))
+        assert batch.ok_seeds == [0, 5]
+        assert {s: e.round_index for s, e in batch.failures.items()} == \
+            {2: 2, 4: 1, 6: 2}
+        for seed in (0, 2, 4, 5, 6):
+            alone = run((seed,))
+            assert {s: str(e) for s, e in alone.failures.items()} == \
+                {s: str(e) for s, e in batch.failures.items() if s == seed}
+            row = batch.seeds.index(seed)
+            for name in COLUMNS[:6] + ("samples_used",):
+                assert alone.columns[name][0].tobytes() == \
+                    batch.columns[name][row].tobytes(), (seed, name)
+
+    def test_non_finite_estimate_fails_every_seed(self, ring4_lazy):
+        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None,
+                                         sigma=np.inf, seed=0)
+        config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
+                              grace=GraceParams(beta=0.5, p=0.0), T=3,
+                              seeds=(0, 1))
+        with np.errstate(invalid="ignore"):
+            series = run_and_measure(config, problem, ring4_lazy)
+        assert {s: str(e) for s, e in series.failures.items()} == {
+            0: "non-finite gradient estimate at agent 0",
+            1: "non-finite gradient estimate at agent 0"}
+        assert np.isnan(series.columns["grad_x_sq"]).all()
 
 
 class TestReduction:
@@ -120,13 +166,14 @@ class TestReduction:
         mu_x, mu_y = 0.01, 0.04
 
         # reference: centralized descent/ascent driven by the same estimator
-        ref_state = init_estimator(problem, grace, seed=9,
-                                   X0=np.ones((1, 2)), Y0=np.zeros((1, 2)))
-        ref_X = np.ones((1, 2))
-        ref_Y = np.zeros((1, 2))
+        ref_state = init_estimator(problem, grace, seeds=(9,),
+                                   X0=np.ones((1, 1, 2)),
+                                   Y0=np.zeros((1, 1, 2)))
+        ref_X = np.ones((1, 1, 2))
+        ref_Y = np.zeros((1, 1, 2))
         ref_traj = []
         for _ in range(1000):
-            update_estimator(ref_state, grace, ref_X, ref_Y, problem)
+            update_checked(ref_state, grace, ref_X, ref_Y, problem)
             ref_X = ref_X - mu_x * ref_state.M_x
             ref_Y = ref_Y + mu_y * ref_state.M_y
             ref_traj.append((ref_X.copy(), ref_Y.copy()))
@@ -134,7 +181,7 @@ class TestReduction:
         for kind in ALL_KINDS:
             ops = build_strategy(kind, mixing)
             config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
-                                  grace=grace, T=1000, seed=9)
+                                  grace=grace, T=1000, seeds=(9,))
             state = init_engine(config, problem, x0=np.ones(2))
             for i in range(1000):
                 step(state, config, problem, ops)
@@ -148,11 +195,12 @@ class TestRunAndMeasure:
     def test_deterministic_runs_identical(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0.1, p=0.2, b=4, b0=8)
         config = EngineConfig(strategy=StrategyKind.ATC_GT, mu_x=0.002,
-                              mu_y=0.01, grace=grace, T=100, seed=13)
-        s1 = run_and_measure(config, quad_problem, ring8_lazy, x0=np.ones(3))
-        s2 = run_and_measure(config, quad_problem, ring8_lazy, x0=np.ones(3))
-        for r1, r2 in zip(s1.rows, s2.rows):
-            assert r1 == r2
+                              mu_y=0.01, grace=grace, T=100, seeds=(13, 14))
+        s1 = run_ok(config, quad_problem, ring8_lazy, x0=np.ones(3))
+        s2 = run_ok(config, quad_problem, ring8_lazy, x0=np.ones(3))
+        assert s1.columns.keys() == s2.columns.keys()
+        for name, col in s1.columns.items():
+            assert col.tobytes() == s2.columns[name].tobytes(), name
 
     def test_two_gradient_blocks_per_round(self, ring8_lazy, monkeypatch):
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.5,
@@ -167,17 +215,23 @@ class TestRunAndMeasure:
             calls.clear()
             config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002,
                                   mu_y=0.01, grace=grace, T=T,
+                                  seeds=(0, 1, 2),
                                   record_transform_diagnostics=True)
-            run_and_measure(config, problem, ring8_lazy)
+            run_ok(config, problem, ring8_lazy)
             extra.add(len(calls) - 2 * T)
-        assert len(extra) == 1  # iterates and centroid, plus a constant
+        # per batched round, whatever the number of seeds: iterates and
+        # centroid, plus a constant
+        assert len(extra) == 1
 
     def test_row_count_and_round_column(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=8)
         config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002,
                               mu_y=0.01, grace=grace, T=3)
-        series = run_and_measure(config, quad_problem, ring8_lazy)
-        assert [r.round for r in series.rows] == [0, 1, 2, 3]
+        series = run_ok(config, quad_problem, ring8_lazy)
+        assert set(series.columns) == set(COLUMNS) - {"ehat_x_sq", "ehat_y_sq"}
+        for col in series.columns.values():
+            assert col.shape == (1, 4)  # rounds 0..3
+        assert (np.diff(series.columns["samples_used"][0]) > 0).all()
 
     def test_deterministic_convergence_smoothness_steps(self, ring8_lazy):
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.0,
@@ -190,11 +244,11 @@ class TestRunAndMeasure:
                      StrategyKind.ATC_GT):
             config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
                                   grace=grace, T=3000)
-            series = run_and_measure(config, problem, ring8_lazy,
-                                     x0=np.ones(3), y0=np.ones(2))
-            last = series.rows[-1]
-            assert last.grad_x_sq + last.grad_y_sq <= 1e-8, kind
-            assert last.consensus_sq <= 1e-10, kind
+            series = run_ok(config, problem, ring8_lazy, x0=np.ones(3),
+                            y0=np.ones(2))
+            cols = series.columns
+            assert cols["grad_x_sq"][0, -1] + cols["grad_y_sq"][0, -1] <= 1e-8, kind
+            assert cols["consensus_sq"][0, -1] <= 1e-10, kind
 
     def test_monotone_consensus_decay(self, ring8_lazy):
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.0,
@@ -203,5 +257,6 @@ class TestRunAndMeasure:
         grace = GraceParams(beta=0, p=1, b0=16)
         config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x, mu_y=mu_y,
                               grace=grace, T=400)
-        series = run_and_measure(config, problem, ring8_lazy, x0=np.ones(3))
-        assert series.rows[400].consensus_sq <= series.rows[200].consensus_sq
+        series = run_ok(config, problem, ring8_lazy, x0=np.ones(3))
+        consensus = series.columns["consensus_sq"][0]
+        assert consensus[400] <= consensus[200]

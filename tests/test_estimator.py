@@ -14,7 +14,7 @@ from decminimax import (
     update_estimator,
 )
 
-from conftest import assert_close
+from conftest import assert_close, update_checked
 
 
 def replicate_stream(seed):
@@ -26,10 +26,9 @@ def grace_of(mode, **spec):
     return schedule_for_mode(ScheduleSpec(mode=mode, kappa=1.0, **spec))[2]
 
 
-def start_blocks(problem, x0=None, y0=None):
-    x0 = np.zeros(problem.d1) if x0 is None else x0
-    y0 = np.zeros(problem.d2) if y0 is None else y0
-    return np.tile(x0, (problem.K, 1)), np.tile(y0, (problem.K, 1))
+def start_blocks(problem, S=1):
+    """Zero start iterates of a batch of S replicates, (S, K, d)."""
+    return np.zeros((S, problem.K, problem.d1)), np.zeros((S, problem.K, problem.d2))
 
 
 class TestParams:
@@ -84,7 +83,7 @@ class TestInit:
     def test_full_batch_init_is_exact(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         state = init_estimator(quad_problem, GraceParams(beta=0, p=1, b0=64),
-                               seed=0, X0=X, Y0=Y)
+                               seeds=(0,), X0=X, Y0=Y)
         # b0 = N draws with replacement are not the full sum; use mean check
         assert state.samples_used == 64
 
@@ -93,36 +92,35 @@ class TestInit:
                                          seed=1)
         X, Y = start_blocks(problem)
         state = init_estimator(problem, GraceParams(beta=1, p=0, b0=1),
-                               seed=0, X0=X, Y0=Y)
+                               seeds=(0,), X0=X, Y0=Y)
         ex, ey, _, _ = estimator_error(state)
-        assert ex + ey <= 1e-24
+        assert ex[0] + ey[0] <= 1e-24
 
     def test_offline_init_matches_logged_indices(self):
         problem = make_quadratic_problem(K=2, d1=1, d2=1, N=8, sigma=1.0,
                                          seed=2)
         X, Y = start_blocks(problem)
         state = init_estimator(problem, GraceParams(beta=0, p=0.5, b0=4),
-                               seed=7, X0=X, Y0=Y)
+                               seeds=(7,), X0=X, Y0=Y)
         # recompute by hand: the init's only draw is a (K, b0) index block
         idx = replicate_stream(7).integers(0, 8, size=(problem.K, 4))
         for k in range(problem.K):
-            gx = problem.Q[k] @ X[k] + problem.R[k] @ Y[k] \
+            gx = problem.Q[k] @ X[0, k] + problem.R[k] @ Y[0, k] \
                 + problem.a_samples[k, idx[k]].mean(axis=0)
-            assert_close(state.M_x[k], gx, 1e-14, f"agent {k} init")
+            assert_close(state.M_x[0, k], gx, 1e-14, f"agent {k} init")
 
     def test_replicate_streams_independent(self):
         K, d1, d2 = 8, 3, 2
         problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
                                          sigma=1.0, seed=0)
-        X, Y = start_blocks(problem)
-        params = GraceParams(beta=1, p=0, b0=1)
-        blocks = []
-        for seed in range(32):
-            state = init_estimator(problem, params, seed=seed, X0=X, Y0=Y)
-            # the first draw is one standard-normal block, scaled per side
-            blocks.append(np.hstack([(state.M_x - state.G_x) * np.sqrt(d1),
-                                     (state.M_y - state.G_y) * np.sqrt(d2)]))
-        rows = np.vstack(blocks)
+        X, Y = start_blocks(problem, S=32)
+        state = init_estimator(problem, GraceParams(beta=1, p=0, b0=1),
+                               seeds=range(32), X0=X, Y0=Y)
+        # each replicate's first draw is one standard-normal block, scaled
+        # per side
+        rows = np.concatenate([(state.M_x - state.G_x) * np.sqrt(d1),
+                               (state.M_y - state.G_y) * np.sqrt(d2)],
+                              axis=2).reshape(32 * K, d1 + d2)
         plain = np.vstack([np.random.default_rng(s).standard_normal((K, d1 + d2))
                            for s in range(32)])
         # no row of one replicate's block recurs in another replicate's
@@ -136,27 +134,27 @@ class TestUpdate:
     def test_full_refresh_zero_error(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         params = GraceParams(beta=0, p=1, b0=64)
-        state = init_estimator(quad_problem, params, 0, X, Y)
+        state = init_estimator(quad_problem, params, (0,), X, Y)
         rng = np.random.default_rng(3)
         for _ in range(5):
             Xc = X + rng.standard_normal(X.shape)
             Yc = Y + rng.standard_normal(Y.shape)
-            update_estimator(state, params, Xc, Yc, quad_problem)
+            update_checked(state, params, Xc, Yc, quad_problem)
             ex, ey, exc, eyc = estimator_error(state)
-            assert ex + ey == 0.0
-            assert exc + eyc == 0.0
+            assert ex[0] + ey[0] == 0.0
+            assert exc[0] + eyc[0] == 0.0
 
     def test_beta_one_fresh_minibatch(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=None, sigma=0.0,
                                          seed=4)
         X, Y = start_blocks(problem)
         params = GraceParams(beta=1, p=0, b=1, b0=1)
-        state = init_estimator(problem, params, 0, X, Y)
+        state = init_estimator(problem, params, (0,), X, Y)
         Xc = X + 1.0
         Yc = Y - 1.0
-        update_estimator(state, params, Xc, Yc, problem)
+        update_checked(state, params, Xc, Yc, problem)
         ex, ey, _, _ = estimator_error(state)
-        assert ex + ey <= 1e-24
+        assert ex[0] + ey[0] <= 1e-24
 
     def test_sarah_hand_example(self):
         # J = x^2/2 so grad(x) = x; beta=0, p=0, b=1, prev x=1, cur x=0.5,
@@ -171,37 +169,41 @@ class TestUpdate:
         problem.Rbar = problem.R[0]
         problem.abar = problem.a[0]
         params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
-        X = np.array([[1.0]])
-        Y = np.array([[0.0]])
-        state = init_estimator(problem, params, 0, X, Y)
+        X = np.array([[[1.0]]])
+        Y = np.array([[[0.0]]])
+        state = init_estimator(problem, params, (0,), X, Y)
         state.M_x[:] = 1.0  # g_{i-1} = 1 at prev x = 1
-        update_estimator(state, params, np.array([[0.5]]), Y, problem)
-        assert state.M_x[0, 0] == 0.5
+        update_checked(state, params, np.array([[[0.5]]]), Y, problem)
+        assert state.M_x[0, 0, 0] == 0.5
 
     def test_shared_switch_across_agents(self, quad_problem):
-        X, Y = start_blocks(quad_problem)
+        X, Y = start_blocks(quad_problem, S=3)
         params = GraceParams(beta=0.1, p=0.5, b=2, b0=4)
-        state = init_estimator(quad_problem, params, 11, X, Y)
+        state = init_estimator(quad_problem, params, (11, 12, 13), X, Y)
         rng = np.random.default_rng(0)
         kinds = []
         for _ in range(50):
             Xc = rng.standard_normal(X.shape)
             Yc = rng.standard_normal(Y.shape)
-            update_estimator(state, params, Xc, Yc, quad_problem)
-            # a refresh makes every agent's estimate exact, a recursion none
-            exact = np.all(state.M_x == state.G_x, axis=1) \
-                & np.all(state.M_y == state.G_y, axis=1)
-            assert exact.all() or not exact.any()
-            kinds.append(bool(exact.all()))
-        assert 0 < sum(kinds) < len(kinds)  # both branches exercised
+            update_checked(state, params, Xc, Yc, quad_problem)
+            # per replicate, a refresh makes every agent's estimate exact,
+            # a recursion none
+            exact = np.all(state.M_x == state.G_x, axis=2) \
+                & np.all(state.M_y == state.G_y, axis=2)
+            assert (exact.all(axis=1) | ~exact.any(axis=1)).all()
+            kinds.append(exact.all(axis=1))
+        kinds = np.array(kinds)
+        # both branches exercised, and the replicates switch on their own
+        assert 0 < kinds.sum() < kinds.size
+        assert (kinds != kinds[:, :1]).any()
 
     def test_correlated_pair_indices_logged(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         params = GraceParams(beta=0.0, p=0.0, b=3, b0=4)
-        state = init_estimator(quad_problem, params, 5, X, Y)
+        state = init_estimator(quad_problem, params, (5,), X, Y)
         M_x, M_y = state.M_x.copy(), state.M_y.copy()
         G_x, G_y = quad_problem.exact_grads_block(X, Y)
-        update_estimator(state, params, X + 1, Y + 1, quad_problem)
+        update_checked(state, params, X + 1, Y + 1, quad_problem)
         H_x, H_y = quad_problem.exact_grads_block(X + 1, Y + 1)
         # the same minibatch enters both evaluations, so its noise cancels
         assert_close(state.M_x, M_x - G_x + H_x, 1e-12, "x recursion")
@@ -210,23 +212,20 @@ class TestUpdate:
     def test_b_exceeding_N_rejected(self, quad_problem):
         X, Y = start_blocks(quad_problem)
         params = GraceParams(beta=0.0, p=0.0, b=65, b0=4)
-        state = init_estimator(quad_problem, params, 5, X, Y)
+        state = init_estimator(quad_problem, params, (5,), X, Y)
         with pytest.raises(ConfigError):
             update_estimator(state, params, X, Y, quad_problem)
 
     def test_initial_variance_monotone_in_b0(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=256, sigma=1.0,
                                          seed=9)
-        X, Y = start_blocks(problem)
+        X, Y = start_blocks(problem, S=32)
         means = []
         for b0 in (1, 4, 16):
-            errs = []
-            for seed in range(32):
-                state = init_estimator(problem, GraceParams(beta=0, p=0, b0=b0),
-                                       seed=seed, X0=X, Y0=Y)
-                ex, ey, _, _ = estimator_error(state)
-                errs.append(ex + ey)
-            means.append(np.mean(errs))
+            state = init_estimator(problem, GraceParams(beta=0, p=0, b0=b0),
+                                   seeds=range(32), X0=X, Y0=Y)
+            ex, ey, _, _ = estimator_error(state)
+            means.append(np.mean(ex + ey))
         # variance shrinks roughly like 1/b0; allow 2x statistical slack
         assert means[1] <= 2.0 * means[0]
         assert means[2] <= 2.0 * means[1]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from decminimax import ConfigError, config_from_dict, load_config, \
     run_experiment, verify_invariants, write_outputs
@@ -19,6 +20,30 @@ MINIMAL = {
     "T": 20,
     "seeds": [0, 1],
 }
+
+
+# every key of the schema, dotted, and one unknown key per section
+KEYS = [f"{section}.{key}" if isinstance(keys, dict) else section
+        for section, keys in harness._SCHEMA.items()
+        for key in (keys if isinstance(keys, dict) else [None])] + [
+    "topology.extra", "problem.extra", "schedule.extra", "extra"]
+VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 2**1100), st.floats(),
+    st.text(max_size=4), st.sampled_from(["nan", "1e3", "-inf", "sinpl", "ed"]),
+    st.lists(st.one_of(st.floats(-5, 5), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.one_of(st.text(max_size=3), st.integers()),
+                    st.integers(), max_size=2))
+
+
+def set_value(raw, dotted, value):
+    """raw with the dotted key set, replacing any non-mapping on the way."""
+    *path, last = dotted.split(".")
+    node = raw
+    for key in path:
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[last] = value
 
 
 def write_yaml(tmp_path, data, name="config.yaml"):
@@ -87,6 +112,18 @@ class TestLoadConfig:
         ("problem.d1", 0), ("topology.K", 0), ("problem.N", 0),
         ("schedule.mu_x", "abc"), ("seeds", [0, -1]), ("problem.sigma", -1),
         ("problem.kind", "sinpl"),  # online-only, but N is set
+        # booleans are true or false, not strings or numbers
+        ("diagnostics.transform", "false"), ("schedule.shrink_to_valid", "no"),
+        ("topology.lazy", "no"), ("problem.zero_mean_linear", 1),
+        # start points are lists of d1 (d2) finite numbers
+        ("x0", ["abc"]), ("x0", 3), ("x0", [1.0]), ("y0", [0.0, float("nan")]),
+        # numbers are finite
+        ("schedule.mu_x", float("nan")), ("schedule.mu_x", float("inf")),
+        ("problem.sigma", float("nan")),
+        # the sinpl problem is scalar
+        ("problem", {"kind": "sinpl", "d1": 3}),
+        ("problem", {"kind": "sinpl", "d2": 2}),
+        ("schedule.mode", "storm"),
     ])
     def test_bad_value_rejected_before_any_seed(self, monkeypatch, dotted,
                                                 value):
@@ -96,6 +133,28 @@ class TestLoadConfig:
                             lambda *a, **k: pytest.fail("a seed started"))
         with pytest.raises(ConfigError):
             run_experiment(config_from_dict(raw))
+
+    def test_sinpl_resolves_to_scalar_dims(self):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["problem"] = {"kind": "sinpl", "sigma": 0.5}
+        assert config_from_dict(raw).problem["d1"] == 1
+        raw["problem"]["d2"] = 1.0
+        assert config_from_dict(raw).problem["d2"] == 1
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_config_loads_or_raises_config_error(self, data):
+        raw = data.draw(st.one_of(
+            st.builds(lambda: json.loads(json.dumps(MINIMAL))),
+            st.builds(dict), VALUES))
+        if isinstance(raw, dict):
+            for _ in range(data.draw(st.integers(1, 4))):
+                set_value(raw, data.draw(st.sampled_from(KEYS)),
+                          data.draw(VALUES))
+        try:
+            config_from_dict(raw)
+        except ConfigError:
+            pass
 
     def test_gt_strategy_defaults_to_plain_weights(self):
         raw = json.loads(json.dumps(MINIMAL))
@@ -112,9 +171,9 @@ class TestRunExperiment:
         assert s["avg_stationarity"]["std"] == 0.0
         assert s["seeds_ok"] == [0]
         assert s["constants"]["nu"] > 0
-        assert len(result.series[0].rows) == 21
+        assert result.series.columns["grad_x_sq"].shape == (1, 21)
 
-    def test_divergent_seed_recorded(self):
+    def test_divergent_seed_recorded(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL))
         raw["schedule"]["mu_x"] = 50.0
         raw["schedule"]["mu_y"] = 50.0
@@ -122,6 +181,9 @@ class TestRunExperiment:
         result = run_experiment(config_from_dict(raw))
         assert result.failures
         assert set(result.summary["seeds_failed"]) == {"0", "1"}
+        assert result.summary["avg_stationarity"] == {"mean": None, "std": None}
+        files = write_outputs(result, tmp_path / "out")
+        assert {f.name for f in files} == {"summary.json", "config.resolved.json"}
 
 
 class TestWriteOutputs:

@@ -9,7 +9,7 @@ from decminimax import (
     maximizer_oracle,
 )
 
-from conftest import assert_close
+from conftest import ascent_maximizer, assert_close
 
 
 def finite_difference(f, z, h=1e-5):
@@ -154,29 +154,40 @@ class TestSinPL:
     def test_online_only(self):
         problem = make_sinpl_problem(K=2, sigma=0.5, seed=0)
         assert problem.N is None
-        na, nb = problem.batch_noise(np.random.default_rng(0), 4)
-        assert na.shape == nb.shape == (2, 1)
+        na, nb = problem.batch_noise([np.random.default_rng(0)], 4)
+        assert na.shape == nb.shape == (1, 2, 1)
 
 
 class TestBatchNoise:
     def test_offline_gathers_one_index_block(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5,
                                          seed=2)
-        na, nb = problem.batch_noise(np.random.default_rng(1), 5)
+        na, nb = problem.batch_noise([np.random.default_rng(1)], 5)
         idx = np.random.default_rng(1).integers(0, 8, size=(3, 5))
         for k in range(3):
-            assert_close(na[k], problem.a_samples[k, idx[k]].mean(axis=0)
+            assert_close(na[0, k], problem.a_samples[k, idx[k]].mean(axis=0)
                          - problem.a[k], 1e-15, f"agent {k} a noise")
-            assert_close(nb[k], problem.b_samples[k, idx[k]].mean(axis=0)
+            assert_close(nb[0, k], problem.b_samples[k, idx[k]].mean(axis=0)
                          - problem.b[k], 1e-15, f"agent {k} b noise")
+
+    @pytest.mark.parametrize("N", [8, None])
+    def test_batch_matches_each_generator(self, N):
+        problem = make_quadratic_problem(K=3, d1=2, d2=1, N=N, sigma=0.5,
+                                         seed=2)
+        batch = problem.batch_noise(
+            [np.random.default_rng(s) for s in range(4)], 5)
+        for s in range(4):
+            one = problem.batch_noise([np.random.default_rng(s)], 5)
+            for got, ref in zip(batch, one):
+                assert got[s].tobytes() == ref[0].tobytes()
 
     def test_online_draws_one_block_even_without_noise(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=None, sigma=0.0,
                                          seed=2)
         rng = np.random.default_rng(1)
-        na, nb = problem.batch_noise(rng, 5)
+        na, nb = problem.batch_noise([rng], 5)
         assert not na.any() and not nb.any()
-        assert na.shape == (3, 2) and nb.shape == (3, 1)
+        assert na.shape == (1, 3, 2) and nb.shape == (1, 3, 1)
         ref = np.random.default_rng(1)
         ref.standard_normal((3, 3))
         assert rng.random() == ref.random()
@@ -199,8 +210,16 @@ class TestMaximizerOracle:
         for _ in range(5):
             x = rng.standard_normal(2)
             y_cf, P_cf = maximizer_oracle(problem, x)
-            y_it, P_it = maximizer_oracle(problem, x, use_closed_form=False,
-                                          tol=1e-12)
+            y_it, P_it = ascent_maximizer(problem, x, tol=1e-12)
+            assert np.linalg.norm(y_cf - y_it) <= 1e-8
+            assert abs(P_cf - P_it) <= 1e-8
+
+    def test_sinpl_closed_form_matches_ascent(self):
+        problem = make_sinpl_problem(K=4, sigma=0.0, seed=2)
+        for x0 in (-2.5, -0.3, 0.0, 1.7):
+            x = np.array([x0])
+            y_cf, P_cf = maximizer_oracle(problem, x)
+            y_it, P_it = ascent_maximizer(problem, x, tol=1e-12)
             assert np.linalg.norm(y_cf - y_it) <= 1e-8
             assert abs(P_cf - P_it) <= 1e-8
 
@@ -213,3 +232,31 @@ class TestMaximizerOracle:
             y = rng.standard_normal(2)
             _, P = maximizer_oracle(problem, x)
             assert P - problem.objective(x, y) >= -1e-10
+
+
+class TestCentroidMetrics:
+    @pytest.mark.parametrize("kind", ["quadratic", "sinpl"])
+    def test_matches_oracle_and_mean_gradient(self, kind):
+        if kind == "quadratic":
+            problem = make_quadratic_problem(K=3, d1=3, d2=2, N=8, sigma=0.0,
+                                             seed=8)
+        else:
+            problem = make_sinpl_problem(K=4, sigma=0.0, seed=2)
+        rng = np.random.default_rng(1)
+        x_c = rng.uniform(-2, 2, (50, problem.d1))
+        y_c = rng.uniform(-2, 2, (50, problem.d2))
+        grad_x, grad_y, gap = problem.centroid_metrics(x_c, y_c)
+        assert grad_x.shape == (50, problem.d1) and gap.shape == (50,)
+        assert (gap >= 0).all()
+        for s in range(50):
+            GX, GY = problem.exact_grads_block(
+                np.tile(x_c[s], (problem.K, 1)), np.tile(y_c[s], (problem.K, 1)))
+            assert_close(grad_x[s], GX.mean(axis=0), 1e-14, "grad_x")
+            assert_close(grad_y[s], GY.mean(axis=0), 1e-14, "grad_y")
+            _, P = maximizer_oracle(problem, x_c[s])
+            ref = P - problem.objective(x_c[s], y_c[s])
+            assert gap[s] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+            # a seed's metrics do not depend on the rest of its batch
+            one = problem.centroid_metrics(x_c[s:s + 1], y_c[s:s + 1])
+            for got, full in zip(one, (grad_x, grad_y, gap)):
+                assert got[0].tobytes() == full[s].tobytes()

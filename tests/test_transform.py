@@ -15,11 +15,10 @@ from decminimax import (
     mixing_for_topology,
 )
 from decminimax.engine import _advance
-from decminimax.estimator import update_estimator
 from decminimax.strategies import mode_values
 from decminimax.transform import _similarity_2x2
 
-from conftest import assert_close, random_connected_mixing
+from conftest import assert_close, random_connected_mixing, update_checked
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
 
@@ -110,8 +109,10 @@ class TestSpectralForm:
         # b = 1 - lam, a double eigenvalue at lam
         a[16:], b[16:], c[16:] = lam[16:] ** 2, 1.0 - lam[16:], 1.0
         P = np.stack([[a * c - b * b, -b], [b, np.ones_like(b)]]).transpose(2, 0, 1)
-        Q, Q_inv, T, defective = _similarity_2x2(P)
-        assert defective[16:].all()
+        Q, Q_inv, T = _similarity_2x2(P)
+        # the double-eigenvalue blocks are defective: their T is a Jordan
+        # block, not diagonal
+        assert (np.abs(T[16:, 0, 1]) > 1e-12).all()
         for j in range(len(P)):
             Q_ref, T_ref = reference_similarity(P[j])
             assert_close(Q[j], Q_ref, 1e-12, f"Q of block {j}")
@@ -256,20 +257,30 @@ class TestCoupledError:
             report = check_consensus_bound(X, Y, err, bundle)
             assert report.passed, (report.lhs, report.rhs)
 
+    def test_batch_matches_each_state(self, ring8_lazy, quad_problem):
+        ops, bundle = self._setup(StrategyKind.ED, ring8_lazy, quad_problem)
+        rng = np.random.default_rng(2)
+        blocks = [rng.standard_normal((4, 8, d)) for d in (3, 2, 3, 2, 3, 2)]
+        batch = coupled_error_norms(*blocks, bundle, 0.05, 0.1)
+        for s in range(4):
+            one = coupled_error_norms(*(a[s] for a in blocks), bundle, 0.05, 0.1)
+            assert batch.ehat_x_sq[s] == one.ehat_x_sq
+            assert batch.ehat_y_sq[s] == one.ehat_y_sq
+
     @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
     def test_consensus_bound_along_trajectory(self, ring8_lazy, quad_problem,
                                            kind):
         ops, bundle = self._setup(kind, ring8_lazy, quad_problem)
         grace = GraceParams(beta=0.1, p=0.1, b=4, b0=8)
         config = EngineConfig(strategy=kind, mu_x=0.005, mu_y=0.02,
-                              grace=grace, T=200, seed=3)
+                              grace=grace, T=200, seeds=(3,))
         state = init_engine(config, quad_problem, x0=np.ones(3))
         for _ in range(200):
-            update_estimator(state.grace, grace, state.X, state.Y,
-                             quad_problem)
+            update_checked(state.grace, grace, state.X, state.Y,
+                           quad_problem)
             err = coupled_error_norms(
-                state.X, state.Y, state.grace.M_x, state.grace.M_y,
-                state.D_x, state.D_y, bundle, config.mu_x, config.mu_y)
-            report = check_consensus_bound(state.X, state.Y, err, bundle)
+                state.X[0], state.Y[0], state.grace.M_x[0], state.grace.M_y[0],
+                state.D_x[0], state.D_y[0], bundle, config.mu_x, config.mu_y)
+            report = check_consensus_bound(state.X[0], state.Y[0], err, bundle)
             assert report.passed, (state.round, report.lhs, report.rhs)
             _advance(state, config, ops)
