@@ -24,7 +24,7 @@ from .schedules import ScheduleMode, ScheduleSpec, TheoremConstants, \
     validate_conditions
 from .strategies import SQRT_STRATEGIES, StrategyKind, StrategyOps, \
     build_strategy, verify_strategy_assumptions
-from .transform import CoupledError, TransformBundle, \
-    build_transform_bundle, check_consensus_bound, coupled_error_norms
+from .transform import TransformBundle, build_transform_bundle, \
+    check_consensus_bound, coupled_error_norms
 
 __version__ = "0.1.0"

@@ -5,6 +5,9 @@ Subcommands:
   sweep     rerun a config with one dotted key set to each listed value
   verify    run the cross-module invariant suite (nonzero exit on failure)
   schedule  print resolved hyperparameters for a schedule mode as JSON
+
+A rejected config, or a strategy its mixing matrix cannot carry, prints
+"error: <message>" to stderr and exits with status 2.
 """
 
 import argparse
@@ -13,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .errors import ConfigError, DegenerateModeError, NotPSDError
 from .harness import load_config, run_experiment, sweep as run_sweep, \
     verify_invariants, write_outputs, _parse_value
 from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
@@ -111,7 +115,11 @@ def main(argv=None) -> int:
     p_sched.set_defaults(func=_cmd_schedule)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, NotPSDError, DegenerateModeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

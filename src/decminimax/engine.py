@@ -1,16 +1,20 @@
 """Main simulation loop over a batch of seed replicates.
 
-The iterates of S seed replicates are stacked as (S, K, d) arrays, and one
-array round advances every replicate. Per round i the order is fixed:
-(1) the gradient estimator advances using the current and previous
-iterates; (2) primal updates
+The descent and ascent iterates of an agent sit side by side in one
+primal block Z = [X | Y] of width d1 + d2, and S seed replicates are
+stacked as (S, K, d1+d2) arrays, so one array round advances every
+replicate. The engine carries the dual only as D = B D_paper, the product
+the recursion uses, so it needs B only through B^2 = ops.B2. Per round i
+the order is fixed: (1) the gradient estimator advances using the current
+and previous iterates; (2) the primal update
 
-    X_{i+1} = A_x (C_x X_i - mu_x M_{x,i}) - B_x D_{x,i}
-    Y_{i+1} = A_y (C_y Y_i + mu_y M_{y,i}) - B_y D_{y,i}   (ascent sign)
+    Z_{i+1} = A (C Z_i - mu * M_i) - D_i
 
-(3) dual updates D_{+} = D + B X_{+}. Metrics for round i are recorded
-after the estimator update but before the iterate advance, so the round-0
-row reflects the initialization.
+with the signed step mu = [mu_x, ..., -mu_y, ...] (descent in x, ascent
+in y); (3) the dual update D_{i+1} = D_i + B^2 Z_{i+1}. Metrics for
+round i are recorded after the estimator update but before the iterate
+advance, so the round-0 row reflects the initialization. The x/y split
+comes back only in the metric columns, at problem.d1.
 
 Every operation acts on each replicate's (K, d) slice alone, so a seed's
 numbers are the same whatever other seeds share its batch. A replicate
@@ -46,6 +50,10 @@ class EngineConfig:
     seeds: tuple = (0,)
     record_transform_diagnostics: bool = False
 
+    def signed_step(self, d1: int, d2: int) -> np.ndarray:
+        """mu: mu_x on the d1 descent columns, -mu_y on the d2 ascent ones."""
+        return np.repeat([self.mu_x, -self.mu_y], [d1, d2])
+
     def __post_init__(self):
         if self.mu_x <= 0 or self.mu_y <= 0:
             raise ConfigError("step sizes must be positive")
@@ -58,18 +66,15 @@ class EngineConfig:
 
 @dataclass
 class EngineState:
-    X: np.ndarray   # (S, K, d1)
-    Y: np.ndarray   # (S, K, d2)
-    D_x: np.ndarray
-    D_y: np.ndarray
+    Z: np.ndarray   # (S, K, d1+d2) primal block [X | Y]
+    D: np.ndarray   # (S, K, d1+d2) carried dual, B times the paper's dual
     grace: GraceState
     rows: np.ndarray  # (S,) position of each replicate in config.seeds
     round: int = 0
 
     def select(self, keep: np.ndarray) -> None:
         """Keep only the replicates where keep is true."""
-        self.X, self.Y = self.X[keep], self.Y[keep]
-        self.D_x, self.D_y = self.D_x[keep], self.D_y[keep]
+        self.Z, self.D = self.Z[keep], self.D[keep]
         self.rows = self.rows[keep]
         self.grace.select(keep)
 
@@ -120,37 +125,26 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
             f"start point dims {x0.shape}/{y0.shape} do not match "
             f"problem dims ({problem.d1},)/({problem.d2},)"
         )
-    X = np.tile(x0, (S, K, 1))
-    Y = np.tile(y0, (S, K, 1))
-    grace = init_estimator(problem, config.grace, config.seeds, X, Y)
-    return EngineState(
-        X=X,
-        Y=Y,
-        D_x=np.zeros_like(X),
-        D_y=np.zeros_like(Y),
-        grace=grace,
-        rows=np.arange(S),
-        round=0,
-    )
+    Z = np.tile(np.concatenate([x0, y0]), (S, K, 1))
+    return EngineState(Z=Z, D=np.zeros_like(Z),
+                       grace=init_estimator(problem, config.grace,
+                                            config.seeds, Z),
+                       rows=np.arange(S), round=0)
 
 
-def _advance(state: EngineState, config: EngineConfig, ops: StrategyOps) -> None:
-    """Primal and dual updates using the current gradient estimates."""
-    A, B, C = ops.A, ops.B, ops.C
-    X_new = A @ (C @ state.X - config.mu_x * state.grace.M_x) - B @ state.D_x
-    Y_new = A @ (C @ state.Y + config.mu_y * state.grace.M_y) - B @ state.D_y
-    state.D_x = state.D_x + B @ X_new
-    state.D_y = state.D_y + B @ Y_new
-    state.X = X_new
-    state.Y = Y_new
+def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps) -> None:
+    """Primal and dual updates using the current gradient estimates; mu is
+    the signed step (EngineConfig.signed_step)."""
+    state.Z = ops.A @ (ops.C @ state.Z - mu * state.grace.M) - state.D
+    state.D = state.D + ops.B2 @ state.Z
     state.round += 1
 
 
 def _iterate_errors(state: EngineState) -> dict:
     """Batch position -> DivergenceError for every replicate whose iterates
     are not finite or exceed DIVERGENCE_CAP in magnitude."""
-    worst = np.max([np.abs(a).max(axis=(1, 2))
-                    for a in (state.X, state.Y, state.D_x, state.D_y)], axis=0)
+    worst = np.maximum(np.abs(state.Z).max(axis=(1, 2)),
+                       np.abs(state.D).max(axis=(1, 2)))
     errors = {}
     for i in np.flatnonzero(~(worst <= DIVERGENCE_CAP)):
         w = float(worst[i])
@@ -184,30 +178,27 @@ def _drop(state: EngineState, series: MetricsSeries, errors: dict) -> None:
     state.select(keep)
 
 
-def _record(state: EngineState, config: EngineConfig, problem,
+def _record(state: EngineState, mu: np.ndarray, problem,
             bundle: TransformBundle | None, series: MetricsSeries) -> None:
     """Write round state.round of every replicate still in the batch."""
-    x_c = state.X.mean(axis=1)
-    y_c = state.Y.mean(axis=1)
-    grad_x, grad_y, delta_c = problem.centroid_metrics(x_c, y_c)
-    ex, ey, exc, eyc = estimator_error(state.grace)
+    d1 = problem.d1
+    z_c = state.Z.mean(axis=1)
+    grad, delta_c = problem.centroid_metrics(z_c)
+    est_err, est_err_avg = estimator_error(state.grace)
     row = {
-        "grad_x_sq": np.sum(grad_x**2, axis=1),
-        "grad_y_sq": np.sum(grad_y**2, axis=1),
-        "consensus_sq": np.sum((state.X - x_c[:, None]) ** 2, axis=(1, 2))
-        + np.sum((state.Y - y_c[:, None]) ** 2, axis=(1, 2)),
+        "grad_x_sq": np.sum(grad[:, :d1] ** 2, axis=1),
+        "grad_y_sq": np.sum(grad[:, d1:] ** 2, axis=1),
+        "consensus_sq": np.sum((state.Z - z_c[:, None]) ** 2, axis=(1, 2)),
         "delta_c": delta_c,
-        "est_err_sq": ex + ey,
-        "est_err_avg_sq": exc + eyc,
+        "est_err_sq": est_err,
+        "est_err_avg_sq": est_err_avg,
         "samples_used": state.grace.samples_used,
     }
     if bundle is not None:
-        err = coupled_error_norms(
-            state.X, state.Y, state.grace.M_x, state.grace.M_y,
-            state.D_x, state.D_y, bundle, config.mu_x, config.mu_y,
-        )
-        row["ehat_x_sq"] = err.ehat_x_sq
-        row["ehat_y_sq"] = err.ehat_y_sq
+        ehat = coupled_error_norms(state.Z, mu * state.grace.M, state.D,
+                                   bundle)
+        row["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(1, 2))
+        row["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(1, 2))
     for name, values in row.items():
         series.columns[name][state.rows, state.round] = values
 
@@ -231,19 +222,20 @@ def run_and_measure(config: EngineConfig, problem, mixing, x0=None, y0=None,
     if not config.record_transform_diagnostics:
         bundle = None
     elif bundle is None:
-        bundle = build_transform_bundle(ops, mixing, d=problem.d1)
+        bundle = build_transform_bundle(ops, mixing)
+    mu = config.signed_step(problem.d1, problem.d2)
     state = init_engine(config, problem, x0=x0, y0=y0)
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
     while True:
-        bad_agent = update_estimator(state.grace, config.grace, state.X,
-                                     state.Y, problem)
+        bad_agent = update_estimator(state.grace, config.grace, state.Z,
+                                     problem)
         _drop(state, series, _estimate_errors(state, bad_agent))
         if not len(state.rows):
             break
-        _record(state, config, problem, bundle, series)
+        _record(state, mu, problem, bundle, series)
         if state.round == config.T:
             break
-        _advance(state, config, ops)
+        _advance(state, mu, ops)
         _drop(state, series, _iterate_errors(state))
         if not len(state.rows):
             break

@@ -273,6 +273,9 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
     if problem.N is None and grace.p > 0 and grace.B_big is None:
         raise ConfigError("an online problem with p > 0 needs schedule.B_big, "
                           "the batch size of its refreshes")
+    if problem.N is not None and grace.p < 1 and grace.b > problem.N:
+        raise ConfigError(f"minibatch b={grace.b} exceeds sample count "
+                          f"N={problem.N}")
     if s["shrink_to_valid"]:
         mu_x, mu_y, halvings, report = shrink_to_valid(
             mu_x, mu_y, grace, problem.constants, bundle)
@@ -302,7 +305,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     problem = build_problem(config)
     mixing = build_mixing(config)
     ops = build_strategy(config.strategy, mixing)
-    bundle = build_transform_bundle(ops, mixing, d=problem.d1)
+    bundle = build_transform_bundle(ops, mixing)
     mu_x, mu_y, grace, sched_info = _resolve_schedule(
         config, problem, mixing, bundle)
     result = RunResult(config=config, mixing=mixing, problem=problem,
@@ -462,7 +465,7 @@ def verify_invariants(verbose: bool = False) -> list:
     mix = mixing_for_topology(Topology(kind="ring", K=8), lazy=True)
     for kind in StrategyKind:
         ops = build_strategy(kind, mix)
-        report = verify_strategy_assumptions(ops, mix)
+        report = verify_strategy_assumptions(ops)
         check(f"strategy {kind.value} null-space residuals", report.passed)
         bundle = build_transform_bundle(ops, mix)
         P = bundle.block_P()
@@ -478,20 +481,15 @@ def verify_invariants(verbose: bool = False) -> list:
         ops = build_strategy(kind, mix)
         config = EngineConfig(strategy=kind, mu_x=1e-3, mu_y=1e-3,
                               grace=grace, T=50, seeds=(1,))
+        mu = config.signed_step(problem.d1, problem.d2)
         state = init_engine(config, problem)
         worst = 0.0
         for _ in range(50):
-            update_estimator(state.grace, grace, state.X, state.Y, problem)
-            xc = state.X.mean(axis=1)
-            yc = state.Y.mean(axis=1)
-            gx = state.grace.M_x.mean(axis=1)
-            gy = state.grace.M_y.mean(axis=1)
-            _advance(state, config, ops)
-            worst = max(
-                worst,
-                float(np.max(np.abs(state.X.mean(axis=1) - (xc - 1e-3 * gx)))),
-                float(np.max(np.abs(state.Y.mean(axis=1) - (yc + 1e-3 * gy)))),
-            )
+            update_estimator(state.grace, grace, state.Z, problem)
+            expected = state.Z.mean(axis=1) - mu * state.grace.M.mean(axis=1)
+            _advance(state, mu, ops)
+            worst = max(worst, float(np.max(np.abs(
+                state.Z.mean(axis=1) - expected))))
         check(f"engine {kind.value} centroid identity", worst <= 1e-10,
               f"residual={worst:.1e}")
     return checks

@@ -11,10 +11,12 @@ Two instances:
       J(x, y) = x^2 + 3 sin^2(x) sin^2(y) - 4 y^2 - 10 sin^2(y),
   plus zero-sum per-agent linear perturbations.
 
-Every array method takes iterates with any leading batch axes, (..., K, d),
-so one call serves a whole batch of seed replicates. centroid_metrics
-gives the metrics at the network centroid in closed form: the mean of the
-agents' gradients there and the envelope gap max_y J(x_c, y) - J(x_c, y_c).
+Every array method takes the iterates as one block z = [x | y] of width
+d1 + d2, with any leading batch axes, (..., K, d1+d2), so one call serves
+a whole batch of seed replicates and returns gradients [grad_x | grad_y]
+in the same layout. centroid_metrics gives the metrics at the network
+centroid in closed form: the mean of the agents' gradients there and the
+envelope gap max_y J(x_c, y) - J(x_c, y_c).
 """
 
 from dataclasses import dataclass
@@ -37,19 +39,20 @@ class ProblemConstants:
 
 
 class QuadraticMinimaxProblem:
-    def __init__(self, Q, R, S, a, b, a_samples, b_samples, sigma, seed):
+    def __init__(self, Q, R, S, a, b, samples, sigma, seed):
         self.Q = Q  # (K, d1, d1)
         self.R = R  # (K, d1, d2)
         self.S = S  # (K, d2, d2)
         self.a = a  # (K, d1)
         self.b = b  # (K, d2)
-        self.a_samples = a_samples  # (K, N, d1) or None for online-only
-        self.b_samples = b_samples
+        # (K, N, d1+d2): agent k's per-sample linear terms [a | b], or None
+        # for online-only
+        self.samples = samples
         self.sigma = float(sigma)
         self.seed = seed
         self.K, self.d1, _ = Q.shape
         self.d2 = S.shape[1]
-        self.N = None if a_samples is None else a_samples.shape[1]
+        self.N = None if samples is None else samples.shape[1]
 
         self.Qbar = Q.mean(axis=0)
         self.Rbar = R.mean(axis=0)
@@ -59,36 +62,30 @@ class QuadraticMinimaxProblem:
         nu = float(np.min(np.linalg.eigvalsh(self.Sbar)))
         if nu <= 0:
             raise ConfigError(f"mean S block must be positive definite (nu={nu:.3e})")
-        H = np.block([[Q, R], [R.transpose(0, 2, 1), -S]])
-        L_f = float(np.max(np.abs(np.linalg.eigvalsh(H))))
+        # the gradient in z = [x | y] is H_k z + c_k
+        self.H = np.block([[Q, R], [R.transpose(0, 2, 1), -S]])
+        self.c = np.concatenate([a, b], axis=1)
+        L_f = float(np.max(np.abs(np.linalg.eigvalsh(self.H))))
         self.constants = ProblemConstants(nu=nu, L_f=L_f, kappa=L_f / nu)
         # Sbar = L L', so the gap 1/2 g' Sbar^{-1} g is 1/2 |L^{-1} g|^2
         self.Linv = np.linalg.inv(np.linalg.cholesky(self.Sbar))
 
     # -- exact gradients -------------------------------------------------
 
-    def exact_grads_block(self, X, Y):
-        GX = (
-            np.einsum("kij,...kj->...ki", self.Q, X)
-            + np.einsum("kij,...kj->...ki", self.R, Y)
-            + self.a
-        )
-        GY = (
-            np.einsum("kji,...kj->...ki", self.R, X)
-            - np.einsum("kij,...kj->...ki", self.S, Y)
-            + self.b
-        )
-        return GX, GY
+    def exact_grads_block(self, Z):
+        """Every agent's gradient [grad_x | grad_y] at Z (..., K, d1+d2)."""
+        return np.einsum("kij,...kj->...ki", self.H, Z) + self.c
 
-    def centroid_metrics(self, x_c, y_c):
-        """(grad_x, grad_y, delta_c) at centroids x_c (..., d1), y_c (..., d2).
+    def centroid_metrics(self, z_c):
+        """(grad, delta_c) at centroids z_c (..., d1+d2).
 
-        With g_y the y-gradient at the centroid, y* - y_c = Sbar^{-1} g_y,
-        so the gap is 1/2 g_y' Sbar^{-1} g_y: non-negative by construction.
+        With g_y the y-part of the gradient at the centroid,
+        y* - y_c = Sbar^{-1} g_y, so the gap is 1/2 g_y' Sbar^{-1} g_y:
+        non-negative by construction.
         """
-        grad_x, grad_y = _centroid_grads(self, x_c, y_c)
-        v = np.einsum("ij,...j->...i", self.Linv, grad_y)
-        return grad_x, grad_y, 0.5 * np.sum(v**2, axis=-1)
+        grad = _centroid_grads(self, z_c)
+        v = np.einsum("ij,...j->...i", self.Linv, grad[..., self.d1:])
+        return grad, 0.5 * np.sum(v**2, axis=-1)
 
     def objective(self, x, y):
         """Global objective J(x, y) = mean_k J_k(x, y)."""
@@ -104,9 +101,8 @@ class QuadraticMinimaxProblem:
 
     def batch_noise(self, rngs, batch):
         """Averaged linear-term deviation from the mean over one size-`batch`
-        minibatch per agent and replicate, as (S, K, d1) and (S, K, d2)
-        arrays for the S generators in rngs; batch is one size or one per
-        replicate.
+        minibatch per agent and replicate, as one (S, K, d1+d2) block for
+        the S generators in rngs; batch is one size or one per replicate.
 
         Offline: each replicate draws a (K, batch) index block into the
         agents' sample tables (all replicates share one batch size here).
@@ -117,10 +113,7 @@ class QuadraticMinimaxProblem:
         idx = np.stack([rng.integers(0, self.N, size=(self.K, batch))
                         for rng in rngs])
         rows = np.arange(self.K)[:, None]
-        return (
-            self.a_samples[rows, idx].mean(axis=-2) - self.a,
-            self.b_samples[rows, idx].mean(axis=-2) - self.b,
-        )
+        return self.samples[rows, idx].mean(axis=-2) - self.c
 
 
 class SinPLProblem:
@@ -137,21 +130,22 @@ class SinPLProblem:
         # |J_yy| <= 6 + 8 + 20 with room for the cross term
         self.constants = ProblemConstants(nu=nu_hat, L_f=35.0, kappa=35.0 / nu_hat)
 
-    def exact_grads_block(self, X, Y):
-        x, y = X[..., 0], Y[..., 0]
+    def exact_grads_block(self, Z):
+        """Every agent's gradient [grad_x | grad_y] at Z (..., K, 2)."""
+        x, y = Z[..., 0], Z[..., 1]
         gx = 2 * x + 3 * np.sin(2 * x) * np.sin(y) ** 2 + self.cx
         gy = (3 * np.sin(x) ** 2 - 10) * np.sin(2 * y) - 8 * y + self.cy
-        return gx[..., None], gy[..., None]
+        return np.stack([gx, gy], axis=-1)
 
-    def centroid_metrics(self, x_c, y_c):
-        """(grad_x, grad_y, delta_c) at centroids x_c, y_c of shape (..., 1).
+    def centroid_metrics(self, z_c):
+        """(grad, delta_c) at centroids z_c = [x_c | y_c] of shape (..., 2).
 
         The perturbations sum to zero, so max_y J(x, y) = x^2 at y* = 0 and
         the gap is (10 - 3 sin^2 x) sin^2 y + 4 y^2.
         """
-        grad_x, grad_y = _centroid_grads(self, x_c, y_c)
-        x, y = x_c[..., 0], y_c[..., 0]
-        return grad_x, grad_y, (10 - 3 * np.sin(x) ** 2) * np.sin(y) ** 2 + 4 * y**2
+        x, y = z_c[..., 0], z_c[..., 1]
+        return (_centroid_grads(self, z_c),
+                (10 - 3 * np.sin(x) ** 2) * np.sin(y) ** 2 + 4 * y**2)
 
     def objective(self, x, y):
         x0, y0 = x[0], y[0]
@@ -166,24 +160,21 @@ class SinPLProblem:
         return _gaussian_noise(rngs, self.K, 1, 1, self.sigma, batch)
 
 
-def _centroid_grads(problem, x_c, y_c):
+def _centroid_grads(problem, z_c):
     """Mean over the agents of their gradients, all taken at the centroid."""
-    lead = x_c.shape[:-1] + (problem.K,)
-    gx, gy = problem.exact_grads_block(
-        np.broadcast_to(x_c[..., None, :], lead + x_c.shape[-1:]),
-        np.broadcast_to(y_c[..., None, :], lead + y_c.shape[-1:]))
-    return gx.mean(axis=-2), gy.mean(axis=-2)
+    Z = np.broadcast_to(z_c[..., None, :],
+                        z_c.shape[:-1] + (problem.K, z_c.shape[-1]))
+    return problem.exact_grads_block(Z).mean(axis=-2)
 
 
 def _gaussian_noise(rngs, K, d1, d2, sigma, batch):
     """Averaged noise of K fresh size-`batch` minibatches per generator, from
-    one (K, d1+d2) Gaussian block each; each side has total variance
-    sigma^2 / batch. The block is drawn also when sigma = 0, so the stream
-    position does not depend on sigma."""
+    one (K, d1+d2) Gaussian block each; the x and y sides each have total
+    variance sigma^2 / batch. The block is drawn also when sigma = 0, so the
+    stream position does not depend on sigma."""
     z = np.stack([rng.standard_normal((K, d1 + d2)) for rng in rngs])
-    n = np.asarray(batch)[..., None, None]
-    return (z[..., :d1] * (sigma / np.sqrt(d1 * n)),
-            z[..., d1:] * (sigma / np.sqrt(d2 * n)))
+    side = np.repeat([d1, d2], [d1, d2])
+    return z * (sigma / np.sqrt(side * np.asarray(batch)[..., None, None]))
 
 
 # -- constructors ---------------------------------------------------------
@@ -236,22 +227,23 @@ def make_quadratic_problem(
         a -= a.mean(axis=0, keepdims=True)
         b -= b.mean(axis=0, keepdims=True)
 
-    a_samples = b_samples = None
+    samples = None
     if N is not None:
-        ea = rng.standard_normal((K, N, d1))
-        eb = rng.standard_normal((K, N, d2))
+        # one table, filled side by side in place: the x-side deviations
+        # are drawn before the y-side ones
+        samples = np.empty((K, N, d1 + d2))
+        ea, eb = samples[..., :d1], samples[..., d1:]
+        ea[...] = rng.standard_normal((K, N, d1))
+        eb[...] = rng.standard_normal((K, N, d2))
         if N > 1:
-            ea -= ea.mean(axis=1, keepdims=True)
-            eb -= eb.mean(axis=1, keepdims=True)
             for e in (ea, eb):
+                e -= e.mean(axis=1, keepdims=True)
                 ms = np.sqrt((e**2).sum(axis=2).mean(axis=1))  # per-agent RMS norm
                 e *= np.where(ms > 0, sigma / np.where(ms > 0, ms, 1.0), 0.0)[:, None, None]
         else:
-            ea[:] = 0.0
-            eb[:] = 0.0
-        a_samples = a[:, None, :] + ea
-        b_samples = b[:, None, :] + eb
-    return QuadraticMinimaxProblem(Q, R, S, a, b, a_samples, b_samples, sigma, seed)
+            samples[...] = 0.0
+        samples += np.concatenate([a, b], axis=1)[:, None, :]
+    return QuadraticMinimaxProblem(Q, R, S, a, b, samples, sigma, seed)
 
 
 def make_sinpl_problem(K, sigma, seed, grid_halfwidth=3.0, grid_points=121):

@@ -10,7 +10,6 @@ consensus/dual dynamics to the 2x2 block
 The bundle holds the similarities P_j = Q_j T_j Q_j^{-1} of all modes as
 (K-1, 2, 2) stacks, with contractive T_j:
 
-* distinct real eigenvalues  -> diagonal T_j, unit eigenvector columns;
 * complex conjugate pair     -> real rotation-scaling block whose norm is
   the eigenvalue modulus (the eigenvector phase is chosen so the real and
   imaginary parts have equal norm, which keeps the similarity exact);
@@ -20,7 +19,13 @@ The bundle holds the similarities P_j = Q_j T_j Q_j^{-1} of all modes as
 
 The gradient-tracking rows always land in the repeated case (their block
 has a double eigenvalue at the mode value); the square-root strategies
-always land in the complex case for modes strictly inside (0, 1).
+have discriminant 4 lam (lam - 1) <= 0, so they land in the complex case
+for modes strictly inside (0, 1). A block with distinct real eigenvalues
+comes from no strategy row and is rejected.
+
+The engine carries the dual as D = B D_paper, so on mode j its projection
+is b_j times the paper's dual coordinate; coupled_error_norms divides it
+back out per mode, where b_j > 0.
 """
 
 from dataclasses import dataclass
@@ -37,7 +42,6 @@ _JORDAN_COL_SCALES = (np.sqrt(3.0), 1.0 / 3.0)
 @dataclass(frozen=True)
 class TransformBundle:
     kind: StrategyKind
-    d: int
     U_hat: np.ndarray       # (K, K-1) orthonormal basis of the consensus complement
     lam_modes: np.ndarray   # (K-1,) non-principal eigenvalues of W
     Lam_a: np.ndarray       # (K-1,) eigenvalues of A on the complement
@@ -68,7 +72,8 @@ def _mode_blocks(a, b, c):
 
 
 def _similarity_2x2(P, disc_tol=1e-9):
-    """Q, T with P = Q T Q^{-1} for each block of an (m, 2, 2) stack.
+    """Q, T with P = Q T Q^{-1} for each block of an (m, 2, 2) stack whose
+    eigenvalues are a complex pair or repeated.
 
     Returns (Q, Q^{-1}, T).
     """
@@ -77,16 +82,14 @@ def _similarity_2x2(P, disc_tol=1e-9):
     det = p00 * p11 - p01 * P[:, 1, 0]
     disc = tr * tr - 4.0 * det
     scale = np.maximum(1.0, np.maximum(tr**2, np.abs(det)))
-    real = disc > disc_tol * scale
+    if np.any(disc > disc_tol * scale):
+        raise DegenerateModeError(
+            f"mode block {int(np.argmax(disc / scale))} has distinct real "
+            f"eigenvalues, which no strategy row produces"
+        )
     cplx = disc < -disc_tol * scale
-    rep = ~(real | cplx)
+    rep = ~cplx
     Q = np.empty_like(P)
-    # real distinct: unit eigenvector columns (p01, theta - p00), larger first
-    # (p01 = -b is nonzero on every mode)
-    th = (tr[real, None] + np.sqrt(disc[real])[:, None] * [1.0, -1.0]) / 2.0
-    v = np.stack([np.broadcast_to(p01[real, None], th.shape),
-                  th - p00[real, None]], axis=1)
-    Q[real] = v / np.linalg.norm(v, axis=1, keepdims=True)
     # complex conjugate pair: eigenvector (p01, al + i om - p00), its phase
     # rotated so the real and imaginary parts have equal norm
     al = tr[cplx] / 2.0
@@ -110,7 +113,7 @@ def _similarity_2x2(P, disc_tol=1e-9):
     return Q, Q_inv, Q_inv @ P @ Q
 
 
-def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
+def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix,
                            cond_cap: float = 1e8) -> TransformBundle:
     K = mixing.K
     U_hat = mixing.eigvecs[:, 1:]
@@ -135,7 +138,6 @@ def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
     v2_sq = float(np.max(norm_qi**2)) if m else 1.0
     return TransformBundle(
         kind=ops.kind,
-        d=d,
         U_hat=U_hat,
         lam_modes=lam_modes,
         Lam_a=Lam_a,
@@ -153,41 +155,23 @@ def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix, d: int = 1,
     )
 
 
-@dataclass(frozen=True)
-class CoupledError:
-    ehat_x: np.ndarray  # (..., 2(K-1), d1): first components of every mode, then second
-    ehat_y: np.ndarray  # (..., 2(K-1), d2)
+def coupled_error_norms(Z, muM, D, bundle: TransformBundle) -> np.ndarray:
+    """Transformed deviation coordinates ehat of the engine state, for
+    (K, d) blocks or (S, K, d) batches of them: an (..., 2(K-1), d) array
+    holding the first components of every mode, then the second.
 
-    @property
-    def ehat_x_sq(self):
-        """Squared norm, one per leading index (a scalar for one state)."""
-        return np.sum(self.ehat_x**2, axis=(-2, -1))
-
-    @property
-    def ehat_y_sq(self):
-        return np.sum(self.ehat_y**2, axis=(-2, -1))
-
-
-def coupled_error_norms(X, Y, M_x, M_y, D_x, D_y, bundle: TransformBundle,
-                        mu_x: float, mu_y: float) -> CoupledError:
-    """Transformed deviation coordinates of the current engine state, for
-    (K, d) blocks or (S, K, d) batches of them.
-
-    On mode j the coupled coordinates are (u_j^T X, u_j^T z / b_j) with
-    z = mu A M + B D - B^2 X, so z_j / b_j = mu a_j m_j / b_j + d_j - b_j x_j.
-    X and Y go through side by side, as the columns of one block.
+    Z is the primal block, muM the signed step times the estimates and D
+    the carried dual B D_paper. On mode j the coupled coordinates are
+    (u_j^T Z, u_j^T z / b_j) with z = A muM + B D_paper - B^2 Z, so
+    z_j / b_j = (a_j m_j + d_j) / b_j - b_j x_j.
     """
-    d1 = X.shape[-1]
-    d = d1 + Y.shape[-1]
-    proj = bundle.U_hat.T @ np.concatenate(
-        [X, Y, mu_x * M_x, -mu_y * M_y, D_x, D_y], axis=-1)
-    x, mu_m, dual = proj[..., :d], proj[..., d:2 * d], proj[..., 2 * d:]
+    proj = bundle.U_hat.T @ np.concatenate([Z, muM, D], axis=-1)
+    x, mu_m, dual = np.split(proj, 3, axis=-1)
     b = bundle.Lam_b[:, None]
-    z = bundle.Lam_a[:, None] * mu_m / b + dual - b * x
+    z = (bundle.Lam_a[:, None] * mu_m + dual) / b - b * x
     Qi = bundle.Q_inv[:, :, :, None]
-    ehat = np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
+    return np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
                            Qi[:, 1, 0] * x + Qi[:, 1, 1] * z], axis=-2) / bundle.tau
-    return CoupledError(ehat_x=ehat[..., :d1], ehat_y=ehat[..., d1:])
 
 
 @dataclass(frozen=True)
@@ -197,10 +181,9 @@ class ConsensusBoundReport:
     passed: bool
 
 
-def check_consensus_bound(X, Y, err: CoupledError,
-                          bundle: TransformBundle) -> ConsensusBoundReport:
-    """Consensus error vs. K v1^2 v2^2 (||ehat_x||^2 + ||ehat_y||^2)."""
-    K = X.shape[0]
-    lhs = float(np.sum((X - X.mean(axis=0)) ** 2) + np.sum((Y - Y.mean(axis=0)) ** 2))
-    rhs = float(K * bundle.v1_sq * bundle.v2_sq * (err.ehat_x_sq + err.ehat_y_sq))
+def check_consensus_bound(Z, ehat, bundle: TransformBundle) -> ConsensusBoundReport:
+    """Consensus error of one (K, d) block vs. K v1^2 v2^2 ||ehat||^2."""
+    K = Z.shape[0]
+    lhs = float(np.sum((Z - Z.mean(axis=0)) ** 2))
+    rhs = float(K * bundle.v1_sq * bundle.v2_sq * np.sum(ehat**2))
     return ConsensusBoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-9 * max(1.0, rhs))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from decminimax import (
+    StrategyKind,
     Topology,
     make_quadratic_problem,
     mixing_for_topology,
@@ -39,19 +40,64 @@ def assert_close(a, b, tol, label=""):
     assert err <= tol, f"{label} residual {err:.3e} > {tol:g}"
 
 
-def update_checked(state, params, X, Y, problem):
+def update_checked(state, params, Z, problem):
     """update_estimator, failing if any replicate's estimate is not finite."""
-    bad = update_estimator(state, params, X, Y, problem)
+    bad = update_estimator(state, params, Z, problem)
     assert (bad == -1).all(), f"non-finite estimate at agents {bad.tolist()}"
 
 
 def step(state, config, problem, ops):
     """One round by hand with the engine's checks: estimator update, primal
     and dual advance, then every iterate finite and within DIVERGENCE_CAP."""
-    update_checked(state.grace, config.grace, state.X, state.Y, problem)
-    _advance(state, config, ops)
+    update_checked(state.grace, config.grace, state.Z, problem)
+    _advance(state, config.signed_step(problem.d1, problem.d2), ops)
     errors = _iterate_errors(state)
     assert not errors, {i: str(e) for i, e in errors.items()}
+
+
+# the paper's strategy rows: (power of W in A, power of W in C, B is the
+# square root (I - W)^{1/2} rather than I - W)
+PAPER_ROWS = {
+    StrategyKind.ED: (1, 0, True),
+    StrategyKind.EXTRA: (0, 1, True),
+    StrategyKind.ATC_GT: (2, 0, False),
+    StrategyKind.SEMI_ATC_GT: (1, 1, False),
+    StrategyKind.NON_ATC_GT: (0, 2, False),
+}
+
+
+class PaperRecursion:
+    """The paper's recursion, as a reference for the engine: separate
+    descent and ascent iterates and duals,
+
+        X+ = A (C X - mu_x M_x) - B D_x        D_x+ = D_x + B X+
+        Y+ = A (C Y + mu_y M_y) - B D_y        D_y+ = D_y + B Y+,
+
+    with the dense B = U sqrt(1 - Lam) U^T from the mixing eigenpairs for
+    ED and EXTRA, and B = I - W for the gradient-tracking rows. B_pinv
+    inverts B on the consensus complement, where every dual lives."""
+
+    def __init__(self, kind, mixing):
+        W, K = mixing.W, mixing.K
+        pow_a, pow_c, sqrt_b = PAPER_ROWS[kind]
+        self.A = np.linalg.matrix_power(W, pow_a)
+        self.C = np.linalg.matrix_power(W, pow_c)
+        U, gap = mixing.eigvecs[:, 1:], 1.0 - mixing.eigvals[1:]
+        b = np.sqrt(gap) if sqrt_b else gap
+        if sqrt_b:
+            B = (U * b) @ U.T
+            self.B = (B + B.T) / 2.0
+            assert_close(self.B @ self.B, np.eye(K) - W, 1e-10, "B B = I - W")
+        else:
+            self.B = np.eye(K) - W
+        self.B_pinv = (U / b) @ U.T
+
+    def step(self, X, Y, D_x, D_y, M_x, M_y, mu_x, mu_y):
+        """(X+, Y+, D_x+, D_y+) after one round from (X, Y, D_x, D_y)."""
+        A, B, C = self.A, self.B, self.C
+        X = A @ (C @ X - mu_x * M_x) - B @ D_x
+        Y = A @ (C @ Y + mu_y * M_y) - B @ D_y
+        return X, Y, D_x + B @ X, D_y + B @ Y
 
 
 def run_ok(config, problem, mixing, **kwargs):
@@ -64,12 +110,11 @@ def run_ok(config, problem, mixing, **kwargs):
 def ascent_maximizer(problem, x, tol=1e-12, cap=10**6):
     """argmax_y J(x, y) and P(x) by gradient ascent with step 1/L_f, an
     independent reference for the closed forms of maximizer_oracle."""
-    X = np.tile(x, (problem.K, 1))
     y = np.zeros(problem.d2)
     step = 1.0 / problem.constants.L_f
     for _ in range(cap):
-        _, GY = problem.exact_grads_block(X, np.tile(y, (problem.K, 1)))
-        g = GY.mean(axis=0)
+        G = problem.exact_grads_block(np.tile(np.r_[x, y], (problem.K, 1)))
+        g = G[:, problem.d1:].mean(axis=0)
         if np.max(np.abs(g)) <= tol and np.linalg.norm(g) <= tol:
             return y, problem.objective(x, y)
         y = y + step * g

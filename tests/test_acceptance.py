@@ -68,9 +68,8 @@ def test_criterion_1_strategy_fidelity(ring8):
     worst = 0.0
     for kind in ALL_KINDS:
         ops = build_strategy(kind, ring8)
-        rep = verify_strategy_assumptions(ops, ring8)
-        worst = max(worst, rep.res_A_ones, rep.res_C_ones, rep.res_ones_B,
-                    rep.res_B_squared or 0.0)
+        rep = verify_strategy_assumptions(ops)
+        worst = max(worst, rep.res_A_ones, rep.res_C_ones, rep.res_ones_B2)
     report(1, "strategy-matrix fidelity on lazy ring K=8", worst <= 1e-10,
            f"max residual {worst:.2e}")
 
@@ -82,20 +81,20 @@ def test_criterion_2_centroid_identity(ring8, quad8):
         ops = build_strategy(kind, ring8)
         config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
                               grace=grace, T=200, seeds=(2,))
+        mu = config.signed_step(3, 2)
         state = init_engine(config, quad8, x0=np.ones(3))
         for _ in range(200):
-            update_checked(state.grace, grace, state.X, state.Y, quad8)
-            xc = state.X.mean(axis=1)
-            yc = state.Y.mean(axis=1)
-            gx = state.grace.M_x.mean(axis=1)
-            gy = state.grace.M_y.mean(axis=1)
-            _advance(state, config, ops)
+            update_checked(state.grace, grace, state.Z, quad8)
+            zc = state.Z.mean(axis=1)
+            g = state.grace.M.mean(axis=1)
+            _advance(state, mu, ops)
+            zc_new = state.Z.mean(axis=1)
             worst = max(
                 worst,
                 float(np.max(np.abs(
-                    state.X.mean(axis=1) - (xc - config.mu_x * gx)))),
+                    zc_new[:, :3] - (zc[:, :3] - config.mu_x * g[:, :3])))),
                 float(np.max(np.abs(
-                    state.Y.mean(axis=1) - (yc + config.mu_y * gy)))),
+                    zc_new[:, 3:] - (zc[:, 3:] + config.mu_y * g[:, 3:])))),
             )
     report(2, "centroid descent/ascent identity, 200 rounds x 5 strategies",
            worst <= 1e-10, f"max residual {worst:.2e}")
@@ -149,22 +148,22 @@ def test_criterion_4_consensus_inequality(ring8, quad8):
     detail = ""
     for kind in CLOSED_FORM_KINDS:
         ops = build_strategy(kind, ring8)
-        bundle = build_transform_bundle(ops, ring8, d=quad8.d1)
+        bundle = build_transform_bundle(ops, ring8)
         config = EngineConfig(strategy=kind, mu_x=0.005, mu_y=0.02,
                               grace=grace, T=500, seeds=(3,))
+        mu = config.signed_step(3, 2)
         state = init_engine(config, quad8, x0=np.ones(3))
         for _ in range(500):
-            update_checked(state.grace, grace, state.X, state.Y, quad8)
-            err = coupled_error_norms(
-                state.X[0], state.Y[0], state.grace.M_x[0], state.grace.M_y[0],
-                state.D_x[0], state.D_y[0], bundle, config.mu_x, config.mu_y)
-            rep = check_consensus_bound(state.X[0], state.Y[0], err, bundle)
+            update_checked(state.grace, grace, state.Z, quad8)
+            ehat = coupled_error_norms(state.Z[0], mu * state.grace.M[0],
+                                       state.D[0], bundle)
+            rep = check_consensus_bound(state.Z[0], ehat, bundle)
             if not rep.passed:
                 ok = False
                 detail = (f"{kind.value} round {state.round}: "
                           f"lhs={rep.lhs:.3e} rhs={rep.rhs:.3e}")
                 break
-            _advance(state, config, ops)
+            _advance(state, mu, ops)
     report(4, "consensus error bound at all 500 rounds x 3 strategies", ok,
            detail or "held everywhere")
 
@@ -183,7 +182,7 @@ def test_criterion_5_deterministic_convergence(ring8):
     detail = ""
     for kind in CLOSED_FORM_KINDS:
         ops = build_strategy(kind, ring8)
-        bundle = build_transform_bundle(ops, ring8, d=problem.d1)
+        bundle = build_transform_bundle(ops, ring8)
         mu_y0 = min(1 / c.nu, 1 / (2 * c.L_f))
         mu_x0 = min(1 / (32 * c.L), mu_y0 / (16 * c.kappa**2))
         mu_x, mu_y, _, _ = shrink_to_valid(mu_x0, mu_y0, grace, c, bundle)
@@ -205,14 +204,14 @@ def test_criterion_6_single_agent_reduction():
     mixing = mixing_for_topology(Topology(kind="complete", K=1))
     grace = GraceParams(beta=0.05, p=0.05, b=2, b0=4)
     mu_x, mu_y = 0.01, 0.04
-    ref = init_estimator(problem, grace, seeds=(9,), X0=np.ones((1, 1, 2)),
-                         Y0=np.zeros((1, 1, 2)))
     X, Y = np.ones((1, 1, 2)), np.zeros((1, 1, 2))
+    ref = init_estimator(problem, grace, seeds=(9,),
+                         Z0=np.concatenate([X, Y], axis=2))
     traj = []
     for _ in range(1000):
-        update_checked(ref, grace, X, Y, problem)
-        X = X - mu_x * ref.M_x
-        Y = Y + mu_y * ref.M_y
+        update_checked(ref, grace, np.concatenate([X, Y], axis=2), problem)
+        X = X - mu_x * ref.M[..., :2]
+        Y = Y + mu_y * ref.M[..., 2:]
         traj.append((X.copy(), Y.copy()))
     worst = 0.0
     for kind in ALL_KINDS:
@@ -223,8 +222,8 @@ def test_criterion_6_single_agent_reduction():
         for i in range(1000):
             step(state, config, problem, ops)
             worst = max(worst,
-                        float(np.max(np.abs(state.X - traj[i][0]))),
-                        float(np.max(np.abs(state.Y - traj[i][1]))))
+                        float(np.max(np.abs(state.Z[..., :2] - traj[i][0]))),
+                        float(np.max(np.abs(state.Z[..., 2:] - traj[i][1]))))
     report(6, "K=1 reduces to centralized descent/ascent for all strategies",
            worst <= 1e-12, f"max deviation {worst:.2e}")
 
@@ -248,17 +247,14 @@ def test_criterion_7_estimator_degenerations(ring8, quad8):
     ok_b = bool((series_b.columns["est_err_sq"] <= 1e-20).all())
     # (c) hand-derived recursion value on grad(x) = x
     hand = make_quadratic_problem(K=1, d1=1, d2=1, N=8, sigma=0.0, seed=0)
-    hand.Q[:] = 1.0
-    hand.R[:] = 0.0
-    hand.a[:] = 0.0
-    hand.a_samples[:] = 0.0
+    hand.H[:, 0, :] = [1.0, 0.0]  # grad_x = x: Q = 1, R = 0
+    hand.c[:, 0] = 0.0
+    hand.samples[..., 0] = 0.0
     params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
-    state = init_estimator(hand, params, (0,), np.array([[[1.0]]]),
-                           np.array([[[0.0]]]))
-    state.M_x[:] = 1.0
-    update_checked(state, params, np.array([[[0.5]]]), np.array([[[0.0]]]),
-                   hand)
-    ok_c = state.M_x[0, 0, 0] == 0.5
+    state = init_estimator(hand, params, (0,), np.array([[[1.0, 0.0]]]))
+    state.M[..., 0] = 1.0
+    update_checked(state, params, np.array([[[0.5, 0.0]]]), hand)
+    ok_c = state.M[0, 0, 0] == 0.5
     report(7, "estimator degenerations (full batch, beta=1, hand recursion)",
            ok_a and ok_b and ok_c, f"a={ok_a} b={ok_b} c={ok_c}")
 
@@ -333,9 +329,8 @@ def test_criterion_10_gradient_correctness():
         return g
 
     def row(problem, k, x, y):
-        GX, GY = problem.exact_grads_block(np.tile(x, (problem.K, 1)),
-                                           np.tile(y, (problem.K, 1)))
-        return GX[k], GY[k]
+        G = problem.exact_grads_block(np.tile(np.r_[x, y], (problem.K, 1)))
+        return G[k, :problem.d1], G[k, problem.d1:]
 
     quad = make_quadratic_problem(K=3, d1=3, d2=2, N=8, sigma=0.3, seed=1)
     sinpl = make_sinpl_problem(K=4, sigma=0.0, seed=2)

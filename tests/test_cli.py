@@ -1,0 +1,73 @@
+import json
+
+import yaml
+
+from decminimax import cli
+from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
+
+CONFIG = {
+    "topology": {"kind": "ring", "K": 4},
+    "strategy": "ed",
+    "problem": {"kind": "quadratic", "d1": 2, "d2": 2, "N": 16,
+                "sigma": 0.4, "seed": 3},
+    "schedule": {"mode": "explicit", "mu_x": 0.002, "mu_y": 0.01,
+                 "p": 0.2, "b": 2, "b0": 4},
+    "T": 5,
+    "seeds": [0, 1],
+}
+
+
+def write_config(tmp_path, raw):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return str(path)
+
+
+def test_run_writes_outputs_and_prints_paths(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", write_config(tmp_path, CONFIG),
+                     "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out.split()
+    names = ["seed_0.csv", "seed_1.csv", "summary.json", "config.resolved.json"]
+    assert printed == [str(out / name) for name in names]
+    assert all((out / name).is_file() for name in names)
+
+
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
+    path = write_config(tmp_path, dict(CONFIG, T=0))
+    assert cli.main(["run", "--config", path, "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'T' must be >= 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # exact diffusion on a mixing matrix that is not PSD
+    path = write_config(tmp_path, dict(CONFIG, topology={
+        "kind": "ring", "K": 4, "lazy": False}))
+    assert cli.main(["run", "--config", path, "--out",
+                     str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ed needs a PSD mixing matrix")
+    # a preset that needs N, given none
+    assert cli.main(["schedule", "--mode", "page_offline", "--T", "100",
+                     "--K", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: page_offline needs the local sample count N\n"
+
+
+def test_verify_passes(capsys):
+    assert cli.main(["verify"]) == 0
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_schedule_prints_preset(capsys):
+    assert cli.main(["schedule", "--mode", "page_offline", "--T", "1000",
+                     "--K", "4", "--N", "1024"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    mu_x, mu_y, grace = schedule_for_mode(ScheduleSpec(
+        mode=ScheduleMode.PAGE_OFFLINE, T=1000, K=4, kappa=1.0, N=1024))
+    assert got == {"mode": "page_offline", "mu_x": mu_x, "mu_y": mu_y,
+                   "beta": grace.beta, "p": grace.p, "b": grace.b,
+                   "B_big": grace.B_big, "b0": grace.b0,
+                   "beta_bar": grace.beta_bar}

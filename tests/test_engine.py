@@ -17,7 +17,8 @@ from decminimax import (
 from decminimax.engine import COLUMNS, _advance
 from decminimax.estimator import init_estimator
 
-from conftest import assert_close, run_ok, step, update_checked
+from conftest import PaperRecursion, assert_close, random_connected_mixing, \
+    run_ok, step, update_checked
 
 ALL_KINDS = list(StrategyKind)
 
@@ -34,10 +35,10 @@ class TestInit:
         config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10)
         state = init_engine(config, quad_problem, x0=np.ones(3))
-        assert state.X.shape == (1, 8, 3)
-        assert np.ptp(state.X, axis=1).max() == 0.0
-        assert np.all(state.D_x == 0.0)
-        assert np.all(state.D_y == 0.0)
+        assert state.Z.shape == (1, 8, 5)
+        assert np.ptp(state.Z, axis=1).max() == 0.0
+        assert np.all(state.Z[..., :3] == 1.0) and np.all(state.Z[..., 3:] == 0.0)
+        assert np.all(state.D == 0.0)
 
     def test_dim_mismatch(self, quad_problem):
         config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
@@ -66,18 +67,17 @@ class TestStep:
         config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
                               grace=grace, T=100, seeds=(2,))
         state = init_engine(config, quad_problem, x0=np.ones(3))
+        mu = config.signed_step(3, 2)
         for _ in range(100):
-            update_checked(state.grace, grace, state.X, state.Y,
-                           quad_problem)
-            xc = state.X.mean(axis=1)
-            yc = state.Y.mean(axis=1)
-            gx = state.grace.M_x.mean(axis=1)
-            gy = state.grace.M_y.mean(axis=1)
-            _advance(state, config, ops)
-            assert_close(state.X.mean(axis=1), xc - config.mu_x * gx, 1e-10,
-                         f"x centroid round {state.round}")
-            assert_close(state.Y.mean(axis=1), yc + config.mu_y * gy, 1e-10,
-                         f"y centroid round {state.round}")
+            update_checked(state.grace, grace, state.Z, quad_problem)
+            zc = state.Z.mean(axis=1)
+            g = state.grace.M.mean(axis=1)
+            _advance(state, mu, ops)
+            zc_new = state.Z.mean(axis=1)
+            assert_close(zc_new[:, :3], zc[:, :3] - config.mu_x * g[:, :3],
+                         1e-10, f"x centroid round {state.round}")
+            assert_close(zc_new[:, 3:], zc[:, 3:] + config.mu_y * g[:, 3:],
+                         1e-10, f"y centroid round {state.round}")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_dual_average_conserved(self, ring8_lazy, quad_problem, kind):
@@ -88,8 +88,7 @@ class TestStep:
         state = init_engine(config, quad_problem)
         for _ in range(500):
             step(state, config, quad_problem, ops)
-        assert np.max(np.abs(state.D_x.sum(axis=1))) <= 1e-9
-        assert np.max(np.abs(state.D_y.sum(axis=1))) <= 1e-9
+        assert np.max(np.abs(state.D.sum(axis=1))) <= 1e-9
 
     def test_zero_steps_freeze(self, ring8_lazy, quad_problem):
         # smallest representable positive step keeps validation happy while
@@ -166,16 +165,16 @@ class TestReduction:
         mu_x, mu_y = 0.01, 0.04
 
         # reference: centralized descent/ascent driven by the same estimator
-        ref_state = init_estimator(problem, grace, seeds=(9,),
-                                   X0=np.ones((1, 1, 2)),
-                                   Y0=np.zeros((1, 1, 2)))
         ref_X = np.ones((1, 1, 2))
         ref_Y = np.zeros((1, 1, 2))
+        ref_state = init_estimator(problem, grace, seeds=(9,),
+                                   Z0=np.concatenate([ref_X, ref_Y], axis=2))
         ref_traj = []
         for _ in range(1000):
-            update_checked(ref_state, grace, ref_X, ref_Y, problem)
-            ref_X = ref_X - mu_x * ref_state.M_x
-            ref_Y = ref_Y + mu_y * ref_state.M_y
+            update_checked(ref_state, grace,
+                           np.concatenate([ref_X, ref_Y], axis=2), problem)
+            ref_X = ref_X - mu_x * ref_state.M[..., :2]
+            ref_Y = ref_Y + mu_y * ref_state.M[..., 2:]
             ref_traj.append((ref_X.copy(), ref_Y.copy()))
 
         for kind in ALL_KINDS:
@@ -185,10 +184,51 @@ class TestReduction:
             state = init_engine(config, problem, x0=np.ones(2))
             for i in range(1000):
                 step(state, config, problem, ops)
-                assert_close(state.X, ref_traj[i][0], 1e-12,
+                assert_close(state.Z[..., :2], ref_traj[i][0], 1e-12,
                              f"{kind.value} x round {i}")
-                assert_close(state.Y, ref_traj[i][1], 1e-12,
+                assert_close(state.Z[..., 2:], ref_traj[i][1], 1e-12,
                              f"{kind.value} y round {i}")
+
+
+class TestPaperRecursion:
+    """The engine's one primal block and carried dual D = B D_paper against
+    the paper's recursion on separate X, Y, D_x, D_y: every round, both
+    step from the engine's state with the same estimates."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("graph", ["ring8", "random64"])
+    def test_matches_paper_recursion(self, ring8_lazy, kind, graph):
+        if graph == "ring8":
+            mixing = ring8_lazy
+        else:
+            mixing = random_connected_mixing(np.random.default_rng(64), 64)
+        K, d1, d2 = mixing.K, 3, 2
+        problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
+                                         sigma=0.5, seed=11)
+        grace = GraceParams(beta=0.2, p=0.0, b=2, b0=4)
+        config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
+                              grace=grace, T=500, seeds=(7,))
+        ops = build_strategy(kind, mixing)
+        mu = config.signed_step(d1, d2)
+        ref = PaperRecursion(kind, mixing)
+        state = init_engine(config, problem, x0=np.ones(d1))
+        for i in range(500):
+            update_checked(state.grace, grace, state.Z, problem)
+            Z, M = state.Z[0], state.grace.M[0]
+            D = ref.B_pinv @ state.D[0]
+            X, Y, D_x, D_y = ref.step(Z[:, :d1], Z[:, d1:], D[:, :d1],
+                                      D[:, d1:], M[:, :d1], M[:, d1:],
+                                      config.mu_x, config.mu_y)
+            _advance(state, mu, ops)
+            want_Z = np.concatenate([X, Y], axis=1)
+            want_D = ref.B @ np.concatenate([D_x, D_y], axis=1)
+            # relative to the state's largest entry: D gains B^2 Z each
+            # round, so its rounding follows the scale of Z
+            scale = max(np.max(np.abs(want_Z)), np.max(np.abs(want_D)))
+            assert_close(state.Z[0], want_Z, 1e-12 * scale,
+                         f"{kind.value} Z round {i}")
+            assert_close(state.D[0], want_D, 1e-12 * scale,
+                         f"{kind.value} D round {i}")
 
 
 class TestRunAndMeasure:
@@ -208,7 +248,7 @@ class TestRunAndMeasure:
         calls = []
         block = problem.exact_grads_block
         monkeypatch.setattr(problem, "exact_grads_block",
-                            lambda X, Y: calls.append(1) or block(X, Y))
+                            lambda Z: calls.append(1) or block(Z))
         grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
         extra = set()
         for T in (10, 30):

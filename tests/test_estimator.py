@@ -11,7 +11,6 @@ from decminimax import (
     init_estimator,
     make_quadratic_problem,
     schedule_for_mode,
-    update_estimator,
 )
 
 from conftest import assert_close, update_checked
@@ -26,9 +25,9 @@ def grace_of(mode, **spec):
     return schedule_for_mode(ScheduleSpec(mode=mode, kappa=1.0, **spec))[2]
 
 
-def start_blocks(problem, S=1):
-    """Zero start iterates of a batch of S replicates, (S, K, d)."""
-    return np.zeros((S, problem.K, problem.d1)), np.zeros((S, problem.K, problem.d2))
+def start_block(problem, S=1):
+    """Zero start iterates of a batch of S replicates, (S, K, d1+d2)."""
+    return np.zeros((S, problem.K, problem.d1 + problem.d2))
 
 
 class TestParams:
@@ -81,46 +80,43 @@ class TestPresets:
 
 class TestInit:
     def test_full_batch_init_is_exact(self, quad_problem):
-        X, Y = start_blocks(quad_problem)
         state = init_estimator(quad_problem, GraceParams(beta=0, p=1, b0=64),
-                               seeds=(0,), X0=X, Y0=Y)
+                               seeds=(0,), Z0=start_block(quad_problem))
         # b0 = N draws with replacement are not the full sum; use mean check
         assert state.samples_used == 64
 
     def test_noiseless_online_init_exact(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=None, sigma=0.0,
                                          seed=1)
-        X, Y = start_blocks(problem)
         state = init_estimator(problem, GraceParams(beta=1, p=0, b0=1),
-                               seeds=(0,), X0=X, Y0=Y)
-        ex, ey, _, _ = estimator_error(state)
-        assert ex[0] + ey[0] <= 1e-24
+                               seeds=(0,), Z0=start_block(problem))
+        err, _ = estimator_error(state)
+        assert err[0] <= 1e-24
 
     def test_offline_init_matches_logged_indices(self):
         problem = make_quadratic_problem(K=2, d1=1, d2=1, N=8, sigma=1.0,
                                          seed=2)
-        X, Y = start_blocks(problem)
+        Z = start_block(problem)
         state = init_estimator(problem, GraceParams(beta=0, p=0.5, b0=4),
-                               seeds=(7,), X0=X, Y0=Y)
+                               seeds=(7,), Z0=Z)
         # recompute by hand: the init's only draw is a (K, b0) index block
         idx = replicate_stream(7).integers(0, 8, size=(problem.K, 4))
+        X, Y = Z[..., :1], Z[..., 1:]
         for k in range(problem.K):
             gx = problem.Q[k] @ X[0, k] + problem.R[k] @ Y[0, k] \
-                + problem.a_samples[k, idx[k]].mean(axis=0)
-            assert_close(state.M_x[0, k], gx, 1e-14, f"agent {k} init")
+                + problem.samples[k, idx[k], :1].mean(axis=0)
+            assert_close(state.M[0, k, :1], gx, 1e-14, f"agent {k} init")
 
     def test_replicate_streams_independent(self):
         K, d1, d2 = 8, 3, 2
         problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
                                          sigma=1.0, seed=0)
-        X, Y = start_blocks(problem, S=32)
         state = init_estimator(problem, GraceParams(beta=1, p=0, b0=1),
-                               seeds=range(32), X0=X, Y0=Y)
+                               seeds=range(32), Z0=start_block(problem, S=32))
         # each replicate's first draw is one standard-normal block, scaled
         # per side
-        rows = np.concatenate([(state.M_x - state.G_x) * np.sqrt(d1),
-                               (state.M_y - state.G_y) * np.sqrt(d2)],
-                              axis=2).reshape(32 * K, d1 + d2)
+        rows = ((state.M - state.G) * np.sqrt(np.repeat([d1, d2], [d1, d2]))
+                ).reshape(32 * K, d1 + d2)
         plain = np.vstack([np.random.default_rng(s).standard_normal((K, d1 + d2))
                            for s in range(32)])
         # no row of one replicate's block recurs in another replicate's
@@ -132,64 +128,54 @@ class TestInit:
 
 class TestUpdate:
     def test_full_refresh_zero_error(self, quad_problem):
-        X, Y = start_blocks(quad_problem)
+        Z = start_block(quad_problem)
         params = GraceParams(beta=0, p=1, b0=64)
-        state = init_estimator(quad_problem, params, (0,), X, Y)
+        state = init_estimator(quad_problem, params, (0,), Z)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            Xc = X + rng.standard_normal(X.shape)
-            Yc = Y + rng.standard_normal(Y.shape)
-            update_checked(state, params, Xc, Yc, quad_problem)
-            ex, ey, exc, eyc = estimator_error(state)
-            assert ex[0] + ey[0] == 0.0
-            assert exc[0] + eyc[0] == 0.0
+            update_checked(state, params, Z + rng.standard_normal(Z.shape),
+                           quad_problem)
+            err, err_avg = estimator_error(state)
+            assert err[0] == 0.0
+            assert err_avg[0] == 0.0
 
     def test_beta_one_fresh_minibatch(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=None, sigma=0.0,
                                          seed=4)
-        X, Y = start_blocks(problem)
+        Z = start_block(problem)
         params = GraceParams(beta=1, p=0, b=1, b0=1)
-        state = init_estimator(problem, params, (0,), X, Y)
-        Xc = X + 1.0
-        Yc = Y - 1.0
-        update_checked(state, params, Xc, Yc, problem)
-        ex, ey, _, _ = estimator_error(state)
-        assert ex[0] + ey[0] <= 1e-24
+        state = init_estimator(problem, params, (0,), Z)
+        Zc = Z + np.repeat([1.0, -1.0], 2)
+        update_checked(state, params, Zc, problem)
+        err, _ = estimator_error(state)
+        assert err[0] <= 1e-24
 
     def test_sarah_hand_example(self):
         # J = x^2/2 so grad(x) = x; beta=0, p=0, b=1, prev x=1, cur x=0.5,
         # g_prev = 1 gives g = 1 - 1 + 0.5 = 0.5
         problem = make_quadratic_problem(K=1, d1=1, d2=1, N=8, sigma=0.0,
                                          seed=0)
-        problem.Q[:] = np.ones((1, 1, 1))
-        problem.R[:] = 0.0
-        problem.a[:] = 0.0
-        problem.a_samples[:] = 0.0
-        problem.Qbar = problem.Q[0]
-        problem.Rbar = problem.R[0]
-        problem.abar = problem.a[0]
+        problem.H[:, 0, :] = [1.0, 0.0]  # grad_x = x: Q = 1, R = 0
+        problem.c[:, 0] = 0.0
+        problem.samples[..., 0] = 0.0
         params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
-        X = np.array([[[1.0]]])
-        Y = np.array([[[0.0]]])
-        state = init_estimator(problem, params, (0,), X, Y)
-        state.M_x[:] = 1.0  # g_{i-1} = 1 at prev x = 1
-        update_checked(state, params, np.array([[[0.5]]]), Y, problem)
-        assert state.M_x[0, 0, 0] == 0.5
+        state = init_estimator(problem, params, (0,), np.array([[[1.0, 0.0]]]))
+        state.M[..., 0] = 1.0  # g_{i-1} = 1 at prev x = 1
+        update_checked(state, params, np.array([[[0.5, 0.0]]]), problem)
+        assert state.M[0, 0, 0] == 0.5
 
     def test_shared_switch_across_agents(self, quad_problem):
-        X, Y = start_blocks(quad_problem, S=3)
+        Z = start_block(quad_problem, S=3)
         params = GraceParams(beta=0.1, p=0.5, b=2, b0=4)
-        state = init_estimator(quad_problem, params, (11, 12, 13), X, Y)
+        state = init_estimator(quad_problem, params, (11, 12, 13), Z)
         rng = np.random.default_rng(0)
         kinds = []
         for _ in range(50):
-            Xc = rng.standard_normal(X.shape)
-            Yc = rng.standard_normal(Y.shape)
-            update_checked(state, params, Xc, Yc, quad_problem)
+            update_checked(state, params, rng.standard_normal(Z.shape),
+                           quad_problem)
             # per replicate, a refresh makes every agent's estimate exact,
             # a recursion none
-            exact = np.all(state.M_x == state.G_x, axis=2) \
-                & np.all(state.M_y == state.G_y, axis=2)
+            exact = np.all(state.M == state.G, axis=2)
             assert (exact.all(axis=1) | ~exact.any(axis=1)).all()
             kinds.append(exact.all(axis=1))
         kinds = np.array(kinds)
@@ -198,34 +184,29 @@ class TestUpdate:
         assert (kinds != kinds[:, :1]).any()
 
     def test_correlated_pair_indices_logged(self, quad_problem):
-        X, Y = start_blocks(quad_problem)
+        Z = start_block(quad_problem)
         params = GraceParams(beta=0.0, p=0.0, b=3, b0=4)
-        state = init_estimator(quad_problem, params, (5,), X, Y)
-        M_x, M_y = state.M_x.copy(), state.M_y.copy()
-        G_x, G_y = quad_problem.exact_grads_block(X, Y)
-        update_checked(state, params, X + 1, Y + 1, quad_problem)
-        H_x, H_y = quad_problem.exact_grads_block(X + 1, Y + 1)
+        state = init_estimator(quad_problem, params, (5,), Z)
+        M = state.M.copy()
+        G = quad_problem.exact_grads_block(Z)
+        update_checked(state, params, Z + 1, quad_problem)
+        H = quad_problem.exact_grads_block(Z + 1)
         # the same minibatch enters both evaluations, so its noise cancels
-        assert_close(state.M_x, M_x - G_x + H_x, 1e-12, "x recursion")
-        assert_close(state.M_y, M_y - G_y + H_y, 1e-12, "y recursion")
-
-    def test_b_exceeding_N_rejected(self, quad_problem):
-        X, Y = start_blocks(quad_problem)
-        params = GraceParams(beta=0.0, p=0.0, b=65, b0=4)
-        state = init_estimator(quad_problem, params, (5,), X, Y)
-        with pytest.raises(ConfigError):
-            update_estimator(state, params, X, Y, quad_problem)
+        assert_close(state.M[..., :3], (M - G + H)[..., :3], 1e-12,
+                     "x recursion")
+        assert_close(state.M[..., 3:], (M - G + H)[..., 3:], 1e-12,
+                     "y recursion")
 
     def test_initial_variance_monotone_in_b0(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=256, sigma=1.0,
                                          seed=9)
-        X, Y = start_blocks(problem, S=32)
         means = []
         for b0 in (1, 4, 16):
             state = init_estimator(problem, GraceParams(beta=0, p=0, b0=b0),
-                                   seeds=range(32), X0=X, Y0=Y)
-            ex, ey, _, _ = estimator_error(state)
-            means.append(np.mean(ex + ey))
+                                   seeds=range(32),
+                                   Z0=start_block(problem, S=32))
+            err, _ = estimator_error(state)
+            means.append(np.mean(err))
         # variance shrinks roughly like 1/b0; allow 2x statistical slack
         assert means[1] <= 2.0 * means[0]
         assert means[2] <= 2.0 * means[1]

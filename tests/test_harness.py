@@ -124,6 +124,8 @@ class TestLoadConfig:
         ("problem", {"kind": "sinpl", "d1": 3}),
         ("problem", {"kind": "sinpl", "d2": 2}),
         ("schedule.mode", "storm"),
+        # an offline minibatch larger than the sample table (N=16, p=0.2)
+        ("schedule.b", 32),
     ])
     def test_bad_value_rejected_before_any_seed(self, monkeypatch, dotted,
                                                 value):

@@ -14,6 +14,7 @@ from decminimax import (
     metropolis_weights,
     mixing_for_topology,
 )
+from decminimax.strategies import mode_values
 
 from conftest import assert_close, random_connected_mixing
 
@@ -131,29 +132,34 @@ class TestEighSymmetric:
 
 
 class TestSqrtPSD:
-    """B = (I - W)^{1/2} of the square-root strategies, built from the
-    eigenpairs of the mixing matrix."""
+    """B = (I - W)^{1/2} of the square-root strategies: the engine carries
+    it as B^2 = I - W, the transform as b = sqrt(1 - lam) per mode."""
 
     def test_identity(self):
         # lazy complete graph: W = (I + J/K)/2, so I - W is half the
-        # identity on the consensus complement and B is that over sqrt(2)
+        # identity on the consensus complement and b = 1/sqrt(2) there
         K = 5
         mix = mixing_for_topology(Topology(kind="complete", K=K), lazy=True)
-        B = build_strategy(StrategyKind.ED, mix).B
-        assert_close(B, (np.eye(K) - 1.0 / K) / np.sqrt(2.0), 1e-14,
-                     "sqrt on the complement identity")
+        B2 = build_strategy(StrategyKind.ED, mix).B2
+        assert_close(B2, (np.eye(K) - 1.0 / K) / 2.0, 1e-14,
+                     "B^2 on the complement identity")
+        _, b, _ = mode_values(StrategyKind.ED, mix.eigvals[1:])
+        assert_close(b, np.full(K - 1, 1.0 / np.sqrt(2.0)), 1e-14,
+                     "b on the complement identity")
 
     def test_diagonal(self, ring8_lazy):
         U = ring8_lazy.eigvecs
-        B = build_strategy(StrategyKind.EXTRA, ring8_lazy).B
-        b = np.sqrt(1.0 - ring8_lazy.eigvals[1:])
-        assert_close(U.T @ B @ U, np.diag(np.r_[0.0, b]), 1e-14,
-                     "B diagonal in the eigenbasis of W")
+        B2 = build_strategy(StrategyKind.EXTRA, ring8_lazy).B2
+        _, b, _ = mode_values(StrategyKind.EXTRA, ring8_lazy.eigvals[1:])
+        assert_close(U.T @ B2 @ U, np.diag(np.r_[0.0, b**2]), 1e-14,
+                     "B^2 diagonal in the eigenbasis of W, b^2 on the diagonal")
 
     def test_lazy_ring_gap_spectrum(self, ring4_lazy):
-        B = build_strategy(StrategyKind.ED, ring4_lazy).B
-        assert_close(np.linalg.eigvalsh(B),
-                     [0.0, np.sqrt(1 / 3), np.sqrt(1 / 3), np.sqrt(2 / 3)],
+        B2 = build_strategy(StrategyKind.ED, ring4_lazy).B2
+        assert_close(np.linalg.eigvalsh(B2), [0.0, 1 / 3, 1 / 3, 2 / 3],
+                     1e-12, "gap spectrum")
+        _, b, _ = mode_values(StrategyKind.ED, ring4_lazy.eigvals[1:])
+        assert_close(np.sort(b), [np.sqrt(1 / 3), np.sqrt(1 / 3), np.sqrt(2 / 3)],
                      1e-12, "sqrt spectrum")
 
     def test_rejects_indefinite(self):
@@ -168,8 +174,15 @@ class TestSqrtPSD:
     def test_square_roundtrip(self, seed, K):
         mix = random_connected_mixing(np.random.default_rng(seed), K)
         gap = np.eye(K) - mix.W
-        for kind in SQRT_STRATEGIES:
-            B = build_strategy(kind, mix).B
-            assert_close(B @ B, gap, 1e-10, "B^2 = I - W")
-            assert_close(np.ones(K) @ B, np.zeros(K), 1e-10, "1^T B = 0")
-            assert_close(B, B.T, 1e-12, "sqrt symmetry")
+        lam = mix.eigvals[1:]
+        for kind in StrategyKind:
+            B2 = build_strategy(kind, mix).B2
+            _, b, _ = mode_values(kind, lam)
+            if kind in SQRT_STRATEGIES:
+                assert B2.tobytes() == gap.tobytes(), "B^2 = I - W"
+                assert_close(b**2, 1.0 - lam, 1e-15, "b^2 = 1 - lam")
+            else:
+                assert B2.tobytes() == (gap @ gap).tobytes(), "B^2 = (I - W)^2"
+                assert_close(b, 1.0 - lam, 0, "b = 1 - lam")
+            assert_close(np.ones(K) @ B2, np.zeros(K), 1e-10, "1^T B^2 = 0")
+            assert_close(B2, B2.T, 1e-12, "B^2 symmetry")

@@ -24,10 +24,10 @@ def finite_difference(f, z, h=1e-5):
 
 
 def agent_grads(problem, k, x, y):
-    """Row k of exact_grads_block with every agent at (x, y)."""
-    GX, GY = problem.exact_grads_block(np.tile(x, (problem.K, 1)),
-                                       np.tile(y, (problem.K, 1)))
-    return GX[k], GY[k]
+    """Row k of exact_grads_block with every agent at (x, y), split into
+    its x and y parts."""
+    G = problem.exact_grads_block(np.tile(np.r_[x, y], (problem.K, 1)))
+    return G[k, :problem.d1], G[k, problem.d1:]
 
 
 def agent_objective_quadratic(problem, k, x, y):
@@ -56,25 +56,25 @@ class TestQuadraticConstruction:
     def test_sample_means_exact(self):
         problem = make_quadratic_problem(K=4, d1=3, d2=2, N=32, sigma=0.7,
                                          seed=3)
-        assert_close(problem.a_samples.mean(axis=1), problem.a, 1e-12,
-                     "a sample means")
-        assert_close(problem.b_samples.mean(axis=1), problem.b, 1e-12,
-                     "b sample means")
+        means = problem.samples.mean(axis=1)
+        assert_close(means[:, :3], problem.a, 1e-12, "a sample means")
+        assert_close(means[:, 3:], problem.b, 1e-12, "b sample means")
 
     def test_sample_variance_is_sigma_sq(self):
         sigma = 0.7
         problem = make_quadratic_problem(K=4, d1=3, d2=2, N=32, sigma=sigma,
                                          seed=3)
-        # per-agent RMS of the x-side deviations is scaled to sigma exactly
-        dev = problem.a_samples - problem.a[:, None, :]
-        rms = np.sqrt((dev**2).sum(axis=2).mean(axis=1))
-        assert_close(rms, np.full(4, sigma), 1e-12, "a-side RMS")
+        # per-agent RMS of each side's deviations is scaled to sigma exactly
+        dev = problem.samples - problem.c[:, None, :]
+        for side, cols in (("a", slice(0, 3)), ("b", slice(3, 5))):
+            rms = np.sqrt((dev[..., cols]**2).sum(axis=2).mean(axis=1))
+            assert_close(rms, np.full(4, sigma), 1e-12, f"{side}-side RMS")
 
     def test_sigma_zero_samples_equal_mean(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=2, N=8, sigma=0.0,
                                          seed=1)
-        assert_close(problem.a_samples,
-                     np.broadcast_to(problem.a[:, None, :], (3, 8, 2)), 0,
+        assert_close(problem.samples,
+                     np.broadcast_to(problem.c[:, None, :], (3, 8, 4)), 0,
                      "zero-noise samples")
 
     def test_infeasible_nu(self):
@@ -123,12 +123,11 @@ class TestGradients:
         problem = make_quadratic_problem(K=2, d1=2, d2=2, N=16, sigma=0.5,
                                          seed=4)
         # averaged over its whole table, each agent's per-sample gradient
-        # deviation (a_samples - a, b_samples - b) vanishes
+        # deviation (samples - [a | b]) vanishes
         for k in range(2):
-            assert_close(problem.a_samples[k].mean(axis=0), problem.a[k],
-                         1e-12, f"agent {k} a sample mean")
-            assert_close(problem.b_samples[k].mean(axis=0), problem.b[k],
-                         1e-12, f"agent {k} b sample mean")
+            assert_close(problem.samples[k].mean(axis=0),
+                         np.r_[problem.a[k], problem.b[k]], 1e-12,
+                         f"agent {k} sample mean")
 
 
 class TestSinPL:
@@ -141,11 +140,10 @@ class TestSinPL:
         problem = make_sinpl_problem(K=6, sigma=0.0, seed=1)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            X = np.tile(rng.uniform(-3, 3, size=1), (6, 1))
-            Y = np.tile(rng.uniform(-3, 3, size=1), (6, 1))
-            gx, gy = problem.exact_grads_block(X, Y)
-            base_x = 2 * X[0, 0] + 3 * np.sin(2 * X[0, 0]) * np.sin(Y[0, 0]) ** 2
-            assert gx.mean() == pytest.approx(base_x, abs=1e-12)
+            x, y = rng.uniform(-3, 3, size=2)
+            G = problem.exact_grads_block(np.tile([x, y], (6, 1)))
+            base_x = 2 * x + 3 * np.sin(2 * x) * np.sin(y) ** 2
+            assert G[:, 0].mean() == pytest.approx(base_x, abs=1e-12)
 
     def test_grid_pl_constant_positive(self):
         problem = make_sinpl_problem(K=4, sigma=0.0, seed=2)
@@ -154,20 +152,22 @@ class TestSinPL:
     def test_online_only(self):
         problem = make_sinpl_problem(K=2, sigma=0.5, seed=0)
         assert problem.N is None
-        na, nb = problem.batch_noise([np.random.default_rng(0)], 4)
-        assert na.shape == nb.shape == (1, 2, 1)
+        noise = problem.batch_noise([np.random.default_rng(0)], 4)
+        assert noise.shape == (1, 2, 2)
 
 
 class TestBatchNoise:
     def test_offline_gathers_one_index_block(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5,
                                          seed=2)
-        na, nb = problem.batch_noise([np.random.default_rng(1)], 5)
+        noise = problem.batch_noise([np.random.default_rng(1)], 5)
         idx = np.random.default_rng(1).integers(0, 8, size=(3, 5))
         for k in range(3):
-            assert_close(na[0, k], problem.a_samples[k, idx[k]].mean(axis=0)
+            assert_close(noise[0, k, :2],
+                         problem.samples[k, idx[k], :2].mean(axis=0)
                          - problem.a[k], 1e-15, f"agent {k} a noise")
-            assert_close(nb[0, k], problem.b_samples[k, idx[k]].mean(axis=0)
+            assert_close(noise[0, k, 2:],
+                         problem.samples[k, idx[k], 2:].mean(axis=0)
                          - problem.b[k], 1e-15, f"agent {k} b noise")
 
     @pytest.mark.parametrize("N", [8, None])
@@ -178,16 +178,15 @@ class TestBatchNoise:
             [np.random.default_rng(s) for s in range(4)], 5)
         for s in range(4):
             one = problem.batch_noise([np.random.default_rng(s)], 5)
-            for got, ref in zip(batch, one):
-                assert got[s].tobytes() == ref[0].tobytes()
+            assert batch[s].tobytes() == one[0].tobytes()
 
     def test_online_draws_one_block_even_without_noise(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=None, sigma=0.0,
                                          seed=2)
         rng = np.random.default_rng(1)
-        na, nb = problem.batch_noise([rng], 5)
-        assert not na.any() and not nb.any()
-        assert na.shape == (1, 3, 2) and nb.shape == (1, 3, 1)
+        noise = problem.batch_noise([rng], 5)
+        assert not noise.any()
+        assert noise.shape == (1, 3, 3)
         ref = np.random.default_rng(1)
         ref.standard_normal((3, 3))
         assert rng.random() == ref.random()
@@ -243,20 +242,20 @@ class TestCentroidMetrics:
         else:
             problem = make_sinpl_problem(K=4, sigma=0.0, seed=2)
         rng = np.random.default_rng(1)
-        x_c = rng.uniform(-2, 2, (50, problem.d1))
-        y_c = rng.uniform(-2, 2, (50, problem.d2))
-        grad_x, grad_y, gap = problem.centroid_metrics(x_c, y_c)
-        assert grad_x.shape == (50, problem.d1) and gap.shape == (50,)
+        d1 = problem.d1
+        z_c = rng.uniform(-2, 2, (50, d1 + problem.d2))
+        grad, gap = problem.centroid_metrics(z_c)
+        assert grad.shape == z_c.shape and gap.shape == (50,)
         assert (gap >= 0).all()
         for s in range(50):
-            GX, GY = problem.exact_grads_block(
-                np.tile(x_c[s], (problem.K, 1)), np.tile(y_c[s], (problem.K, 1)))
-            assert_close(grad_x[s], GX.mean(axis=0), 1e-14, "grad_x")
-            assert_close(grad_y[s], GY.mean(axis=0), 1e-14, "grad_y")
-            _, P = maximizer_oracle(problem, x_c[s])
-            ref = P - problem.objective(x_c[s], y_c[s])
+            G = problem.exact_grads_block(np.tile(z_c[s], (problem.K, 1)))
+            assert_close(grad[s, :d1], G[:, :d1].mean(axis=0), 1e-14, "grad_x")
+            assert_close(grad[s, d1:], G[:, d1:].mean(axis=0), 1e-14, "grad_y")
+            x_s, y_s = z_c[s, :d1], z_c[s, d1:]
+            _, P = maximizer_oracle(problem, x_s)
+            ref = P - problem.objective(x_s, y_s)
             assert gap[s] == pytest.approx(ref, rel=1e-10, abs=1e-12)
             # a seed's metrics do not depend on the rest of its batch
-            one = problem.centroid_metrics(x_c[s:s + 1], y_c[s:s + 1])
-            for got, full in zip(one, (grad_x, grad_y, gap)):
+            one = problem.centroid_metrics(z_c[s:s + 1])
+            for got, full in zip(one, (grad, gap)):
                 assert got[0].tobytes() == full[s].tobytes()

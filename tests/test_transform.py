@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decminimax import (
+    DegenerateModeError,
     EngineConfig,
     GraceParams,
     StrategyKind,
@@ -36,22 +37,15 @@ def closed_form_bounds(kind, mixing):
 
 
 def reference_similarity(P, disc_tol=1e-9):
-    """The dense route's similarity of one 2x2 mode block, one mode at a
-    time: (Q, T) with P = Q T Q^{-1}."""
+    """The dense route's similarity of one 2x2 mode block with a complex
+    pair or a repeated eigenvalue, one mode at a time: (Q, T) with
+    P = Q T Q^{-1}."""
     tr = P[0, 0] + P[1, 1]
     det = P[0, 0] * P[1, 1] - P[0, 1] * P[1, 0]
     disc = tr * tr - 4.0 * det
     scale = max(1.0, abs(tr) ** 2, abs(det))
-    if disc > disc_tol * scale:  # real distinct
-        sq = np.sqrt(disc)
-        Q = np.zeros((2, 2))
-        for j, th in enumerate(((tr + sq) / 2.0, (tr - sq) / 2.0)):
-            M = P - th * np.eye(2)
-            v = np.array([M[0, 1], -M[0, 0]])
-            if np.linalg.norm(v) < 1e-13:
-                v = np.array([M[1, 1], -M[1, 0]])
-            Q[:, j] = v / np.linalg.norm(v)
-    elif disc < -disc_tol * scale:  # complex conjugate pair
+    assert disc <= disc_tol * scale, "no strategy row has distinct real modes"
+    if disc < -disc_tol * scale:  # complex conjugate pair
         al = tr / 2.0
         om = np.sqrt(-disc) / 2.0
         M = P - (al + 1j * om) * np.eye(2)
@@ -70,8 +64,9 @@ def reference_similarity(P, disc_tol=1e-9):
 
 
 class TestSpectralForm:
-    """The per-mode bundle against the dense route it replaced: mode values
-    projected from the dense (A, B, C), then one 2x2 similarity per mode."""
+    """The per-mode bundle against the dense route: mode values projected
+    from the dense (A, B^2, C), b the root of the projected B^2, then one
+    2x2 similarity per mode."""
 
     @given(seed=st.integers(0, 10**6), K=st.integers(2, 64))
     @settings(max_examples=25, deadline=None)
@@ -81,7 +76,9 @@ class TestSpectralForm:
             ops = build_strategy(kind, mixing)
             bundle = build_transform_bundle(ops, mixing)
             U = bundle.U_hat
-            dense = [np.diag(U.T @ M @ U) for M in (ops.A, ops.B, ops.C)]
+            a, b2, c = [np.diag(U.T @ M @ U) for M in (ops.A, ops.B2, ops.C)]
+            dense = (a, np.sqrt(np.maximum(b2, 0.0)), c)
+            assert_close(bundle.Lam_b**2, b2, 1e-12, f"{kind.value} Lam_b^2")
             for got, ref, name in zip(
                     (bundle.Lam_a, bundle.Lam_b, bundle.Lam_c), dense, "abc"):
                 assert_close(got, ref, 1e-12, f"{kind.value} Lam_{name}")
@@ -99,12 +96,18 @@ class TestSpectralForm:
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_stacked_similarity_matches_reference(self, seed):
-        """Every branch, the real-distinct one included (no strategy row
-        reaches it on a PSD spectrum), picks the reference's Q and T."""
+        """Both branches, complex pair and repeated eigenvalue, pick the
+        reference's Q and T."""
         rng = np.random.default_rng(seed)
         lam = rng.uniform(-1.0, 1.0, 24)
         a, b, c = rng.uniform(-1.0, 1.0, (3, 24))
         b = np.where(np.abs(b) < 0.05, 0.5, b)
+        # the first 16 blocks get a complex pair: with a c = lam, the
+        # discriminant (lam + 1 - b^2)^2 - 4 lam is negative for
+        # b^2 in (1 + lam - 2 sqrt(lam), 1 + lam + 2 sqrt(lam)), lam > 0
+        lam_c = np.abs(lam[:16])
+        a[:16], c[:16] = lam_c, 1.0
+        b[:16] = np.sqrt(1.0 + lam_c + rng.uniform(-1.8, 1.8, 16) * np.sqrt(lam_c))
         # the last 8 blocks follow the gradient-tracking rows: a c = lam^2,
         # b = 1 - lam, a double eigenvalue at lam
         a[16:], b[16:], c[16:] = lam[16:] ** 2, 1.0 - lam[16:], 1.0
@@ -119,6 +122,14 @@ class TestSpectralForm:
             assert_close(T[j], T_ref, 1e-12, f"T of block {j}")
             assert_close(Q_inv[j], np.linalg.inv(Q_ref), 1e-10, f"Q^-1 {j}")
 
+    def test_real_distinct_block_rejected(self):
+        # a c = 0.25, b^2 = 0.04: eigenvalues 1 and 0.21, which no
+        # strategy row produces
+        b = 0.2
+        P = np.array([[[0.25 - b * b, -b], [b, 1.0]]])
+        with pytest.raises(DegenerateModeError, match="distinct real"):
+            _similarity_2x2(P)
+
     @pytest.mark.parametrize("kind", (StrategyKind.ED, StrategyKind.EXTRA))
     def test_ehat_of_consensual_state(self, kind):
         """Consensual X and Y with zero duals: U^T X = 0, so on mode j the
@@ -128,17 +139,15 @@ class TestSpectralForm:
         bundle = build_transform_bundle(build_strategy(kind, mixing), mixing)
         a, b, _ = mode_values(kind, mixing.eigvals[1:])
         rng = np.random.default_rng(1)
-        X = np.tile(rng.standard_normal(3), (K, 1))
-        Y = np.tile(rng.standard_normal(2), (K, 1))
-        M_x = rng.standard_normal((K, 3))
-        M_y = rng.standard_normal((K, 2))
-        err = coupled_error_norms(X, Y, M_x, M_y, np.zeros_like(X),
-                                  np.zeros_like(Y), bundle, mu, mu)
-        for got, M, sign in ((err.ehat_x_sq, M_x, 1.0),
-                             (err.ehat_y_sq, M_y, -1.0)):
-            z_over_b = sign * mu * (a / b)[:, None] * (bundle.U_hat.T @ M)
+        Z = np.tile(rng.standard_normal(5), (K, 1))
+        M = rng.standard_normal((K, 5))
+        mu_signed = np.repeat([mu, -mu], [3, 2])
+        ehat = coupled_error_norms(Z, mu_signed * M, np.zeros_like(Z), bundle)
+        for cols, sign in ((slice(0, 3), 1.0), (slice(3, 5), -1.0)):
+            z_over_b = sign * mu * (a / b)[:, None] * (bundle.U_hat.T @ M[:, cols])
             e = bundle.Q_inv[:, :, 1, None] * z_over_b[:, None, :]
             exact = np.sum(e**2) / bundle.tau**2
+            got = np.sum(ehat[:, cols] ** 2)
             assert got == pytest.approx(exact, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("kind", (StrategyKind.ED, StrategyKind.EXTRA))
@@ -212,75 +221,65 @@ class TestBundleConstants:
 
 
 class TestCoupledError:
-    def _setup(self, kind, mixing, problem):
+    def _setup(self, kind, mixing):
         ops = build_strategy(kind, mixing)
-        bundle = build_transform_bundle(ops, mixing, d=problem.d1)
-        return ops, bundle
+        return ops, build_transform_bundle(ops, mixing)
 
-    def test_consensus_rows_give_zero(self, ring8_lazy, quad_problem):
-        ops, bundle = self._setup(StrategyKind.ED, ring8_lazy, quad_problem)
+    def test_consensus_rows_give_zero(self, ring8_lazy):
+        ops, bundle = self._setup(StrategyKind.ED, ring8_lazy)
         K = 8
-        X = np.tile(np.ones(3), (K, 1))
-        Y = np.tile(-np.ones(2), (K, 1))
-        M_x = np.tile(np.full(3, 0.7), (K, 1))
-        M_y = np.tile(np.full(2, -0.3), (K, 1))
-        D = np.zeros_like(X)
-        err = coupled_error_norms(X, Y, M_x, M_y, D, np.zeros_like(Y),
-                                  bundle, 0.1, 0.1)
-        assert err.ehat_x_sq <= 1e-24
-        assert err.ehat_y_sq <= 1e-24
+        Z = np.tile(np.r_[np.ones(3), -np.ones(2)], (K, 1))
+        M = np.tile(np.r_[np.full(3, 0.7), np.full(2, -0.3)], (K, 1))
+        mu = np.repeat([0.1, -0.1], [3, 2])
+        ehat = coupled_error_norms(Z, mu * M, np.zeros_like(Z), bundle)
+        assert np.sum(ehat[:, :3] ** 2) <= 1e-24
+        assert np.sum(ehat[:, 3:] ** 2) <= 1e-24
 
     def test_single_agent_empty(self):
         mixing = mixing_for_topology(Topology(kind="complete", K=1))
         ops = build_strategy(StrategyKind.ATC_GT, mixing)
         bundle = build_transform_bundle(ops, mixing)
-        err = coupled_error_norms(
-            np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 2)),
-            np.ones((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), bundle,
-            0.1, 0.1)
-        assert err.ehat_x.shape == (0, 2)
-        assert err.ehat_x_sq == 0.0
+        ehat = coupled_error_norms(np.ones((1, 4)), 0.1 * np.ones((1, 4)),
+                                   np.zeros((1, 4)), bundle)
+        assert ehat.shape == (0, 4)
+        assert np.sum(ehat**2) == 0.0
 
     @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
-    def test_consensus_bound_random_states(self, ring8_lazy, quad_problem, kind):
-        ops, bundle = self._setup(kind, ring8_lazy, quad_problem)
+    def test_consensus_bound_random_states(self, ring8_lazy, kind):
+        ops, bundle = self._setup(kind, ring8_lazy)
+        mu = np.repeat([0.05, -0.1], [3, 2])
         rng = np.random.default_rng(0)
         for _ in range(20):
-            X = rng.standard_normal((8, 3))
-            Y = rng.standard_normal((8, 2))
-            M_x = rng.standard_normal((8, 3))
-            M_y = rng.standard_normal((8, 2))
-            D_x = ops.B @ rng.standard_normal((8, 3))  # duals live in range(B)
-            D_y = ops.B @ rng.standard_normal((8, 2))
-            err = coupled_error_norms(X, Y, M_x, M_y, D_x, D_y, bundle,
-                                      0.05, 0.1)
-            report = check_consensus_bound(X, Y, err, bundle)
+            Z = rng.standard_normal((8, 5))
+            M = rng.standard_normal((8, 5))
+            # carried duals B D_paper live in range(B^2)
+            D = ops.B2 @ rng.standard_normal((8, 5))
+            ehat = coupled_error_norms(Z, mu * M, D, bundle)
+            report = check_consensus_bound(Z, ehat, bundle)
             assert report.passed, (report.lhs, report.rhs)
 
-    def test_batch_matches_each_state(self, ring8_lazy, quad_problem):
-        ops, bundle = self._setup(StrategyKind.ED, ring8_lazy, quad_problem)
+    def test_batch_matches_each_state(self, ring8_lazy):
+        ops, bundle = self._setup(StrategyKind.ED, ring8_lazy)
         rng = np.random.default_rng(2)
-        blocks = [rng.standard_normal((4, 8, d)) for d in (3, 2, 3, 2, 3, 2)]
-        batch = coupled_error_norms(*blocks, bundle, 0.05, 0.1)
+        blocks = [rng.standard_normal((4, 8, 5)) for _ in range(3)]
+        batch = coupled_error_norms(*blocks, bundle)
         for s in range(4):
-            one = coupled_error_norms(*(a[s] for a in blocks), bundle, 0.05, 0.1)
-            assert batch.ehat_x_sq[s] == one.ehat_x_sq
-            assert batch.ehat_y_sq[s] == one.ehat_y_sq
+            one = coupled_error_norms(*(a[s] for a in blocks), bundle)
+            assert batch[s].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
     def test_consensus_bound_along_trajectory(self, ring8_lazy, quad_problem,
                                            kind):
-        ops, bundle = self._setup(kind, ring8_lazy, quad_problem)
+        ops, bundle = self._setup(kind, ring8_lazy)
         grace = GraceParams(beta=0.1, p=0.1, b=4, b0=8)
         config = EngineConfig(strategy=kind, mu_x=0.005, mu_y=0.02,
                               grace=grace, T=200, seeds=(3,))
+        mu = config.signed_step(3, 2)
         state = init_engine(config, quad_problem, x0=np.ones(3))
         for _ in range(200):
-            update_checked(state.grace, grace, state.X, state.Y,
-                           quad_problem)
-            err = coupled_error_norms(
-                state.X[0], state.Y[0], state.grace.M_x[0], state.grace.M_y[0],
-                state.D_x[0], state.D_y[0], bundle, config.mu_x, config.mu_y)
-            report = check_consensus_bound(state.X[0], state.Y[0], err, bundle)
+            update_checked(state.grace, grace, state.Z, quad_problem)
+            ehat = coupled_error_norms(state.Z[0], mu * state.grace.M[0],
+                                       state.D[0], bundle)
+            report = check_consensus_bound(state.Z[0], ehat, bundle)
             assert report.passed, (state.round, report.lhs, report.rhs)
-            _advance(state, config, ops)
+            _advance(state, mu, ops)
