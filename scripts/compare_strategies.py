@@ -9,6 +9,7 @@ import argparse
 import numpy as np
 
 from decminimax import (
+    SQRT_STRATEGIES,
     EngineConfig,
     GraceParams,
     StrategyKind,
@@ -39,17 +40,14 @@ def main():
     print(f"mu_x={mu_x:.4g} mu_y={mu_y:.4g} p={grace.p:.4g} b={grace.b}")
     print(f"{'strategy':<12} {'avg metric':>12} {'final metric':>13} "
           f"{'consensus':>11} {'gap':>11}")
+    # every seed replicate runs in one batch
+    config = EngineConfig(mu_x=mu_x, mu_y=mu_y, grace=grace, T=args.T,
+                          seeds=tuple(range(args.seeds)))
     for kind in StrategyKind:
-        lazy = kind in (StrategyKind.ED, StrategyKind.EXTRA)
         mixing = mixing_for_topology(Topology(kind="ring", K=args.K),
-                                     lazy=lazy)
-        ops = build_strategy(kind, mixing)
-        # every seed replicate runs in one batch
-        config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
-                              grace=grace, T=args.T,
-                              seeds=tuple(range(args.seeds)))
-        series = run_and_measure(config, problem, mixing, x0=np.ones(3),
-                                 ops=ops)
+                                     lazy=kind in SQRT_STRATEGIES)
+        series = run_and_measure(config, problem, build_strategy(kind, mixing),
+                                 x0=np.ones(3))
         ok = series.ok_rows
         last = {name: col[ok, -1] for name, col in series.columns.items()}
         print(f"{kind.value:<12} {np.mean(series.avg_stationarity[ok]):>12.4e} "

@@ -43,9 +43,9 @@ def main():
                             kappa=problem.constants.kappa)
         mu_x, mu_y, grace = schedule_for_mode(spec)
         # every seed replicate runs in one batch
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x, mu_y=mu_y,
-                              grace=grace, T=T, seeds=tuple(range(args.seeds)))
-        series = run_and_measure(config, problem, mixing, ops=ops)
+        config = EngineConfig(mu_x=mu_x, mu_y=mu_y, grace=grace, T=T,
+                              seeds=tuple(range(args.seeds)))
+        series = run_and_measure(config, problem, ops)
         avg = float(np.mean(series.avg_stationarity[series.ok_rows]))
         print(f"{T:>6} {mu_y:>8.4f} {grace.beta:>10.2e} {avg:>12.4e} "
               f"{avg * T ** (2 / 3):>11.4f}")

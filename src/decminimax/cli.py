@@ -6,8 +6,9 @@ Subcommands:
   verify    run the cross-module invariant suite (nonzero exit on failure)
   schedule  print resolved hyperparameters for a schedule mode as JSON
 
-A rejected config, or a strategy its mixing matrix cannot carry, prints
-"error: <message>" to stderr and exits with status 2.
+A rejected config (a config file that cannot be read or parsed, a bad
+value, a bad --vary key), or a strategy its mixing matrix cannot carry,
+prints "error: <message>" to stderr and exits with status 2.
 """
 
 import argparse
@@ -44,8 +45,7 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     key, _, raw_values = args.vary.partition("=")
     if not raw_values:
-        print("--vary expects key=v1,v2,...", file=sys.stderr)
-        return 2
+        raise ConfigError("--vary expects key=v1,v2,...")
     values = [_parse_value(v) for v in raw_values.split(",")]
     results = run_sweep(args.config, key, values, args.out)
     for value, result in zip(values, results):

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .estimator import GraceParams, GraceState, init_estimator, update_estimator, \
     estimator_error
-from .strategies import StrategyKind, StrategyOps, build_strategy
-from .transform import TransformBundle, build_transform_bundle, coupled_error_norms
+from .strategies import StrategyOps
+from .transform import TransformBundle, coupled_error_norms
 
 DIVERGENCE_CAP = 1e12
 
@@ -42,13 +42,11 @@ COLUMNS = ("grad_x_sq", "grad_y_sq", "consensus_sq", "delta_c", "est_err_sq",
 
 @dataclass(frozen=True)
 class EngineConfig:
-    strategy: StrategyKind
     mu_x: float
     mu_y: float
     grace: GraceParams
     T: int
     seeds: tuple = (0,)
-    record_transform_diagnostics: bool = False
 
     def signed_step(self, d1: int, d2: int) -> np.ndarray:
         """mu: mu_x on the d1 descent columns, -mu_y on the d2 ascent ones."""
@@ -83,7 +81,8 @@ class EngineState:
 class MetricsSeries:
     """Metric columns of a batch: columns[name][s] holds rounds 0..T of
     seeds[s]. A failed seed's row is NaN (-1 for samples_used) past its
-    last recorded round; without diagnostics the ehat columns are absent."""
+    last recorded round; without a transform bundle the ehat columns are
+    absent."""
     seeds: tuple
     columns: dict
     failures: dict = field(default_factory=dict)  # seed -> DivergenceError
@@ -203,26 +202,20 @@ def _record(state: EngineState, mu: np.ndarray, problem,
         series.columns[name][state.rows, state.round] = values
 
 
-def run_and_measure(config: EngineConfig, problem, mixing, x0=None, y0=None,
-                    ops: StrategyOps | None = None,
-                    bundle: TransformBundle | None = None) -> MetricsSeries:
-    """Run T rounds of every seed in config.seeds as one batch and return
-    T+1 metric rows (rounds 0..T) per seed.
+def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
+                    bundle: TransformBundle | None = None,
+                    x0=None, y0=None) -> MetricsSeries:
+    """Run T rounds of every seed in config.seeds as one batch under the
+    strategy ops, and return T+1 metric rows (rounds 0..T) per seed.
 
     Each row reflects the state after that round's estimator update but
     before its iterate advance; the final row gets one extra estimator
-    update so its estimation-error columns are well-defined. The transform
-    bundle is used only with diagnostics on, and built here if not passed.
+    update so its estimation-error columns are well-defined. The ehat
+    columns are recorded if and only if a transform bundle is given.
 
     A diverged seed leaves the batch: series.failures holds its error and
     its columns end at its last recorded round.
     """
-    if ops is None:
-        ops = build_strategy(config.strategy, mixing)
-    if not config.record_transform_diagnostics:
-        bundle = None
-    elif bundle is None:
-        bundle = build_transform_bundle(ops, mixing)
     mu = config.signed_step(problem.d1, problem.d2)
     state = init_engine(config, problem, x0=x0, y0=y0)
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)

@@ -9,7 +9,7 @@ it runs alone or among other seeds. The CSVs are formatted from the
 batch's metric columns.
 """
 
-import csv
+import copy
 import json
 import math
 import numbers
@@ -195,6 +195,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     if prob["kind"] not in ("quadratic", "sinpl"):
         raise ConfigError(f"unknown problem kind {prob['kind']!r}")
     if prob["kind"] == "sinpl":
+        if prob["N"] is not None:
+            raise ConfigError("sinpl problem is online-only; leave N unset")
         for key in ("d1", "d2"):
             if key in (raw.get("problem") or {}) and prob[key] != 1:
                 raise ConfigError(f"the sinpl problem is scalar: "
@@ -219,20 +221,25 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def _read_config(path):
+    """The raw YAML data of a config file; a file that cannot be read or
+    parsed raises ConfigError."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        return yaml.safe_load(path.read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path) -> RunConfig:
+    return config_from_dict(_read_config(path))
 
 
 def build_problem(config: RunConfig):
     p = config.problem
     if p["kind"] == "sinpl":
-        if p["N"] is not None:
-            raise ConfigError("sinpl problem is online-only; leave N unset")
         return make_sinpl_problem(config.topology["K"], p["sigma"], p["seed"])
     return make_quadratic_problem(
         K=config.topology["K"], d1=p["d1"], d2=p["d2"],
@@ -251,7 +258,8 @@ def build_mixing(config: RunConfig) -> MixingMatrix:
 
 
 def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
-    """Return (mu_x, mu_y, GraceParams, info dict)."""
+    """Return (EngineConfig, info dict): the resolved steps and estimator
+    parameters, with the config's round budget and sorted seeds."""
     s = config.schedule
     info = {"mode": s["mode"], "shrink_halvings": 0}
     if s["mode"] == "explicit":
@@ -284,21 +292,29 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
         report = validate_conditions(mu_x, mu_y, grace, problem.constants,
                                      bundle)
     info["conditions"] = report.as_dict()
-    return mu_x, mu_y, grace, info
+    engine = EngineConfig(mu_x=mu_x, mu_y=mu_y, grace=grace, T=config.T,
+                          seeds=tuple(sorted(config.seeds)))
+    return engine, info
 
 
 @dataclass
 class RunResult:
+    """One run: its config, the mixing matrix and problem built from it,
+    the EngineConfig it ran (resolved steps, estimator parameters, sorted
+    seeds), every seed's metric columns as one batch, and the summary."""
     config: RunConfig
     mixing: MixingMatrix
     problem: object
-    mu_x: float
-    mu_y: float
-    grace: GraceParams
+    engine: EngineConfig
     schedule_info: dict
-    series: MetricsSeries | None = None  # every seed's columns, one batch
-    failures: dict = field(default_factory=dict)  # seed -> error message
+    series: MetricsSeries
     summary: dict = field(default_factory=dict)
+
+    @property
+    def failures(self) -> dict:
+        """Seed -> error message of every diverged seed, in seed order."""
+        return {seed: str(exc)
+                for seed, exc in sorted(self.series.failures.items())}
 
 
 def run_experiment(config: RunConfig) -> RunResult:
@@ -306,28 +322,20 @@ def run_experiment(config: RunConfig) -> RunResult:
     mixing = build_mixing(config)
     ops = build_strategy(config.strategy, mixing)
     bundle = build_transform_bundle(ops, mixing)
-    mu_x, mu_y, grace, sched_info = _resolve_schedule(
-        config, problem, mixing, bundle)
+    engine, sched_info = _resolve_schedule(config, problem, mixing, bundle)
+    series = run_and_measure(
+        engine, problem, ops,
+        bundle if config.diagnostics["transform"] else None,
+        x0=config.x0, y0=config.y0)
     result = RunResult(config=config, mixing=mixing, problem=problem,
-                       mu_x=mu_x, mu_y=mu_y, grace=grace,
-                       schedule_info=sched_info)
-    engine_config = EngineConfig(
-        strategy=config.strategy, mu_x=mu_x, mu_y=mu_y, grace=grace,
-        T=config.T, seeds=tuple(sorted(config.seeds)),
-        record_transform_diagnostics=config.diagnostics["transform"],
-    )
-    result.series = run_and_measure(
-        engine_config, problem, mixing, x0=config.x0, y0=config.y0,
-        ops=ops, bundle=bundle)
-    result.failures = {seed: str(exc)
-                       for seed, exc in sorted(result.series.failures.items())}
+                       engine=engine, schedule_info=sched_info, series=series)
     result.summary = _summarize(result, bundle)
     return result
 
 
 def _summarize(result: RunResult, bundle) -> dict:
     c = result.problem.constants
-    series = result.series
+    series, grace = result.series, result.engine.grace
     ok = series.ok_rows
     avg = series.avg_stationarity[ok].tolist()
     last = {name: series.columns[name][ok, -1].tolist()
@@ -353,12 +361,11 @@ def _summarize(result: RunResult, bundle) -> dict:
             "lam_b_underline": math.sqrt(bundle.lam_b_underline_sq),
             "v1_sq": bundle.v1_sq, "v2_sq": bundle.v2_sq,
         },
-        "mu_x": result.mu_x,
-        "mu_y": result.mu_y,
+        "mu_x": result.engine.mu_x,
+        "mu_y": result.engine.mu_y,
         "grace": {
-            "beta": result.grace.beta, "p": result.grace.p,
-            "b": result.grace.b, "B_big": result.grace.B_big,
-            "b0": result.grace.b0, "beta_bar": result.grace.beta_bar,
+            "beta": grace.beta, "p": grace.p, "b": grace.b,
+            "B_big": grace.B_big, "b0": grace.b0, "beta_bar": grace.beta_bar,
         },
         "schedule": result.schedule_info,
         "avg_stationarity": mean_std(avg),
@@ -369,31 +376,26 @@ def _summarize(result: RunResult, bundle) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".17g")
-
-
 def write_outputs(result: RunResult, out_dir) -> list:
     """Write seed_<s>.csv per surviving seed, summary.json and
-    config.resolved.json."""
+    config.resolved.json. A CSV line has a "%.17g" slot per recorded column
+    (integral values print as integers), an empty slot per absent ehat
+    column, and a CR LF end."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     series = result.series
-    rounds = range(result.config.T + 1)
+    names = [n for n in COLUMNS if n in series.columns]
+    template = ",".join(["%.17g"] + ["%.17g" if n in series.columns else ""
+                                     for n in COLUMNS]) + "\r\n"
+    header = ",".join(CSV_HEADER) + "\r\n"
+    rounds = np.arange(result.config.T + 1)
     for row in series.ok_rows:
-        cols = []
-        for name in COLUMNS:
-            col = series.columns.get(name)
-            cols.append([""] * len(rounds) if col is None
-                        else [_fmt(v) for v in col[row].tolist()])
+        table = np.column_stack([rounds, *(series.columns[n][row]
+                                           for n in names)])
         path = out / f"seed_{series.seeds[row]}.csv"
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            writer.writerows(zip(rounds, *cols))
+        path.write_text(header + "".join(template % tuple(r)
+                                         for r in table.tolist()), newline="")
         written.append(path)
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(result.summary, indent=2,
@@ -407,11 +409,14 @@ def write_outputs(result: RunResult, out_dir) -> list:
 
 
 def _set_nested(raw: dict, dotted: str, value):
-    keys = dotted.split(".")
+    *path, last = dotted.split(".")
     node = raw
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
+    for key in path:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):
+        raise ConfigError(f"cannot set {dotted!r}: it runs through a value "
+                          f"that is not a mapping")
+    node[last] = value
 
 
 def _parse_value(text: str):
@@ -423,13 +428,12 @@ def _parse_value(text: str):
 
 def sweep(config_path, dotted_key: str, values, out_root) -> list:
     """Rerun one config with dotted_key set to each value in turn."""
-    raw = yaml.safe_load(Path(config_path).read_text())
+    raw = _read_config(config_path)
     results = []
-    for i, value in enumerate(values):
-        variant = json.loads(json.dumps(raw))  # deep copy of plain data
+    for value in values:
+        variant = copy.deepcopy(raw)
         _set_nested(variant, dotted_key, value)
-        config = config_from_dict(variant)
-        result = run_experiment(config)
+        result = run_experiment(config_from_dict(variant))
         tag = str(value).replace("/", "_")
         write_outputs(result, Path(out_root) / f"{dotted_key}={tag}")
         results.append(result)
@@ -479,8 +483,8 @@ def verify_invariants(verbose: bool = False) -> list:
     grace = GraceParams(beta=0.2, p=0.1, b=4, b0=4)
     for kind in StrategyKind:
         ops = build_strategy(kind, mix)
-        config = EngineConfig(strategy=kind, mu_x=1e-3, mu_y=1e-3,
-                              grace=grace, T=50, seeds=(1,))
+        config = EngineConfig(mu_x=1e-3, mu_y=1e-3, grace=grace, T=50,
+                              seeds=(1,))
         mu = config.signed_step(problem.d1, problem.d2)
         state = init_engine(config, problem)
         worst = 0.0

@@ -100,9 +100,9 @@ class PaperRecursion:
         return X, Y, D_x + B @ X, D_y + B @ Y
 
 
-def run_ok(config, problem, mixing, **kwargs):
+def run_ok(config, problem, ops, **kwargs):
     """run_and_measure, failing if any seed diverged."""
-    series = run_and_measure(config, problem, mixing, **kwargs)
+    series = run_and_measure(config, problem, ops, **kwargs)
     assert not series.failures, {s: str(e) for s, e in series.failures.items()}
     return series
 

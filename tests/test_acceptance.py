@@ -79,7 +79,7 @@ def test_criterion_2_centroid_identity(ring8, quad8):
     worst = 0.0
     for kind in ALL_KINDS:
         ops = build_strategy(kind, ring8)
-        config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
+        config = EngineConfig(mu_x=0.003, mu_y=0.01,
                               grace=grace, T=200, seeds=(2,))
         mu = config.signed_step(3, 2)
         state = init_engine(config, quad8, x0=np.ones(3))
@@ -149,7 +149,7 @@ def test_criterion_4_consensus_inequality(ring8, quad8):
     for kind in CLOSED_FORM_KINDS:
         ops = build_strategy(kind, ring8)
         bundle = build_transform_bundle(ops, ring8)
-        config = EngineConfig(strategy=kind, mu_x=0.005, mu_y=0.02,
+        config = EngineConfig(mu_x=0.005, mu_y=0.02,
                               grace=grace, T=500, seeds=(3,))
         mu = config.signed_step(3, 2)
         state = init_engine(config, quad8, x0=np.ones(3))
@@ -186,9 +186,9 @@ def test_criterion_5_deterministic_convergence(ring8):
         mu_y0 = min(1 / c.nu, 1 / (2 * c.L_f))
         mu_x0 = min(1 / (32 * c.L), mu_y0 / (16 * c.kappa**2))
         mu_x, mu_y, _, _ = shrink_to_valid(mu_x0, mu_y0, grace, c, bundle)
-        config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
+        config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                               grace=grace, T=5000, seeds=(0,))
-        series = run_ok(config, problem, ring8, ops=ops)
+        series = run_ok(config, problem, ops)
         _track_delta_c(series)
         avg = series.avg_stationarity[0]
         cons = series.columns["consensus_sq"][0, -1]
@@ -216,7 +216,7 @@ def test_criterion_6_single_agent_reduction():
     worst = 0.0
     for kind in ALL_KINDS:
         ops = build_strategy(kind, mixing)
-        config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
+        config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                               grace=grace, T=1000, seeds=(9,))
         state = init_engine(config, problem, x0=np.ones(2))
         for i in range(1000):
@@ -230,19 +230,20 @@ def test_criterion_6_single_agent_reduction():
 
 def test_criterion_7_estimator_degenerations(ring8, quad8):
     # (a) full refresh every round: zero estimation error
+    ops = build_strategy(StrategyKind.ED, ring8)
     grace_a = GraceParams(beta=0.0, p=1.0, b0=64)
-    config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002, mu_y=0.01,
-                          grace=grace_a, T=100, seeds=(0,))
-    series = run_ok(config, quad8, ring8, x0=np.ones(3))
+    config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace_a, T=100,
+                          seeds=(0,))
+    series = run_ok(config, quad8, ops, x0=np.ones(3))
     _track_delta_c(series)
     ok_a = bool((series.columns["est_err_sq"] == 0.0).all())
     # (b) beta=1, p=0 on a noiseless online problem
     noiseless = make_quadratic_problem(K=8, d1=3, d2=2, N=None, sigma=0.0,
                                        seed=5)
     grace_b = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
-    config_b = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002, mu_y=0.01,
-                            grace=grace_b, T=100, seeds=(0,))
-    series_b = run_ok(config_b, noiseless, ring8, x0=np.ones(3))
+    config_b = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace_b, T=100,
+                            seeds=(0,))
+    series_b = run_ok(config_b, noiseless, ops, x0=np.ones(3))
     _track_delta_c(series_b)
     ok_b = bool((series_b.columns["est_err_sq"] <= 1e-20).all())
     # (c) hand-derived recursion value on grad(x) = x
@@ -269,9 +270,9 @@ def test_criterion_8_storm_rate_scaling(ring8):
         mu_x, mu_y, grace = schedule_for_mode(spec)
         ops = build_strategy(StrategyKind.ED, ring8)
         # the 32 seeds run as one batch
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x, mu_y=mu_y,
+        config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                               grace=grace, T=T, seeds=tuple(range(32)))
-        series = run_ok(config, problem, ring8, ops=ops)
+        series = run_ok(config, problem, ops)
         _track_delta_c(series)
         metrics[T] = float(np.mean(series.avg_stationarity))
     ratio = metrics[500] / metrics[4000]
@@ -289,9 +290,9 @@ def test_criterion_9_page_accounting_and_decay():
     spec = ScheduleSpec(mode=ScheduleMode.PAGE_OFFLINE, T=10**4, K=4,
                         kappa=problem.constants.kappa, N=1024)
     mu_x, mu_y, grace = schedule_for_mode(spec)
-    config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x, mu_y=mu_y,
+    config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                           grace=grace, T=10**4, seeds=(0,))
-    series = run_ok(config, problem, mixing, x0=np.ones(3), ops=ops)
+    series = run_ok(config, problem, ops, x0=np.ones(3))
     _track_delta_c(series)
     samples = series.columns["samples_used"][0]
     per_round = (samples[-1] - samples[0]) / 10**4
@@ -305,9 +306,9 @@ def test_criterion_9_page_accounting_and_decay():
         spec_T = ScheduleSpec(mode=ScheduleMode.PAGE_OFFLINE, T=T, K=4,
                               kappa=quiet.constants.kappa, N=1024)
         mu_x, mu_y, grace_T = schedule_for_mode(spec_T)
-        config_T = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x,
-                                mu_y=mu_y, grace=grace_T, T=T, seeds=(0,))
-        series_T = run_ok(config_T, quiet, mixing, x0=np.ones(3), ops=ops)
+        config_T = EngineConfig(mu_x=mu_x, mu_y=mu_y, grace=grace_T, T=T,
+                                seeds=(0,))
+        series_T = run_ok(config_T, quiet, ops, x0=np.ones(3))
         _track_delta_c(series_T)
         avgs[T] = series_T.avg_stationarity[0]
     ratio = avgs[2000] / avgs[4000]

@@ -49,6 +49,22 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
                      str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ed needs a PSD mixing matrix")
+    # a config file that is missing or malformed, a dotted key through a
+    # value that is not a mapping
+    missing = str(tmp_path / "missing.yaml")
+    malformed = tmp_path / "malformed.yaml"
+    malformed.write_text("T: [1,")
+    out = str(tmp_path / "out")
+    for argv in (["run", "--config", missing, "--out", out],
+                 ["sweep", "--config", missing, "--vary", "T=5", "--out", out],
+                 ["sweep", "--config", str(malformed), "--vary", "T=5",
+                  "--out", out],
+                 ["sweep", "--config", write_config(tmp_path, CONFIG),
+                  "--vary", "T.x=5", "--out", out]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+    assert not (tmp_path / "out").exists()
     # a preset that needs N, given none
     assert cli.main(["schedule", "--mode", "page_offline", "--T", "100",
                      "--K", "4"]) == 2

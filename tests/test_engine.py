@@ -9,6 +9,7 @@ from decminimax import (
     StrategyKind,
     Topology,
     build_strategy,
+    build_transform_bundle,
     init_engine,
     make_quadratic_problem,
     mixing_for_topology,
@@ -32,7 +33,7 @@ def smoothness_steps(problem):
 
 class TestInit:
     def test_identical_models_zero_consensus(self, ring8_lazy, quad_problem):
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
+        config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10)
         state = init_engine(config, quad_problem, x0=np.ones(3))
         assert state.Z.shape == (1, 8, 5)
@@ -41,21 +42,21 @@ class TestInit:
         assert np.all(state.D == 0.0)
 
     def test_dim_mismatch(self, quad_problem):
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
+        config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10)
         with pytest.raises(ConfigError):
             init_engine(config, quad_problem, x0=np.ones(5))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            EngineConfig(strategy=StrategyKind.ED, mu_x=0.0, mu_y=0.01,
+            EngineConfig(mu_x=0.0, mu_y=0.01,
                          grace=GraceParams(beta=0, p=1), T=10)
         with pytest.raises(ConfigError):
-            EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
+            EngineConfig(mu_x=0.01, mu_y=0.01,
                          grace=GraceParams(beta=0, p=1), T=0)
         for seeds in ((), (1, 1)):
             with pytest.raises(ConfigError):
-                EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
+                EngineConfig(mu_x=0.01, mu_y=0.01,
                              grace=GraceParams(beta=0, p=1), T=1, seeds=seeds)
 
 
@@ -64,7 +65,7 @@ class TestStep:
     def test_centroid_identity(self, ring8_lazy, quad_problem, kind):
         ops = build_strategy(kind, ring8_lazy)
         grace = GraceParams(beta=0.2, p=0.2, b=4, b0=4)
-        config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
+        config = EngineConfig(mu_x=0.003, mu_y=0.01,
                               grace=grace, T=100, seeds=(2,))
         state = init_engine(config, quad_problem, x0=np.ones(3))
         mu = config.signed_step(3, 2)
@@ -83,7 +84,7 @@ class TestStep:
     def test_dual_average_conserved(self, ring8_lazy, quad_problem, kind):
         ops = build_strategy(kind, ring8_lazy)
         grace = GraceParams(beta=0.1, p=0.1, b=2, b0=4)
-        config = EngineConfig(strategy=kind, mu_x=0.002, mu_y=0.01,
+        config = EngineConfig(mu_x=0.002, mu_y=0.01,
                               grace=grace, T=500, seeds=(4,))
         state = init_engine(config, quad_problem)
         for _ in range(500):
@@ -95,17 +96,19 @@ class TestStep:
         # moving iterates below measurable thresholds is not the point here:
         # instead check mu -> 0 limit by comparing two tiny steps
         grace = GraceParams(beta=0, p=1, b0=64)
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=1e-300,
-                              mu_y=1e-300, grace=grace, T=5)
-        series = run_ok(config, quad_problem, ring8_lazy, x0=np.ones(3))
+        config = EngineConfig(mu_x=1e-300, mu_y=1e-300, grace=grace, T=5)
+        series = run_ok(config, quad_problem,
+                        build_strategy(StrategyKind.ED, ring8_lazy),
+                        x0=np.ones(3))
         col = series.columns["grad_x_sq"][0]
         assert all(g == pytest.approx(col[0], rel=1e-10) for g in col)
 
     def test_divergence_detected(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=64)
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=50.0, mu_y=50.0,
+        config = EngineConfig(mu_x=50.0, mu_y=50.0,
                               grace=grace, T=500)
-        series = run_and_measure(config, quad_problem, ring8_lazy,
+        series = run_and_measure(config, quad_problem,
+                                 build_strategy(StrategyKind.ED, ring8_lazy),
                                  x0=np.ones(3))
         err = series.failures[0]
         assert isinstance(err, DivergenceError)
@@ -123,11 +126,12 @@ class TestStep:
         problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=7e13,
                                          seed=0)
         grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
+        ops = build_strategy(StrategyKind.ED, ring4_lazy)
 
         def run(seeds):
-            config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01,
-                                  mu_y=0.01, grace=grace, T=3, seeds=seeds)
-            return run_and_measure(config, problem, ring4_lazy)
+            config = EngineConfig(mu_x=0.01, mu_y=0.01, grace=grace, T=3,
+                                  seeds=seeds)
+            return run_and_measure(config, problem, ops)
 
         batch = run((0, 2, 4, 5, 6))
         assert batch.ok_seeds == [0, 5]
@@ -145,11 +149,12 @@ class TestStep:
     def test_non_finite_estimate_fails_every_seed(self, ring4_lazy):
         problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None,
                                          sigma=np.inf, seed=0)
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.01, mu_y=0.01,
+        config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0.5, p=0.0), T=3,
                               seeds=(0, 1))
         with np.errstate(invalid="ignore"):
-            series = run_and_measure(config, problem, ring4_lazy)
+            series = run_and_measure(
+                config, problem, build_strategy(StrategyKind.ED, ring4_lazy))
         assert {s: str(e) for s, e in series.failures.items()} == {
             0: "non-finite gradient estimate at agent 0",
             1: "non-finite gradient estimate at agent 0"}
@@ -179,7 +184,7 @@ class TestReduction:
 
         for kind in ALL_KINDS:
             ops = build_strategy(kind, mixing)
-            config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
+            config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                                   grace=grace, T=1000, seeds=(9,))
             state = init_engine(config, problem, x0=np.ones(2))
             for i in range(1000):
@@ -206,7 +211,7 @@ class TestPaperRecursion:
         problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
                                          sigma=0.5, seed=11)
         grace = GraceParams(beta=0.2, p=0.0, b=2, b0=4)
-        config = EngineConfig(strategy=kind, mu_x=0.003, mu_y=0.01,
+        config = EngineConfig(mu_x=0.003, mu_y=0.01,
                               grace=grace, T=500, seeds=(7,))
         ops = build_strategy(kind, mixing)
         mu = config.signed_step(d1, d2)
@@ -234,10 +239,11 @@ class TestPaperRecursion:
 class TestRunAndMeasure:
     def test_deterministic_runs_identical(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0.1, p=0.2, b=4, b0=8)
-        config = EngineConfig(strategy=StrategyKind.ATC_GT, mu_x=0.002,
-                              mu_y=0.01, grace=grace, T=100, seeds=(13, 14))
-        s1 = run_ok(config, quad_problem, ring8_lazy, x0=np.ones(3))
-        s2 = run_ok(config, quad_problem, ring8_lazy, x0=np.ones(3))
+        config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=100,
+                              seeds=(13, 14))
+        ops = build_strategy(StrategyKind.ATC_GT, ring8_lazy)
+        s1 = run_ok(config, quad_problem, ops, x0=np.ones(3))
+        s2 = run_ok(config, quad_problem, ops, x0=np.ones(3))
         assert s1.columns.keys() == s2.columns.keys()
         for name, col in s1.columns.items():
             assert col.tobytes() == s2.columns[name].tobytes(), name
@@ -250,14 +256,14 @@ class TestRunAndMeasure:
         monkeypatch.setattr(problem, "exact_grads_block",
                             lambda Z: calls.append(1) or block(Z))
         grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
+        ops = build_strategy(StrategyKind.ED, ring8_lazy)
+        bundle = build_transform_bundle(ops, ring8_lazy)
         extra = set()
         for T in (10, 30):
             calls.clear()
-            config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002,
-                                  mu_y=0.01, grace=grace, T=T,
-                                  seeds=(0, 1, 2),
-                                  record_transform_diagnostics=True)
-            run_ok(config, problem, ring8_lazy)
+            config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=T,
+                                  seeds=(0, 1, 2))
+            run_ok(config, problem, ops, bundle=bundle)
             extra.add(len(calls) - 2 * T)
         # per batched round, whatever the number of seeds: iterates and
         # centroid, plus a constant
@@ -265,9 +271,9 @@ class TestRunAndMeasure:
 
     def test_row_count_and_round_column(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=8)
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=0.002,
-                              mu_y=0.01, grace=grace, T=3)
-        series = run_ok(config, quad_problem, ring8_lazy)
+        config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=3)
+        series = run_ok(config, quad_problem,
+                        build_strategy(StrategyKind.ED, ring8_lazy))
         assert set(series.columns) == set(COLUMNS) - {"ehat_x_sq", "ehat_y_sq"}
         for col in series.columns.values():
             assert col.shape == (1, 4)  # rounds 0..3
@@ -282,10 +288,10 @@ class TestRunAndMeasure:
         grace = GraceParams(beta=0, p=1, b0=16)
         for kind in (StrategyKind.ED, StrategyKind.EXTRA,
                      StrategyKind.ATC_GT):
-            config = EngineConfig(strategy=kind, mu_x=mu_x, mu_y=mu_y,
+            config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                                   grace=grace, T=3000)
-            series = run_ok(config, problem, ring8_lazy, x0=np.ones(3),
-                            y0=np.ones(2))
+            series = run_ok(config, problem, build_strategy(kind, ring8_lazy),
+                            x0=np.ones(3), y0=np.ones(2))
             cols = series.columns
             assert cols["grad_x_sq"][0, -1] + cols["grad_y_sq"][0, -1] <= 1e-8, kind
             assert cols["consensus_sq"][0, -1] <= 1e-10, kind
@@ -295,8 +301,10 @@ class TestRunAndMeasure:
                                          seed=5)
         mu_x, mu_y = smoothness_steps(problem)
         grace = GraceParams(beta=0, p=1, b0=16)
-        config = EngineConfig(strategy=StrategyKind.ED, mu_x=mu_x, mu_y=mu_y,
+        config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                               grace=grace, T=400)
-        series = run_ok(config, problem, ring8_lazy, x0=np.ones(3))
+        series = run_ok(config, problem,
+                        build_strategy(StrategyKind.ED, ring8_lazy),
+                        x0=np.ones(3))
         consensus = series.columns["consensus_sq"][0]
         assert consensus[400] <= consensus[200]

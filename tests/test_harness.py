@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -5,10 +7,14 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import decminimax
 from decminimax import ConfigError, config_from_dict, load_config, \
     run_experiment, verify_invariants, write_outputs
 from decminimax import harness
+from decminimax.engine import COLUMNS
 from decminimax.harness import CSV_HEADER, sweep
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 MINIMAL = {
     "topology": {"kind": "ring", "K": 4},
@@ -136,6 +142,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             run_experiment(config_from_dict(raw))
 
+    def test_sinpl_with_N_rejected_at_load(self):
+        raw = json.loads(json.dumps(MINIMAL))
+        harness._set_nested(raw, "problem.kind", "sinpl")  # N stays 16
+        with pytest.raises(ConfigError, match="online-only"):
+            config_from_dict(raw)
+
     def test_sinpl_resolves_to_scalar_dims(self):
         raw = json.loads(json.dumps(MINIMAL))
         raw["problem"] = {"kind": "sinpl", "sigma": 0.5}
@@ -188,7 +200,54 @@ class TestRunExperiment:
         assert {f.name for f in files} == {"summary.json", "config.resolved.json"}
 
 
+def reference_csv(result, row) -> bytes:
+    """One seed's CSV as csv.writer writes it with format(v, ".17g") per
+    float and str per int: the reference for write_outputs."""
+    rounds = range(result.config.T + 1)
+    cols = []
+    for name in COLUMNS:
+        col = result.series.columns.get(name)
+        cols.append([""] * len(rounds) if col is None
+                    else [str(v) if isinstance(v, int) else format(v, ".17g")
+                          for v in col[row].tolist()])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(zip(rounds, *cols))
+    return buf.getvalue().encode()
+
+
+# the batch of TestStep.test_divergent_seed_leaves_batch: seeds 2, 4 and 6
+# diverge
+DIVERGENT = dict(MINIMAL, topology={"kind": "ring", "K": 4}, T=3,
+                 problem={"kind": "quadratic", "d1": 2, "d2": 1, "N": None,
+                          "sigma": 7e13, "seed": 0},
+                 schedule={"mode": "explicit", "mu_x": 0.01, "mu_y": 0.01,
+                           "beta": 1.0, "p": 0.0, "b": 1, "b0": 1},
+                 seeds=[0, 2, 4, 5, 6])
+
+
 class TestWriteOutputs:
+    @pytest.mark.parametrize("raw, failed", [
+        (MINIMAL, set()),
+        (dict(MINIMAL, diagnostics={"transform": True}), set()),
+        (DIVERGENT, {2, 4, 6}),
+        (dict(MINIMAL, strategy="atc_gt", problem={"kind": "sinpl",
+              "sigma": 0.5, "seed": 2}, x0=[2.0], y0=[0.5]), set()),
+    ], ids=["diagnostics_off", "diagnostics_on", "failed_seeds", "sinpl"])
+    def test_csv_bytes_match_reference(self, tmp_path, raw, failed):
+        if raw["problem"]["kind"] == "sinpl":
+            raw = dict(raw, schedule=dict(raw["schedule"], B_big=8))
+        result = run_experiment(config_from_dict(raw))
+        assert set(result.failures) == failed
+        write_outputs(result, tmp_path)
+        ok = result.series.ok_rows
+        assert sorted(p.name for p in tmp_path.glob("seed_*.csv")) == \
+            sorted(f"seed_{result.series.seeds[row]}.csv" for row in ok)
+        for row in ok:
+            path = tmp_path / f"seed_{result.series.seeds[row]}.csv"
+            assert path.read_bytes() == reference_csv(result, row), path.name
+
     def test_files_and_schema(self, tmp_path):
         result = run_experiment(config_from_dict(MINIMAL))
         files = write_outputs(result, tmp_path / "out")
@@ -238,10 +297,28 @@ class TestSweep:
         results = sweep(config_path, "schedule.mu_y", [0.005, 0.02],
                         tmp_path / "sweep")
         assert len(results) == 2
-        assert results[0].mu_y == 0.005
-        assert results[1].mu_y == 0.02
+        assert results[0].engine.mu_y == 0.005
+        assert results[1].engine.mu_y == 0.02
         out_dirs = sorted(p.name for p in (tmp_path / "sweep").iterdir())
         assert out_dirs == ["schedule.mu_y=0.005", "schedule.mu_y=0.02"]
+
+
+class TestBenchmarkContract:
+    """What perfbench/run.py reads of the program: nothing on standard
+    output (its last line must be its result), and every function its
+    per-layer metrics wrap."""
+
+    def test_silent_and_every_traced_metric_present(self, tmp_path, capsys,
+                                                    monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import layertrace
+        raw = dict(MINIMAL, T=3, diagnostics={"transform": True})
+        with layertrace.Tracer(decminimax.__name__) as tr:
+            result = run_experiment(config_from_dict(raw))
+            write_outputs(result, tmp_path)
+        assert capsys.readouterr().out == ""
+        metrics = layertrace.layer_metrics(tr, 3 * len(raw["seeds"]))
+        assert [k for k, v in metrics.items() if v is None] == []
 
 
 class TestVerifySuite:

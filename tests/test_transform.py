@@ -272,7 +272,7 @@ class TestCoupledError:
                                            kind):
         ops, bundle = self._setup(kind, ring8_lazy)
         grace = GraceParams(beta=0.1, p=0.1, b=4, b0=8)
-        config = EngineConfig(strategy=kind, mu_x=0.005, mu_y=0.02,
+        config = EngineConfig(mu_x=0.005, mu_y=0.02,
                               grace=grace, T=200, seeds=(3,))
         mu = config.signed_step(3, 2)
         state = init_engine(config, quad_problem, x0=np.ones(3))
