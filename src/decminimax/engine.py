@@ -11,16 +11,23 @@ and previous iterates; (2) the primal update
     Z_{i+1} = A (C Z_i - mu * M_i) - D_i
 
 with the signed step mu = [mu_x, ..., -mu_y, ...] (descent in x, ascent
-in y); (3) the dual update D_{i+1} = D_i + B^2 Z_{i+1}. Metrics for
-round i are recorded after the estimator update but before the iterate
-advance, so the round-0 row reflects the initialization. The x/y split
-comes back only in the metric columns, at problem.d1.
+in y), where an A or C equal to I is skipped; (3) the dual update
+D_{i+1} = D_i + B^2 Z_{i+1}. Metrics for round i reflect the state after
+the estimator update but before the iterate advance, so the round-0 row
+reflects the initialization. The x/y split comes back only in the metric
+columns, at problem.d1.
 
-Every operation acts on each replicate's (K, d) slice alone, so a seed's
-numbers are the same whatever other seeds share its batch. A replicate
-whose estimate or iterate stops being finite, or whose iterate passes
-DIVERGENCE_CAP, leaves the batch; its error is kept and its columns stop
-at its last recorded round.
+The round loop does only the recursion. Each round copies what the metric
+columns need into a chunk buffer (_Chunk), and one batched pass per chunk
+of rounds evaluates every column; the pass also runs at the end of the
+run and before a replicate leaves the batch. The estimator draws its
+random numbers a chunk of rounds at a time. Neither shows in the output:
+every operation acts on each replicate's (K, d) slice of each round alone,
+and the chunked draws equal the round-by-round ones, so a seed's numbers
+are the same whatever other seeds share its batch and whatever the chunk
+size. A replicate whose estimate or iterate stops being finite, or whose
+iterate passes DIVERGENCE_CAP, leaves the batch; its error is kept and its
+columns stop at its last recorded round.
 """
 
 from dataclasses import dataclass, field
@@ -30,10 +37,12 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .estimator import GraceParams, GraceState, init_estimator, update_estimator, \
     estimator_error
-from .strategies import StrategyOps
+from .strategies import _ROWS, StrategyOps
 from .transform import TransformBundle, coupled_error_norms
 
 DIVERGENCE_CAP = 1e12
+# bytes of one (S, K, d) buffer of a chunk of rounds (see _chunk_rounds)
+CHUNK_BYTES = 64 * 1024
 
 # the metric columns of one round, in CSV order after "round"
 COLUMNS = ("grad_x_sq", "grad_y_sq", "consensus_sq", "delta_c", "est_err_sq",
@@ -133,8 +142,12 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
 
 def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps) -> None:
     """Primal and dual updates using the current gradient estimates; mu is
-    the signed step (EngineConfig.signed_step)."""
-    state.Z = ops.A @ (ops.C @ state.Z - mu * state.grace.M) - state.D
+    the signed step (EngineConfig.signed_step). A or C equal to I (power 0
+    of W) is skipped, not multiplied."""
+    pow_a, pow_c, _ = _ROWS[ops.kind]
+    Z = state.Z if pow_c == 0 else ops.C @ state.Z
+    Z = Z - mu * state.grace.M
+    state.Z = (Z if pow_a == 0 else ops.A @ Z) - state.D
     state.D = state.D + ops.B2 @ state.Z
     state.round += 1
 
@@ -142,6 +155,10 @@ def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps) -> None:
 def _iterate_errors(state: EngineState) -> dict:
     """Batch position -> DivergenceError for every replicate whose iterates
     are not finite or exceed DIVERGENCE_CAP in magnitude."""
+    # a NaN fails both comparisons, so it reaches the per-replicate check
+    if np.abs(state.Z).max() <= DIVERGENCE_CAP \
+            and np.abs(state.D).max() <= DIVERGENCE_CAP:
+        return {}
     worst = np.maximum(np.abs(state.Z).max(axis=(1, 2)),
                        np.abs(state.D).max(axis=(1, 2)))
     errors = {}
@@ -160,46 +177,103 @@ def _iterate_errors(state: EngineState) -> dict:
 def _estimate_errors(state: EngineState, bad_agent: np.ndarray) -> dict:
     """Batch position -> DivergenceError for every replicate with a
     non-finite gradient estimate (bad_agent from update_estimator)."""
+    if bad_agent.max() < 0:
+        return {}
     return {i: DivergenceError(
                 f"non-finite gradient estimate at agent {bad_agent[i]}",
                 round_index=state.round, max_entry=float("inf"))
             for i in np.flatnonzero(bad_agent >= 0)}
 
 
-def _drop(state: EngineState, series: MetricsSeries, errors: dict) -> None:
-    """Move the failed replicates out of the batch, keeping their errors."""
+class _Chunk:
+    """The rounds held since the last flush: per round, a copy of what the
+    metric columns need (Z, M - G and samples_used; mu*M and D with a
+    transform bundle). flush evaluates every column of the held rounds in
+    one batched pass."""
+
+    def __init__(self, series: MetricsSeries, problem, mu: np.ndarray,
+                 bundle: TransformBundle | None, rounds: int):
+        self.series, self.problem, self.mu, self.bundle = \
+            series, problem, mu, bundle
+        self.rounds = rounds
+        self.held = 0
+        self.first = 0      # round of the first held row
+        self.Z = None       # (rounds, S, K, d) buffers, sized to the batch
+
+    def _alloc(self, state: EngineState) -> None:
+        shape = (self.rounds,) + state.Z.shape
+        self.Z, self.err = np.empty(shape), np.empty(shape)
+        self.used = np.empty(shape[:2], dtype=state.grace.samples_used.dtype)
+        if self.bundle is not None:
+            self.muM, self.D = np.empty(shape), np.empty(shape)
+
+    def hold(self, state: EngineState) -> None:
+        """Copy round state.round of the batch; flush when the chunk is
+        full."""
+        if self.Z is None or self.Z.shape[1] != len(state.rows):
+            self._alloc(state)
+        i = self.held
+        if i == 0:
+            self.first = state.round
+        grace = state.grace
+        np.copyto(self.Z[i], state.Z)
+        np.subtract(grace.M, grace.G, out=self.err[i])
+        self.used[i] = grace.samples_used
+        if self.bundle is not None:
+            np.multiply(self.mu, grace.M, out=self.muM[i])
+            np.copyto(self.D[i], state.D)
+        self.held = i + 1
+        if self.held == self.rounds:
+            self.flush(state)
+
+    def flush(self, state: EngineState) -> None:
+        """Write the held rounds of every replicate in the batch."""
+        n = self.held
+        if not n:
+            return
+        self.held = 0
+        d1 = self.problem.d1
+        Z = self.Z[:n]
+        z_c = Z.mean(axis=2)
+        grad, delta_c = self.problem.centroid_metrics(z_c)
+        est_err, est_err_avg = estimator_error(self.err[:n])
+        cols = {
+            "grad_x_sq": np.sum(grad[..., :d1] ** 2, axis=-1),
+            "grad_y_sq": np.sum(grad[..., d1:] ** 2, axis=-1),
+            "consensus_sq": np.sum((Z - z_c[:, :, None]) ** 2, axis=(2, 3)),
+            "delta_c": delta_c,
+            "est_err_sq": est_err,
+            "est_err_avg_sq": est_err_avg,
+            "samples_used": self.used[:n],
+        }
+        if self.bundle is not None:
+            ehat = coupled_error_norms(Z, self.muM[:n], self.D[:n],
+                                       self.bundle)
+            cols["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(2, 3))
+            cols["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(2, 3))
+        span = slice(self.first, self.first + n)
+        for name, values in cols.items():
+            self.series.columns[name][state.rows, span] = values.T
+
+
+def _chunk_rounds(shape) -> int:
+    """Rounds per chunk for a batch of (S, K, d) blocks: CHUNK_BYTES per
+    buffer, between 1 and 64 rounds."""
+    return min(64, max(1, CHUNK_BYTES // (8 * int(np.prod(shape)))))
+
+
+def _drop(state: EngineState, chunk: _Chunk, errors: dict) -> None:
+    """Move the failed replicates out of the batch, keeping their errors;
+    the held rounds are written first, so a failed seed keeps its rows."""
     if not errors:
         return
+    chunk.flush(state)
+    series = chunk.series
     keep = np.ones(len(state.rows), dtype=bool)
     for i, exc in errors.items():
         series.failures[series.seeds[state.rows[i]]] = exc
         keep[i] = False
     state.select(keep)
-
-
-def _record(state: EngineState, mu: np.ndarray, problem,
-            bundle: TransformBundle | None, series: MetricsSeries) -> None:
-    """Write round state.round of every replicate still in the batch."""
-    d1 = problem.d1
-    z_c = state.Z.mean(axis=1)
-    grad, delta_c = problem.centroid_metrics(z_c)
-    est_err, est_err_avg = estimator_error(state.grace)
-    row = {
-        "grad_x_sq": np.sum(grad[:, :d1] ** 2, axis=1),
-        "grad_y_sq": np.sum(grad[:, d1:] ** 2, axis=1),
-        "consensus_sq": np.sum((state.Z - z_c[:, None]) ** 2, axis=(1, 2)),
-        "delta_c": delta_c,
-        "est_err_sq": est_err,
-        "est_err_avg_sq": est_err_avg,
-        "samples_used": state.grace.samples_used,
-    }
-    if bundle is not None:
-        ehat = coupled_error_norms(state.Z, mu * state.grace.M, state.D,
-                                   bundle)
-        row["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(1, 2))
-        row["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(1, 2))
-    for name, values in row.items():
-        series.columns[name][state.rows, state.round] = values
 
 
 def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
@@ -219,17 +293,20 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     mu = config.signed_step(problem.d1, problem.d2)
     state = init_engine(config, problem, x0=x0, y0=y0)
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
+    chunk = _Chunk(series, problem, mu, bundle, _chunk_rounds(state.Z.shape))
     while True:
-        bad_agent = update_estimator(state.grace, config.grace, state.Z,
-                                     problem)
-        _drop(state, series, _estimate_errors(state, bad_agent))
+        bad_agent = update_estimator(
+            state.grace, config.grace, state.Z, problem,
+            rounds=min(chunk.rounds, config.T + 1 - state.round))
+        _drop(state, chunk, _estimate_errors(state, bad_agent))
         if not len(state.rows):
             break
-        _record(state, mu, problem, bundle, series)
+        chunk.hold(state)
         if state.round == config.T:
             break
         _advance(state, mu, ops)
-        _drop(state, series, _iterate_errors(state))
+        _drop(state, chunk, _iterate_errors(state))
         if not len(state.rows):
             break
+    chunk.flush(state)
     return series

@@ -13,12 +13,16 @@ PAGE (large b) and Loopless SARAH (b = 1).
 The sampling mode is the problem's: offline when it has a finite sample
 count N, online otherwise. The estimates of S seed replicates are stacked
 as one (S, K, d1+d2) block, x and y side by side, and updated together.
-Each replicate owns one random stream, spawned from SeedSequence(seed),
-so it shares no draws with another replicate or with a problem built
-from default_rng(seed). A round draws, per stream, the switch uniform
-and then (unless it is an offline refresh) one noise block for all K
-agents; one masked array step then applies each replicate's branch, so a
-replicate's numbers do not depend on the other replicates in its batch.
+Each replicate owns two random streams, spawned from SeedSequence(seed):
+one for the switch and one for the noise, so it shares no draws with
+another replicate or with a problem built from default_rng(seed). The
+draws are taken a chunk of rounds at a time: one switch call per
+replicate gives the chunk's refresh flags, then one batch_noise call
+gives its noise, one block for all K agents per round (none on an
+offline refresh). A chunk's draws equal the same rounds drawn one by one,
+so they do not depend on the chunk size. One masked array step per round
+then applies each replicate's branch, so a replicate's numbers do not
+depend on the other replicates in its batch.
 """
 
 from dataclasses import dataclass
@@ -53,70 +57,99 @@ class GraceParams:
 class GraceState:
     M: np.ndarray    # (S, K, d1+d2) current gradient estimates
     G: np.ndarray    # (S, K, d1+d2) exact gradients at the iterates of the last update
-    rngs: list       # each replicate's one stream
+    switch_rngs: list  # each replicate's switch stream
+    noise_rngs: list   # each replicate's noise stream
     samples_used: np.ndarray  # (S,) cumulative per-agent sample draws
+    # the drawn rounds, one column per round: refresh flags (S, R), sample
+    # counts (S, R) and noise (S, R, K, d1+d2); the next round is `drawn`
+    refresh: np.ndarray
+    used: np.ndarray
+    noise: np.ndarray
+    drawn: int = 0
 
     def select(self, keep: np.ndarray) -> None:
         """Keep only the replicates where keep is true."""
         self.M, self.G = self.M[keep], self.G[keep]
-        self.rngs = [rng for rng, k in zip(self.rngs, keep) if k]
+        self.switch_rngs = [r for r, k in zip(self.switch_rngs, keep) if k]
+        self.noise_rngs = [r for r, k in zip(self.noise_rngs, keep) if k]
         self.samples_used = self.samples_used[keep]
+        self.refresh, self.used = self.refresh[keep], self.used[keep]
+        self.noise = self.noise[keep]
 
 
 def init_estimator(problem, params: GraceParams, seeds,
                    Z0: np.ndarray) -> GraceState:
     """Initial estimates from a size-b0 minibatch at the start iterates
-    Z0 (S, K, d1+d2), one replicate per seed."""
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-            for seed in seeds]
+    Z0 (S, K, d1+d2), one replicate per seed. The b0 draw is the first of
+    the replicate's noise stream."""
+    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
+    switch = [np.random.default_rng(s) for s, _ in streams]
+    noise = [np.random.default_rng(n) for _, n in streams]
+    S = len(streams)
     b0 = params.b0 if problem.N is None else min(params.b0, problem.N)
     g = problem.exact_grads_block(Z0)
-    return GraceState(M=g + problem.batch_noise(rngs, b0), G=g, rngs=rngs,
-                      samples_used=np.full(len(rngs), b0))
+    M = g + problem.batch_noise(noise, np.full((S, 1), b0))[:, 0]
+    return GraceState(M=M, G=g, switch_rngs=switch, noise_rngs=noise,
+                      samples_used=np.full(S, b0),
+                      refresh=np.zeros((S, 0), dtype=bool),
+                      used=np.zeros((S, 0), dtype=int),
+                      noise=np.zeros((S, 0) + g.shape[1:]))
+
+
+def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
+    """Draw the next `rounds` rounds of every replicate: one call of its
+    switch stream, then one batch_noise call for the batch. Offline, a
+    refresh takes the full local batch, whose sample means are exact by
+    construction, and draws nothing."""
+    refresh = np.stack([rng.random(rounds) for rng in state.switch_rngs]) \
+        < params.p
+    if problem.N is not None:
+        state.used = np.where(refresh, problem.N, params.b)
+        batch = np.where(refresh, 0, params.b)
+    else:
+        if params.B_big is None and refresh.any():
+            raise ConfigError("online refresh branch needs B_big")
+        state.used = batch = np.where(refresh, params.B_big or 0, params.b)
+    state.refresh = refresh
+    state.noise = problem.batch_noise(state.noise_rngs, batch)
+    state.drawn = 0
 
 
 def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
-                     problem) -> np.ndarray:
-    """One estimator round at the current iterates Z (S, K, d1+d2):
-    per-replicate switch draw, then refresh or recursion.
+                     problem, rounds: int = 1) -> np.ndarray:
+    """One estimator round at the current iterates Z (S, K, d1+d2): the
+    replicate's switch, then refresh or recursion.
 
+    When the drawn rounds are used up, the next `rounds` rounds are drawn
+    at once; a replicate's draws are the same however they are grouped.
     The exact gradients at the current iterates replace the stored ones,
     which served as the previous-iterate gradients of the recursion.
     Returns, per replicate, the first agent whose estimate is not finite,
     or -1.
     """
-    refresh = np.array([rng.random() for rng in state.rngs]) < params.p
+    if state.drawn == state.refresh.shape[1]:
+        _draw(state, params, problem, rounds)
+    r = state.drawn
+    state.drawn = r + 1
+    refresh, noise = state.refresh[:, r], state.noise[:, r]
     g = problem.exact_grads_block(Z)
-    if problem.N is not None:
-        # a refresh takes the full local batch, whose sample means are
-        # exact by construction, and draws nothing
-        recurse = ~refresh
-        noise = np.zeros_like(g)
-        if recurse.any():
-            noise[recurse] = problem.batch_noise(
-                [rng for rng, r in zip(state.rngs, recurse) if r], params.b)
-        fresh = g
-        used = np.where(refresh, problem.N, params.b)
-    else:
-        if params.B_big is None and refresh.any():
-            raise ConfigError("online refresh branch needs B_big")
-        used = np.where(refresh, params.B_big or 0, params.b)
-        noise = problem.batch_noise(state.rngs, used)
-        fresh = g + noise
+    fresh = g if problem.N is not None else g + noise
     # the same minibatch enters the prev and cur evaluations, so its noise
     # survives with weight beta only
     state.M = np.where(refresh[:, None, None], fresh,
                        (1.0 - params.beta) * (state.M - (state.G + noise))
                        + (g + noise))
-    state.samples_used = state.samples_used + used
+    state.samples_used = state.samples_used + state.used[:, r]
     state.G = g
+    if np.isfinite(state.M).all():
+        return np.full(len(refresh), -1)
     bad = ~np.isfinite(state.M).all(axis=2)
     return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
 
 
-def estimator_error(state: GraceState):
-    """Per replicate, squared norms of the block estimation error and of
-    its network average, against the exact gradients at the iterates of
-    the last update: two (S,) arrays."""
-    err = state.M - state.G
-    return np.sum(err**2, axis=(1, 2)), np.sum(err.mean(axis=1)**2, axis=1)
+def estimator_error(err: np.ndarray):
+    """Squared norms of the block estimation error err = M - G (against the
+    exact gradients at the iterates of the last update) and of its network
+    average, per (K, d) block of err (..., K, d): two (...) arrays."""
+    return (np.sum(err**2, axis=(-2, -1)),
+            np.sum(err.mean(axis=-2)**2, axis=-1))

@@ -409,10 +409,16 @@ def write_outputs(result: RunResult, out_dir) -> list:
 
 
 def _set_nested(raw: dict, dotted: str, value):
+    """Set the dotted key in raw; a null section on the way is an empty
+    mapping, as config_from_dict reads it."""
     *path, last = dotted.split(".")
     node = raw
     for key in path:
-        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            break
+        if node.get(key) is None:
+            node[key] = {}
+        node = node[key]
     if not isinstance(node, dict):
         raise ConfigError(f"cannot set {dotted!r}: it runs through a value "
                           f"that is not a mapping")

@@ -101,19 +101,29 @@ class QuadraticMinimaxProblem:
 
     def batch_noise(self, rngs, batch):
         """Averaged linear-term deviation from the mean over one size-`batch`
-        minibatch per agent and replicate, as one (S, K, d1+d2) block for
-        the S generators in rngs; batch is one size or one per replicate.
+        minibatch per agent, replicate and round: batch is (S, R), one size
+        per round of each of the S generators in rngs, and the noise is one
+        (S, R, K, d1+d2) block.
 
-        Offline: each replicate draws a (K, batch) index block into the
-        agents' sample tables (all replicates share one batch size here).
-        Online: one Gaussian block per replicate gives every agent's noise.
+        Offline: each replicate draws one (K, size) index block into the
+        agents' sample tables per round of non-zero size, all of one size;
+        a round of size 0 draws nothing and has zero noise. Online: one
+        Gaussian block per round gives every agent's noise.
         """
         if self.N is None:
             return _gaussian_noise(rngs, self.K, self.d1, self.d2, self.sigma, batch)
-        idx = np.stack([rng.integers(0, self.N, size=(self.K, batch))
-                        for rng in rngs])
+        batch = np.asarray(batch)
+        noise = np.zeros(batch.shape + (self.K, self.d1 + self.d2))
         rows = np.arange(self.K)[:, None]
-        return self.samples[rows, idx].mean(axis=-2) - self.c
+        # one replicate at a time, so the gathered samples are one
+        # replicate's (R, K, size, d1+d2) at most
+        for rng, sizes, out in zip(rngs, batch, noise):
+            drawn = sizes > 0
+            if drawn.any():
+                idx = rng.integers(0, self.N,
+                                   size=(drawn.sum(), self.K, sizes.max()))
+                out[drawn] = self.samples[rows, idx].mean(axis=-2) - self.c
+        return noise
 
 
 class SinPLProblem:
@@ -168,13 +178,16 @@ def _centroid_grads(problem, z_c):
 
 
 def _gaussian_noise(rngs, K, d1, d2, sigma, batch):
-    """Averaged noise of K fresh size-`batch` minibatches per generator, from
-    one (K, d1+d2) Gaussian block each; the x and y sides each have total
-    variance sigma^2 / batch. The block is drawn also when sigma = 0, so the
-    stream position does not depend on sigma."""
-    z = np.stack([rng.standard_normal((K, d1 + d2)) for rng in rngs])
+    """Averaged noise of K fresh minibatches per generator and round, of the
+    sizes in batch (S, R), from one (R, K, d1+d2) Gaussian block per
+    generator; the x and y sides each have total variance sigma^2 / size.
+    The block is drawn also when sigma = 0, so the stream position does not
+    depend on sigma."""
+    batch = np.asarray(batch)
+    z = np.stack([rng.standard_normal((batch.shape[1], K, d1 + d2))
+                  for rng in rngs])
     side = np.repeat([d1, d2], [d1, d2])
-    return z * (sigma / np.sqrt(side * np.asarray(batch)[..., None, None]))
+    return z * (sigma / np.sqrt(side * batch[..., None, None]))
 
 
 # -- constructors ---------------------------------------------------------

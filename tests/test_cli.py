@@ -72,6 +72,23 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
     assert err == "error: page_offline needs the local sample count N\n"
 
 
+def test_sweep_sets_key_in_null_section(tmp_path, capsys):
+    # a bare "diagnostics:" line loads as null, which run reads as the
+    # section's defaults; sweep sets the key in it the same way
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(CONFIG) + "diagnostics:\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "run")]) == 0
+    assert cli.main(["sweep", "--config", str(path), "--vary",
+                     "diagnostics.transform=true", "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    header, first = (out / "diagnostics.transform=True" / "seed_0.csv"
+                     ).read_text().splitlines()[:2]
+    row = dict(zip(header.split(","), first.split(",")))
+    assert row["ehat_x_sq"] and row["ehat_y_sq"]
+
+
 def test_verify_passes(capsys):
     assert cli.main(["verify"]) == 0
     assert "checks passed" in capsys.readouterr().out

@@ -12,10 +12,12 @@ from decminimax import (
     build_transform_bundle,
     init_engine,
     make_quadratic_problem,
+    make_sinpl_problem,
     mixing_for_topology,
     run_and_measure,
 )
-from decminimax.engine import COLUMNS, _advance
+from decminimax import engine
+from decminimax.engine import COLUMNS, _advance, _iterate_errors
 from decminimax.estimator import init_estimator
 
 from conftest import PaperRecursion, assert_close, random_connected_mixing, \
@@ -120,9 +122,9 @@ class TestStep:
         assert recorded[:err.round_index].all()
 
     def test_divergent_seed_leaves_batch(self, ring4_lazy):
-        # sigma puts the first rounds' largest entries near the cap: seeds 0
-        # and 5 stay below it, seed 4 passes it at round 1 and seeds 2 and 6
-        # at round 2, when seed 6 no longer sits at its first position
+        # sigma puts the first rounds' largest entries near the cap: seeds 1
+        # and 7 stay below it, seed 4 passes it at round 1 and seeds 2 and 5
+        # at round 2, when seed 5 no longer sits at its first position
         problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=7e13,
                                          seed=0)
         grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
@@ -133,11 +135,11 @@ class TestStep:
                                   seeds=seeds)
             return run_and_measure(config, problem, ops)
 
-        batch = run((0, 2, 4, 5, 6))
-        assert batch.ok_seeds == [0, 5]
+        batch = run((1, 2, 4, 5, 7))
+        assert batch.ok_seeds == [1, 7]
         assert {s: e.round_index for s, e in batch.failures.items()} == \
-            {2: 2, 4: 1, 6: 2}
-        for seed in (0, 2, 4, 5, 6):
+            {2: 2, 4: 1, 5: 2}
+        for seed in (1, 2, 4, 5, 7):
             alone = run((seed,))
             assert {s: str(e) for s, e in alone.failures.items()} == \
                 {s: str(e) for s, e in batch.failures.items() if s == seed}
@@ -248,7 +250,11 @@ class TestRunAndMeasure:
         for name, col in s1.columns.items():
             assert col.tobytes() == s2.columns[name].tobytes(), name
 
-    def test_two_gradient_blocks_per_round(self, ring8_lazy, monkeypatch):
+    @pytest.mark.parametrize("chunk_bytes", [engine.CHUNK_BYTES, 1],
+                             ids=["default_chunk", "one_row_chunk"])
+    def test_one_gradient_block_per_round_and_chunk(self, ring8_lazy,
+                                                    monkeypatch, chunk_bytes):
+        monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.5,
                                          seed=5)
         calls = []
@@ -258,16 +264,19 @@ class TestRunAndMeasure:
         grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
         ops = build_strategy(StrategyKind.ED, ring8_lazy)
         bundle = build_transform_bundle(ops, ring8_lazy)
-        extra = set()
-        for T in (10, 30):
-            calls.clear()
-            config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=T,
-                                  seeds=(0, 1, 2))
-            run_ok(config, problem, ops, bundle=bundle)
-            extra.add(len(calls) - 2 * T)
-        # per batched round, whatever the number of seeds: iterates and
-        # centroid, plus a constant
-        assert len(extra) == 1
+        for T in (10, 100):
+            totals = set()
+            for seeds in ((0,), (0, 1, 2)):
+                calls.clear()
+                config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace,
+                                      T=T, seeds=seeds)
+                run_ok(config, problem, ops, bundle=bundle)
+                rows = engine._chunk_rounds((len(seeds), 8, 5))
+                # the init, the iterates of each of the T+1 rows, and the
+                # centroids of each flushed chunk of rows
+                assert len(calls) == 1 + (T + 1) + -(-(T + 1) // rows)
+                totals.add(len(calls))
+            assert len(totals) == 1
 
     def test_row_count_and_round_column(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=8)
@@ -308,3 +317,98 @@ class TestRunAndMeasure:
                         x0=np.ones(3))
         consensus = series.columns["consensus_sq"][0]
         assert consensus[400] <= consensus[200]
+
+
+class TestChunks:
+    """Metrics are evaluated once per chunk of rounds and the draws are taken
+    a chunk at a time; neither may show in a seed's columns."""
+
+    @staticmethod
+    def assert_same(a, b):
+        assert {s: str(e) for s, e in a.failures.items()} == \
+            {s: str(e) for s, e in b.failures.items()}
+        assert a.columns.keys() == b.columns.keys()
+        for name, col in a.columns.items():
+            assert col.tobytes() == b.columns[name].tobytes(), name
+
+    @pytest.mark.parametrize("case", ["offline_diagnostics", "sinpl",
+                                      "failed_seeds"])
+    def test_columns_do_not_depend_on_chunk_size(self, ring4_lazy,
+                                                 monkeypatch, case):
+        ops = build_strategy(StrategyKind.ED, ring4_lazy)
+        bundle = None
+        if case == "offline_diagnostics":
+            problem = make_quadratic_problem(K=4, d1=3, d2=2, N=64,
+                                             sigma=0.5, seed=5)
+            grace = GraceParams(beta=0.1, p=0.2, b=4, b0=4)
+            bundle = build_transform_bundle(ops, ring4_lazy)
+            steps, T, seeds = (0.002, 0.01), 150, (3, 8, 9)
+        elif case == "sinpl":
+            problem = make_sinpl_problem(K=4, sigma=0.5, seed=2)
+            grace = GraceParams(beta=0.2, p=0.1, b=2, B_big=8, b0=4)
+            steps, T, seeds = (0.01, 0.01), 150, (1, 2)
+        else:
+            # the batch of test_divergent_seed_leaves_batch
+            problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None,
+                                             sigma=7e13, seed=0)
+            grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
+            steps, T, seeds = (0.01, 0.01), 3, (1, 2, 4, 5, 7)
+        config = EngineConfig(mu_x=steps[0], mu_y=steps[1], grace=grace, T=T,
+                              seeds=seeds)
+        default = run_and_measure(config, problem, ops, bundle=bundle)
+        monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+        one_row = run_and_measure(config, problem, ops, bundle=bundle)
+        assert (case == "failed_seeds") == bool(default.failures)
+        self.assert_same(default, one_row)
+
+    def test_late_failure_alone_matches_batch(self, ring4_lazy):
+        # seed 7 passes the cap at round 181, in the third chunk of rows
+        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=1e13,
+                                         seed=0)
+        grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
+        ops = build_strategy(StrategyKind.ED, ring4_lazy)
+
+        def run(seeds):
+            config = EngineConfig(mu_x=0.01, mu_y=0.01, grace=grace, T=200,
+                                  seeds=seeds)
+            return run_and_measure(config, problem, ops)
+
+        batch = run((5, 6, 7))
+        assert engine._chunk_rounds((3, 4, 3)) < 181
+        assert {s: e.round_index for s, e in batch.failures.items()} == \
+            {7: 181}
+        recorded = np.isfinite(batch.columns["consensus_sq"][2])
+        assert recorded.sum() == 181 and recorded[:181].all()
+        assert (batch.columns["samples_used"][2, 181:] == -1).all()
+        for row, seed in enumerate(batch.seeds):
+            alone = run((seed,))
+            assert {s: str(e) for s, e in alone.failures.items()} == \
+                {s: str(e) for s, e in batch.failures.items() if s == seed}
+            for name, col in alone.columns.items():
+                assert col[0].tobytes() == batch.columns[name][row].tobytes(), \
+                    (seed, name)
+
+    @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
+    def test_rows_are_prefix_of_longer_run(self, ring8_lazy, N):
+        problem = make_quadratic_problem(K=8, d1=3, d2=2, N=N, sigma=0.5,
+                                         seed=5)
+        grace = GraceParams(beta=0.1, p=0.2, b=2, B_big=16, b0=4)
+        ops = build_strategy(StrategyKind.EXTRA, ring8_lazy)
+        bundle = build_transform_bundle(ops, ring8_lazy)
+        short, long = (
+            run_ok(EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=T,
+                                seeds=(0, 1, 2)), problem, ops, bundle=bundle)
+            for T in (100, 200))
+        for name, col in short.columns.items():
+            assert col.tobytes() == long.columns[name][:, :101].tobytes(), name
+
+    def test_iterate_errors_catch_nan_in_dual_only(self, quad_problem):
+        config = EngineConfig(mu_x=0.01, mu_y=0.01,
+                              grace=GraceParams(beta=0, p=1, b0=4), T=10,
+                              seeds=(0, 1))
+        state = init_engine(config, quad_problem)
+        assert _iterate_errors(state) == {}
+        state.D[1, 3, 2] = np.nan
+        errors = _iterate_errors(state)
+        assert list(errors) == [1]
+        assert str(errors[1]) == "non-finite iterate at round 0"

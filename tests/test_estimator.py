@@ -16,9 +16,9 @@ from decminimax import (
 from conftest import assert_close, update_checked
 
 
-def replicate_stream(seed):
-    """The replicate's one stream, rebuilt as the estimator documents it."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+def noise_stream(seed):
+    """The replicate's noise stream, rebuilt as the estimator documents it."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
 
 
 def grace_of(mode, **spec):
@@ -90,7 +90,7 @@ class TestInit:
                                          seed=1)
         state = init_estimator(problem, GraceParams(beta=1, p=0, b0=1),
                                seeds=(0,), Z0=start_block(problem))
-        err, _ = estimator_error(state)
+        err, _ = estimator_error(state.M - state.G)
         assert err[0] <= 1e-24
 
     def test_offline_init_matches_logged_indices(self):
@@ -99,8 +99,9 @@ class TestInit:
         Z = start_block(problem)
         state = init_estimator(problem, GraceParams(beta=0, p=0.5, b0=4),
                                seeds=(7,), Z0=Z)
-        # recompute by hand: the init's only draw is a (K, b0) index block
-        idx = replicate_stream(7).integers(0, 8, size=(problem.K, 4))
+        # recompute by hand: the init's only draw is a (K, b0) index block,
+        # the first draw of the noise stream
+        idx = noise_stream(7).integers(0, 8, size=(problem.K, 4))
         X, Y = Z[..., :1], Z[..., 1:]
         for k in range(problem.K):
             gx = problem.Q[k] @ X[0, k] + problem.R[k] @ Y[0, k] \
@@ -135,7 +136,7 @@ class TestUpdate:
         for _ in range(5):
             update_checked(state, params, Z + rng.standard_normal(Z.shape),
                            quad_problem)
-            err, err_avg = estimator_error(state)
+            err, err_avg = estimator_error(state.M - state.G)
             assert err[0] == 0.0
             assert err_avg[0] == 0.0
 
@@ -147,7 +148,7 @@ class TestUpdate:
         state = init_estimator(problem, params, (0,), Z)
         Zc = Z + np.repeat([1.0, -1.0], 2)
         update_checked(state, params, Zc, problem)
-        err, _ = estimator_error(state)
+        err, _ = estimator_error(state.M - state.G)
         assert err[0] <= 1e-24
 
     def test_sarah_hand_example(self):
@@ -197,6 +198,18 @@ class TestUpdate:
         assert_close(state.M[..., 3:], (M - G + H)[..., 3:], 1e-12,
                      "y recursion")
 
+    def test_offline_refresh_draws_nothing(self, quad_problem):
+        Z = start_block(quad_problem)
+        params = GraceParams(beta=0.0, p=1.0, b=2, b0=4)
+        state = init_estimator(quad_problem, params, (3,), Z)
+        for _ in range(5):
+            update_checked(state, params, Z, quad_problem)
+        # every round refreshed, so the noise stream has given only the
+        # init's (K, b0) index block
+        ref = noise_stream(3)
+        ref.integers(0, quad_problem.N, size=(quad_problem.K, 4))
+        assert state.noise_rngs[0].random() == ref.random()
+
     def test_initial_variance_monotone_in_b0(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=256, sigma=1.0,
                                          seed=9)
@@ -205,7 +218,7 @@ class TestUpdate:
             state = init_estimator(problem, GraceParams(beta=0, p=0, b0=b0),
                                    seeds=range(32),
                                    Z0=start_block(problem, S=32))
-            err, _ = estimator_error(state)
+            err, _ = estimator_error(state.M - state.G)
             means.append(np.mean(err))
         # variance shrinks roughly like 1/b0; allow 2x statistical slack
         assert means[1] <= 2.0 * means[0]

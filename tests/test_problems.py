@@ -152,41 +152,59 @@ class TestSinPL:
     def test_online_only(self):
         problem = make_sinpl_problem(K=2, sigma=0.5, seed=0)
         assert problem.N is None
-        noise = problem.batch_noise([np.random.default_rng(0)], 4)
-        assert noise.shape == (1, 2, 2)
+        noise = problem.batch_noise([np.random.default_rng(0)], [[4]])
+        assert noise.shape == (1, 1, 2, 2)
 
 
 class TestBatchNoise:
     def test_offline_gathers_one_index_block(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5,
                                          seed=2)
-        noise = problem.batch_noise([np.random.default_rng(1)], 5)
-        idx = np.random.default_rng(1).integers(0, 8, size=(3, 5))
-        for k in range(3):
-            assert_close(noise[0, k, :2],
-                         problem.samples[k, idx[k], :2].mean(axis=0)
-                         - problem.a[k], 1e-15, f"agent {k} a noise")
-            assert_close(noise[0, k, 2:],
-                         problem.samples[k, idx[k], 2:].mean(axis=0)
-                         - problem.b[k], 1e-15, f"agent {k} b noise")
+        # rounds of size 5, 0 and 5: the size-0 round draws nothing
+        noise = problem.batch_noise([np.random.default_rng(1)], [[5, 0, 5]])
+        assert not noise[0, 1].any()
+        ref = np.random.default_rng(1)
+        for r in (0, 2):
+            idx = ref.integers(0, 8, size=(3, 5))
+            for k in range(3):
+                assert_close(noise[0, r, k, :2],
+                             problem.samples[k, idx[k], :2].mean(axis=0)
+                             - problem.a[k], 1e-15, f"round {r} agent {k} a")
+                assert_close(noise[0, r, k, 2:],
+                             problem.samples[k, idx[k], 2:].mean(axis=0)
+                             - problem.b[k], 1e-15, f"round {r} agent {k} b")
 
     @pytest.mark.parametrize("N", [8, None])
     def test_batch_matches_each_generator(self, N):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=N, sigma=0.5,
                                          seed=2)
+        sizes = np.full((4, 2), 5)
         batch = problem.batch_noise(
-            [np.random.default_rng(s) for s in range(4)], 5)
+            [np.random.default_rng(s) for s in range(4)], sizes)
         for s in range(4):
-            one = problem.batch_noise([np.random.default_rng(s)], 5)
+            one = problem.batch_noise([np.random.default_rng(s)], sizes[:1])
             assert batch[s].tobytes() == one[0].tobytes()
+
+    @pytest.mark.parametrize("N", [7, 1000, None])
+    def test_rounds_match_rounds_drawn_one_at_a_time(self, N):
+        # K * b = 15 is odd: a 32-bit index draw must not leave half of a
+        # 64-bit word behind at the end of a call
+        problem = make_quadratic_problem(K=3, d1=2, d2=1, N=N, sigma=0.5,
+                                         seed=2)
+        sizes = [[5, 0, 5, 5, 0, 5, 5]] if N else [[5, 2, 5, 9, 5, 1, 5]]
+        chunk = problem.batch_noise([np.random.default_rng(3)], sizes)
+        rng = np.random.default_rng(3)
+        for r, size in enumerate(sizes[0]):
+            one = problem.batch_noise([rng], [[size]])
+            assert chunk[0, r].tobytes() == one[0, 0].tobytes(), r
 
     def test_online_draws_one_block_even_without_noise(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=None, sigma=0.0,
                                          seed=2)
         rng = np.random.default_rng(1)
-        noise = problem.batch_noise([rng], 5)
+        noise = problem.batch_noise([rng], [[5]])
         assert not noise.any()
-        assert noise.shape == (1, 3, 3)
+        assert noise.shape == (1, 1, 3, 3)
         ref = np.random.default_rng(1)
         ref.standard_normal((3, 3))
         assert rng.random() == ref.random()
