@@ -13,7 +13,7 @@ from .errors import ConfigError, DegenerateModeError, DivergenceError, \
 from .estimator import GraceParams, GraceState, estimator_error, \
     init_estimator, update_estimator
 from .harness import RunConfig, config_from_dict, load_config, \
-    run_experiment, sweep, verify_invariants, write_outputs
+    run_experiment, sweep, write_outputs
 from .mixing import MixingMatrix, Topology, build_graph, eigh_symmetric, \
     metropolis_weights, mixing_for_topology
 from .problems import ProblemConstants, QuadraticMinimaxProblem, \
@@ -23,7 +23,7 @@ from .schedules import ScheduleMode, ScheduleSpec, TheoremConstants, \
     schedule_for_mode, shrink_to_valid, theorem_constants, \
     validate_conditions
 from .strategies import SQRT_STRATEGIES, StrategyKind, StrategyOps, \
-    build_strategy, verify_strategy_assumptions
+    build_strategy
 from .transform import TransformBundle, build_transform_bundle, \
     check_consensus_bound, coupled_error_norms
 

@@ -3,7 +3,6 @@
 Subcommands:
   run       execute one experiment config and write CSV/JSON outputs
   sweep     rerun a config with one dotted key set to each listed value
-  verify    run the cross-module invariant suite (nonzero exit on failure)
   schedule  print resolved hyperparameters for a schedule mode as JSON
 
 A rejected config (a config file that cannot be read or parsed, a bad
@@ -15,26 +14,16 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .errors import ConfigError, DegenerateModeError, NotPSDError
 from .harness import load_config, run_experiment, sweep as run_sweep, \
-    verify_invariants, write_outputs, _parse_value
+    write_outputs, _parse_value
 from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
 
 def _cmd_run(args):
     config = load_config(args.config)
     result = run_experiment(config)
-    files = write_outputs(result, args.out)
-    if args.dump_mixing:
-        from pathlib import Path
-        path = Path(args.out) / "mixing.csv"
-        with path.open("w") as fh:
-            for row in result.mixing.W:
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-        files.append(path)
-    for f in files:
+    for f in write_outputs(result, args.out):
         print(f)
     if result.failures:
         print(f"warning: {len(result.failures)} seed(s) diverged "
@@ -52,13 +41,6 @@ def _cmd_sweep(args):
         avg = result.summary["avg_stationarity"]["mean"]
         print(f"{key}={value}: avg_stationarity={avg:.6e}")
     return 0
-
-
-def _cmd_verify(args):
-    checks = verify_invariants(verbose=True)
-    failed = [name for name, ok, _ in checks if not ok]
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
-    return 1 if failed else 0
 
 
 def _cmd_schedule(args):
@@ -90,8 +72,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--dump-mixing", action="store_true",
-                       help="also write the mixing matrix as CSV")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="vary one config key")
@@ -100,9 +80,6 @@ def main(argv=None) -> int:
                          help="dotted key and values, e.g. schedule.mu_y=0.01,0.1")
     p_sweep.add_argument("--out", default="sweep_out")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_sched = sub.add_parser("schedule", help="resolve schedule parameters")
     p_sched.add_argument("--mode", required=True,

@@ -20,9 +20,10 @@ draws are taken a chunk of rounds at a time: one switch call per
 replicate gives the chunk's refresh flags, then one batch_noise call
 gives its noise, one block for all K agents per round (none on an
 offline refresh). A chunk's draws equal the same rounds drawn one by one,
-so they do not depend on the chunk size. One masked array step per round
-then applies each replicate's branch, so a replicate's numbers do not
-depend on the other replicates in its batch.
+so they do not depend on the chunk size. One array step per round forms
+every replicate's recursion, and the replicates that refresh take their
+fresh estimate instead, so a replicate's numbers do not depend on the
+other replicates in its batch.
 """
 
 from dataclasses import dataclass
@@ -133,12 +134,15 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
     state.drawn = r + 1
     refresh, noise = state.refresh[:, r], state.noise[:, r]
     g = problem.exact_grads_block(Z)
-    fresh = g if problem.N is not None else g + noise
+    # an offline refresh draws nothing, so its noise is zero and its fresh
+    # estimate the exact gradient
+    fresh = g + noise
     # the same minibatch enters the prev and cur evaluations, so its noise
     # survives with weight beta only
-    state.M = np.where(refresh[:, None, None], fresh,
-                       (1.0 - params.beta) * (state.M - (state.G + noise))
-                       + (g + noise))
+    M = (1.0 - params.beta) * (state.M - (state.G + noise)) + fresh
+    if refresh.any():
+        M[refresh] = fresh[refresh]
+    state.M = M
     state.samples_used = state.samples_used + state.used[:, r]
     state.G = g
     if np.isfinite(state.M).all():

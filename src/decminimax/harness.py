@@ -27,8 +27,7 @@ from .mixing import MixingMatrix, Topology, mixing_for_topology
 from .problems import make_quadratic_problem, make_sinpl_problem
 from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode, \
     shrink_to_valid, validate_conditions
-from .strategies import SQRT_STRATEGIES, StrategyKind, build_strategy, \
-    verify_strategy_assumptions
+from .strategies import SQRT_STRATEGIES, StrategyKind, build_strategy
 from .transform import build_transform_bundle
 
 CSV_HEADER = ["round", *COLUMNS]
@@ -252,7 +251,7 @@ def build_problem(config: RunConfig):
 
 def build_mixing(config: RunConfig) -> MixingMatrix:
     t = config.topology
-    topo = Topology(kind=t["kind"], K=int(t["K"]), edge_prob=t["edge_prob"],
+    topo = Topology(kind=t["kind"], K=t["K"], edge_prob=t["edge_prob"],
                     seed=t["seed"])
     return mixing_for_topology(topo, lazy=t["lazy"])
 
@@ -265,12 +264,9 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
     if s["mode"] == "explicit":
         if s["mu_x"] is None or s["mu_y"] is None:
             raise ConfigError("explicit schedule needs mu_x and mu_y")
-        grace = GraceParams(
-            beta=float(s["beta"]), p=float(s["p"]), b=int(s["b"]),
-            B_big=None if s["B_big"] is None else int(s["B_big"]),
-            b0=int(s["b0"]),
-        )
-        mu_x, mu_y = float(s["mu_x"]), float(s["mu_y"])
+        grace = GraceParams(beta=s["beta"], p=s["p"], b=s["b"],
+                            B_big=s["B_big"], b0=s["b0"])
+        mu_x, mu_y = s["mu_x"], s["mu_y"]
     else:
         spec = ScheduleSpec(
             mode=ScheduleMode(s["mode"]), T=config.T, K=problem.K,
@@ -444,62 +440,3 @@ def sweep(config_path, dotted_key: str, values, out_root) -> list:
         write_outputs(result, Path(out_root) / f"{dotted_key}={tag}")
         results.append(result)
     return results
-
-
-# -- invariant suite -------------------------------------------------------
-
-
-def verify_invariants(verbose: bool = False) -> list:
-    """Quick cross-module invariant checks; returns [(name, ok, detail)]."""
-    from .engine import _advance, init_engine
-    from .estimator import update_estimator
-
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append((name, bool(ok), detail))
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}" +
-                  (f" ({detail})" if detail else ""))
-
-    # mixing invariants on a few topologies
-    for kind, K in (("ring", 8), ("star", 6), ("complete", 5)):
-        mix = mixing_for_topology(Topology(kind=kind, K=K), lazy=True)
-        sym = float(np.max(np.abs(mix.W - mix.W.T)))
-        rows = float(np.max(np.abs(mix.W.sum(axis=1) - 1.0)))
-        top = float(np.max(np.abs(mix.W @ np.ones(K) - np.ones(K))))
-        check(f"mixing {kind} K={K} symmetric/stochastic",
-              sym <= 1e-12 and rows <= 1e-12 and top <= 1e-12,
-              f"sym={sym:.1e} rows={rows:.1e}")
-    # strategy residuals
-    mix = mixing_for_topology(Topology(kind="ring", K=8), lazy=True)
-    for kind in StrategyKind:
-        ops = build_strategy(kind, mix)
-        report = verify_strategy_assumptions(ops)
-        check(f"strategy {kind.value} null-space residuals", report.passed)
-        bundle = build_transform_bundle(ops, mix)
-        P = bundle.block_P()
-        res = float(np.linalg.norm(
-            P - bundle.Q @ bundle.T_mat @ bundle.Q_inv))
-        check(f"transform {kind.value} similarity residual",
-              res <= 1e-8 and bundle.rho < 1.0,
-              f"res={res:.1e} rho={bundle.rho:.3f}")
-    # engine centroid identity over a short run, as a batch of one
-    problem = make_quadratic_problem(K=8, d1=3, d2=2, N=64, sigma=0.5, seed=3)
-    grace = GraceParams(beta=0.2, p=0.1, b=4, b0=4)
-    for kind in StrategyKind:
-        ops = build_strategy(kind, mix)
-        config = EngineConfig(mu_x=1e-3, mu_y=1e-3, grace=grace, T=50,
-                              seeds=(1,))
-        mu = config.signed_step(problem.d1, problem.d2)
-        state = init_engine(config, problem)
-        worst = 0.0
-        for _ in range(50):
-            update_estimator(state.grace, grace, state.Z, problem)
-            expected = state.Z.mean(axis=1) - mu * state.grace.M.mean(axis=1)
-            _advance(state, mu, ops)
-            worst = max(worst, float(np.max(np.abs(
-                state.Z.mean(axis=1) - expected))))
-        check(f"engine {kind.value} centroid identity", worst <= 1e-10,
-              f"residual={worst:.1e}")
-    return checks

@@ -89,15 +89,13 @@ def build_graph(topo: Topology) -> list[list[int]]:
         edges = {(0, i) for i in range(1, K)}
     else:  # random
         seed = topo.seed if topo.seed is not None else 0
+        # the pairs i < j in row order, one uniform draw each
+        rows, cols = np.triu_indices(K, 1)
         while True:
             rng = np.random.default_rng(seed)
-            edges = {
-                (i, j)
-                for i in range(K)
-                for j in range(i + 1, K)
-                if rng.random() < topo.edge_prob
-            }
-            adj = _edges_to_adj(K, edges)
+            hit = rng.random(rows.size) < topo.edge_prob
+            adj = _edges_to_adj(K, set(zip(rows[hit].tolist(),
+                                           cols[hit].tolist())))
             if _is_connected(adj):
                 return adj
             seed += 1

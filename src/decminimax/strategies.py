@@ -79,26 +79,3 @@ def build_strategy(kind: StrategyKind, mixing: MixingMatrix) -> StrategyOps:
     gap = np.eye(W.shape[0]) - W
     return StrategyOps(kind=kind, A=_power(W, pow_a),
                        B2=gap if sqrt_b else gap @ gap, C=_power(W, pow_c))
-
-
-@dataclass(frozen=True)
-class StrategyReport:
-    res_A_ones: float
-    res_C_ones: float
-    res_ones_B2: float
-    passed: bool
-
-
-def verify_strategy_assumptions(ops: StrategyOps,
-                                tol: float = 1e-10) -> StrategyReport:
-    """Residuals of A*1 = 1, C*1 = 1 and 1^T B^2 = 0."""
-    ones = np.ones(ops.A.shape[0])
-    res_a = float(np.max(np.abs(ops.A @ ones - ones)))
-    res_c = float(np.max(np.abs(ops.C @ ones - ones)))
-    res_b2 = float(np.max(np.abs(ones @ ops.B2)))
-    return StrategyReport(
-        res_A_ones=res_a,
-        res_C_ones=res_c,
-        res_ones_B2=res_b2,
-        passed=max(res_a, res_c, res_b2) <= tol,
-    )

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,28 @@ def random_connected_mixing(rng, K, lazy=True):
 def assert_close(a, b, tol, label=""):
     err = float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
     assert err <= tol, f"{label} residual {err:.3e} > {tol:g}"
+
+
+@dataclass(frozen=True)
+class StrategyReport:
+    res_A_ones: float
+    res_C_ones: float
+    res_ones_B2: float
+    passed: bool
+
+
+def verify_strategy_assumptions(ops, tol: float = 1e-10) -> StrategyReport:
+    """Residuals of A*1 = 1, C*1 = 1 and 1^T B^2 = 0."""
+    ones = np.ones(ops.A.shape[0])
+    res_a = float(np.max(np.abs(ops.A @ ones - ones)))
+    res_c = float(np.max(np.abs(ops.C @ ones - ones)))
+    res_b2 = float(np.max(np.abs(ones @ ops.B2)))
+    return StrategyReport(
+        res_A_ones=res_a,
+        res_C_ones=res_c,
+        res_ones_B2=res_b2,
+        passed=max(res_a, res_c, res_b2) <= tol,
+    )
 
 
 def update_checked(state, params, Z, problem):

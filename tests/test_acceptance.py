@@ -24,14 +24,14 @@ from decminimax import (
     mixing_for_topology,
     run_experiment,
     shrink_to_valid,
-    verify_strategy_assumptions,
     write_outputs,
 )
 from decminimax.engine import _advance
 from decminimax.estimator import init_estimator
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
-from conftest import ascent_maximizer, run_ok, step, update_checked
+from conftest import ascent_maximizer, run_ok, step, update_checked, \
+    verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
 CLOSED_FORM_KINDS = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)

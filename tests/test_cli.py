@@ -1,5 +1,6 @@
 import json
 
+import pytest
 import yaml
 
 from decminimax import cli
@@ -89,9 +90,17 @@ def test_sweep_sets_key_in_null_section(tmp_path, capsys):
     assert row["ehat_x_sq"] and row["ehat_y_sq"]
 
 
-def test_verify_passes(capsys):
-    assert cli.main(["verify"]) == 0
-    assert "checks passed" in capsys.readouterr().out
+def test_removed_options_are_usage_errors(tmp_path, capsys):
+    # there is no verify subcommand and no run --dump-mixing flag
+    out = tmp_path / "out"
+    for argv in (["verify"],
+                 ["run", "--config", write_config(tmp_path, CONFIG),
+                  "--out", str(out), "--dump-mixing"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.startswith("usage: decminimax"), argv
+    assert not out.exists()
 
 
 def test_schedule_prints_preset(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import decminimax
 from decminimax import ConfigError, config_from_dict, load_config, \
-    run_experiment, verify_invariants, write_outputs
+    run_experiment, write_outputs
 from decminimax import harness
 from decminimax.engine import COLUMNS
 from decminimax.harness import CSV_HEADER, sweep
@@ -319,10 +319,3 @@ class TestBenchmarkContract:
         assert capsys.readouterr().out == ""
         metrics = layertrace.layer_metrics(tr, 3 * len(raw["seeds"]))
         assert [k for k, v in metrics.items() if v is None] == []
-
-
-class TestVerifySuite:
-    def test_all_invariants_pass(self):
-        checks = verify_invariants()
-        failed = [name for name, ok, detail in checks if not ok]
-        assert not failed, failed

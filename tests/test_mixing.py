@@ -23,6 +23,34 @@ def edges_of(adj):
     return {(min(a, b), max(a, b)) for a, ns in enumerate(adj) for b in ns}
 
 
+def reachable(adj):
+    """The nodes a walk from node 0 reaches."""
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def loop_random_edges(K, edge_prob, seed):
+    """The random topology drawn one pair at a time, as a reference: one
+    uniform draw per pair i < j in row order, redrawn from seed + 1 until
+    the graph is connected. Returns the edges and the seed that gave them."""
+    while True:
+        rng = np.random.default_rng(seed)
+        edges = {(i, j) for i in range(K) for j in range(i + 1, K)
+                 if rng.random() < edge_prob}
+        adj = [[] for _ in range(K)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        if len(reachable(adj)) == K:
+            return edges, seed
+        seed += 1
+
+
 class TestBuildGraph:
     def test_ring4_edges(self):
         adj = build_graph(Topology(kind="ring", K=4))
@@ -53,14 +81,18 @@ class TestBuildGraph:
     @settings(max_examples=30, deadline=None)
     def test_random_always_connected(self, seed, K):
         adj = build_graph(Topology(kind="random", K=K, edge_prob=0.2, seed=seed))
-        # walk from node 0
-        seen, stack = {0}, [0]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        assert len(seen) == K
+        assert len(reachable(adj)) == K
+
+    @pytest.mark.parametrize("K, edge_prob, seed, used_seed", [
+        (5, 0.4, 0, 2), (6, 0.3, 0, 2), (17, 0.3, 9, 9), (64, 0.1, 123, 123)])
+    def test_random_matches_pairwise_draws(self, K, edge_prob, seed,
+                                           used_seed):
+        edges, used = loop_random_edges(K, edge_prob, seed)
+        assert used == used_seed  # the first two need retries
+        adj = build_graph(Topology(kind="random", K=K, edge_prob=edge_prob,
+                                   seed=seed))
+        assert edges_of(adj) == edges
+        assert all(type(v) is int for ns in adj for v in ns)
 
 
 class TestMetropolisWeights:
@@ -84,6 +116,14 @@ class TestMetropolisWeights:
     def test_disconnected_rejected(self):
         with pytest.raises(ConfigError):
             metropolis_weights([[1], [0], [3], [2]])
+
+    @pytest.mark.parametrize("kind, K", [("ring", 8), ("star", 6),
+                                         ("complete", 5)])
+    def test_named_topology_invariants(self, kind, K):
+        W = mixing_for_topology(Topology(kind=kind, K=K), lazy=True).W
+        assert_close(W, W.T, 1e-12, "symmetry")
+        assert_close(W.sum(axis=1), np.ones(K), 1e-12, "row sums")
+        assert_close(W @ np.ones(K), np.ones(K), 1e-12, "W 1 = 1")
 
     @given(seed=st.integers(0, 10**6), K=st.integers(2, 12),
            lazy=st.booleans())

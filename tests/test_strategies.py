@@ -8,10 +8,10 @@ from decminimax import (
     Topology,
     build_strategy,
     mixing_for_topology,
-    verify_strategy_assumptions,
 )
 
-from conftest import assert_close, random_connected_mixing
+from conftest import assert_close, random_connected_mixing, \
+    verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
 

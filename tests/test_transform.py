@@ -204,6 +204,9 @@ class TestBundleConstants:
             bundle = build_transform_bundle(build_strategy(kind, ring8_lazy),
                                             ring8_lazy)
             assert bundle.rho < 1.0
+            res = np.linalg.norm(
+                bundle.block_P() - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
+            assert res <= 1e-8, kind
 
     def test_uhat_diagonalizes_W(self, ring8_lazy):
         bundle = build_transform_bundle(
