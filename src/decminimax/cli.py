@@ -13,6 +13,7 @@ prints "error: <message>" to stderr and exits with status 2.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .errors import ConfigError, DegenerateModeError, NotPSDError
 from .harness import load_config, run_experiment, sweep as run_sweep, \
@@ -48,17 +49,8 @@ def _cmd_schedule(args):
     spec = ScheduleSpec(mode=mode, T=args.T, K=args.K, kappa=args.kappa,
                         N=args.N, lam=args.lam)
     mu_x, mu_y, grace = schedule_for_mode(spec)
-    print(json.dumps({
-        "mode": mode.value,
-        "mu_x": mu_x,
-        "mu_y": mu_y,
-        "beta": grace.beta,
-        "p": grace.p,
-        "b": grace.b,
-        "B_big": grace.B_big,
-        "b0": grace.b0,
-        "beta_bar": grace.beta_bar,
-    }, indent=2))
+    print(json.dumps({"mode": mode.value, "mu_x": mu_x, "mu_y": mu_y,
+                      **asdict(grace), "beta_bar": grace.beta_bar}, indent=2))
     return 0
 
 

@@ -82,7 +82,10 @@ def init_estimator(problem, params: GraceParams, seeds,
                    Z0: np.ndarray) -> GraceState:
     """Initial estimates from a size-b0 minibatch at the start iterates
     Z0 (S, K, d1+d2), one replicate per seed. The b0 draw is the first of
-    the replicate's noise stream."""
+    the replicate's noise stream. An online problem that may refresh
+    (p > 0) needs the refresh batch size B_big."""
+    if problem.N is None and params.p > 0 and params.B_big is None:
+        raise ConfigError("online refresh branch needs B_big")
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
     switch = [np.random.default_rng(s) for s, _ in streams]
     noise = [np.random.default_rng(n) for _, n in streams]
@@ -108,8 +111,6 @@ def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
         state.used = np.where(refresh, problem.N, params.b)
         batch = np.where(refresh, 0, params.b)
     else:
-        if params.B_big is None and refresh.any():
-            raise ConfigError("online refresh branch needs B_big")
         state.used = batch = np.where(refresh, params.B_big or 0, params.b)
     state.refresh = refresh
     state.noise = problem.batch_noise(state.noise_rngs, batch)

@@ -1,7 +1,8 @@
 """Configuration loading, experiment orchestration, and persistence.
 
-A run is described by one YAML file (strict schema: unknown keys are
-rejected, and malformed values raise ConfigError before any seed runs).
+A run is described by one YAML file. The table _SCHEMA holds one row per
+key: its default, type and minimum. Unknown keys are rejected, and
+malformed values raise ConfigError before any seed runs.
 All seeds of a config run as one engine batch, in ascending seed order.
 A seed's random stream depends on its seed alone and the engine treats
 each replicate's slice on its own, so its CSV is byte-identical whether
@@ -14,8 +15,9 @@ import json
 import math
 import numbers
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -32,61 +34,42 @@ from .transform import build_transform_bundle
 
 CSV_HEADER = ["round", *COLUMNS]
 
-# schema: section -> {key: default}; _REQUIRED marks keys without defaults
-_REQUIRED = object()
+_REQUIRED = object()  # the default of a key that has none
+
+
+class _Key(NamedTuple):
+    """A config key's default and type: an int, float or bool value is
+    checked by _typed against minimum, and a key of type None is checked
+    by config_from_dict. A key whose default is None may also be null."""
+    default: object
+    kind: type | None = None
+    minimum: float | None = None
+
+
+# the config's keys: section -> {key: row}, or top-level key -> row
 _SCHEMA = {
-    "topology": {"kind": "ring", "K": _REQUIRED, "edge_prob": None,
-                 "seed": None, "lazy": None},
-    "strategy": _REQUIRED,
-    "problem": {"kind": "quadratic", "d1": 2, "d2": 2, "N": None,
-                "sigma": 0.0, "seed": 0, "nu_target": 0.5, "hetero": 1.0,
-                "r_scale": 0.3, "q_spread": 1.0, "s_spread": 0.5,
-                "zero_mean_linear": False},
-    "schedule": {"mode": "explicit", "mu_x": None, "mu_y": None,
-                 "beta": 0.0, "p": 0.0, "b": 1, "B_big": None, "b0": 1,
-                 "c_mu": 1.0, "c_beta": 1.0, "c_p": 1.0, "c_b": 1.0,
-                 "shrink_to_valid": False},
-    "T": _REQUIRED,
-    "seeds": [0],
-    "x0": None,
-    "y0": None,
-    "diagnostics": {"transform": False},
+    "topology": {"kind": _Key("ring"), "K": _Key(_REQUIRED, int, 1),
+                 "edge_prob": _Key(None, float), "seed": _Key(None, int, 0),
+                 "lazy": _Key(None, bool)},
+    "strategy": _Key(_REQUIRED),
+    "problem": {"kind": _Key("quadratic"), "d1": _Key(2, int, 1),
+                "d2": _Key(2, int, 1), "N": _Key(None, int, 1),
+                "sigma": _Key(0.0, float, 0.0), "seed": _Key(0, int, 0),
+                "nu_target": _Key(0.5, float), "hetero": _Key(1.0, float),
+                "r_scale": _Key(0.3, float), "q_spread": _Key(1.0, float),
+                "s_spread": _Key(0.5, float),
+                "zero_mean_linear": _Key(False, bool)},
+    "schedule": {"mode": _Key("explicit"), "mu_x": _Key(None, float),
+                 "mu_y": _Key(None, float), "beta": _Key(0.0, float),
+                 "p": _Key(0.0, float), "b": _Key(1, int, 1),
+                 "B_big": _Key(None, int, 1), "b0": _Key(1, int, 1),
+                 "c_mu": _Key(1.0, float), "c_beta": _Key(1.0, float),
+                 "c_p": _Key(1.0, float), "c_b": _Key(1.0, float),
+                 "shrink_to_valid": _Key(False, bool)},
+    "T": _Key(_REQUIRED, int, 1), "seeds": _Key([0]),
+    "x0": _Key(None), "y0": _Key(None),
+    "diagnostics": {"transform": _Key(False, bool)},
 }
-# numeric values: "section.key" -> (int or float, minimum or None); a key
-# whose default is None may also be null
-_NUMBERS = {
-    "topology.K": (int, 1), "topology.seed": (int, 0),
-    "topology.edge_prob": (float, None),
-    "problem.d1": (int, 1), "problem.d2": (int, 1), "problem.N": (int, 1),
-    "problem.sigma": (float, 0.0), "problem.seed": (int, 0),
-    **{f"problem.{k}": (float, None)
-       for k in ("nu_target", "hetero", "r_scale", "q_spread", "s_spread")},
-    **{f"schedule.{k}": (float, None)
-       for k in ("mu_x", "mu_y", "beta", "p", "c_mu", "c_beta", "c_p", "c_b")},
-    **{f"schedule.{k}": (int, 1) for k in ("b", "B_big", "b0")},
-}
-# true/false values; topology.lazy may also be null
-_BOOLEANS = ("topology.lazy", "problem.zero_mean_linear",
-             "schedule.shrink_to_valid", "diagnostics.transform")
-
-
-def _merge_section(name, schema, given):
-    if given is None:
-        given = {}
-    if not isinstance(given, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    unknown = set(given) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown, key=str)}")
-    out = {}
-    for key, default in schema.items():
-        if key in given:
-            out[key] = given[key]
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required key {name!r}.{key!r}")
-        else:
-            out[key] = default
-    return out
 
 
 @dataclass(frozen=True)
@@ -102,22 +85,17 @@ class RunConfig:
     diagnostics: dict
 
     def resolved(self) -> dict:
-        return {
-            "topology": dict(self.topology),
-            "strategy": self.strategy.value,
-            "problem": dict(self.problem),
-            "schedule": dict(self.schedule),
-            "T": self.T,
-            "seeds": list(self.seeds),
-            "x0": None if self.x0 is None else list(self.x0),
-            "y0": None if self.y0 is None else list(self.y0),
-            "diagnostics": dict(self.diagnostics),
-        }
+        return {**asdict(self), "strategy": self.strategy.value}
 
 
-def _number(name, value, kind, minimum=None):
-    """value as an int (an integral float passes) or a finite float, no
-    smaller than minimum; anything else is rejected."""
+def _typed(name, value, kind, minimum=None):
+    """value as kind: true or false for bool, an int (an integral float
+    passes) or a finite float no smaller than minimum for a number;
+    anything else is rejected."""
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        return value
     if kind is int:
         if isinstance(value, float) and value.is_integer():
             value = int(value)
@@ -146,49 +124,52 @@ def _point(name, value, dim):
     if not isinstance(value, (list, tuple)) or len(value) != dim:
         raise ConfigError(f"{name!r} must be a list of {dim} numbers, "
                           f"got {value!r}")
-    return tuple(_number(f"each entry of {name!r}", v, float) for v in value)
+    return tuple(_typed(f"each entry of {name!r}", v, float) for v in value)
+
+
+def _filled(name, table, given):
+    """given filled from table: each value checked against its key's row,
+    a missing one set to the row's default, a section (null: empty) filled
+    the same way. name is the section's dotted name, None at the root."""
+    if given is None and name is not None:
+        given = {}
+    if not isinstance(given, dict):
+        raise ConfigError("config root must be a mapping" if name is None
+                          else f"section {name!r} must be a mapping")
+    unknown = set(given) - set(table)
+    if unknown:
+        where = "top-level key(s)" if name is None else f"key(s) in {name!r}"
+        raise ConfigError(f"unknown {where}: {sorted(unknown, key=str)}")
+    out = {}
+    for key, row in table.items():
+        dotted = key if name is None else f"{name}.{key}"
+        if isinstance(row, dict):
+            out[key] = _filled(dotted, row, given.get(key))
+            continue
+        value = given.get(key, row.default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required key {dotted!r}")
+        if row.kind is not None and (value is not None
+                                     or row.default is not None):
+            value = _typed(repr(dotted), value, row.kind, row.minimum)
+        out[key] = value
+    return out
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    unknown = set(raw) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown, key=str)}")
-    topo = _merge_section("topology", _SCHEMA["topology"], raw.get("topology"))
-    prob = _merge_section("problem", _SCHEMA["problem"], raw.get("problem"))
-    sched = _merge_section("schedule", _SCHEMA["schedule"], raw.get("schedule"))
-    diag = _merge_section("diagnostics", _SCHEMA["diagnostics"],
-                          raw.get("diagnostics"))
-    sections = {"topology": topo, "problem": prob, "schedule": sched,
-                "diagnostics": diag}
-    for dotted, (kind, minimum) in _NUMBERS.items():
-        name, key = dotted.split(".")
-        if sections[name][key] is not None or _SCHEMA[name][key] is not None:
-            sections[name][key] = _number(f"{dotted!r}", sections[name][key],
-                                          kind, minimum)
-    for dotted in _BOOLEANS:
-        name, key = dotted.split(".")
-        value = sections[name][key]
-        if not isinstance(value, bool) and (value is not None
-                                            or _SCHEMA[name][key] is not None):
-            raise ConfigError(f"{dotted!r} must be true or false, got {value!r}")
-    if "strategy" not in raw:
-        raise ConfigError("missing required key 'strategy'")
+    config = _filled(None, _SCHEMA, raw)
+    prob, sched = config["problem"], config["schedule"]
     try:
-        strategy = StrategyKind(str(raw["strategy"]).lower())
+        strategy = StrategyKind(str(config["strategy"]).lower())
     except ValueError:
         raise ConfigError(
-            f"unknown strategy {raw['strategy']!r}; valid: "
+            f"unknown strategy {config['strategy']!r}; valid: "
             f"{[s.value for s in StrategyKind]}"
         ) from None
-    if "T" not in raw:
-        raise ConfigError("missing required key 'T'")
-    T = _number("'T'", raw["T"], int, 1)
-    seeds = raw.get("seeds", _SCHEMA["seeds"])
+    seeds = config["seeds"]
     if not isinstance(seeds, (list, tuple)) or not seeds:
         raise ConfigError("'seeds' must be a non-empty list")
-    seeds = tuple(_number("each seed", s, int, 0) for s in seeds)
+    seeds = tuple(_typed("each seed", s, int, 0) for s in seeds)
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"'seeds' has duplicates: {list(seeds)}")
     if prob["kind"] not in ("quadratic", "sinpl"):
@@ -205,19 +186,11 @@ def config_from_dict(raw: dict) -> RunConfig:
     if sched["mode"] not in modes:
         raise ConfigError(f"unknown schedule mode {sched['mode']!r}; "
                           f"valid: {modes}")
-    if topo["lazy"] is None:
-        topo["lazy"] = strategy in SQRT_STRATEGIES
-    return RunConfig(
-        topology=topo,
-        strategy=strategy,
-        problem=prob,
-        schedule=sched,
-        T=T,
-        seeds=seeds,
-        x0=_point("x0", raw.get("x0"), prob["d1"]),
-        y0=_point("y0", raw.get("y0"), prob["d2"]),
-        diagnostics=diag,
-    )
+    if config["topology"]["lazy"] is None:
+        config["topology"]["lazy"] = strategy in SQRT_STRATEGIES
+    return RunConfig(**{**config, "strategy": strategy, "seeds": seeds,
+                        "x0": _point("x0", config["x0"], prob["d1"]),
+                        "y0": _point("y0", config["y0"], prob["d2"])})
 
 
 def _read_config(path):
@@ -237,23 +210,18 @@ def load_config(path) -> RunConfig:
 
 
 def build_problem(config: RunConfig):
-    p = config.problem
-    if p["kind"] == "sinpl":
+    """The config's problem; a quadratic takes every key of the problem
+    section but kind as make_quadratic_problem's parameter of that name."""
+    p = dict(config.problem)
+    if p.pop("kind") == "sinpl":
         return make_sinpl_problem(config.topology["K"], p["sigma"], p["seed"])
-    return make_quadratic_problem(
-        K=config.topology["K"], d1=p["d1"], d2=p["d2"],
-        N=p["N"], sigma=p["sigma"], seed=p["seed"],
-        nu_target=p["nu_target"], q_spread=p["q_spread"],
-        s_spread=p["s_spread"], r_scale=p["r_scale"], hetero=p["hetero"],
-        zero_mean_linear=p["zero_mean_linear"],
-    )
+    return make_quadratic_problem(K=config.topology["K"], **p)
 
 
 def build_mixing(config: RunConfig) -> MixingMatrix:
-    t = config.topology
-    topo = Topology(kind=t["kind"], K=t["K"], edge_prob=t["edge_prob"],
-                    seed=t["seed"])
-    return mixing_for_topology(topo, lazy=t["lazy"])
+    topology = dict(config.topology)
+    lazy = topology.pop("lazy")
+    return mixing_for_topology(Topology(**topology), lazy=lazy)
 
 
 def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
@@ -264,8 +232,8 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
     if s["mode"] == "explicit":
         if s["mu_x"] is None or s["mu_y"] is None:
             raise ConfigError("explicit schedule needs mu_x and mu_y")
-        grace = GraceParams(beta=s["beta"], p=s["p"], b=s["b"],
-                            B_big=s["B_big"], b0=s["b0"])
+        grace = GraceParams(**{f.name: s[f.name]
+                               for f in fields(GraceParams)})
         mu_x, mu_y = s["mu_x"], s["mu_y"]
     else:
         spec = ScheduleSpec(
@@ -313,12 +281,20 @@ class RunResult:
                 for seed, exc in sorted(self.series.failures.items())}
 
 
-def run_experiment(config: RunConfig) -> RunResult:
+def _setup(config: RunConfig):
+    """What a run builds before its first round: its problem, mixing
+    matrix, strategy, transform bundle and resolved schedule. A config
+    that cannot run raises here."""
     problem = build_problem(config)
     mixing = build_mixing(config)
     ops = build_strategy(config.strategy, mixing)
     bundle = build_transform_bundle(ops, mixing)
     engine, sched_info = _resolve_schedule(config, problem, mixing, bundle)
+    return problem, mixing, ops, bundle, engine, sched_info
+
+
+def _run(config: RunConfig, setup) -> RunResult:
+    problem, mixing, ops, bundle, engine, sched_info = setup
     series = run_and_measure(
         engine, problem, ops,
         bundle if config.diagnostics["transform"] else None,
@@ -327,6 +303,10 @@ def run_experiment(config: RunConfig) -> RunResult:
                        engine=engine, schedule_info=sched_info, series=series)
     result.summary = _summarize(result, bundle)
     return result
+
+
+def run_experiment(config: RunConfig) -> RunResult:
+    return _run(config, _setup(config))
 
 
 def _summarize(result: RunResult, bundle) -> dict:
@@ -359,10 +339,7 @@ def _summarize(result: RunResult, bundle) -> dict:
         },
         "mu_x": result.engine.mu_x,
         "mu_y": result.engine.mu_y,
-        "grace": {
-            "beta": grace.beta, "p": grace.p, "b": grace.b,
-            "B_big": grace.B_big, "b0": grace.b0, "beta_bar": grace.beta_bar,
-        },
+        "grace": {**asdict(grace), "beta_bar": grace.beta_bar},
         "schedule": result.schedule_info,
         "avg_stationarity": mean_std(avg),
         "final_stationarity": mean_std(final),
@@ -429,14 +406,19 @@ def _parse_value(text: str):
 
 
 def sweep(config_path, dotted_key: str, values, out_root) -> list:
-    """Rerun one config with dotted_key set to each value in turn."""
+    """Rerun one config with dotted_key set to each value in turn. Every
+    variant is loaded and set up before the first one runs, so a variant
+    that cannot run raises before any variant writes its files."""
     raw = _read_config(config_path)
-    results = []
+    variants = []
     for value in values:
         variant = copy.deepcopy(raw)
         _set_nested(variant, dotted_key, value)
-        result = run_experiment(config_from_dict(variant))
+        config = config_from_dict(variant)
+        variants.append((value, config, _setup(config)))
+    results = []
+    for value, config, setup in variants:
+        results.append(_run(config, setup))
         tag = str(value).replace("/", "_")
-        write_outputs(result, Path(out_root) / f"{dotted_key}={tag}")
-        results.append(result)
+        write_outputs(results[-1], Path(out_root) / f"{dotted_key}={tag}")
     return results

@@ -90,6 +90,18 @@ def test_sweep_sets_key_in_null_section(tmp_path, capsys):
     assert row["ehat_x_sq"] and row["ehat_y_sq"]
 
 
+@pytest.mark.parametrize("vary", ["T=5,0", "schedule.b=2,32"])
+def test_sweep_rejects_bad_variant_before_any_runs(tmp_path, capsys, vary):
+    # the second value is rejected (T below 1; a minibatch larger than
+    # N=16), so the first one must not have written its files either
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, CONFIG),
+                     "--vary", vary, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_removed_options_are_usage_errors(tmp_path, capsys):
     # there is no verify subcommand and no run --dump-mixing flag
     out = tmp_path / "out"

@@ -49,6 +49,16 @@ class TestInit:
         with pytest.raises(ConfigError):
             init_engine(config, quad_problem, x0=np.ones(5))
 
+    def test_online_refresh_without_B_big_fails_before_round_0(self):
+        # p is small enough that the first chunk of draws may hold no
+        # refresh; the missing refresh batch size is caught at set-up
+        problem = make_quadratic_problem(K=4, d1=2, d2=2, N=None, sigma=0.1,
+                                         seed=0)
+        config = EngineConfig(mu_x=0.01, mu_y=0.01,
+                              grace=GraceParams(beta=0.5, p=0.002), T=5000)
+        with pytest.raises(ConfigError, match="B_big"):
+            init_engine(config, problem)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             EngineConfig(mu_x=0.0, mu_y=0.01,

@@ -3,18 +3,20 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 import decminimax
 from decminimax import ConfigError, config_from_dict, load_config, \
-    run_experiment, write_outputs
+    make_quadratic_problem, run_experiment, write_outputs
 from decminimax import harness
 from decminimax.engine import COLUMNS
 from decminimax.harness import CSV_HEADER, sweep
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 MINIMAL = {
     "topology": {"kind": "ring", "K": 4},
@@ -174,6 +176,34 @@ class TestLoadConfig:
         raw = json.loads(json.dumps(MINIMAL))
         raw["strategy"] = "atc_gt"
         assert config_from_dict(raw).topology["lazy"] is False
+
+    def test_readme_grammar_lists_every_key(self):
+        # the README's config block names exactly the keys of the table
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Config grammar", 1)[1]
+        block = block.split("```yaml\n", 1)[1].split("```", 1)[0]
+        documented = yaml.safe_load(block)
+        assert list(documented) == list(harness._SCHEMA)
+        for section, rows in harness._SCHEMA.items():
+            if isinstance(rows, dict):
+                assert list(documented[section]) == list(rows), section
+
+    def test_problem_section_reaches_the_quadratic_by_name(self):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["problem"].update(nu_target=0.8, hetero=0.3, r_scale=0.7,
+                              q_spread=0.4, s_spread=0.9,
+                              zero_mean_linear=True)
+        got = harness.build_problem(config_from_dict(raw))
+        want = make_quadratic_problem(
+            K=4, d1=2, d2=2, N=16, sigma=0.4, seed=3, nu_target=0.8,
+            hetero=0.3, r_scale=0.7, q_spread=0.4, s_spread=0.9,
+            zero_mean_linear=True)
+        default = harness.build_problem(config_from_dict(MINIMAL))
+        for name in ("Q", "R", "S", "a", "b", "samples"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                name
+            assert not np.array_equal(getattr(got, name),
+                                      getattr(default, name)), name
 
 
 class TestRunExperiment:

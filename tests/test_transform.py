@@ -223,6 +223,40 @@ class TestBundleConstants:
             np.sqrt(8) * np.sqrt(bundle.v2_sq), abs=1e-12)
 
 
+class TestSparseNetworks:
+    """Part I's claim that the new variants do better on sparse networks,
+    in the spectral step cap (1 - rho) lam_b / (v1 v2 lam_a) of each
+    strategy: on lazy rings it falls as (1 - lam)^(3/2) for ED and EXTRA
+    and as (1 - lam)^2 for the gradient-tracking rows."""
+
+    EXPONENTS = {StrategyKind.ED: 1.5, StrategyKind.EXTRA: 1.5,
+                 StrategyKind.ATC_GT: 2.0, StrategyKind.SEMI_ATC_GT: 2.0,
+                 StrategyKind.NON_ATC_GT: 2.0}
+
+    def test_cap_exponents_on_lazy_rings(self):
+        Ks = [16, 32, 64, 128, 256]
+        gaps, caps = [], {kind: [] for kind in StrategyKind}
+        for K in Ks:
+            mixing = mixing_for_topology(Topology(kind="ring", K=K), lazy=True)
+            gaps.append(1 - mixing.lam)
+            for kind in StrategyKind:
+                b = build_transform_bundle(build_strategy(kind, mixing),
+                                           mixing)
+                caps[kind].append((1 - b.rho) * np.sqrt(
+                    b.lam_b_underline_sq
+                    / (b.v1_sq * b.v2_sq * b.lam_a_sq)))
+        for kind, exponent in self.EXPONENTS.items():
+            slope = np.polyfit(np.log(gaps), np.log(caps[kind]), 1)[0]
+            assert slope == pytest.approx(exponent, abs=0.05), kind
+        gt = [StrategyKind.ATC_GT, StrategyKind.SEMI_ATC_GT,
+              StrategyKind.NON_ATC_GT]
+        for i, K in enumerate(Ks):
+            if K >= 32:
+                worst_ed = min(caps[StrategyKind.ED][i],
+                               caps[StrategyKind.EXTRA][i])
+                assert worst_ed > max(caps[kind][i] for kind in gt), K
+
+
 class TestCoupledError:
     def _setup(self, kind, mixing):
         ops = build_strategy(kind, mixing)
