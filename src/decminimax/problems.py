@@ -105,24 +105,41 @@ class QuadraticMinimaxProblem:
         per round of each of the S generators in rngs, and the noise is one
         (S, R, K, d1+d2) block.
 
-        Offline: each replicate draws one (K, size) index block into the
-        agents' sample tables per round of non-zero size, all of one size;
-        a round of size 0 draws nothing and has zero noise. Online: one
-        Gaussian block per round gives every agent's noise.
+        Offline: the non-zero sizes of one call must be equal. Each
+        replicate draws its rounds of non-zero size as one (rounds, K, size)
+        index block from its own stream; a round of size 0 draws nothing and
+        has zero noise. The batch's sample means are then gathered one
+        sample slot at a time from the flattened tables: slot j of every
+        replicate, round and agent is one take, added into the output in
+        slot order, so the sums equal a mean over the slot axis and only
+        one slot's rows are held beside the output. Online: one Gaussian
+        block per round gives every agent's noise.
         """
         if self.N is None:
             return _gaussian_noise(rngs, self.K, self.d1, self.d2, self.sigma, batch)
         batch = np.asarray(batch)
-        noise = np.zeros(batch.shape + (self.K, self.d1 + self.d2))
-        rows = np.arange(self.K)[:, None]
-        # one replicate at a time, so the gathered samples are one
-        # replicate's (R, K, size, d1+d2) at most
-        for rng, sizes, out in zip(rngs, batch, noise):
-            drawn = sizes > 0
-            if drawn.any():
-                idx = rng.integers(0, self.N,
-                                   size=(drawn.sum(), self.K, sizes.max()))
-                out[drawn] = self.samples[rows, idx].mean(axis=-2) - self.c
+        drawn = batch > 0
+        if not drawn.any():
+            return np.zeros(batch.shape + (self.K, self.d1 + self.d2))
+        size = int(batch.max())
+        if (batch[drawn] != size).any():
+            raise ConfigError("offline minibatch sizes of one draw must be "
+                              f"equal, got {sorted(set(batch[drawn].tolist()))}")
+        # rows k*N + n of the flattened tables; undrawn rounds gather row 0
+        # of each table and are zeroed below
+        idx = np.zeros(batch.shape + (self.K, size), dtype=np.intp)
+        for rng, d, out in zip(rngs, drawn, idx):
+            if d.any():
+                out[d] = rng.integers(0, self.N, size=(d.sum(), self.K, size))
+        idx += np.arange(0, self.K * self.N, self.N)[:, None]
+        # a view, so writes into the tables show in the next draw
+        flat = self.samples.reshape(-1, self.d1 + self.d2)
+        noise = np.take(flat, idx[..., 0], axis=0)
+        for j in range(1, size):
+            noise += np.take(flat, idx[..., j], axis=0)
+        noise /= size
+        noise -= self.c
+        noise[~drawn] = 0.0
         return noise
 
 

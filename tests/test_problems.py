@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +158,37 @@ class TestSinPL:
         assert noise.shape == (1, 1, 2, 2)
 
 
+def reference_offline_noise(problem, rngs, batch):
+    """The offline gather as first written: one replicate at a time, each
+    round's minibatch taken by one advanced index into the sample tables
+    and averaged by mean over the slot axis."""
+    batch = np.asarray(batch)
+    noise = np.zeros(batch.shape + (problem.K, problem.d1 + problem.d2))
+    rows = np.arange(problem.K)[:, None]
+    for rng, sizes, out in zip(rngs, batch, noise):
+        drawn = sizes > 0
+        if drawn.any():
+            idx = rng.integers(0, problem.N,
+                               size=(drawn.sum(), problem.K, sizes.max()))
+            out[drawn] = problem.samples[rows, idx].mean(axis=-2) - problem.c
+    return noise
+
+
+def assert_matches_reference(problem, batch, seeds=None):
+    """batch_noise and the reference give the same bytes from generators
+    of the same seeds, and leave each generator at the same position."""
+    seeds = range(len(batch)) if seeds is None else seeds
+    got_rngs = [np.random.default_rng(s) for s in seeds]
+    ref_rngs = [np.random.default_rng(s) for s in seeds]
+    got = problem.batch_noise(got_rngs, batch)
+    ref = reference_offline_noise(problem, ref_rngs, batch)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+    for g, r in zip(got_rngs, ref_rngs):
+        assert g.random() == r.random()
+    return got
+
+
 class TestBatchNoise:
     def test_offline_gathers_one_index_block(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5,
@@ -197,6 +230,68 @@ class TestBatchNoise:
         for r, size in enumerate(sizes[0]):
             one = problem.batch_noise([rng], [[size]])
             assert chunk[0, r].tobytes() == one[0, 0].tobytes(), r
+
+    @pytest.mark.parametrize("b", [1, 2, 12, 33])
+    def test_offline_bytes_match_reference(self, b):
+        # 12 and 33 slots: a pairwise reduction over the slot axis would
+        # round differently from the slot-by-slot sum
+        problem = make_quadratic_problem(K=4, d1=3, d2=2, N=40, sigma=0.5,
+                                         seed=6)
+        # three replicates whose size-0 rounds fall in different places
+        batch = np.array([[b, 0, b, b, 0], [0, b, b, b, b], [b, b, b, 0, 0]])
+        noise = assert_matches_reference(problem, batch, seeds=(4, 9, 2))
+        assert not noise[batch == 0].any()
+        assert noise[batch > 0].all()
+
+    @pytest.mark.parametrize("K, N", [(1, 1), (1, 16), (3, 1)])
+    def test_offline_small_tables_match_reference(self, K, N):
+        problem = make_quadratic_problem(K=K, d1=2, d2=1, N=N, sigma=0.5,
+                                         seed=3)
+        for b in (1, 3):
+            assert_matches_reference(problem, [[b, 0, b], [b, b, 0]])
+
+    def test_offline_sees_writes_into_the_tables(self):
+        problem = make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5,
+                                         seed=2)
+        before = problem.batch_noise([np.random.default_rng(5)], [[4, 4]])
+        problem.samples[1, :, 0] += 2.0
+        problem.samples[2, 3] = 7.0
+        after = assert_matches_reference(problem, [[4, 4]], seeds=(5,))
+        assert not np.array_equal(after[:, :, 1], before[:, :, 1])
+        assert np.array_equal(after[:, :, 0], before[:, :, 0])
+
+    def test_offline_unequal_sizes_raise(self):
+        problem = make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5,
+                                         seed=2)
+        for batch in ([[5, 3]], [[5, 0], [0, 3]]):
+            rngs = [np.random.default_rng(s) for s in range(len(batch))]
+            with pytest.raises(ConfigError, match="must be equal"):
+                problem.batch_noise(rngs, batch)
+        # rounds of size 0 beside one non-zero size are fine
+        assert not problem.batch_noise([np.random.default_rng(0)],
+                                       [[0, 0]]).any()
+
+    def test_offline_memory_one_slot_at_a_time(self):
+        # gathering every slot at once holds b times the output block; the
+        # slot-by-slot gather holds about the output block twice beside
+        # the index block and one replicate's draws
+        S, R, K, b = 4, 16, 8, 64
+        problem = make_quadratic_problem(K=K, d1=3, d2=2, N=256, sigma=0.5,
+                                         seed=1)
+        batch = np.full((S, R), b)
+        batch[1, 3] = batch[2, :5] = 0
+        problem.batch_noise([np.random.default_rng(s) for s in range(S)],
+                            batch)
+        rngs = [np.random.default_rng(s) for s in range(S)]
+        tracemalloc.start()
+        try:
+            noise = problem.batch_noise(rngs, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        index_bytes = S * R * K * b * np.dtype(np.int64).itemsize
+        assert peak <= 3 * noise.nbytes + 2 * index_bytes, (
+            peak, noise.nbytes, index_bytes)
 
     def test_online_draws_one_block_even_without_noise(self):
         problem = make_quadratic_problem(K=3, d1=2, d2=1, N=None, sigma=0.0,
