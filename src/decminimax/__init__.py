@@ -19,12 +19,11 @@ from .mixing import MixingMatrix, Topology, build_graph, eigh_symmetric, \
 from .problems import ProblemConstants, QuadraticMinimaxProblem, \
     SinPLProblem, make_quadratic_problem, make_sinpl_problem, \
     maximizer_oracle
-from .schedules import ScheduleMode, ScheduleSpec, TheoremConstants, \
-    schedule_for_mode, shrink_to_valid, theorem_constants, \
-    validate_conditions
+from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode, \
+    shrink_to_valid, validate_conditions
 from .strategies import SQRT_STRATEGIES, StrategyKind, StrategyOps, \
     build_strategy
 from .transform import TransformBundle, build_transform_bundle, \
-    check_consensus_bound, coupled_error_norms
+    coupled_error_norms
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .errors import ConfigError, DegenerateModeError, NotPSDError
+from .errors import ConfigError, DegenerateModeError
 from .harness import load_config, run_experiment, sweep as run_sweep, \
     write_outputs, _parse_value
 from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotPSDError, DegenerateModeError) as exc:
+    except (ConfigError, DegenerateModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

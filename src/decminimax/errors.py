@@ -5,7 +5,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-class NotPSDError(ValueError):
+class NotPSDError(ConfigError):
     """Matrix expected to be positive semi-definite is not."""
 
 

@@ -182,6 +182,10 @@ def config_from_dict(raw: dict) -> RunConfig:
                 raise ConfigError(f"the sinpl problem is scalar: "
                                   f"'problem.{key}' must be 1, got {prob[key]!r}")
             prob[key] = 1
+        for key in ("nu_target", "hetero", "r_scale", "q_spread", "s_spread",
+                    "zero_mean_linear"):
+            if key in raw["problem"]:
+                raise ConfigError(f"'problem.{key}' is for quadratic problems")
     modes = ["explicit", *(m.value for m in ScheduleMode)]
     if sched["mode"] not in modes:
         raise ConfigError(f"unknown schedule mode {sched['mode']!r}; "

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+_PL_GRID = np.linspace(-3.0, 3.0, 121)  # both axes of the PL-estimate grid
+
 
 @dataclass(frozen=True)
 class ProblemConstants:
@@ -276,7 +278,7 @@ def make_quadratic_problem(
     return QuadraticMinimaxProblem(Q, R, S, a, b, samples, sigma, seed)
 
 
-def make_sinpl_problem(K, sigma, seed, grid_halfwidth=3.0, grid_points=121):
+def make_sinpl_problem(K, sigma, seed):
     """Build the sin-PL instance and grid-estimate its PL constant."""
     rng = np.random.default_rng(seed)
     cx = rng.standard_normal(K) * 0.5
@@ -288,9 +290,7 @@ def make_sinpl_problem(K, sigma, seed, grid_halfwidth=3.0, grid_points=121):
         cy[:] = 0.0
 
     # PL ratio |grad_y J|^2 / (2 (P - J)) on a grid; P(x) = x^2 (max at y=0)
-    xs = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
-    ys = np.linspace(-grid_halfwidth, grid_halfwidth, grid_points)
-    Xg, Yg = np.meshgrid(xs, ys, indexing="ij")
+    Xg, Yg = np.meshgrid(_PL_GRID, _PL_GRID, indexing="ij")
     gy = (3 * np.sin(Xg) ** 2 - 10) * np.sin(2 * Yg) - 8 * Yg
     gap = (10 - 3 * np.sin(Xg) ** 2) * np.sin(Yg) ** 2 + 4 * Yg**2
     mask = gap > 1e-12

@@ -1,10 +1,9 @@
-"""Hyperparameter schedules, admissibility conditions, and bound constants.
+"""Hyperparameter schedules and admissibility conditions.
 
 schedule_for_mode resolves the order-level parameter recipes into concrete
 numbers (constants fixed at user knobs, batch sizes ceil-rounded);
 validate_conditions evaluates the full list of step-size/estimator
-inequalities the convergence analysis requires; theorem_constants collects
-the bookkeeping constants of the stationarity bound for the run summary.
+inequalities the convergence analysis requires.
 """
 
 import math
@@ -15,6 +14,8 @@ from .errors import ConfigError
 from .estimator import GraceParams
 from .problems import ProblemConstants
 from .transform import TransformBundle
+
+_MAX_HALVINGS = 60  # shrink_to_valid gives up after this many halvings
 
 
 class ScheduleMode(Enum):
@@ -116,9 +117,6 @@ class ConditionReport:
     def failing(self):
         return [c for c in self.conditions if not c.satisfied]
 
-    def binding(self):
-        return min(self.conditions, key=lambda c: c.margin)
-
     def as_dict(self):
         return {
             "passed": self.passed,
@@ -192,8 +190,7 @@ def validate_conditions(mu_x: float, mu_y: float, grace: GraceParams,
 
 
 def shrink_to_valid(mu_x: float, mu_y: float, grace: GraceParams,
-                    constants: ProblemConstants, bundle: TransformBundle,
-                    max_halvings: int = 60):
+                    constants: ProblemConstants, bundle: TransformBundle):
     """Halve (mu_x, mu_y) jointly until the step-size conditions pass.
 
     Estimator-side conditions (b beta_bar <= 1/K and friends) do not
@@ -204,7 +201,7 @@ def shrink_to_valid(mu_x: float, mu_y: float, grace: GraceParams,
     # joint halving preserves the mu_x/mu_y ratio, so fix it up front
     mu_x = min(mu_x, mu_y / (16.0 * constants.kappa**2))
     step_rows = ("mu_x", "mu_y")
-    for n in range(max_halvings + 1):
+    for n in range(_MAX_HALVINGS + 1):
         report = validate_conditions(mu_x, mu_y, grace, constants, bundle)
         bad_steps = [c for c in report.failing()
                      if c.name.startswith(step_rows)
@@ -214,64 +211,5 @@ def shrink_to_valid(mu_x: float, mu_y: float, grace: GraceParams,
         mu_x *= 0.5
         mu_y *= 0.5
     raise ConfigError(
-        f"step sizes still inadmissible after {max_halvings} halvings"
-    )
-
-
-@dataclass(frozen=True)
-class TheoremConstants:
-    a_prime: float
-    b_prime: float
-    c_prime: float
-    d_prime: float
-    e_prime: float
-    f_prime: float
-    beta_prime: float
-    beta_bar: float
-    rho: float
-    lam_a: float
-    lam_b_underline: float
-
-    def as_dict(self):
-        return {
-            "a_prime": self.a_prime, "b_prime": self.b_prime,
-            "c_prime": self.c_prime, "d_prime": self.d_prime,
-            "e_prime": self.e_prime, "f_prime": self.f_prime,
-            "beta_prime": self.beta_prime, "beta_bar": self.beta_bar,
-            "rho": self.rho, "lam_a": self.lam_a,
-            "lam_b_underline": self.lam_b_underline,
-        }
-
-
-def theorem_constants(grace: GraceParams, bundle: TransformBundle,
-                      constants: ProblemConstants, T: int,
-                      is_online: bool) -> TheoremConstants:
-    """Bookkeeping constants of the stationarity bound."""
-    bb = grace.beta_bar
-    if bb == 0.0:
-        raise ConfigError("p = beta = 0: the estimator never refreshes")
-    L_f = constants.L_f
-    rho = bundle.rho
-    lam_a_sq = bundle.lam_a_sq
-    lam_b_sq = bundle.lam_b_underline_sq
-    K = bundle.K
-    b, b0, beta, p = grace.b, grace.b0, grace.beta, grace.p
-    beta_p = p + beta**2
-    gap = 1.0 - rho
-    online = 1.0 if is_online else 0.0
-    B = grace.B_big if grace.B_big is not None else math.inf
-    a_p = L_f**2 / (b * K * bb * gap * lam_b_sq)
-    b_p = L_f**2 * lam_a_sq * beta_p / (b * b0 * K * bb**2 * gap**2 * lam_b_sq)
-    c_p_const = L_f**4 * lam_a_sq * beta_p / (b**2 * K * bb**2 * gap**2 * lam_b_sq**2)
-    d_p = (L_f**2 * lam_a_sq / (b * K * bb * gap**2 * lam_b_sq)
-           * (p / B * online + beta**2 / b))
-    e_p = (1.0 / (b0 * bb * K * T)
-           + beta**2 / (K * b * bb)
-           + p / (K * B * bb) * online)
-    f_p = L_f**2 / (b * K * bb * lam_b_sq)
-    return TheoremConstants(
-        a_prime=a_p, b_prime=b_p, c_prime=c_p_const, d_prime=d_p,
-        e_prime=e_p, f_prime=f_p, beta_prime=beta_p, beta_bar=bb,
-        rho=rho, lam_a=math.sqrt(lam_a_sq),
-        lam_b_underline=math.sqrt(lam_b_sq),
+        f"step sizes still inadmissible after {_MAX_HALVINGS} halvings"
     )

@@ -37,13 +37,14 @@ from .mixing import MixingMatrix
 from .strategies import StrategyKind, StrategyOps, mode_values
 
 _JORDAN_COL_SCALES = (np.sqrt(3.0), 1.0 / 3.0)
+_DISC_TOL = 1e-9   # |disc| below this (relative) counts as a repeated eigenvalue
+_COND_CAP = 1e8    # largest accepted condition number of a mode similarity
 
 
 @dataclass(frozen=True)
 class TransformBundle:
     kind: StrategyKind
     U_hat: np.ndarray       # (K, K-1) orthonormal basis of the consensus complement
-    lam_modes: np.ndarray   # (K-1,) non-principal eigenvalues of W
     Lam_a: np.ndarray       # (K-1,) eigenvalues of A on the complement
     Lam_b: np.ndarray
     Lam_c: np.ndarray
@@ -61,17 +62,13 @@ class TransformBundle:
     def K(self) -> int:
         return self.U_hat.shape[0]
 
-    def block_P(self) -> np.ndarray:
-        """The (K-1, 2, 2) stack of mode blocks the similarity diagonalizes."""
-        return _mode_blocks(self.Lam_a, self.Lam_b, self.Lam_c)
-
 
 def _mode_blocks(a, b, c):
     return np.stack([np.stack([a * c - b * b, -b], axis=-1),
                      np.stack([b, np.ones_like(b)], axis=-1)], axis=-2)
 
 
-def _similarity_2x2(P, disc_tol=1e-9):
+def _similarity_2x2(P):
     """Q, T with P = Q T Q^{-1} for each block of an (m, 2, 2) stack whose
     eigenvalues are a complex pair or repeated.
 
@@ -82,12 +79,12 @@ def _similarity_2x2(P, disc_tol=1e-9):
     det = p00 * p11 - p01 * P[:, 1, 0]
     disc = tr * tr - 4.0 * det
     scale = np.maximum(1.0, np.maximum(tr**2, np.abs(det)))
-    if np.any(disc > disc_tol * scale):
+    if np.any(disc > _DISC_TOL * scale):
         raise DegenerateModeError(
             f"mode block {int(np.argmax(disc / scale))} has distinct real "
             f"eigenvalues, which no strategy row produces"
         )
-    cplx = disc < -disc_tol * scale
+    cplx = disc < -_DISC_TOL * scale
     rep = ~cplx
     Q = np.empty_like(P)
     # complex conjugate pair: eigenvector (p01, al + i om - p00), its phase
@@ -113,13 +110,12 @@ def _similarity_2x2(P, disc_tol=1e-9):
     return Q, Q_inv, Q_inv @ P @ Q
 
 
-def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix,
-                           cond_cap: float = 1e8) -> TransformBundle:
+def build_transform_bundle(ops: StrategyOps,
+                           mixing: MixingMatrix) -> TransformBundle:
     K = mixing.K
     U_hat = mixing.eigvecs[:, 1:]
-    lam_modes = mixing.eigvals[1:]
     m = K - 1
-    Lam_a, Lam_b, Lam_c = mode_values(ops.kind, lam_modes)
+    Lam_a, Lam_b, Lam_c = mode_values(ops.kind, mixing.eigvals[1:])
     if np.any(np.abs(Lam_b) < 1e-12):
         raise DegenerateModeError(
             "a non-principal mode has a zero dual-coupling eigenvalue; "
@@ -129,17 +125,16 @@ def build_transform_bundle(ops: StrategyOps, mixing: MixingMatrix,
     norm_q = np.linalg.norm(Q, 2, axis=(1, 2))
     norm_qi = np.linalg.norm(Qi, 2, axis=(1, 2))
     cond = norm_q * norm_qi
-    if np.any(cond > cond_cap):
+    if np.any(cond > _COND_CAP):
         raise DegenerateModeError(
             f"mode {int(np.argmax(cond))} similarity is ill-conditioned "
-            f"(cond > {cond_cap:g})"
+            f"(cond > {_COND_CAP:g})"
         )
     v1_sq = float(np.max(norm_q**2)) if m else 1.0
     v2_sq = float(np.max(norm_qi**2)) if m else 1.0
     return TransformBundle(
         kind=ops.kind,
         U_hat=U_hat,
-        lam_modes=lam_modes,
         Lam_a=Lam_a,
         Lam_b=Lam_b,
         Lam_c=Lam_c,
@@ -172,18 +167,3 @@ def coupled_error_norms(Z, muM, D, bundle: TransformBundle) -> np.ndarray:
     Qi = bundle.Q_inv[:, :, :, None]
     return np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
                            Qi[:, 1, 0] * x + Qi[:, 1, 1] * z], axis=-2) / bundle.tau
-
-
-@dataclass(frozen=True)
-class ConsensusBoundReport:
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def check_consensus_bound(Z, ehat, bundle: TransformBundle) -> ConsensusBoundReport:
-    """Consensus error of one (K, d) block vs. K v1^2 v2^2 ||ehat||^2."""
-    K = Z.shape[0]
-    lhs = float(np.sum((Z - Z.mean(axis=0)) ** 2))
-    rhs = float(K * bundle.v1_sq * bundle.v2_sq * np.sum(ehat**2))
-    return ConsensusBoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-9 * max(1.0, rhs))

@@ -14,7 +14,6 @@ from decminimax import (
     Topology,
     build_strategy,
     build_transform_bundle,
-    check_consensus_bound,
     config_from_dict,
     coupled_error_norms,
     init_engine,
@@ -30,8 +29,8 @@ from decminimax.engine import _advance
 from decminimax.estimator import init_estimator
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
-from conftest import ascent_maximizer, run_ok, step, update_checked, \
-    verify_strategy_assumptions
+from conftest import ascent_maximizer, check_consensus_bound, mode_blocks, \
+    run_ok, step, update_checked, verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
 CLOSED_FORM_KINDS = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
@@ -115,7 +114,7 @@ def test_criterion_3_spectral_constants():
         lam = mix.lam
         for kind in CLOSED_FORM_KINDS:
             bundle = build_transform_bundle(build_strategy(kind, mix), mix)
-            P = bundle.block_P()
+            P = mode_blocks(bundle)
             res = np.linalg.norm(P - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
             if kind in (StrategyKind.ED, StrategyKind.EXTRA):
                 checks = [

@@ -134,6 +134,8 @@ class TestLoadConfig:
         ("schedule.mode", "storm"),
         # an offline minibatch larger than the sample table (N=16, p=0.2)
         ("schedule.b", 32),
+        # ed on the plain K=4 ring, whose Metropolis matrix has eigenvalue -1/3
+        ("topology.lazy", False),
     ])
     def test_bad_value_rejected_before_any_seed(self, monkeypatch, dotted,
                                                 value):
@@ -148,6 +150,16 @@ class TestLoadConfig:
         raw = json.loads(json.dumps(MINIMAL))
         harness._set_nested(raw, "problem.kind", "sinpl")  # N stays 16
         with pytest.raises(ConfigError, match="online-only"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("key, value", [
+        ("nu_target", 123.0), ("hetero", 9.0), ("r_scale", 0.3),
+        ("q_spread", 1.0), ("s_spread", 0.5), ("zero_mean_linear", True),
+    ])
+    def test_sinpl_rejects_quadratic_keys_at_load(self, key, value):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["problem"] = {"kind": "sinpl", "sigma": 0.5, key: value}
+        with pytest.raises(ConfigError, match=f"problem.{key}"):
             config_from_dict(raw)
 
     def test_sinpl_resolves_to_scalar_dims(self):

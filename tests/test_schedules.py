@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,9 +15,10 @@ from decminimax import (
     make_quadratic_problem,
     schedule_for_mode,
     shrink_to_valid,
-    theorem_constants,
     validate_conditions,
 )
+
+from conftest import theorem_constants
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +161,7 @@ class TestTheoremConstants:
         expected = c.L_f**2 / (2 * 8 * bb * (1 - ed_bundle.rho)
                                * ed_bundle.lam_b_underline_sq)
         assert tc.a_prime == pytest.approx(expected, rel=1e-12)
-        assert all(v >= 0 for v in tc.as_dict().values())
+        assert all(v >= 0 for v in dataclasses.asdict(tc).values())
 
     @given(beta=st.floats(0, 1), p=st.floats(0, 1))
     @settings(max_examples=100, deadline=None)

@@ -10,7 +10,6 @@ from decminimax import (
     Topology,
     build_strategy,
     build_transform_bundle,
-    check_consensus_bound,
     coupled_error_norms,
     init_engine,
     mixing_for_topology,
@@ -19,7 +18,8 @@ from decminimax.engine import _advance
 from decminimax.strategies import mode_values
 from decminimax.transform import _similarity_2x2
 
-from conftest import assert_close, random_connected_mixing, update_checked
+from conftest import assert_close, check_consensus_bound, mode_blocks, \
+    random_connected_mixing, update_checked
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
 
@@ -195,7 +195,7 @@ class TestBundleConstants:
                                                               abs=1e-8)
             assert bundle.v1_sq <= v1_cap + 1e-8
             assert bundle.v2_sq <= v2_cap + 1e-8
-            P = bundle.block_P()
+            P = mode_blocks(bundle)
             res = np.linalg.norm(P - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
             assert res <= 1e-8
 
@@ -205,7 +205,7 @@ class TestBundleConstants:
                                             ring8_lazy)
             assert bundle.rho < 1.0
             res = np.linalg.norm(
-                bundle.block_P() - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
+                mode_blocks(bundle) - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
             assert res <= 1e-8, kind
 
     def test_uhat_diagonalizes_W(self, ring8_lazy):
