@@ -182,14 +182,27 @@ def config_from_dict(raw: dict) -> RunConfig:
                 raise ConfigError(f"the sinpl problem is scalar: "
                                   f"'problem.{key}' must be 1, got {prob[key]!r}")
             prob[key] = 1
-        for key in ("nu_target", "hetero", "r_scale", "q_spread", "s_spread",
-                    "zero_mean_linear"):
-            if key in raw["problem"]:
-                raise ConfigError(f"'problem.{key}' is for quadratic problems")
     modes = ["explicit", *(m.value for m in ScheduleMode)]
     if sched["mode"] not in modes:
         raise ConfigError(f"unknown schedule mode {sched['mode']!r}; "
                           f"valid: {modes}")
+    # keys that the chosen topology, problem or schedule never reads
+    unread = {
+        "topology": () if config["topology"]["kind"] == "random"
+        else ("edge_prob", "seed"),
+        "problem": () if prob["kind"] == "quadratic"
+        else ("nu_target", "hetero", "r_scale", "q_spread", "s_spread",
+              "zero_mean_linear"),
+        "schedule": ("c_mu", "c_beta", "c_p", "c_b")
+        if sched["mode"] == "explicit"
+        else ("mu_x", "mu_y", "beta", "p", "b", "b0", "B_big"),
+    }
+    for section, keys in unread.items():
+        branch = config[section]["mode" if section == "schedule" else "kind"]
+        for key in keys:
+            if key in (raw.get(section) or {}):
+                raise ConfigError(f"'{section}.{key}' is not read by "
+                                  f"{section} {branch!r}")
     if config["topology"]["lazy"] is None:
         config["topology"]["lazy"] = strategy in SQRT_STRATEGIES
     return RunConfig(**{**config, "strategy": strategy, "seeds": seeds,

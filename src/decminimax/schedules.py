@@ -15,7 +15,8 @@ from .estimator import GraceParams
 from .problems import ProblemConstants
 from .transform import TransformBundle
 
-_MAX_HALVINGS = 60  # shrink_to_valid gives up after this many halvings
+_MAX_HALVINGS = 60  # shrink_to_valid gives up past this many halvings
+_SLACK = 1e-15      # a condition holds when value <= limit + _SLACK
 
 
 class ScheduleMode(Enum):
@@ -153,7 +154,7 @@ def validate_conditions(mu_x: float, mu_y: float, grace: GraceParams,
 
     def add(name, value, limit):
         conds.append(Condition(name=name, value=float(value), limit=float(limit),
-                               satisfied=bool(value <= limit + 1e-15)))
+                               satisfied=bool(value <= limit + _SLACK)))
 
     gap = 1.0 - rho
     add("mu_x <= 1/(32 L)", mu_x, 1.0 / (32.0 * L))
@@ -189,27 +190,41 @@ def validate_conditions(mu_x: float, mu_y: float, grace: GraceParams,
                            passed=all(c.satisfied for c in conds))
 
 
+def _bad_steps(report: ConditionReport):
+    """The failing step-size rows, but for mu_x <= mu_y/(16 kappa^2)."""
+    return [c for c in report.failing() if c.name.startswith(("mu_x", "mu_y"))
+            and not c.name.startswith("mu_x <= mu_y")]
+
+
+def _halvings(value: float, bound: float) -> float:
+    """The fewest n >= 0 with value 2^-n <= bound, read off the binary
+    exponents; inf if bound is not positive."""
+    if not bound > 0:
+        return math.inf
+    (m_v, e_v), (m_b, e_b) = math.frexp(value), math.frexp(bound)
+    return max(0, e_v - e_b + (m_v > m_b))
+
+
 def shrink_to_valid(mu_x: float, mu_y: float, grace: GraceParams,
                     constants: ProblemConstants, bundle: TransformBundle):
-    """Halve (mu_x, mu_y) jointly until the step-size conditions pass.
+    """Halve (mu_x, mu_y) jointly the fewest times that makes every
+    step-size condition pass; returns (mu_x, mu_y, halvings, report).
 
-    Estimator-side conditions (b beta_bar <= 1/K and friends) do not
-    improve under step shrinking, so only the step-size rows gate the
-    loop; the final report covers everything. Returns
-    (mu_x, mu_y, halvings, report).
+    mu_x <= mu_y/(16 kappa^2) is set up front and joint halving keeps it.
+    Every other step row bounds mu_x or mu_y by a limit free of the steps,
+    and halving is exact, so the count is the largest of the rows' own
+    counts. Estimator rows (b beta_bar <= 1/K and friends) do not improve
+    under step shrinking; the final report covers them too.
     """
-    # joint halving preserves the mu_x/mu_y ratio, so fix it up front
     mu_x = min(mu_x, mu_y / (16.0 * constants.kappa**2))
-    step_rows = ("mu_x", "mu_y")
-    for n in range(_MAX_HALVINGS + 1):
+    report = validate_conditions(mu_x, mu_y, grace, constants, bundle)
+    n = max((_halvings(c.value, c.limit + _SLACK) for c in _bad_steps(report)),
+            default=0)
+    if n > _MAX_HALVINGS:
+        raise ConfigError(
+            f"step sizes still inadmissible after {_MAX_HALVINGS} halvings")
+    if n:
+        mu_x, mu_y = mu_x * 0.5**n, mu_y * 0.5**n
         report = validate_conditions(mu_x, mu_y, grace, constants, bundle)
-        bad_steps = [c for c in report.failing()
-                     if c.name.startswith(step_rows)
-                     and not c.name.startswith("mu_x <= mu_y")]
-        if not bad_steps:
-            return mu_x, mu_y, n, report
-        mu_x *= 0.5
-        mu_y *= 0.5
-    raise ConfigError(
-        f"step sizes still inadmissible after {_MAX_HALVINGS} halvings"
-    )
+        assert not _bad_steps(report), "a step row's limit moved"
+    return mu_x, mu_y, n, report

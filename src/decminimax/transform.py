@@ -1,27 +1,30 @@
 """Coupled-error coordinates and spectral diagnostics.
 
-For each non-principal eigenvalue of W, the strategy matrices reduce to
-scalars (a_j, b_j, c_j) = strategies.mode_values(kind, lam_j) and the
-consensus/dual dynamics to the 2x2 block
+On the eigenvector of W with eigenvalue lam != 1 the strategy matrices act
+as scalars (a, b, c) = strategies.mode_values(kind, lam), and the
+consensus/dual dynamics as the block P = [[a c - b^2, -b], [b, 1]]. Every
+row has a c - b^2 = 2 lam - 1, so P = Q T Q^{-1} is written down for each
+of the two forms of b:
 
-    P_j = [[a_j c_j - b_j^2, -b_j],
-           [b_j,             1   ]].
+* ED and EXTRA, b = sqrt(1 - lam): a complex pair of modulus r = sqrt(lam).
+  With cos = sqrt((1 + r)/2), sin = sqrt((1 - r)/2) (as
+  sqrt((1 - lam)/(2 (1 + r))), which keeps its digits as lam -> 1) and
+  om = sqrt(lam (1 - lam)), Q = [[-cos, -sin], [sin, cos]] is the
+  eigenvector phased so its real and imaginary parts have equal norm,
+  Q^{-1} = Q / r (Q^2 = r I) and T = [[lam, om], [-om, lam]]:
+  ||T|| = r, ||Q||^2 = 1 + sqrt(1 - lam), ||Q^{-1}||^2 = ||Q||^2 / lam.
+* the gradient-tracking rows, b = 1 - lam: a double root lam. The fixed
+  Jordan basis Q = [[sqrt(1.5), sqrt(2)/6], [-sqrt(1.5), sqrt(2)/6]], with
+  columns sqrt(3) (1, -1)/sqrt(2) and (1, 1)/(3 sqrt(2)), gives
+  T = [[lam, -2 (1 - lam)/(3 sqrt(3))], [0, lam]], ||Q||^2 = 3 and
+  ||Q^{-1}||^2 = 9.
 
-The bundle holds the similarities P_j = Q_j T_j Q_j^{-1} of all modes as
-(K-1, 2, 2) stacks, with contractive T_j:
-
-* complex conjugate pair     -> real rotation-scaling block whose norm is
-  the eigenvalue modulus (the eigenvector phase is chosen so the real and
-  imaginary parts have equal norm, which keeps the similarity exact);
-* repeated eigenvalue        -> the block is defective (rank-1 nilpotent
-  part); a scaled Jordan similarity with column scales (sqrt(3), 1/3)
-  keeps ||T_j|| <= (1 + theta)/2 while ||Q_j||^2 <= 3, ||Q_j^{-1}||^2 <= 9.
-
-The gradient-tracking rows always land in the repeated case (their block
-has a double eigenvalue at the mode value); the square-root strategies
-have discriminant 4 lam (lam - 1) <= 0, so they land in the complex case
-for modes strictly inside (0, 1). A block with distinct real eigenvalues
-comes from no strategy row and is rejected.
+A square-root mode with 4 lam (1 - lam) <= 1e-9 (lam within 2.5e-10 of 0
+or 1, such as a complete graph's zero eigenvalues) takes the Jordan basis,
+in which T = [[lam, -(g + b)/(3 sqrt(3))], [3 sqrt(3) (b - g), lam]] with
+g = 1 - lam is exact for either b; its condition number is sqrt(27). Above
+that switch the condition number (1 + sqrt(1 - lam))/sqrt(lam) is below
+2/sqrt(2.5e-10), about 1.3e5.
 
 The engine carries the dual as D = B D_paper, so on mode j its projection
 is b_j times the paper's dual coordinate; coupled_error_norms divides it
@@ -34,11 +37,15 @@ import numpy as np
 
 from .errors import DegenerateModeError
 from .mixing import MixingMatrix
-from .strategies import StrategyKind, StrategyOps, mode_values
+from .strategies import SQRT_STRATEGIES, StrategyKind, StrategyOps, \
+    mode_values
 
-_JORDAN_COL_SCALES = (np.sqrt(3.0), 1.0 / 3.0)
-_DISC_TOL = 1e-9   # |disc| below this (relative) counts as a repeated eigenvalue
-_COND_CAP = 1e8    # largest accepted condition number of a mode similarity
+_SWITCH = 1e-9  # square-root modes with 4 lam (1 - lam) above this rotate
+_ROOT27 = 3.0 * np.sqrt(3.0)
+_Q_JORDAN = np.array([[np.sqrt(1.5), np.sqrt(2.0) / 6.0],
+                      [-np.sqrt(1.5), np.sqrt(2.0) / 6.0]])
+_Q_JORDAN_INV = np.array([[1.0 / np.sqrt(6.0), -1.0 / np.sqrt(6.0)],
+                          [3.0 / np.sqrt(2.0), 3.0 / np.sqrt(2.0)]])
 
 
 @dataclass(frozen=True)
@@ -63,51 +70,10 @@ class TransformBundle:
         return self.U_hat.shape[0]
 
 
-def _mode_blocks(a, b, c):
-    return np.stack([np.stack([a * c - b * b, -b], axis=-1),
-                     np.stack([b, np.ones_like(b)], axis=-1)], axis=-2)
-
-
-def _similarity_2x2(P):
-    """Q, T with P = Q T Q^{-1} for each block of an (m, 2, 2) stack whose
-    eigenvalues are a complex pair or repeated.
-
-    Returns (Q, Q^{-1}, T).
-    """
-    p00, p01, p11 = P[:, 0, 0], P[:, 0, 1], P[:, 1, 1]
-    tr = p00 + p11
-    det = p00 * p11 - p01 * P[:, 1, 0]
-    disc = tr * tr - 4.0 * det
-    scale = np.maximum(1.0, np.maximum(tr**2, np.abs(det)))
-    if np.any(disc > _DISC_TOL * scale):
-        raise DegenerateModeError(
-            f"mode block {int(np.argmax(disc / scale))} has distinct real "
-            f"eigenvalues, which no strategy row produces"
-        )
-    cplx = disc < -_DISC_TOL * scale
-    rep = ~cplx
-    Q = np.empty_like(P)
-    # complex conjugate pair: eigenvector (p01, al + i om - p00), its phase
-    # rotated so the real and imaginary parts have equal norm
-    al = tr[cplx] / 2.0
-    om = np.sqrt(-disc[cplx]) / 2.0
-    vr = np.stack([p01[cplx], al - p00[cplx]], axis=-1)
-    vi = np.stack([np.zeros_like(om), om], axis=-1)
-    phi = 0.5 * np.arctan2(np.sum(vr * vr, axis=-1) - np.sum(vi * vi, axis=-1),
-                           2.0 * np.sum(vr * vi, axis=-1))
-    w = np.exp(1j * phi)[:, None] * (vr + 1j * vi)
-    Q[cplx] = np.stack([w.real, w.imag], axis=-1) \
-        / np.linalg.norm(w.real, axis=-1)[:, None, None]
-    # repeated eigenvalue: eigenvector + orthogonal generalized direction,
-    # unless the block is already a multiple of I
-    M = P[rep] - (tr[rep] / 2.0)[:, None, None] * np.eye(2)
-    _, s, Vt = np.linalg.svd(M)
-    scalar = s[:, 0] < 1e-12
-    alpha, beta = _JORDAN_COL_SCALES
-    Q[rep] = np.where(scalar[:, None, None], np.eye(2),
-                      np.stack([alpha * Vt[:, 1], beta * Vt[:, 0]], axis=-1))
-    Q_inv = np.linalg.inv(Q)
-    return Q, Q_inv, Q_inv @ P @ Q
+def _stack(p00, p01, p10, p11):
+    """The (m, 2, 2) stack of the blocks [[p00, p01], [p10, p11]]."""
+    return np.stack([np.stack([p00, p01], axis=-1),
+                     np.stack([p10, p11], axis=-1)], axis=-2)
 
 
 def build_transform_bundle(ops: StrategyOps,
@@ -115,23 +81,27 @@ def build_transform_bundle(ops: StrategyOps,
     K = mixing.K
     U_hat = mixing.eigvecs[:, 1:]
     m = K - 1
-    Lam_a, Lam_b, Lam_c = mode_values(ops.kind, mixing.eigvals[1:])
+    lam = mixing.eigvals[1:]
+    Lam_a, Lam_b, Lam_c = mode_values(ops.kind, lam)
     if np.any(np.abs(Lam_b) < 1e-12):
         raise DegenerateModeError(
             "a non-principal mode has a zero dual-coupling eigenvalue; "
             "the graph effectively has a disconnected consensus subspace"
         )
-    Q, Qi, Tm = _similarity_2x2(_mode_blocks(Lam_a, Lam_b, Lam_c))
-    norm_q = np.linalg.norm(Q, 2, axis=(1, 2))
-    norm_qi = np.linalg.norm(Qi, 2, axis=(1, 2))
-    cond = norm_q * norm_qi
-    if np.any(cond > _COND_CAP):
-        raise DegenerateModeError(
-            f"mode {int(np.argmax(cond))} similarity is ill-conditioned "
-            f"(cond > {_COND_CAP:g})"
-        )
-    v1_sq = float(np.max(norm_q**2)) if m else 1.0
-    v2_sq = float(np.max(norm_qi**2)) if m else 1.0
+    gap = 1.0 - lam
+    rot = (ops.kind in SQRT_STRATEGIES) & (4.0 * lam * gap > _SWITCH)
+    r = np.sqrt(np.where(rot, lam, 1.0))
+    cos = np.sqrt((1.0 + r) / 2.0)
+    sin = np.sqrt(np.where(rot, gap, 0.0) / (2.0 * (1.0 + r)))
+    om = np.sqrt(np.where(rot, lam * gap, 0.0))
+    rot = rot[:, None, None]
+    Q = np.where(rot, _stack(-cos, -sin, sin, cos), _Q_JORDAN)
+    Qi = np.where(rot, Q / r[:, None, None], _Q_JORDAN_INV)
+    Tm = np.where(rot, _stack(lam, om, -om, lam),
+                  _stack(lam, -(gap + Lam_b) / _ROOT27,
+                         _ROOT27 * (Lam_b - gap), lam))
+    v1_sq = float(np.max(np.linalg.norm(Q, 2, axis=(1, 2))**2)) if m else 1.0
+    v2_sq = float(np.max(np.linalg.norm(Qi, 2, axis=(1, 2))**2)) if m else 1.0
     return TransformBundle(
         kind=ops.kind,
         U_hat=U_hat,

@@ -162,6 +162,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"problem.{key}"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("key, value", [("edge_prob", 0.5), ("seed", 3)])
+    def test_random_graph_keys_rejected_on_other_topologies(self, key,
+                                                             value):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["topology"][key] = value
+        with pytest.raises(ConfigError, match=f"topology.{key}"):
+            config_from_dict(raw)
+        raw["topology"].update(kind="random", edge_prob=0.5)
+        assert config_from_dict(raw).topology[key] == value
+
+    @pytest.mark.parametrize("key", ["c_mu", "c_beta", "c_p", "c_b"])
+    def test_preset_knobs_rejected_under_explicit(self, key):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["schedule"][key] = 0.5
+        with pytest.raises(ConfigError, match=f"schedule.{key}"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["mu_x", "mu_y", "beta", "p", "b", "b0",
+                                     "B_big"])
+    def test_explicit_keys_rejected_under_a_preset(self, key):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["schedule"] = {"mode": "page_offline", "c_mu": 0.5, key: 1}
+        with pytest.raises(ConfigError, match=f"schedule.{key}"):
+            config_from_dict(raw)
+        del raw["schedule"][key]
+        assert config_from_dict(raw).schedule["c_mu"] == 0.5
+
     def test_sinpl_resolves_to_scalar_dims(self):
         raw = json.loads(json.dumps(MINIMAL))
         raw["problem"] = {"kind": "sinpl", "sigma": 0.5}

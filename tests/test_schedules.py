@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +11,11 @@ from decminimax import (
     ScheduleMode,
     ScheduleSpec,
     StrategyKind,
+    Topology,
     build_strategy,
     build_transform_bundle,
     make_quadratic_problem,
+    mixing_for_topology,
     schedule_for_mode,
     shrink_to_valid,
     validate_conditions,
@@ -30,6 +33,36 @@ def quad_small():
 def ed_bundle(ring8_lazy):
     return build_transform_bundle(
         build_strategy(StrategyKind.ED, ring8_lazy), ring8_lazy)
+
+
+def shrink_by_halving(mu_x, mu_y, grace, constants, bundle):
+    """shrink_to_valid's reference: halve both steps and check again until
+    no step row but mu_x <= mu_y/(16 kappa^2) fails, at most 60 times."""
+    mu_x = min(mu_x, mu_y / (16.0 * constants.kappa**2))
+    for n in range(61):
+        report = validate_conditions(mu_x, mu_y, grace, constants, bundle)
+        if not [c for c in report.failing()
+                if c.name.startswith(("mu_x", "mu_y"))
+                and not c.name.startswith("mu_x <= mu_y")]:
+            return mu_x, mu_y, n, report
+        mu_x *= 0.5
+        mu_y *= 0.5
+    raise ConfigError("step sizes still inadmissible after 60 halvings")
+
+
+def assert_same_shrink(args):
+    """shrink_to_valid(*args) gives the reference's steps, count and report
+    exactly, or raises where it does."""
+    try:
+        want = shrink_by_halving(*args)
+    except ConfigError:
+        with pytest.raises(ConfigError, match="after 60 halvings"):
+            shrink_to_valid(*args)
+        return None
+    got = shrink_to_valid(*args)
+    assert got[:3] == want[:3]
+    assert got[3].as_dict() == want[3].as_dict()
+    return got
 
 
 class TestScheduleForMode:
@@ -126,6 +159,43 @@ class TestValidateConditions:
             mu_x, mu_y, grace, quad_small.constants, ed_bundle)
         assert halvings > 0
         assert report.passed, [c.name for c in report.failing()]
+
+    def test_halving_count_matches_loop_on_presets(self):
+        """The page_offline preset with shrink on, as the example config
+        and the benchmark run it: a lazy ring, ED, problem seeds 0..9."""
+        for K, N, seeds in ((8, 1024, range(10)), (96, 256, range(3))):
+            mixing = mixing_for_topology(Topology(kind="ring", K=K),
+                                         lazy=True)
+            bundle = build_transform_bundle(
+                build_strategy(StrategyKind.ED, mixing), mixing)
+            for seed in seeds:
+                problem = make_quadratic_problem(K=K, d1=3, d2=2, N=N,
+                                                 sigma=0.3, seed=seed)
+                spec = ScheduleSpec(mode=ScheduleMode.PAGE_OFFLINE, T=500,
+                                    K=K, kappa=problem.constants.kappa, N=N)
+                mu_x, mu_y, grace = schedule_for_mode(spec)
+                got = assert_same_shrink((mu_x, mu_y, grace,
+                                          problem.constants, bundle))
+                assert got[2] > 0, (K, seed)
+
+    def test_halving_count_matches_loop_on_random_steps(self, quad_small,
+                                                        ed_bundle):
+        """Steps from 1e-6 to 1e6, estimator settings with and without a
+        refresh (p = beta = 0 makes a limit 0, and large steps then need
+        more than 60 halvings)."""
+        rng = np.random.default_rng(8)
+        graces = (GraceParams(beta=0.0, p=1.0, b=1, b0=1),
+                  GraceParams(beta=0.1, p=0.05, b=4, b0=8),
+                  GraceParams(beta=0.0, p=0.0, b=2, b0=2))
+        raised = 0
+        for _ in range(300):
+            mu_y = 10 ** rng.uniform(-6, 6)
+            mu_x = mu_y * 10 ** rng.uniform(-4, 1)
+            grace = graces[rng.integers(len(graces))]
+            raised += assert_same_shrink((mu_x, mu_y, grace,
+                                          quad_small.constants,
+                                          ed_bundle)) is None
+        assert 0 < raised < 300
 
     def test_shrink_reaches_admissible_steps(self, quad_small, ed_bundle):
         grace = GraceParams(beta=0.0, p=1.0, b=1, b0=64)

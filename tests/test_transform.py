@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decminimax import (
-    DegenerateModeError,
+    SQRT_STRATEGIES,
     EngineConfig,
     GraceParams,
     StrategyKind,
@@ -15,13 +15,22 @@ from decminimax import (
     mixing_for_topology,
 )
 from decminimax.engine import _advance
-from decminimax.strategies import mode_values
-from decminimax.transform import _similarity_2x2
+from decminimax.mixing import MixingMatrix
+from decminimax.strategies import StrategyOps, mode_values
 
 from conftest import assert_close, check_consensus_bound, mode_blocks, \
     random_connected_mixing, update_checked
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
+GT_STRATEGIES = tuple(k for k in StrategyKind if k not in SQRT_STRATEGIES)
+
+# mode eigenvalues for the square-root rows, on both sides of the switch
+# 4 lam (1 - lam) = 1e-9 near 0 and near 1; the switch sits at
+# lam = 2.5e-10 and 1 - 2.5e-10
+SQRT_GRID = np.r_[-1e-10, -2e-16, 0.0, 1e-13, 2.4e-10, 2.6e-10, 1e-9,
+                  np.linspace(1e-6, 1 - 1e-6, 101), 1 - 1e-9, 1 - 2.6e-10,
+                  1 - 2.4e-10, 1 - 1e-13]
+GT_GRID = np.linspace(-0.999, 0.999, 101)
 
 
 def closed_form_bounds(kind, mixing):
@@ -63,6 +72,23 @@ def reference_similarity(P, disc_tol=1e-9):
     return Q, np.linalg.inv(Q) @ P @ Q
 
 
+def bundle_for_spectrum(kind, lam):
+    """The transform bundle of kind on a network whose non-principal mixing
+    eigenvalues are lam."""
+    lam = np.asarray(lam, dtype=float)
+    K = lam.size + 1
+    mixing = MixingMatrix(W=np.eye(K), eigvals=np.r_[1.0, lam],
+                          eigvecs=np.eye(K), lam=float(np.max(lam)),
+                          lam_min_nonzero=float(np.min(lam)), is_psd=True)
+    return build_transform_bundle(StrategyOps(kind, None, None, None), mixing)
+
+
+def condition_numbers(bundle):
+    """||Q_j|| ||Q_j^-1|| of every mode."""
+    return (np.linalg.norm(bundle.Q, 2, axis=(1, 2))
+            * np.linalg.norm(bundle.Q_inv, 2, axis=(1, 2)))
+
+
 class TestSpectralForm:
     """The per-mode bundle against the dense route: mode values projected
     from the dense (A, B^2, C), b the root of the projected B^2, then one
@@ -93,42 +119,53 @@ class TestSpectralForm:
             assert bundle.v1_sq == pytest.approx(v1_sq, abs=1e-10)
             assert bundle.v2_sq == pytest.approx(v2_sq, abs=1e-10)
 
-    @given(seed=st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_stacked_similarity_matches_reference(self, seed):
-        """Both branches, complex pair and repeated eigenvalue, pick the
-        reference's Q and T."""
-        rng = np.random.default_rng(seed)
-        lam = rng.uniform(-1.0, 1.0, 24)
-        a, b, c = rng.uniform(-1.0, 1.0, (3, 24))
-        b = np.where(np.abs(b) < 0.05, 0.5, b)
-        # the first 16 blocks get a complex pair: with a c = lam, the
-        # discriminant (lam + 1 - b^2)^2 - 4 lam is negative for
-        # b^2 in (1 + lam - 2 sqrt(lam), 1 + lam + 2 sqrt(lam)), lam > 0
-        lam_c = np.abs(lam[:16])
-        a[:16], c[:16] = lam_c, 1.0
-        b[:16] = np.sqrt(1.0 + lam_c + rng.uniform(-1.8, 1.8, 16) * np.sqrt(lam_c))
-        # the last 8 blocks follow the gradient-tracking rows: a c = lam^2,
-        # b = 1 - lam, a double eigenvalue at lam
-        a[16:], b[16:], c[16:] = lam[16:] ** 2, 1.0 - lam[16:], 1.0
-        P = np.stack([[a * c - b * b, -b], [b, np.ones_like(b)]]).transpose(2, 0, 1)
-        Q, Q_inv, T = _similarity_2x2(P)
-        # the double-eigenvalue blocks are defective: their T is a Jordan
-        # block, not diagonal
-        assert (np.abs(T[16:, 0, 1]) > 1e-12).all()
-        for j in range(len(P)):
-            Q_ref, T_ref = reference_similarity(P[j])
-            assert_close(Q[j], Q_ref, 1e-12, f"Q of block {j}")
-            assert_close(T[j], T_ref, 1e-12, f"T of block {j}")
-            assert_close(Q_inv[j], np.linalg.inv(Q_ref), 1e-10, f"Q^-1 {j}")
+    def test_stacked_similarity_matches_reference(self):
+        """Each row's closed-form Q, Q^-1 and T over a grid of mode
+        eigenvalues: P = Q T Q^-1 to 1e-12; Q^-1 Q = I to 1e-15 times the
+        mode's condition number c (a float Q has no float inverse closer
+        than about c eps; c reaches 1.2e5 on this grid); a rotating mode's
+        Q with unit columns, the phase that gives its real and imaginary
+        parts equal norm; and Q equal to the reference's, one mode at a
+        time, to 1e-12 up to the signs of its columns, which its SVD leaves
+        free. Above lam = 0.999 the reference's phase loses digits (5.5e-9
+        at lam = 1 - 1e-6) and is not compared."""
+        for kind in StrategyKind:
+            grid = SQRT_GRID if kind in SQRT_STRATEGIES else GT_GRID
+            bundle = bundle_for_spectrum(kind, grid)
+            P = mode_blocks(bundle)
+            Q, Q_inv, T = bundle.Q, bundle.Q_inv, bundle.T_mat
+            assert_close(Q @ T @ Q_inv, P, 1e-12, f"{kind.value} P")
+            err = np.max(np.abs(Q_inv @ Q - np.eye(2)), axis=(1, 2))
+            assert (err <= 1e-15 * condition_numbers(bundle)).all(), kind
+            if kind in SQRT_STRATEGIES:
+                rot = 4 * grid * (1 - grid) > 1e-9
+                assert_close(np.linalg.norm(Q[rot], axis=1), 1.0, 1e-12,
+                             f"{kind.value} column norms")
+            for j, lam in enumerate(grid):
+                if lam > 0.999:
+                    continue
+                Q_ref, _ = reference_similarity(P[j])
+                signs = np.sign(np.sum(Q_ref * Q[j], axis=0))
+                assert_close(Q[j], Q_ref * signs, 1e-12,
+                             f"{kind.value} Q at lam={lam:g}")
+            if kind in GT_STRATEGIES:
+                # the double eigenvalue is defective: T is a Jordan block
+                assert (T[:, 1, 0] == 0).all()
+                assert (np.abs(T[:, 0, 1]) > 1e-12).all()
 
-    def test_real_distinct_block_rejected(self):
-        # a c = 0.25, b^2 = 0.04: eigenvalues 1 and 0.21, which no
-        # strategy row produces
-        b = 0.2
-        P = np.array([[[0.25 - b * b, -b], [b, 1.0]]])
-        with pytest.raises(DegenerateModeError, match="distinct real"):
-            _similarity_2x2(P)
+    def test_condition_number_bounded(self):
+        """Above the switch the square-root rows' condition number
+        (1 + sqrt(1 - lam))/sqrt(lam) peaks at the switch, below
+        2/sqrt(2.5e-10); the Jordan basis, below the switch and for the
+        gradient-tracking rows, has sqrt(27), about 5.2."""
+        cond = condition_numbers(bundle_for_spectrum(StrategyKind.ED,
+                                                     SQRT_GRID))
+        assert np.max(cond) <= 2.0 / np.sqrt(2.5e-10)
+        jordan = 4 * SQRT_GRID * (1 - SQRT_GRID) <= 1e-9
+        assert_close(cond[jordan], np.sqrt(27.0), 1e-12, "ed Jordan modes")
+        cond = condition_numbers(bundle_for_spectrum(StrategyKind.ATC_GT,
+                                                     GT_GRID))
+        assert_close(cond, np.sqrt(27.0), 1e-12, "atc_gt")
 
     @pytest.mark.parametrize("kind", (StrategyKind.ED, StrategyKind.EXTRA))
     def test_ehat_of_consensual_state(self, kind):
@@ -255,6 +292,34 @@ class TestSparseNetworks:
                 worst_ed = min(caps[StrategyKind.ED][i],
                                caps[StrategyKind.EXTRA][i])
                 assert worst_ed > max(caps[kind][i] for kind in gt), K
+
+    @pytest.mark.parametrize("lazy", (True, False))
+    def test_closed_form_constants_on_random_graphs(self, lazy):
+        """The bundle's rho, v1^2 and v2^2 against their closed forms, with
+        lam_2 the second and lam_min the smallest mixing eigenvalue: ED
+        and EXTRA have sqrt(lam_2), 1 + sqrt(1 - lam_min) and that over
+        lam_min; the gradient-tracking rows have the Jordan norm
+        max_j (c_j + sqrt(c_j^2 + 4 lam_j^2))/2 with
+        c_j = 2 (1 - lam_j)/(3 sqrt(3)), 3 and 9. The square-root rows
+        need lazy weights."""
+        rng = np.random.default_rng(16)
+        for K in (5, 12, 24, 40):
+            for _ in range(3):
+                mixing = random_connected_mixing(rng, K, lazy=lazy)
+                lam = mixing.eigvals[1:]
+                c = 2 * (1 - lam) / (3 * np.sqrt(3))
+                gt = (np.max(c + np.sqrt(c**2 + 4 * lam**2)) / 2, 3.0, 9.0)
+                v1_sq = 1 + np.sqrt(1 - lam.min())
+                sqrt_rows = (np.sqrt(mixing.lam), v1_sq, v1_sq / lam.min())
+                for kind in StrategyKind:
+                    if kind in SQRT_STRATEGIES and not lazy:
+                        continue
+                    b = build_transform_bundle(build_strategy(kind, mixing),
+                                               mixing)
+                    want = sqrt_rows if kind in SQRT_STRATEGIES else gt
+                    got = (b.rho, b.v1_sq, b.v2_sq)
+                    assert got == pytest.approx(want, rel=1e-10, abs=0), \
+                        (kind, K)
 
 
 class TestCoupledError:
