@@ -6,6 +6,7 @@ Each mixing matrix is decomposed once, with LAPACK's symmetric solver
 downstream is derived from that one spectrum.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,12 +141,15 @@ def metropolis_weights(adj: list[list[int]], lazy: bool = False) -> MixingMatrix
         raise ConfigError("empty adjacency list")
     if not _is_connected(adj):
         raise ConfigError("graph must be connected")
-    deg = [len(n) for n in adj]
+    deg = np.array([len(n) for n in adj])
+    # edge (k, l) for each l in adj[k], in row order
+    rows = np.repeat(np.arange(K), deg)
+    cols = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.intp,
+                       count=int(deg.sum()))
     W = np.zeros((K, K))
-    for k in range(K):
-        for l in adj[k]:
-            W[k, l] = 1.0 / (1.0 + max(deg[k], deg[l]))
-        W[k, k] = 1.0 - np.sum(W[k])
+    W[rows, cols] = 1.0 / (1.0 + np.maximum(deg[rows], deg[cols]))
+    # each row sum is the same pairwise sum over the row as np.sum(W[k])
+    W[np.diag_indices(K)] = 1.0 - W.sum(axis=1)
     if lazy:
         W = (np.eye(K) + W) / 2.0
     eigvals, eigvecs = eigh_symmetric(W)

@@ -212,10 +212,38 @@ def _gaussian_noise(rngs, K, d1, d2, sigma, batch):
 # -- constructors ---------------------------------------------------------
 
 
-def _random_spd_spectrum(rng, d, lo, hi):
-    G = rng.standard_normal((d, d))
+def _random_spd_spectra(rng, n, d, lo, hi):
+    """n random SPD matrices O diag(u) O', stacked (n, d, d): O is the
+    orthogonal factor of a standard normal d x d block G, and u holds d
+    eigenvalues uniform in [lo, hi).
+
+    Stream order: matrix after matrix, G and then its u; a batched draw
+    must keep it. Only the draws loop; the factorisations and products
+    run as one stacked call each.
+    """
+    G = np.empty((n, d, d))
+    u = np.empty((n, 1, d))
+    for G_i, u_i in zip(G, u):
+        rng.standard_normal(out=G_i)
+        u_i[0] = rng.uniform(lo, hi, size=d)
     O, _ = np.linalg.qr(G)
-    return (O * rng.uniform(lo, hi, size=d)) @ O.T
+    return (O * u) @ O.transpose(0, 2, 1)
+
+
+def _sample_deviations(rng, K, N, d, sigma, scratch=None):
+    """One side of the sample table: (K, N, d) standard normal deviations,
+    centred per agent and scaled to RMS norm sigma (all zero if N = 1).
+    The squares for the norms go into scratch, a (K, N, d) array that is
+    overwritten, or into a new array if none is given."""
+    e = rng.standard_normal((K, N, d))
+    if N == 1:
+        e[...] = 0.0
+        return e
+    e -= e.mean(axis=1, keepdims=True)
+    # per-agent RMS norm
+    ms = np.sqrt(np.square(e, out=scratch).sum(axis=2).mean(axis=1))
+    e *= np.where(ms > 0, sigma / np.where(ms > 0, ms, 1.0), 0.0)[:, None, None]
+    return e
 
 
 def make_quadratic_problem(
@@ -238,20 +266,25 @@ def make_quadratic_problem(
     The global x-curvature is kept positive (base spectrum q_base plus
     zero-sum indefinite per-agent deltas), so individual J_k are
     nonconvex in x while the envelope stays bounded below.
+
+    Every array is built whole, with no loop over agents except the
+    draws, and the draws keep one stream order, which fixes every array
+    of a seed: Qbase (its normal block, then its uniforms), the deltas,
+    each agent's S (normal block, then uniforms, agent after agent), R,
+    a, b, and then the sample table's x side before its y side. A
+    rewrite that batches the draws differently changes the problem.
     """
     if d1 < 1 or d2 < 1:
         raise ConfigError(f"d1 and d2 must be >= 1, got {d1} and {d2}")
     if nu_target <= 0:
         raise ConfigError("nu_target must be > 0")
     rng = np.random.default_rng(seed)
-    Qbase = _random_spd_spectrum(rng, d1, q_base[0], q_base[1])
+    Qbase = _random_spd_spectra(rng, 1, d1, q_base[0], q_base[1])[0]
     deltas = rng.standard_normal((K, d1, d1)) * q_spread
     deltas = (deltas + deltas.transpose(0, 2, 1)) / 2.0
     deltas -= deltas.mean(axis=0, keepdims=True)
     Q = Qbase[None] + deltas
-    S = np.stack(
-        [_random_spd_spectrum(rng, d2, nu_target, nu_target + s_spread) for _ in range(K)]
-    )
+    S = _random_spd_spectra(rng, K, d2, nu_target, nu_target + s_spread)
     R = rng.standard_normal((K, d1, d2)) * r_scale / np.sqrt(max(d1, d2))
     a = rng.standard_normal((K, d1)) * hetero
     b = rng.standard_normal((K, d2)) * hetero
@@ -261,20 +294,16 @@ def make_quadratic_problem(
 
     samples = None
     if N is not None:
-        # one table, filled side by side in place: the x-side deviations
-        # are drawn before the y-side ones
+        # each side is drawn and normalised as its own contiguous block,
+        # x first: the x side before the table exists, the y side with its
+        # squares in its own slot of the table, so no more than one side's
+        # temporaries are ever held beside the table
+        ex = _sample_deviations(rng, K, N, d1, sigma)
         samples = np.empty((K, N, d1 + d2))
-        ea, eb = samples[..., :d1], samples[..., d1:]
-        ea[...] = rng.standard_normal((K, N, d1))
-        eb[...] = rng.standard_normal((K, N, d2))
-        if N > 1:
-            for e in (ea, eb):
-                e -= e.mean(axis=1, keepdims=True)
-                ms = np.sqrt((e**2).sum(axis=2).mean(axis=1))  # per-agent RMS norm
-                e *= np.where(ms > 0, sigma / np.where(ms > 0, ms, 1.0), 0.0)[:, None, None]
-        else:
-            samples[...] = 0.0
-        samples += np.concatenate([a, b], axis=1)[:, None, :]
+        np.add(ex, a[:, None, :], out=samples[..., :d1])
+        del ex
+        ey = _sample_deviations(rng, K, N, d2, sigma, scratch=samples[..., d1:])
+        np.add(ey, b[:, None, :], out=samples[..., d1:])
     return QuadraticMinimaxProblem(Q, R, S, a, b, samples, sigma, seed)
 
 

@@ -17,6 +17,7 @@ from decminimax import (
 )
 from decminimax.engine import _advance, _iterate_errors
 from decminimax.estimator import update_estimator
+from decminimax.problems import QuadraticMinimaxProblem
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +41,67 @@ def random_connected_mixing(rng, K, lazy=True):
     topo = Topology(kind="random", K=K, edge_prob=0.4,
                     seed=int(rng.integers(0, 2**31)))
     return mixing_for_topology(topo, lazy=lazy)
+
+
+def reference_quadratic_problem(K, d1, d2, N, sigma, seed, nu_target=0.5,
+                                q_base=(0.2, 1.0), q_spread=1.0, s_spread=0.5,
+                                r_scale=0.3, hetero=1.0,
+                                zero_mean_linear=False):
+    """make_quadratic_problem as a loop over agents, the reference its
+    array form must match byte for byte: one QR and one product per SPD
+    matrix, and the sample table normalised through strided views of
+    each side."""
+
+    def random_spd_spectrum(d, lo, hi):
+        G = rng.standard_normal((d, d))
+        O, _ = np.linalg.qr(G)
+        return (O * rng.uniform(lo, hi, size=d)) @ O.T
+
+    rng = np.random.default_rng(seed)
+    Qbase = random_spd_spectrum(d1, q_base[0], q_base[1])
+    deltas = rng.standard_normal((K, d1, d1)) * q_spread
+    deltas = (deltas + deltas.transpose(0, 2, 1)) / 2.0
+    deltas -= deltas.mean(axis=0, keepdims=True)
+    Q = Qbase[None] + deltas
+    S = np.stack([random_spd_spectrum(d2, nu_target, nu_target + s_spread)
+                  for _ in range(K)])
+    R = rng.standard_normal((K, d1, d2)) * r_scale / np.sqrt(max(d1, d2))
+    a = rng.standard_normal((K, d1)) * hetero
+    b = rng.standard_normal((K, d2)) * hetero
+    if zero_mean_linear:
+        a -= a.mean(axis=0, keepdims=True)
+        b -= b.mean(axis=0, keepdims=True)
+    samples = None
+    if N is not None:
+        samples = np.empty((K, N, d1 + d2))
+        ea, eb = samples[..., :d1], samples[..., d1:]
+        ea[...] = rng.standard_normal((K, N, d1))
+        eb[...] = rng.standard_normal((K, N, d2))
+        if N > 1:
+            for e in (ea, eb):
+                e -= e.mean(axis=1, keepdims=True)
+                ms = np.sqrt((e**2).sum(axis=2).mean(axis=1))
+                e *= np.where(ms > 0, sigma / np.where(ms > 0, ms, 1.0),
+                              0.0)[:, None, None]
+        else:
+            samples[...] = 0.0
+        samples += np.concatenate([a, b], axis=1)[:, None, :]
+    return QuadraticMinimaxProblem(Q, R, S, a, b, samples, sigma, seed)
+
+
+def reference_metropolis_weights(adj, lazy=False):
+    """The Metropolis W of a connected adjacency list, filled one agent
+    at a time: the reference for metropolis_weights' W."""
+    K = len(adj)
+    deg = [len(n) for n in adj]
+    W = np.zeros((K, K))
+    for k in range(K):
+        for l in adj[k]:
+            W[k, l] = 1.0 / (1.0 + max(deg[k], deg[l]))
+        W[k, k] = 1.0 - np.sum(W[k])
+    if lazy:
+        W = (np.eye(K) + W) / 2.0
+    return W
 
 
 def assert_close(a, b, tol, label=""):

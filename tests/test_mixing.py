@@ -16,7 +16,8 @@ from decminimax import (
 )
 from decminimax.strategies import mode_values
 
-from conftest import assert_close, random_connected_mixing
+from conftest import assert_close, random_connected_mixing, \
+    reference_metropolis_weights
 
 
 def edges_of(adj):
@@ -146,6 +147,41 @@ class TestMetropolisWeights:
             assert np.min(mix.eigvals) >= -1e-12
             if K > 1:
                 assert mix.lam < 1.0
+
+
+def assert_weights_match_reference(adj):
+    for lazy in (False, True):
+        W = metropolis_weights(adj, lazy=lazy).W
+        ref = reference_metropolis_weights(adj, lazy=lazy)
+        assert W.dtype == ref.dtype and W.tobytes() == ref.tobytes(), (
+            len(adj), lazy)
+
+
+class TestWeightsMatchLoop:
+    """metropolis_weights fills W from edge index arrays and takes the
+    diagonal from whole-array row sums; W equals the agent-by-agent loop's
+    byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["ring", "path", "star", "complete"])
+    def test_named_topologies(self, kind):
+        for K in [*range(2, 20), 31, 64, 96, 127, 300]:
+            assert_weights_match_reference(build_graph(Topology(kind=kind, K=K)))
+
+    def test_random_graphs_with_retries(self):
+        retries = 0
+        for K, edge_prob in [(5, 0.4), (6, 0.3), (12, 0.2), (40, 0.08),
+                             (300, 0.02)]:
+            for seed in range(6):
+                topo = Topology(kind="random", K=K, edge_prob=edge_prob,
+                                seed=seed)
+                assert_weights_match_reference(build_graph(topo))
+                if K <= 40:
+                    retries += loop_random_edges(K, edge_prob, seed)[1] != seed
+        assert retries >= 10, retries
+
+    def test_unsorted_adjacency_and_one_agent(self):
+        assert_weights_match_reference([[2, 1, 3], [0], [3, 0], [0, 2]])
+        assert_weights_match_reference([[]])
 
 
 class TestEighSymmetric:

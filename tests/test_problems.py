@@ -11,7 +11,8 @@ from decminimax import (
     maximizer_oracle,
 )
 
-from conftest import ascent_maximizer, assert_close
+from conftest import ascent_maximizer, assert_close, \
+    reference_quadratic_problem
 
 
 def finite_difference(f, z, h=1e-5):
@@ -83,6 +84,53 @@ class TestQuadraticConstruction:
         with pytest.raises(ConfigError):
             make_quadratic_problem(K=2, d1=2, d2=2, N=4, sigma=0.0, seed=0,
                                    nu_target=0.0)
+
+
+PROBLEM_ARRAYS = ("Q", "R", "S", "a", "b", "samples", "H", "c", "Linv")
+
+
+class TestArrayConstruction:
+    """make_quadratic_problem builds every SPD block with one stacked QR
+    and product, and normalises each side of the sample table as its own
+    block; the draws keep the agent-by-agent loop's stream order, so every
+    array equals the loop's byte for byte."""
+
+    @pytest.mark.parametrize("N", [None, 1, 2, 17, 256])
+    def test_arrays_match_loop(self, N):
+        for K in (1, 2, 3, 7, 16, 96):
+            for d1, d2 in [(1, 1), (1, 4), (2, 3), (3, 2), (4, 4), (9, 8)]:
+                for sigma in (0.0, 0.3):
+                    for zero_mean in (False, True):
+                        kwargs = dict(K=K, d1=d1, d2=d2, N=N, sigma=sigma,
+                                      seed=K * 100 + d1 * 10 + d2,
+                                      zero_mean_linear=zero_mean)
+                        got = make_quadratic_problem(**kwargs)
+                        ref = reference_quadratic_problem(**kwargs)
+                        for name in PROBLEM_ARRAYS:
+                            x, y = getattr(got, name), getattr(ref, name)
+                            if y is None:
+                                assert x is None, name
+                                continue
+                            assert x.shape == y.shape and x.tobytes() == \
+                                y.tobytes(), (name, kwargs)
+                        assert got.constants == ref.constants, kwargs
+
+    def test_memory_peak_not_above_loop(self):
+        # the x side is normalised before the table exists and the y side's
+        # squares go into its slot of the table, so the peak stays at or
+        # below the loop's, which holds the table beside the x side's
+        # squares and their row sums
+        kwargs = dict(K=96, d1=3, d2=2, N=256, sigma=0.3, seed=1)
+        peaks = []
+        for build in (make_quadratic_problem, reference_quadratic_problem):
+            build(**{**kwargs, "K": 2, "N": 4})
+            tracemalloc.start()
+            try:
+                build(**kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1], peaks
 
 
 class TestGradients:
