@@ -57,7 +57,7 @@ _SCHEMA = {
                 "sigma": _Key(0.0, float, 0.0), "seed": _Key(0, int, 0),
                 "nu_target": _Key(0.5, float), "hetero": _Key(1.0, float),
                 "r_scale": _Key(0.3, float), "q_spread": _Key(1.0, float),
-                "s_spread": _Key(0.5, float),
+                "s_spread": _Key(0.5, float, 0.0),
                 "zero_mean_linear": _Key(False, bool)},
     "schedule": {"mode": _Key("explicit"), "mu_x": _Key(None, float),
                  "mu_y": _Key(None, float), "beta": _Key(0.0, float),
@@ -305,7 +305,7 @@ def _setup(config: RunConfig):
     problem = build_problem(config)
     mixing = build_mixing(config)
     ops = build_strategy(config.strategy, mixing)
-    bundle = build_transform_bundle(ops, mixing)
+    bundle = build_transform_bundle(ops.kind, mixing)
     engine, sched_info = _resolve_schedule(config, problem, mixing, bundle)
     return problem, mixing, ops, bundle, engine, sched_info
 

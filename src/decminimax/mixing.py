@@ -6,7 +6,6 @@ Each mixing matrix is decomposed once, with LAPACK's symmetric solver
 downstream is derived from that one spectrum.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +18,9 @@ class Topology:
     """Communication graph specification.
 
     kind: one of "ring", "path", "star", "complete", "random".
-    edge_prob and seed are only meaningful for kind="random"; random
-    graphs are redrawn with incremented seed until connected.
+    edge_prob and seed are only meaningful for kind="random"; a random
+    graph is redrawn with incremented seed until connected, at most
+    _MAX_DRAWS times.
     """
 
     kind: str
@@ -59,59 +59,50 @@ class MixingMatrix:
         return self.W.shape[0]
 
 
-def _is_connected(adj: list[list[int]]) -> bool:
-    K = len(adj)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == K
+# random draws tried, from seed upwards, before a topology is rejected
+_MAX_DRAWS = 1000
 
 
-def build_graph(topo: Topology) -> list[list[int]]:
-    """Return the adjacency list of a connected simple undirected graph."""
+def _connected(K: int, i: np.ndarray, j: np.ndarray) -> bool:
+    """Whether the edges (i, j) join all K nodes. Each node's label falls
+    to the smallest label across its edges, then to its label's label,
+    until no label changes; the graph is connected when every label is
+    node 0."""
+    label = np.arange(K)
+    while True:
+        low = label.copy()
+        np.minimum.at(low, i, label[j])
+        np.minimum.at(low, j, label[i])
+        low = low[low]
+        if np.array_equal(low, label):
+            return not label.any()
+        label = low
+
+
+def build_graph(topo: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Edge index arrays (i, j), each edge once with i < j, of a connected
+    simple undirected graph on topo.K nodes."""
     K = topo.K
-    edges: set[tuple[int, int]] = set()
+    k = np.arange(K - 1, dtype=np.intp)
     if topo.kind == "complete":
-        edges = {(i, j) for i in range(K) for j in range(i + 1, K)}
-    elif topo.kind == "ring":
-        if K == 2:
-            edges = {(0, 1)}
-        elif K > 2:
-            edges = {(i, (i + 1) % K) for i in range(K)}
-            edges = {(min(a, b), max(a, b)) for a, b in edges}
-    elif topo.kind == "path":
-        edges = {(i, i + 1) for i in range(K - 1)}
-    elif topo.kind == "star":
-        edges = {(0, i) for i in range(1, K)}
-    else:  # random
-        seed = topo.seed if topo.seed is not None else 0
-        # the pairs i < j in row order, one uniform draw each
-        rows, cols = np.triu_indices(K, 1)
-        while True:
-            rng = np.random.default_rng(seed)
-            hit = rng.random(rows.size) < topo.edge_prob
-            adj = _edges_to_adj(K, set(zip(rows[hit].tolist(),
-                                           cols[hit].tolist())))
-            if _is_connected(adj):
-                return adj
-            seed += 1
-    adj = _edges_to_adj(K, edges)
-    if not _is_connected(adj):
-        raise ConfigError(f"{topo.kind} topology on K={K} is not connected")
-    return adj
-
-
-def _edges_to_adj(K: int, edges: set[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(K)]
-    for a, b in sorted(edges):
-        adj[a].append(b)
-        adj[b].append(a)
-    return [sorted(n) for n in adj]
+        return np.triu_indices(K, 1)
+    if topo.kind == "star":
+        return np.zeros_like(k), k + 1
+    if topo.kind == "path" or (topo.kind == "ring" and K <= 2):
+        return k, k + 1
+    if topo.kind == "ring":
+        return np.append(k, 0), np.append(k + 1, K - 1)
+    # random: one uniform draw per pair i < j in row order, redrawn from
+    # seed + 1, seed + 2, ... until the graph is connected
+    seed = topo.seed if topo.seed is not None else 0
+    rows, cols = np.triu_indices(K, 1)
+    for s in range(seed, seed + _MAX_DRAWS):
+        hit = np.random.default_rng(s).random(rows.size) < topo.edge_prob
+        if _connected(K, rows[hit], cols[hit]):
+            return rows[hit], cols[hit]
+    raise ConfigError(
+        f"no connected random graph on K={K} with edge_prob="
+        f"{topo.edge_prob} in {_MAX_DRAWS} draws from seed {seed}")
 
 
 def eigh_symmetric(M: np.ndarray):
@@ -130,30 +121,30 @@ def eigh_symmetric(M: np.ndarray):
     return d.copy(), V * np.where(top < 0, -1.0, 1.0)
 
 
-def metropolis_weights(adj: list[list[int]], lazy: bool = False) -> MixingMatrix:
-    """Metropolis-Hastings doubly stochastic weights for a connected graph.
+def metropolis_weights(K: int, i: np.ndarray, j: np.ndarray,
+                       lazy: bool = False) -> MixingMatrix:
+    """Metropolis-Hastings doubly stochastic weights for a connected graph
+    on K nodes with edge index arrays (i, j), each edge once.
 
     Edge weight 1/(1 + max(deg_k, deg_l)); diagonal takes the remainder.
     With lazy=True the result is (I + W)/2, which is PSD.
     """
-    K = len(adj)
-    if K == 0:
-        raise ConfigError("empty adjacency list")
-    if not _is_connected(adj):
-        raise ConfigError("graph must be connected")
-    deg = np.array([len(n) for n in adj])
-    # edge (k, l) for each l in adj[k], in row order
-    rows = np.repeat(np.arange(K), deg)
-    cols = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.intp,
-                       count=int(deg.sum()))
+    if K < 1:
+        raise ConfigError(f"agent count must be >= 1, got {K}")
+    deg = np.bincount(np.concatenate([i, j]), minlength=K)
     W = np.zeros((K, K))
-    W[rows, cols] = 1.0 / (1.0 + np.maximum(deg[rows], deg[cols]))
+    W[i, j] = W[j, i] = 1.0 / (1.0 + np.maximum(deg[i], deg[j]))
     # each row sum is the same pairwise sum over the row as np.sum(W[k])
     W[np.diag_indices(K)] = 1.0 - W.sum(axis=1)
     if lazy:
         W = (np.eye(K) + W) / 2.0
     eigvals, eigvecs = eigh_symmetric(W)
-    lam = float(np.max(eigvals[1:])) if K > 1 else 0.0
+    # a second connected component puts a second eigenvalue within
+    # rounding (about 1e-15) of 1; connected graphs stay far below, a path
+    # on 2048 nodes at 1 - lam = 7.8e-7
+    lam = float(eigvals[1]) if K > 1 else 0.0
+    if 1.0 - lam <= 1e-10:
+        raise ConfigError("graph must be connected")
     nonzero = eigvals[np.abs(eigvals) > 1e-12]
     lam_min_nonzero = float(np.min(nonzero))
     is_psd = bool(np.min(eigvals) >= -1e-10)
@@ -169,4 +160,4 @@ def metropolis_weights(adj: list[list[int]], lazy: bool = False) -> MixingMatrix
 
 def mixing_for_topology(topo: Topology, lazy: bool = False) -> MixingMatrix:
     """Convenience wrapper: build graph then Metropolis weights."""
-    return metropolis_weights(build_graph(topo), lazy=lazy)
+    return metropolis_weights(topo.K, *build_graph(topo), lazy=lazy)

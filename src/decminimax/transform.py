@@ -37,8 +37,7 @@ import numpy as np
 
 from .errors import DegenerateModeError
 from .mixing import MixingMatrix
-from .strategies import SQRT_STRATEGIES, StrategyKind, StrategyOps, \
-    mode_values
+from .strategies import SQRT_STRATEGIES, StrategyKind, mode_values
 
 _SWITCH = 1e-9  # square-root modes with 4 lam (1 - lam) above this rotate
 _ROOT27 = 3.0 * np.sqrt(3.0)
@@ -76,20 +75,20 @@ def _stack(p00, p01, p10, p11):
                      np.stack([p10, p11], axis=-1)], axis=-2)
 
 
-def build_transform_bundle(ops: StrategyOps,
+def build_transform_bundle(kind: StrategyKind,
                            mixing: MixingMatrix) -> TransformBundle:
     K = mixing.K
     U_hat = mixing.eigvecs[:, 1:]
     m = K - 1
     lam = mixing.eigvals[1:]
-    Lam_a, Lam_b, Lam_c = mode_values(ops.kind, lam)
+    Lam_a, Lam_b, Lam_c = mode_values(kind, lam)
     if np.any(np.abs(Lam_b) < 1e-12):
         raise DegenerateModeError(
             "a non-principal mode has a zero dual-coupling eigenvalue; "
             "the graph effectively has a disconnected consensus subspace"
         )
     gap = 1.0 - lam
-    rot = (ops.kind in SQRT_STRATEGIES) & (4.0 * lam * gap > _SWITCH)
+    rot = (kind in SQRT_STRATEGIES) & (4.0 * lam * gap > _SWITCH)
     r = np.sqrt(np.where(rot, lam, 1.0))
     cos = np.sqrt((1.0 + r) / 2.0)
     sin = np.sqrt(np.where(rot, gap, 0.0) / (2.0 * (1.0 + r)))
@@ -103,7 +102,7 @@ def build_transform_bundle(ops: StrategyOps,
     v1_sq = float(np.max(np.linalg.norm(Q, 2, axis=(1, 2))**2)) if m else 1.0
     v2_sq = float(np.max(np.linalg.norm(Qi, 2, axis=(1, 2))**2)) if m else 1.0
     return TransformBundle(
-        kind=ops.kind,
+        kind=kind,
         U_hat=U_hat,
         Lam_a=Lam_a,
         Lam_b=Lam_b,

@@ -89,6 +89,74 @@ def reference_quadratic_problem(K, d1, d2, N, sigma, seed, nu_target=0.5,
     return QuadraticMinimaxProblem(Q, R, S, a, b, samples, sigma, seed)
 
 
+def reachable(adj):
+    """The nodes a walk from node 0 reaches."""
+    seen, stack = {0}, [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def adjacency(K, edges):
+    """Sorted adjacency lists of the graph on K nodes with the given
+    (a, b) edges."""
+    adj = [[] for _ in range(K)]
+    for a, b in sorted(edges):
+        adj[a].append(b)
+        adj[b].append(a)
+    return [sorted(n) for n in adj]
+
+
+def reference_graph(topo):
+    """The graph as a Python set of edge tuples, turned into sorted
+    adjacency lists and walked from node 0 to check it is connected: the
+    reference for build_graph's edge arrays. A random graph takes one
+    uniform draw per pair i < j in row order, redrawn from seed + 1 until
+    connected."""
+    K = topo.K
+    if topo.kind == "complete":
+        edges = {(i, j) for i in range(K) for j in range(i + 1, K)}
+    elif topo.kind == "ring":
+        edges = set()
+        if K == 2:
+            edges = {(0, 1)}
+        elif K > 2:
+            edges = {(min(i, (i + 1) % K), max(i, (i + 1) % K))
+                     for i in range(K)}
+    elif topo.kind == "path":
+        edges = {(i, i + 1) for i in range(K - 1)}
+    elif topo.kind == "star":
+        edges = {(0, i) for i in range(1, K)}
+    else:
+        seed = topo.seed if topo.seed is not None else 0
+        rows, cols = np.triu_indices(K, 1)
+        while True:
+            hit = np.random.default_rng(seed).random(rows.size) < topo.edge_prob
+            edges = set(zip(rows[hit].tolist(), cols[hit].tolist()))
+            if len(reachable(adjacency(K, edges))) == K:
+                break
+            seed += 1
+    adj = adjacency(K, edges)
+    assert len(reachable(adj)) == K, topo
+    return adj
+
+
+def loop_random_edges(K, edge_prob, seed):
+    """The random topology drawn one pair at a time, as a reference: one
+    uniform draw per pair i < j in row order, redrawn from seed + 1 until
+    the graph is connected. Returns the edges and the seed that gave them."""
+    while True:
+        rng = np.random.default_rng(seed)
+        edges = {(i, j) for i in range(K) for j in range(i + 1, K)
+                 if rng.random() < edge_prob}
+        if len(reachable(adjacency(K, edges))) == K:
+            return edges, seed
+        seed += 1
+
+
 def reference_metropolis_weights(adj, lazy=False):
     """The Metropolis W of a connected adjacency list, filled one agent
     at a time: the reference for metropolis_weights' W."""

@@ -113,7 +113,7 @@ def test_criterion_3_spectral_constants():
     for mix in graphs:
         lam = mix.lam
         for kind in CLOSED_FORM_KINDS:
-            bundle = build_transform_bundle(build_strategy(kind, mix), mix)
+            bundle = build_transform_bundle(kind, mix)
             P = mode_blocks(bundle)
             res = np.linalg.norm(P - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
             if kind in (StrategyKind.ED, StrategyKind.EXTRA):
@@ -147,7 +147,7 @@ def test_criterion_4_consensus_inequality(ring8, quad8):
     detail = ""
     for kind in CLOSED_FORM_KINDS:
         ops = build_strategy(kind, ring8)
-        bundle = build_transform_bundle(ops, ring8)
+        bundle = build_transform_bundle(kind, ring8)
         config = EngineConfig(mu_x=0.005, mu_y=0.02,
                               grace=grace, T=500, seeds=(3,))
         mu = config.signed_step(3, 2)
@@ -181,7 +181,7 @@ def test_criterion_5_deterministic_convergence(ring8):
     detail = ""
     for kind in CLOSED_FORM_KINDS:
         ops = build_strategy(kind, ring8)
-        bundle = build_transform_bundle(ops, ring8)
+        bundle = build_transform_bundle(kind, ring8)
         mu_y0 = min(1 / c.nu, 1 / (2 * c.L_f))
         mu_x0 = min(1 / (32 * c.L), mu_y0 / (16 * c.kappa**2))
         mu_x, mu_y, _, _ = shrink_to_valid(mu_x0, mu_y0, grace, c, bundle)

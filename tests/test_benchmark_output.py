@@ -1,7 +1,8 @@
 """perfbench/run.py ends with one JSON result line that a reader of the
-benchmark can parse: a short traced run of the smallest workload must
-exit 0 and print it, with every metric finite. The run writes only under
-perfbench/out/."""
+benchmark can parse: a short run of the smallest workload, untraced and
+traced, must exit 0 and print it, with every metric finite. The untraced
+line is the one compared between revisions, so it must hold every
+end-to-end metric. The run writes only under perfbench/out/."""
 
 import json
 import math
@@ -9,17 +10,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+END_TO_END = {"seed_rounds_per_s", "setup_s", "cpu_s", "peak_rss_mb"}
 
 
 def reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def test_traced_run_ends_with_a_result_line():
+@pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])
+def test_run_ends_with_a_result_line(trace):
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "storm_online", "--seconds", "0.1", "--trace", "1"],
+         "--workload", "storm_online", "--seconds", "0.1",
+         "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
@@ -32,4 +38,8 @@ def test_traced_run_ends_with_a_result_line():
         value = metric["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), (
             name, value)
-    assert {"mixing.build_s", "problems.self_s"} <= metrics.keys(), sorted(metrics)
+    if trace:
+        assert {"mixing.build_s", "problems.self_s"} <= metrics.keys(), \
+            sorted(metrics)
+    else:
+        assert END_TO_END <= metrics.keys(), sorted(metrics)

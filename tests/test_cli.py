@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -71,6 +75,24 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
                      "--K", "4"]) == 2
     err = capsys.readouterr().err
     assert err == "error: page_offline needs the local sample count N\n"
+
+
+def test_unconnectable_random_topology_exits_2(tmp_path):
+    """A random topology that no draw connects is rejected after a bounded
+    number of redraws; the command returns instead of redrawing forever."""
+    path = write_config(tmp_path, dict(CONFIG, topology={
+        "kind": "random", "K": 40, "edge_prob": 0.02, "seed": 0}))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "decminimax.cli", "run", "--config", path,
+         "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=30)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: no connected random graph on K=40 "
+                                  "with edge_prob=0.02 in 1000 draws")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_sets_key_in_null_section(tmp_path, capsys):

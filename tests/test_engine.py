@@ -273,7 +273,7 @@ class TestRunAndMeasure:
                             lambda Z: calls.append(1) or block(Z))
         grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
         ops = build_strategy(StrategyKind.ED, ring8_lazy)
-        bundle = build_transform_bundle(ops, ring8_lazy)
+        bundle = build_transform_bundle(ops.kind, ring8_lazy)
         for T in (10, 100):
             totals = set()
             for seeds in ((0,), (0, 1, 2)):
@@ -351,7 +351,7 @@ class TestChunks:
             problem = make_quadratic_problem(K=4, d1=3, d2=2, N=64,
                                              sigma=0.5, seed=5)
             grace = GraceParams(beta=0.1, p=0.2, b=4, b0=4)
-            bundle = build_transform_bundle(ops, ring4_lazy)
+            bundle = build_transform_bundle(ops.kind, ring4_lazy)
             steps, T, seeds = (0.002, 0.01), 150, (3, 8, 9)
         elif case == "sinpl":
             problem = make_sinpl_problem(K=4, sigma=0.5, seed=2)
@@ -404,7 +404,7 @@ class TestChunks:
                                          seed=5)
         grace = GraceParams(beta=0.1, p=0.2, b=2, B_big=16, b0=4)
         ops = build_strategy(StrategyKind.EXTRA, ring8_lazy)
-        bundle = build_transform_bundle(ops, ring8_lazy)
+        bundle = build_transform_bundle(ops.kind, ring8_lazy)
         short, long = (
             run_ok(EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=T,
                                 seeds=(0, 1, 2)), problem, ops, bundle=bundle)

@@ -136,6 +136,8 @@ class TestLoadConfig:
         ("schedule.b", 32),
         # ed on the plain K=4 ring, whose Metropolis matrix has eigenvalue -1/3
         ("topology.lazy", False),
+        # the width of the S spectra, drawn as uniforms on [nu, nu + spread]
+        ("problem.s_spread", -0.1),
     ])
     def test_bad_value_rejected_before_any_seed(self, monkeypatch, dotted,
                                                 value):

@@ -16,59 +16,38 @@ from decminimax import (
 )
 from decminimax.strategies import mode_values
 
-from conftest import assert_close, random_connected_mixing, \
+from conftest import adjacency, assert_close, loop_random_edges, \
+    random_connected_mixing, reachable, reference_graph, \
     reference_metropolis_weights
 
-
-def edges_of(adj):
-    return {(min(a, b), max(a, b)) for a, ns in enumerate(adj) for b in ns}
-
-
-def reachable(adj):
-    """The nodes a walk from node 0 reaches."""
-    seen, stack = {0}, [0]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+KINDS = ["ring", "path", "star", "complete"]
+# K and edge_prob of the random graphs compared with the reference; at
+# seeds 0-7 the first five need redraws
+RANDOM_GRID = [(5, 0.4), (6, 0.3), (12, 0.2), (17, 0.3), (40, 0.08),
+               (64, 0.1), (150, 0.04), (300, 0.02)]
 
 
-def loop_random_edges(K, edge_prob, seed):
-    """The random topology drawn one pair at a time, as a reference: one
-    uniform draw per pair i < j in row order, redrawn from seed + 1 until
-    the graph is connected. Returns the edges and the seed that gave them."""
-    while True:
-        rng = np.random.default_rng(seed)
-        edges = {(i, j) for i in range(K) for j in range(i + 1, K)
-                 if rng.random() < edge_prob}
-        adj = [[] for _ in range(K)]
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        if len(reachable(adj)) == K:
-            return edges, seed
-        seed += 1
+def edges_of(i, j):
+    return set(zip(i.tolist(), j.tolist()))
 
 
 class TestBuildGraph:
     def test_ring4_edges(self):
-        adj = build_graph(Topology(kind="ring", K=4))
-        assert edges_of(adj) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+        i, j = build_graph(Topology(kind="ring", K=4))
+        assert edges_of(i, j) == {(0, 1), (1, 2), (2, 3), (0, 3)}
 
     def test_complete3_edge_count(self):
-        adj = build_graph(Topology(kind="complete", K=3))
-        assert len(edges_of(adj)) == 3
+        i, j = build_graph(Topology(kind="complete", K=3))
+        assert len(edges_of(i, j)) == i.size == 3
 
     def test_random_p1_is_complete(self):
-        adj = build_graph(Topology(kind="random", K=5, edge_prob=1.0, seed=0))
-        assert edges_of(adj) == edges_of(build_graph(Topology(kind="complete", K=5)))
+        graph = build_graph(Topology(kind="random", K=5, edge_prob=1.0, seed=0))
+        assert edges_of(*graph) == edges_of(
+            *build_graph(Topology(kind="complete", K=5)))
 
     def test_star_degrees(self):
-        adj = build_graph(Topology(kind="star", K=6))
-        assert len(adj[0]) == 5
-        assert all(adj[k] == [0] for k in range(1, 6))
+        i, j = build_graph(Topology(kind="star", K=6))
+        assert i.tolist() == [0] * 5 and j.tolist() == [1, 2, 3, 4, 5]
 
     def test_invalid_K(self):
         with pytest.raises(ConfigError):
@@ -81,8 +60,24 @@ class TestBuildGraph:
     @given(seed=st.integers(0, 10**6), K=st.integers(2, 12))
     @settings(max_examples=30, deadline=None)
     def test_random_always_connected(self, seed, K):
-        adj = build_graph(Topology(kind="random", K=K, edge_prob=0.2, seed=seed))
-        assert len(reachable(adj)) == K
+        i, j = build_graph(Topology(kind="random", K=K, edge_prob=0.2,
+                                    seed=seed))
+        assert len(reachable(adjacency(K, edges_of(i, j)))) == K
+
+    @given(kind=st.sampled_from([*KINDS, "random"]), K=st.integers(1, 40),
+           edge_prob=st.floats(0.05, 1.0), seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_edge_arrays(self, kind, K, edge_prob, seed):
+        """Each edge once, i < j, as intp arrays of a connected graph."""
+        # well above the connection threshold ln(K)/K
+        edge_prob = min(1.0, max(edge_prob, 4.0 / K))
+        i, j = build_graph(Topology(kind=kind, K=K, edge_prob=edge_prob,
+                                    seed=seed))
+        assert i.dtype == j.dtype == np.intp
+        assert i.shape == j.shape and i.ndim == 1
+        assert np.all(0 <= i) and np.all(i < j) and np.all(j < K)
+        assert len(edges_of(i, j)) == i.size
+        assert len(reachable(adjacency(K, edges_of(i, j)))) == K
 
     @pytest.mark.parametrize("K, edge_prob, seed, used_seed", [
         (5, 0.4, 0, 2), (6, 0.3, 0, 2), (17, 0.3, 9, 9), (64, 0.1, 123, 123)])
@@ -90,10 +85,10 @@ class TestBuildGraph:
                                            used_seed):
         edges, used = loop_random_edges(K, edge_prob, seed)
         assert used == used_seed  # the first two need retries
-        adj = build_graph(Topology(kind="random", K=K, edge_prob=edge_prob,
-                                   seed=seed))
-        assert edges_of(adj) == edges
-        assert all(type(v) is int for ns in adj for v in ns)
+        i, j = build_graph(Topology(kind="random", K=K, edge_prob=edge_prob,
+                                    seed=seed))
+        assert edges_of(i, j) == edges
+        assert i.dtype == j.dtype == np.intp
 
 
 class TestMetropolisWeights:
@@ -115,8 +110,24 @@ class TestMetropolisWeights:
         assert ring4_lazy.is_psd
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ConfigError):
-            metropolis_weights([[1], [0], [3], [2]])
+        with pytest.raises(ConfigError, match="connected"):
+            metropolis_weights(4, np.array([0, 2]), np.array([1, 3]))
+        # two rings and two random graphs: a second eigenvalue within
+        # rounding of 1, lazy or not
+        for K, i, j in [(50, *build_graph(Topology(kind="ring", K=25))),
+                        (120, *build_graph(Topology(kind="random", K=60,
+                                                    edge_prob=0.1, seed=3)))]:
+            half = K // 2
+            for lazy in (False, True):
+                with pytest.raises(ConfigError, match="connected"):
+                    metropolis_weights(K, np.r_[i, i + half],
+                                       np.r_[j, j + half], lazy=lazy)
+
+    def test_sparse_large_graph_accepted(self):
+        # the lazy path on 1024 agents: 1 - lam = 1.6e-6, the smallest
+        # gap of a named topology at the largest K of the ring sweeps
+        mix = mixing_for_topology(Topology(kind="path", K=1024), lazy=True)
+        assert 1e-6 < 1.0 - mix.lam < 2e-6
 
     @pytest.mark.parametrize("kind, K", [("ring", 8), ("star", 6),
                                          ("complete", 5)])
@@ -149,39 +160,51 @@ class TestMetropolisWeights:
                 assert mix.lam < 1.0
 
 
-def assert_weights_match_reference(adj):
+def assert_matches_reference(topo):
+    """build_graph's edges are the set-based builder's, and W and its
+    eigenpairs are the agent-by-agent W's and its eigenpairs, byte for
+    byte."""
+    adj = reference_graph(topo)
+    i, j = build_graph(topo)
+    assert adjacency(topo.K, edges_of(i, j)) == adj, topo
     for lazy in (False, True):
-        W = metropolis_weights(adj, lazy=lazy).W
+        mix = mixing_for_topology(topo, lazy=lazy)
         ref = reference_metropolis_weights(adj, lazy=lazy)
-        assert W.dtype == ref.dtype and W.tobytes() == ref.tobytes(), (
-            len(adj), lazy)
+        d, V = eigh_symmetric(ref)
+        for got, want in ((mix.W, ref), (mix.eigvals, d), (mix.eigvecs, V)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (topo, lazy)
 
 
 class TestWeightsMatchLoop:
-    """metropolis_weights fills W from edge index arrays and takes the
-    diagonal from whole-array row sums; W equals the agent-by-agent loop's
-    byte for byte."""
+    """The graph as edge index arrays and W filled from them, against the
+    set-based builder and the agent-by-agent loop, byte for byte."""
 
-    @pytest.mark.parametrize("kind", ["ring", "path", "star", "complete"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_named_topologies(self, kind):
-        for K in [*range(2, 20), 31, 64, 96, 127, 300]:
-            assert_weights_match_reference(build_graph(Topology(kind=kind, K=K)))
+        for K in [*range(1, 40), 64, 96, 127, 300]:
+            assert_matches_reference(Topology(kind=kind, K=K))
 
     def test_random_graphs_with_retries(self):
         retries = 0
-        for K, edge_prob in [(5, 0.4), (6, 0.3), (12, 0.2), (40, 0.08),
-                             (300, 0.02)]:
-            for seed in range(6):
-                topo = Topology(kind="random", K=K, edge_prob=edge_prob,
-                                seed=seed)
-                assert_weights_match_reference(build_graph(topo))
+        for K, edge_prob in RANDOM_GRID:
+            for seed in range(8):
+                assert_matches_reference(Topology(
+                    kind="random", K=K, edge_prob=edge_prob, seed=seed))
                 if K <= 40:
                     retries += loop_random_edges(K, edge_prob, seed)[1] != seed
         assert retries >= 10, retries
 
     def test_unsorted_adjacency_and_one_agent(self):
-        assert_weights_match_reference([[2, 1, 3], [0], [3, 0], [0, 2]])
-        assert_weights_match_reference([[]])
+        """Edges in any order, either way round, give the same W."""
+        adj = [[1, 2, 3], [0], [0, 3], [0, 2]]
+        ref = reference_metropolis_weights(adj)
+        W = metropolis_weights(4, np.array([3, 0, 2, 1]),
+                               np.array([2, 3, 0, 0])).W
+        assert W.tobytes() == ref.tobytes()
+        one = metropolis_weights(1, np.array([], dtype=np.intp),
+                                 np.array([], dtype=np.intp))
+        assert one.W.tobytes() == reference_metropolis_weights([[]]).tobytes()
 
 
 class TestEighSymmetric:

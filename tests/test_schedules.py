@@ -12,7 +12,6 @@ from decminimax import (
     ScheduleSpec,
     StrategyKind,
     Topology,
-    build_strategy,
     build_transform_bundle,
     make_quadratic_problem,
     mixing_for_topology,
@@ -31,8 +30,7 @@ def quad_small():
 
 @pytest.fixture(scope="module")
 def ed_bundle(ring8_lazy):
-    return build_transform_bundle(
-        build_strategy(StrategyKind.ED, ring8_lazy), ring8_lazy)
+    return build_transform_bundle(StrategyKind.ED, ring8_lazy)
 
 
 def shrink_by_halving(mu_x, mu_y, grace, constants, bundle):
@@ -166,8 +164,7 @@ class TestValidateConditions:
         for K, N, seeds in ((8, 1024, range(10)), (96, 256, range(3))):
             mixing = mixing_for_topology(Topology(kind="ring", K=K),
                                          lazy=True)
-            bundle = build_transform_bundle(
-                build_strategy(StrategyKind.ED, mixing), mixing)
+            bundle = build_transform_bundle(StrategyKind.ED, mixing)
             for seed in seeds:
                 problem = make_quadratic_problem(K=K, d1=3, d2=2, N=N,
                                                  sigma=0.3, seed=seed)

@@ -16,7 +16,7 @@ from decminimax import (
 )
 from decminimax.engine import _advance
 from decminimax.mixing import MixingMatrix
-from decminimax.strategies import StrategyOps, mode_values
+from decminimax.strategies import mode_values
 
 from conftest import assert_close, check_consensus_bound, mode_blocks, \
     random_connected_mixing, update_checked
@@ -80,7 +80,7 @@ def bundle_for_spectrum(kind, lam):
     mixing = MixingMatrix(W=np.eye(K), eigvals=np.r_[1.0, lam],
                           eigvecs=np.eye(K), lam=float(np.max(lam)),
                           lam_min_nonzero=float(np.min(lam)), is_psd=True)
-    return build_transform_bundle(StrategyOps(kind, None, None, None), mixing)
+    return build_transform_bundle(kind, mixing)
 
 
 def condition_numbers(bundle):
@@ -100,7 +100,7 @@ class TestSpectralForm:
         mixing = random_connected_mixing(np.random.default_rng(seed), K)
         for kind in StrategyKind:
             ops = build_strategy(kind, mixing)
-            bundle = build_transform_bundle(ops, mixing)
+            bundle = build_transform_bundle(ops.kind, mixing)
             U = bundle.U_hat
             a, b2, c = [np.diag(U.T @ M @ U) for M in (ops.A, ops.B2, ops.C)]
             dense = (a, np.sqrt(np.maximum(b2, 0.0)), c)
@@ -173,7 +173,7 @@ class TestSpectralForm:
         coordinates are (0, mu a_j m_j / b_j), with m = U^T M."""
         K, mu = 64, 1e-8
         mixing = mixing_for_topology(Topology(kind="ring", K=K), lazy=True)
-        bundle = build_transform_bundle(build_strategy(kind, mixing), mixing)
+        bundle = build_transform_bundle(kind, mixing)
         a, b, _ = mode_values(kind, mixing.eigvals[1:])
         rng = np.random.default_rng(1)
         Z = np.tile(rng.standard_normal(5), (K, 1))
@@ -190,7 +190,7 @@ class TestSpectralForm:
     @pytest.mark.parametrize("kind", (StrategyKind.ED, StrategyKind.EXTRA))
     def test_closed_forms_at_K256(self, kind):
         mixing = mixing_for_topology(Topology(kind="ring", K=256), lazy=True)
-        bundle = build_transform_bundle(build_strategy(kind, mixing), mixing)
+        bundle = build_transform_bundle(kind, mixing)
         assert bundle.rho == pytest.approx(np.sqrt(mixing.lam), abs=1e-8)
         assert bundle.lam_b_underline_sq == pytest.approx(1 - mixing.lam,
                                                           abs=1e-8)
@@ -200,8 +200,7 @@ class TestSpectralForm:
 class TestBundleConstants:
     @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
     def test_lazy_ring4(self, ring4_lazy, kind):
-        bundle = build_transform_bundle(build_strategy(kind, ring4_lazy),
-                                        ring4_lazy)
+        bundle = build_transform_bundle(kind, ring4_lazy)
         rho_ref, exact, lam_a, lam_b_u, v1_cap, v2_cap = closed_form_bounds(
             kind, ring4_lazy)
         if exact:
@@ -219,8 +218,7 @@ class TestBundleConstants:
         rng = np.random.default_rng(K * 31 + list(StrategyKind).index(kind))
         for _ in range(7):
             mixing = random_connected_mixing(rng, K, lazy=True)
-            bundle = build_transform_bundle(build_strategy(kind, mixing),
-                                            mixing)
+            bundle = build_transform_bundle(kind, mixing)
             rho_ref, exact, lam_a, lam_b_u, v1_cap, v2_cap = \
                 closed_form_bounds(kind, mixing)
             if exact:
@@ -238,24 +236,21 @@ class TestBundleConstants:
 
     def test_all_strategies_contract(self, ring8_lazy):
         for kind in StrategyKind:
-            bundle = build_transform_bundle(build_strategy(kind, ring8_lazy),
-                                            ring8_lazy)
+            bundle = build_transform_bundle(kind, ring8_lazy)
             assert bundle.rho < 1.0
             res = np.linalg.norm(
                 mode_blocks(bundle) - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
             assert res <= 1e-8, kind
 
     def test_uhat_diagonalizes_W(self, ring8_lazy):
-        bundle = build_transform_bundle(
-            build_strategy(StrategyKind.ED, ring8_lazy), ring8_lazy)
+        bundle = build_transform_bundle(StrategyKind.ED, ring8_lazy)
         U = bundle.U_hat
         assert np.linalg.norm(U.T @ U - np.eye(7)) <= 1e-10
         G = U.T @ ring8_lazy.W @ U
         assert np.linalg.norm(G - np.diag(np.diag(G))) <= 1e-10
 
     def test_tau_definition(self, ring8_lazy):
-        bundle = build_transform_bundle(
-            build_strategy(StrategyKind.ED, ring8_lazy), ring8_lazy)
+        bundle = build_transform_bundle(StrategyKind.ED, ring8_lazy)
         assert bundle.tau == pytest.approx(
             np.sqrt(8) * np.sqrt(bundle.v2_sq), abs=1e-12)
 
@@ -277,8 +272,7 @@ class TestSparseNetworks:
             mixing = mixing_for_topology(Topology(kind="ring", K=K), lazy=True)
             gaps.append(1 - mixing.lam)
             for kind in StrategyKind:
-                b = build_transform_bundle(build_strategy(kind, mixing),
-                                           mixing)
+                b = build_transform_bundle(kind, mixing)
                 caps[kind].append((1 - b.rho) * np.sqrt(
                     b.lam_b_underline_sq
                     / (b.v1_sq * b.v2_sq * b.lam_a_sq)))
@@ -314,8 +308,7 @@ class TestSparseNetworks:
                 for kind in StrategyKind:
                     if kind in SQRT_STRATEGIES and not lazy:
                         continue
-                    b = build_transform_bundle(build_strategy(kind, mixing),
-                                               mixing)
+                    b = build_transform_bundle(kind, mixing)
                     want = sqrt_rows if kind in SQRT_STRATEGIES else gt
                     got = (b.rho, b.v1_sq, b.v2_sq)
                     assert got == pytest.approx(want, rel=1e-10, abs=0), \
@@ -324,8 +317,7 @@ class TestSparseNetworks:
 
 class TestCoupledError:
     def _setup(self, kind, mixing):
-        ops = build_strategy(kind, mixing)
-        return ops, build_transform_bundle(ops, mixing)
+        return build_strategy(kind, mixing), build_transform_bundle(kind, mixing)
 
     def test_consensus_rows_give_zero(self, ring8_lazy):
         ops, bundle = self._setup(StrategyKind.ED, ring8_lazy)
@@ -339,8 +331,7 @@ class TestCoupledError:
 
     def test_single_agent_empty(self):
         mixing = mixing_for_topology(Topology(kind="complete", K=1))
-        ops = build_strategy(StrategyKind.ATC_GT, mixing)
-        bundle = build_transform_bundle(ops, mixing)
+        bundle = build_transform_bundle(StrategyKind.ATC_GT, mixing)
         ehat = coupled_error_norms(np.ones((1, 4)), 0.1 * np.ones((1, 4)),
                                    np.zeros((1, 4)), bundle)
         assert ehat.shape == (0, 4)
