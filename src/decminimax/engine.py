@@ -20,14 +20,16 @@ columns, at problem.d1.
 The round loop does only the recursion. Each round copies what the metric
 columns need into a chunk buffer (_Chunk), and one batched pass per chunk
 of rounds evaluates every column; the pass also runs at the end of the
-run and before a replicate leaves the batch. The estimator draws its
-random numbers a chunk of rounds at a time. Neither shows in the output:
-every operation acts on each replicate's (K, d) slice of each round alone,
-and the chunked draws equal the round-by-round ones, so a seed's numbers
-are the same whatever other seeds share its batch and whatever the chunk
-size. A replicate whose estimate or iterate stops being finite, or whose
-iterate passes DIVERGENCE_CAP, leaves the batch; its error is kept and its
-columns stop at its last recorded round.
+run. The estimator draws its random numbers a chunk of rounds at a time.
+Neither shows in the output: every operation acts on each replicate's
+(K, d) slice of each round alone, and the chunked draws equal the
+round-by-round ones, so a seed's numbers are the same whatever other
+seeds share its batch and whatever the chunk size. The batch keeps its
+shape for the whole run. A replicate whose estimate or iterate stops
+being finite, or whose iterate passes DIVERGENCE_CAP, keeps its first
+error and is frozen in place: its iterate, dual, estimates and row of
+the signed step are zeroed, so it stays at zero. After the run its
+columns from the failing round on are blanked.
 """
 
 from dataclasses import dataclass, field
@@ -76,14 +78,7 @@ class EngineState:
     Z: np.ndarray   # (S, K, d1+d2) primal block [X | Y]
     D: np.ndarray   # (S, K, d1+d2) carried dual, B times the paper's dual
     grace: GraceState
-    rows: np.ndarray  # (S,) position of each replicate in config.seeds
     round: int = 0
-
-    def select(self, keep: np.ndarray) -> None:
-        """Keep only the replicates where keep is true."""
-        self.Z, self.D = self.Z[keep], self.D[keep]
-        self.rows = self.rows[keep]
-        self.grace.select(keep)
 
 
 @dataclass
@@ -136,14 +131,14 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
     Z = np.tile(np.concatenate([x0, y0]), (S, K, 1))
     return EngineState(Z=Z, D=np.zeros_like(Z),
                        grace=init_estimator(problem, config.grace,
-                                            config.seeds, Z),
-                       rows=np.arange(S), round=0)
+                                            config.seeds, Z))
 
 
 def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps) -> None:
     """Primal and dual updates using the current gradient estimates; mu is
-    the signed step (EngineConfig.signed_step). A or C equal to I (power 0
-    of W) is skipped, not multiplied."""
+    the signed step (EngineConfig.signed_step), or one row of it per
+    replicate, (S, 1, d1+d2), as run_and_measure passes it. A or C equal
+    to I (power 0 of W) is skipped, not multiplied."""
     pow_a, pow_c, _ = _ROWS[ops.kind]
     Z = state.Z if pow_c == 0 else ops.C @ state.Z
     Z = Z - mu * state.grace.M
@@ -192,29 +187,21 @@ class _Chunk:
     one batched pass."""
 
     def __init__(self, series: MetricsSeries, problem, mu: np.ndarray,
-                 bundle: TransformBundle | None, rounds: int):
+                 bundle: TransformBundle | None, state: EngineState):
         self.series, self.problem, self.mu, self.bundle = \
             series, problem, mu, bundle
-        self.rounds = rounds
+        self.rounds = _chunk_rounds(state.Z.shape)
         self.held = 0
-        self.first = 0      # round of the first held row
-        self.Z = None       # (rounds, S, K, d) buffers, sized to the batch
-
-    def _alloc(self, state: EngineState) -> None:
         shape = (self.rounds,) + state.Z.shape
         self.Z, self.err = np.empty(shape), np.empty(shape)
         self.used = np.empty(shape[:2], dtype=state.grace.samples_used.dtype)
-        if self.bundle is not None:
+        if bundle is not None:
             self.muM, self.D = np.empty(shape), np.empty(shape)
 
     def hold(self, state: EngineState) -> None:
         """Copy round state.round of the batch; flush when the chunk is
         full."""
-        if self.Z is None or self.Z.shape[1] != len(state.rows):
-            self._alloc(state)
         i = self.held
-        if i == 0:
-            self.first = state.round
         grace = state.grace
         np.copyto(self.Z[i], state.Z)
         np.subtract(grace.M, grace.G, out=self.err[i])
@@ -227,7 +214,7 @@ class _Chunk:
             self.flush(state)
 
     def flush(self, state: EngineState) -> None:
-        """Write the held rounds of every replicate in the batch."""
+        """Write the held rounds, the last of which is state.round."""
         n = self.held
         if not n:
             return
@@ -251,9 +238,9 @@ class _Chunk:
                                        self.bundle)
             cols["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(2, 3))
             cols["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(2, 3))
-        span = slice(self.first, self.first + n)
+        span = slice(state.round + 1 - n, state.round + 1)
         for name, values in cols.items():
-            self.series.columns[name][state.rows, span] = values.T
+            self.series.columns[name][:, span] = values.T
 
 
 def _chunk_rounds(shape) -> int:
@@ -262,18 +249,14 @@ def _chunk_rounds(shape) -> int:
     return min(64, max(1, CHUNK_BYTES // (8 * int(np.prod(shape)))))
 
 
-def _drop(state: EngineState, chunk: _Chunk, errors: dict) -> None:
-    """Move the failed replicates out of the batch, keeping their errors;
-    the held rounds are written first, so a failed seed keeps its rows."""
-    if not errors:
-        return
-    chunk.flush(state)
-    series = chunk.series
-    keep = np.ones(len(state.rows), dtype=bool)
+def _fail(state: EngineState, mu: np.ndarray, series: MetricsSeries,
+          errors: dict) -> None:
+    """Keep each failed replicate's first error and freeze it in place:
+    zero iterate, dual and estimates and a zero step keep it at zero."""
     for i, exc in errors.items():
-        series.failures[series.seeds[state.rows[i]]] = exc
-        keep[i] = False
-    state.select(keep)
+        series.failures.setdefault(series.seeds[i], exc)
+        for a in (state.Z, state.D, state.grace.M, state.grace.G, mu):
+            a[i] = 0.0
 
 
 def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
@@ -287,26 +270,34 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     update so its estimation-error columns are well-defined. The ehat
     columns are recorded if and only if a transform bundle is given.
 
-    A diverged seed leaves the batch: series.failures holds its error and
-    its columns end at its last recorded round.
+    A diverged seed is frozen in place and the others run on; the run
+    stops early only when every seed has failed. series.failures holds
+    each failed seed's first error, and its columns are NaN (-1 for
+    samples_used) from the error's round on.
     """
-    mu = config.signed_step(problem.d1, problem.d2)
     state = init_engine(config, problem, x0=x0, y0=y0)
+    # one signed step row per replicate, zeroed when it fails
+    mu = np.tile(config.signed_step(problem.d1, problem.d2),
+                 (len(config.seeds), 1, 1))
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
-    chunk = _Chunk(series, problem, mu, bundle, _chunk_rounds(state.Z.shape))
+    chunk = _Chunk(series, problem, mu, bundle, state)
     while True:
         bad_agent = update_estimator(
             state.grace, config.grace, state.Z, problem,
             rounds=min(chunk.rounds, config.T + 1 - state.round))
-        _drop(state, chunk, _estimate_errors(state, bad_agent))
-        if not len(state.rows):
-            break
+        _fail(state, mu, series, _estimate_errors(state, bad_agent))
+        # every round up to the last is held, failed replicates' too, so
+        # the last held round is state.round when the chunk is flushed
         chunk.hold(state)
-        if state.round == config.T:
+        if state.round == config.T \
+                or len(series.failures) == len(config.seeds):
             break
         _advance(state, mu, ops)
-        _drop(state, chunk, _iterate_errors(state))
-        if not len(state.rows):
-            break
+        _fail(state, mu, series, _iterate_errors(state))
     chunk.flush(state)
+    for seed, exc in series.failures.items():
+        row = series.seeds.index(seed)
+        for name, col in series.columns.items():
+            col[row, exc.round_index:] = -1 if name == "samples_used" \
+                else np.nan
     return series

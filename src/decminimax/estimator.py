@@ -68,15 +68,6 @@ class GraceState:
     noise: np.ndarray
     drawn: int = 0
 
-    def select(self, keep: np.ndarray) -> None:
-        """Keep only the replicates where keep is true."""
-        self.M, self.G = self.M[keep], self.G[keep]
-        self.switch_rngs = [r for r, k in zip(self.switch_rngs, keep) if k]
-        self.noise_rngs = [r for r, k in zip(self.noise_rngs, keep) if k]
-        self.samples_used = self.samples_used[keep]
-        self.refresh, self.used = self.refresh[keep], self.used[keep]
-        self.noise = self.noise[keep]
-
 
 def init_estimator(problem, params: GraceParams, seeds,
                    Z0: np.ndarray) -> GraceState:

@@ -368,9 +368,10 @@ def _summarize(result: RunResult, bundle) -> dict:
 
 def write_outputs(result: RunResult, out_dir) -> list:
     """Write seed_<s>.csv per surviving seed, summary.json and
-    config.resolved.json. A CSV line has a "%.17g" slot per recorded column
-    (integral values print as integers), an empty slot per absent ehat
-    column, and a CR LF end."""
+    config.resolved.json, and remove the seed_<s>.csv an earlier run left
+    for a seed that failed in this one. A CSV line has a "%.17g" slot per
+    recorded column (integral values print as integers), an empty slot per
+    absent ehat column, and a CR LF end."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -387,6 +388,8 @@ def write_outputs(result: RunResult, out_dir) -> list:
         path.write_text(header + "".join(template % tuple(r)
                                          for r in table.tolist()), newline="")
         written.append(path)
+    for seed in series.failures:
+        (out / f"seed_{seed}.csv").unlink(missing_ok=True)
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(result.summary, indent=2,
                                        sort_keys=True) + "\n")

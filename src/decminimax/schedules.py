@@ -44,8 +44,13 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.T < 1 or self.K < 1:
             raise ConfigError("T and K must be >= 1")
-        if self.kappa <= 0:
-            raise ConfigError("kappa must be positive")
+        if not (math.isfinite(self.kappa) and self.kappa > 0):
+            raise ConfigError(f"kappa must be finite and positive, "
+                              f"got {self.kappa}")
+        if self.N is not None and self.N < 1:
+            raise ConfigError(f"N must be >= 1, got {self.N}")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ConfigError(f"lam must be finite, got {self.lam}")
         if self.mode in (ScheduleMode.PAGE_OFFLINE, ScheduleMode.LSARAH_OFFLINE) \
                 and self.N is None:
             raise ConfigError(f"{self.mode.value} needs the local sample count N")

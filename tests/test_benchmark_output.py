@@ -2,7 +2,10 @@
 benchmark can parse: a short run of the smallest workload, untraced and
 traced, must exit 0 and print it, with every metric finite. The untraced
 line is the one compared between revisions, so it must hold every
-end-to-end metric. The run writes only under perfbench/out/."""
+end-to-end metric; the traced line must hold every per-layer metric that
+BENCHMARK.json declares, so a traced function that is renamed or removed
+cannot drop its metric without an error. The run writes only under
+perfbench/out/."""
 
 import json
 import math
@@ -14,6 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 END_TO_END = {"seed_rounds_per_s", "setup_s", "cpu_s", "peak_rss_mb"}
+PER_LAYER = {m["name"] for m in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["per_layer"]}
 
 
 def reject_constant(name):
@@ -39,7 +44,7 @@ def test_run_ends_with_a_result_line(trace):
         assert isinstance(value, (int, float)) and math.isfinite(value), (
             name, value)
     if trace:
-        assert {"mixing.build_s", "problems.self_s"} <= metrics.keys(), \
-            sorted(metrics)
+        assert PER_LAYER, "BENCHMARK.json declares no per-layer metric"
+        assert PER_LAYER <= metrics.keys(), sorted(PER_LAYER - metrics.keys())
     else:
         assert END_TO_END <= metrics.keys(), sorted(metrics)

@@ -137,6 +137,25 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, arg", [
+    ("page_offline", "--N=0"),
+    ("lsarah_offline", "--N=0"),
+    ("page_offline", "--N=-5"),
+    ("page_online", "--lam=nan"),
+    ("page_online", "--lam=-inf"),
+    ("storm_ed", "--kappa=nan"),
+    ("storm_ed", "--kappa=inf"),
+    ("storm_ed", "--kappa=0"),
+])
+def test_schedule_rejects_bad_numbers(mode, arg, capsys):
+    assert cli.main(["schedule", "--mode", mode, "--T", "1000", "--K", "4",
+                     arg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in \
+        captured.err
+    assert captured.out == ""
+
+
 def test_schedule_prints_preset(capsys):
     assert cli.main(["schedule", "--mode", "page_offline", "--T", "1000",
                      "--K", "4", "--N", "1024"]) == 0

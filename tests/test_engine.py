@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,10 +133,10 @@ class TestStep:
         assert recorded.sum() == err.round_index >= 1
         assert recorded[:err.round_index].all()
 
-    def test_divergent_seed_leaves_batch(self, ring4_lazy):
+    def test_divergent_seed_frozen_in_batch(self, ring4_lazy):
         # sigma puts the first rounds' largest entries near the cap: seeds 1
         # and 7 stay below it, seed 4 passes it at round 1 and seeds 2 and 5
-        # at round 2, when seed 5 no longer sits at its first position
+        # at round 2, while seed 4 sits frozen beside them
         problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=7e13,
                                          seed=0)
         grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
@@ -358,7 +360,7 @@ class TestChunks:
             grace = GraceParams(beta=0.2, p=0.1, b=2, B_big=8, b0=4)
             steps, T, seeds = (0.01, 0.01), 150, (1, 2)
         else:
-            # the batch of test_divergent_seed_leaves_batch
+            # the batch of test_divergent_seed_frozen_in_batch
             problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None,
                                              sigma=7e13, seed=0)
             grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
@@ -371,25 +373,45 @@ class TestChunks:
         assert (case == "failed_seeds") == bool(default.failures)
         self.assert_same(default, one_row)
 
-    def test_late_failure_alone_matches_batch(self, ring4_lazy):
-        # seed 7 passes the cap at round 181, in the third chunk of rows
+    def test_late_failure_alone_matches_batch(self, ring4_lazy, monkeypatch):
+        # seeds 7, 5 and 6 pass the cap at rounds 181, 465 and 1265, each in
+        # a later chunk of rows; a frozen seed raises no floating-point error
+        # in the rounds it sits out
         problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=1e13,
                                          seed=0)
         grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
         ops = build_strategy(StrategyKind.ED, ring4_lazy)
 
         def run(seeds):
-            config = EngineConfig(mu_x=0.01, mu_y=0.01, grace=grace, T=200,
+            config = EngineConfig(mu_x=0.01, mu_y=0.01, grace=grace, T=3000,
                                   seeds=seeds)
-            return run_and_measure(config, problem, ops)
+            with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return run_and_measure(config, problem, ops)
 
+        fail, tripped = engine._fail, []
+
+        def spy(state, mu, series, errors):
+            if errors:
+                tripped.append((state, [series.seeds[i] for i in errors]))
+            fail(state, mu, series, errors)
+
+        monkeypatch.setattr(engine, "_fail", spy)
         batch = run((5, 6, 7))
+        # each seed trips a check once, and frozen it stays at zero
+        assert [seeds for _, seeds in tripped] == [[7], [5], [6]]
+        state = tripped[-1][0]
+        assert not state.Z.any() and not state.D.any()
         assert engine._chunk_rounds((3, 4, 3)) < 181
-        assert {s: e.round_index for s, e in batch.failures.items()} == \
-            {7: 181}
-        recorded = np.isfinite(batch.columns["consensus_sq"][2])
-        assert recorded.sum() == 181 and recorded[:181].all()
-        assert (batch.columns["samples_used"][2, 181:] == -1).all()
+        failed = {7: 181, 5: 465, 6: 1265}
+        assert {s: e.round_index for s, e in batch.failures.items()} == failed
+        for row, seed in enumerate(batch.seeds):
+            r = failed[seed]
+            recorded = np.isfinite(batch.columns["consensus_sq"][row])
+            assert recorded.sum() == r and recorded[:r].all()
+            assert (batch.columns["samples_used"][row, r:] == -1).all()
+            assert (batch.columns["samples_used"][row, :r] > 0).all()
         for row, seed in enumerate(batch.seeds):
             alone = run((seed,))
             assert {s: str(e) for s, e in alone.failures.items()} == \

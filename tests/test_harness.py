@@ -260,15 +260,25 @@ class TestRunExperiment:
 
     def test_divergent_seed_recorded(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL))
+        raw["T"] = 200
+        # a first run leaves CSVs of both seeds in the directory; seed_9.csv
+        # stands for a file of a seed the second run does not have
+        out = tmp_path / "out"
+        write_outputs(run_experiment(config_from_dict(raw)), out)
+        (out / "seed_9.csv").write_text("kept")
+        assert {"seed_0.csv", "seed_1.csv"} <= {p.name for p in out.iterdir()}
         raw["schedule"]["mu_x"] = 50.0
         raw["schedule"]["mu_y"] = 50.0
-        raw["T"] = 200
         result = run_experiment(config_from_dict(raw))
         assert result.failures
         assert set(result.summary["seeds_failed"]) == {"0", "1"}
         assert result.summary["avg_stationarity"] == {"mean": None, "std": None}
-        files = write_outputs(result, tmp_path / "out")
+        files = write_outputs(result, out)
         assert {f.name for f in files} == {"summary.json", "config.resolved.json"}
+        # a failed seed's CSV from the first run is gone; no other file moved
+        assert {p.name for p in out.iterdir()} == \
+            {"summary.json", "config.resolved.json", "seed_9.csv"}
+        assert (out / "seed_9.csv").read_text() == "kept"
 
 
 def reference_csv(result, row) -> bytes:
@@ -288,7 +298,7 @@ def reference_csv(result, row) -> bytes:
     return buf.getvalue().encode()
 
 
-# the batch of TestStep.test_divergent_seed_leaves_batch: seeds 2, 4 and 5
+# the batch of TestStep.test_divergent_seed_frozen_in_batch: seeds 2, 4 and 5
 # diverge
 DIVERGENT = dict(MINIMAL, topology={"kind": "ring", "K": 4}, T=3,
                  problem={"kind": "quadratic", "d1": 2, "d2": 1, "N": None,

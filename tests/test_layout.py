@@ -66,8 +66,8 @@ def cli_runs(tmp_path):
         "schedule": {"mode": "storm_extra", "shrink_to_valid": True},
         "T": 30, "seeds": [0, 1]})
     runs.append(["run", "--config", storm])
-    # the batch of test_engine's test_divergent_seed_leaves_batch: seeds 2,
-    # 4 and 5 leave it, so both select methods run
+    # the batch of test_engine's test_divergent_seed_frozen_in_batch: seeds 2,
+    # 4 and 5 diverge, so the failure path runs
     runs.append(["run", "--config", write_yaml(tmp_path / "diverge.yaml", {
         "topology": {"kind": "ring", "K": 4},
         "strategy": "ed",
