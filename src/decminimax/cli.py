@@ -3,11 +3,14 @@
 Subcommands:
   run       execute one experiment config and write CSV/JSON outputs
   sweep     rerun a config with one dotted key set to each listed value
+            (read as YAML, or as text where it does not parse)
   schedule  print resolved hyperparameters for a schedule mode as JSON
 
 A rejected config (a config file that cannot be read or parsed, a bad
-value, a bad --vary key), or a strategy its mixing matrix cannot carry,
-prints "error: <message>" to stderr and exits with status 2.
+value, a bad --vary key), a strategy its mixing matrix cannot carry, or
+an --out that cannot be made a directory (in a sweep, also two values
+that share one) prints "error: <message>" to stderr and exits with
+status 2 before any seed runs. Diverged seeds only print a warning.
 """
 
 import argparse
@@ -15,21 +18,33 @@ import json
 import sys
 from dataclasses import asdict
 
+import yaml
+
 from .errors import ConfigError, DegenerateModeError
 from .harness import load_config, run_experiment, sweep as run_sweep, \
-    write_outputs, _parse_value
+    write_outputs
 from .schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
 
+def _warn_diverged(result, label=""):
+    if result.failures:
+        print(f"warning: {label}{len(result.failures)} seed(s) diverged "
+              f"({sorted(result.failures)})", file=sys.stderr)
+
+
 def _cmd_run(args):
-    config = load_config(args.config)
-    result = run_experiment(config)
+    result = run_experiment(load_config(args.config), out_dir=args.out)
     for f in write_outputs(result, args.out):
         print(f)
-    if result.failures:
-        print(f"warning: {len(result.failures)} seed(s) diverged "
-              f"({sorted(result.failures)})", file=sys.stderr)
+    _warn_diverged(result)
     return 0
+
+
+def _parse_value(text: str):
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError:
+        return text
 
 
 def _cmd_sweep(args):
@@ -40,7 +55,9 @@ def _cmd_sweep(args):
     results = run_sweep(args.config, key, values, args.out)
     for value, result in zip(values, results):
         avg = result.summary["avg_stationarity"]["mean"]
-        print(f"{key}={value}: avg_stationarity={avg:.6e}")
+        shown = "n/a" if avg is None else f"{avg:.6e}"
+        print(f"{key}={value}: avg_stationarity={shown}")
+        _warn_diverged(result, f"{key}={value}: ")
     return 0
 
 

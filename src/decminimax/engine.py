@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .estimator import GraceParams, GraceState, init_estimator, update_estimator, \
     estimator_error
-from .strategies import _ROWS, StrategyOps
+from .strategies import StrategyOps
 from .transform import TransformBundle, coupled_error_norms
 
 DIVERGENCE_CAP = 1e12
@@ -137,12 +137,11 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
 def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps) -> None:
     """Primal and dual updates using the current gradient estimates; mu is
     the signed step (EngineConfig.signed_step), or one row of it per
-    replicate, (S, 1, d1+d2), as run_and_measure passes it. A or C equal
-    to I (power 0 of W) is skipped, not multiplied."""
-    pow_a, pow_c, _ = _ROWS[ops.kind]
-    Z = state.Z if pow_c == 0 else ops.C @ state.Z
+    replicate, (S, 1, d1+d2), as run_and_measure passes it. An A or C
+    that is None (equal to I) is skipped, not multiplied."""
+    Z = state.Z if ops.C is None else ops.C @ state.Z
     Z = Z - mu * state.grace.M
-    state.Z = (Z if pow_a == 0 else ops.A @ Z) - state.D
+    state.Z = (Z if ops.A is None else ops.A @ Z) - state.D
     state.D = state.D + ops.B2 @ state.Z
     state.round += 1
 
@@ -169,15 +168,17 @@ def _iterate_errors(state: EngineState) -> dict:
     return errors
 
 
-def _estimate_errors(state: EngineState, bad_agent: np.ndarray) -> dict:
+def _estimate_errors(state: EngineState) -> dict:
     """Batch position -> DivergenceError for every replicate with a
-    non-finite gradient estimate (bad_agent from update_estimator)."""
-    if bad_agent.max() < 0:
+    non-finite gradient estimate, naming its first such agent."""
+    M = state.grace.M
+    if np.isfinite(M).all():
         return {}
+    bad = ~np.isfinite(M).all(axis=2)
     return {i: DivergenceError(
-                f"non-finite gradient estimate at agent {bad_agent[i]}",
+                f"non-finite gradient estimate at agent {bad[i].argmax()}",
                 round_index=state.round, max_entry=float("inf"))
-            for i in np.flatnonzero(bad_agent >= 0)}
+            for i in np.flatnonzero(bad.any(axis=1))}
 
 
 class _Chunk:
@@ -282,10 +283,9 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
     chunk = _Chunk(series, problem, mu, bundle, state)
     while True:
-        bad_agent = update_estimator(
-            state.grace, config.grace, state.Z, problem,
-            rounds=min(chunk.rounds, config.T + 1 - state.round))
-        _fail(state, mu, series, _estimate_errors(state, bad_agent))
+        update_estimator(state.grace, config.grace, state.Z, problem,
+                         rounds=min(chunk.rounds, config.T + 1 - state.round))
+        _fail(state, mu, series, _estimate_errors(state))
         # every round up to the last is held, failed replicates' too, so
         # the last held round is state.round when the chunk is flushed
         chunk.hold(state)

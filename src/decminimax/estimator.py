@@ -109,7 +109,7 @@ def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
 
 
 def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
-                     problem, rounds: int = 1) -> np.ndarray:
+                     problem, rounds: int = 1) -> None:
     """One estimator round at the current iterates Z (S, K, d1+d2): the
     replicate's switch, then refresh or recursion.
 
@@ -117,8 +117,7 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
     at once; a replicate's draws are the same however they are grouped.
     The exact gradients at the current iterates replace the stored ones,
     which served as the previous-iterate gradients of the recursion.
-    Returns, per replicate, the first agent whose estimate is not finite,
-    or -1.
+    Whether the new estimates are finite is the caller's check.
     """
     if state.drawn == state.refresh.shape[1]:
         _draw(state, params, problem, rounds)
@@ -137,10 +136,6 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
     state.M = M
     state.samples_used = state.samples_used + state.used[:, r]
     state.G = g
-    if np.isfinite(state.M).all():
-        return np.full(len(refresh), -1)
-    bad = ~np.isfinite(state.M).all(axis=2)
-    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
 
 
 def estimator_error(err: np.ndarray):

@@ -322,8 +322,11 @@ def _run(config: RunConfig, setup) -> RunResult:
     return result
 
 
-def run_experiment(config: RunConfig) -> RunResult:
-    return _run(config, _setup(config))
+def run_experiment(config: RunConfig, out_dir=None) -> RunResult:
+    """Set up config and run it, creating out_dir, if given, in between."""
+    setup = _setup(config)
+    _make_dirs([] if out_dir is None else [Path(out_dir)])
+    return _run(config, setup)
 
 
 def _summarize(result: RunResult, bundle) -> dict:
@@ -418,27 +421,37 @@ def _set_nested(raw: dict, dotted: str, value):
     node[last] = value
 
 
-def _parse_value(text: str):
-    try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError:
-        return text
+def _make_dirs(paths: list) -> None:
+    """Create each output directory; a path named twice, or one that cannot
+    be made a directory, raises ConfigError."""
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            raise ConfigError(f"two variants write to one directory: {path}")
+    for path in paths:
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: "
+                              f"{exc}") from exc
 
 
 def sweep(config_path, dotted_key: str, values, out_root) -> list:
-    """Rerun one config with dotted_key set to each value in turn. Every
-    variant is loaded and set up before the first one runs, so a variant
-    that cannot run raises before any variant writes its files."""
+    """Rerun one config with dotted_key set to each value in turn, each
+    into out_root/<dotted_key>=<value>. Every variant is loaded and set up,
+    and every directory created, before the first one runs, so a variant
+    that cannot run or write raises before any variant writes its files."""
     raw = _read_config(config_path)
     variants = []
     for value in values:
         variant = copy.deepcopy(raw)
         _set_nested(variant, dotted_key, value)
         config = config_from_dict(variant)
-        variants.append((value, config, _setup(config)))
+        variants.append((config, _setup(config)))
+    dirs = [Path(out_root) / f"{dotted_key}={str(v).replace('/', '_')}"
+            for v in values]
+    _make_dirs(dirs)
     results = []
-    for value, config, setup in variants:
+    for (config, setup), out in zip(variants, dirs):
         results.append(_run(config, setup))
-        tag = str(value).replace("/", "_")
-        write_outputs(results[-1], Path(out_root) / f"{dotted_key}={tag}")
+        write_outputs(results[-1], out)
     return results

@@ -128,7 +128,8 @@ class ConditionReport:
             "passed": self.passed,
             "conditions": [
                 {"name": c.name, "value": c.value, "limit": c.limit,
-                 "satisfied": c.satisfied, "margin": c.margin}
+                 "satisfied": c.satisfied,
+                 "margin": c.margin if math.isfinite(c.margin) else None}
                 for c in self.conditions
             ],
         }

@@ -50,10 +50,11 @@ SQRT_STRATEGIES = tuple(kind for kind, row in _ROWS.items() if row[2])
 
 @dataclass(frozen=True)
 class StrategyOps:
+    """Dense A, B^2 and C on one mixing matrix; an A or C equal to I is None."""
     kind: StrategyKind
-    A: np.ndarray
+    A: np.ndarray | None
     B2: np.ndarray  # B^2, the map of the carried dual B D
-    C: np.ndarray
+    C: np.ndarray | None
 
 
 def mode_values(kind: StrategyKind, lam: np.ndarray):
@@ -64,8 +65,8 @@ def mode_values(kind: StrategyKind, lam: np.ndarray):
     return lam**pow_a, np.sqrt(gap) if sqrt_b else gap, lam**pow_c
 
 
-def _power(W: np.ndarray, n: int) -> np.ndarray:
-    return np.eye(W.shape[0]) if n == 0 else W if n == 1 else W @ W
+def _power(W: np.ndarray, n: int) -> np.ndarray | None:
+    return None if n == 0 else W if n == 1 else W @ W
 
 
 def build_strategy(kind: StrategyKind, mixing: MixingMatrix) -> StrategyOps:

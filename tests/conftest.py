@@ -185,11 +185,18 @@ class StrategyReport:
     passed: bool
 
 
+def matrix_of(ops, name):
+    """ops.A or ops.C as a matrix: I where the strategy stores None."""
+    M = getattr(ops, name)
+    return np.eye(ops.B2.shape[0]) if M is None else M
+
+
 def verify_strategy_assumptions(ops, tol: float = 1e-10) -> StrategyReport:
-    """Residuals of A*1 = 1, C*1 = 1 and 1^T B^2 = 0."""
-    ones = np.ones(ops.A.shape[0])
-    res_a = float(np.max(np.abs(ops.A @ ones - ones)))
-    res_c = float(np.max(np.abs(ops.C @ ones - ones)))
+    """Residuals of A*1 = 1, C*1 = 1 and 1^T B^2 = 0, with I for an A or C
+    that is None."""
+    ones = np.ones(ops.B2.shape[0])
+    res_a = float(np.max(np.abs(matrix_of(ops, "A") @ ones - ones)))
+    res_c = float(np.max(np.abs(matrix_of(ops, "C") @ ones - ones)))
     res_b2 = float(np.max(np.abs(ones @ ops.B2)))
     return StrategyReport(
         res_A_ones=res_a,
@@ -201,8 +208,8 @@ def verify_strategy_assumptions(ops, tol: float = 1e-10) -> StrategyReport:
 
 def update_checked(state, params, Z, problem):
     """update_estimator, failing if any replicate's estimate is not finite."""
-    bad = update_estimator(state, params, Z, problem)
-    assert (bad == -1).all(), f"non-finite estimate at agents {bad.tolist()}"
+    assert update_estimator(state, params, Z, problem) is None
+    assert np.isfinite(state.M).all(), "non-finite estimate"
 
 
 def step(state, config, problem, ops):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from decminimax import cli
+from decminimax import cli, harness
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
 CONFIG = {
@@ -122,6 +122,59 @@ def test_sweep_rejects_bad_variant_before_any_runs(tmp_path, capsys, vary):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_variant_with_every_seed_diverged(tmp_path, capsys):
+    # at mu 80 both seeds diverge, so that variant has no mean to print
+    raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+           "problem": {"kind": "quadratic", "d1": 2, "d2": 1, "sigma": 0.1},
+           "schedule": {"mode": "explicit", "mu_x": 0.001, "mu_y": 0.001,
+                        "beta": 1.0},
+           "T": 50, "seeds": [1, 2]}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, raw),
+                     "--vary", "schedule.mu_x=0.001,80",
+                     "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("schedule.mu_x=0.001: avg_stationarity=")
+    assert lines[1] == "schedule.mu_x=80: avg_stationarity=n/a"
+    assert captured.err == ("warning: schedule.mu_x=80: 2 seed(s) diverged "
+                            "([1, 2])\n")
+    summary = json.loads((out / "schedule.mu_x=80" / "summary.json"
+                          ).read_text())
+    assert sorted(summary["seeds_failed"]) == ["1", "2"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "sweep_clash"])
+def test_bad_output_path_exits_2_before_any_seed_runs(tmp_path, capsys,
+                                                      monkeypatch, command):
+    """An --out that is an existing file, or two sweep values that map to
+    one directory, is rejected after set-up and before the first round."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(harness, "run_and_measure", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    config = write_config(tmp_path, CONFIG)
+    argv = {
+        "run": ["run", "--config", config, "--out", str(blocker)],
+        "sweep": ["sweep", "--config", config, "--vary",
+                  "schedule.mu_y=0.01,0.02", "--out", str(blocker)],
+        "sweep_clash": ["sweep", "--config", config, "--vary",
+                        "schedule.mu_y=0.01,0.010",
+                        "--out", str(tmp_path / "sweep")],
+    }[command]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in \
+        captured.err
+    assert captured.out == ""
+    assert blocker.read_text() == "not a directory"
+    if command == "sweep_clash":
+        assert "schedule.mu_y=0.01" in captured.err
+        assert not (tmp_path / "sweep").exists()
 
 
 def test_removed_options_are_usage_errors(tmp_path, capsys):

@@ -371,6 +371,24 @@ class TestWriteOutputs:
             assert (tmp_path / f"alone_{seed}" / name).read_bytes() == \
                 (tmp_path / "both" / name).read_bytes()
 
+    @pytest.mark.parametrize("name", ["ring_quadratic_page.yaml",
+                                      "sinpl_storm.yaml"])
+    def test_summary_is_strict_json(self, tmp_path, name):
+        """The PAGE preset has beta = 0, so a condition's value is 0 and its
+        margin infinite: summary.json writes it as null, not Infinity."""
+        raw = yaml.safe_load((ROOT / "scripts" / "configs" / name).read_text())
+        raw["T"] = 30
+        write_outputs(run_experiment(config_from_dict(raw)), tmp_path)
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(),
+                             parse_constant=reject)
+        margins = [c["margin"] for c in
+                   summary["schedule"]["conditions"]["conditions"]]
+        assert (None in margins) == (name == "ring_quadratic_page.yaml")
+
 
 class TestSweep:
     def test_sweep_over_mu_y(self, tmp_path):

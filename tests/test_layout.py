@@ -1,6 +1,7 @@
 """src/ holds only what a run calls: every function defined in
 src/decminimax/ is entered by a handful of command-line runs, so a helper
-that only tests use lives in tests/conftest.py instead."""
+that only tests use lives in tests/conftest.py instead. And each module
+keeps its private names: no module of src/ reads another's."""
 
 import ast
 import sys
@@ -108,3 +109,33 @@ def test_every_src_function_is_entered_by_a_run(tmp_path, capsys):
               if (SRC / key[0], line) not in entered}
     assert missed - ALLOWED == set(), "called by no run; move it to the tests"
     assert missed >= ALLOWED, "a run now calls an allowed name; unlist it"
+
+
+def private_reads(tree):
+    """The private names a module reads from another: each _name a relative
+    import binds, and each module._name read through an imported module
+    (dunder names are not private)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                found += [f"{node.module}.{a.name}" for a in node.names
+                          if private(a.name)]
+            modules |= {a.asname or a.name for a in node.names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_another_modules_private_name():
+    found = {path.name: private_reads(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: reads for name, reads in found.items() if reads} == {}

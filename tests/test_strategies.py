@@ -10,7 +10,7 @@ from decminimax import (
     mixing_for_topology,
 )
 
-from conftest import assert_close, random_connected_mixing, \
+from conftest import assert_close, matrix_of, random_connected_mixing, \
     verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
@@ -20,7 +20,7 @@ class TestBuildStrategy:
     def test_ed_matrices(self, ring4_lazy):
         ops = build_strategy(StrategyKind.ED, ring4_lazy)
         assert_close(ops.A, ring4_lazy.W, 0, "ED A")
-        assert_close(ops.C, np.eye(4), 0, "ED C")
+        assert ops.C is None, "ED C = I is not stored"
         assert ops.B2.tobytes() == (np.eye(4) - ring4_lazy.W).tobytes(), "ED B^2"
 
     def test_atc_gt_matrices(self, ring4_lazy):
@@ -28,12 +28,12 @@ class TestBuildStrategy:
         assert_close(ops.A, ring4_lazy.W @ ring4_lazy.W, 1e-15, "ATC-GT A")
         gap = np.eye(4) - ring4_lazy.W
         assert_close(ops.B2, gap @ gap, 0, "ATC-GT B^2")
-        assert_close(ops.C, np.eye(4), 0, "ATC-GT C")
+        assert ops.C is None, "ATC-GT C = I is not stored"
 
     def test_single_agent_extra(self):
         mix = mixing_for_topology(Topology(kind="complete", K=1))
         ops = build_strategy(StrategyKind.EXTRA, mix)
-        assert_close(ops.A, [[1.0]], 0, "K=1 A")
+        assert ops.A is None, "EXTRA A = I is not stored"
         assert_close(ops.B2, [[0.0]], 1e-12, "K=1 B^2")
         assert_close(ops.C, [[1.0]], 0, "K=1 C")
 
@@ -72,5 +72,5 @@ class TestAssumptions:
         W = mix.W
         for kind in ALL_KINDS:
             ops = build_strategy(kind, mix)
-            for M in (ops.A, ops.B2, ops.C):
+            for M in (matrix_of(ops, "A"), ops.B2, matrix_of(ops, "C")):
                 assert np.linalg.norm(M @ W - W @ M) <= 1e-10

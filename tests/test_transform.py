@@ -18,8 +18,8 @@ from decminimax.engine import _advance
 from decminimax.mixing import MixingMatrix
 from decminimax.strategies import mode_values
 
-from conftest import assert_close, check_consensus_bound, mode_blocks, \
-    random_connected_mixing, update_checked
+from conftest import assert_close, check_consensus_bound, matrix_of, \
+    mode_blocks, random_connected_mixing, update_checked
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
 GT_STRATEGIES = tuple(k for k in StrategyKind if k not in SQRT_STRATEGIES)
@@ -102,7 +102,8 @@ class TestSpectralForm:
             ops = build_strategy(kind, mixing)
             bundle = build_transform_bundle(ops.kind, mixing)
             U = bundle.U_hat
-            a, b2, c = [np.diag(U.T @ M @ U) for M in (ops.A, ops.B2, ops.C)]
+            a, b2, c = [np.diag(U.T @ M @ U) for M in
+                        (matrix_of(ops, "A"), ops.B2, matrix_of(ops, "C"))]
             dense = (a, np.sqrt(np.maximum(b2, 0.0)), c)
             assert_close(bundle.Lam_b**2, b2, 1e-12, f"{kind.value} Lam_b^2")
             for got, ref, name in zip(
