@@ -4,14 +4,17 @@ The descent and ascent iterates of an agent sit side by side in one
 primal block Z = [X | Y] of width d1 + d2, and S seed replicates are
 stacked as (S, K, d1+d2) arrays, so one array round advances every
 replicate. The engine carries the dual only as D = B D_paper, the product
-the recursion uses, so it needs B only through B^2 = ops.B2. Per round i
+the recursion uses, so it needs B only through B^2 = ops.B2. Z and D are
+the two halves of one (2, S, K, d1+d2) block, updated in place, so one
+reduction over it checks every iterate of a round. Per round i
 the order is fixed: (1) the gradient estimator advances using the current
 and previous iterates; (2) the primal update
 
     Z_{i+1} = A (C Z_i - mu * M_i) - D_i
 
 with the signed step mu = [mu_x, ..., -mu_y, ...] (descent in x, ascent
-in y), where an A or C equal to I is skipped; (3) the dual update
+in y), held as a full (S, K, d1+d2) copy so no product broadcasts, and
+where an A or C equal to I is skipped; (3) the dual update
 D_{i+1} = D_i + B^2 Z_{i+1}. Metrics for round i reflect the state after
 the estimator update but before the iterate advance, so the round-0 row
 reflects the initialization. The x/y split comes back only in the metric
@@ -75,10 +78,20 @@ class EngineConfig:
 
 @dataclass
 class EngineState:
-    Z: np.ndarray   # (S, K, d1+d2) primal block [X | Y]
-    D: np.ndarray   # (S, K, d1+d2) carried dual, B times the paper's dual
+    ZD: np.ndarray  # (2, S, K, d1+d2): Z and D, one block
     grace: GraceState
     round: int = 0
+
+    @property
+    def Z(self) -> np.ndarray:
+        """(S, K, d1+d2) primal block [X | Y], a view into ZD."""
+        return self.ZD[0]
+
+    @property
+    def D(self) -> np.ndarray:
+        """(S, K, d1+d2) carried dual, B times the paper's dual, a view
+        into ZD."""
+        return self.ZD[1]
 
 
 @dataclass
@@ -128,30 +141,31 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
             f"start point dims {x0.shape}/{y0.shape} do not match "
             f"problem dims ({problem.d1},)/({problem.d2},)"
         )
-    Z = np.tile(np.concatenate([x0, y0]), (S, K, 1))
-    return EngineState(Z=Z, D=np.zeros_like(Z),
-                       grace=init_estimator(problem, config.grace,
-                                            config.seeds, Z))
+    ZD = np.zeros((2, S, K, problem.d1 + problem.d2))
+    ZD[0] = np.concatenate([x0, y0])
+    return EngineState(ZD=ZD, grace=init_estimator(problem, config.grace,
+                                                   config.seeds, ZD[0]))
 
 
 def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps) -> None:
-    """Primal and dual updates using the current gradient estimates; mu is
-    the signed step (EngineConfig.signed_step), or one row of it per
-    replicate, (S, 1, d1+d2), as run_and_measure passes it. An A or C
-    that is None (equal to I) is skipped, not multiplied."""
-    Z = state.Z if ops.C is None else ops.C @ state.Z
-    Z = Z - mu * state.grace.M
-    state.Z = (Z if ops.A is None else ops.A @ Z) - state.D
-    state.D = state.D + ops.B2 @ state.Z
+    """Primal and dual updates using the current gradient estimates,
+    written into state.ZD in place; mu is the signed step
+    (EngineConfig.signed_step), or a copy of it per replicate and agent,
+    (S, K, d1+d2), as run_and_measure passes it. An A or C that is None
+    (equal to I) is skipped, not multiplied."""
+    Z, D = state.Z, state.D
+    step = mu * state.grace.M
+    np.subtract(Z if ops.C is None else ops.C @ Z, step, out=step)
+    np.subtract(step if ops.A is None else ops.A @ step, D, out=Z)
+    np.add(D, ops.B2 @ Z, out=D)
     state.round += 1
 
 
 def _iterate_errors(state: EngineState) -> dict:
     """Batch position -> DivergenceError for every replicate whose iterates
     are not finite or exceed DIVERGENCE_CAP in magnitude."""
-    # a NaN fails both comparisons, so it reaches the per-replicate check
-    if np.abs(state.Z).max() <= DIVERGENCE_CAP \
-            and np.abs(state.D).max() <= DIVERGENCE_CAP:
+    # a NaN fails the comparison, so it reaches the per-replicate check
+    if np.abs(state.ZD).max() <= DIVERGENCE_CAP:
         return {}
     worst = np.maximum(np.abs(state.Z).max(axis=(1, 2)),
                        np.abs(state.D).max(axis=(1, 2)))
@@ -277,15 +291,18 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     samples_used) from the error's round on.
     """
     state = init_engine(config, problem, x0=x0, y0=y0)
-    # one signed step row per replicate, zeroed when it fails
+    # the signed step of every replicate and agent, zeroed for a replicate
+    # when it fails
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
-                 (len(config.seeds), 1, 1))
+                 (len(config.seeds), problem.K, 1))
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
     chunk = _Chunk(series, problem, mu, bundle, state)
     while True:
         update_estimator(state.grace, config.grace, state.Z, problem,
                          rounds=min(chunk.rounds, config.T + 1 - state.round))
-        _fail(state, mu, series, _estimate_errors(state))
+        errors = _estimate_errors(state)
+        if errors:
+            _fail(state, mu, series, errors)
         # every round up to the last is held, failed replicates' too, so
         # the last held round is state.round when the chunk is flushed
         chunk.hold(state)
@@ -293,7 +310,9 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
                 or len(series.failures) == len(config.seeds):
             break
         _advance(state, mu, ops)
-        _fail(state, mu, series, _iterate_errors(state))
+        errors = _iterate_errors(state)
+        if errors:
+            _fail(state, mu, series, errors)
     chunk.flush(state)
     for seed, exc in series.failures.items():
         row = series.seeds.index(seed)

@@ -19,9 +19,12 @@ another replicate or with a problem built from default_rng(seed). The
 draws are taken a chunk of rounds at a time: one switch call per
 replicate gives the chunk's refresh flags, then one batch_noise call
 gives its noise, one block for all K agents per round (none on an
-offline refresh). A chunk's draws equal the same rounds drawn one by one,
-so they do not depend on the chunk size. One array step per round forms
-every replicate's recursion, and the replicates that refresh take their
+offline refresh). The noise is held round-major, (R, S, K, d1+d2), so a
+round's block is contiguous, and the cumulative sample counts of every
+drawn round are summed once per chunk. A chunk's draws equal the same
+rounds drawn one by one, so they do not depend on the chunk size. One
+array step per round forms every replicate's recursion in place, and in
+a round where some replicate refreshes, those replicates take their
 fresh estimate instead, so a replicate's numbers do not depend on the
 other replicates in its batch.
 """
@@ -61,10 +64,14 @@ class GraceState:
     switch_rngs: list  # each replicate's switch stream
     noise_rngs: list   # each replicate's noise stream
     samples_used: np.ndarray  # (S,) cumulative per-agent sample draws
-    # the drawn rounds, one column per round: refresh flags (S, R), sample
-    # counts (S, R) and noise (S, R, K, d1+d2); the next round is `drawn`
+    # the drawn rounds: refresh flags (S, R), one column per round, and
+    # whether any replicate refreshes, one bool per round; cumulative
+    # sample counts (S, R) after each round; noise round-major,
+    # (R, S, K, d1+d2), so a round's block is contiguous. The next round
+    # is `drawn`
     refresh: np.ndarray
-    used: np.ndarray
+    any_refresh: list
+    cum_used: np.ndarray
     noise: np.ndarray
     drawn: int = 0
 
@@ -86,25 +93,29 @@ def init_estimator(problem, params: GraceParams, seeds,
     M = g + problem.batch_noise(noise, np.full((S, 1), b0))[:, 0]
     return GraceState(M=M, G=g, switch_rngs=switch, noise_rngs=noise,
                       samples_used=np.full(S, b0),
-                      refresh=np.zeros((S, 0), dtype=bool),
-                      used=np.zeros((S, 0), dtype=int),
-                      noise=np.zeros((S, 0) + g.shape[1:]))
+                      refresh=np.zeros((S, 0), dtype=bool), any_refresh=[],
+                      cum_used=np.zeros((S, 0), dtype=int),
+                      noise=np.zeros((0,) + g.shape))
 
 
 def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
     """Draw the next `rounds` rounds of every replicate: one call of its
     switch stream, then one batch_noise call for the batch. Offline, a
     refresh takes the full local batch, whose sample means are exact by
-    construction, and draws nothing."""
+    construction, and draws nothing. The sample counts are summed here
+    for the whole chunk, from the count after the last drawn round."""
     refresh = np.stack([rng.random(rounds) for rng in state.switch_rngs]) \
         < params.p
     if problem.N is not None:
-        state.used = np.where(refresh, problem.N, params.b)
+        used = np.where(refresh, problem.N, params.b)
         batch = np.where(refresh, 0, params.b)
     else:
-        state.used = batch = np.where(refresh, params.B_big or 0, params.b)
+        used = batch = np.where(refresh, params.B_big or 0, params.b)
     state.refresh = refresh
-    state.noise = problem.batch_noise(state.noise_rngs, batch)
+    state.any_refresh = refresh.any(axis=0).tolist()
+    state.cum_used = state.samples_used[:, None] + np.cumsum(used, axis=1)
+    state.noise = np.ascontiguousarray(
+        problem.batch_noise(state.noise_rngs, batch).swapaxes(0, 1))
     state.drawn = 0
 
 
@@ -119,28 +130,34 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
     which served as the previous-iterate gradients of the recursion.
     Whether the new estimates are finite is the caller's check.
     """
-    if state.drawn == state.refresh.shape[1]:
+    if state.drawn == len(state.any_refresh):
         _draw(state, params, problem, rounds)
     r = state.drawn
     state.drawn = r + 1
-    refresh, noise = state.refresh[:, r], state.noise[:, r]
+    noise = state.noise[r]
     g = problem.exact_grads_block(Z)
     # an offline refresh draws nothing, so its noise is zero and its fresh
     # estimate the exact gradient
     fresh = g + noise
     # the same minibatch enters the prev and cur evaluations, so its noise
-    # survives with weight beta only
-    M = (1.0 - params.beta) * (state.M - (state.G + noise)) + fresh
-    if refresh.any():
-        M[refresh] = fresh[refresh]
-    state.M = M
-    state.samples_used = state.samples_used + state.used[:, r]
+    # survives with weight beta only:
+    # M = (1 - beta) * (M - (G + noise)) + fresh, in place
+    M, G = state.M, state.G
+    np.add(G, noise, out=G)
+    np.subtract(M, G, out=M)
+    np.multiply(M, 1.0 - params.beta, out=M)
+    np.add(M, fresh, out=M)
+    if state.any_refresh[r]:
+        np.copyto(M, fresh, where=state.refresh[:, r, None, None])
+    state.samples_used = state.cum_used[:, r]
     state.G = g
 
 
 def estimator_error(err: np.ndarray):
     """Squared norms of the block estimation error err = M - G (against the
     exact gradients at the iterates of the last update) and of its network
-    average, per (K, d) block of err (..., K, d): two (...) arrays."""
-    return (np.sum(err**2, axis=(-2, -1)),
-            np.sum(err.mean(axis=-2)**2, axis=-1))
+    average, per (K, d) block of err (..., K, d): two (...) arrays. An
+    error that is finite but whose square overflows gives inf, silently."""
+    with np.errstate(over="ignore"):
+        return (np.sum(err**2, axis=(-2, -1)),
+                np.sum(err.mean(axis=-2)**2, axis=-1))

@@ -1,6 +1,7 @@
 """perfbench/run.py ends with one JSON result line that a reader of the
-benchmark can parse: a short run of the smallest workload, untraced and
-traced, must exit 0 and print it, with every metric finite. The untraced
+benchmark can parse: a short run of the online STORM workload and of the
+offline PAGE workload (index gathers, refreshes, transform diagnostics),
+untraced and traced, must exit 0 and print it, with every metric finite. The untraced
 line is the one compared between revisions, so it must hold every
 end-to-end metric; the traced line must hold every per-layer metric that
 BENCHMARK.json declares, so a traced function that is renamed or removed
@@ -25,11 +26,16 @@ def reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@pytest.mark.parametrize("trace", [0, 1], ids=["untraced", "traced"])
-def test_run_ends_with_a_result_line(trace):
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param("storm_online", 0, id="untraced"),
+    pytest.param("storm_online", 1, id="traced"),
+    pytest.param("page_offline", 0, id="page_offline-untraced"),
+    pytest.param("page_offline", 1, id="page_offline-traced"),
+])
+def test_run_ends_with_a_result_line(workload, trace):
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "storm_online", "--seconds", "0.1",
+         "--workload", workload, "--seconds", "0.1",
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

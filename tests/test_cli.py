@@ -95,6 +95,25 @@ def test_unconnectable_random_topology_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_with_overflowing_estimates_prints_only_its_warning(tmp_path):
+    """Estimates huge enough that their squared error overflows: both seeds
+    diverge, and stderr holds the run's own warning and no numpy one."""
+    raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+           "problem": {"kind": "quadratic", "d1": 2, "d2": 1,
+                       "sigma": 7e300},
+           "schedule": {"mode": "explicit", "mu_x": 0.001, "mu_y": 0.001,
+                        "beta": 1.0},
+           "T": 50, "seeds": [1, 2]}
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "decminimax.cli", "run", "--config",
+         write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "warning: 2 seed(s) diverged ([1, 2])\n"
+
+
 def test_sweep_sets_key_in_null_section(tmp_path, capsys):
     # a bare "diagnostics:" line loads as null, which run reads as the
     # section's defaults; sweep sets the key in it the same way

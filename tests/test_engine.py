@@ -434,6 +434,27 @@ class TestChunks:
         for name, col in short.columns.items():
             assert col.tobytes() == long.columns[name][:, :101].tobytes(), name
 
+    @pytest.mark.parametrize("case", ["nan_in_Z", "nan_in_D", "Z_past_cap"])
+    def test_iterate_errors_read_the_advanced_block(self, ring8_lazy,
+                                                    quad_problem, case):
+        # Z and D are written in place by _advance; a check that read other
+        # storage than theirs would miss the bad entry
+        config = EngineConfig(mu_x=0.01, mu_y=0.01,
+                              grace=GraceParams(beta=0, p=1, b0=4), T=10,
+                              seeds=(0, 1, 2))
+        state = init_engine(config, quad_problem, x0=np.ones(3))
+        _advance(state, config.signed_step(3, 2),
+                 build_strategy(StrategyKind.ATC_GT, ring8_lazy))
+        assert _iterate_errors(state) == {}
+        target = state.D if case == "nan_in_D" else state.Z
+        target[1, 5, 2] = 2 * engine.DIVERGENCE_CAP if case == "Z_past_cap" \
+            else np.nan
+        errors = _iterate_errors(state)
+        assert list(errors) == [1]
+        assert str(errors[1]) == (
+            "iterate magnitude 2.000e+12 exceeds 1e+12 at round 1"
+            if case == "Z_past_cap" else "non-finite iterate at round 1")
+
     def test_iterate_errors_catch_nan_in_dual_only(self, quad_problem):
         config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10,

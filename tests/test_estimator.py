@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,3 +226,14 @@ class TestUpdate:
         assert means[1] <= 2.0 * means[0]
         assert means[2] <= 2.0 * means[1]
         assert means[2] < means[0]
+
+
+def test_estimator_error_overflow_reads_inf():
+    # a finite error of one replicate whose square overflows
+    err = np.zeros((2, 4, 3))
+    err[1, 2, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sq, avg_sq = estimator_error(err)
+    assert sq.tolist() == [0.0, np.inf]
+    assert avg_sq.tolist() == [0.0, np.inf]
