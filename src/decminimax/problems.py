@@ -15,8 +15,9 @@ Every array method takes the iterates as one block z = [x | y] of width
 d1 + d2, with any leading batch axes, (..., K, d1+d2), so one call serves
 a whole batch of seed replicates and returns gradients [grad_x | grad_y]
 in the same layout. centroid_metrics gives the metrics at the network
-centroid in closed form: the mean of the agents' gradients there and the
-envelope gap max_y J(x_c, y) - J(x_c, y_c).
+centroid in closed form: the gradient of the network objective there
+(Hbar z_c + cbar for the quadratics, from the agents' mean Hessian and
+linear term) and the envelope gap max_y J(x_c, y) - J(x_c, y_c).
 """
 
 from dataclasses import dataclass
@@ -67,6 +68,9 @@ class QuadraticMinimaxProblem:
         # the gradient in z = [x | y] is H_k z + c_k
         self.H = np.block([[Q, R], [R.transpose(0, 2, 1), -S]])
         self.c = np.concatenate([a, b], axis=1)
+        # the gradient of the network objective J = mean_k J_k
+        self.Hbar = self.H.mean(axis=0)
+        self.cbar = self.c.mean(axis=0)
         L_f = float(np.max(np.abs(np.linalg.eigvalsh(self.H))))
         self.constants = ProblemConstants(nu=nu, L_f=L_f, kappa=L_f / nu)
         # Sbar = L L', so the gap 1/2 g' Sbar^{-1} g is 1/2 |L^{-1} g|^2
@@ -81,11 +85,11 @@ class QuadraticMinimaxProblem:
     def centroid_metrics(self, z_c):
         """(grad, delta_c) at centroids z_c (..., d1+d2).
 
-        With g_y the y-part of the gradient at the centroid,
+        The gradient of J is Hbar z_c + cbar. With g_y its y-part,
         y* - y_c = Sbar^{-1} g_y, so the gap is 1/2 g_y' Sbar^{-1} g_y:
         non-negative by construction.
         """
-        grad = _centroid_grads(self, z_c)
+        grad = np.einsum("ij,...j->...i", self.Hbar, z_c) + self.cbar
         v = np.einsum("ij,...j->...i", self.Linv, grad[..., self.d1:])
         return grad, 0.5 * np.sum(v**2, axis=-1)
 
@@ -169,11 +173,15 @@ class SinPLProblem:
     def centroid_metrics(self, z_c):
         """(grad, delta_c) at centroids z_c = [x_c | y_c] of shape (..., 2).
 
-        The perturbations sum to zero, so max_y J(x, y) = x^2 at y* = 0 and
-        the gap is (10 - 3 sin^2 x) sin^2 y + 4 y^2.
+        The gradient is nonlinear, so it is the mean of the agents'
+        gradients, all taken at the centroid. The perturbations sum to
+        zero, so max_y J(x, y) = x^2 at y* = 0 and the gap is
+        (10 - 3 sin^2 x) sin^2 y + 4 y^2.
         """
         x, y = z_c[..., 0], z_c[..., 1]
-        return (_centroid_grads(self, z_c),
+        Z = np.broadcast_to(z_c[..., None, :],
+                            z_c.shape[:-1] + (self.K, z_c.shape[-1]))
+        return (self.exact_grads_block(Z).mean(axis=-2),
                 (10 - 3 * np.sin(x) ** 2) * np.sin(y) ** 2 + 4 * y**2)
 
     def objective(self, x, y):
@@ -187,13 +195,6 @@ class SinPLProblem:
 
     def batch_noise(self, rngs, batch):
         return _gaussian_noise(rngs, self.K, 1, 1, self.sigma, batch)
-
-
-def _centroid_grads(problem, z_c):
-    """Mean over the agents of their gradients, all taken at the centroid."""
-    Z = np.broadcast_to(z_c[..., None, :],
-                        z_c.shape[:-1] + (problem.K, z_c.shape[-1]))
-    return problem.exact_grads_block(Z).mean(axis=-2)
 
 
 def _gaussian_noise(rngs, K, d1, d2, sigma, batch):

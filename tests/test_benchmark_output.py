@@ -1,12 +1,12 @@
 """perfbench/run.py ends with one JSON result line that a reader of the
 benchmark can parse: a short run of the online STORM workload and of the
 offline PAGE workload (index gathers, refreshes, transform diagnostics),
-untraced and traced, must exit 0 and print it, with every metric finite. The untraced
-line is the one compared between revisions, so it must hold every
-end-to-end metric; the traced line must hold every per-layer metric that
-BENCHMARK.json declares, so a traced function that is renamed or removed
-cannot drop its metric without an error. The run writes only under
-perfbench/out/."""
+untraced and traced, must exit 0 and print it, with every metric finite.
+The untraced line is the one compared between revisions, so it must hold
+every end-to-end metric; the traced line must hold every per-layer metric
+that BENCHMARK.json declares, so a traced function that is renamed or
+removed cannot drop its metric without an error. The run writes only
+under perfbench/out/."""
 
 import json
 import math

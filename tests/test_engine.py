@@ -264,8 +264,8 @@ class TestRunAndMeasure:
 
     @pytest.mark.parametrize("chunk_bytes", [engine.CHUNK_BYTES, 1],
                              ids=["default_chunk", "one_row_chunk"])
-    def test_one_gradient_block_per_round_and_chunk(self, ring8_lazy,
-                                                    monkeypatch, chunk_bytes):
+    def test_one_gradient_block_per_round(self, ring8_lazy, monkeypatch,
+                                          chunk_bytes):
         monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.5,
                                          seed=5)
@@ -283,12 +283,14 @@ class TestRunAndMeasure:
                 config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace,
                                       T=T, seeds=seeds)
                 run_ok(config, problem, ops, bundle=bundle)
-                rows = engine._chunk_rounds((len(seeds), 8, 5))
-                # the init, the iterates of each of the T+1 rows, and the
-                # centroids of each flushed chunk of rows
-                assert len(calls) == 1 + (T + 1) + -(-(T + 1) // rows)
+                # the init and the iterates of each of the T+1 rows; the
+                # centroid metrics take none
+                assert len(calls) == 1 + (T + 1)
                 totals.add(len(calls))
             assert len(totals) == 1
+        calls.clear()
+        problem.centroid_metrics(np.zeros((4, 3, 5)))
+        assert calls == []
 
     def test_row_count_and_round_column(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=8)
