@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .estimator import GraceParams, GraceState, init_estimator, update_estimator, \
-    estimator_error
+from .estimator import GraceParams, GraceState, agent_mean, init_estimator, \
+    update_estimator, estimator_error
 from .strategies import StrategyOps
 from .transform import TransformBundle, coupled_error_norms
 
@@ -236,7 +236,7 @@ class _Chunk:
         self.held = 0
         d1 = self.problem.d1
         Z = self.Z[:n]
-        z_c = Z.mean(axis=2)
+        z_c = agent_mean(Z)
         grad, delta_c = self.problem.centroid_metrics(z_c)
         est_err, est_err_avg = estimator_error(self.err[:n])
         cols = {

@@ -153,11 +153,19 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
     state.G = g
 
 
+def agent_mean(x: np.ndarray) -> np.ndarray:
+    """Mean over the agent axis of x (..., K, d), with the bits of
+    x.mean(axis=-2) but faster: the agents' sum is one einsum, which
+    numpy runs as a contiguous loop, divided by K."""
+    return np.einsum("...kd->...d", x) / x.shape[-2]
+
+
 def estimator_error(err: np.ndarray):
     """Squared norms of the block estimation error err = M - G (against the
     exact gradients at the iterates of the last update) and of its network
-    average, per (K, d) block of err (..., K, d): two (...) arrays. An
-    error that is finite but whose square overflows gives inf, silently."""
+    average (agent_mean), per (K, d) block of err (..., K, d): two (...)
+    arrays. An error that is finite but whose square overflows gives inf,
+    silently."""
     with np.errstate(over="ignore"):
         return (np.sum(err**2, axis=(-2, -1)),
-                np.sum(err.mean(axis=-2)**2, axis=-1))
+                np.sum(agent_mean(err)**2, axis=-1))

@@ -65,9 +65,13 @@ class QuadraticMinimaxProblem:
         nu = float(np.min(np.linalg.eigvalsh(self.Sbar)))
         if nu <= 0:
             raise ConfigError(f"mean S block must be positive definite (nu={nu:.3e})")
-        # the gradient in z = [x | y] is H_k z + c_k
+        # the gradient in z = [x | y] is H_k z + c_k; H and c are read-only,
+        # so the constants below and the tile of H that exact_grads_block
+        # keeps (H itself until a batched call) never go stale
         self.H = np.block([[Q, R], [R.transpose(0, 2, 1), -S]])
         self.c = np.concatenate([a, b], axis=1)
+        self.H.flags.writeable = self.c.flags.writeable = False
+        self._Ht = self.H
         # the gradient of the network objective J = mean_k J_k
         self.Hbar = self.H.mean(axis=0)
         self.cbar = self.c.mean(axis=0)
@@ -79,8 +83,25 @@ class QuadraticMinimaxProblem:
     # -- exact gradients -------------------------------------------------
 
     def exact_grads_block(self, Z):
-        """Every agent's gradient [grad_x | grad_y] at Z (..., K, d1+d2)."""
-        return np.einsum("kij,...kj->...ki", self.H, Z) + self.c
+        """Every agent's gradient [grad_x | grad_y] at Z (..., K, d1+d2).
+
+        H is tiled over Z's leading axes into one contiguous
+        (..., K, d, d) block, built at the first call with a new shape and
+        kept on the problem until a call with another; a run calls with
+        one shape, so it builds one tile of S K d^2 floats. The products
+        are one einsum over the rows with a contiguous inner loop, and
+        each row has the bits of the broadcast einsum over H. It is an
+        einsum, not a BLAS product: BLAS over the batch would make a
+        seed's bytes depend on the batch size. H and c are fixed at
+        construction, so the tile never goes stale.
+        """
+        d = Z.shape[-1]
+        if self._Ht.shape[:-2] != Z.shape[:-1]:
+            self._Ht = np.ascontiguousarray(
+                np.broadcast_to(self.H, Z.shape[:-1] + (d, d)))
+        Ht = self._Ht.reshape(-1, d, d)
+        return np.einsum("nij,nj->ni", Ht,
+                         Z.reshape(-1, d)).reshape(Z.shape) + self.c
 
     def centroid_metrics(self, z_c):
         """(grad, delta_c) at centroids z_c (..., d1+d2).

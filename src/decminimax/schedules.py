@@ -49,8 +49,9 @@ class ScheduleSpec:
                               f"got {self.kappa}")
         if self.N is not None and self.N < 1:
             raise ConfigError(f"N must be >= 1, got {self.N}")
-        if self.lam is not None and not math.isfinite(self.lam):
-            raise ConfigError(f"lam must be finite, got {self.lam}")
+        # a mixing eigenvalue lies in [-1, 1]; NaN fails the comparison
+        if self.lam is not None and not -1.0 <= self.lam <= 1.0:
+            raise ConfigError(f"lam must be in [-1, 1], got {self.lam}")
         if self.mode in (ScheduleMode.PAGE_OFFLINE, ScheduleMode.LSARAH_OFFLINE) \
                 and self.N is None:
             raise ConfigError(f"{self.mode.value} needs the local sample count N")

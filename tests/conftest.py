@@ -206,6 +206,21 @@ def verify_strategy_assumptions(ops, tol: float = 1e-10) -> StrategyReport:
     )
 
 
+def reference_exact_grads(problem, Z):
+    """QuadraticMinimaxProblem.exact_grads_block as the broadcast einsum
+    over H, the reference its tiled form must match byte for byte."""
+    return np.einsum("kij,...kj->...ki", problem.H, Z) + problem.c
+
+
+def grad_x_is_x_problem():
+    """One agent, d1 = d2 = 1, eight noiseless samples: grad_x = x
+    (Q = 1, R = 0 and a zero x-side linear term) and grad_y = -y."""
+    one, zero = np.ones((1, 1, 1)), np.zeros((1, 1, 1))
+    return QuadraticMinimaxProblem(Q=one, R=zero, S=one, a=zero[0],
+                                   b=zero[0], samples=np.zeros((1, 8, 2)),
+                                   sigma=0.0, seed=0)
+
+
 def update_checked(state, params, Z, problem):
     """update_estimator, failing if any replicate's estimate is not finite."""
     assert update_estimator(state, params, Z, problem) is None

@@ -29,8 +29,9 @@ from decminimax.engine import _advance
 from decminimax.estimator import init_estimator
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
-from conftest import ascent_maximizer, check_consensus_bound, mode_blocks, \
-    run_ok, step, update_checked, verify_strategy_assumptions
+from conftest import ascent_maximizer, check_consensus_bound, \
+    grad_x_is_x_problem, mode_blocks, run_ok, step, update_checked, \
+    verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
 CLOSED_FORM_KINDS = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
@@ -246,10 +247,7 @@ def test_criterion_7_estimator_degenerations(ring8, quad8):
     _track_delta_c(series_b)
     ok_b = bool((series_b.columns["est_err_sq"] <= 1e-20).all())
     # (c) hand-derived recursion value on grad(x) = x
-    hand = make_quadratic_problem(K=1, d1=1, d2=1, N=8, sigma=0.0, seed=0)
-    hand.H[:, 0, :] = [1.0, 0.0]  # grad_x = x: Q = 1, R = 0
-    hand.c[:, 0] = 0.0
-    hand.samples[..., 0] = 0.0
+    hand = grad_x_is_x_problem()
     params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
     state = init_estimator(hand, params, (0,), np.array([[[1.0, 0.0]]]))
     state.M[..., 0] = 1.0

@@ -215,6 +215,7 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
     ("page_offline", "--N=-5"),
     ("page_online", "--lam=nan"),
     ("page_online", "--lam=-inf"),
+    ("page_online", "--lam=-3"),
     ("storm_ed", "--kappa=nan"),
     ("storm_ed", "--kappa=inf"),
     ("storm_ed", "--kappa=0"),

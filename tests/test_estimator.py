@@ -14,8 +14,9 @@ from decminimax import (
     make_quadratic_problem,
     schedule_for_mode,
 )
+from decminimax.estimator import agent_mean
 
-from conftest import assert_close, update_checked
+from conftest import assert_close, grad_x_is_x_problem, update_checked
 
 
 def noise_stream(seed):
@@ -156,11 +157,7 @@ class TestUpdate:
     def test_sarah_hand_example(self):
         # J = x^2/2 so grad(x) = x; beta=0, p=0, b=1, prev x=1, cur x=0.5,
         # g_prev = 1 gives g = 1 - 1 + 0.5 = 0.5
-        problem = make_quadratic_problem(K=1, d1=1, d2=1, N=8, sigma=0.0,
-                                         seed=0)
-        problem.H[:, 0, :] = [1.0, 0.0]  # grad_x = x: Q = 1, R = 0
-        problem.c[:, 0] = 0.0
-        problem.samples[..., 0] = 0.0
+        problem = grad_x_is_x_problem()
         params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
         state = init_estimator(problem, params, (0,), np.array([[[1.0, 0.0]]]))
         state.M[..., 0] = 1.0  # g_{i-1} = 1 at prev x = 1
@@ -237,3 +234,32 @@ def test_estimator_error_overflow_reads_inf():
         sq, avg_sq = estimator_error(err)
     assert sq.tolist() == [0.0, np.inf]
     assert avg_sq.tolist() == [0.0, np.inf]
+
+
+# the views the agent sums are pinned on, each of a (R, S, 2K, 2d) block
+AGENT_VIEWS = {
+    "contiguous": lambda x, K, d: np.ascontiguousarray(x[..., :K, :d]),
+    "sliced": lambda x, K, d: x[..., :K, :d],
+    "strided": lambda x, K, d: x[..., ::2, ::2],
+    "seed-major": lambda x, K, d: x.swapaxes(0, 1)[..., K:, d:],
+}
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 9, 96, 300])
+@pytest.mark.parametrize("d", [2, 5, 17])
+@settings(max_examples=8, deadline=None)
+@given(lead=st.sampled_from([(1, 1), (1, 3), (2, 8), (25, 2)]),
+       view=st.sampled_from(sorted(AGENT_VIEWS)),
+       seed=st.integers(0, 2**32 - 1))
+def test_agent_sums_match_mean(K, d, lead, view, seed):
+    # values over many magnitudes, so a change of summation order shows
+    rng = np.random.default_rng(seed)
+    shape = lead + (2 * K, 2 * d)
+    x = AGENT_VIEWS[view](
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 296, shape),
+        K, d)
+    assert agent_mean(x).tobytes() == x.mean(axis=-2).tobytes()
+    _, avg_sq = estimator_error(x)
+    with np.errstate(over="ignore"):
+        ref = np.sum(x.mean(axis=-2)**2, axis=-1)
+    assert avg_sq.tobytes() == ref.tobytes()

@@ -11,7 +11,7 @@ from decminimax import (
     maximizer_oracle,
 )
 
-from conftest import ascent_maximizer, assert_close, \
+from conftest import ascent_maximizer, assert_close, reference_exact_grads, \
     reference_quadratic_problem
 
 
@@ -420,3 +420,61 @@ class TestCentroidMetrics:
             one = problem.centroid_metrics(z_c[s:s + 1])
             for got, full in zip(one, (grad, gap)):
                 assert got[0].tobytes() == full[s].tobytes()
+
+
+class TestGradientKernel:
+    """exact_grads_block's tiled einsum keeps the bits of the broadcast
+    einsum over H, and a seed's rows of a batch the bits of its solo
+    call."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 8, 9, 96])
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (3, 2), (4, 5), (9, 8)])
+    def test_bytes_match_broadcast_einsum(self, K, d1, d2):
+        problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
+                                         sigma=0.0, seed=K + d1)
+        rng = np.random.default_rng(100 * K + d1 + d2)
+        d = d1 + d2
+
+        def block(shape):
+            # entries over many magnitudes, so a change of summation order
+            # shows
+            return rng.standard_normal(shape) * 10.0 ** rng.integers(-100,
+                                                                     100, shape)
+
+        blocks = [block(lead + (K, d))
+                  for lead in [(), (1,), (3,), (8,), (33,), (2, 5)]]
+        # every other agent row and column of a wider block
+        blocks.append(block((3, 2 * K, 2 * d))[:, ::2, ::2])
+        assert not blocks[-1].flags.c_contiguous
+        for Z in blocks:
+            got = problem.exact_grads_block(Z)
+            assert got.shape == Z.shape
+            assert got.tobytes() == \
+                reference_exact_grads(problem, Z).tobytes(), Z.shape
+
+    @pytest.mark.parametrize("K", [8, 96])
+    @pytest.mark.parametrize("S", [2, 3, 8, 17, 33, 64])
+    def test_seed_rows_match_solo_call(self, K, S):
+        problem = make_quadratic_problem(K=K, d1=3, d2=2, N=None, sigma=0.0,
+                                         seed=S)
+        Z = np.random.default_rng(S).standard_normal((S, K, 5))
+        batch = problem.exact_grads_block(Z)
+        for s in range(S):
+            for solo in (Z[s:s + 1], Z[s]):
+                assert problem.exact_grads_block(solo).tobytes() == \
+                    batch[s].tobytes(), s
+
+    def test_agent_count_must_match(self):
+        problem = make_quadratic_problem(K=4, d1=1, d2=1, N=None, sigma=0.0,
+                                         seed=0)
+        with pytest.raises(ValueError):
+            problem.exact_grads_block(np.zeros((2, 3, 2)))
+
+    def test_H_and_c_fixed_at_construction(self):
+        problem = make_quadratic_problem(K=2, d1=1, d2=1, N=4, sigma=0.5,
+                                         seed=0)
+        for name in ("H", "c"):
+            with pytest.raises(ValueError):
+                getattr(problem, name)[0] = 0.0
+        # the sample table stays a live, writable view (see TestBatchNoise)
+        problem.samples[0, 0] = 0.0
