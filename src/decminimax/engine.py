@@ -5,9 +5,8 @@ primal block Z = [X | Y] of width d1 + d2, and S seed replicates are
 stacked as (S, K, d1+d2) arrays, so one array round advances every
 replicate. The engine carries the dual only as D = B D_paper, the product
 the recursion uses, so it needs B only through B^2 = ops.B2. Z and D are
-the two halves of one (2, S, K, d1+d2) block, updated in place, so one
-reduction over it checks every iterate of a round. Per round i
-the order is fixed: (1) the gradient estimator advances using the current
+the two halves of one (2, S, K, d1+d2) block. Per round i the order is
+fixed: (1) the gradient estimator advances using the current
 and previous iterates; (2) the primal update
 
     Z_{i+1} = A (C Z_i - mu * M_i) - D_i
@@ -20,19 +19,22 @@ the estimator update but before the iterate advance, so the round-0 row
 reflects the initialization. The x/y split comes back only in the metric
 columns, at problem.d1.
 
-The round loop does only the recursion. Each round copies what the metric
-columns need into a chunk buffer (_Chunk), and one batched pass per chunk
-of rounds evaluates every column; the pass also runs at the end of the
-run. The estimator draws its random numbers a chunk of rounds at a time.
-Neither shows in the output: every operation acts on each replicate's
-(K, d) slice of each round alone, and the chunked draws equal the
-round-by-round ones, so a seed's numbers are the same whatever other
-seeds share its batch and whatever the chunk size. The batch keeps its
-shape for the whole run. A replicate whose estimate or iterate stops
-being finite, or whose iterate passes DIVERGENCE_CAP, keeps its first
-error and is frozen in place: its iterate, dual, estimates and row of
-the signed step are zeroed, so it stays at zero. After the run its
-columns from the failing round on are blanked.
+The round loop does only the recursion, and runs a chunk of rounds at a
+time: each round writes its iterates, estimates and gradients straight
+into its own slot of the chunk (_Chunk), one batched pass per chunk
+evaluates every column from the slots, and the estimator draws its
+random numbers for the chunk at once. None of this shows in the output:
+every operation acts on each replicate's (K, d) slice of each round
+alone, and the chunked draws equal the round-by-round ones, so a seed's
+numbers are the same whatever other seeds share its batch and whatever
+the chunk size. The batch keeps its shape for the whole run. A replicate
+whose estimate or iterate stops being finite, or whose iterate passes
+DIVERGENCE_CAP, keeps its first error and is frozen in place (_fail), so
+it stays at zero; after the run its columns from the failing round on
+are blanked. The checks cost one pass per chunk: a chunk runs unchecked,
+one check over its slots accepts it, and a chunk that fails the check
+runs again with every round checked as it ends, which freezes each
+failing replicate at the round it fails, as a round-by-round loop does.
 """
 
 from dataclasses import dataclass, field
@@ -78,7 +80,9 @@ class EngineConfig:
 
 @dataclass
 class EngineState:
-    ZD: np.ndarray  # (2, S, K, d1+d2): Z and D, one block
+    # (2, S, K, d1+d2): Z and D, one block; in a run, the current slot of
+    # the chunk (_Chunk)
+    ZD: np.ndarray
     grace: GraceState
     round: int = 0
 
@@ -147,17 +151,21 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
                                                    config.seeds, ZD[0]))
 
 
-def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps) -> None:
+def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps,
+             out=None) -> None:
     """Primal and dual updates using the current gradient estimates,
-    written into state.ZD in place; mu is the signed step
+    written into state.ZD in place, or into out, a (2, S, K, d1+d2) block
+    that state.ZD then views; mu is the signed step
     (EngineConfig.signed_step), or a copy of it per replicate and agent,
     (S, K, d1+d2), as run_and_measure passes it. An A or C that is None
     (equal to I) is skipped, not multiplied."""
     Z, D = state.Z, state.D
+    ZD = state.ZD if out is None else out
     step = mu * state.grace.M
     np.subtract(Z if ops.C is None else ops.C @ Z, step, out=step)
-    np.subtract(step if ops.A is None else ops.A @ step, D, out=Z)
-    np.add(D, ops.B2 @ Z, out=D)
+    np.subtract(step if ops.A is None else ops.A @ step, D, out=ZD[0])
+    np.add(D, ops.B2 @ ZD[0], out=ZD[1])
+    state.ZD = ZD
     state.round += 1
 
 
@@ -196,49 +204,45 @@ def _estimate_errors(state: EngineState) -> dict:
 
 
 class _Chunk:
-    """The rounds held since the last flush: per round, a copy of what the
-    metric columns need (Z, M - G and samples_used; mu*M and D with a
-    transform bundle). flush evaluates every column of the held rounds in
-    one batched pass."""
+    """The state of every round of a chunk, in slots the round loop writes
+    directly: ZD, (2, R+1, S, K, d1+d2), holds the iterates of the
+    chunk's i-th round in slot i; M and G, (R+1, S, K, d1+d2), hold the
+    estimates and gradients of the round before the chunk in slot 0, and
+    round i writes slot i+1. The engine's and the estimator's state view
+    the current slot, and at the chunk's end the last slot moves to slot
+    0. flush evaluates every column of the chunk's rounds in one batched
+    pass over the slots."""
 
-    def __init__(self, series: MetricsSeries, problem, mu: np.ndarray,
+    def __init__(self, series: MetricsSeries, problem,
                  bundle: TransformBundle | None, state: EngineState):
-        self.series, self.problem, self.mu, self.bundle = \
-            series, problem, mu, bundle
+        self.series, self.problem, self.bundle = series, problem, bundle
+        self.grace = state.grace
         self.rounds = _chunk_rounds(state.Z.shape)
-        self.held = 0
-        shape = (self.rounds,) + state.Z.shape
-        self.Z, self.err = np.empty(shape), np.empty(shape)
-        self.used = np.empty(shape[:2], dtype=state.grace.samples_used.dtype)
-        if bundle is not None:
-            self.muM, self.D = np.empty(shape), np.empty(shape)
+        shape = (self.rounds + 1,) + state.Z.shape
+        self.ZD = np.empty((2,) + shape)
+        self.M, self.G = np.empty(shape), np.empty(shape)
+        self.ZD[:, 0] = state.ZD
+        self.M[0], self.G[0] = state.grace.M, state.grace.G
+        # round i's outputs: its advance writes ZD slot i+1, its estimator
+        # update M and G slot i+1
+        self.slots = [(self.ZD[:, i + 1], (self.M[i + 1], self.G[i + 1]))
+                      for i in range(self.rounds)]
+        self.enter(state)
 
-    def hold(self, state: EngineState) -> None:
-        """Copy round state.round of the batch; flush when the chunk is
-        full."""
-        i = self.held
-        grace = state.grace
-        np.copyto(self.Z[i], state.Z)
-        np.subtract(grace.M, grace.G, out=self.err[i])
-        self.used[i] = grace.samples_used
-        if self.bundle is not None:
-            np.multiply(self.mu, grace.M, out=self.muM[i])
-            np.copyto(self.D[i], state.D)
-        self.held = i + 1
-        if self.held == self.rounds:
-            self.flush(state)
+    def enter(self, state: EngineState) -> None:
+        """Point the state at slot 0."""
+        state.ZD = self.ZD[:, 0]
+        state.grace.M, state.grace.G = self.M[0], self.G[0]
 
-    def flush(self, state: EngineState) -> None:
-        """Write the held rounds, the last of which is state.round."""
-        n = self.held
-        if not n:
-            return
-        self.held = 0
+    def flush(self, start: int, n: int, mu: np.ndarray) -> None:
+        """Write rounds start .. start+n-1, the chunk's first n, with the
+        signed step mu the chunk started with."""
         d1 = self.problem.d1
-        Z = self.Z[:n]
+        Z = self.ZD[0, :n]
+        M = self.M[1:n + 1]
         z_c = agent_mean(Z)
         grad, delta_c = self.problem.centroid_metrics(z_c)
-        est_err, est_err_avg = estimator_error(self.err[:n])
+        est_err, est_err_avg = estimator_error(M - self.G[1:n + 1])
         cols = {
             "grad_x_sq": np.sum(grad[..., :d1] ** 2, axis=-1),
             "grad_y_sq": np.sum(grad[..., d1:] ** 2, axis=-1),
@@ -246,31 +250,67 @@ class _Chunk:
             "delta_c": delta_c,
             "est_err_sq": est_err,
             "est_err_avg_sq": est_err_avg,
-            "samples_used": self.used[:n],
+            # the chunk's draws began with its first round
+            "samples_used": self.grace.cum_used[:, :n].T,
         }
         if self.bundle is not None:
-            ehat = coupled_error_norms(Z, self.muM[:n], self.D[:n],
-                                       self.bundle)
+            ehat = coupled_error_norms(Z, mu * M, self.ZD[1, :n], self.bundle)
             cols["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(2, 3))
             cols["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(2, 3))
-        span = slice(state.round + 1 - n, state.round + 1)
+        span = slice(start, start + n)
         for name, values in cols.items():
             self.series.columns[name][:, span] = values.T
 
 
 def _chunk_rounds(shape) -> int:
     """Rounds per chunk for a batch of (S, K, d) blocks: CHUNK_BYTES per
-    buffer, between 1 and 64 rounds."""
+    slot array, between 1 and 64 rounds."""
     return min(64, max(1, CHUNK_BYTES // (8 * int(np.prod(shape)))))
 
 
+def _run_chunk(state: EngineState, chunk: _Chunk, mu: np.ndarray,
+               ops: StrategyOps, config: EngineConfig, problem, rounds: int,
+               series: MetricsSeries | None = None) -> int:
+    """Run the chunk's first `rounds` rounds from slot 0, the last advance
+    only if the last round is not round T, and return how many ran.
+
+    Without series no round is checked. With series each round's checks
+    follow its estimator update and its advance, a replicate that fails
+    one is frozen (_fail), and the chunk stops at the first round at
+    which every seed has failed."""
+    for i, (ZD_out, grace_out) in enumerate(chunk.slots[:rounds]):
+        update_estimator(state.grace, config.grace, state.Z, problem,
+                         rounds=rounds, out=grace_out)
+        if series is not None:
+            errors = _estimate_errors(state)
+            if errors:
+                _fail(state, mu, series, errors, estimates=True)
+            if len(series.failures) == len(config.seeds):
+                return i + 1
+        if state.round == config.T:
+            return i + 1
+        _advance(state, mu, ops, out=ZD_out)
+        if series is not None:
+            errors = _iterate_errors(state)
+            if errors:
+                _fail(state, mu, series, errors, estimates=False)
+    return rounds
+
+
 def _fail(state: EngineState, mu: np.ndarray, series: MetricsSeries,
-          errors: dict) -> None:
+          errors: dict, estimates: bool) -> None:
     """Keep each failed replicate's first error and freeze it in place:
-    zero iterate, dual and estimates and a zero step keep it at zero."""
+    zero its iterate, dual and row of the signed step, and, when the
+    failed check was on the estimates, its estimates. After an iterate
+    check the estimates are the ones recorded for the round before the
+    failure, so they stay; they passed their check, and with a zero step,
+    iterate and dual the replicate stays at zero."""
+    blocks = [state.Z, state.D, mu]
+    if estimates:
+        blocks += [state.grace.M, state.grace.G]
     for i, exc in errors.items():
         series.failures.setdefault(series.seeds[i], exc)
-        for a in (state.Z, state.D, state.grace.M, state.grace.G, mu):
+        for a in blocks:
             a[i] = 0.0
 
 
@@ -289,31 +329,45 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     stops early only when every seed has failed. series.failures holds
     each failed seed's first error, and its columns are NaN (-1 for
     samples_used) from the error's round on.
+
+    A chunk first runs unchecked, with floating-point errors ignored: an
+    exception in a round reaches its M, Z or D, which every intermediate
+    flows into, so a chunk whose advanced iterates are within
+    DIVERGENCE_CAP and whose estimates are finite raised none. Otherwise
+    the chunk runs again from slot 0, from the same draws, with each
+    round checked under the caller's error state.
     """
     state = init_engine(config, problem, x0=x0, y0=y0)
+    grace = state.grace
     # the signed step of every replicate and agent, zeroed for a replicate
     # when it fails
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
                  (len(config.seeds), problem.K, 1))
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
-    chunk = _Chunk(series, problem, mu, bundle, state)
+    chunk = _Chunk(series, problem, bundle, state)
     while True:
-        update_estimator(state.grace, config.grace, state.Z, problem,
-                         rounds=min(chunk.rounds, config.T + 1 - state.round))
-        errors = _estimate_errors(state)
-        if errors:
-            _fail(state, mu, series, errors)
-        # every round up to the last is held, failed replicates' too, so
-        # the last held round is state.round when the chunk is flushed
-        chunk.hold(state)
-        if state.round == config.T \
-                or len(series.failures) == len(config.seeds):
+        start, used = state.round, grace.samples_used
+        rounds = min(chunk.rounds, config.T + 1 - start)
+        with np.errstate(all="ignore"):
+            n = _run_chunk(state, chunk, mu, ops, config, problem, rounds)
+            # a NaN fails the comparison
+            ok = np.abs(chunk.ZD[:, 1:state.round - start + 1]).max(
+                initial=0.0) <= DIVERGENCE_CAP \
+                and np.isfinite(chunk.M[1:n + 1]).all()
+        chunk_mu = mu
+        if not ok:
+            chunk_mu = mu.copy()
+            state.round, grace.drawn, grace.samples_used = start, 0, used
+            chunk.enter(state)
+            n = _run_chunk(state, chunk, mu, ops, config, problem, rounds,
+                           series)
+        chunk.flush(start, n, chunk_mu)
+        if start + n > config.T or len(series.failures) == len(config.seeds):
             break
-        _advance(state, mu, ops)
-        errors = _iterate_errors(state)
-        if errors:
-            _fail(state, mu, series, errors)
-    chunk.flush(state)
+        # the last slot, the next chunk's first round, moves to slot 0
+        chunk.ZD[:, 0] = chunk.ZD[:, n]
+        chunk.M[0], chunk.G[0] = chunk.M[n], chunk.G[n]
+        chunk.enter(state)
     for seed, exc in series.failures.items():
         row = series.seeds.index(seed)
         for name, col in series.columns.items():

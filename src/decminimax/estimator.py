@@ -23,10 +23,10 @@ offline refresh). The noise is held round-major, (R, S, K, d1+d2), so a
 round's block is contiguous, and the cumulative sample counts of every
 drawn round are summed once per chunk. A chunk's draws equal the same
 rounds drawn one by one, so they do not depend on the chunk size. One
-array step per round forms every replicate's recursion in place, and in
-a round where some replicate refreshes, those replicates take their
-fresh estimate instead, so a replicate's numbers do not depend on the
-other replicates in its batch.
+array step per round forms every replicate's recursion, in place or into
+the caller's next slot, and in a round where some replicate refreshes,
+those replicates take their fresh estimate instead, so a replicate's
+numbers do not depend on the other replicates in its batch.
 """
 
 from dataclasses import dataclass
@@ -59,8 +59,10 @@ class GraceParams:
 
 @dataclass
 class GraceState:
-    M: np.ndarray    # (S, K, d1+d2) current gradient estimates
-    G: np.ndarray    # (S, K, d1+d2) exact gradients at the iterates of the last update
+    # (S, K, d1+d2) current gradient estimates and exact gradients at the
+    # iterates of the last update; in a run, views of the engine's slots
+    M: np.ndarray
+    G: np.ndarray
     switch_rngs: list  # each replicate's switch stream
     noise_rngs: list   # each replicate's noise stream
     samples_used: np.ndarray  # (S,) cumulative per-agent sample draws
@@ -120,7 +122,7 @@ def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
 
 
 def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
-                     problem, rounds: int = 1) -> None:
+                     problem, rounds: int = 1, out=None) -> None:
     """One estimator round at the current iterates Z (S, K, d1+d2): the
     replicate's switch, then refresh or recursion.
 
@@ -128,29 +130,35 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
     at once; a replicate's draws are the same however they are grouped.
     The exact gradients at the current iterates replace the stored ones,
     which served as the previous-iterate gradients of the recursion.
-    Whether the new estimates are finite is the caller's check.
+    The new estimates overwrite the old ones in place, or, given
+    out = (M_new, G_new), two C-contiguous (S, K, d1+d2) arrays, the
+    estimates and gradients are written there and the state keeps them
+    instead; the operations and their bits are the same. Whether the new
+    estimates are finite is the caller's check.
     """
     if state.drawn == len(state.any_refresh):
         _draw(state, params, problem, rounds)
     r = state.drawn
     state.drawn = r + 1
     noise = state.noise[r]
-    g = problem.exact_grads_block(Z)
+    M, G = state.M, state.G
+    # G + noise is formed in the storage of the old G, or of the new M
+    M_new, G_new, scratch = (M, None, G) if out is None else (*out, out[0])
+    g = problem.exact_grads_block(Z, out=G_new)
     # an offline refresh draws nothing, so its noise is zero and its fresh
     # estimate the exact gradient
     fresh = g + noise
     # the same minibatch enters the prev and cur evaluations, so its noise
     # survives with weight beta only:
-    # M = (1 - beta) * (M - (G + noise)) + fresh, in place
-    M, G = state.M, state.G
-    np.add(G, noise, out=G)
-    np.subtract(M, G, out=M)
-    np.multiply(M, 1.0 - params.beta, out=M)
-    np.add(M, fresh, out=M)
+    # M = (1 - beta) * (M - (G + noise)) + fresh
+    np.add(G, noise, out=scratch)
+    np.subtract(M, scratch, out=M_new)
+    np.multiply(M_new, 1.0 - params.beta, out=M_new)
+    np.add(M_new, fresh, out=M_new)
     if state.any_refresh[r]:
-        np.copyto(M, fresh, where=state.refresh[:, r, None, None])
+        np.copyto(M_new, fresh, where=state.refresh[:, r, None, None])
     state.samples_used = state.cum_used[:, r]
-    state.G = g
+    state.M, state.G = M_new, g
 
 
 def agent_mean(x: np.ndarray) -> np.ndarray:

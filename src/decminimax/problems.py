@@ -43,6 +43,10 @@ class ProblemConstants:
 
 class QuadraticMinimaxProblem:
     def __init__(self, Q, R, S, a, b, samples, sigma, seed):
+        # the blocks are read-only copies, like every array derived from
+        # them below, so a write cannot leave the cached constants, H and
+        # c and the tile of H that exact_grads_block keeps stale
+        Q, R, S, a, b = map(_read_only, (Q, R, S, a, b))
         self.Q = Q  # (K, d1, d1)
         self.R = R  # (K, d1, d2)
         self.S = S  # (K, d2, d2)
@@ -57,33 +61,32 @@ class QuadraticMinimaxProblem:
         self.d2 = S.shape[1]
         self.N = None if samples is None else samples.shape[1]
 
-        self.Qbar = Q.mean(axis=0)
-        self.Rbar = R.mean(axis=0)
-        self.Sbar = S.mean(axis=0)
-        self.abar = a.mean(axis=0)
-        self.bbar = b.mean(axis=0)
+        self.Qbar = _read_only(Q.mean(axis=0))
+        self.Rbar = _read_only(R.mean(axis=0))
+        self.Sbar = _read_only(S.mean(axis=0))
+        self.abar = _read_only(a.mean(axis=0))
+        self.bbar = _read_only(b.mean(axis=0))
         nu = float(np.min(np.linalg.eigvalsh(self.Sbar)))
         if nu <= 0:
             raise ConfigError(f"mean S block must be positive definite (nu={nu:.3e})")
-        # the gradient in z = [x | y] is H_k z + c_k; H and c are read-only,
-        # so the constants below and the tile of H that exact_grads_block
-        # keeps (H itself until a batched call) never go stale
-        self.H = np.block([[Q, R], [R.transpose(0, 2, 1), -S]])
-        self.c = np.concatenate([a, b], axis=1)
-        self.H.flags.writeable = self.c.flags.writeable = False
+        # the gradient in z = [x | y] is H_k z + c_k; exact_grads_block
+        # keeps H itself as its tile until a batched call
+        self.H = _read_only(np.block([[Q, R], [R.transpose(0, 2, 1), -S]]))
+        self.c = _read_only(np.concatenate([a, b], axis=1))
         self._Ht = self.H
         # the gradient of the network objective J = mean_k J_k
-        self.Hbar = self.H.mean(axis=0)
-        self.cbar = self.c.mean(axis=0)
+        self.Hbar = _read_only(self.H.mean(axis=0))
+        self.cbar = _read_only(self.c.mean(axis=0))
         L_f = float(np.max(np.abs(np.linalg.eigvalsh(self.H))))
         self.constants = ProblemConstants(nu=nu, L_f=L_f, kappa=L_f / nu)
         # Sbar = L L', so the gap 1/2 g' Sbar^{-1} g is 1/2 |L^{-1} g|^2
-        self.Linv = np.linalg.inv(np.linalg.cholesky(self.Sbar))
+        self.Linv = _read_only(np.linalg.inv(np.linalg.cholesky(self.Sbar)))
 
     # -- exact gradients -------------------------------------------------
 
-    def exact_grads_block(self, Z):
-        """Every agent's gradient [grad_x | grad_y] at Z (..., K, d1+d2).
+    def exact_grads_block(self, Z, out=None):
+        """Every agent's gradient [grad_x | grad_y] at Z (..., K, d1+d2),
+        written into out, a C-contiguous array of Z's shape, when given.
 
         H is tiled over Z's leading axes into one contiguous
         (..., K, d, d) block, built at the first call with a new shape and
@@ -99,9 +102,12 @@ class QuadraticMinimaxProblem:
         if self._Ht.shape[:-2] != Z.shape[:-1]:
             self._Ht = np.ascontiguousarray(
                 np.broadcast_to(self.H, Z.shape[:-1] + (d, d)))
-        Ht = self._Ht.reshape(-1, d, d)
-        return np.einsum("nij,nj->ni", Ht,
-                         Z.reshape(-1, d)).reshape(Z.shape) + self.c
+        if out is None:
+            out = np.empty(Z.shape)
+        np.einsum("nij,nj->ni", self._Ht.reshape(-1, d, d),
+                  Z.reshape(-1, d), out=out.reshape(-1, d))
+        out += self.c
+        return out
 
     def centroid_metrics(self, z_c):
         """(grad, delta_c) at centroids z_c (..., d1+d2).
@@ -184,12 +190,13 @@ class SinPLProblem:
         # |J_yy| <= 6 + 8 + 20 with room for the cross term
         self.constants = ProblemConstants(nu=nu_hat, L_f=35.0, kappa=35.0 / nu_hat)
 
-    def exact_grads_block(self, Z):
-        """Every agent's gradient [grad_x | grad_y] at Z (..., K, 2)."""
+    def exact_grads_block(self, Z, out=None):
+        """Every agent's gradient [grad_x | grad_y] at Z (..., K, 2),
+        written into out, an array of Z's shape, when given."""
         x, y = Z[..., 0], Z[..., 1]
         gx = 2 * x + 3 * np.sin(2 * x) * np.sin(y) ** 2 + self.cx
         gy = (3 * np.sin(x) ** 2 - 10) * np.sin(2 * y) - 8 * y + self.cy
-        return np.stack([gx, gy], axis=-1)
+        return np.stack([gx, gy], axis=-1, out=out)
 
     def centroid_metrics(self, z_c):
         """(grad, delta_c) at centroids z_c = [x_c | y_c] of shape (..., 2).
@@ -216,6 +223,13 @@ class SinPLProblem:
 
     def batch_noise(self, rngs, batch):
         return _gaussian_noise(rngs, self.K, 1, 1, self.sigma, batch)
+
+
+def _read_only(a):
+    """A read-only copy of the array a."""
+    a = np.array(a)
+    a.flags.writeable = False
+    return a
 
 
 def _gaussian_noise(rngs, K, d1, d2, sigma, batch):

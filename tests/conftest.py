@@ -15,9 +15,13 @@ from decminimax import (
     mixing_for_topology,
     run_and_measure,
 )
-from decminimax.engine import _advance, _iterate_errors
-from decminimax.estimator import update_estimator
+from decminimax import engine
+from decminimax.engine import MetricsSeries, _advance, _estimate_errors, \
+    _iterate_errors, init_engine
+from decminimax.estimator import agent_mean, estimator_error, \
+    update_estimator
 from decminimax.problems import QuadraticMinimaxProblem
+from decminimax.transform import coupled_error_norms
 
 
 @pytest.fixture(scope="session")
@@ -234,6 +238,83 @@ def step(state, config, problem, ops):
     _advance(state, config.signed_step(problem.d1, problem.d2), ops)
     errors = _iterate_errors(state)
     assert not errors, {i: str(e) for i, e in errors.items()}
+
+
+def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
+                              y0=None):
+    """run_and_measure round by round, the reference its chunk of slots
+    must match byte for byte: the estimator and the advance update one
+    state in place, each round is checked as it ends and a failed
+    replicate is frozen at once, with its estimates zeroed, and each round
+    copies what the columns need into chunk buffers of
+    engine._chunk_rounds rounds, evaluated when full and at the end."""
+    state = init_engine(config, problem, x0=x0, y0=y0)
+    grace, seeds = state.grace, config.seeds
+    mu = np.tile(config.signed_step(problem.d1, problem.d2),
+                 (len(seeds), problem.K, 1))
+    series = MetricsSeries.empty(seeds, config.T, bundle is not None)
+    R = engine._chunk_rounds(state.Z.shape)
+    held = {name: [] for name in ("Z", "err", "used", "muM", "D")}
+
+    def fail(errors):
+        for i, exc in errors.items():
+            series.failures.setdefault(seeds[i], exc)
+            for a in (state.Z, state.D, grace.M, grace.G, mu):
+                a[i] = 0.0
+
+    def flush():
+        Z = np.array(held["Z"])
+        n, d1 = len(Z), problem.d1
+        z_c = agent_mean(Z)
+        grad, delta_c = problem.centroid_metrics(z_c)
+        est_err, est_err_avg = estimator_error(np.array(held["err"]))
+        cols = {
+            "grad_x_sq": np.sum(grad[..., :d1] ** 2, axis=-1),
+            "grad_y_sq": np.sum(grad[..., d1:] ** 2, axis=-1),
+            "consensus_sq": np.sum((Z - z_c[:, :, None]) ** 2, axis=(2, 3)),
+            "delta_c": delta_c,
+            "est_err_sq": est_err,
+            "est_err_avg_sq": est_err_avg,
+            "samples_used": np.array(held["used"]),
+        }
+        if bundle is not None:
+            ehat = coupled_error_norms(Z, np.array(held["muM"]),
+                                       np.array(held["D"]), bundle)
+            cols["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(2, 3))
+            cols["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(2, 3))
+        for name, values in cols.items():
+            series.columns[name][:, state.round + 1 - n:state.round + 1] = \
+                values.T
+        for rows in held.values():
+            rows.clear()
+
+    while True:
+        update_estimator(grace, config.grace, state.Z, problem,
+                         rounds=min(R, config.T + 1 - state.round))
+        errors = _estimate_errors(state)
+        if errors:
+            fail(errors)
+        held["Z"].append(state.Z.copy())
+        held["err"].append(grace.M - grace.G)
+        held["used"].append(grace.samples_used)
+        held["muM"].append(mu * grace.M)
+        held["D"].append(state.D.copy())
+        if len(held["Z"]) == R:
+            flush()
+        if state.round == config.T or len(series.failures) == len(seeds):
+            break
+        _advance(state, mu, ops)
+        errors = _iterate_errors(state)
+        if errors:
+            fail(errors)
+    if held["Z"]:
+        flush()
+    for seed, exc in series.failures.items():
+        row = seeds.index(seed)
+        for name, col in series.columns.items():
+            col[row, exc.round_index:] = -1 if name == "samples_used" \
+                else np.nan
+    return series
 
 
 # the paper's strategy rows: (power of W in A, power of W in C, B is the

@@ -114,6 +114,30 @@ def test_run_with_overflowing_estimates_prints_only_its_warning(tmp_path):
     assert done.stderr == "warning: 2 seed(s) diverged ([1, 2])\n"
 
 
+def test_run_diverging_inside_a_chunk_prints_only_its_warning(tmp_path):
+    """Every seed passes the cap at round 8 of the first chunk, and
+    unfrozen its iterates would overflow later in the same chunk (tiny
+    linear terms start them near zero, and huge steps grow them about
+    1e5-fold a round): stderr holds the run's own warning and no numpy
+    one."""
+    raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+           "problem": {"kind": "quadratic", "hetero": 1e-30},
+           "schedule": {"mode": "explicit", "mu_x": 3e5, "mu_y": 3e5,
+                        "beta": 0.2, "p": 0},
+           "T": 300, "seeds": [1, 2, 3]}
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "decminimax.cli", "run", "--config",
+         write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == "warning: 3 seed(s) diverged ([1, 2, 3])\n"
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert set(summary["seeds_failed"].values()) == {
+        "iterate magnitude 6.407e+14 exceeds 1e+12 at round 8"}
+
+
 def test_sweep_sets_key_in_null_section(tmp_path, capsys):
     # a bare "diagnostics:" line loads as null, which run reads as the
     # section's defaults; sweep sets the key in it the same way

@@ -1,3 +1,5 @@
+import collections
+import functools
 import warnings
 
 import numpy as np
@@ -23,7 +25,7 @@ from decminimax.engine import COLUMNS, _advance, _iterate_errors
 from decminimax.estimator import init_estimator
 
 from conftest import PaperRecursion, assert_close, random_connected_mixing, \
-    run_ok, step, update_checked
+    reference_run_and_measure, run_ok, step, update_checked
 
 ALL_KINDS = list(StrategyKind)
 
@@ -272,7 +274,8 @@ class TestRunAndMeasure:
         calls = []
         block = problem.exact_grads_block
         monkeypatch.setattr(problem, "exact_grads_block",
-                            lambda Z: calls.append(1) or block(Z))
+                            lambda Z, out=None: calls.append(1)
+                            or block(Z, out=out))
         grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
         ops = build_strategy(StrategyKind.ED, ring8_lazy)
         bundle = build_transform_bundle(ops.kind, ring8_lazy)
@@ -394,10 +397,10 @@ class TestChunks:
 
         fail, tripped = engine._fail, []
 
-        def spy(state, mu, series, errors):
+        def spy(state, mu, series, errors, estimates):
             if errors:
                 tripped.append((state, [series.seeds[i] for i in errors]))
-            fail(state, mu, series, errors)
+            fail(state, mu, series, errors, estimates)
 
         monkeypatch.setattr(engine, "_fail", spy)
         batch = run((5, 6, 7))
@@ -467,3 +470,137 @@ class TestChunks:
         errors = _iterate_errors(state)
         assert list(errors) == [1]
         assert str(errors[1]) == "non-finite iterate at round 0"
+
+
+def assert_same_run(got, want):
+    """Byte-equal columns and equal failures: message, round and entry."""
+    assert {s: (str(e), e.round_index, e.max_entry)
+            for s, e in got.failures.items()} == \
+        {s: (str(e), e.round_index, e.max_entry)
+         for s, e in want.failures.items()}
+    assert got.columns.keys() == want.columns.keys()
+    for name, col in got.columns.items():
+        assert col.tobytes() == want.columns[name].tobytes(), name
+
+
+class TestRoundByRoundReference:
+    """The chunk of slots, run unchecked and rerun with per-round checks
+    when its one check fails, against conftest's round-by-round loop."""
+
+    SEEDS = (1, 2, 3)
+    CHUNK_BYTES = engine.CHUNK_BYTES
+
+    def run_both(self, monkeypatch, problem, ops, bundle, mu, T, rounds,
+                 x0=None):
+        """Both runs with chunks of `rounds` rounds (None: the default
+        CHUNK_BYTES), which must agree; returns the reference's series."""
+        block = 8 * len(self.SEEDS) * problem.K * (problem.d1 + problem.d2)
+        monkeypatch.setattr(engine, "CHUNK_BYTES", self.CHUNK_BYTES
+                            if rounds is None else rounds * block)
+        config = EngineConfig(mu_x=mu, mu_y=mu, T=T, seeds=self.SEEDS,
+                              grace=GraceParams(beta=0.3, p=0.1, b=1,
+                                                B_big=4, b0=1))
+        with np.errstate(all="ignore"):
+            want = reference_run_and_measure(config, problem, ops, bundle,
+                                             x0=x0)
+            got = run_and_measure(config, problem, ops, bundle, x0=x0)
+        assert_same_run(got, want)
+        return want
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
+    @pytest.mark.parametrize("diagnostics", [False, True],
+                             ids=["no_bundle", "bundle"])
+    def test_matches_reference(self, ring4_lazy, monkeypatch, kind, N,
+                               diagnostics):
+        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=N, sigma=1e3,
+                                         seed=0)
+        ops = build_strategy(kind, ring4_lazy)
+        bundle = build_transform_bundle(kind, ring4_lazy) \
+            if diagnostics else None
+
+        def run(mu, T, rounds, x0=None):
+            return self.run_both(monkeypatch, problem, ops, bundle, mu, T,
+                                 rounds, x0)
+
+        # chunks of the default size, of one round and of 9 rounds
+        sizes = (None, 1, 9)
+        for rounds in sizes:
+            assert not run(0.01, 40, rounds).failures
+        # every seed passes the cap between rounds 14 and 25, in the middle
+        # of the default chunk, where the rerun stops
+        fails = {s: e.round_index
+                 for s, e in run(2.0, 60, None).failures.items()}
+        assert sorted(fails) == list(self.SEEDS)
+        first, last = min(fails.values()), max(fails.values())
+        assert 1 < first and last < self.CHUNK_BYTES // (8 * 3 * 4 * 3) - 1
+        for rounds in sizes[1:]:
+            run(2.0, 60, rounds)
+        # the first failure found at a chunk's last advance, or at the
+        # advance of its first round, and the last failure at round T
+        run(2.0, 60, first)
+        run(2.0, 60, first - 1)
+        assert run(2.0, last, 9).failures[max(fails, key=fails.get)] \
+            .round_index == last
+        # a large start point moves every failure a few rounds earlier
+        assert min(e.round_index for e in run(
+            2.0, 60, 9, x0=np.full(2, 1e6)).failures.values()) < first
+
+    def test_checks_run_only_in_a_failing_chunk(self, ring4_lazy,
+                                                monkeypatch):
+        # seed 7 passes the cap at round 181, in the third of four chunks
+        # of 64 rounds; seeds 5 and 6 run on
+        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=1e13,
+                                         seed=0)
+        ops = build_strategy(StrategyKind.ED, ring4_lazy)
+        calls = collections.Counter()
+        for name in ("_estimate_errors", "_iterate_errors", "_fail",
+                     "_run_chunk"):
+            monkeypatch.setattr(engine, name, functools.partial(
+                lambda fn, name, *args, **kwargs: calls.update([name])
+                or fn(*args, **kwargs),
+                getattr(engine, name), name))
+        block = problem.exact_grads_block
+        monkeypatch.setattr(problem, "exact_grads_block",
+                            lambda Z, out=None: calls.update(["grads"])
+                            or block(Z, out=out))
+        assert engine._chunk_rounds((3, 4, 3)) == 64
+        for T, failed in ((150, {}), (200, {7: 181})):
+            calls.clear()
+            config = EngineConfig(mu_x=0.01, mu_y=0.01, T=T, seeds=(5, 6, 7),
+                                  grace=GraceParams(beta=1.0, p=0.0))
+            series = run_and_measure(config, problem, ops)
+            assert {s: e.round_index
+                    for s, e in series.failures.items()} == failed
+            chunks = -(-(T + 1) // 64)
+            # a failing chunk runs twice, checked the second time
+            reruns = 64 if failed else 0
+            assert calls == collections.Counter(
+                _run_chunk=chunks + bool(failed), grads=1 + (T + 1) + reruns,
+                _estimate_errors=reruns, _iterate_errors=reruns,
+                _fail=bool(failed)) - collections.Counter()
+
+    @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
+    def test_non_finite_estimates_match_reference(self, ring4_lazy,
+                                                  monkeypatch, N):
+        ops = build_strategy(StrategyKind.ED, ring4_lazy)
+        bundle = build_transform_bundle(ops.kind, ring4_lazy)
+        if N is None:
+            # infinite noise: every estimate is non-finite from round 0
+            problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None,
+                                             sigma=np.inf, seed=0)
+        else:
+            # a seed's estimate turns non-finite when it draws sample 5 of
+            # agent 2
+            problem = make_quadratic_problem(K=4, d1=2, d2=1, N=N,
+                                             sigma=0.5, seed=0)
+            problem.samples[2, 5] = np.inf
+        for rounds in (None, 1, 9):
+            series = self.run_both(monkeypatch, problem, ops, bundle, 0.01,
+                                   150, rounds)
+            assert {str(e) for e in series.failures.values()} == \
+                {"non-finite gradient estimate at agent 2" if N
+                 else "non-finite gradient estimate at agent 0"}
+            rounds_hit = {e.round_index for e in series.failures.values()}
+            assert rounds_hit == {0} if N is None else \
+                len(rounds_hit) > 1 and 0 not in rounds_hit

@@ -14,7 +14,7 @@ from decminimax import (
     make_quadratic_problem,
     schedule_for_mode,
 )
-from decminimax.estimator import agent_mean
+from decminimax.estimator import agent_mean, update_estimator
 
 from conftest import assert_close, grad_x_is_x_problem, update_checked
 
@@ -182,6 +182,29 @@ class TestUpdate:
         # both branches exercised, and the replicates switch on their own
         assert 0 < kinds.sum() < kinds.size
         assert (kinds != kinds[:, :1]).any()
+
+    @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
+    def test_out_matches_in_place_update(self, N):
+        problem = make_quadratic_problem(K=8, d1=3, d2=2, N=N, sigma=0.5,
+                                         seed=5)
+        params = GraceParams(beta=0.3, p=0.3, b=2, B_big=16, b0=4)
+        Z0 = start_block(problem, S=3)
+        in_place, slotted = (init_estimator(problem, params, (1, 2, 3), Z0)
+                             for _ in range(2))
+        # two pairs of slots, taken in turn, as a chunk's rounds take them
+        slots = np.full((2, 2) + Z0.shape, np.nan)
+        rng = np.random.default_rng(0)
+        for r in range(40):
+            Z = rng.standard_normal(Z0.shape)
+            update_estimator(in_place, params, Z, problem, rounds=7)
+            out = tuple(slots[r % 2])
+            update_estimator(slotted, params, Z, problem, rounds=7, out=out)
+            assert slotted.M is out[0] and slotted.G is out[1]
+            for name in ("M", "G", "samples_used"):
+                assert getattr(slotted, name).tobytes() == \
+                    getattr(in_place, name).tobytes(), (r, name)
+        # both branches ran
+        assert in_place.refresh.any() and not in_place.refresh.all()
 
     def test_correlated_pair_indices_logged(self, quad_problem):
         Z = start_block(quad_problem)

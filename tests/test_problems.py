@@ -470,11 +470,30 @@ class TestGradientKernel:
         with pytest.raises(ValueError):
             problem.exact_grads_block(np.zeros((2, 3, 2)))
 
+    @pytest.mark.parametrize("kind", ["quadratic", "sinpl"])
+    def test_out_matches_allocating_call(self, kind):
+        if kind == "quadratic":
+            problem = make_quadratic_problem(K=8, d1=3, d2=2, N=None,
+                                             sigma=0.0, seed=1)
+        else:
+            problem = make_sinpl_problem(K=8, sigma=0.0, seed=1)
+        rng = np.random.default_rng(2)
+        d = problem.d1 + problem.d2
+        for lead in [(), (1,), (3,), (2, 5)]:
+            Z = rng.standard_normal(lead + (8, d)) * 10.0 ** rng.integers(
+                -100, 100, lead + (8, d))
+            out = np.full(Z.shape, np.nan)
+            assert problem.exact_grads_block(Z, out=out) is out
+            assert out.tobytes() == problem.exact_grads_block(Z).tobytes()
+
     def test_H_and_c_fixed_at_construction(self):
         problem = make_quadratic_problem(K=2, d1=1, d2=1, N=4, sigma=0.5,
                                          seed=0)
-        for name in ("H", "c"):
-            with pytest.raises(ValueError):
+        # the blocks, the constants cached from them and H and c: a write
+        # into any of them would leave the others stale
+        for name in ("H", "c", "Q", "R", "S", "a", "b", "Qbar", "Rbar",
+                     "Sbar", "abar", "bbar", "Hbar", "cbar", "Linv"):
+            with pytest.raises(ValueError, match="read-only"):
                 getattr(problem, name)[0] = 0.0
         # the sample table stays a live, writable view (see TestBatchNoise)
         problem.samples[0, 0] = 0.0
