@@ -255,8 +255,9 @@ class _Chunk:
         }
         if self.bundle is not None:
             ehat = coupled_error_norms(Z, mu * M, self.ZD[1, :n], self.bundle)
-            cols["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(2, 3))
-            cols["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(2, 3))
+            ex, ey = ehat[..., :d1], ehat[..., d1:]
+            cols["ehat_x_sq"] = np.einsum("...jd,...jd->...", ex, ex)
+            cols["ehat_y_sq"] = np.einsum("...jd,...jd->...", ey, ey)
         span = slice(start, start + n)
         for name, values in cols.items():
             self.series.columns[name][:, span] = values.T

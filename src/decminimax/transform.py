@@ -26,9 +26,23 @@ g = 1 - lam is exact for either b; its condition number is sqrt(27). Above
 that switch the condition number (1 + sqrt(1 - lam))/sqrt(lam) is below
 2/sqrt(2.5e-10), about 1.3e5.
 
-The engine carries the dual as D = B D_paper, so on mode j its projection
-is b_j times the paper's dual coordinate; coupled_error_norms divides it
-back out per mode, where b_j > 0.
+The ehat columns record the transformed coordinates of the engine state.
+On mode j they are linear in three projections: x_j = u_j^T Z,
+m_j = u_j^T (mu M) and d_j = u_j^T D. The engine carries the dual as
+D = B D_paper, so d_j is b_j times the paper's dual coordinate, and the
+paper's coupled variable z = A mu M + B D_paper - B^2 Z gives the second
+coordinate z_j / b_j = (a_j m_j + d_j) / b_j - b_j x_j (b_j > 0 on every
+non-principal mode). So ehat_j = Q_j^{-1} [x_j; z_j / b_j] / tau, with
+tau = sqrt(K) max_j ||Q_j^{-1}||, is E_j [x_j; m_j; d_j] for the per-mode
+read-out map
+
+    E_j = Q_j^{-1} [[1, 0, 0], [-b_j, a_j / b_j, 1 / b_j]] / tau,
+
+whose three columns are the coefficients of x_j, (q0 - b_j q1) / tau, of
+m_j, (a_j / b_j) q1 / tau, and of d_j, q1 / (b_j tau), where q0 and q1
+are the columns of Q_j^{-1}. E is built once per network, with the rest
+of the bundle, so a round's diagnostics are one projection onto the
+consensus complement and one batched 2x3 product per mode.
 """
 
 from dataclasses import dataclass
@@ -63,6 +77,7 @@ class TransformBundle:
     lam_a_sq: float
     lam_b_underline_sq: float
     tau: float
+    E: np.ndarray           # (K-1, 2, 3) per-mode read-out map of ehat
 
     @property
     def K(self) -> int:
@@ -101,6 +116,10 @@ def build_transform_bundle(kind: StrategyKind,
                          _ROOT27 * (Lam_b - gap), lam))
     v1_sq = float(np.max(np.linalg.norm(Q, 2, axis=(1, 2))**2)) if m else 1.0
     v2_sq = float(np.max(np.linalg.norm(Qi, 2, axis=(1, 2))**2)) if m else 1.0
+    tau = float(np.sqrt(K) * np.sqrt(v2_sq))
+    q0, q1 = Qi[:, :, 0], Qi[:, :, 1]
+    b = Lam_b[:, None]
+    E = np.stack([q0 - b * q1, Lam_a[:, None] / b * q1, q1 / b], axis=-1) / tau
     return TransformBundle(
         kind=kind,
         U_hat=U_hat,
@@ -115,7 +134,8 @@ def build_transform_bundle(kind: StrategyKind,
         v2_sq=v2_sq,
         lam_a_sq=float(np.max(Lam_a**2)) if m else 0.0,
         lam_b_underline_sq=float(np.min(Lam_b**2)) if m else 1.0,
-        tau=float(np.sqrt(K) * np.sqrt(v2_sq)),
+        tau=tau,
+        E=E,
     )
 
 
@@ -125,14 +145,12 @@ def coupled_error_norms(Z, muM, D, bundle: TransformBundle) -> np.ndarray:
     holding the first components of every mode, then the second.
 
     Z is the primal block, muM the signed step times the estimates and D
-    the carried dual B D_paper. On mode j the coupled coordinates are
-    (u_j^T Z, u_j^T z / b_j) with z = A muM + B D_paper - B^2 Z, so
-    z_j / b_j = (a_j m_j + d_j) / b_j - b_j x_j.
+    the carried dual B D_paper. One product with U_hat^T projects the
+    three blocks onto every mode, and the bundle's read-out map E (see the
+    module docstring) turns mode j's (x_j, m_j, d_j) into
+    ehat_j = Q_j^{-1} [x_j; z_j / b_j] / tau.
     """
     proj = bundle.U_hat.T @ np.concatenate([Z, muM, D], axis=-1)
-    x, mu_m, dual = np.split(proj, 3, axis=-1)
-    b = bundle.Lam_b[:, None]
-    z = (bundle.Lam_a[:, None] * mu_m + dual) / b - b * x
-    Qi = bundle.Q_inv[:, :, :, None]
-    return np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
-                           Qi[:, 1, 0] * x + Qi[:, 1, 1] * z], axis=-2) / bundle.tau
+    *lead, m, d3 = proj.shape
+    ehat = bundle.E @ proj.reshape(*lead, m, 3, d3 // 3)
+    return ehat.swapaxes(-3, -2).reshape(*lead, 2 * m, d3 // 3)

@@ -280,8 +280,9 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
         if bundle is not None:
             ehat = coupled_error_norms(Z, np.array(held["muM"]),
                                        np.array(held["D"]), bundle)
-            cols["ehat_x_sq"] = np.sum(ehat[..., :d1] ** 2, axis=(2, 3))
-            cols["ehat_y_sq"] = np.sum(ehat[..., d1:] ** 2, axis=(2, 3))
+            ex, ey = ehat[..., :d1], ehat[..., d1:]
+            cols["ehat_x_sq"] = np.einsum("...jd,...jd->...", ex, ex)
+            cols["ehat_y_sq"] = np.einsum("...jd,...jd->...", ey, ey)
         for name, values in cols.items():
             series.columns[name][:, state.round + 1 - n:state.round + 1] = \
                 values.T
@@ -394,6 +395,21 @@ def mode_blocks(bundle):
     P[:, 1, 0] = b
     P[:, 1, 1] = 1.0
     return P
+
+
+def reference_coupled_error_norms(Z, muM, D, bundle):
+    """coupled_error_norms element by element from the bundle's Q^{-1},
+    Lam_a, Lam_b and tau rather than its read-out map E: project, form
+    the paper's second coordinate z_j / b_j = (a_j m_j + d_j) / b_j
+    - b_j x_j on every mode, then apply Q_j^{-1} and divide by tau."""
+    proj = bundle.U_hat.T @ np.concatenate([Z, muM, D], axis=-1)
+    x, mu_m, dual = np.split(proj, 3, axis=-1)
+    b = bundle.Lam_b[:, None]
+    z = (bundle.Lam_a[:, None] * mu_m + dual) / b - b * x
+    Qi = bundle.Q_inv[:, :, :, None]
+    return np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
+                           Qi[:, 1, 0] * x + Qi[:, 1, 1] * z],
+                          axis=-2) / bundle.tau
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """perfbench/run.py ends with one JSON result line that a reader of the
-benchmark can parse: a short run of the online STORM workload and of the
-offline PAGE workload (index gathers, refreshes, transform diagnostics),
-untraced and traced, must exit 0 and print it, with every metric finite.
+benchmark can parse: a short run of the online STORM workload, of the
+offline PAGE workload (index gathers, refreshes, transform diagnostics)
+and of the K=96 ring (transform diagnostics over 95 modes), untraced and
+traced, must exit 0 and print it, with every metric finite.
 The untraced line is the one compared between revisions, so it must hold
 every end-to-end metric; the traced line must hold every per-layer metric
 that BENCHMARK.json declares, so a traced function that is renamed or
@@ -31,6 +32,8 @@ def reject_constant(name):
     pytest.param("storm_online", 1, id="traced"),
     pytest.param("page_offline", 0, id="page_offline-untraced"),
     pytest.param("page_offline", 1, id="page_offline-traced"),
+    pytest.param("wide_ring", 0, id="wide_ring-untraced"),
+    pytest.param("wide_ring", 1, id="wide_ring-traced"),
 ])
 def test_run_ends_with_a_result_line(workload, trace):
     done = subprocess.run(

@@ -12,6 +12,7 @@ from decminimax import (
     build_transform_bundle,
     coupled_error_norms,
     init_engine,
+    make_quadratic_problem,
     mixing_for_topology,
 )
 from decminimax.engine import _advance
@@ -19,7 +20,8 @@ from decminimax.mixing import MixingMatrix
 from decminimax.strategies import mode_values
 
 from conftest import assert_close, check_consensus_bound, matrix_of, \
-    mode_blocks, random_connected_mixing, update_checked
+    mode_blocks, random_connected_mixing, reference_coupled_error_norms, \
+    update_checked
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
 GT_STRATEGIES = tuple(k for k in StrategyKind if k not in SQRT_STRATEGIES)
@@ -352,8 +354,55 @@ class TestCoupledError:
             report = check_consensus_bound(Z, ehat, bundle)
             assert report.passed, (report.lhs, report.rhs)
 
-    def test_batch_matches_each_state(self, ring8_lazy):
-        ops, bundle = self._setup(StrategyKind.ED, ring8_lazy)
+    # the read-out map against the element-by-element reference, entry by
+    # entry, within this multiple of the entry's term scale: the sum of
+    # the magnitudes that either form adds up (measured at most 2.9 eps)
+    READOUT_TOL = 8 * np.finfo(float).eps
+
+    @staticmethod
+    def term_scale(Z, muM, D, bundle):
+        """|Q_j^{-1}| [|x_j|; |b_j x_j| + |a_j m_j / b_j| + |d_j / b_j|] / tau
+        on every mode, in coupled_error_norms' layout."""
+        proj = np.abs(bundle.U_hat.T @ np.concatenate([Z, muM, D], axis=-1))
+        x, m, d = np.split(proj, 3, axis=-1)
+        b = np.abs(bundle.Lam_b)[:, None]
+        z = b * x + np.abs(bundle.Lam_a)[:, None] / b * m + d / b
+        Qi = np.abs(bundle.Q_inv)[:, :, :, None]
+        return np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
+                               Qi[:, 1, 0] * x + Qi[:, 1, 1] * z],
+                              axis=-2) / bundle.tau
+
+    @pytest.mark.parametrize("kind", StrategyKind, ids=lambda k: k.value)
+    @pytest.mark.parametrize("network", ["spectrum", "ring", "random"])
+    def test_read_out_map_matches_reference(self, kind, network):
+        """On the mode grids either side of the rotation switch, a lazy
+        ring and a random graph, for one state and a (rounds, seeds) batch
+        of them, with the three blocks on scales from 1e-6 to 1e3."""
+        if network == "spectrum":
+            bundle = bundle_for_spectrum(
+                kind, SQRT_GRID if kind in SQRT_STRATEGIES else GT_GRID)
+        else:
+            mixing = mixing_for_topology(Topology(kind="ring", K=16),
+                                         lazy=True) if network == "ring" \
+                else random_connected_mixing(np.random.default_rng(5), 16)
+            bundle = build_transform_bundle(kind, mixing)
+        rng = np.random.default_rng(3)
+        for shape in ((bundle.K, 5), (3, 2, bundle.K, 5)):
+            for _ in range(4):
+                blocks = [rng.standard_normal(shape)
+                          * 10.0 ** rng.uniform(-6, 3) for _ in range(3)]
+                got = coupled_error_norms(*blocks, bundle)
+                want = reference_coupled_error_norms(*blocks, bundle)
+                assert got.shape == want.shape
+                err = np.abs(got - want) / self.term_scale(*blocks, bundle)
+                assert err.max() <= self.READOUT_TOL, err.max()
+
+    @pytest.mark.parametrize("kind", StrategyKind, ids=lambda k: k.value)
+    @pytest.mark.parametrize("graph", ["ring", "random"])
+    def test_batch_matches_each_state(self, ring8_lazy, graph, kind):
+        mixing = ring8_lazy if graph == "ring" else \
+            random_connected_mixing(np.random.default_rng(8), 8)
+        bundle = build_transform_bundle(kind, mixing)
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((4, 8, 5)) for _ in range(3)]
         batch = coupled_error_norms(*blocks, bundle)
@@ -377,3 +426,57 @@ class TestCoupledError:
             report = check_consensus_bound(state.Z[0], ehat, bundle)
             assert report.passed, (state.round, report.lhs, report.rhs)
             _advance(state, mu, ops)
+
+
+class TestTransformedRecursion:
+    """The recursion the bound of Part II is derived from, checked on the
+    engine's own rounds. On mode j, with x = u_j^T Z, m = u_j^T (mu M),
+    d = u_j^T D and z = (a m + d)/b - b x, the advance gives
+    x+ = (2 lam - 1) x - b z and z+ = b x + z + a (m+ - m)/b, so
+
+        ehat+ = T ehat + Q^{-1} [0; a (m+ - m) / b] / tau
+
+    on every mode, exactly, for any estimator, noise, beta and p."""
+
+    # residual over the round's largest |ehat+| of a seed: measured at
+    # most 7.7e-14; a dual update scaled by 0.999 raises it to 6e-5-5e-4
+    TOL = 1e-11
+
+    @pytest.mark.parametrize("kind", StrategyKind, ids=lambda k: k.value)
+    @pytest.mark.parametrize("topology", [
+        Topology(kind="ring", K=16),
+        Topology(kind="random", K=16, edge_prob=0.3, seed=1),
+    ], ids=["ring", "random"])
+    def test_one_round_identity(self, topology, kind):
+        mixing = mixing_for_topology(topology, lazy=True)
+        ops = build_strategy(kind, mixing)
+        bundle = build_transform_bundle(kind, mixing)
+        problem = make_quadratic_problem(K=16, d1=3, d2=2, N=None,
+                                         sigma=0.5, seed=5)
+        grace = GraceParams(beta=0.2, p=0.05, b=1, B_big=8, b0=4)
+        config = EngineConfig(mu_x=0.01, mu_y=0.02, grace=grace, T=300,
+                              seeds=(0, 1))
+        mu = config.signed_step(3, 2)
+        m = bundle.K - 1
+        state = init_engine(config, problem)
+
+        def read():
+            """ehat per mode, (S, K-1, 2, d), and U_hat^T (mu M)."""
+            update_checked(state.grace, grace, state.Z, problem)
+            muM = mu * state.grace.M
+            ehat = coupled_error_norms(state.Z, muM, state.D, bundle)
+            return np.stack([ehat[:, :m], ehat[:, m:]], axis=-2), \
+                bundle.U_hat.T @ muM
+
+        ehat, proj_m = read()
+        gain = (bundle.Lam_a / bundle.Lam_b)[:, None]
+        for _ in range(config.T):
+            _advance(state, mu, ops)
+            ehat_next, proj_next = read()
+            drive = np.stack([np.zeros_like(proj_m),
+                              gain * (proj_next - proj_m)], axis=-2)
+            want = bundle.T_mat @ ehat + bundle.Q_inv @ drive / bundle.tau
+            resid = np.abs(ehat_next - want).max(axis=(1, 2, 3))
+            assert np.all(resid <= self.TOL * np.abs(ehat_next).max(
+                axis=(1, 2, 3))), (state.round, resid)
+            ehat, proj_m = ehat_next, proj_next
