@@ -150,7 +150,7 @@ def coupled_error_norms(Z, muM, D, bundle: TransformBundle) -> np.ndarray:
     module docstring) turns mode j's (x_j, m_j, d_j) into
     ehat_j = Q_j^{-1} [x_j; z_j / b_j] / tau.
     """
+    d = Z.shape[-1]
     proj = bundle.U_hat.T @ np.concatenate([Z, muM, D], axis=-1)
-    *lead, m, d3 = proj.shape
-    ehat = bundle.E @ proj.reshape(*lead, m, 3, d3 // 3)
-    return ehat.swapaxes(-3, -2).reshape(*lead, 2 * m, d3 // 3)
+    ehat = bundle.E @ proj.reshape(*proj.shape[:-1], 3, d)
+    return ehat.swapaxes(-3, -2).reshape(*proj.shape[:-2], -1, d)
