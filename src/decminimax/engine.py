@@ -27,14 +27,15 @@ random numbers for the chunk at once. None of this shows in the output:
 every operation acts on each replicate's (K, d) slice of each round
 alone, and the chunked draws equal the round-by-round ones, so a seed's
 numbers are the same whatever other seeds share its batch and whatever
-the chunk size. The batch keeps its shape for the whole run. A replicate
-whose estimate or iterate stops being finite, or whose iterate passes
-DIVERGENCE_CAP, keeps its first error and is frozen in place (_fail), so
-it stays at zero; after the run its columns from the failing round on
-are blanked. The checks cost one pass per chunk: a chunk runs unchecked,
-one check over its slots accepts it, and a chunk that fails the check
-runs again with every round checked as it ends, which freezes each
-failing replicate at the round it fails, as a round-by-round loop does.
+the chunk size. The batch keeps its shape for the whole run. A chunk
+runs once, unchecked, and one scan of its slots (_first_failures) finds
+each replicate's first estimate that is not finite and first iterate
+that is not finite or passes DIVERGENCE_CAP. A replicate's slots up to
+its first failure are those of a round-by-round loop that checks every
+round, so the failure's round and message are too. The failed
+replicate's slots from the failure on are zeroed, and its step after the
+chunk's columns are written, so it sits out the rest of the run at zero;
+after the run its columns from the failing round on are blanked.
 """
 
 from dataclasses import dataclass, field
@@ -169,40 +170,6 @@ def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps,
     state.round += 1
 
 
-def _iterate_errors(state: EngineState) -> dict:
-    """Batch position -> DivergenceError for every replicate whose iterates
-    are not finite or exceed DIVERGENCE_CAP in magnitude."""
-    # a NaN fails the comparison, so it reaches the per-replicate check
-    if np.abs(state.ZD).max() <= DIVERGENCE_CAP:
-        return {}
-    worst = np.maximum(np.abs(state.Z).max(axis=(1, 2)),
-                       np.abs(state.D).max(axis=(1, 2)))
-    errors = {}
-    for i in np.flatnonzero(~(worst <= DIVERGENCE_CAP)):
-        w = float(worst[i])
-        if not np.isfinite(w):
-            msg = f"non-finite iterate at round {state.round}"
-            w = float("inf")
-        else:
-            msg = (f"iterate magnitude {w:.3e} exceeds {DIVERGENCE_CAP:g} "
-                   f"at round {state.round}")
-        errors[i] = DivergenceError(msg, round_index=state.round, max_entry=w)
-    return errors
-
-
-def _estimate_errors(state: EngineState) -> dict:
-    """Batch position -> DivergenceError for every replicate with a
-    non-finite gradient estimate, naming its first such agent."""
-    M = state.grace.M
-    if np.isfinite(M).all():
-        return {}
-    bad = ~np.isfinite(M).all(axis=2)
-    return {i: DivergenceError(
-                f"non-finite gradient estimate at agent {bad[i].argmax()}",
-                round_index=state.round, max_entry=float("inf"))
-            for i in np.flatnonzero(bad.any(axis=1))}
-
-
 class _Chunk:
     """The state of every round of a chunk, in slots the round loop writes
     directly: ZD, (2, R+1, S, K, d1+d2), holds the iterates of the
@@ -270,49 +237,58 @@ def _chunk_rounds(shape) -> int:
 
 
 def _run_chunk(state: EngineState, chunk: _Chunk, mu: np.ndarray,
-               ops: StrategyOps, config: EngineConfig, problem, rounds: int,
-               series: MetricsSeries | None = None) -> int:
+               ops: StrategyOps, config: EngineConfig, problem,
+               rounds: int) -> None:
     """Run the chunk's first `rounds` rounds from slot 0, the last advance
-    only if the last round is not round T, and return how many ran.
-
-    Without series no round is checked. With series each round's checks
-    follow its estimator update and its advance, a replicate that fails
-    one is frozen (_fail), and the chunk stops at the first round at
-    which every seed has failed."""
-    for i, (ZD_out, grace_out) in enumerate(chunk.slots[:rounds]):
+    only if the last round is not round T. No round is checked."""
+    for ZD_out, grace_out in chunk.slots[:rounds]:
         update_estimator(state.grace, config.grace, state.Z, problem,
                          rounds=rounds, out=grace_out)
-        if series is not None:
-            errors = _estimate_errors(state)
-            if errors:
-                _fail(state, mu, series, errors, estimates=True)
-            if len(series.failures) == len(config.seeds):
-                return i + 1
         if state.round == config.T:
-            return i + 1
+            return
         _advance(state, mu, ops, out=ZD_out)
-        if series is not None:
-            errors = _iterate_errors(state)
-            if errors:
-                _fail(state, mu, series, errors, estimates=False)
-    return rounds
 
 
-def _fail(state: EngineState, mu: np.ndarray, series: MetricsSeries,
-          errors: dict, estimates: bool) -> None:
-    """Keep each failed replicate's first error and freeze it in place:
-    zero its iterate, dual and row of the signed step, and, when the
-    failed check was on the estimates, its estimates. After an iterate
-    check the estimates are the ones recorded for the round before the
-    failure, so they stay; they passed their check, and with a zero step,
-    iterate and dual the replicate stays at zero."""
-    blocks = [state.Z, state.D, mu]
-    if estimates:
-        blocks += [state.grace.M, state.grace.G]
-    for i, exc in errors.items():
-        series.failures.setdefault(series.seeds[i], exc)
-        for a in blocks:
-            a[i] = 0.0
+def _first_failures(ZD: np.ndarray, M: np.ndarray, start: int,
+                    skip=()) -> dict:
+    """Batch position -> DivergenceError of the first failure of every
+    replicate not in skip, in the slots of a chunk that began at round
+    start: M, (n, S, K, d1+d2), the estimates of rounds start ..
+    start+n-1, and ZD, (2, a, S, K, d1+d2) with a = n or n-1, the
+    iterates and duals the advances of rounds start .. start+a-1 wrote.
+    An iterate or dual that is not finite or exceeds DIVERGENCE_CAP in
+    magnitude fails at the round after its advance; a non-finite estimate
+    fails at its round, naming its first such agent. The errors come in
+    the order a round-by-round loop finds them."""
+    # a NaN propagates through the max and fails the comparison
+    worst = np.abs(ZD).max(axis=(0, 3, 4), initial=0.0)
+    agent_bad = ~np.isfinite(M).all(axis=3)
+    # the checks in the order of a round-by-round loop: round r's
+    # estimate, then the iterate of round r+1 that its advance writes
+    bad = np.zeros((2 * len(M), M.shape[1]), dtype=bool)
+    bad[0::2] = agent_bad.any(axis=2)
+    bad[1:2 * len(worst):2] = ~(worst <= DIVERGENCE_CAP)
+    first = {i: int(bad[:, i].argmax())
+             for i in np.flatnonzero(bad.any(axis=0)) if i not in skip}
+    errors = {}
+    for i in sorted(first, key=first.get):
+        j = first[i]
+        r = start + (j + 1) // 2
+        if j % 2 == 0:
+            errors[i] = DivergenceError(
+                f"non-finite gradient estimate at agent "
+                f"{agent_bad[j // 2, i].argmax()}",
+                round_index=r, max_entry=float("inf"))
+            continue
+        w = float(worst[j // 2, i])
+        if not np.isfinite(w):
+            msg = f"non-finite iterate at round {r}"
+            w = float("inf")
+        else:
+            msg = (f"iterate magnitude {w:.3e} exceeds {DIVERGENCE_CAP:g} "
+                   f"at round {r}")
+        errors[i] = DivergenceError(msg, round_index=r, max_entry=w)
+    return errors
 
 
 def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
@@ -331,15 +307,17 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     each failed seed's first error, and its columns are NaN (-1 for
     samples_used) from the error's round on.
 
-    A chunk first runs unchecked, with floating-point errors ignored: an
+    A chunk runs once, unchecked, with floating-point errors ignored: an
     exception in a round reaches its M, Z or D, which every intermediate
     flows into, so a chunk whose advanced iterates are within
     DIVERGENCE_CAP and whose estimates are finite raised none. Otherwise
-    the chunk runs again from slot 0, from the same draws, with each
-    round checked under the caller's error state.
+    _first_failures scans the chunk's slots for each replicate that has
+    not failed before, and a replicate that failed in the chunk has its
+    iterate slots zeroed from its failing round on and its estimate and
+    gradient slots from the next, so the chunk's columns are evaluated,
+    under the caller's error state, from finite numbers only.
     """
     state = init_engine(config, problem, x0=x0, y0=y0)
-    grace = state.grace
     # the signed step of every replicate and agent, zeroed for a replicate
     # when it fails
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
@@ -347,22 +325,24 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
     chunk = _Chunk(series, problem, bundle, state)
     while True:
-        start, used = state.round, grace.samples_used
-        rounds = min(chunk.rounds, config.T + 1 - start)
+        start = state.round
+        n = min(chunk.rounds, config.T + 1 - start)
         with np.errstate(all="ignore"):
-            n = _run_chunk(state, chunk, mu, ops, config, problem, rounds)
+            _run_chunk(state, chunk, mu, ops, config, problem, n)
+            ZD, M = chunk.ZD[:, 1:state.round - start + 1], chunk.M[1:n + 1]
             # a NaN fails the comparison
-            ok = np.abs(chunk.ZD[:, 1:state.round - start + 1]).max(
-                initial=0.0) <= DIVERGENCE_CAP \
-                and np.isfinite(chunk.M[1:n + 1]).all()
-        chunk_mu = mu
-        if not ok:
-            chunk_mu = mu.copy()
-            state.round, grace.drawn, grace.samples_used = start, 0, used
-            chunk.enter(state)
-            n = _run_chunk(state, chunk, mu, ops, config, problem, rounds,
-                           series)
-        chunk.flush(start, n, chunk_mu)
+            ok = np.abs(ZD).max(initial=0.0) <= DIVERGENCE_CAP \
+                and np.isfinite(M).all()
+            errors = {} if ok else _first_failures(
+                ZD, M, start, {series.seeds.index(s) for s in series.failures})
+        for i, exc in errors.items():
+            series.failures[series.seeds[i]] = exc
+            slot = exc.round_index - start
+            chunk.ZD[:, slot:, i] = 0.0
+            chunk.M[slot + 1:, i] = chunk.G[slot + 1:, i] = 0.0
+        chunk.flush(start, n, mu)
+        for i in errors:
+            mu[i] = 0.0
         if start + n > config.T or len(series.failures) == len(config.seeds):
             break
         # the last slot, the next chunk's first round, moves to slot 0

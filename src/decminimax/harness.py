@@ -14,6 +14,7 @@ import copy
 import json
 import math
 import numbers
+import re
 import statistics
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -371,8 +372,9 @@ def _summarize(result: RunResult, bundle) -> dict:
 
 def write_outputs(result: RunResult, out_dir) -> list:
     """Write seed_<s>.csv per surviving seed, summary.json and
-    config.resolved.json, and remove the seed_<s>.csv an earlier run left
-    for a seed that failed in this one. A CSV line has a "%.17g" slot per
+    config.resolved.json, and remove every other seed_<digits>.csv in
+    out_dir, which an earlier run left for a seed that failed in this one
+    or that this one does not have. A CSV line has a "%.17g" slot per
     recorded column (integral values print as integers), an empty slot per
     absent ehat column, and a CR LF end."""
     out = Path(out_dir)
@@ -391,8 +393,10 @@ def write_outputs(result: RunResult, out_dir) -> list:
         path.write_text(header + "".join(template % tuple(r)
                                          for r in table.tolist()), newline="")
         written.append(path)
-    for seed in series.failures:
-        (out / f"seed_{seed}.csv").unlink(missing_ok=True)
+    for path in out.glob("seed_*.csv"):
+        if re.fullmatch(r"seed_[0-9]+\.csv", path.name) \
+                and path not in written:
+            path.unlink()
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(result.summary, indent=2,
                                        sort_keys=True) + "\n")

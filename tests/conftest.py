@@ -16,8 +16,8 @@ from decminimax import (
     run_and_measure,
 )
 from decminimax import engine
-from decminimax.engine import MetricsSeries, _advance, _estimate_errors, \
-    _iterate_errors, init_engine
+from decminimax.engine import MetricsSeries, _advance, _first_failures, \
+    init_engine
 from decminimax.estimator import agent_mean, estimator_error, \
     update_estimator
 from decminimax.problems import QuadraticMinimaxProblem
@@ -231,12 +231,25 @@ def update_checked(state, params, Z, problem):
     assert np.isfinite(state.M).all(), "non-finite estimate"
 
 
+def iterate_errors(state):
+    """The engine's scan over the last round: its estimate, and the
+    iterates and duals its advance wrote."""
+    return _first_failures(state.ZD[:, None], state.grace.M[None],
+                           state.round - 1)
+
+
+def estimate_errors(state):
+    """The engine's scan over the estimates of the current round."""
+    return _first_failures(state.ZD[:, None][:, :0], state.grace.M[None],
+                           state.round)
+
+
 def step(state, config, problem, ops):
     """One round by hand with the engine's checks: estimator update, primal
     and dual advance, then every iterate finite and within DIVERGENCE_CAP."""
     update_checked(state.grace, config.grace, state.Z, problem)
     _advance(state, config.signed_step(problem.d1, problem.d2), ops)
-    errors = _iterate_errors(state)
+    errors = iterate_errors(state)
     assert not errors, {i: str(e) for i, e in errors.items()}
 
 
@@ -292,7 +305,7 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
     while True:
         update_estimator(grace, config.grace, state.Z, problem,
                          rounds=min(R, config.T + 1 - state.round))
-        errors = _estimate_errors(state)
+        errors = estimate_errors(state)
         if errors:
             fail(errors)
         held["Z"].append(state.Z.copy())
@@ -305,7 +318,7 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
         if state.round == config.T or len(series.failures) == len(seeds):
             break
         _advance(state, mu, ops)
-        errors = _iterate_errors(state)
+        errors = iterate_errors(state)
         if errors:
             fail(errors)
     if held["Z"]:

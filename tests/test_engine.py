@@ -21,11 +21,13 @@ from decminimax import (
     run_and_measure,
 )
 from decminimax import engine
-from decminimax.engine import COLUMNS, _advance, _iterate_errors
+from decminimax.engine import COLUMNS, DIVERGENCE_CAP, _advance, \
+    _first_failures
 from decminimax.estimator import init_estimator
 
-from conftest import PaperRecursion, assert_close, random_connected_mixing, \
-    reference_run_and_measure, run_ok, step, update_checked
+from conftest import PaperRecursion, assert_close, iterate_errors, \
+    random_connected_mixing, reference_run_and_measure, run_ok, step, \
+    update_checked
 
 ALL_KINDS = list(StrategyKind)
 
@@ -381,7 +383,8 @@ class TestChunks:
     def test_late_failure_alone_matches_batch(self, ring4_lazy, monkeypatch):
         # seeds 7, 5 and 6 pass the cap at rounds 181, 465 and 1265, each in
         # a later chunk of rows; a frozen seed raises no floating-point error
-        # in the rounds it sits out
+        # in the rounds it sits out, and its zeroed slots none in the columns
+        # of the chunk it fails in
         problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=1e13,
                                          seed=0)
         grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
@@ -395,19 +398,21 @@ class TestChunks:
                 warnings.simplefilter("error")
                 return run_and_measure(config, problem, ops)
 
-        fail, tripped = engine._fail, []
+        scan, tripped = engine._first_failures, []
 
-        def spy(state, mu, series, errors, estimates):
+        def spy(ZD, M, start, skip=()):
+            errors = scan(ZD, M, start, skip)
             if errors:
-                tripped.append((state, [series.seeds[i] for i in errors]))
-            fail(state, mu, series, errors, estimates)
+                # the replicates that failed before: skipped, and at zero
+                tripped.append((sorted(errors), sorted(skip),
+                                bool(ZD[:, :, sorted(skip)].any())))
+            return errors
 
-        monkeypatch.setattr(engine, "_fail", spy)
+        monkeypatch.setattr(engine, "_first_failures", spy)
         batch = run((5, 6, 7))
-        # each seed trips a check once, and frozen it stays at zero
-        assert [seeds for _, seeds in tripped] == [[7], [5], [6]]
-        state = tripped[-1][0]
-        assert not state.Z.any() and not state.D.any()
+        # each seed trips the scan once, and frozen it stays at zero
+        assert tripped == [([2], [], False), ([0], [2], False),
+                           ([1], [0, 2], False)]
         assert engine._chunk_rounds((3, 4, 3)) < 181
         failed = {7: 181, 5: 465, 6: 1265}
         assert {s: e.round_index for s, e in batch.failures.items()} == failed
@@ -442,7 +447,7 @@ class TestChunks:
     @pytest.mark.parametrize("case", ["nan_in_Z", "nan_in_D", "Z_past_cap"])
     def test_iterate_errors_read_the_advanced_block(self, ring8_lazy,
                                                     quad_problem, case):
-        # Z and D are written in place by _advance; a check that read other
+        # Z and D are written in place by _advance; a scan that read other
         # storage than theirs would miss the bad entry
         config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10,
@@ -450,11 +455,11 @@ class TestChunks:
         state = init_engine(config, quad_problem, x0=np.ones(3))
         _advance(state, config.signed_step(3, 2),
                  build_strategy(StrategyKind.ATC_GT, ring8_lazy))
-        assert _iterate_errors(state) == {}
+        assert iterate_errors(state) == {}
         target = state.D if case == "nan_in_D" else state.Z
         target[1, 5, 2] = 2 * engine.DIVERGENCE_CAP if case == "Z_past_cap" \
             else np.nan
-        errors = _iterate_errors(state)
+        errors = iterate_errors(state)
         assert list(errors) == [1]
         assert str(errors[1]) == (
             "iterate magnitude 2.000e+12 exceeds 1e+12 at round 1"
@@ -465,11 +470,86 @@ class TestChunks:
                               grace=GraceParams(beta=0, p=1, b0=4), T=10,
                               seeds=(0, 1))
         state = init_engine(config, quad_problem)
-        assert _iterate_errors(state) == {}
+        assert iterate_errors(state) == {}
         state.D[1, 3, 2] = np.nan
-        errors = _iterate_errors(state)
+        errors = iterate_errors(state)
         assert list(errors) == [1]
         assert str(errors[1]) == "non-finite iterate at round 0"
+
+
+class TestFirstFailures:
+    """The scan of a chunk's slots, on hand-built slots of a chunk that
+    began at round 10: four advances and four estimates, rounds 10..13,
+    of three replicates of four agents in three dimensions."""
+
+    START = 10
+
+    @staticmethod
+    def slots():
+        return np.ones((2, 4, 3, 4, 3)), np.ones((4, 3, 4, 3))
+
+    def failures(self, ZD, M, skip=()):
+        return {i: (str(e), e.round_index, e.max_entry)
+                for i, e in _first_failures(ZD, M, self.START, skip).items()}
+
+    def test_clean_slots_pass(self):
+        assert self.failures(*self.slots()) == {}
+
+    @pytest.mark.parametrize("half", [0, 1], ids=["Z", "D"])
+    def test_nan_in_one_half(self, half):
+        ZD, M = self.slots()
+        ZD[half, 2, 1, 3, 0] = np.nan
+        # the third advance, round 12's, writes the iterates of round 13
+        assert self.failures(ZD, M) == {
+            1: ("non-finite iterate at round 13", 13, float("inf"))}
+
+    def test_iterate_past_cap(self):
+        ZD, M = self.slots()
+        ZD[0, 0, 2, 1, 2] = -2 * DIVERGENCE_CAP
+        ZD[0, 1, 2, 1, 2] = np.inf
+        assert self.failures(ZD, M) == {
+            2: ("iterate magnitude 2.000e+12 exceeds 1e+12 at round 11", 11,
+                2 * DIVERGENCE_CAP)}
+
+    def test_estimate_names_first_bad_agent(self):
+        ZD, M = self.slots()
+        M[1, 0, 2, 1] = np.nan
+        M[1, 0, 3, 0] = np.inf
+        M[3, 0, 0, 0] = np.nan
+        assert self.failures(ZD, M) == {
+            0: ("non-finite gradient estimate at agent 2", 11, float("inf"))}
+
+    def test_iterate_wins_at_same_round(self):
+        # round 12's estimate and the iterate round 11's advance wrote
+        ZD, M = self.slots()
+        M[2, 1, 0, 0] = np.nan
+        ZD[1, 1, 1, 0, 0] = np.nan
+        assert self.failures(ZD, M) == {
+            1: ("non-finite iterate at round 12", 12, float("inf"))}
+        # a round earlier, the estimate comes first
+        M[1, 1, 0, 0] = np.nan
+        assert self.failures(ZD, M)[1][1] == 11
+
+    def test_replicates_fail_at_their_own_rounds(self):
+        ZD, M = self.slots()
+        ZD[0, 3, 0, 0, 0] = 3 * DIVERGENCE_CAP
+        M[0, 2, 1, 1] = np.inf
+        ZD[0, 1:, 2] = np.nan
+        assert self.failures(ZD, M) == {
+            0: ("iterate magnitude 3.000e+12 exceeds 1e+12 at round 14", 14,
+                3 * DIVERGENCE_CAP),
+            2: ("non-finite gradient estimate at agent 1", 10, float("inf")),
+            }
+        # in the order of their rounds
+        assert list(self.failures(ZD, M)) == [2, 0]
+
+    def test_skipped_replicate_is_ignored(self):
+        ZD, M = self.slots()
+        ZD[:, :, 1] = np.nan
+        M[:, 1] = np.nan
+        M[3, 2, 0, 0] = np.nan
+        assert self.failures(ZD, M, skip={1}) == {
+            2: ("non-finite gradient estimate at agent 0", 13, float("inf"))}
 
 
 def assert_same_run(got, want):
@@ -484,8 +564,8 @@ def assert_same_run(got, want):
 
 
 class TestRoundByRoundReference:
-    """The chunk of slots, run unchecked and rerun with per-round checks
-    when its one check fails, against conftest's round-by-round loop."""
+    """The chunk of slots, run once unchecked and scanned for each
+    replicate's first failure, against conftest's round-by-round loop."""
 
     SEEDS = (1, 2, 3)
     CHUNK_BYTES = engine.CHUNK_BYTES
@@ -528,7 +608,7 @@ class TestRoundByRoundReference:
         for rounds in sizes:
             assert not run(0.01, 40, rounds).failures
         # every seed passes the cap between rounds 14 and 25, in the middle
-        # of the default chunk, where the rerun stops
+        # of the default chunk
         fails = {s: e.round_index
                  for s, e in run(2.0, 60, None).failures.items()}
         assert sorted(fails) == list(self.SEEDS)
@@ -554,8 +634,7 @@ class TestRoundByRoundReference:
                                          seed=0)
         ops = build_strategy(StrategyKind.ED, ring4_lazy)
         calls = collections.Counter()
-        for name in ("_estimate_errors", "_iterate_errors", "_fail",
-                     "_run_chunk"):
+        for name in ("_first_failures", "_run_chunk"):
             monkeypatch.setattr(engine, name, functools.partial(
                 lambda fn, name, *args, **kwargs: calls.update([name])
                 or fn(*args, **kwargs),
@@ -573,12 +652,11 @@ class TestRoundByRoundReference:
             assert {s: e.round_index
                     for s, e in series.failures.items()} == failed
             chunks = -(-(T + 1) // 64)
-            # a failing chunk runs twice, checked the second time
-            reruns = 64 if failed else 0
+            # every chunk runs once, a failing one too, and only a failing
+            # chunk's slots are scanned
             assert calls == collections.Counter(
-                _run_chunk=chunks + bool(failed), grads=1 + (T + 1) + reruns,
-                _estimate_errors=reruns, _iterate_errors=reruns,
-                _fail=bool(failed)) - collections.Counter()
+                _run_chunk=chunks, grads=1 + (T + 1),
+                _first_failures=bool(failed)) - collections.Counter()
 
     @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
     def test_non_finite_estimates_match_reference(self, ring4_lazy,
@@ -604,3 +682,28 @@ class TestRoundByRoundReference:
             rounds_hit = {e.round_index for e in series.failures.values()}
             assert rounds_hit == {0} if N is None else \
                 len(rounds_hit) > 1 and 0 not in rounds_hit
+
+    def test_frozen_replicates_drawing_infinite_sample_raise_nothing(
+            self, ring4_lazy):
+        # the seeds' estimates turn non-finite when they draw sample 5 of
+        # agent 2, at rounds 2 to 118, in two chunks; a frozen replicate
+        # draws on, and its rounds raise nothing under the caller's error
+        # state, as they run with floating-point errors ignored
+        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=64, sigma=0.5,
+                                         seed=0)
+        problem.samples[2, 5] = np.inf
+        ops = build_strategy(StrategyKind.ED, ring4_lazy)
+        bundle = build_transform_bundle(ops.kind, ring4_lazy)
+        config = EngineConfig(mu_x=0.01, mu_y=0.01, T=400,
+                              seeds=tuple(range(6)),
+                              grace=GraceParams(beta=0.3, p=0.1, b=1, b0=1))
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_and_measure(config, problem, ops, bundle)
+        with np.errstate(all="ignore"):
+            want = reference_run_and_measure(config, problem, ops, bundle)
+        assert_same_run(got, want)
+        # in the order the round-by-round loop finds them
+        assert [(s, e.round_index) for s, e in got.failures.items()] == \
+            [(1, 2), (2, 12), (0, 15), (5, 54), (3, 92), (4, 118)]
+        assert list(want.failures) == list(got.failures)

@@ -261,11 +261,9 @@ class TestRunExperiment:
     def test_divergent_seed_recorded(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL))
         raw["T"] = 200
-        # a first run leaves CSVs of both seeds in the directory; seed_9.csv
-        # stands for a file of a seed the second run does not have
+        # a first run leaves CSVs of both seeds in the directory
         out = tmp_path / "out"
         write_outputs(run_experiment(config_from_dict(raw)), out)
-        (out / "seed_9.csv").write_text("kept")
         assert {"seed_0.csv", "seed_1.csv"} <= {p.name for p in out.iterdir()}
         raw["schedule"]["mu_x"] = 50.0
         raw["schedule"]["mu_y"] = 50.0
@@ -275,10 +273,30 @@ class TestRunExperiment:
         assert result.summary["avg_stationarity"] == {"mean": None, "std": None}
         files = write_outputs(result, out)
         assert {f.name for f in files} == {"summary.json", "config.resolved.json"}
-        # a failed seed's CSV from the first run is gone; no other file moved
+        # a failed seed's CSV from the first run is gone
         assert {p.name for p in out.iterdir()} == \
-            {"summary.json", "config.resolved.json", "seed_9.csv"}
-        assert (out / "seed_9.csv").read_text() == "kept"
+            {"summary.json", "config.resolved.json"}
+
+    def test_rerun_with_fewer_seeds_removes_stale_csvs(self, tmp_path):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["seeds"] = [1, 2, 3]
+        out = tmp_path / "out"
+        write_outputs(run_experiment(config_from_dict(raw)), out)
+        # files that are not a seed's CSV stay
+        others = {"notes.txt": "a", "seed_x.csv": "b", "seed_.csv": "c",
+                  "seed_2.csv.bak": "d"}
+        for name, text in others.items():
+            (out / name).write_text(text)
+        first = (out / "seed_1.csv").read_bytes()
+        raw["seeds"] = [1]
+        result = run_experiment(config_from_dict(raw))
+        assert result.summary["seeds_ok"] == [1]
+        write_outputs(result, out)
+        assert {p.name for p in out.iterdir()} == \
+            {"summary.json", "config.resolved.json", "seed_1.csv", *others}
+        assert (out / "seed_1.csv").read_bytes() == first
+        for name, text in others.items():
+            assert (out / name).read_text() == text
 
 
 def reference_csv(result, row) -> bytes:
