@@ -17,16 +17,30 @@ Each replicate owns two random streams, spawned from SeedSequence(seed):
 one for the switch and one for the noise, so it shares no draws with
 another replicate or with a problem built from default_rng(seed). The
 draws are taken a chunk of rounds at a time: one switch call per
-replicate gives the chunk's refresh flags, then one batch_noise call
-gives its noise, one block for all K agents per round (none on an
-offline refresh). The noise is held round-major, (R, S, K, d1+d2), so a
-round's block is contiguous, and the cumulative sample counts of every
-drawn round are summed once per chunk. A chunk's draws equal the same
-rounds drawn one by one, so they do not depend on the chunk size. One
-array step per round forms every replicate's recursion, in place or into
-the caller's next slot, and in a round where some replicate refreshes,
-those replicates take their fresh estimate instead, so a replicate's
-numbers do not depend on the other replicates in its batch.
+replicate gives the chunk's refresh flags (none at p = 0, where no round
+refreshes), then one batch_noise call gives its noise, one block for all
+K agents per round. The same minibatch enters the previous and current
+evaluations of a recursion, and both problem families draw noise that
+does not depend on the iterate, so a minibatch's noise xi reaches the
+estimate only as beta * xi:
+
+    (1 - beta) * (M - (G + xi)) + (g + xi) = (1 - beta) * (M - G) + g + beta * xi.
+
+Online, every round draws its block, so the stream position does not
+depend on the sizes or on sigma. Offline, a refresh takes the full local
+batch, which is exact, and a recursion at beta = 0 has no noise to draw,
+so neither draws: an offline beta = 0 run draws nothing from its noise
+stream after the b0 init, and a chunk that draws nothing holds no noise
+block. The sample counts still count the samples evaluated, drawn or
+not: N per agent on an offline refresh, B_big online, b on a recursion.
+The noise is held round-major, (R, S, K, d1+d2), so a round's block is
+contiguous, and the cumulative sample counts of every drawn round are
+summed once per chunk. A chunk's draws equal the same rounds drawn one
+by one, so they do not depend on the chunk size. One array step per
+round forms every replicate's recursion, in place or into the caller's
+next slot, and in a round where some replicate refreshes, those
+replicates take their fresh estimate instead, so a replicate's numbers
+do not depend on the other replicates in its batch.
 """
 
 from dataclasses import dataclass
@@ -69,12 +83,12 @@ class GraceState:
     # the drawn rounds: refresh flags (S, R), one column per round, and
     # whether any replicate refreshes, one bool per round; cumulative
     # sample counts (S, R) after each round; noise round-major,
-    # (R, S, K, d1+d2), so a round's block is contiguous. The next round
-    # is `drawn`
+    # (R, S, K, d1+d2), so a round's block is contiguous, or None for a
+    # chunk that drew no noise. The next round is `drawn`
     refresh: np.ndarray
     any_refresh: list
     cum_used: np.ndarray
-    noise: np.ndarray
+    noise: np.ndarray | None
     drawn: int = 0
 
 
@@ -96,28 +110,37 @@ def init_estimator(problem, params: GraceParams, seeds,
     return GraceState(M=M, G=g, switch_rngs=switch, noise_rngs=noise,
                       samples_used=np.full(S, b0),
                       refresh=np.zeros((S, 0), dtype=bool), any_refresh=[],
-                      cum_used=np.zeros((S, 0), dtype=int),
-                      noise=np.zeros((0,) + g.shape))
+                      cum_used=np.zeros((S, 0), dtype=int), noise=None)
 
 
 def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
     """Draw the next `rounds` rounds of every replicate: one call of its
-    switch stream, then one batch_noise call for the batch. Offline, a
-    refresh takes the full local batch, whose sample means are exact by
-    construction, and draws nothing. The sample counts are summed here
-    for the whole chunk, from the count after the last drawn round."""
-    refresh = np.stack([rng.random(rounds) for rng in state.switch_rngs]) \
-        < params.p
+    switch stream, none at p = 0, then one batch_noise call for the
+    batch. Offline, a round draws a minibatch only when its noise reaches
+    the estimate, on a recursion with beta > 0: a refresh takes the full
+    local batch, whose sample means are exact by construction, and at
+    beta = 0 a recursion's noise cancels, so neither draws, and a chunk
+    of such rounds holds no noise block. The sample counts are summed
+    here for the whole chunk, from the count after the last drawn round;
+    they count the samples evaluated, drawn or not."""
+    if params.p > 0:
+        refresh = np.stack([rng.random(rounds)
+                            for rng in state.switch_rngs]) < params.p
+    else:
+        # no round refreshes, and the switch stream feeds nothing else
+        refresh = np.zeros((len(state.switch_rngs), rounds), dtype=bool)
     if problem.N is not None:
         used = np.where(refresh, problem.N, params.b)
-        batch = np.where(refresh, 0, params.b)
+        batch = np.where(refresh | (params.beta == 0), 0, params.b)
     else:
         used = batch = np.where(refresh, params.B_big or 0, params.b)
     state.refresh = refresh
     state.any_refresh = refresh.any(axis=0).tolist()
     state.cum_used = state.samples_used[:, None] + np.cumsum(used, axis=1)
-    state.noise = np.ascontiguousarray(
-        problem.batch_noise(state.noise_rngs, batch).swapaxes(0, 1))
+    state.noise = None
+    if problem.N is None or batch.any():
+        state.noise = np.ascontiguousarray(
+            problem.batch_noise(state.noise_rngs, batch).swapaxes(0, 1))
     state.drawn = 0
 
 
@@ -140,19 +163,19 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
         _draw(state, params, problem, rounds)
     r = state.drawn
     state.drawn = r + 1
-    noise = state.noise[r]
     M, G = state.M, state.G
     # G + noise is formed in the storage of the old G, or of the new M
     M_new, G_new, scratch = (M, None, G) if out is None else (*out, out[0])
     g = problem.exact_grads_block(Z, out=G_new)
-    # an offline refresh draws nothing, so its noise is zero and its fresh
-    # estimate the exact gradient
-    fresh = g + noise
-    # the same minibatch enters the prev and cur evaluations, so its noise
-    # survives with weight beta only:
-    # M = (1 - beta) * (M - (G + noise)) + fresh
-    np.add(G, noise, out=scratch)
-    np.subtract(M, scratch, out=M_new)
+    # M = (1 - beta) * (M - (G + noise)) + fresh, where fresh = g + noise;
+    # a chunk that drew no noise skips the adds of zero, with the same bits
+    # up to the sign of a zero
+    fresh = g
+    if state.noise is not None:
+        noise = state.noise[r]
+        fresh = g + noise
+        G = np.add(G, noise, out=scratch)
+    np.subtract(M, G, out=M_new)
     np.multiply(M_new, 1.0 - params.beta, out=M_new)
     np.add(M_new, fresh, out=M_new)
     if state.any_refresh[r]:

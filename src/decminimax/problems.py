@@ -138,15 +138,18 @@ class QuadraticMinimaxProblem:
         per round of each of the S generators in rngs, and the noise is one
         (S, R, K, d1+d2) block.
 
-        Offline: the non-zero sizes of one call must be equal. Each
-        replicate draws its rounds of non-zero size as one (rounds, K, size)
-        index block from its own stream; a round of size 0 draws nothing and
-        has zero noise. The batch's sample means are then gathered one
-        sample slot at a time from the flattened tables: slot j of every
+        A round of size 0 has zero noise. Offline: the non-zero sizes of
+        one call must be equal. Each replicate draws its rounds of non-zero
+        size as one (rounds, K, size) index block from its own stream; a
+        round of size 0 draws nothing, and the estimator asks for size 0 on
+        every round whose noise would not reach the estimate (a refresh, or
+        a recursion at beta = 0). The batch's sample means are then gathered
+        one sample slot at a time from the flattened tables: slot j of every
         replicate, round and agent is one take, added into the output in
         slot order, so the sums equal a mean over the slot axis and only
         one slot's rows are held beside the output. Online: one Gaussian
-        block per round gives every agent's noise.
+        block per round gives every agent's noise, drawn whatever the
+        round's size, so a size-0 round moves the stream as any other.
         """
         if self.N is None:
             return _gaussian_noise(rngs, self.K, self.d1, self.d2, self.sigma, batch)
@@ -235,14 +238,14 @@ def _read_only(a):
 def _gaussian_noise(rngs, K, d1, d2, sigma, batch):
     """Averaged noise of K fresh minibatches per generator and round, of the
     sizes in batch (S, R), from one (R, K, d1+d2) Gaussian block per
-    generator; the x and y sides each have total variance sigma^2 / size.
-    The block is drawn also when sigma = 0, so the stream position does not
-    depend on sigma."""
+    generator; the x and y sides each have total variance sigma^2 / size,
+    and a round of size 0 has zero noise. The block is drawn also when
+    sigma = 0 or a size is 0, so the stream position depends on neither."""
     batch = np.asarray(batch)
     z = np.stack([rng.standard_normal((batch.shape[1], K, d1 + d2))
                   for rng in rngs])
-    side = np.repeat([d1, d2], [d1, d2])
-    return z * (sigma / np.sqrt(side * batch[..., None, None]))
+    n = np.repeat([d1, d2], [d1, d2]) * batch[..., None, None]
+    return z * np.divide(sigma, np.sqrt(n), out=np.zeros(n.shape), where=n > 0)
 
 
 # -- constructors ---------------------------------------------------------

@@ -297,6 +297,29 @@ class TestRunAndMeasure:
         problem.centroid_metrics(np.zeros((4, 3, 5)))
         assert calls == []
 
+    def test_offline_beta_zero_error_zero_from_first_refresh(
+            self, ring8_lazy, quad_problem):
+        N, b0 = quad_problem.N, 4
+        grace = GraceParams(beta=0.0, p=0.05, b=4, b0=b0)
+        config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=300,
+                              seeds=(1, 2, 3))
+        series = run_ok(config, quad_problem,
+                        build_strategy(StrategyKind.ED, ring8_lazy),
+                        x0=np.ones(3))
+        cols = series.columns
+        used = np.diff(cols["samples_used"], prepend=b0, axis=1)
+        for row in range(3):
+            refresh = used[row] == N
+            first = int(refresh.argmax())
+            # a refresh after some recursions, and more chunks than one
+            assert refresh.any() and 0 < first
+            for name in ("est_err_sq", "est_err_avg_sq"):
+                # until the first refresh, the error is the b0 draw's; from
+                # it on, every estimate is the exact gradient
+                assert (cols[name][row, :first] > 0).all(), (row, name)
+                assert (cols[name][row, first:] == 0.0).all(), (row, name)
+        assert engine._chunk_rounds((3, 8, 5)) < config.T
+
     def test_row_count_and_round_column(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=8)
         config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace, T=3)

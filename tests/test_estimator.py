@@ -232,6 +232,68 @@ class TestUpdate:
         ref.integers(0, quad_problem.N, size=(quad_problem.K, 4))
         assert state.noise_rngs[0].random() == ref.random()
 
+    def test_offline_beta_zero_draws_nothing_after_init(self, quad_problem):
+        N, K = quad_problem.N, quad_problem.K
+        seeds = (3, 4, 5)
+        Z0 = start_block(quad_problem, S=len(seeds))
+        params = GraceParams(beta=0.0, p=0.3, b=3, b0=4)
+        state = init_estimator(quad_problem, params, seeds, Z0)
+        rng = np.random.default_rng(0)
+        refresh = []
+        # three chunks of seven rounds
+        for _ in range(21):
+            Z = Z0 + rng.standard_normal(Z0.shape)
+            update_estimator(state, params, Z, quad_problem, rounds=7)
+            assert np.isfinite(state.M).all()
+            refresh.append(state.refresh[:, state.drawn - 1])
+        refresh = np.array(refresh).T
+        # both branches ran
+        assert refresh.any() and not refresh.all()
+        # a refresh counts the N samples of the full local batch, a
+        # recursion the b of its minibatch, though neither draws
+        assert state.samples_used.tolist() == \
+            (4 + np.where(refresh, N, 3).sum(axis=1)).tolist()
+        # each noise stream has given only the init's (K, b0) index block
+        for seed, got in zip(seeds, state.noise_rngs):
+            ref = noise_stream(seed)
+            ref.integers(0, N, size=(K, 4))
+            assert got.random() == ref.random(), seed
+
+    def test_recursion_keeps_beta_times_logged_noise(self, quad_problem):
+        N, K, d1 = quad_problem.N, quad_problem.K, quad_problem.d1
+        beta = 0.3
+        Z = start_block(quad_problem)
+        params = GraceParams(beta=beta, p=0.0, b=3, b0=4)
+        state = init_estimator(quad_problem, params, (5,), Z)
+        M, G = state.M.copy(), state.G.copy()
+        update_checked(state, params, Z + 1, quad_problem)
+        g = quad_problem.exact_grads_block(Z + 1)
+        # the round's minibatch is the (K, b) index block drawn after the
+        # init's (K, b0) one
+        ref = noise_stream(5)
+        ref.integers(0, N, size=(K, 4))
+        idx = ref.integers(0, N, size=(K, 3))
+        xi = np.stack([quad_problem.samples[k, idx[k]].mean(axis=0)
+                       - quad_problem.c[k] for k in range(K)])
+        assert np.abs(xi).min() > 0
+        got = state.M - ((1 - beta) * (M - G) + g)
+        assert_close(got[..., :d1], beta * xi[..., :d1], 1e-12, "x noise")
+        assert_close(got[..., d1:], beta * xi[..., d1:], 1e-12, "y noise")
+
+    def test_p_zero_leaves_switch_streams_untouched(self):
+        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=1.0,
+                                         seed=1)
+        seeds = (2, 3)
+        params = GraceParams(beta=0.2, p=0.0, b=2, b0=2)
+        state = init_estimator(problem, params, seeds,
+                               start_block(problem, S=2))
+        for _ in range(10):
+            update_estimator(state, params, state.G, problem, rounds=4)
+        assert not state.refresh.any()
+        for seed, got in zip(seeds, state.switch_rngs):
+            ref = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+            assert got.bit_generator.state == ref.bit_generator.state, seed
+
     def test_initial_variance_monotone_in_b0(self):
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=256, sigma=1.0,
                                          seed=9)

@@ -277,6 +277,23 @@ class TestRunExperiment:
         assert {p.name for p in out.iterdir()} == \
             {"summary.json", "config.resolved.json"}
 
+    def test_storm_files_match_a_run_drawing_its_switches(self, tmp_path):
+        # at p = 0 no switch is drawn; a p so small that no draw can fall
+        # below it draws every switch and refreshes never, so the two runs
+        # must write the same seed files
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["problem"]["N"] = None
+        raw["schedule"].update(beta=0.3, p=0.0, B_big=8)
+        raw["T"] = 150
+        write_outputs(run_experiment(config_from_dict(raw)), tmp_path / "p0")
+        raw["schedule"]["p"] = 5e-324
+        write_outputs(run_experiment(config_from_dict(raw)), tmp_path / "tiny")
+        names = {p.name for p in (tmp_path / "p0").glob("seed_*.csv")}
+        assert names == {"seed_0.csv", "seed_1.csv"}
+        for name in names:
+            assert (tmp_path / "p0" / name).read_bytes() == \
+                (tmp_path / "tiny" / name).read_bytes(), name
+
     def test_rerun_with_fewer_seeds_removes_stale_csvs(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL))
         raw["seeds"] = [1, 2, 3]

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,32 @@ class TestBatchNoise:
         ref.standard_normal((3, 3))
         assert rng.random() == ref.random()
 
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_quadratic_problem(K=3, d1=2, d2=1, N=8, sigma=0.5, seed=2),
+        lambda: make_quadratic_problem(K=3, d1=2, d2=1, N=None, sigma=0.5,
+                                       seed=2),
+        lambda: make_sinpl_problem(K=3, sigma=0.5, seed=2),
+    ], ids=["offline", "online", "sinpl"])
+    def test_size_zero_round_has_zero_noise(self, make):
+        problem = make()
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            noise = problem.batch_noise([rng], [[0, 1]])
+        assert (noise[0, 0] == 0).all()
+        assert (noise[0, 1] != 0).all()
+        # offline, the size-0 round draws nothing; online, its block is
+        # drawn all the same, so the next round's noise does not depend on
+        # the size before it
+        ref = np.random.default_rng(0)
+        if problem.N is None:
+            ref.standard_normal((2, 3, problem.d1 + problem.d2))
+            other = problem.batch_noise([np.random.default_rng(0)], [[4, 1]])
+            assert noise[0, 1].tobytes() == other[0, 1].tobytes()
+        else:
+            ref.integers(0, problem.N, size=(1, 3, 1))
+        assert rng.random() == ref.random()
 
 class TestMaximizerOracle:
     def test_decoupled_instance(self):
