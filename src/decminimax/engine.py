@@ -46,10 +46,13 @@ from .errors import ConfigError, DivergenceError
 from .estimator import GraceParams, GraceState, agent_mean, init_estimator, \
     update_estimator, estimator_error
 from .strategies import StrategyOps
-from .transform import TransformBundle, coupled_error_norms
+from .transform import TransformBundle, coupled_error_norms, \
+    projection_buffer
 
 DIVERGENCE_CAP = 1e12
-# bytes of one (S, K, d) buffer of a chunk of rounds (see _chunk_rounds)
+# bytes of one (S, K, d) slot array of a chunk of rounds; a chunk holds
+# four such arrays (ZD's two, M and G), and three more with diagnostics on
+# (see _chunk_rounds)
 CHUNK_BYTES = 64 * 1024
 
 # the metric columns of one round, in CSV order after "round"
@@ -178,7 +181,11 @@ class _Chunk:
     round i writes slot i+1. The engine's and the estimator's state view
     the current slot, and at the chunk's end the last slot moves to slot
     0. flush evaluates every column of the chunk's rounds in one batched
-    pass over the slots."""
+    pass over the slots. With a transform bundle, X holds the agent-first
+    block that coupled_error_norms copies the chunk's iterates, steps and
+    duals into, K by 3 by the chunk's R S (d1+d2) entries per agent, padded
+    to whole panels; it is allocated here once, and flush reads ehat from
+    it."""
 
     def __init__(self, series: MetricsSeries, problem,
                  bundle: TransformBundle | None, state: EngineState):
@@ -190,6 +197,8 @@ class _Chunk:
         self.M, self.G = np.empty(shape), np.empty(shape)
         self.ZD[:, 0] = state.ZD
         self.M[0], self.G[0] = state.grace.M, state.grace.G
+        if bundle is not None:
+            self.X = projection_buffer((self.rounds,) + state.Z.shape)
         # round i's outputs: its advance writes ZD slot i+1, its estimator
         # update M and G slot i+1
         self.slots = [(self.ZD[:, i + 1], (self.M[i + 1], self.G[i + 1]))
@@ -221,10 +230,14 @@ class _Chunk:
             "samples_used": self.grace.cum_used[:, :n].T,
         }
         if self.bundle is not None:
-            ehat = coupled_error_norms(Z, mu * M, self.ZD[1, :n], self.bundle)
-            ex, ey = ehat[..., :d1], ehat[..., d1:]
-            cols["ehat_x_sq"] = np.einsum("...jd,...jd->...", ex, ex)
-            cols["ehat_y_sq"] = np.einsum("...jd,...jd->...", ey, ey)
+            ehat = coupled_error_norms(Z, mu * M, self.ZD[1, :n], self.bundle,
+                                       out=self.X)
+            # ehat^2 summed over the modes and their two components, per
+            # round, replicate and column, then over the x or y columns
+            e = ehat.reshape(-1, Z[:, :, 0].size)
+            sq = np.einsum("jx,jx->x", e, e).reshape(Z[:, :, 0].shape)
+            cols["ehat_x_sq"] = np.sum(sq[..., :d1], axis=-1)
+            cols["ehat_y_sq"] = np.sum(sq[..., d1:], axis=-1)
         span = slice(start, start + n)
         for name, values in cols.items():
             self.series.columns[name][:, span] = values.T
@@ -232,7 +245,10 @@ class _Chunk:
 
 def _chunk_rounds(shape) -> int:
     """Rounds per chunk for a batch of (S, K, d) blocks: CHUNK_BYTES per
-    slot array, between 1 and 64 rounds."""
+    slot array, between 1 and 64 rounds. A chunk of R rounds holds
+    4 (R+1) blocks, ZD's two slot arrays, M and G, so about
+    4 CHUNK_BYTES, and with diagnostics on 3 R more in its agent-first
+    block, about 7 CHUNK_BYTES."""
     return min(64, max(1, CHUNK_BYTES // (8 * int(np.prod(shape)))))
 
 

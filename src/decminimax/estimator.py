@@ -176,7 +176,9 @@ def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
         fresh = g + noise
         G = np.add(G, noise, out=scratch)
     np.subtract(M, G, out=M_new)
-    np.multiply(M_new, 1.0 - params.beta, out=M_new)
+    # at beta = 0 the factor is 1, which changes no bit
+    if params.beta != 0.0:
+        np.multiply(M_new, 1.0 - params.beta, out=M_new)
     np.add(M_new, fresh, out=M_new)
     if state.any_refresh[r]:
         np.copyto(M_new, fresh, where=state.refresh[:, r, None, None])

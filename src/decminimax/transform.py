@@ -41,8 +41,12 @@ read-out map
 whose three columns are the coefficients of x_j, (q0 - b_j q1) / tau, of
 m_j, (a_j / b_j) q1 / tau, and of d_j, q1 / (b_j tau), where q0 and q1
 are the columns of Q_j^{-1}. E is built once per network, with the rest
-of the bundle, so a round's diagnostics are one projection onto the
-consensus complement and one batched 2x3 product per mode.
+of the bundle. coupled_error_norms evaluates a whole batch of states,
+such as every round and replicate of an engine chunk, at once: it copies
+Z, mu M and D agent-first into one (K, 3, ...) block, projects every
+state onto every mode with one 2-D product by U_hat^T and applies every
+mode's E with one more product, and returns ehat mode-first,
+(K-1, 2, ..., d).
 """
 
 from dataclasses import dataclass
@@ -59,6 +63,12 @@ _Q_JORDAN = np.array([[np.sqrt(1.5), np.sqrt(2.0) / 6.0],
                       [-np.sqrt(1.5), np.sqrt(2.0) / 6.0]])
 _Q_JORDAN_INV = np.array([[1.0 / np.sqrt(6.0), -1.0 / np.sqrt(6.0)],
                           [3.0 / np.sqrt(2.0), 3.0 / np.sqrt(2.0)]])
+# columns per panel of the diagnostics' projection. OpenBLAS's dgemm gives
+# a column of a product whose width is a whole number of 8-column panels
+# the same bits wherever it sits and however wide the product is; a
+# column in a partial panel at the end of a product can round otherwise
+# (measured for K from 2 to 256, widths to 8192, one and two threads)
+_PANEL = 8
 
 
 @dataclass(frozen=True)
@@ -139,18 +149,53 @@ def build_transform_bundle(kind: StrategyKind,
     )
 
 
-def coupled_error_norms(Z, muM, D, bundle: TransformBundle) -> np.ndarray:
+def _panel_width(cols: int) -> int:
+    """cols rounded up to a whole number of panels."""
+    return -(-cols // _PANEL) * _PANEL
+
+
+def projection_buffer(shape) -> np.ndarray:
+    """An out buffer for coupled_error_norms on (..., K, d) blocks of this
+    shape, or on any with fewer entries per agent."""
+    *lead, K, d = shape
+    return np.empty(K * 3 * _panel_width(int(np.prod(lead)) * d))
+
+
+def coupled_error_norms(Z, muM, D, bundle: TransformBundle,
+                        out=None) -> np.ndarray:
     """Transformed deviation coordinates ehat of the engine state, for
-    (K, d) blocks or (S, K, d) batches of them: an (..., 2(K-1), d) array
-    holding the first components of every mode, then the second.
+    (K, d) blocks or (..., K, d) batches of them, mode-first: a
+    (K-1, 2, ..., d) array whose [j, i] entry holds component i of mode j.
 
     Z is the primal block, muM the signed step times the estimates and D
-    the carried dual B D_paper. One product with U_hat^T projects the
-    three blocks onto every mode, and the bundle's read-out map E (see the
-    module docstring) turns mode j's (x_j, m_j, d_j) into
-    ehat_j = Q_j^{-1} [x_j; z_j / b_j] / tau.
+    the carried dual B D_paper. The three blocks are copied agent-first
+    into one (K, 3, W) block, each entry of the batch in a column of the
+    first m = prod(...) d of every block's W, the rest zero; W is m
+    padded to whole panels, so every column of the product sits in a
+    full panel and its bits do not depend on the batch. The block lives
+    in out, a projection_buffer of the batch's shape, if given. One 2-D
+    product with U_hat^T then projects every state onto every mode, and
+    one product with the bundle's read-out map E (see the module
+    docstring) turns mode j's (x_j, m_j, d_j) into
+    ehat_j = Q_j^{-1} [x_j; z_j / b_j] / tau for every state at once,
+    written over the block: the result is a view into out, which the
+    next call with that buffer overwrites.
     """
-    d = Z.shape[-1]
-    proj = bundle.U_hat.T @ np.concatenate([Z, muM, D], axis=-1)
-    ehat = bundle.E @ proj.reshape(*proj.shape[:-1], 3, d)
-    return ehat.swapaxes(-3, -2).reshape(*proj.shape[:-2], -1, d)
+    K, batch = Z.shape[-2], Z.shape[:-2] + Z.shape[-1:]
+    d, m = batch[-1], int(np.prod(batch))
+    W = _panel_width(m)
+    buf = np.empty(K * 3 * W) if out is None else out[:K * 3 * W]
+    X = buf.reshape(K, 3, W)
+    X[:, :, m:] = 0.0
+    # an agent's d entries of one state move as one record, so the copy's
+    # inner loop runs over the states rather than over d
+    record = np.dtype((np.void, X.itemsize * d))
+    rows = X[:, :, :m].reshape(K, 3, -1, d).view(record)[..., 0]
+    for i, block in enumerate((Z, muM, D)):
+        block = np.ascontiguousarray(block, dtype=float).reshape(-1, K, d)
+        np.copyto(rows[:, i], block.view(record)[..., 0].T)
+    proj = bundle.U_hat.T @ X.reshape(K, -1)
+    # the block is spent: ehat takes the front of its storage
+    ehat = np.matmul(bundle.E, proj.reshape(K - 1, 3, W),
+                     out=buf[:(K - 1) * 2 * W].reshape(K - 1, 2, W))
+    return ehat[:, :, :m].reshape((K - 1, 2) + batch)

@@ -293,9 +293,10 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
         if bundle is not None:
             ehat = coupled_error_norms(Z, np.array(held["muM"]),
                                        np.array(held["D"]), bundle)
-            ex, ey = ehat[..., :d1], ehat[..., d1:]
-            cols["ehat_x_sq"] = np.einsum("...jd,...jd->...", ex, ex)
-            cols["ehat_y_sq"] = np.einsum("...jd,...jd->...", ey, ey)
+            e = ehat.reshape(-1, Z[:, :, 0].size)
+            sq = np.einsum("jx,jx->x", e, e).reshape(Z[:, :, 0].shape)
+            cols["ehat_x_sq"] = np.sum(sq[..., :d1], axis=-1)
+            cols["ehat_y_sq"] = np.sum(sq[..., d1:], axis=-1)
         for name, values in cols.items():
             series.columns[name][:, state.round + 1 - n:state.round + 1] = \
                 values.T
@@ -414,15 +415,22 @@ def reference_coupled_error_norms(Z, muM, D, bundle):
     """coupled_error_norms element by element from the bundle's Q^{-1},
     Lam_a, Lam_b and tau rather than its read-out map E: project, form
     the paper's second coordinate z_j / b_j = (a_j m_j + d_j) / b_j
-    - b_j x_j on every mode, then apply Q_j^{-1} and divide by tau."""
+    - b_j x_j on every mode, then apply Q_j^{-1} and divide by tau. The
+    result is mode-first, (K-1, 2, ..., d), as coupled_error_norms'."""
     proj = bundle.U_hat.T @ np.concatenate([Z, muM, D], axis=-1)
     x, mu_m, dual = np.split(proj, 3, axis=-1)
     b = bundle.Lam_b[:, None]
     z = (bundle.Lam_a[:, None] * mu_m + dual) / b - b * x
     Qi = bundle.Q_inv[:, :, :, None]
-    return np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
-                           Qi[:, 1, 0] * x + Qi[:, 1, 1] * z],
-                          axis=-2) / bundle.tau
+    return mode_first(np.stack([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
+                                Qi[:, 1, 0] * x + Qi[:, 1, 1] * z])
+                      / bundle.tau)
+
+
+def mode_first(e):
+    """A (2, ..., K-1, d) stack of the two components of every mode in
+    coupled_error_norms' layout, (K-1, 2, ..., d)."""
+    return np.moveaxis(e, -2, 0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """perfbench/run.py ends with one JSON result line that a reader of the
 benchmark can parse: a short run of the online STORM workload, of the
-offline PAGE workload (index gathers, refreshes, transform diagnostics)
-and of the K=96 ring (transform diagnostics over 95 modes), untraced and
-traced, must exit 0 and print it, with every metric finite.
+offline PAGE workload (full-batch refreshes, beta = 0 recursions that
+draw no minibatch, transform diagnostics) and of the K=96 ring
+(transform diagnostics over 95 modes), untraced and traced, must exit 0
+and print it, with every metric finite.
 The untraced line is the one compared between revisions, so it must hold
 every end-to-end metric; the traced line must hold every per-layer metric
 that BENCHMARK.json declares, so a traced function that is renamed or

@@ -1,5 +1,6 @@
 import collections
 import functools
+import sys
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from decminimax import (
     mixing_for_topology,
     run_and_measure,
 )
-from decminimax import engine
+from decminimax import engine, transform
 from decminimax.engine import COLUMNS, DIVERGENCE_CAP, _advance, \
     _first_failures
 from decminimax.estimator import init_estimator
@@ -402,6 +403,77 @@ class TestChunks:
         one_row = run_and_measure(config, problem, ops, bundle=bundle)
         assert (case == "failed_seeds") == bool(default.failures)
         self.assert_same(default, one_row)
+
+    @pytest.mark.parametrize("case", ["sinpl_d2", "quadratic_K96"])
+    def test_ehat_does_not_depend_on_batch_or_chunk(self, ring4_lazy,
+                                                    monkeypatch, case):
+        """A seed's columns, the ehat ones included, alone and in batches
+        of 3 and 8, under the default chunk and one-round chunks. Alone in
+        one-round chunks the diagnostics' projection is at its narrowest,
+        3 S d = 6 columns wide with d = 2."""
+        if case == "sinpl_d2":
+            mixing = ring4_lazy
+            problem = make_sinpl_problem(K=4, sigma=0.5, seed=2)
+            grace = GraceParams(beta=0.2, p=0.1, b=2, B_big=8, b0=4)
+            steps, T = (0.01, 0.01), 100
+        else:
+            mixing = mixing_for_topology(Topology(kind="ring", K=96),
+                                         lazy=True)
+            problem = make_quadratic_problem(K=96, d1=1, d2=1, N=64,
+                                             sigma=0.5, seed=5)
+            grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
+            steps, T = (0.002, 0.01), 30
+        assert problem.d1 + problem.d2 == 2
+        ops = build_strategy(StrategyKind.ED, mixing)
+        bundle = build_transform_bundle(ops.kind, mixing)
+        seed, alone = 7, None
+        for chunk_bytes in (engine.CHUNK_BYTES, 1):
+            monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+            for seeds in ((seed,), (3, seed, 11), (0, 1, 2, 3, 4, 5, 6, seed)):
+                config = EngineConfig(mu_x=steps[0], mu_y=steps[1],
+                                      grace=grace, T=T, seeds=seeds)
+                columns = run_ok(config, problem, ops, bundle=bundle).columns
+                alone = alone or columns
+                row = seeds.index(seed)
+                for name, col in columns.items():
+                    assert col[row].tobytes() == alone[name][0].tobytes(), \
+                        (chunk_bytes, seeds, name)
+        assert np.all(alone["ehat_x_sq"] > 0) and np.all(alone["ehat_y_sq"] > 0)
+
+    @pytest.mark.parametrize("chunk_bytes", [engine.CHUNK_BYTES, 1],
+                             ids=["default_chunk", "one_row_chunk"])
+    @pytest.mark.parametrize("diagnostics", [False, True],
+                             ids=["no_bundle", "bundle"])
+    def test_diagnostics_call_coupled_error_norms_once_per_chunk(
+            self, ring4_lazy, monkeypatch, chunk_bytes, diagnostics):
+        """The benchmark's trace times the diagnostics as the calls of
+        transform.coupled_error_norms, rebinding the name wherever the
+        package holds it: a run makes one call per chunk it flushes with
+        a bundle, and none without."""
+        monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+        calls = []
+        original = transform.coupled_error_norms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "decminimax" and \
+                    vars(module).get("coupled_error_norms") is original:
+                monkeypatch.setattr(module, "coupled_error_norms", counted)
+        problem = make_quadratic_problem(K=4, d1=3, d2=2, N=64, sigma=0.5,
+                                         seed=5)
+        ops = build_strategy(StrategyKind.ED, ring4_lazy)
+        bundle = build_transform_bundle(ops.kind, ring4_lazy) \
+            if diagnostics else None
+        config = EngineConfig(mu_x=0.002, mu_y=0.01, T=150, seeds=(3, 8, 9),
+                              grace=GraceParams(beta=0.1, p=0.2, b=4, b0=4))
+        run_ok(config, problem, ops, bundle=bundle)
+        R = engine._chunk_rounds((3, 4, 5))
+        # several chunks, the last of them partial by default
+        assert R < config.T
+        assert len(calls) == (-(-(config.T + 1) // R) if diagnostics else 0)
 
     def test_late_failure_alone_matches_batch(self, ring4_lazy, monkeypatch):
         # seeds 7, 5 and 6 pass the cap at rounds 181, 465 and 1265, each in

@@ -259,6 +259,29 @@ class TestUpdate:
             ref.integers(0, N, size=(K, 4))
             assert got.random() == ref.random(), seed
 
+    @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
+    def test_beta_zero_recursion_takes_no_factor(self, N):
+        """At beta = 0 a recursion is (M - G) + g bit for bit, with the
+        round's noise xi added to both gradients online, so skipping the
+        factor 1 - beta = 1 keeps every bit."""
+        problem = make_quadratic_problem(K=8, d1=3, d2=2, N=N, sigma=0.5,
+                                         seed=5)
+        params = GraceParams(beta=0.0, p=0.0, b=2, b0=4)
+        Z0 = start_block(problem, S=3)
+        state = init_estimator(problem, params, (1, 2, 3), Z0)
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            Z = rng.standard_normal(Z0.shape)
+            M, G = state.M.copy(), state.G.copy()
+            update_estimator(state, params, Z, problem, rounds=4)
+            g = problem.exact_grads_block(Z)
+            if N is None:
+                xi = state.noise[state.drawn - 1]
+                G, g = G + xi, g + xi
+            else:
+                assert state.noise is None
+            assert state.M.tobytes() == ((M - G) + g).tobytes()
+
     def test_recursion_keeps_beta_times_logged_noise(self, quad_problem):
         N, K, d1 = quad_problem.N, quad_problem.K, quad_problem.d1
         beta = 0.3

@@ -20,8 +20,8 @@ from decminimax.mixing import MixingMatrix
 from decminimax.strategies import mode_values
 
 from conftest import assert_close, check_consensus_bound, matrix_of, \
-    mode_blocks, random_connected_mixing, reference_coupled_error_norms, \
-    update_checked
+    mode_blocks, mode_first, random_connected_mixing, \
+    reference_coupled_error_norms, update_checked
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
 GT_STRATEGIES = tuple(k for k in StrategyKind if k not in SQRT_STRATEGIES)
@@ -187,7 +187,7 @@ class TestSpectralForm:
             z_over_b = sign * mu * (a / b)[:, None] * (bundle.U_hat.T @ M[:, cols])
             e = bundle.Q_inv[:, :, 1, None] * z_over_b[:, None, :]
             exact = np.sum(e**2) / bundle.tau**2
-            got = np.sum(ehat[:, cols] ** 2)
+            got = np.sum(ehat[..., cols] ** 2)
             assert got == pytest.approx(exact, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("kind", (StrategyKind.ED, StrategyKind.EXTRA))
@@ -329,15 +329,15 @@ class TestCoupledError:
         M = np.tile(np.r_[np.full(3, 0.7), np.full(2, -0.3)], (K, 1))
         mu = np.repeat([0.1, -0.1], [3, 2])
         ehat = coupled_error_norms(Z, mu * M, np.zeros_like(Z), bundle)
-        assert np.sum(ehat[:, :3] ** 2) <= 1e-24
-        assert np.sum(ehat[:, 3:] ** 2) <= 1e-24
+        assert np.sum(ehat[..., :3] ** 2) <= 1e-24
+        assert np.sum(ehat[..., 3:] ** 2) <= 1e-24
 
     def test_single_agent_empty(self):
         mixing = mixing_for_topology(Topology(kind="complete", K=1))
         bundle = build_transform_bundle(StrategyKind.ATC_GT, mixing)
         ehat = coupled_error_norms(np.ones((1, 4)), 0.1 * np.ones((1, 4)),
                                    np.zeros((1, 4)), bundle)
-        assert ehat.shape == (0, 4)
+        assert ehat.shape == (0, 2, 4)
         assert np.sum(ehat**2) == 0.0
 
     @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
@@ -368,9 +368,9 @@ class TestCoupledError:
         b = np.abs(bundle.Lam_b)[:, None]
         z = b * x + np.abs(bundle.Lam_a)[:, None] / b * m + d / b
         Qi = np.abs(bundle.Q_inv)[:, :, :, None]
-        return np.concatenate([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
-                               Qi[:, 1, 0] * x + Qi[:, 1, 1] * z],
-                              axis=-2) / bundle.tau
+        return mode_first(np.stack([Qi[:, 0, 0] * x + Qi[:, 0, 1] * z,
+                                    Qi[:, 1, 0] * x + Qi[:, 1, 1] * z])
+                          / bundle.tau)
 
     @pytest.mark.parametrize("kind", StrategyKind, ids=lambda k: k.value)
     @pytest.mark.parametrize("network", ["spectrum", "ring", "random"])
@@ -408,7 +408,7 @@ class TestCoupledError:
         batch = coupled_error_norms(*blocks, bundle)
         for s in range(4):
             one = coupled_error_norms(*(a[s] for a in blocks), bundle)
-            assert batch[s].tobytes() == one.tobytes()
+            assert batch[:, :, s].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
     def test_consensus_bound_along_trajectory(self, ring8_lazy, quad_problem,
@@ -457,7 +457,6 @@ class TestTransformedRecursion:
         config = EngineConfig(mu_x=0.01, mu_y=0.02, grace=grace, T=300,
                               seeds=(0, 1))
         mu = config.signed_step(3, 2)
-        m = bundle.K - 1
         state = init_engine(config, problem)
 
         def read():
@@ -465,8 +464,7 @@ class TestTransformedRecursion:
             update_checked(state.grace, grace, state.Z, problem)
             muM = mu * state.grace.M
             ehat = coupled_error_norms(state.Z, muM, state.D, bundle)
-            return np.stack([ehat[:, :m], ehat[:, m:]], axis=-2), \
-                bundle.U_hat.T @ muM
+            return np.moveaxis(ehat, 2, 0), bundle.U_hat.T @ muM
 
         ehat, proj_m = read()
         gain = (bundle.Lam_a / bundle.Lam_b)[:, None]
