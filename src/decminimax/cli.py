@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands:
-  run       execute one experiment config and write CSV/JSON outputs
+  run       execute one experiment config, write CSV/JSON outputs and
+            print their paths; the binding schedule condition goes to
+            stderr
   sweep     rerun a config with one dotted key set to each listed value
             (read as YAML, or as text where it does not parse)
   schedule  print resolved hyperparameters for a schedule mode as JSON
@@ -32,10 +34,22 @@ def _warn_diverged(result, label=""):
               f"({sorted(result.failures)})", file=sys.stderr)
 
 
+def _report_binding(summary):
+    """Name the schedule condition with the smallest finite margin (limit
+    over value), the one that binds the steps, on stderr."""
+    finite = [c for c in summary["schedule"]["conditions"]["conditions"]
+              if c["margin"] is not None]
+    if finite:
+        c = min(finite, key=lambda c: c["margin"])
+        print(f"binding condition: {c['name']} (margin {c['margin']:.6g})",
+              file=sys.stderr)
+
+
 def _cmd_run(args):
     result = run_experiment(load_config(args.config), out_dir=args.out)
     for f in write_outputs(result, args.out):
         print(f)
+    _report_binding(result.summary)
     _warn_diverged(result)
     return 0
 

@@ -27,7 +27,10 @@ random numbers for the chunk at once. None of this shows in the output:
 every operation acts on each replicate's (K, d) slice of each round
 alone, and the chunked draws equal the round-by-round ones, so a seed's
 numbers are the same whatever other seeds share its batch and whatever
-the chunk size. The batch keeps its shape for the whole run. A chunk
+the chunk size. A chunk is sized in rounds (CHUNK_ROUNDS, fewer for a
+short run or a large batch), so many rounds share its fixed cost, and
+the transform diagnostics evaluate it in sub-blocks of bounded size
+(_chunk_rounds). The batch keeps its shape for the whole run. A chunk
 runs once, unchecked, and one scan of its slots (_first_failures) finds
 each replicate's first estimate that is not finite and first iterate
 that is not finite or passes DIVERGENCE_CAP. A replicate's slots up to
@@ -50,10 +53,13 @@ from .transform import TransformBundle, coupled_error_norms, \
     projection_buffer
 
 DIVERGENCE_CAP = 1e12
-# bytes of one (S, K, d) slot array of a chunk of rounds; a chunk holds
-# four such arrays (ZD's two, M and G), and three more with diagnostics on
-# (see _chunk_rounds)
-CHUNK_BYTES = 64 * 1024
+# rounds per chunk, unless the run is shorter or one (S, K, d) slot array
+# of that many rounds would pass CHUNK_MAX_BYTES; a chunk holds four slot
+# arrays (ZD's two, M and G). The diagnostics evaluate a chunk in
+# sub-blocks of at most DIAG_BYTES per slot array (see _chunk_rounds)
+CHUNK_ROUNDS = 32
+CHUNK_MAX_BYTES = 1024 * 1024
+DIAG_BYTES = 64 * 1024
 
 # the metric columns of one round, in CSV order after "round"
 COLUMNS = ("grad_x_sq", "grad_y_sq", "consensus_sq", "delta_c", "est_err_sq",
@@ -181,24 +187,25 @@ class _Chunk:
     round i writes slot i+1. The engine's and the estimator's state view
     the current slot, and at the chunk's end the last slot moves to slot
     0. flush evaluates every column of the chunk's rounds in one batched
-    pass over the slots. With a transform bundle, X holds the agent-first
-    block that coupled_error_norms copies the chunk's iterates, steps and
-    duals into, K by 3 by the chunk's R S (d1+d2) entries per agent, padded
-    to whole panels; it is allocated here once, and flush reads ehat from
-    it."""
+    pass over the slots, writing its (R, S, K, d1+d2) intermediates over
+    slots it has read. With a transform bundle, X holds the agent-first
+    block that coupled_error_norms copies a sub-block of the chunk's
+    iterates, steps and duals into, K by 3 by the sub-block's R' S (d1+d2)
+    entries per agent, padded to whole panels; it is allocated here once,
+    and flush reads ehat from it."""
 
     def __init__(self, series: MetricsSeries, problem,
-                 bundle: TransformBundle | None, state: EngineState):
+                 bundle: TransformBundle | None, state: EngineState, T: int):
         self.series, self.problem, self.bundle = series, problem, bundle
         self.grace = state.grace
-        self.rounds = _chunk_rounds(state.Z.shape)
+        self.rounds, self.diag_rounds = _chunk_rounds(state.Z.shape, T)
         shape = (self.rounds + 1,) + state.Z.shape
         self.ZD = np.empty((2,) + shape)
         self.M, self.G = np.empty(shape), np.empty(shape)
         self.ZD[:, 0] = state.ZD
         self.M[0], self.G[0] = state.grace.M, state.grace.G
         if bundle is not None:
-            self.X = projection_buffer((self.rounds,) + state.Z.shape)
+            self.X = projection_buffer((self.diag_rounds,) + state.Z.shape)
         # round i's outputs: its advance writes ZD slot i+1, its estimator
         # update M and G slot i+1
         self.slots = [(self.ZD[:, i + 1], (self.M[i + 1], self.G[i + 1]))
@@ -212,17 +219,22 @@ class _Chunk:
 
     def flush(self, start: int, n: int, mu: np.ndarray) -> None:
         """Write rounds start .. start+n-1, the chunk's first n, with the
-        signed step mu the chunk started with."""
+        signed step mu the chunk started with, and move slot n, the next
+        chunk's first round, to slot 0. Once slot n of G has moved, G's
+        slots of the n rounds hold M - G, then its squares, then mu M;
+        once the diagnostics have read D's, they hold Z - z_c and its
+        squares."""
         d1 = self.problem.d1
-        Z = self.ZD[0, :n]
-        M = self.M[1:n + 1]
+        self.M[0], self.G[0] = self.M[n], self.G[n]
+        Z, D = self.ZD[0, :n], self.ZD[1, :n]
+        M, spent = self.M[1:n + 1], self.G[1:n + 1]
+        est_err, est_err_avg = estimator_error(
+            np.subtract(M, spent, out=spent), out=spent)
         z_c = agent_mean(Z)
         grad, delta_c = self.problem.centroid_metrics(z_c)
-        est_err, est_err_avg = estimator_error(M - self.G[1:n + 1])
         cols = {
             "grad_x_sq": np.sum(grad[..., :d1] ** 2, axis=-1),
             "grad_y_sq": np.sum(grad[..., d1:] ** 2, axis=-1),
-            "consensus_sq": np.sum((Z - z_c[:, :, None]) ** 2, axis=(2, 3)),
             "delta_c": delta_c,
             "est_err_sq": est_err,
             "est_err_avg_sq": est_err_avg,
@@ -230,26 +242,39 @@ class _Chunk:
             "samples_used": self.grace.cum_used[:, :n].T,
         }
         if self.bundle is not None:
-            ehat = coupled_error_norms(Z, mu * M, self.ZD[1, :n], self.bundle,
-                                       out=self.X)
+            muM = np.multiply(mu, M, out=spent)
             # ehat^2 summed over the modes and their two components, per
             # round, replicate and column, then over the x or y columns
-            e = ehat.reshape(-1, Z[:, :, 0].size)
-            sq = np.einsum("jx,jx->x", e, e).reshape(Z[:, :, 0].shape)
+            sq = np.empty(z_c.shape)
+            for a in range(0, n, self.diag_rounds):
+                part = slice(a, min(a + self.diag_rounds, n))
+                ehat = coupled_error_norms(Z[part], muM[part], D[part],
+                                           self.bundle, out=self.X)
+                e = ehat.reshape(-1, sq[part].size)
+                sq[part] = np.einsum("jx,jx->x", e, e).reshape(sq[part].shape)
             cols["ehat_x_sq"] = np.sum(sq[..., :d1], axis=-1)
             cols["ehat_y_sq"] = np.sum(sq[..., d1:], axis=-1)
+        dev = np.subtract(Z, z_c[:, :, None], out=D)
+        cols["consensus_sq"] = np.sum(np.square(dev, out=dev), axis=(2, 3))
         span = slice(start, start + n)
         for name, values in cols.items():
             self.series.columns[name][:, span] = values.T
+        self.ZD[:, 0] = self.ZD[:, n]
 
 
-def _chunk_rounds(shape) -> int:
-    """Rounds per chunk for a batch of (S, K, d) blocks: CHUNK_BYTES per
-    slot array, between 1 and 64 rounds. A chunk of R rounds holds
-    4 (R+1) blocks, ZD's two slot arrays, M and G, so about
-    4 CHUNK_BYTES, and with diagnostics on 3 R more in its agent-first
-    block, about 7 CHUNK_BYTES."""
-    return min(64, max(1, CHUNK_BYTES // (8 * int(np.prod(shape)))))
+def _chunk_rounds(shape, T: int) -> tuple:
+    """Rounds per chunk for a run of T rounds on (S, K, d) blocks, and
+    rounds per sub-block of the diagnostics. A chunk runs CHUNK_ROUNDS
+    rounds, but no more than the run's T+1 rounds and no more than
+    CHUNK_MAX_BYTES per slot array, and at least 1. A chunk of R rounds
+    holds 4 (R+1) blocks, ZD's two slot arrays, M and G, so at most about
+    4 CHUNK_MAX_BYTES. The diagnostics evaluate it in sub-blocks of
+    DIAG_BYTES per slot array, between 1 and R rounds, and their
+    agent-first block holds 3 blocks per round of a sub-block, about
+    3 DIAG_BYTES whatever R is."""
+    block = 8 * int(np.prod(shape))
+    rounds = max(1, min(CHUNK_ROUNDS, T + 1, CHUNK_MAX_BYTES // block))
+    return rounds, max(1, min(rounds, DIAG_BYTES // block))
 
 
 def _run_chunk(state: EngineState, chunk: _Chunk, mu: np.ndarray,
@@ -339,15 +364,17 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
                  (len(config.seeds), problem.K, 1))
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
-    chunk = _Chunk(series, problem, bundle, state)
+    chunk = _Chunk(series, problem, bundle, state, config.T)
     while True:
         start = state.round
         n = min(chunk.rounds, config.T + 1 - start)
         with np.errstate(all="ignore"):
             _run_chunk(state, chunk, mu, ops, config, problem, n)
             ZD, M = chunk.ZD[:, 1:state.round - start + 1], chunk.M[1:n + 1]
-            # a NaN fails the comparison
-            ok = np.abs(ZD).max(initial=0.0) <= DIVERGENCE_CAP \
+            # a NaN propagates through max and min and fails the
+            # comparison; neither makes a temporary of the slots
+            ok = ZD.max(initial=0.0) <= DIVERGENCE_CAP \
+                and ZD.min(initial=0.0) >= -DIVERGENCE_CAP \
                 and np.isfinite(M).all()
             errors = {} if ok else _first_failures(
                 ZD, M, start, {series.seeds.index(s) for s in series.failures})
@@ -361,9 +388,6 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
             mu[i] = 0.0
         if start + n > config.T or len(series.failures) == len(config.seeds):
             break
-        # the last slot, the next chunk's first round, moves to slot 0
-        chunk.ZD[:, 0] = chunk.ZD[:, n]
-        chunk.M[0], chunk.G[0] = chunk.M[n], chunk.G[n]
         chunk.enter(state)
     for seed, exc in series.failures.items():
         row = series.seeds.index(seed)

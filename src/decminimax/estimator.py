@@ -193,12 +193,13 @@ def agent_mean(x: np.ndarray) -> np.ndarray:
     return np.einsum("...kd->...d", x) / x.shape[-2]
 
 
-def estimator_error(err: np.ndarray):
+def estimator_error(err: np.ndarray, out=None):
     """Squared norms of the block estimation error err = M - G (against the
     exact gradients at the iterates of the last update) and of its network
     average (agent_mean), per (K, d) block of err (..., K, d): two (...)
-    arrays. An error that is finite but whose square overflows gives inf,
-    silently."""
+    arrays. The entries' squares go to out, an array of err's shape that
+    may be err itself, if given. An error that is finite but whose square
+    overflows gives inf, silently."""
     with np.errstate(over="ignore"):
-        return (np.sum(err**2, axis=(-2, -1)),
-                np.sum(agent_mean(err)**2, axis=-1))
+        avg_sq = np.sum(agent_mean(err)**2, axis=-1)
+        return np.sum(np.square(err, out=out), axis=(-2, -1)), avg_sq

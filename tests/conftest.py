@@ -253,6 +253,17 @@ def step(state, config, problem, ops):
     assert not errors, {i: str(e) for i, e in errors.items()}
 
 
+DEFAULT_CHUNK_ROUNDS = engine.CHUNK_ROUNDS
+
+
+def set_chunk_rounds(monkeypatch, rounds):
+    """Run the engine in chunks of `rounds` rounds for the rest of the
+    test (fewer in a shorter run, or where a slot array would pass
+    engine.CHUNK_MAX_BYTES); None sets the default."""
+    monkeypatch.setattr(engine, "CHUNK_ROUNDS",
+                        DEFAULT_CHUNK_ROUNDS if rounds is None else rounds)
+
+
 def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
                               y0=None):
     """run_and_measure round by round, the reference its chunk of slots
@@ -260,13 +271,14 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
     state in place, each round is checked as it ends and a failed
     replicate is frozen at once, with its estimates zeroed, and each round
     copies what the columns need into chunk buffers of
-    engine._chunk_rounds rounds, evaluated when full and at the end."""
+    engine._chunk_rounds rounds, evaluated when full and at the end, the
+    diagnostics of a buffer in one call."""
     state = init_engine(config, problem, x0=x0, y0=y0)
     grace, seeds = state.grace, config.seeds
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
                  (len(seeds), problem.K, 1))
     series = MetricsSeries.empty(seeds, config.T, bundle is not None)
-    R = engine._chunk_rounds(state.Z.shape)
+    R, _ = engine._chunk_rounds(state.Z.shape, config.T)
     held = {name: [] for name in ("Z", "err", "used", "muM", "D")}
 
     def fail(errors):

@@ -39,6 +39,26 @@ def test_run_writes_outputs_and_prints_paths(tmp_path, capsys):
     assert all((out / name).is_file() for name in names)
 
 
+def test_run_names_binding_condition_on_stderr(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, CONFIG),
+                     "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    # standard output is still the file list alone
+    assert len(captured.out.split()) == 4
+    assert captured.err == \
+        "binding condition: beta_bar <= nu mu_y / 2 (margin 0.019284)\n"
+    conditions = json.loads((out / "summary.json").read_text())[
+        "schedule"]["conditions"]["conditions"]
+    margins = {c["name"]: c["margin"] for c in conditions}
+    # beta = 0 gives "beta <= 1" an infinite margin, written as null and
+    # passed over; the named one is the smallest of the rest
+    assert margins["beta <= 1"] is None
+    finite = [m for m in margins.values() if m is not None]
+    assert margins["beta_bar <= nu mu_y / 2"] == min(finite)
+    assert sorted(finite)[1] > min(finite)
+
+
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
     path = write_config(tmp_path, dict(CONFIG, T=0))
     assert cli.main(["run", "--config", path, "--out",
@@ -97,7 +117,8 @@ def test_unconnectable_random_topology_exits_2(tmp_path):
 
 def test_run_with_overflowing_estimates_prints_only_its_warning(tmp_path):
     """Estimates huge enough that their squared error overflows: both seeds
-    diverge, and stderr holds the run's own warning and no numpy one."""
+    diverge, and stderr holds the run's own lines, the binding condition
+    and the warning, and no numpy one."""
     raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
            "problem": {"kind": "quadratic", "d1": 2, "d2": 1,
                        "sigma": 7e300},
@@ -111,15 +132,17 @@ def test_run_with_overflowing_estimates_prints_only_its_warning(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stderr == "warning: 2 seed(s) diverged ([1, 2])\n"
+    assert done.stderr == (
+        "binding condition: beta_bar <= nu mu_y / 2 (margin 0.000416385)\n"
+        "warning: 2 seed(s) diverged ([1, 2])\n")
 
 
 def test_run_diverging_inside_a_chunk_prints_only_its_warning(tmp_path):
     """Every seed passes the cap at round 8 of the first chunk, and
     unfrozen its iterates would overflow later in the same chunk (tiny
     linear terms start them near zero, and huge steps grow them about
-    1e5-fold a round): stderr holds the run's own warning and no numpy
-    one."""
+    1e5-fold a round): stderr holds the run's own lines, the binding
+    condition and the warning, and no numpy one."""
     raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
            "problem": {"kind": "quadratic", "hetero": 1e-30},
            "schedule": {"mode": "explicit", "mu_x": 3e5, "mu_y": 3e5,
@@ -132,7 +155,11 @@ def test_run_diverging_inside_a_chunk_prints_only_its_warning(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
         text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stderr == "warning: 3 seed(s) diverged ([1, 2, 3])\n"
+    assert done.stderr == (
+        "binding condition: mu_y <= (1-rho)^(2/3) lam_b^(2/3) "
+        "(b K beta_bar)^(1/3)/(90 L_f kappa^(1/3) (v1 v2 lam_a)^(2/3)) "
+        "(margin 1.13124e-09)\n"
+        "warning: 3 seed(s) diverged ([1, 2, 3])\n")
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert set(summary["seeds_failed"].values()) == {
         "iterate magnitude 6.407e+14 exceeds 1e+12 at round 8"}

@@ -26,9 +26,9 @@ from decminimax.engine import COLUMNS, DIVERGENCE_CAP, _advance, \
     _first_failures
 from decminimax.estimator import init_estimator
 
-from conftest import PaperRecursion, assert_close, iterate_errors, \
-    random_connected_mixing, reference_run_and_measure, run_ok, step, \
-    update_checked
+from conftest import DEFAULT_CHUNK_ROUNDS, PaperRecursion, assert_close, \
+    iterate_errors, random_connected_mixing, reference_run_and_measure, \
+    run_ok, set_chunk_rounds, step, update_checked
 
 ALL_KINDS = list(StrategyKind)
 
@@ -267,11 +267,11 @@ class TestRunAndMeasure:
         for name, col in s1.columns.items():
             assert col.tobytes() == s2.columns[name].tobytes(), name
 
-    @pytest.mark.parametrize("chunk_bytes", [engine.CHUNK_BYTES, 1],
+    @pytest.mark.parametrize("rounds", [None, 1],
                              ids=["default_chunk", "one_row_chunk"])
     def test_one_gradient_block_per_round(self, ring8_lazy, monkeypatch,
-                                          chunk_bytes):
-        monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+                                          rounds):
+        set_chunk_rounds(monkeypatch, rounds)
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.5,
                                          seed=5)
         calls = []
@@ -319,7 +319,7 @@ class TestRunAndMeasure:
                 # it on, every estimate is the exact gradient
                 assert (cols[name][row, :first] > 0).all(), (row, name)
                 assert (cols[name][row, first:] == 0.0).all(), (row, name)
-        assert engine._chunk_rounds((3, 8, 5)) < config.T
+        assert engine._chunk_rounds((3, 8, 5), config.T)[0] < config.T
 
     def test_row_count_and_round_column(self, ring8_lazy, quad_problem):
         grace = GraceParams(beta=0, p=1, b0=8)
@@ -399,7 +399,7 @@ class TestChunks:
         config = EngineConfig(mu_x=steps[0], mu_y=steps[1], grace=grace, T=T,
                               seeds=seeds)
         default = run_and_measure(config, problem, ops, bundle=bundle)
-        monkeypatch.setattr(engine, "CHUNK_BYTES", 1)
+        set_chunk_rounds(monkeypatch, 1)
         one_row = run_and_measure(config, problem, ops, bundle=bundle)
         assert (case == "failed_seeds") == bool(default.failures)
         self.assert_same(default, one_row)
@@ -410,7 +410,9 @@ class TestChunks:
         """A seed's columns, the ehat ones included, alone and in batches
         of 3 and 8, under the default chunk and one-round chunks. Alone in
         one-round chunks the diagnostics' projection is at its narrowest,
-        3 S d = 6 columns wide with d = 2."""
+        3 S d = 6 columns wide with d = 2. At K=96 the default chunk of 31
+        rounds runs its diagnostics in sub-blocks, the last one partial,
+        in the batches of 3 and 8, and in one block alone."""
         if case == "sinpl_d2":
             mixing = ring4_lazy
             problem = make_sinpl_problem(K=4, sigma=0.5, seed=2)
@@ -426,9 +428,12 @@ class TestChunks:
         assert problem.d1 + problem.d2 == 2
         ops = build_strategy(StrategyKind.ED, mixing)
         bundle = build_transform_bundle(ops.kind, mixing)
+        if case == "quadratic_K96":
+            blocks = [engine._chunk_rounds((S, 96, 2), T) for S in (1, 3, 8)]
+            assert blocks == [(31, 31), (31, 14), (31, 5)]
         seed, alone = 7, None
-        for chunk_bytes in (engine.CHUNK_BYTES, 1):
-            monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+        for rounds in (None, 1):
+            set_chunk_rounds(monkeypatch, rounds)
             for seeds in ((seed,), (3, seed, 11), (0, 1, 2, 3, 4, 5, 6, seed)):
                 config = EngineConfig(mu_x=steps[0], mu_y=steps[1],
                                       grace=grace, T=T, seeds=seeds)
@@ -437,20 +442,22 @@ class TestChunks:
                 row = seeds.index(seed)
                 for name, col in columns.items():
                     assert col[row].tobytes() == alone[name][0].tobytes(), \
-                        (chunk_bytes, seeds, name)
+                        (rounds, seeds, name)
         assert np.all(alone["ehat_x_sq"] > 0) and np.all(alone["ehat_y_sq"] > 0)
 
-    @pytest.mark.parametrize("chunk_bytes", [engine.CHUNK_BYTES, 1],
+    @pytest.mark.parametrize("rounds", [None, 1],
                              ids=["default_chunk", "one_row_chunk"])
     @pytest.mark.parametrize("diagnostics", [False, True],
                              ids=["no_bundle", "bundle"])
     def test_diagnostics_call_coupled_error_norms_once_per_chunk(
-            self, ring4_lazy, monkeypatch, chunk_bytes, diagnostics):
+            self, ring4_lazy, monkeypatch, rounds, diagnostics):
         """The benchmark's trace times the diagnostics as the calls of
         transform.coupled_error_norms, rebinding the name wherever the
-        package holds it: a run makes one call per chunk it flushes with
-        a bundle, and none without."""
-        monkeypatch.setattr(engine, "CHUNK_BYTES", chunk_bytes)
+        package holds it: a run makes one call per sub-block of each
+        chunk it flushes with a bundle, and none without. With d = 5 a
+        chunk is one sub-block; with d = 50 the default chunk of 32
+        rounds is three, of 13, 13 and 6 rounds."""
+        set_chunk_rounds(monkeypatch, rounds)
         calls = []
         original = transform.coupled_error_norms
 
@@ -462,18 +469,26 @@ class TestChunks:
             if name.split(".")[0] == "decminimax" and \
                     vars(module).get("coupled_error_norms") is original:
                 monkeypatch.setattr(module, "coupled_error_norms", counted)
-        problem = make_quadratic_problem(K=4, d1=3, d2=2, N=64, sigma=0.5,
-                                         seed=5)
         ops = build_strategy(StrategyKind.ED, ring4_lazy)
         bundle = build_transform_bundle(ops.kind, ring4_lazy) \
             if diagnostics else None
         config = EngineConfig(mu_x=0.002, mu_y=0.01, T=150, seeds=(3, 8, 9),
                               grace=GraceParams(beta=0.1, p=0.2, b=4, b0=4))
-        run_ok(config, problem, ops, bundle=bundle)
-        R = engine._chunk_rounds((3, 4, 5))
-        # several chunks, the last of them partial by default
-        assert R < config.T
-        assert len(calls) == (-(-(config.T + 1) // R) if diagnostics else 0)
+        for d1, d2 in ((3, 2), (30, 20)):
+            problem = make_quadratic_problem(K=4, d1=d1, d2=d2, N=64,
+                                             sigma=0.5, seed=5)
+            calls.clear()
+            run_ok(config, problem, ops, bundle=bundle)
+            R, sub = engine._chunk_rounds((3, 4, d1 + d2), config.T)
+            # several chunks, the last of them partial by default
+            assert R < config.T
+            if rounds is None:
+                assert (config.T + 1) % R
+                assert (R, sub) == ((32, 32) if d1 == 3 else (32, 13))
+            chunks = [min(R, config.T + 1 - start)
+                      for start in range(0, config.T + 1, R)]
+            assert len(calls) == (sum(-(-n // sub) for n in chunks)
+                                  if diagnostics else 0)
 
     def test_late_failure_alone_matches_batch(self, ring4_lazy, monkeypatch):
         # seeds 7, 5 and 6 pass the cap at rounds 181, 465 and 1265, each in
@@ -508,7 +523,7 @@ class TestChunks:
         # each seed trips the scan once, and frozen it stays at zero
         assert tripped == [([2], [], False), ([0], [2], False),
                            ([1], [0, 2], False)]
-        assert engine._chunk_rounds((3, 4, 3)) < 181
+        assert engine._chunk_rounds((3, 4, 3), 3000)[0] < 181
         failed = {7: 181, 5: 465, 6: 1265}
         assert {s: e.round_index for s, e in batch.failures.items()} == failed
         for row, seed in enumerate(batch.seeds):
@@ -570,6 +585,60 @@ class TestChunks:
         errors = iterate_errors(state)
         assert list(errors) == [1]
         assert str(errors[1]) == "non-finite iterate at round 0"
+
+
+class TestChunkMemory:
+    """A chunk's length and its memory, on (S, K, d) batches from a small
+    ring to a large batch and K=1024: 32 rounds where a slot array of 32
+    rounds stays within 1 MiB, never more than the run's T+1, and its
+    slot arrays and diagnostics block within a declared ceiling."""
+
+    # bytes of a chunk's ZD, M, G and diagnostics block together
+    CEILING = 4.5 * 2**20
+
+    @staticmethod
+    def chunk(S, K, T, bundle=None):
+        problem = make_quadratic_problem(K=K, d1=3, d2=2, N=None, sigma=1.0,
+                                         seed=0)
+        config = EngineConfig(mu_x=0.01, mu_y=0.01, T=T,
+                              grace=GraceParams(beta=0.5, p=0.0),
+                              seeds=tuple(range(S)))
+        series = engine.MetricsSeries.empty(config.seeds, T,
+                                            bundle is not None)
+        return engine._Chunk(series, problem, bundle,
+                             init_engine(config, problem), T)
+
+    @pytest.mark.parametrize("S, K, rounds", [(8, 8, 32), (2, 96, 32),
+                                              (128, 8, 25), (2, 1024, 12)],
+                             ids=["S8_K8", "S2_K96_bundle", "S128_K8",
+                                  "S2_K1024"])
+    def test_chunk_rounds_and_bytes(self, S, K, rounds):
+        bundle = None
+        if K == 96:
+            mixing = mixing_for_topology(Topology(kind="ring", K=K),
+                                         lazy=True)
+            bundle = build_transform_bundle(StrategyKind.ED, mixing)
+        for T, want in ((1000, rounds), (20, min(rounds, 21)), (1, 2)):
+            chunk = self.chunk(S, K, T, bundle)
+            assert chunk.rounds == want <= T + 1, (T, chunk.rounds)
+            held = [chunk.ZD, chunk.M, chunk.G] + \
+                ([chunk.X] if bundle is not None else [])
+            assert sum(a.nbytes for a in held) < self.CEILING, T
+            assert hasattr(chunk, "X") == (bundle is not None)
+
+    def test_diagnostics_block_does_not_grow_with_chunk(self, monkeypatch):
+        """At S=2, K=96, d=5 (the wide_ring batch) the diagnostics run in
+        sub-blocks of 8 rounds, and their block is the same size for
+        chunks of 8 to 64 rounds."""
+        mixing = mixing_for_topology(Topology(kind="ring", K=96), lazy=True)
+        bundle = build_transform_bundle(StrategyKind.ED, mixing)
+        sizes = set()
+        for rounds in (8, 16, 32, 64):
+            set_chunk_rounds(monkeypatch, rounds)
+            chunk = self.chunk(2, 96, 400, bundle)
+            assert (chunk.rounds, chunk.diag_rounds) == (rounds, 8)
+            sizes.add(chunk.X.nbytes)
+        assert sizes == {transform.projection_buffer((8, 2, 96, 5)).nbytes}
 
 
 class TestFirstFailures:
@@ -663,15 +732,12 @@ class TestRoundByRoundReference:
     replicate's first failure, against conftest's round-by-round loop."""
 
     SEEDS = (1, 2, 3)
-    CHUNK_BYTES = engine.CHUNK_BYTES
 
     def run_both(self, monkeypatch, problem, ops, bundle, mu, T, rounds,
                  x0=None):
-        """Both runs with chunks of `rounds` rounds (None: the default
-        CHUNK_BYTES), which must agree; returns the reference's series."""
-        block = 8 * len(self.SEEDS) * problem.K * (problem.d1 + problem.d2)
-        monkeypatch.setattr(engine, "CHUNK_BYTES", self.CHUNK_BYTES
-                            if rounds is None else rounds * block)
+        """Both runs with chunks of `rounds` rounds (None: the default),
+        which must agree; returns the reference's series."""
+        set_chunk_rounds(monkeypatch, rounds)
         config = EngineConfig(mu_x=mu, mu_y=mu, T=T, seeds=self.SEEDS,
                               grace=GraceParams(beta=0.3, p=0.1, b=1,
                                                 B_big=4, b0=1))
@@ -708,7 +774,7 @@ class TestRoundByRoundReference:
                  for s, e in run(2.0, 60, None).failures.items()}
         assert sorted(fails) == list(self.SEEDS)
         first, last = min(fails.values()), max(fails.values())
-        assert 1 < first and last < self.CHUNK_BYTES // (8 * 3 * 4 * 3) - 1
+        assert 1 < first and last < DEFAULT_CHUNK_ROUNDS - 1
         for rounds in sizes[1:]:
             run(2.0, 60, rounds)
         # the first failure found at a chunk's last advance, or at the
@@ -723,8 +789,8 @@ class TestRoundByRoundReference:
 
     def test_checks_run_only_in_a_failing_chunk(self, ring4_lazy,
                                                 monkeypatch):
-        # seed 7 passes the cap at round 181, in the third of four chunks
-        # of 64 rounds; seeds 5 and 6 run on
+        # seed 7 passes the cap at round 181, in the sixth of seven chunks
+        # of 32 rounds; seeds 5 and 6 run on
         problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=1e13,
                                          seed=0)
         ops = build_strategy(StrategyKind.ED, ring4_lazy)
@@ -738,7 +804,8 @@ class TestRoundByRoundReference:
         monkeypatch.setattr(problem, "exact_grads_block",
                             lambda Z, out=None: calls.update(["grads"])
                             or block(Z, out=out))
-        assert engine._chunk_rounds((3, 4, 3)) == 64
+        for T in (150, 200):
+            assert engine._chunk_rounds((3, 4, 3), T)[0] == 32
         for T, failed in ((150, {}), (200, {7: 181})):
             calls.clear()
             config = EngineConfig(mu_x=0.01, mu_y=0.01, T=T, seeds=(5, 6, 7),
@@ -746,7 +813,7 @@ class TestRoundByRoundReference:
             series = run_and_measure(config, problem, ops)
             assert {s: e.round_index
                     for s, e in series.failures.items()} == failed
-            chunks = -(-(T + 1) // 64)
+            chunks = -(-(T + 1) // 32)
             # every chunk runs once, a failing one too, and only a failing
             # chunk's slots are scanned
             assert calls == collections.Counter(
