@@ -6,12 +6,11 @@ network of agents, with a switching variance-reduced gradient estimator
 covering STORM, PAGE, and Loopless SARAH as special cases.
 """
 
-from .engine import EngineConfig, EngineState, MetricsSeries, init_engine, \
-    run_and_measure
+from .engine import EngineConfig, MetricsSeries, run_and_measure
 from .errors import ConfigError, DegenerateModeError, DivergenceError, \
     NotPSDError
-from .estimator import GraceParams, GraceState, estimator_error, \
-    init_estimator, update_estimator
+from .estimator import Draws, GraceParams, GraceState, draw, \
+    estimator_error, init_estimator, update_estimator
 from .harness import RunConfig, config_from_dict, load_config, \
     run_experiment, sweep, write_outputs
 from .mixing import MixingMatrix, Topology, build_graph, eigh_symmetric, \

@@ -19,26 +19,27 @@ the estimator update but before the iterate advance, so the round-0 row
 reflects the initialization. The x/y split comes back only in the metric
 columns, at problem.d1.
 
-The round loop does only the recursion, and runs a chunk of rounds at a
-time: each round writes its iterates, estimates and gradients straight
-into its own slot of the chunk (_Chunk), one batched pass per chunk
-evaluates every column from the slots, and the estimator draws its
-random numbers for the chunk at once. None of this shows in the output:
-every operation acts on each replicate's (K, d) slice of each round
-alone, and the chunked draws equal the round-by-round ones, so a seed's
-numbers are the same whatever other seeds share its batch and whatever
-the chunk size. A chunk is sized in rounds (CHUNK_ROUNDS, fewer for a
-short run or a large batch), so many rounds share its fixed cost, and
-the transform diagnostics evaluate it in sub-blocks of bounded size
-(_chunk_rounds). The batch keeps its shape for the whole run. A chunk
-runs once, unchecked, and one scan of its slots (_first_failures) finds
-each replicate's first estimate that is not finite and first iterate
-that is not finite or passes DIVERGENCE_CAP. A replicate's slots up to
-its first failure are those of a round-by-round loop that checks every
-round, so the failure's round and message are too. The failed
-replicate's slots from the failure on are zeroed, and its step after the
-chunk's columns are written, so it sits out the rest of the run at zero;
-after the run its columns from the failing round on are blanked.
+The round state is a chunk's slot arrays and nothing else (_Chunk): round
+i of a chunk reads its iterates, estimates and gradients from slot i and
+writes the next ones into slot i+1, and no round writes what it reads,
+so the scan and the columns can read every slot after the rounds. A
+chunk draws its random numbers at once (estimator.draw), runs its
+rounds, and one batched pass evaluates every column from the slots. None of this shows in the output: every
+operation acts on each replicate's (K, d) slice of each round alone, and
+the chunked draws equal the round-by-round ones, so a seed's numbers are
+the same whatever other seeds share its batch and whatever the chunk
+size. A chunk is sized in rounds (CHUNK_ROUNDS, fewer for a short run or
+a large batch), so many rounds share its fixed cost, and the transform
+diagnostics evaluate it in sub-blocks of bounded size (_chunk_rounds).
+The batch keeps its shape for the whole run. A chunk runs once,
+unchecked, and one scan of its slots (_first_failures) finds each
+replicate's first estimate that is not finite and first iterate that is
+not finite or passes DIVERGENCE_CAP. A replicate's slots up to its first
+failure are those of a round-by-round loop that checks every round, so
+the failure's round and message are too. The failed replicate's slots
+from the failure on are zeroed, and its step after the chunk's columns
+are written, so it sits out the rest of the run at zero; after the run
+its columns from the failing round on are blanked.
 """
 
 from dataclasses import dataclass, field
@@ -46,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .estimator import GraceParams, GraceState, agent_mean, init_estimator, \
-    update_estimator, estimator_error
+from .estimator import Draws, GraceParams, agent_mean, draw, \
+    init_estimator, update_estimator, estimator_error
 from .strategies import StrategyOps
 from .transform import TransformBundle, coupled_error_norms, \
     projection_buffer
@@ -86,26 +87,10 @@ class EngineConfig:
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct and non-empty, "
                               f"got {self.seeds}")
-
-
-@dataclass
-class EngineState:
-    # (2, S, K, d1+d2): Z and D, one block; in a run, the current slot of
-    # the chunk (_Chunk)
-    ZD: np.ndarray
-    grace: GraceState
-    round: int = 0
-
-    @property
-    def Z(self) -> np.ndarray:
-        """(S, K, d1+d2) primal block [X | Y], a view into ZD."""
-        return self.ZD[0]
-
-    @property
-    def D(self) -> np.ndarray:
-        """(S, K, d1+d2) carried dual, B times the paper's dual, a view
-        into ZD."""
-        return self.ZD[1]
+        # numpy must be able to index the bytes of an (S, T+1) column
+        if len(self.seeds) * (self.T + 1) > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"round budget T={self.T} is too large for "
+                              f"the metric columns")
 
 
 @dataclass
@@ -121,8 +106,13 @@ class MetricsSeries:
     @classmethod
     def empty(cls, seeds, T: int, diagnostics: bool) -> "MetricsSeries":
         names = [n for n in COLUMNS if diagnostics or not n.startswith("ehat")]
-        columns = {n: np.full((len(seeds), T + 1), np.nan) for n in names}
-        columns["samples_used"] = np.full((len(seeds), T + 1), -1)
+        shape = (len(seeds), T + 1)
+        try:
+            columns = {n: np.full(shape, np.nan) for n in names}
+            columns["samples_used"] = np.full(shape, -1)
+        except MemoryError as exc:
+            raise ConfigError(f"round budget T={T} is too large for the "
+                              f"metric columns: {exc}") from exc
         return cls(seeds=tuple(seeds), columns=columns)
 
     @property
@@ -144,10 +134,9 @@ class MetricsSeries:
         return np.mean(stat[:, :-1], axis=1)
 
 
-def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
-    """All agents of every replicate start from the same point with zero
-    duals."""
-    K, S = problem.K, len(config.seeds)
+def _start_row(problem, x0, y0) -> np.ndarray:
+    """The start point [x0 | y0] every agent of every replicate begins
+    from, zero where not given; one of the wrong dims raises ConfigError."""
     x0 = np.zeros(problem.d1) if x0 is None else np.asarray(x0, dtype=float)
     y0 = np.zeros(problem.d2) if y0 is None else np.asarray(y0, dtype=float)
     if x0.shape != (problem.d1,) or y0.shape != (problem.d2,):
@@ -155,71 +144,59 @@ def init_engine(config: EngineConfig, problem, x0=None, y0=None) -> EngineState:
             f"start point dims {x0.shape}/{y0.shape} do not match "
             f"problem dims ({problem.d1},)/({problem.d2},)"
         )
-    ZD = np.zeros((2, S, K, problem.d1 + problem.d2))
-    ZD[0] = np.concatenate([x0, y0])
-    return EngineState(ZD=ZD, grace=init_estimator(problem, config.grace,
-                                                   config.seeds, ZD[0]))
+    return np.concatenate([x0, y0])
 
 
-def _advance(state: EngineState, mu: np.ndarray, ops: StrategyOps,
-             out=None) -> None:
-    """Primal and dual updates using the current gradient estimates,
-    written into state.ZD in place, or into out, a (2, S, K, d1+d2) block
-    that state.ZD then views; mu is the signed step
-    (EngineConfig.signed_step), or a copy of it per replicate and agent,
-    (S, K, d1+d2), as run_and_measure passes it. An A or C that is None
-    (equal to I) is skipped, not multiplied."""
-    Z, D = state.Z, state.D
-    ZD = state.ZD if out is None else out
-    step = mu * state.grace.M
+def advance(ZD: np.ndarray, M: np.ndarray, mu: np.ndarray, ops: StrategyOps,
+            out: np.ndarray) -> None:
+    """Primal and dual updates of the iterates and duals ZD, a
+    (2, S, K, d1+d2) block, with the gradient estimates M, written into
+    out, a block of ZD's shape; no input is written. mu is the signed
+    step (EngineConfig.signed_step), or a copy of it per replicate and
+    agent, (S, K, d1+d2), as run_and_measure passes it. An A or C that is
+    None (equal to I) is skipped, not multiplied."""
+    Z, D = ZD
+    step = mu * M
     np.subtract(Z if ops.C is None else ops.C @ Z, step, out=step)
-    np.subtract(step if ops.A is None else ops.A @ step, D, out=ZD[0])
-    np.add(D, ops.B2 @ ZD[0], out=ZD[1])
-    state.ZD = ZD
-    state.round += 1
+    np.subtract(step if ops.A is None else ops.A @ step, D, out=out[0])
+    np.add(D, ops.B2 @ out[0], out=out[1])
 
 
 class _Chunk:
-    """The state of every round of a chunk, in slots the round loop writes
-    directly: ZD, (2, R+1, S, K, d1+d2), holds the iterates of the
-    chunk's i-th round in slot i; M and G, (R+1, S, K, d1+d2), hold the
-    estimates and gradients of the round before the chunk in slot 0, and
-    round i writes slot i+1. The engine's and the estimator's state view
-    the current slot, and at the chunk's end the last slot moves to slot
-    0. flush evaluates every column of the chunk's rounds in one batched
-    pass over the slots, writing its (R, S, K, d1+d2) intermediates over
-    slots it has read. With a transform bundle, X holds the agent-first
-    block that coupled_error_norms copies a sub-block of the chunk's
-    iterates, steps and duals into, K by 3 by the sub-block's R' S (d1+d2)
-    entries per agent, padded to whole panels; it is allocated here once,
-    and flush reads ehat from it."""
+    """The round state of a run, as the slots of a chunk: ZD,
+    (2, R+1, S, K, d1+d2), holds the iterates and duals of the chunk's
+    i-th round in slot i; M and G, (R+1, S, K, d1+d2), hold the estimates
+    and gradients of the round before the chunk in slot 0. Round i reads
+    slot i and writes slot i+1, through the views in slots, built once
+    here, and at the chunk's end slot R moves to slot 0. flush evaluates
+    every column of the chunk's rounds in one batched pass over the
+    slots, writing its (R, S, K, d1+d2) intermediates over slots it has
+    read. With a transform bundle, X holds the agent-first block that
+    coupled_error_norms copies a sub-block of the chunk's iterates, steps
+    and duals into, K by 3 by the sub-block's R' S (d1+d2) entries per
+    agent, padded to whole panels; it is allocated here once, and flush
+    reads ehat from it."""
 
     def __init__(self, series: MetricsSeries, problem,
-                 bundle: TransformBundle | None, state: EngineState, T: int):
+                 bundle: TransformBundle | None, shape: tuple, T: int):
         self.series, self.problem, self.bundle = series, problem, bundle
-        self.grace = state.grace
-        self.rounds, self.diag_rounds = _chunk_rounds(state.Z.shape, T)
-        shape = (self.rounds + 1,) + state.Z.shape
-        self.ZD = np.empty((2,) + shape)
-        self.M, self.G = np.empty(shape), np.empty(shape)
-        self.ZD[:, 0] = state.ZD
-        self.M[0], self.G[0] = state.grace.M, state.grace.G
+        self.rounds, self.diag_rounds = _chunk_rounds(shape, T)
+        slots = (self.rounds + 1,) + shape
+        self.ZD = np.empty((2,) + slots)
+        self.M, self.G = np.empty(slots), np.empty(slots)
         if bundle is not None:
-            self.X = projection_buffer((self.diag_rounds,) + state.Z.shape)
-        # round i's outputs: its advance writes ZD slot i+1, its estimator
-        # update M and G slot i+1
-        self.slots = [(self.ZD[:, i + 1], (self.M[i + 1], self.G[i + 1]))
+            self.X = projection_buffer((self.diag_rounds,) + shape)
+        # round i reads ZD, its Z, M and G at slot i and writes ZD, M and
+        # G at slot i+1
+        self.slots = [(self.ZD[:, i], self.ZD[0, i], self.M[i], self.G[i],
+                       self.ZD[:, i + 1], (self.M[i + 1], self.G[i + 1]))
                       for i in range(self.rounds)]
-        self.enter(state)
 
-    def enter(self, state: EngineState) -> None:
-        """Point the state at slot 0."""
-        state.ZD = self.ZD[:, 0]
-        state.grace.M, state.grace.G = self.M[0], self.G[0]
-
-    def flush(self, start: int, n: int, mu: np.ndarray) -> None:
+    def flush(self, start: int, n: int, mu: np.ndarray,
+              cum_used: np.ndarray) -> None:
         """Write rounds start .. start+n-1, the chunk's first n, with the
-        signed step mu the chunk started with, and move slot n, the next
+        signed step mu the chunk started with and the cumulative sample
+        counts cum_used, (S, n), of its draws, and move slot n, the next
         chunk's first round, to slot 0. Once slot n of G has moved, G's
         slots of the n rounds hold M - G, then its squares, then mu M;
         once the diagnostics have read D's, they hold Z - z_c and its
@@ -238,8 +215,7 @@ class _Chunk:
             "delta_c": delta_c,
             "est_err_sq": est_err,
             "est_err_avg_sq": est_err_avg,
-            # the chunk's draws began with its first round
-            "samples_used": self.grace.cum_used[:, :n].T,
+            "samples_used": cum_used.T,
         }
         if self.bundle is not None:
             muM = np.multiply(mu, M, out=spent)
@@ -277,17 +253,18 @@ def _chunk_rounds(shape, T: int) -> tuple:
     return rounds, max(1, min(rounds, DIAG_BYTES // block))
 
 
-def _run_chunk(state: EngineState, chunk: _Chunk, mu: np.ndarray,
-               ops: StrategyOps, config: EngineConfig, problem,
-               rounds: int) -> None:
-    """Run the chunk's first `rounds` rounds from slot 0, the last advance
-    only if the last round is not round T. No round is checked."""
-    for ZD_out, grace_out in chunk.slots[:rounds]:
-        update_estimator(state.grace, config.grace, state.Z, problem,
-                         rounds=rounds, out=grace_out)
-        if state.round == config.T:
+def _run_chunk(chunk: _Chunk, draws: Draws, mu: np.ndarray,
+               ops: StrategyOps, params: GraceParams, problem,
+               advances: int) -> None:
+    """Run the chunk's rounds from slot 0, one per round of the draws,
+    advancing only the first `advances`: the last round of the run
+    updates its estimates and stops. No round is checked."""
+    for r, (ZD, Z, M, G, ZD_out, MG_out) in enumerate(
+            chunk.slots[:len(draws.any_refresh)]):
+        update_estimator(M, G, Z, draws, r, params, problem, MG_out)
+        if r == advances:
             return
-        _advance(state, mu, ops, out=ZD_out)
+        advance(ZD, MG_out[0], mu, ops, ZD_out)
 
 
 def _first_failures(ZD: np.ndarray, M: np.ndarray, start: int,
@@ -348,6 +325,11 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     each failed seed's first error, and its columns are NaN (-1 for
     samples_used) from the error's round on.
 
+    The run's state is the chunk's slots: slot 0 starts at the start
+    point, zero duals and the estimator's init, and each chunk of n rounds
+    takes n rounds of draws at once (draw), runs them (_run_chunk) and
+    writes their columns (_Chunk.flush).
+
     A chunk runs once, unchecked, with floating-point errors ignored: an
     exception in a round reaches its M, Z or D, which every intermediate
     flows into, so a chunk whose advanced iterates are within
@@ -358,19 +340,26 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     gradient slots from the next, so the chunk's columns are evaluated,
     under the caller's error state, from finite numbers only.
     """
-    state = init_engine(config, problem, x0=x0, y0=y0)
+    z0 = _start_row(problem, x0, y0)
+    S = len(config.seeds)
     # the signed step of every replicate and agent, zeroed for a replicate
     # when it fails
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
-                 (len(config.seeds), problem.K, 1))
+                 (S, problem.K, 1))
     series = MetricsSeries.empty(config.seeds, config.T, bundle is not None)
-    chunk = _Chunk(series, problem, bundle, state, config.T)
+    chunk = _Chunk(series, problem, bundle, mu.shape, config.T)
+    chunk.ZD[0, 0], chunk.ZD[1, 0] = z0, 0.0
+    grace, chunk.M[0], chunk.G[0] = init_estimator(
+        problem, config.grace, config.seeds, chunk.ZD[0, 0])
+    start = 0
     while True:
-        start = state.round
         n = min(chunk.rounds, config.T + 1 - start)
+        # the run's last round, round T, does not advance
+        advances = min(n, config.T - start)
         with np.errstate(all="ignore"):
-            _run_chunk(state, chunk, mu, ops, config, problem, n)
-            ZD, M = chunk.ZD[:, 1:state.round - start + 1], chunk.M[1:n + 1]
+            draws = draw(grace, config.grace, problem, n)
+            _run_chunk(chunk, draws, mu, ops, config.grace, problem, advances)
+            ZD, M = chunk.ZD[:, 1:advances + 1], chunk.M[1:n + 1]
             # a NaN propagates through max and min and fails the
             # comparison; neither makes a temporary of the slots
             ok = ZD.max(initial=0.0) <= DIVERGENCE_CAP \
@@ -383,12 +372,12 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
             slot = exc.round_index - start
             chunk.ZD[:, slot:, i] = 0.0
             chunk.M[slot + 1:, i] = chunk.G[slot + 1:, i] = 0.0
-        chunk.flush(start, n, mu)
+        chunk.flush(start, n, mu, draws.cum_used)
         for i in errors:
             mu[i] = 0.0
-        if start + n > config.T or len(series.failures) == len(config.seeds):
+        start += n
+        if start > config.T or len(series.failures) == S:
             break
-        chunk.enter(state)
     for seed, exc in series.failures.items():
         row = series.seeds.index(seed)
         for name, col in series.columns.items():

@@ -16,13 +16,15 @@ as one (S, K, d1+d2) block, x and y side by side, and updated together.
 Each replicate owns two random streams, spawned from SeedSequence(seed):
 one for the switch and one for the noise, so it shares no draws with
 another replicate or with a problem built from default_rng(seed). The
-draws are taken a chunk of rounds at a time: one switch call per
-replicate gives the chunk's refresh flags (none at p = 0, where no round
-refreshes), then one batch_noise call gives its noise, one block for all
-K agents per round. The same minibatch enters the previous and current
-evaluations of a recursion, and both problem families draw noise that
-does not depend on the iterate, so a minibatch's noise xi reaches the
-estimate only as beta * xi:
+estimator's state is these streams and the cumulative sample count
+(GraceState); the estimates and gradients are the caller's arrays. The
+draws of a run of rounds are taken at once (draw, into Draws): one
+switch call per replicate gives the rounds' refresh flags (none at
+p = 0, where no round refreshes), then one batch_noise call gives their
+noise, one block for all K agents per round. The same minibatch enters
+the previous and current evaluations of a recursion, and both problem
+families draw noise that does not depend on the iterate, so a
+minibatch's noise xi reaches the estimate only as beta * xi:
 
     (1 - beta) * (M - (G + xi)) + (g + xi) = (1 - beta) * (M - G) + g + beta * xi.
 
@@ -30,17 +32,18 @@ Online, every round draws its block, so the stream position does not
 depend on the sizes or on sigma. Offline, a refresh takes the full local
 batch, which is exact, and a recursion at beta = 0 has no noise to draw,
 so neither draws: an offline beta = 0 run draws nothing from its noise
-stream after the b0 init, and a chunk that draws nothing holds no noise
-block. The sample counts still count the samples evaluated, drawn or
+stream after the b0 init, and draws whose rounds draw nothing hold no
+noise block. The sample counts still count the samples evaluated, drawn or
 not: N per agent on an offline refresh, B_big online, b on a recursion.
 The noise is held round-major, (R, S, K, d1+d2), so a round's block is
 contiguous, and the cumulative sample counts of every drawn round are
-summed once per chunk. A chunk's draws equal the same rounds drawn one
-by one, so they do not depend on the chunk size. One array step per
-round forms every replicate's recursion, in place or into the caller's
-next slot, and in a round where some replicate refreshes, those
-replicates take their fresh estimate instead, so a replicate's numbers
-do not depend on the other replicates in its batch.
+summed once per draw. Draws of R rounds equal the same rounds drawn one
+by one, so they do not depend on how the rounds are grouped. One array
+step per round (update_estimator) reads the estimates, gradients and
+iterates of a round and writes the next estimates and gradients into
+the caller's arrays, and in a round where some replicate refreshes,
+those replicates take their fresh estimate instead, so a replicate's
+numbers do not depend on the other replicates in its batch.
 """
 
 from dataclasses import dataclass
@@ -73,30 +76,30 @@ class GraceParams:
 
 @dataclass
 class GraceState:
-    # (S, K, d1+d2) current gradient estimates and exact gradients at the
-    # iterates of the last update; in a run, views of the engine's slots
-    M: np.ndarray
-    G: np.ndarray
     switch_rngs: list  # each replicate's switch stream
     noise_rngs: list   # each replicate's noise stream
-    samples_used: np.ndarray  # (S,) cumulative per-agent sample draws
-    # the drawn rounds: refresh flags (S, R), one column per round, and
-    # whether any replicate refreshes, one bool per round; cumulative
-    # sample counts (S, R) after each round; noise round-major,
-    # (R, S, K, d1+d2), so a round's block is contiguous, or None for a
-    # chunk that drew no noise. The next round is `drawn`
+    # (S,) cumulative per-agent sample count after the last drawn round
+    samples_used: np.ndarray
+
+
+@dataclass(frozen=True)
+class Draws:
+    """R rounds of draws of every replicate: refresh flags (S, R), one
+    column per round, and whether any replicate refreshes, one bool per
+    round; cumulative sample counts (S, R) after each round; noise
+    round-major, (R, S, K, d1+d2), so a round's block is contiguous, or
+    None where no round drew any."""
     refresh: np.ndarray
     any_refresh: list
     cum_used: np.ndarray
     noise: np.ndarray | None
-    drawn: int = 0
 
 
-def init_estimator(problem, params: GraceParams, seeds,
-                   Z0: np.ndarray) -> GraceState:
-    """Initial estimates from a size-b0 minibatch at the start iterates
-    Z0 (S, K, d1+d2), one replicate per seed. The b0 draw is the first of
-    the replicate's noise stream. An online problem that may refresh
+def init_estimator(problem, params: GraceParams, seeds, Z0: np.ndarray):
+    """The streams of one replicate per seed, and the initial estimates
+    and exact gradients at the start iterates Z0 (S, K, d1+d2), as
+    (state, M, G); the estimates take a size-b0 minibatch, the first draw
+    of the replicate's noise stream. An online problem that may refresh
     (p > 0) needs the refresh batch size B_big."""
     if problem.N is None and params.p > 0 and params.B_big is None:
         raise ConfigError("online refresh branch needs B_big")
@@ -107,22 +110,22 @@ def init_estimator(problem, params: GraceParams, seeds,
     b0 = params.b0 if problem.N is None else min(params.b0, problem.N)
     g = problem.exact_grads_block(Z0)
     M = g + problem.batch_noise(noise, np.full((S, 1), b0))[:, 0]
-    return GraceState(M=M, G=g, switch_rngs=switch, noise_rngs=noise,
-                      samples_used=np.full(S, b0),
-                      refresh=np.zeros((S, 0), dtype=bool), any_refresh=[],
-                      cum_used=np.zeros((S, 0), dtype=int), noise=None)
+    return GraceState(switch_rngs=switch, noise_rngs=noise,
+                      samples_used=np.full(S, b0)), M, g
 
 
-def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
+def draw(state: GraceState, params: GraceParams, problem,
+         rounds: int) -> Draws:
     """Draw the next `rounds` rounds of every replicate: one call of its
     switch stream, none at p = 0, then one batch_noise call for the
     batch. Offline, a round draws a minibatch only when its noise reaches
     the estimate, on a recursion with beta > 0: a refresh takes the full
     local batch, whose sample means are exact by construction, and at
-    beta = 0 a recursion's noise cancels, so neither draws, and a chunk
-    of such rounds holds no noise block. The sample counts are summed
-    here for the whole chunk, from the count after the last drawn round;
-    they count the samples evaluated, drawn or not."""
+    beta = 0 a recursion's noise cancels, so neither draws, and draws of
+    such rounds hold no noise block. The sample counts are summed here
+    for all the rounds, from the count after the last drawn round; they
+    count the samples evaluated, drawn or not. A replicate's draws are
+    the same however its rounds are grouped."""
     if params.p > 0:
         refresh = np.stack([rng.random(rounds)
                             for rng in state.switch_rngs]) < params.p
@@ -134,56 +137,44 @@ def _draw(state: GraceState, params: GraceParams, problem, rounds: int):
         batch = np.where(refresh | (params.beta == 0), 0, params.b)
     else:
         used = batch = np.where(refresh, params.B_big or 0, params.b)
-    state.refresh = refresh
-    state.any_refresh = refresh.any(axis=0).tolist()
-    state.cum_used = state.samples_used[:, None] + np.cumsum(used, axis=1)
-    state.noise = None
+    cum_used = state.samples_used[:, None] + np.cumsum(used, axis=1)
+    state.samples_used = cum_used[:, -1]
+    noise = None
     if problem.N is None or batch.any():
-        state.noise = np.ascontiguousarray(
+        noise = np.ascontiguousarray(
             problem.batch_noise(state.noise_rngs, batch).swapaxes(0, 1))
-    state.drawn = 0
+    return Draws(refresh, refresh.any(axis=0).tolist(), cum_used, noise)
 
 
-def update_estimator(state: GraceState, params: GraceParams, Z: np.ndarray,
-                     problem, rounds: int = 1, out=None) -> None:
-    """One estimator round at the current iterates Z (S, K, d1+d2): the
-    replicate's switch, then refresh or recursion.
-
-    When the drawn rounds are used up, the next `rounds` rounds are drawn
-    at once; a replicate's draws are the same however they are grouped.
-    The exact gradients at the current iterates replace the stored ones,
-    which served as the previous-iterate gradients of the recursion.
-    The new estimates overwrite the old ones in place, or, given
-    out = (M_new, G_new), two C-contiguous (S, K, d1+d2) arrays, the
-    estimates and gradients are written there and the state keeps them
-    instead; the operations and their bits are the same. Whether the new
-    estimates are finite is the caller's check.
+def update_estimator(M: np.ndarray, G: np.ndarray, Z: np.ndarray,
+                     draws: Draws, r: int, params: GraceParams, problem,
+                     out) -> None:
+    """One estimator round at the current iterates Z (S, K, d1+d2), from
+    the estimates M and the exact gradients G of the last update, the
+    previous-iterate gradients of the recursion: round r of the draws
+    switches each replicate between refresh and recursion. The new
+    estimates and the exact gradients at Z are written into
+    out = (M_new, G_new), two C-contiguous (S, K, d1+d2) arrays; no
+    input is written. Whether the new estimates are finite is the
+    caller's check.
     """
-    if state.drawn == len(state.any_refresh):
-        _draw(state, params, problem, rounds)
-    r = state.drawn
-    state.drawn = r + 1
-    M, G = state.M, state.G
-    # G + noise is formed in the storage of the old G, or of the new M
-    M_new, G_new, scratch = (M, None, G) if out is None else (*out, out[0])
+    M_new, G_new = out
     g = problem.exact_grads_block(Z, out=G_new)
-    # M = (1 - beta) * (M - (G + noise)) + fresh, where fresh = g + noise;
-    # a chunk that drew no noise skips the adds of zero, with the same bits
-    # up to the sign of a zero
+    # M = (1 - beta) * (M - (G + noise)) + fresh, where fresh = g + noise,
+    # with G + noise formed in M_new; draws that hold no noise skip the
+    # adds of zero, with the same bits up to the sign of a zero
     fresh = g
-    if state.noise is not None:
-        noise = state.noise[r]
+    if draws.noise is not None:
+        noise = draws.noise[r]
         fresh = g + noise
-        G = np.add(G, noise, out=scratch)
+        G = np.add(G, noise, out=M_new)
     np.subtract(M, G, out=M_new)
     # at beta = 0 the factor is 1, which changes no bit
     if params.beta != 0.0:
         np.multiply(M_new, 1.0 - params.beta, out=M_new)
     np.add(M_new, fresh, out=M_new)
-    if state.any_refresh[r]:
-        np.copyto(M_new, fresh, where=state.refresh[:, r, None, None])
-    state.samples_used = state.cum_used[:, r]
-    state.M, state.G = M_new, g
+    if draws.any_refresh[r]:
+        np.copyto(M_new, fresh, where=draws.refresh[:, r, None, None])
 
 
 def agent_mean(x: np.ndarray) -> np.ndarray:

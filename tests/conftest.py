@@ -16,10 +16,10 @@ from decminimax import (
     run_and_measure,
 )
 from decminimax import engine
-from decminimax.engine import MetricsSeries, _advance, _first_failures, \
-    init_engine
-from decminimax.estimator import agent_mean, estimator_error, \
-    update_estimator
+from decminimax.engine import MetricsSeries, _first_failures, _start_row, \
+    advance
+from decminimax.estimator import agent_mean, draw, estimator_error, \
+    init_estimator, update_estimator
 from decminimax.problems import QuadraticMinimaxProblem
 from decminimax.transform import coupled_error_norms
 
@@ -225,31 +225,78 @@ def grad_x_is_x_problem():
                                    sigma=0.0, seed=0)
 
 
-def update_checked(state, params, Z, problem):
-    """update_estimator, failing if any replicate's estimate is not finite."""
-    assert update_estimator(state, params, Z, problem) is None
-    assert np.isfinite(state.M).all(), "non-finite estimate"
+class HandEstimator:
+    """The estimator driven by hand, one round at a time: its streams
+    (state), and the estimates M and exact gradients G of the last
+    update, which each update replaces with new arrays."""
+
+    def __init__(self, problem, params, seeds, Z0):
+        self.problem, self.params = problem, params
+        self.state, self.M, self.G = init_estimator(problem, params, seeds,
+                                                    Z0)
 
 
-def iterate_errors(state):
+class HandRun(HandEstimator):
+    """A batch of replicates of config run by hand, one round at a time,
+    through the engine's slot API: beside the estimator's state, the
+    iterates and duals ZD (2, S, K, d1+d2), which each advance replaces
+    with a new block, and the round index."""
+
+    def __init__(self, config, problem, x0=None, y0=None):
+        ZD = np.zeros((2, len(config.seeds), problem.K,
+                       problem.d1 + problem.d2))
+        ZD[0] = _start_row(problem, x0, y0)
+        super().__init__(problem, config.grace, config.seeds, ZD[0])
+        self.ZD, self.round = ZD, 0
+
+    @property
+    def Z(self):
+        return self.ZD[0]
+
+    @property
+    def D(self):
+        return self.ZD[1]
+
+    def advance(self, mu, ops):
+        out = np.empty_like(self.ZD)
+        advance(self.ZD, self.M, mu, ops, out)
+        self.ZD = out
+        self.round += 1
+
+
+def update_unchecked(est, Z, draws, r):
+    """update_estimator of est at iterates Z with round r of draws, into
+    new arrays that replace est.M and est.G."""
+    out = (np.empty_like(est.M), np.empty_like(est.G))
+    assert update_estimator(est.M, est.G, Z, draws, r, est.params,
+                            est.problem, out) is None
+    est.M, est.G = out
+
+
+def update_checked(est, Z):
+    """One estimator round of est at iterates Z, drawn on its own, failing
+    if any replicate's estimate is not finite."""
+    update_unchecked(est, Z, draw(est.state, est.params, est.problem, 1), 0)
+    assert np.isfinite(est.M).all(), "non-finite estimate"
+
+
+def iterate_errors(run):
     """The engine's scan over the last round: its estimate, and the
     iterates and duals its advance wrote."""
-    return _first_failures(state.ZD[:, None], state.grace.M[None],
-                           state.round - 1)
+    return _first_failures(run.ZD[:, None], run.M[None], run.round - 1)
 
 
-def estimate_errors(state):
+def estimate_errors(run):
     """The engine's scan over the estimates of the current round."""
-    return _first_failures(state.ZD[:, None][:, :0], state.grace.M[None],
-                           state.round)
+    return _first_failures(run.ZD[:, None][:, :0], run.M[None], run.round)
 
 
-def step(state, config, problem, ops):
+def step(run, config, problem, ops):
     """One round by hand with the engine's checks: estimator update, primal
     and dual advance, then every iterate finite and within DIVERGENCE_CAP."""
-    update_checked(state.grace, config.grace, state.Z, problem)
-    _advance(state, config.signed_step(problem.d1, problem.d2), ops)
-    errors = iterate_errors(state)
+    update_checked(run, run.Z)
+    run.advance(config.signed_step(problem.d1, problem.d2), ops)
+    errors = iterate_errors(run)
     assert not errors, {i: str(e) for i, e in errors.items()}
 
 
@@ -267,24 +314,23 @@ def set_chunk_rounds(monkeypatch, rounds):
 def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
                               y0=None):
     """run_and_measure round by round, the reference its chunk of slots
-    must match byte for byte: the estimator and the advance update one
-    state in place, each round is checked as it ends and a failed
-    replicate is frozen at once, with its estimates zeroed, and each round
-    copies what the columns need into chunk buffers of
-    engine._chunk_rounds rounds, evaluated when full and at the end, the
-    diagnostics of a buffer in one call."""
-    state = init_engine(config, problem, x0=x0, y0=y0)
-    grace, seeds = state.grace, config.seeds
+    must match byte for byte: a HandRun takes the estimator update and the
+    advance, each round is checked as it ends and a failed replicate is
+    frozen at once, with its estimates zeroed, and each round copies what
+    the columns need into chunk buffers of engine._chunk_rounds rounds,
+    drawn when a buffer begins and evaluated when full and at the end,
+    the diagnostics of a buffer in one call."""
+    run, seeds = HandRun(config, problem, x0=x0, y0=y0), config.seeds
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
                  (len(seeds), problem.K, 1))
     series = MetricsSeries.empty(seeds, config.T, bundle is not None)
-    R, _ = engine._chunk_rounds(state.Z.shape, config.T)
+    R, _ = engine._chunk_rounds(run.Z.shape, config.T)
     held = {name: [] for name in ("Z", "err", "used", "muM", "D")}
 
     def fail(errors):
         for i, exc in errors.items():
             series.failures.setdefault(seeds[i], exc)
-            for a in (state.Z, state.D, grace.M, grace.G, mu):
+            for a in (run.Z, run.D, run.M, run.G, mu):
                 a[i] = 0.0
 
     def flush():
@@ -310,28 +356,31 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
             cols["ehat_x_sq"] = np.sum(sq[..., :d1], axis=-1)
             cols["ehat_y_sq"] = np.sum(sq[..., d1:], axis=-1)
         for name, values in cols.items():
-            series.columns[name][:, state.round + 1 - n:state.round + 1] = \
+            series.columns[name][:, run.round + 1 - n:run.round + 1] = \
                 values.T
         for rows in held.values():
             rows.clear()
 
     while True:
-        update_estimator(grace, config.grace, state.Z, problem,
-                         rounds=min(R, config.T + 1 - state.round))
-        errors = estimate_errors(state)
+        r = run.round % R
+        if r == 0:
+            draws = draw(run.state, config.grace, problem,
+                         min(R, config.T + 1 - run.round))
+        update_unchecked(run, run.Z, draws, r)
+        errors = estimate_errors(run)
         if errors:
             fail(errors)
-        held["Z"].append(state.Z.copy())
-        held["err"].append(grace.M - grace.G)
-        held["used"].append(grace.samples_used)
-        held["muM"].append(mu * grace.M)
-        held["D"].append(state.D.copy())
+        held["Z"].append(run.Z.copy())
+        held["err"].append(run.M - run.G)
+        held["used"].append(draws.cum_used[:, r])
+        held["muM"].append(mu * run.M)
+        held["D"].append(run.D.copy())
         if len(held["Z"]) == R:
             flush()
-        if state.round == config.T or len(series.failures) == len(seeds):
+        if run.round == config.T or len(series.failures) == len(seeds):
             break
-        _advance(state, mu, ops)
-        errors = iterate_errors(state)
+        run.advance(mu, ops)
+        errors = iterate_errors(run)
         if errors:
             fail(errors)
     if held["Z"]:

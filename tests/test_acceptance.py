@@ -16,7 +16,6 @@ from decminimax import (
     build_transform_bundle,
     config_from_dict,
     coupled_error_norms,
-    init_engine,
     make_quadratic_problem,
     make_sinpl_problem,
     maximizer_oracle,
@@ -25,13 +24,11 @@ from decminimax import (
     shrink_to_valid,
     write_outputs,
 )
-from decminimax.engine import _advance
-from decminimax.estimator import init_estimator
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
-from conftest import ascent_maximizer, check_consensus_bound, \
-    grad_x_is_x_problem, mode_blocks, run_ok, step, update_checked, \
-    verify_strategy_assumptions
+from conftest import HandEstimator, HandRun, ascent_maximizer, \
+    check_consensus_bound, grad_x_is_x_problem, mode_blocks, run_ok, step, \
+    update_checked, verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
 CLOSED_FORM_KINDS = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
@@ -82,13 +79,13 @@ def test_criterion_2_centroid_identity(ring8, quad8):
         config = EngineConfig(mu_x=0.003, mu_y=0.01,
                               grace=grace, T=200, seeds=(2,))
         mu = config.signed_step(3, 2)
-        state = init_engine(config, quad8, x0=np.ones(3))
+        run = HandRun(config, quad8, x0=np.ones(3))
         for _ in range(200):
-            update_checked(state.grace, grace, state.Z, quad8)
-            zc = state.Z.mean(axis=1)
-            g = state.grace.M.mean(axis=1)
-            _advance(state, mu, ops)
-            zc_new = state.Z.mean(axis=1)
+            update_checked(run, run.Z)
+            zc = run.Z.mean(axis=1)
+            g = run.M.mean(axis=1)
+            run.advance(mu, ops)
+            zc_new = run.Z.mean(axis=1)
             worst = max(
                 worst,
                 float(np.max(np.abs(
@@ -152,18 +149,18 @@ def test_criterion_4_consensus_inequality(ring8, quad8):
         config = EngineConfig(mu_x=0.005, mu_y=0.02,
                               grace=grace, T=500, seeds=(3,))
         mu = config.signed_step(3, 2)
-        state = init_engine(config, quad8, x0=np.ones(3))
+        run = HandRun(config, quad8, x0=np.ones(3))
         for _ in range(500):
-            update_checked(state.grace, grace, state.Z, quad8)
-            ehat = coupled_error_norms(state.Z[0], mu * state.grace.M[0],
-                                       state.D[0], bundle)
-            rep = check_consensus_bound(state.Z[0], ehat, bundle)
+            update_checked(run, run.Z)
+            ehat = coupled_error_norms(run.Z[0], mu * run.M[0], run.D[0],
+                                       bundle)
+            rep = check_consensus_bound(run.Z[0], ehat, bundle)
             if not rep.passed:
                 ok = False
-                detail = (f"{kind.value} round {state.round}: "
+                detail = (f"{kind.value} round {run.round}: "
                           f"lhs={rep.lhs:.3e} rhs={rep.rhs:.3e}")
                 break
-            _advance(state, mu, ops)
+            run.advance(mu, ops)
     report(4, "consensus error bound at all 500 rounds x 3 strategies", ok,
            detail or "held everywhere")
 
@@ -205,11 +202,11 @@ def test_criterion_6_single_agent_reduction():
     grace = GraceParams(beta=0.05, p=0.05, b=2, b0=4)
     mu_x, mu_y = 0.01, 0.04
     X, Y = np.ones((1, 1, 2)), np.zeros((1, 1, 2))
-    ref = init_estimator(problem, grace, seeds=(9,),
-                         Z0=np.concatenate([X, Y], axis=2))
+    ref = HandEstimator(problem, grace, seeds=(9,),
+                        Z0=np.concatenate([X, Y], axis=2))
     traj = []
     for _ in range(1000):
-        update_checked(ref, grace, np.concatenate([X, Y], axis=2), problem)
+        update_checked(ref, np.concatenate([X, Y], axis=2))
         X = X - mu_x * ref.M[..., :2]
         Y = Y + mu_y * ref.M[..., 2:]
         traj.append((X.copy(), Y.copy()))
@@ -218,12 +215,12 @@ def test_criterion_6_single_agent_reduction():
         ops = build_strategy(kind, mixing)
         config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                               grace=grace, T=1000, seeds=(9,))
-        state = init_engine(config, problem, x0=np.ones(2))
+        run = HandRun(config, problem, x0=np.ones(2))
         for i in range(1000):
-            step(state, config, problem, ops)
+            step(run, config, problem, ops)
             worst = max(worst,
-                        float(np.max(np.abs(state.Z[..., :2] - traj[i][0]))),
-                        float(np.max(np.abs(state.Z[..., 2:] - traj[i][1]))))
+                        float(np.max(np.abs(run.Z[..., :2] - traj[i][0]))),
+                        float(np.max(np.abs(run.Z[..., 2:] - traj[i][1]))))
     report(6, "K=1 reduces to centralized descent/ascent for all strategies",
            worst <= 1e-12, f"max deviation {worst:.2e}")
 
@@ -249,10 +246,10 @@ def test_criterion_7_estimator_degenerations(ring8, quad8):
     # (c) hand-derived recursion value on grad(x) = x
     hand = grad_x_is_x_problem()
     params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
-    state = init_estimator(hand, params, (0,), np.array([[[1.0, 0.0]]]))
-    state.M[..., 0] = 1.0
-    update_checked(state, params, np.array([[[0.5, 0.0]]]), hand)
-    ok_c = state.M[0, 0, 0] == 0.5
+    est = HandEstimator(hand, params, (0,), np.array([[[1.0, 0.0]]]))
+    est.M[..., 0] = 1.0
+    update_checked(est, np.array([[[0.5, 0.0]]]))
+    ok_c = est.M[0, 0, 0] == 0.5
     report(7, "estimator degenerations (full batch, beta=1, hand recursion)",
            ok_a and ok_b and ok_c, f"a={ok_a} b={ok_b} c={ok_c}")
 

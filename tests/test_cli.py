@@ -97,6 +97,26 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
     assert err == "error: page_offline needs the local sample count N\n"
 
 
+def test_oversized_round_budget_exits_2_before_any_seed_runs(
+        tmp_path, capsys, monkeypatch):
+    """A T whose metric columns numpy cannot index is rejected at set-up,
+    allocating nothing, in a run and in a sweep."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(harness, "run_and_measure", no_run)
+    out = tmp_path / "out"
+    for raw, command in ((dict(CONFIG, T=10**19), ["run"]),
+                         (CONFIG, ["sweep", "--vary", f"T=5,{10**19}"])):
+        argv = command + ["--config", write_config(tmp_path, raw),
+                          "--out", str(out)]
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == (f"error: round budget T={10**19} is too large for "
+                       f"the metric columns\n"), argv
+        assert not out.exists()
+
+
 def test_unconnectable_random_topology_exits_2(tmp_path):
     """A random topology that no draw connects is rejected after a bounded
     number of redraws; the command returns instead of redrawing forever."""

@@ -15,20 +15,20 @@ from decminimax import (
     Topology,
     build_strategy,
     build_transform_bundle,
-    init_engine,
     make_quadratic_problem,
     make_sinpl_problem,
     mixing_for_topology,
     run_and_measure,
 )
 from decminimax import engine, transform
-from decminimax.engine import COLUMNS, DIVERGENCE_CAP, _advance, \
-    _first_failures
-from decminimax.estimator import init_estimator
+from decminimax.engine import COLUMNS, DIVERGENCE_CAP, _first_failures, \
+    advance
+from decminimax.estimator import draw, init_estimator, update_estimator
 
-from conftest import DEFAULT_CHUNK_ROUNDS, PaperRecursion, assert_close, \
-    iterate_errors, random_connected_mixing, reference_run_and_measure, \
-    run_ok, set_chunk_rounds, step, update_checked
+from conftest import DEFAULT_CHUNK_ROUNDS, HandEstimator, HandRun, \
+    PaperRecursion, assert_close, iterate_errors, random_connected_mixing, \
+    reference_run_and_measure, run_ok, set_chunk_rounds, step, \
+    update_checked
 
 ALL_KINDS = list(StrategyKind)
 
@@ -44,27 +44,40 @@ class TestInit:
     def test_identical_models_zero_consensus(self, ring8_lazy, quad_problem):
         config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10)
-        state = init_engine(config, quad_problem, x0=np.ones(3))
-        assert state.Z.shape == (1, 8, 5)
-        assert np.ptp(state.Z, axis=1).max() == 0.0
-        assert np.all(state.Z[..., :3] == 1.0) and np.all(state.Z[..., 3:] == 0.0)
-        assert np.all(state.D == 0.0)
+        series = run_and_measure(config, quad_problem,
+                                 build_strategy(StrategyKind.ED, ring8_lazy),
+                                 x0=np.ones(3))
+        # round 0's row: every agent at x0 = 1, y0 = 0
+        assert series.columns["consensus_sq"][0, 0] == 0.0
+        grad, _ = quad_problem.centroid_metrics(np.r_[np.ones(3), 0.0, 0.0])
+        for name, part in (("grad_x_sq", grad[:3]), ("grad_y_sq", grad[3:])):
+            assert series.columns[name][0, 0] == \
+                pytest.approx(np.sum(part**2), rel=1e-12), name
 
-    def test_dim_mismatch(self, quad_problem):
+    def test_dim_mismatch(self, ring8_lazy, quad_problem):
         config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10)
         with pytest.raises(ConfigError):
-            init_engine(config, quad_problem, x0=np.ones(5))
+            run_and_measure(config, quad_problem,
+                            build_strategy(StrategyKind.ED, ring8_lazy),
+                            x0=np.ones(5))
 
-    def test_online_refresh_without_B_big_fails_before_round_0(self):
+    def test_online_refresh_without_B_big_fails_before_round_0(
+            self, ring4_lazy, monkeypatch):
         # p is small enough that the first chunk of draws may hold no
         # refresh; the missing refresh batch size is caught at set-up
         problem = make_quadratic_problem(K=4, d1=2, d2=2, N=None, sigma=0.1,
                                          seed=0)
         config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0.5, p=0.002), T=5000)
+
+        def no_round(*args):
+            raise AssertionError("a round ran")
+
+        monkeypatch.setattr(engine, "_run_chunk", no_round)
         with pytest.raises(ConfigError, match="B_big"):
-            init_engine(config, problem)
+            run_and_measure(config, problem,
+                            build_strategy(StrategyKind.ED, ring4_lazy))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -86,18 +99,18 @@ class TestStep:
         grace = GraceParams(beta=0.2, p=0.2, b=4, b0=4)
         config = EngineConfig(mu_x=0.003, mu_y=0.01,
                               grace=grace, T=100, seeds=(2,))
-        state = init_engine(config, quad_problem, x0=np.ones(3))
+        run = HandRun(config, quad_problem, x0=np.ones(3))
         mu = config.signed_step(3, 2)
         for _ in range(100):
-            update_checked(state.grace, grace, state.Z, quad_problem)
-            zc = state.Z.mean(axis=1)
-            g = state.grace.M.mean(axis=1)
-            _advance(state, mu, ops)
-            zc_new = state.Z.mean(axis=1)
+            update_checked(run, run.Z)
+            zc = run.Z.mean(axis=1)
+            g = run.M.mean(axis=1)
+            run.advance(mu, ops)
+            zc_new = run.Z.mean(axis=1)
             assert_close(zc_new[:, :3], zc[:, :3] - config.mu_x * g[:, :3],
-                         1e-10, f"x centroid round {state.round}")
+                         1e-10, f"x centroid round {run.round}")
             assert_close(zc_new[:, 3:], zc[:, 3:] + config.mu_y * g[:, 3:],
-                         1e-10, f"y centroid round {state.round}")
+                         1e-10, f"y centroid round {run.round}")
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_dual_average_conserved(self, ring8_lazy, quad_problem, kind):
@@ -105,10 +118,10 @@ class TestStep:
         grace = GraceParams(beta=0.1, p=0.1, b=2, b0=4)
         config = EngineConfig(mu_x=0.002, mu_y=0.01,
                               grace=grace, T=500, seeds=(4,))
-        state = init_engine(config, quad_problem)
+        run = HandRun(config, quad_problem)
         for _ in range(500):
-            step(state, config, quad_problem, ops)
-        assert np.max(np.abs(state.D.sum(axis=1))) <= 1e-9
+            step(run, config, quad_problem, ops)
+        assert np.max(np.abs(run.D.sum(axis=1))) <= 1e-9
 
     def test_zero_steps_freeze(self, ring8_lazy, quad_problem):
         # smallest representable positive step keeps validation happy while
@@ -191,26 +204,25 @@ class TestReduction:
         # reference: centralized descent/ascent driven by the same estimator
         ref_X = np.ones((1, 1, 2))
         ref_Y = np.zeros((1, 1, 2))
-        ref_state = init_estimator(problem, grace, seeds=(9,),
-                                   Z0=np.concatenate([ref_X, ref_Y], axis=2))
+        ref = HandEstimator(problem, grace, seeds=(9,),
+                            Z0=np.concatenate([ref_X, ref_Y], axis=2))
         ref_traj = []
         for _ in range(1000):
-            update_checked(ref_state, grace,
-                           np.concatenate([ref_X, ref_Y], axis=2), problem)
-            ref_X = ref_X - mu_x * ref_state.M[..., :2]
-            ref_Y = ref_Y + mu_y * ref_state.M[..., 2:]
+            update_checked(ref, np.concatenate([ref_X, ref_Y], axis=2))
+            ref_X = ref_X - mu_x * ref.M[..., :2]
+            ref_Y = ref_Y + mu_y * ref.M[..., 2:]
             ref_traj.append((ref_X.copy(), ref_Y.copy()))
 
         for kind in ALL_KINDS:
             ops = build_strategy(kind, mixing)
             config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                                   grace=grace, T=1000, seeds=(9,))
-            state = init_engine(config, problem, x0=np.ones(2))
+            run = HandRun(config, problem, x0=np.ones(2))
             for i in range(1000):
-                step(state, config, problem, ops)
-                assert_close(state.Z[..., :2], ref_traj[i][0], 1e-12,
+                step(run, config, problem, ops)
+                assert_close(run.Z[..., :2], ref_traj[i][0], 1e-12,
                              f"{kind.value} x round {i}")
-                assert_close(state.Z[..., 2:], ref_traj[i][1], 1e-12,
+                assert_close(run.Z[..., 2:], ref_traj[i][1], 1e-12,
                              f"{kind.value} y round {i}")
 
 
@@ -235,24 +247,64 @@ class TestPaperRecursion:
         ops = build_strategy(kind, mixing)
         mu = config.signed_step(d1, d2)
         ref = PaperRecursion(kind, mixing)
-        state = init_engine(config, problem, x0=np.ones(d1))
+        run = HandRun(config, problem, x0=np.ones(d1))
         for i in range(500):
-            update_checked(state.grace, grace, state.Z, problem)
-            Z, M = state.Z[0], state.grace.M[0]
-            D = ref.B_pinv @ state.D[0]
+            update_checked(run, run.Z)
+            Z, M = run.Z[0], run.M[0]
+            D = ref.B_pinv @ run.D[0]
             X, Y, D_x, D_y = ref.step(Z[:, :d1], Z[:, d1:], D[:, :d1],
                                       D[:, d1:], M[:, :d1], M[:, d1:],
                                       config.mu_x, config.mu_y)
-            _advance(state, mu, ops)
+            run.advance(mu, ops)
             want_Z = np.concatenate([X, Y], axis=1)
             want_D = ref.B @ np.concatenate([D_x, D_y], axis=1)
             # relative to the state's largest entry: D gains B^2 Z each
             # round, so its rounding follows the scale of Z
             scale = max(np.max(np.abs(want_Z)), np.max(np.abs(want_D)))
-            assert_close(state.Z[0], want_Z, 1e-12 * scale,
+            assert_close(run.Z[0], want_Z, 1e-12 * scale,
                          f"{kind.value} Z round {i}")
-            assert_close(state.D[0], want_D, 1e-12 * scale,
+            assert_close(run.D[0], want_D, 1e-12 * scale,
                          f"{kind.value} D round {i}")
+
+
+class TestSlotContract:
+    """update_estimator and advance read their inputs and write only
+    their out arrays, so a round reading slot i and writing slot i+1
+    leaves every earlier slot as it was: _Chunk.flush and
+    _first_failures read the chunk's earlier slots after its rounds."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
+    def test_round_writes_only_out(self, ring8_lazy, kind, N):
+        problem = make_quadratic_problem(K=8, d1=3, d2=2, N=N, sigma=0.5,
+                                         seed=5)
+        params = GraceParams(beta=0.3, p=0.5, b=2, B_big=16, b0=4)
+        rng = np.random.default_rng(1)
+        ZD = rng.standard_normal((2, 3, 8, 5))
+        state, M, G = init_estimator(problem, params, (1, 2, 3), ZD[0])
+        mu = rng.uniform(0.001, 0.01, size=M.shape)
+        ops = build_strategy(kind, ring8_lazy)
+        rounds = 8
+        draws = draw(state, params, problem, rounds)
+        # some rounds refresh some replicates, and the rest recurse
+        assert draws.refresh.any() and not draws.refresh.all()
+        held = {"refresh": draws.refresh, "cum_used": draws.cum_used,
+                "mu": mu}
+        if draws.noise is not None:
+            held["noise"] = draws.noise
+        for r in range(rounds):
+            inputs = {"M": M, "G": G, "ZD": ZD, **held}
+            before = {name: a.tobytes() for name, a in inputs.items()}
+            MG = tuple(np.full(M.shape, np.nan) for _ in range(2))
+            update_estimator(M, G, ZD[0], draws, r, params, problem, MG)
+            ZD_out = np.full(ZD.shape, np.nan)
+            inputs["M_new"], before["M_new"] = MG[0], MG[0].tobytes()
+            advance(ZD, MG[0], mu, ops, ZD_out)
+            assert [name for name, a in inputs.items()
+                    if a.tobytes() != before[name]] == [], r
+            # every entry of out is written
+            assert np.isfinite(MG).all() and np.isfinite(ZD_out).all(), r
+            (M, G), ZD = MG, ZD_out
 
 
 class TestRunAndMeasure:
@@ -557,19 +609,19 @@ class TestChunks:
     @pytest.mark.parametrize("case", ["nan_in_Z", "nan_in_D", "Z_past_cap"])
     def test_iterate_errors_read_the_advanced_block(self, ring8_lazy,
                                                     quad_problem, case):
-        # Z and D are written in place by _advance; a scan that read other
-        # storage than theirs would miss the bad entry
+        # advance writes Z and D into its out block; a scan that read other
+        # storage than that would miss the bad entry
         config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10,
                               seeds=(0, 1, 2))
-        state = init_engine(config, quad_problem, x0=np.ones(3))
-        _advance(state, config.signed_step(3, 2),
-                 build_strategy(StrategyKind.ATC_GT, ring8_lazy))
-        assert iterate_errors(state) == {}
-        target = state.D if case == "nan_in_D" else state.Z
+        run = HandRun(config, quad_problem, x0=np.ones(3))
+        run.advance(config.signed_step(3, 2),
+                    build_strategy(StrategyKind.ATC_GT, ring8_lazy))
+        assert iterate_errors(run) == {}
+        target = run.D if case == "nan_in_D" else run.Z
         target[1, 5, 2] = 2 * engine.DIVERGENCE_CAP if case == "Z_past_cap" \
             else np.nan
-        errors = iterate_errors(state)
+        errors = iterate_errors(run)
         assert list(errors) == [1]
         assert str(errors[1]) == (
             "iterate magnitude 2.000e+12 exceeds 1e+12 at round 1"
@@ -579,10 +631,10 @@ class TestChunks:
         config = EngineConfig(mu_x=0.01, mu_y=0.01,
                               grace=GraceParams(beta=0, p=1, b0=4), T=10,
                               seeds=(0, 1))
-        state = init_engine(config, quad_problem)
-        assert iterate_errors(state) == {}
-        state.D[1, 3, 2] = np.nan
-        errors = iterate_errors(state)
+        run = HandRun(config, quad_problem)
+        assert iterate_errors(run) == {}
+        run.D[1, 3, 2] = np.nan
+        errors = iterate_errors(run)
         assert list(errors) == [1]
         assert str(errors[1]) == "non-finite iterate at round 0"
 
@@ -600,13 +652,9 @@ class TestChunkMemory:
     def chunk(S, K, T, bundle=None):
         problem = make_quadratic_problem(K=K, d1=3, d2=2, N=None, sigma=1.0,
                                          seed=0)
-        config = EngineConfig(mu_x=0.01, mu_y=0.01, T=T,
-                              grace=GraceParams(beta=0.5, p=0.0),
-                              seeds=tuple(range(S)))
-        series = engine.MetricsSeries.empty(config.seeds, T,
+        series = engine.MetricsSeries.empty(tuple(range(S)), T,
                                             bundle is not None)
-        return engine._Chunk(series, problem, bundle,
-                             init_engine(config, problem), T)
+        return engine._Chunk(series, problem, bundle, (S, K, 5), T)
 
     @pytest.mark.parametrize("S, K, rounds", [(8, 8, 32), (2, 96, 32),
                                               (128, 8, 25), (2, 1024, 12)],

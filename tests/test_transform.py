@@ -11,16 +11,14 @@ from decminimax import (
     build_strategy,
     build_transform_bundle,
     coupled_error_norms,
-    init_engine,
     make_quadratic_problem,
     mixing_for_topology,
 )
-from decminimax.engine import _advance
 from decminimax.mixing import MixingMatrix
 from decminimax.strategies import mode_values
 
-from conftest import assert_close, check_consensus_bound, matrix_of, \
-    mode_blocks, mode_first, random_connected_mixing, \
+from conftest import HandRun, assert_close, check_consensus_bound, \
+    matrix_of, mode_blocks, mode_first, random_connected_mixing, \
     reference_coupled_error_norms, update_checked
 
 CLOSED_FORM_STRATEGIES = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
@@ -418,14 +416,14 @@ class TestCoupledError:
         config = EngineConfig(mu_x=0.005, mu_y=0.02,
                               grace=grace, T=200, seeds=(3,))
         mu = config.signed_step(3, 2)
-        state = init_engine(config, quad_problem, x0=np.ones(3))
+        run = HandRun(config, quad_problem, x0=np.ones(3))
         for _ in range(200):
-            update_checked(state.grace, grace, state.Z, quad_problem)
-            ehat = coupled_error_norms(state.Z[0], mu * state.grace.M[0],
-                                       state.D[0], bundle)
-            report = check_consensus_bound(state.Z[0], ehat, bundle)
-            assert report.passed, (state.round, report.lhs, report.rhs)
-            _advance(state, mu, ops)
+            update_checked(run, run.Z)
+            ehat = coupled_error_norms(run.Z[0], mu * run.M[0], run.D[0],
+                                       bundle)
+            report = check_consensus_bound(run.Z[0], ehat, bundle)
+            assert report.passed, (run.round, report.lhs, report.rhs)
+            run.advance(mu, ops)
 
 
 class TestTransformedRecursion:
@@ -457,24 +455,24 @@ class TestTransformedRecursion:
         config = EngineConfig(mu_x=0.01, mu_y=0.02, grace=grace, T=300,
                               seeds=(0, 1))
         mu = config.signed_step(3, 2)
-        state = init_engine(config, problem)
+        run = HandRun(config, problem)
 
         def read():
             """ehat per mode, (S, K-1, 2, d), and U_hat^T (mu M)."""
-            update_checked(state.grace, grace, state.Z, problem)
-            muM = mu * state.grace.M
-            ehat = coupled_error_norms(state.Z, muM, state.D, bundle)
+            update_checked(run, run.Z)
+            muM = mu * run.M
+            ehat = coupled_error_norms(run.Z, muM, run.D, bundle)
             return np.moveaxis(ehat, 2, 0), bundle.U_hat.T @ muM
 
         ehat, proj_m = read()
         gain = (bundle.Lam_a / bundle.Lam_b)[:, None]
         for _ in range(config.T):
-            _advance(state, mu, ops)
+            run.advance(mu, ops)
             ehat_next, proj_next = read()
             drive = np.stack([np.zeros_like(proj_m),
                               gain * (proj_next - proj_m)], axis=-2)
             want = bundle.T_mat @ ehat + bundle.Q_inv @ drive / bundle.tau
             resid = np.abs(ehat_next - want).max(axis=(1, 2, 3))
             assert np.all(resid <= self.TOL * np.abs(ehat_next).max(
-                axis=(1, 2, 3))), (state.round, resid)
+                axis=(1, 2, 3))), (run.round, resid)
             ehat, proj_m = ehat_next, proj_next
