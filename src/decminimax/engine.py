@@ -23,12 +23,14 @@ The round state is a chunk's slot arrays and nothing else (_Chunk): round
 i of a chunk reads its iterates, estimates and gradients from slot i and
 writes the next ones into slot i+1, and no round writes what it reads,
 so the scan and the columns can read every slot after the rounds. A
-chunk draws its random numbers at once (estimator.draw), runs its
-rounds, and one batched pass evaluates every column from the slots. None of this shows in the output: every
-operation acts on each replicate's (K, d) slice of each round alone, and
-the chunked draws equal the round-by-round ones, so a seed's numbers are
-the same whatever other seeds share its batch and whatever the chunk
-size. A chunk is sized in rounds (CHUNK_ROUNDS, fewer for a short run or
+round allocates nothing: its slot views, the problem's gradient kernel
+and the scratch of its intermediates are bound once per run. A chunk
+draws its random numbers at once (estimator.draw), runs its rounds, and
+one batched pass evaluates every column from the slots. None of this
+shows in the output: every operation acts on each replicate's (K, d)
+slice of each round alone, and the chunked draws equal the round-by-round
+ones, so a seed's numbers are the same whatever other seeds share its
+batch and whatever the chunk size. A chunk is sized in rounds (CHUNK_ROUNDS, fewer for a short run or
 a large batch), so many rounds share its fixed cost, and the transform
 diagnostics evaluate it in sub-blocks of bounded size (_chunk_rounds).
 The batch keeps its shape for the whole run. A chunk runs once,
@@ -147,19 +149,27 @@ def _start_row(problem, x0, y0) -> np.ndarray:
     return np.concatenate([x0, y0])
 
 
-def advance(ZD: np.ndarray, M: np.ndarray, mu: np.ndarray, ops: StrategyOps,
-            out: np.ndarray) -> None:
+def advance(ZD, M: np.ndarray, mu: np.ndarray, ops: StrategyOps, out,
+            scratch) -> None:
     """Primal and dual updates of the iterates and duals ZD, a
-    (2, S, K, d1+d2) block, with the gradient estimates M, written into
-    out, a block of ZD's shape; no input is written. mu is the signed
-    step (EngineConfig.signed_step), or a copy of it per replicate and
-    agent, (S, K, d1+d2), as run_and_measure passes it. An A or C that is
-    None (equal to I) is skipped, not multiplied."""
+    (2, S, K, d1+d2) block or a pair of (S, K, d1+d2) blocks, with the
+    gradient estimates M, written into out, a block or pair like ZD; no
+    input is written. mu is the signed step (EngineConfig.signed_step),
+    or a copy of it per replicate and agent, (S, K, d1+d2), as
+    run_and_measure passes it. scratch is a pair of arrays of M's shape
+    that take mu M and the A, C and B^2 products: the advance writes each
+    before it reads it, so what they held before the call reaches no
+    output, and it allocates nothing. An A or C that is None (equal to
+    I) is skipped, not multiplied."""
     Z, D = ZD
-    step = mu * M
-    np.subtract(Z if ops.C is None else ops.C @ Z, step, out=step)
-    np.subtract(step if ops.A is None else ops.A @ step, D, out=out[0])
-    np.add(D, ops.B2 @ out[0], out=out[1])
+    Z_out, D_out = out
+    step, prod = scratch
+    np.multiply(mu, M, out=step)
+    np.subtract(Z if ops.C is None else np.matmul(ops.C, Z, out=prod), step,
+                out=step)
+    np.subtract(step if ops.A is None else np.matmul(ops.A, step, out=prod),
+                D, out=Z_out)
+    np.add(D, np.matmul(ops.B2, Z_out, out=prod), out=D_out)
 
 
 class _Chunk:
@@ -168,14 +178,19 @@ class _Chunk:
     i-th round in slot i; M and G, (R+1, S, K, d1+d2), hold the estimates
     and gradients of the round before the chunk in slot 0. Round i reads
     slot i and writes slot i+1, through the views in slots, built once
-    here, and at the chunk's end slot R moves to slot 0. flush evaluates
-    every column of the chunk's rounds in one batched pass over the
-    slots, writing its (R, S, K, d1+d2) intermediates over slots it has
-    read. With a transform bundle, X holds the agent-first block that
-    coupled_error_norms copies a sub-block of the chunk's iterates, steps
-    and duals into, K by 3 by the sub-block's R' S (d1+d2) entries per
-    agent, padded to whole panels; it is allocated here once, and flush
-    reads ehat from it."""
+    here, and at the chunk's end slot R moves to slot 0. Everything else
+    a round uses is bound here once too, so a round allocates nothing:
+    the problem's gradient kernel (grads), which reads and writes flat
+    (S K, d1+d2) views of the slots, and scratch, two (S, K, d1+d2)
+    arrays, one for mu M and one for the A, C and B^2 products, which
+    holds g + noise earlier in the round, while the estimator updates.
+    flush evaluates every column of the chunk's rounds in one batched
+    pass over the slots, writing its (R, S, K, d1+d2) intermediates over
+    slots it has read. With a transform bundle, X holds the agent-first
+    block that coupled_error_norms copies a sub-block of the chunk's
+    iterates, steps and duals into, K by 3 by the sub-block's R' S
+    (d1+d2) entries per agent, padded to whole panels; it is allocated
+    here once, and flush reads ehat from it."""
 
     def __init__(self, series: MetricsSeries, problem,
                  bundle: TransformBundle | None, shape: tuple, T: int):
@@ -186,10 +201,18 @@ class _Chunk:
         self.M, self.G = np.empty(slots), np.empty(slots)
         if bundle is not None:
             self.X = projection_buffer((self.diag_rounds,) + shape)
-        # round i reads ZD, its Z, M and G at slot i and writes ZD, M and
-        # G at slot i+1
-        self.slots = [(self.ZD[:, i], self.ZD[0, i], self.M[i], self.G[i],
-                       self.ZD[:, i + 1], (self.M[i + 1], self.G[i + 1]))
+        self.grads = problem.gradient_kernel(shape)
+        self.scratch = tuple(np.empty((2,) + shape))
+
+        def rows(a):
+            return a.reshape(-1, shape[-1])
+
+        # round i reads Z and D, M and G at slot i and writes G, M, Z and
+        # D at slot i+1, the gradient kernel through the rows of Z and G
+        Z, D = self.ZD
+        self.slots = [((Z[i], D[i]), self.M[i], self.G[i], rows(Z[i]),
+                       rows(self.G[i + 1]), self.G[i + 1], self.M[i + 1],
+                       (Z[i + 1], D[i + 1]))
                       for i in range(self.rounds)]
 
     def flush(self, start: int, n: int, mu: np.ndarray,
@@ -209,9 +232,10 @@ class _Chunk:
             np.subtract(M, spent, out=spent), out=spent)
         z_c = agent_mean(Z)
         grad, delta_c = self.problem.centroid_metrics(z_c)
+        grad_sq = np.square(grad, out=grad)
         cols = {
-            "grad_x_sq": np.sum(grad[..., :d1] ** 2, axis=-1),
-            "grad_y_sq": np.sum(grad[..., d1:] ** 2, axis=-1),
+            "grad_x_sq": grad_sq[..., :d1].sum(-1),
+            "grad_y_sq": grad_sq[..., d1:].sum(-1),
             "delta_c": delta_c,
             "est_err_sq": est_err,
             "est_err_avg_sq": est_err_avg,
@@ -227,11 +251,13 @@ class _Chunk:
                 ehat = coupled_error_norms(Z[part], muM[part], D[part],
                                            self.bundle, out=self.X)
                 e = ehat.reshape(-1, sq[part].size)
-                sq[part] = np.einsum("jx,jx->x", e, e).reshape(sq[part].shape)
-            cols["ehat_x_sq"] = np.sum(sq[..., :d1], axis=-1)
-            cols["ehat_y_sq"] = np.sum(sq[..., d1:], axis=-1)
+                np.einsum("jx,jx->x", e, e, out=sq[part].reshape(-1))
+            cols["ehat_x_sq"] = sq[..., :d1].sum(-1)
+            cols["ehat_y_sq"] = sq[..., d1:].sum(-1)
         dev = np.subtract(Z, z_c[:, :, None], out=D)
-        cols["consensus_sq"] = np.sum(np.square(dev, out=dev), axis=(2, 3))
+        # the squares of a replicate's (K, d1+d2) block are contiguous
+        cols["consensus_sq"] = np.square(dev, out=dev).reshape(
+            dev.shape[:2] + (-1,)).sum(-1)
         span = slice(start, start + n)
         for name, values in cols.items():
             self.series.columns[name][:, span] = values.T
@@ -244,27 +270,33 @@ def _chunk_rounds(shape, T: int) -> tuple:
     rounds, but no more than the run's T+1 rounds and no more than
     CHUNK_MAX_BYTES per slot array, and at least 1. A chunk of R rounds
     holds 4 (R+1) blocks, ZD's two slot arrays, M and G, so at most about
-    4 CHUNK_MAX_BYTES. The diagnostics evaluate it in sub-blocks of
-    DIAG_BYTES per slot array, between 1 and R rounds, and their
-    agent-first block holds 3 blocks per round of a sub-block, about
-    3 DIAG_BYTES whatever R is."""
+    4 CHUNK_MAX_BYTES, beside a fixed d+3 blocks whatever R is: two of
+    round scratch and the gradient kernel's tiles of H and c. The
+    diagnostics evaluate it in sub-blocks of DIAG_BYTES per slot array,
+    between 1 and R rounds, and their agent-first block holds 3 blocks
+    per round of a sub-block, about 3 DIAG_BYTES whatever R is."""
     block = 8 * int(np.prod(shape))
     rounds = max(1, min(CHUNK_ROUNDS, T + 1, CHUNK_MAX_BYTES // block))
     return rounds, max(1, min(rounds, DIAG_BYTES // block))
 
 
 def _run_chunk(chunk: _Chunk, draws: Draws, mu: np.ndarray,
-               ops: StrategyOps, params: GraceParams, problem,
-               advances: int) -> None:
+               ops: StrategyOps, params: GraceParams, advances: int) -> None:
     """Run the chunk's rounds from slot 0, one per round of the draws,
     advancing only the first `advances`: the last round of the run
-    updates its estimates and stops. No round is checked."""
-    for r, (ZD, Z, M, G, ZD_out, MG_out) in enumerate(
+    updates its estimates and stops. A round evaluates the exact
+    gradients at its iterates, updates the estimates and advances, on
+    the views, kernel and scratch the chunk bound. No round is checked."""
+    grads = chunk.grads
+    scratch = chunk.scratch
+    fresh = scratch[1]
+    for r, (ZD, M, G, Z_rows, g_rows, g, M_out, ZD_out) in enumerate(
             chunk.slots[:len(draws.any_refresh)]):
-        update_estimator(M, G, Z, draws, r, params, problem, MG_out)
+        grads(Z_rows, g_rows)
+        update_estimator(M, G, g, draws, r, params, M_out, fresh)
         if r == advances:
             return
-        advance(ZD, MG_out[0], mu, ops, ZD_out)
+        advance(ZD, M_out, mu, ops, ZD_out, scratch)
 
 
 def _first_failures(ZD: np.ndarray, M: np.ndarray, start: int,
@@ -338,7 +370,8 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
     not failed before, and a replicate that failed in the chunk has its
     iterate slots zeroed from its failing round on and its estimate and
     gradient slots from the next, so the chunk's columns are evaluated,
-    under the caller's error state, from finite numbers only.
+    under the caller's error state, from finite numbers only; a finite
+    entry whose square overflows gives inf there, silently.
     """
     z0 = _start_row(problem, x0, y0)
     S = len(config.seeds)
@@ -358,7 +391,7 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
         advances = min(n, config.T - start)
         with np.errstate(all="ignore"):
             draws = draw(grace, config.grace, problem, n)
-            _run_chunk(chunk, draws, mu, ops, config.grace, problem, advances)
+            _run_chunk(chunk, draws, mu, ops, config.grace, advances)
             ZD, M = chunk.ZD[:, 1:advances + 1], chunk.M[1:n + 1]
             # a NaN propagates through max and min and fails the
             # comparison; neither makes a temporary of the slots
@@ -372,7 +405,10 @@ def run_and_measure(config: EngineConfig, problem, ops: StrategyOps,
             slot = exc.round_index - start
             chunk.ZD[:, slot:, i] = 0.0
             chunk.M[slot + 1:, i] = chunk.G[slot + 1:, i] = 0.0
-        chunk.flush(start, n, mu, draws.cum_used)
+        # a finite entry whose square overflows gives inf, silently, as in
+        # estimator_error
+        with np.errstate(over="ignore"):
+            chunk.flush(start, n, mu, draws.cum_used)
         for i in errors:
             mu[i] = 0.0
         start += n

@@ -39,11 +39,13 @@ The noise is held round-major, (R, S, K, d1+d2), so a round's block is
 contiguous, and the cumulative sample counts of every drawn round are
 summed once per draw. Draws of R rounds equal the same rounds drawn one
 by one, so they do not depend on how the rounds are grouped. One array
-step per round (update_estimator) reads the estimates, gradients and
-iterates of a round and writes the next estimates and gradients into
-the caller's arrays, and in a round where some replicate refreshes,
-those replicates take their fresh estimate instead, so a replicate's
-numbers do not depend on the other replicates in its batch.
+step per round (update_estimator) reads the estimates and gradients of
+the last update and the exact gradients at the round's iterates, which
+the caller evaluates, and writes the next estimates into the caller's
+array, through the caller's scratch, so it allocates nothing; in a
+round where some replicate refreshes, those replicates take their fresh
+estimate instead, so a replicate's numbers do not depend on the other
+replicates in its batch.
 """
 
 from dataclasses import dataclass
@@ -146,35 +148,35 @@ def draw(state: GraceState, params: GraceParams, problem,
     return Draws(refresh, refresh.any(axis=0).tolist(), cum_used, noise)
 
 
-def update_estimator(M: np.ndarray, G: np.ndarray, Z: np.ndarray,
-                     draws: Draws, r: int, params: GraceParams, problem,
-                     out) -> None:
-    """One estimator round at the current iterates Z (S, K, d1+d2), from
-    the estimates M and the exact gradients G of the last update, the
-    previous-iterate gradients of the recursion: round r of the draws
-    switches each replicate between refresh and recursion. The new
-    estimates and the exact gradients at Z are written into
-    out = (M_new, G_new), two C-contiguous (S, K, d1+d2) arrays; no
-    input is written. Whether the new estimates are finite is the
-    caller's check.
+def update_estimator(M: np.ndarray, G: np.ndarray, g: np.ndarray,
+                     draws: Draws, r: int, params: GraceParams, out: np.ndarray,
+                     fresh: np.ndarray) -> None:
+    """One estimator round, from the estimates M and the exact gradients
+    G of the last update, the previous-iterate gradients of the
+    recursion, and the exact gradients g at the current iterates, all
+    (S, K, d1+d2): round r of the draws switches each replicate between
+    refresh and recursion. The new estimates are written into out, a
+    C-contiguous array of M's shape; no input is written. fresh, an
+    array of M's shape, is scratch that the round writes before it reads
+    it, so what it held before the call reaches no output. Whether the
+    new estimates are finite is the caller's check.
     """
-    M_new, G_new = out
-    g = problem.exact_grads_block(Z, out=G_new)
-    # M = (1 - beta) * (M - (G + noise)) + fresh, where fresh = g + noise,
-    # with G + noise formed in M_new; draws that hold no noise skip the
+    # out = (1 - beta) * (M - (G + noise)) + fresh, where fresh = g + noise,
+    # with G + noise formed in out; draws that hold no noise skip the
     # adds of zero, with the same bits up to the sign of a zero
-    fresh = g
-    if draws.noise is not None:
+    if draws.noise is None:
+        fresh = g
+    else:
         noise = draws.noise[r]
-        fresh = g + noise
-        G = np.add(G, noise, out=M_new)
-    np.subtract(M, G, out=M_new)
+        np.add(g, noise, out=fresh)
+        G = np.add(G, noise, out=out)
+    np.subtract(M, G, out=out)
     # at beta = 0 the factor is 1, which changes no bit
     if params.beta != 0.0:
-        np.multiply(M_new, 1.0 - params.beta, out=M_new)
-    np.add(M_new, fresh, out=M_new)
+        np.multiply(out, 1.0 - params.beta, out=out)
+    np.add(out, fresh, out=out)
     if draws.any_refresh[r]:
-        np.copyto(M_new, fresh, where=draws.refresh[:, r, None, None])
+        np.copyto(out, fresh, where=draws.refresh[:, r, None, None])
 
 
 def agent_mean(x: np.ndarray) -> np.ndarray:
@@ -192,5 +194,8 @@ def estimator_error(err: np.ndarray, out=None):
     may be err itself, if given. An error that is finite but whose square
     overflows gives inf, silently."""
     with np.errstate(over="ignore"):
-        avg_sq = np.sum(agent_mean(err)**2, axis=-1)
-        return np.sum(np.square(err, out=out), axis=(-2, -1)), avg_sq
+        avg = agent_mean(err)
+        avg_sq = np.sum(np.square(avg, out=avg), axis=-1)
+        sq = np.square(err, out=out)
+        # a block's squares are contiguous in a C-contiguous sq
+        return sq.reshape(sq.shape[:-2] + (-1,)).sum(-1), avg_sq

@@ -14,10 +14,13 @@ Two instances:
 Every array method takes the iterates as one block z = [x | y] of width
 d1 + d2, with any leading batch axes, (..., K, d1+d2), so one call serves
 a whole batch of seed replicates and returns gradients [grad_x | grad_y]
-in the same layout. centroid_metrics gives the metrics at the network
-centroid in closed form: the gradient of the network objective there
-(Hbar z_c + cbar for the quadratics, from the agents' mean Hessian and
-linear term) and the envelope gap max_y J(x_c, y) - J(x_c, y_c).
+in the same layout; gradient_kernel binds the gradients for one batch
+shape, once, to a function of the batch's flat (S K, d1+d2) rows that
+allocates nothing, which the engine calls every round. centroid_metrics
+gives the metrics at the network centroid in closed form: the gradient
+of the network objective there (Hbar z_c + cbar for the quadratics, from
+the agents' mean Hessian and linear term) and the envelope gap
+max_y J(x_c, y) - J(x_c, y_c).
 """
 
 from dataclasses import dataclass
@@ -45,7 +48,7 @@ class QuadraticMinimaxProblem:
     def __init__(self, Q, R, S, a, b, samples, sigma, seed):
         # the blocks are read-only copies, like every array derived from
         # them below, so a write cannot leave the cached constants, H and
-        # c and the tile of H that exact_grads_block keeps stale
+        # c and the tiles of a gradient kernel stale
         Q, R, S, a, b = map(_read_only, (Q, R, S, a, b))
         self.Q = Q  # (K, d1, d1)
         self.R = R  # (K, d1, d2)
@@ -69,11 +72,9 @@ class QuadraticMinimaxProblem:
         nu = float(np.min(np.linalg.eigvalsh(self.Sbar)))
         if nu <= 0:
             raise ConfigError(f"mean S block must be positive definite (nu={nu:.3e})")
-        # the gradient in z = [x | y] is H_k z + c_k; exact_grads_block
-        # keeps H itself as its tile until a batched call
+        # the gradient in z = [x | y] is H_k z + c_k
         self.H = _read_only(np.block([[Q, R], [R.transpose(0, 2, 1), -S]]))
         self.c = _read_only(np.concatenate([a, b], axis=1))
-        self._Ht = self.H
         # the gradient of the network objective J = mean_k J_k
         self.Hbar = _read_only(self.H.mean(axis=0))
         self.cbar = _read_only(self.c.mean(axis=0))
@@ -86,28 +87,38 @@ class QuadraticMinimaxProblem:
 
     def exact_grads_block(self, Z, out=None):
         """Every agent's gradient [grad_x | grad_y] at Z (..., K, d1+d2),
-        written into out, a C-contiguous array of Z's shape, when given.
-
-        H is tiled over Z's leading axes into one contiguous
-        (..., K, d, d) block, built at the first call with a new shape and
-        kept on the problem until a call with another; a run calls with
-        one shape, so it builds one tile of S K d^2 floats. The products
-        are one einsum over the rows with a contiguous inner loop, and
-        each row has the bits of the broadcast einsum over H. It is an
-        einsum, not a BLAS product: BLAS over the batch would make a
-        seed's bytes depend on the batch size. H and c are fixed at
-        construction, so the tile never goes stale.
-        """
+        written into out, a C-contiguous array of Z's shape, when given:
+        one call of a gradient_kernel bound for Z's shape."""
         d = Z.shape[-1]
-        if self._Ht.shape[:-2] != Z.shape[:-1]:
-            self._Ht = np.ascontiguousarray(
-                np.broadcast_to(self.H, Z.shape[:-1] + (d, d)))
         if out is None:
             out = np.empty(Z.shape)
-        np.einsum("nij,nj->ni", self._Ht.reshape(-1, d, d),
-                  Z.reshape(-1, d), out=out.reshape(-1, d))
-        out += self.c
+        self.gradient_kernel(Z.shape)(Z.reshape(-1, d), out.reshape(-1, d))
         return out
+
+    def gradient_kernel(self, shape):
+        """A function grads(Z, out) that writes every agent's gradient at
+        the iterates Z into out, both the flat (n, d) rows of
+        C-contiguous (..., K, d) blocks of this shape, d = d1+d2.
+
+        H and c are tiled over the leading axes here, once, into
+        contiguous (n, d, d) and (n, d) blocks, S K d^2 and S K d floats
+        for a run's (S, K, d), so a call allocates nothing: one einsum
+        over the rows with a contiguous inner loop, whose rows have the
+        bits of the broadcast einsum over H, and one add of the tile of
+        c, which an in-place add of c by broadcast would buffer. It is
+        an einsum, not a BLAS product: BLAS over the batch would make a
+        seed's bytes depend on the batch size. H and c are fixed at
+        construction, so the tiles never go stale.
+        """
+        d = shape[-1]
+        Ht = np.broadcast_to(self.H, tuple(shape[:-1]) + (d, d)).reshape(
+            -1, d, d)
+        ct = np.broadcast_to(self.c, shape).reshape(-1, d)
+
+        def grads(Z, out):
+            np.einsum("nij,nj->ni", Ht, Z, out=out)
+            np.add(out, ct, out=out)
+        return grads
 
     def centroid_metrics(self, z_c):
         """(grad, delta_c) at centroids z_c (..., d1+d2).
@@ -118,7 +129,7 @@ class QuadraticMinimaxProblem:
         """
         grad = np.einsum("ij,...j->...i", self.Hbar, z_c) + self.cbar
         v = np.einsum("ij,...j->...i", self.Linv, grad[..., self.d1:])
-        return grad, 0.5 * np.sum(v**2, axis=-1)
+        return grad, 0.5 * np.sum(np.square(v, out=v), axis=-1)
 
     def objective(self, x, y):
         """Global objective J(x, y) = mean_k J_k(x, y)."""
@@ -201,6 +212,16 @@ class SinPLProblem:
         gy = (3 * np.sin(x) ** 2 - 10) * np.sin(2 * y) - 8 * y + self.cy
         return np.stack([gx, gy], axis=-1, out=out)
 
+    def gradient_kernel(self, shape):
+        """A function grads(Z, out) that writes exact_grads_block at the
+        iterates Z into out, both the flat (n, 2) rows of C-contiguous
+        (..., K, 2) blocks of this shape."""
+        blocks = (-1,) + tuple(shape[-2:])
+
+        def grads(Z, out):
+            self.exact_grads_block(Z.reshape(blocks), out=out.reshape(blocks))
+        return grads
+
     def centroid_metrics(self, z_c):
         """(grad, delta_c) at centroids z_c = [x_c | y_c] of shape (..., 2).
 
@@ -240,12 +261,16 @@ def _gaussian_noise(rngs, K, d1, d2, sigma, batch):
     sizes in batch (S, R), from one (R, K, d1+d2) Gaussian block per
     generator; the x and y sides each have total variance sigma^2 / size,
     and a round of size 0 has zero noise. The block is drawn also when
-    sigma = 0 or a size is 0, so the stream position depends on neither."""
+    sigma = 0 or a size is 0, so the stream position depends on neither.
+    Each generator fills its slice of the (S, R, K, d1+d2) output, which
+    is scaled in place."""
     batch = np.asarray(batch)
-    z = np.stack([rng.standard_normal((batch.shape[1], K, d1 + d2))
-                  for rng in rngs])
+    z = np.empty(batch.shape + (K, d1 + d2))
+    for rng, block in zip(rngs, z):
+        rng.standard_normal(out=block)
     n = np.repeat([d1, d2], [d1, d2]) * batch[..., None, None]
-    return z * np.divide(sigma, np.sqrt(n), out=np.zeros(n.shape), where=n > 0)
+    return np.multiply(z, np.divide(sigma, np.sqrt(n), out=np.zeros(n.shape),
+                                    where=n > 0), out=z)
 
 
 # -- constructors ---------------------------------------------------------

@@ -259,18 +259,19 @@ class HandRun(HandEstimator):
 
     def advance(self, mu, ops):
         out = np.empty_like(self.ZD)
-        advance(self.ZD, self.M, mu, ops, out)
+        advance(self.ZD, self.M, mu, ops, out, np.empty_like(self.ZD))
         self.ZD = out
         self.round += 1
 
 
 def update_unchecked(est, Z, draws, r):
     """update_estimator of est at iterates Z with round r of draws, into
-    new arrays that replace est.M and est.G."""
-    out = (np.empty_like(est.M), np.empty_like(est.G))
-    assert update_estimator(est.M, est.G, Z, draws, r, est.params,
-                            est.problem, out) is None
-    est.M, est.G = out
+    new arrays that replace est.M and est.G: the new G holds the exact
+    gradients at Z."""
+    g, out = est.problem.exact_grads_block(Z), np.empty_like(est.M)
+    assert update_estimator(est.M, est.G, g, draws, r, est.params, out,
+                            np.empty_like(est.M)) is None
+    est.M, est.G = out, g
 
 
 def update_checked(est, Z):

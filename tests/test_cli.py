@@ -157,6 +157,30 @@ def test_run_with_overflowing_estimates_prints_only_its_warning(tmp_path):
         "warning: 2 seed(s) diverged ([1, 2])\n")
 
 
+def test_run_with_overflowing_metric_squares_prints_only_its_warning(
+        tmp_path):
+    """A start point whose squares overflow in the metric columns of round
+    0 (the centroid gradient, the gap and the consensus deviation): the
+    seed diverges at round 1, and stderr holds the run's own lines, the
+    binding condition and the warning, and no numpy one."""
+    raw = dict(CONFIG, topology={"kind": "ring", "K": 8},
+               problem=dict(CONFIG["problem"], d1=3), seeds=[0],
+               x0=[1e200, 0, 0])
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "decminimax.cli", "run", "--config",
+         write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "binding condition: mu_y <= (1-rho) lam_b/(sqrt(620) L_f v1 v2 "
+        "lam_a) (margin 0.00890422)\n"
+        "warning: 1 seed(s) diverged ([0])\n")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert list(summary["seeds_failed"]) == ["0"]
+
+
 def test_run_diverging_inside_a_chunk_prints_only_its_warning(tmp_path):
     """Every seed passes the cap at round 8 of the first chunk, and
     unfrozen its iterates would overflow later in the same chunk (tiny

@@ -1,6 +1,7 @@
 import collections
 import functools
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -268,10 +269,13 @@ class TestPaperRecursion:
 
 
 class TestSlotContract:
-    """update_estimator and advance read their inputs and write only
-    their out arrays, so a round reading slot i and writing slot i+1
-    leaves every earlier slot as it was: _Chunk.flush and
-    _first_failures read the chunk's earlier slots after its rounds."""
+    """The gradient kernel, update_estimator and advance read their inputs
+    and write only their out arrays and their scratch, so a round reading
+    slot i and writing slot i+1 leaves every earlier slot as it was:
+    _Chunk.flush and _first_failures read the chunk's earlier slots after
+    its rounds. The scratch carries nothing from one round to the next:
+    what it holds when a round begins reaches none of the round's
+    outputs."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("N", [None, 64], ids=["online", "offline"])
@@ -284,6 +288,8 @@ class TestSlotContract:
         state, M, G = init_estimator(problem, params, (1, 2, 3), ZD[0])
         mu = rng.uniform(0.001, 0.01, size=M.shape)
         ops = build_strategy(kind, ring8_lazy)
+        grads = problem.gradient_kernel(M.shape)
+        scratch = np.zeros((2,) + M.shape)
         rounds = 8
         draws = draw(state, params, problem, rounds)
         # some rounds refresh some replicates, and the rest recurse
@@ -293,18 +299,40 @@ class TestSlotContract:
         if draws.noise is not None:
             held["noise"] = draws.noise
         for r in range(rounds):
-            inputs = {"M": M, "G": G, "ZD": ZD, **held}
-            before = {name: a.tobytes() for name, a in inputs.items()}
-            MG = tuple(np.full(M.shape, np.nan) for _ in range(2))
-            update_estimator(M, G, ZD[0], draws, r, params, problem, MG)
-            ZD_out = np.full(ZD.shape, np.nan)
-            inputs["M_new"], before["M_new"] = MG[0], MG[0].tobytes()
-            advance(ZD, MG[0], mu, ops, ZD_out)
-            assert [name for name, a in inputs.items()
-                    if a.tobytes() != before[name]] == [], r
-            # every entry of out is written
-            assert np.isfinite(MG).all() and np.isfinite(ZD_out).all(), r
-            (M, G), ZD = MG, ZD_out
+            outs = []
+            # the scratch as the last round left it, then all NaN
+            for fill in (None, np.nan):
+                if fill is not None:
+                    scratch.fill(fill)
+                inputs = {"M": M, "G": G, "ZD": ZD, **held}
+                before = {name: a.tobytes() for name, a in inputs.items()}
+                g, M_new = np.full((2,) + M.shape, np.nan)
+                grads(ZD[0].reshape(-1, 5), g.reshape(-1, 5))
+                inputs["g"], before["g"] = g, g.tobytes()
+                update_estimator(M, G, g, draws, r, params, M_new,
+                                 scratch[1])
+                ZD_out = np.full(ZD.shape, np.nan)
+                inputs["M_new"], before["M_new"] = M_new, M_new.tobytes()
+                advance(ZD, M_new, mu, ops, ZD_out, scratch)
+                assert [name for name, a in inputs.items()
+                        if a.tobytes() != before[name]] == [], r
+                # every entry of out is written
+                assert np.isfinite(g).all() and np.isfinite(M_new).all() \
+                    and np.isfinite(ZD_out).all(), r
+                outs.append([a.tobytes() for a in (g, M_new, ZD_out)])
+            assert outs[0] == outs[1], r
+            M, G, ZD = M_new, g, ZD_out
+
+
+def counted_gradients(monkeypatch, problem, count):
+    """Call count() at every call of a gradient kernel the problem binds:
+    once per gradient evaluation, exact_grads_block's and each round's."""
+    bind = problem.gradient_kernel
+
+    def counted(shape):
+        grads = bind(shape)
+        return lambda Z, out: count() or grads(Z, out)
+    monkeypatch.setattr(problem, "gradient_kernel", counted)
 
 
 class TestRunAndMeasure:
@@ -327,10 +355,7 @@ class TestRunAndMeasure:
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=16, sigma=0.5,
                                          seed=5)
         calls = []
-        block = problem.exact_grads_block
-        monkeypatch.setattr(problem, "exact_grads_block",
-                            lambda Z, out=None: calls.append(1)
-                            or block(Z, out=out))
+        counted_gradients(monkeypatch, problem, lambda: calls.append(1))
         grace = GraceParams(beta=0.1, p=0.2, b=2, b0=4)
         ops = build_strategy(StrategyKind.ED, ring8_lazy)
         bundle = build_transform_bundle(ops.kind, ring8_lazy)
@@ -688,6 +713,45 @@ class TestChunkMemory:
             sizes.add(chunk.X.nbytes)
         assert sizes == {transform.projection_buffer((8, 2, 96, 5)).nbytes}
 
+    @pytest.mark.parametrize("kind, N, p", [
+        (StrategyKind.ED, None, 0.0), (StrategyKind.ED, 64, 0.2),
+        (StrategyKind.EXTRA, 64, 0.2)],
+        ids=["online_storm", "offline_refresh", "extra"])
+    def test_rounds_allocate_no_block(self, ring8_lazy, kind, N, p):
+        """The rounds of a warmed chunk at S=64, K=8, d=5, where one
+        (S, K, d) block is 20480 bytes, allocate less than one block
+        between them: online STORM with noise, offline with refreshes and
+        EXTRA, whose C product the ED rows skip."""
+        S, shape = 64, (64, 8, 5)
+        block = 8 * int(np.prod(shape))
+        problem = make_quadratic_problem(K=8, d1=3, d2=2, N=N, sigma=0.5,
+                                         seed=0)
+        params = GraceParams(beta=0.3, p=p, b=2, B_big=16, b0=4)
+        ops = build_strategy(kind, ring8_lazy)
+        seeds = tuple(range(S))
+        chunk = engine._Chunk(engine.MetricsSeries.empty(seeds, 100, False),
+                              problem, None, shape, 100)
+        chunk.ZD[:, 0] = np.random.default_rng(0).standard_normal(
+            (2,) + shape)
+        state, chunk.M[0], chunk.G[0] = init_estimator(problem, params, seeds,
+                                                       chunk.ZD[0, 0])
+        mu = np.tile(EngineConfig(mu_x=0.01, mu_y=0.01, grace=params,
+                                  T=100).signed_step(3, 2), (S, 8, 1))
+        # a chunk that warms up, then the traced one
+        for _ in range(2):
+            draws = draw(state, params, problem, chunk.rounds)
+            assert draws.noise is not None
+            assert any(draws.any_refresh) == (p > 0)
+            tracemalloc.start()
+            try:
+                engine._run_chunk(chunk, draws, mu, ops, params,
+                                  chunk.rounds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.isfinite(chunk.ZD).all()
+        assert peak < block, peak
+
 
 class TestFirstFailures:
     """The scan of a chunk's slots, on hand-built slots of a chunk that
@@ -848,10 +912,8 @@ class TestRoundByRoundReference:
                 lambda fn, name, *args, **kwargs: calls.update([name])
                 or fn(*args, **kwargs),
                 getattr(engine, name), name))
-        block = problem.exact_grads_block
-        monkeypatch.setattr(problem, "exact_grads_block",
-                            lambda Z, out=None: calls.update(["grads"])
-                            or block(Z, out=out))
+        counted_gradients(monkeypatch, problem,
+                          lambda: calls.update(["grads"]))
         for T in (150, 200):
             assert engine._chunk_rounds((3, 4, 3), T)[0] == 32
         for T, failed in ((150, {}), (200, {7: 181})):
