@@ -272,12 +272,13 @@ def _chunk_rounds(shape, T: int) -> tuple:
     holds 4 (R+1) blocks, ZD's two slot arrays, M and G, so at most about
     4 CHUNK_MAX_BYTES, beside a fixed d+3 blocks whatever R is: two of
     round scratch and the gradient kernel's tiles of H and c. The
-    diagnostics evaluate it in sub-blocks of DIAG_BYTES per slot array,
-    between 1 and R rounds, and their agent-first block holds 3 blocks
-    per round of a sub-block, about 3 DIAG_BYTES whatever R is."""
+    diagnostics evaluate it in the fewest equal sub-blocks of at most
+    DIAG_BYTES per slot array (or 1 round), and their agent-first block
+    holds 3 blocks per round of a sub-block, about 3 DIAG_BYTES."""
     block = 8 * int(np.prod(shape))
     rounds = max(1, min(CHUNK_ROUNDS, T + 1, CHUNK_MAX_BYTES // block))
-    return rounds, max(1, min(rounds, DIAG_BYTES // block))
+    parts = -(-rounds // max(1, DIAG_BYTES // block))
+    return rounds, -(-rounds // parts)
 
 
 def _run_chunk(chunk: _Chunk, draws: Draws, mu: np.ndarray,

@@ -276,6 +276,11 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
     info["conditions"] = report.as_dict()
     engine = EngineConfig(mu_x=mu_x, mu_y=mu_y, grace=grace, T=config.T,
                           seeds=tuple(sorted(config.seeds)))
+    # the int64 sample counts: b0, then at most `most` in each round 0..T
+    most = max(grace.b, grace.B_big or 0, problem.N or 0)
+    if grace.b0 + (config.T + 1) * most > np.iinfo(np.int64).max:
+        raise ConfigError(f"batch sizes b={grace.b}, B_big={grace.B_big}, b0="
+                          f"{grace.b0} overflow the int64 sample counts")
     return engine, info
 
 
@@ -302,13 +307,24 @@ class RunResult:
 def _setup(config: RunConfig):
     """What a run builds before its first round: its problem, mixing
     matrix, strategy, transform bundle and resolved schedule. A config
-    that cannot run raises here."""
-    problem = build_problem(config)
-    mixing = build_mixing(config)
-    ops = build_strategy(config.strategy, mixing)
-    bundle = build_transform_bundle(ops.kind, mixing)
-    engine, sched_info = _resolve_schedule(config, problem, mixing, bundle)
-    return problem, mixing, ops, bundle, engine, sched_info
+    that cannot run raises here, one whose arrays do not fit in memory
+    too. numpy must index the bytes of the (K, K) mixing matrices, the
+    (K, d, d) Hessians and the (K, N, d) sample table, d = d1+d2."""
+    K, p = config.topology["K"], config.problem
+    d = p["d1"] + p["d2"]
+    if K * max(K, d * d, (p["N"] or 0) * d) > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"the set-up's arrays for K={K}, d1={p['d1']}, "
+                          f"d2={p['d2']}, N={p['N']} are too large to index")
+    try:
+        problem = build_problem(config)
+        mixing = build_mixing(config)
+        ops = build_strategy(config.strategy, mixing)
+        bundle = build_transform_bundle(ops.kind, mixing)
+        engine, info = _resolve_schedule(config, problem, mixing, bundle)
+    except MemoryError as exc:
+        raise ConfigError(f"the set-up's arrays do not fit in memory: "
+                          f"{exc}") from exc
+    return problem, mixing, ops, bundle, engine, info
 
 
 def _run(config: RunConfig, setup) -> RunResult:

@@ -45,7 +45,7 @@ class ProblemConstants:
 
 
 class QuadraticMinimaxProblem:
-    def __init__(self, Q, R, S, a, b, samples, sigma, seed):
+    def __init__(self, Q, R, S, a, b, samples, sigma):
         # the blocks are read-only copies, like every array derived from
         # them below, so a write cannot leave the cached constants, H and
         # c and the tiles of a gradient kernel stale
@@ -59,29 +59,26 @@ class QuadraticMinimaxProblem:
         # for online-only
         self.samples = samples
         self.sigma = float(sigma)
-        self.seed = seed
         self.K, self.d1, _ = Q.shape
         self.d2 = S.shape[1]
         self.N = None if samples is None else samples.shape[1]
 
-        self.Qbar = _read_only(Q.mean(axis=0))
-        self.Rbar = _read_only(R.mean(axis=0))
-        self.Sbar = _read_only(S.mean(axis=0))
-        self.abar = _read_only(a.mean(axis=0))
-        self.bbar = _read_only(b.mean(axis=0))
-        nu = float(np.min(np.linalg.eigvalsh(self.Sbar)))
-        if nu <= 0:
-            raise ConfigError(f"mean S block must be positive definite (nu={nu:.3e})")
         # the gradient in z = [x | y] is H_k z + c_k
         self.H = _read_only(np.block([[Q, R], [R.transpose(0, 2, 1), -S]]))
         self.c = _read_only(np.concatenate([a, b], axis=1))
         # the gradient of the network objective J = mean_k J_k
         self.Hbar = _read_only(self.H.mean(axis=0))
         self.cbar = _read_only(self.c.mean(axis=0))
+        # S's mean, not -Hbar's y-y block: at d2 = 1 numpy sums the
+        # contiguous S pairwise and the strided block in order
+        Sbar = S.mean(axis=0)
+        nu = float(np.min(np.linalg.eigvalsh(Sbar)))
+        if nu <= 0:
+            raise ConfigError(f"mean S block must be positive definite (nu={nu:.3e})")
         L_f = float(np.max(np.abs(np.linalg.eigvalsh(self.H))))
         self.constants = ProblemConstants(nu=nu, L_f=L_f, kappa=L_f / nu)
         # Sbar = L L', so the gap 1/2 g' Sbar^{-1} g is 1/2 |L^{-1} g|^2
-        self.Linv = _read_only(np.linalg.inv(np.linalg.cholesky(self.Sbar)))
+        self.Linv = _read_only(np.linalg.inv(np.linalg.cholesky(Sbar)))
 
     # -- exact gradients -------------------------------------------------
 
@@ -130,16 +127,6 @@ class QuadraticMinimaxProblem:
         grad = np.einsum("ij,...j->...i", self.Hbar, z_c) + self.cbar
         v = np.einsum("ij,...j->...i", self.Linv, grad[..., self.d1:])
         return grad, 0.5 * np.sum(np.square(v, out=v), axis=-1)
-
-    def objective(self, x, y):
-        """Global objective J(x, y) = mean_k J_k(x, y)."""
-        return float(
-            0.5 * x @ self.Qbar @ x
-            + x @ self.Rbar @ y
-            + self.abar @ x
-            - 0.5 * y @ self.Sbar @ y
-            + self.bbar @ y
-        )
 
     # -- stochastic gradients --------------------------------------------
 
@@ -193,11 +180,10 @@ class QuadraticMinimaxProblem:
 class SinPLProblem:
     """Scalar two-sided-PL stress test; online sampling only."""
 
-    def __init__(self, cx, cy, sigma, seed, nu_hat):
+    def __init__(self, cx, cy, sigma, nu_hat):
         self.cx = cx  # (K,) zero-sum x perturbations
         self.cy = cy
         self.sigma = float(sigma)
-        self.seed = seed
         self.K = cx.shape[0]
         self.d1 = self.d2 = 1
         self.N = None
@@ -235,15 +221,6 @@ class SinPLProblem:
                             z_c.shape[:-1] + (self.K, z_c.shape[-1]))
         return (self.exact_grads_block(Z).mean(axis=-2),
                 (10 - 3 * np.sin(x) ** 2) * np.sin(y) ** 2 + 4 * y**2)
-
-    def objective(self, x, y):
-        x0, y0 = x[0], y[0]
-        return float(
-            x0**2
-            + 3 * np.sin(x0) ** 2 * np.sin(y0) ** 2
-            - 4 * y0**2
-            - 10 * np.sin(y0) ** 2
-        )
 
     def batch_noise(self, rngs, batch):
         return _gaussian_noise(rngs, self.K, 1, 1, self.sigma, batch)
@@ -368,7 +345,7 @@ def make_quadratic_problem(
         del ex
         ey = _sample_deviations(rng, K, N, d2, sigma, scratch=samples[..., d1:])
         np.add(ey, b[:, None, :], out=samples[..., d1:])
-    return QuadraticMinimaxProblem(Q, R, S, a, b, samples, sigma, seed)
+    return QuadraticMinimaxProblem(Q, R, S, a, b, samples, sigma)
 
 
 def make_sinpl_problem(K, sigma, seed):
@@ -390,7 +367,7 @@ def make_sinpl_problem(K, sigma, seed):
     nu_hat = float(np.min(gy[mask] ** 2 / (2 * gap[mask])))
     if nu_hat <= 0:
         raise ConfigError("grid PL estimate is not positive")
-    return SinPLProblem(cx, cy, sigma, seed, nu_hat)
+    return SinPLProblem(cx, cy, sigma, nu_hat)
 
 
 # -- inner maximization ----------------------------------------------------
@@ -399,10 +376,12 @@ def make_sinpl_problem(K, sigma, seed):
 def maximizer_oracle(problem, x):
     """argmax_y J(x, y) and the envelope value P(x), in closed form.
 
-    Quadratic problems: y* = Sbar^{-1}(Rbar' x + bbar). The sin-PL problem:
-    y* = 0 and P(x) = x^2.
+    Quadratic problems: at z = [x | y*], y* zeroes the y-part of the
+    gradient Hbar z + cbar, and P(x) = J(z) = 1/2 z' Hbar z + cbar' z.
+    The sin-PL problem: y* = 0 and P(x) = x^2.
     """
     if isinstance(problem, SinPLProblem):
         return np.zeros(1), float(x[0] ** 2)
-    y_opt = np.linalg.solve(problem.Sbar, problem.Rbar.T @ x + problem.bbar)
-    return y_opt, problem.objective(x, y_opt)
+    d1, H, c = problem.d1, problem.Hbar, problem.cbar
+    z = np.r_[x, np.linalg.solve(-H[d1:, d1:], H[d1:, :d1] @ x + c[d1:])]
+    return z[d1:], float(0.5 * z @ H @ z + c @ z)

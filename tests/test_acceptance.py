@@ -27,8 +27,8 @@ from decminimax import (
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
 from conftest import HandEstimator, HandRun, ascent_maximizer, \
-    check_consensus_bound, grad_x_is_x_problem, mode_blocks, run_ok, step, \
-    update_checked, verify_strategy_assumptions
+    check_consensus_bound, grad_x_is_x_problem, mode_blocks, objective, \
+    run_ok, step, update_checked, verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
 CLOSED_FORM_KINDS = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
@@ -355,7 +355,7 @@ def test_criterion_10_gradient_correctness():
         y = rng.uniform(-3, 3, size=1)
 
         def js(xx, yy, kk=k):
-            return (sinpl.objective(xx, yy) + sinpl.cx[kk] * xx[0]
+            return (objective(sinpl, xx, yy) + sinpl.cx[kk] * xx[0]
                     + sinpl.cy[kk] * yy[0])
 
         gx = fd(lambda z: js(z, y), x)

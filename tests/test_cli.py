@@ -117,6 +117,63 @@ def test_oversized_round_budget_exits_2_before_any_seed_runs(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes", [
+    {"b": 1.0e30}, {"B_big": 1.0e30, "p": 0.5}, {"b0": 1.0e30}, {"b": 2**62}],
+    ids=["b", "B_big", "b0", "b_2_62"])
+def test_overflowing_sample_counts_exit_2_before_any_seed_runs(
+        tmp_path, capsys, sizes):
+    """Batch sizes whose cumulative per-agent sample count passes int64's
+    maximum within T rounds are rejected at set-up: the first three would
+    fail mid-run, and b = 2^62 would run with a count that wraps."""
+    raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+           "problem": {"kind": "quadratic", "sigma": 1.0},
+           "schedule": {"mode": "explicit", "mu_x": 0.001, "mu_y": 0.001,
+                        "beta": 0.5, **sizes},
+           "T": 3}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: batch sizes ") and \
+        err.endswith(" overflow the int64 sample counts\n")
+    assert not out.exists()
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_oversized_setup_exits_2_before_any_seed_runs(
+        tmp_path, capsys, monkeypatch):
+    """A mixing matrix, Hessian block or sample table whose bytes numpy
+    cannot index is rejected before anything is built, and a set-up that
+    runs out of memory exits 2 too; neither allocates for real."""
+    def no_build(config):
+        raise AssertionError("the problem was built")
+
+    def no_memory(config):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(harness, "build_problem", no_build)
+    for raw, shown in (
+            (dict(CONFIG, problem=dict(CONFIG["problem"], N=10**18)),
+             f"K=4, d1=2, d2=2, N={10**18}"),
+            (dict(CONFIG, problem=dict(CONFIG["problem"], d1=10**10)),
+             f"K=4, d1={10**10}, d2=2, N=16"),
+            (dict(CONFIG, topology={"kind": "ring", "K": 2**31}),
+             f"K={2**31}, d1=2, d2=2, N=16")):
+        assert cli.main(["run", "--config", write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: the set-up's arrays for "
+                                           f"{shown} are too large to index\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "build_mixing", no_memory)
+    assert cli.main(["run", "--config", write_config(tmp_path, CONFIG),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: the set-up's arrays do not "
+                                       "fit in memory: Unable to allocate "
+                                       "74.5 GiB\n")
+    assert not out.exists()
+
+
 def test_unconnectable_random_topology_exits_2(tmp_path):
     """A random topology that no draw connects is rejected after a bounded
     number of redraws; the command returns instead of redrawing forever."""

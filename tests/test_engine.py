@@ -507,7 +507,7 @@ class TestChunks:
         bundle = build_transform_bundle(ops.kind, mixing)
         if case == "quadratic_K96":
             blocks = [engine._chunk_rounds((S, 96, 2), T) for S in (1, 3, 8)]
-            assert blocks == [(31, 31), (31, 14), (31, 5)]
+            assert blocks == [(31, 31), (31, 11), (31, 5)]
         seed, alone = 7, None
         for rounds in (None, 1):
             set_chunk_rounds(monkeypatch, rounds)
@@ -533,7 +533,7 @@ class TestChunks:
         package holds it: a run makes one call per sub-block of each
         chunk it flushes with a bundle, and none without. With d = 5 a
         chunk is one sub-block; with d = 50 the default chunk of 32
-        rounds is three, of 13, 13 and 6 rounds."""
+        rounds is three, of 11, 11 and 10 rounds."""
         set_chunk_rounds(monkeypatch, rounds)
         calls = []
         original = transform.coupled_error_norms
@@ -561,7 +561,7 @@ class TestChunks:
             assert R < config.T
             if rounds is None:
                 assert (config.T + 1) % R
-                assert (R, sub) == ((32, 32) if d1 == 3 else (32, 13))
+                assert (R, sub) == ((32, 32) if d1 == 3 else (32, 11))
             chunks = [min(R, config.T + 1 - start)
                       for start in range(0, config.T + 1, R)]
             assert len(calls) == (sum(-(-n // sub) for n in chunks)
@@ -668,7 +668,10 @@ class TestChunkMemory:
     """A chunk's length and its memory, on (S, K, d) batches from a small
     ring to a large batch and K=1024: 32 rounds where a slot array of 32
     rounds stays within 1 MiB, never more than the run's T+1, and its
-    slot arrays and diagnostics block within a declared ceiling."""
+    slot arrays and diagnostics block within a declared ceiling. The
+    diagnostics split a long run's chunk into the fewest sub-blocks of
+    at most 64 KiB per slot array, all of one length: 16 + 16 rounds at
+    S=8, K=8, 4 x 8 at S=2, K=96."""
 
     # bytes of a chunk's ZD, M, G and diagnostics block together
     CEILING = 4.5 * 2**20
@@ -681,11 +684,10 @@ class TestChunkMemory:
                                             bundle is not None)
         return engine._Chunk(series, problem, bundle, (S, K, 5), T)
 
-    @pytest.mark.parametrize("S, K, rounds", [(8, 8, 32), (2, 96, 32),
-                                              (128, 8, 25), (2, 1024, 12)],
-                             ids=["S8_K8", "S2_K96_bundle", "S128_K8",
-                                  "S2_K1024"])
-    def test_chunk_rounds_and_bytes(self, S, K, rounds):
+    @pytest.mark.parametrize("S, K, rounds, diag", [
+        (8, 8, 32, 16), (2, 96, 32, 8), (128, 8, 25, 1), (2, 1024, 12, 1)],
+        ids=["S8_K8", "S2_K96_bundle", "S128_K8", "S2_K1024"])
+    def test_chunk_rounds_and_bytes(self, S, K, rounds, diag):
         bundle = None
         if K == 96:
             mixing = mixing_for_topology(Topology(kind="ring", K=K),
@@ -694,6 +696,8 @@ class TestChunkMemory:
         for T, want in ((1000, rounds), (20, min(rounds, 21)), (1, 2)):
             chunk = self.chunk(S, K, T, bundle)
             assert chunk.rounds == want <= T + 1, (T, chunk.rounds)
+            if T == 1000:
+                assert chunk.diag_rounds == diag
             held = [chunk.ZD, chunk.M, chunk.G] + \
                 ([chunk.X] if bundle is not None else [])
             assert sum(a.nbytes for a in held) < self.CEILING, T

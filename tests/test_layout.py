@@ -15,15 +15,9 @@ from decminimax import cli
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(decminimax.__file__).resolve().parent
 
-# Called by tests and by perfbench's trace, but by no run. They stay in src/
-# until the benchmark stops wrapping maximizer_oracle (ROADMAP item 1); the
-# two objective methods are the pair the oracle and conftest.ascent_maximizer
-# call on either problem.
-ALLOWED = {
-    ("problems.py", "maximizer_oracle"),
-    ("problems.py", "QuadraticMinimaxProblem.objective"),
-    ("problems.py", "SinPLProblem.objective"),
-}
+# Called by tests and by perfbench's trace, but by no run. It stays in src/
+# until the benchmark stops wrapping maximizer_oracle (ROADMAP item 1).
+ALLOWED = {("problems.py", "maximizer_oracle")}
 
 
 def defined_functions():
