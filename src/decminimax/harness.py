@@ -16,13 +16,15 @@ import math
 import numbers
 import re
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import yaml
 
+from .csvtext import row_blocks, row_text
 from .engine import COLUMNS, EngineConfig, MetricsSeries, run_and_measure
 from .errors import ConfigError
 from .estimator import GraceParams
@@ -266,21 +268,24 @@ def _resolve_schedule(config: RunConfig, problem, mixing, bundle):
     if problem.N is not None and grace.p < 1 and grace.b > problem.N:
         raise ConfigError(f"minibatch b={grace.b} exceeds sample count "
                           f"N={problem.N}")
-    if s["shrink_to_valid"]:
-        mu_x, mu_y, halvings, report = shrink_to_valid(
-            mu_x, mu_y, grace, problem.constants, bundle)
-        info["shrink_halvings"] = halvings
-    else:
-        report = validate_conditions(mu_x, mu_y, grace, problem.constants,
-                                     bundle)
-    info["conditions"] = report.as_dict()
+    # steps, round budget and seeds are checked first
     engine = EngineConfig(mu_x=mu_x, mu_y=mu_y, grace=grace, T=config.T,
                           seeds=tuple(sorted(config.seeds)))
-    # the int64 sample counts: b0, then at most `most` in each round 0..T
+    # the int64 sample counts: b0, then at most `most` in each round 0..T;
+    # checked before the conditions, which take the batch sizes as floats
     most = max(grace.b, grace.B_big or 0, problem.N or 0)
     if grace.b0 + (config.T + 1) * most > np.iinfo(np.int64).max:
         raise ConfigError(f"batch sizes b={grace.b}, B_big={grace.B_big}, b0="
                           f"{grace.b0} overflow the int64 sample counts")
+    if s["shrink_to_valid"]:
+        mu_x, mu_y, halvings, report = shrink_to_valid(
+            mu_x, mu_y, grace, problem.constants, bundle)
+        info["shrink_halvings"] = halvings
+        engine = replace(engine, mu_x=mu_x, mu_y=mu_y)
+    else:
+        report = validate_conditions(mu_x, mu_y, grace, problem.constants,
+                                     bundle)
+    info["conditions"] = report.as_dict()
     return engine, info
 
 
@@ -390,25 +395,38 @@ def write_outputs(result: RunResult, out_dir) -> list:
     """Write seed_<s>.csv per surviving seed, summary.json and
     config.resolved.json, and remove every other seed_<digits>.csv in
     out_dir, which an earlier run left for a seed that failed in this one
-    or that this one does not have. A CSV line has a "%.17g" slot per
-    recorded column (integral values print as integers), an empty slot per
-    absent ehat column, and a CR LF end."""
+    or that this one does not have. A CSV line holds the round and each
+    recorded column, an empty slot per absent ehat column, and a CR LF
+    end: a float as Python's "%.17g" writes it, an integer column
+    (samples_used) in its exact digits. numpy makes the text (see
+    csvtext) in blocks of whole rows whose cells take at most
+    csvtext.BLOCK_BYTES, and each block goes to its file as soon as it is
+    made, so writing takes memory bounded in T. Python's "%.17g" formats
+    only the cells numpy does not decide: magnitudes outside
+    [1e-280, 1e280] and values next to a rounding tie."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     series = result.series
-    names = [n for n in COLUMNS if n in series.columns]
-    template = ",".join(["%.17g"] + ["%.17g" if n in series.columns else ""
-                                     for n in COLUMNS]) + "\r\n"
-    header = ",".join(CSV_HEADER) + "\r\n"
-    rounds = np.arange(result.config.T + 1)
-    for row in series.ok_rows:
-        table = np.column_stack([rounds, *(series.columns[n][row]
-                                           for n in names)])
-        path = out / f"seed_{series.seeds[row]}.csv"
-        path.write_text(header + "".join(template % tuple(r)
-                                         for r in table.tolist()), newline="")
-        written.append(path)
+    rounds = result.config.T + 1
+    columns = [np.broadcast_to(np.arange(rounds), (len(series.seeds), rounds)),
+               *(series.columns.get(n) for n in COLUMNS)]
+    header = (",".join(CSV_HEADER) + "\r\n").encode()
+    ok = series.ok_rows
+    with ExitStack() as files:
+        for seeds, start, stop in row_blocks(len(ok), rounds, len(columns)):
+            rows = ok[seeds]
+            for row, text in zip(rows, row_text(columns, rows, start, stop)):
+                # a seed's blocks come in order; its file is open until
+                # its last one
+                if start == 0:
+                    path = out / f"seed_{series.seeds[row]}.csv"
+                    written.append(path)
+                    f = files.enter_context(path.open("wb"))
+                    f.write(header)
+                f.write(text)
+                if stop == rounds:
+                    f.close()
     for path in out.glob("seed_*.csv"):
         if re.fullmatch(r"seed_[0-9]+\.csv", path.name) \
                 and path not in written:

@@ -117,27 +117,45 @@ def test_oversized_round_budget_exits_2_before_any_seed_runs(
         assert not out.exists()
 
 
+def overflow_config(**sizes):
+    return {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+            "problem": {"kind": "quadratic", "sigma": 1.0},
+            "schedule": {"mode": "explicit", "mu_x": 0.001, "mu_y": 0.001,
+                         "beta": 0.5, **sizes},
+            "T": 3}
+
+
 @pytest.mark.parametrize("sizes", [
-    {"b": 1.0e30}, {"B_big": 1.0e30, "p": 0.5}, {"b0": 1.0e30}, {"b": 2**62}],
-    ids=["b", "B_big", "b0", "b_2_62"])
+    {"b": 1.0e30}, {"B_big": 1.0e30, "p": 0.5}, {"b0": 1.0e30}, {"b": 2**62},
+    {"b": 10**340}, {"B_big": 10**340, "p": 0.5}, {"b0": 10**340}],
+    ids=["b", "B_big", "b0", "b_2_62", "b_10_340", "B_big_10_340",
+         "b0_10_340"])
 def test_overflowing_sample_counts_exit_2_before_any_seed_runs(
         tmp_path, capsys, sizes):
     """Batch sizes whose cumulative per-agent sample count passes int64's
     maximum within T rounds are rejected at set-up: the first three would
-    fail mid-run, and b = 2^62 would run with a count that wraps."""
-    raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
-           "problem": {"kind": "quadratic", "sigma": 1.0},
-           "schedule": {"mode": "explicit", "mu_x": 0.001, "mu_y": 0.001,
-                        "beta": 0.5, **sizes},
-           "T": 3}
+    fail mid-run, b = 2^62 would run with a count that wraps, and a YAML
+    integer beyond float range would fail in the schedule conditions."""
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", write_config(tmp_path, raw),
+    assert cli.main(["run", "--config",
+                     write_config(tmp_path, overflow_config(**sizes)),
                      "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: batch sizes ") and \
-        err.endswith(" overflow the int64 sample counts\n")
+    key, value = next(iter(sizes.items()))
+    assert err.startswith("error: batch sizes ") \
+        and f"{key}={int(value)}" in err \
+        and err.endswith(" overflow the int64 sample counts\n")
     assert not out.exists()
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_oversized_round_budget_keeps_its_message_beside_huge_batches(
+        tmp_path, capsys):
+    raw = dict(overflow_config(b=10**340), T=10**19)
+    assert cli.main(["run", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: round budget T={10**19} is "
+                                       f"too large for the metric columns\n")
 
 
 def test_oversized_setup_exits_2_before_any_seed_runs(

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import decminimax
 from decminimax import ConfigError, config_from_dict, load_config, \
     make_quadratic_problem, run_experiment, write_outputs
-from decminimax import harness
+from decminimax import csvtext, harness
 from decminimax.engine import COLUMNS
 from decminimax.harness import CSV_HEADER, sweep
 
@@ -343,6 +344,23 @@ DIVERGENT = dict(MINIMAL, topology={"kind": "ring", "K": 4}, T=3,
                  seeds=[1, 2, 4, 5, 7])
 
 
+# online refreshes of B_big = 10^15 + 1 samples: the counts pass 2^53
+BIG_COUNTS = dict(MINIMAL, problem=dict(MINIMAL["problem"], N=None),
+                  schedule={"mode": "explicit", "mu_x": 0.002, "mu_y": 0.01,
+                            "p": 0.5, "beta": 0.5, "b": 3,
+                            "B_big": 1000000000000001})
+# noise of 1e200 at steps of 1e-250: inf in both est_err columns and
+# consensus_sq near 1e-100, with a three-digit exponent
+NON_FINITE = dict(MINIMAL, T=5,
+                  problem={"kind": "quadratic", "d1": 2, "d2": 1, "N": None,
+                           "sigma": 1e200, "seed": 0},
+                  schedule={"mode": "explicit", "mu_x": 1e-250,
+                            "mu_y": 1e-250, "beta": 1.0})
+# noise of 1e150: est_err columns near 1e300, which Python formats
+PYTHON_CELLS = dict(NON_FINITE, problem=dict(NON_FINITE["problem"],
+                                             sigma=1e150))
+
+
 class TestWriteOutputs:
     @pytest.mark.parametrize("raw, failed", [
         (MINIMAL, set()),
@@ -350,7 +368,11 @@ class TestWriteOutputs:
         (DIVERGENT, {2, 4, 5}),
         (dict(MINIMAL, strategy="atc_gt", problem={"kind": "sinpl",
               "sigma": 0.5, "seed": 2}, x0=[2.0], y0=[0.5]), set()),
-    ], ids=["diagnostics_off", "diagnostics_on", "failed_seeds", "sinpl"])
+        (BIG_COUNTS, set()),
+        (NON_FINITE, set()),
+        (PYTHON_CELLS, set()),
+    ], ids=["diagnostics_off", "diagnostics_on", "failed_seeds", "sinpl",
+            "samples_above_2_53", "non_finite", "python_cells"])
     def test_csv_bytes_match_reference(self, tmp_path, raw, failed):
         if raw["problem"]["kind"] == "sinpl":
             raw = dict(raw, schedule=dict(raw["schedule"], B_big=8))
@@ -363,6 +385,38 @@ class TestWriteOutputs:
         for row in ok:
             path = tmp_path / f"seed_{result.series.seeds[row]}.csv"
             assert path.read_bytes() == reference_csv(result, row), path.name
+
+    def test_edge_runs_reach_their_cells(self):
+        """BIG_COUNTS, NON_FINITE and PYTHON_CELLS write what their
+        comments say."""
+        def columns(raw):
+            return run_experiment(config_from_dict(raw)).series.columns
+
+        assert columns(BIG_COUNTS)["samples_used"].max() > 2**53
+        cols = columns(NON_FINITE)
+        assert np.isposinf(cols["est_err_sq"]).all()
+        assert np.isposinf(cols["est_err_avg_sq"]).all()
+        assert 0 < cols["consensus_sq"][:, 1:].min() \
+            and cols["consensus_sq"].max() < 1e-99
+        big = columns(PYTHON_CELLS)["est_err_sq"]
+        assert np.isfinite(big).all() and big.min() > csvtext.HIGH
+
+    def test_writing_memory_is_bounded_in_t(self, tmp_path):
+        """The text goes out in blocks: the traced peak of writing a
+        2 MB CSV (one seed, T = 20000) stays under a bound that does not
+        grow with T, where a writer that builds the file's text first
+        peaks at several times the file."""
+        result = run_experiment(config_from_dict(dict(MINIMAL, T=20000,
+                                                      seeds=[0])))
+        write_outputs(result, tmp_path)
+        tracemalloc.start()
+        try:
+            write_outputs(result, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "seed_0.csv").stat().st_size > 2e6
+        assert peak < 8 * csvtext.BLOCK_BYTES, peak
 
     def test_files_and_schema(self, tmp_path):
         result = run_experiment(config_from_dict(MINIMAL))

@@ -70,6 +70,14 @@ def cli_runs(tmp_path):
         "schedule": {"mode": "explicit", "mu_x": 0.01, "mu_y": 0.01,
                      "beta": 1.0},
         "T": 3, "seeds": [1, 2, 4, 5, 7]})])
+    # est_err columns near 1e300, which Python's "%.17g" formats
+    runs.append(["run", "--config", write_yaml(tmp_path / "huge.yaml", {
+        "topology": {"kind": "ring", "K": 4},
+        "strategy": "ed",
+        "problem": {"kind": "quadratic", "d1": 2, "d2": 1, "sigma": 1e150},
+        "schedule": {"mode": "explicit", "mu_x": 1e-250, "mu_y": 1e-250,
+                     "beta": 1.0},
+        "T": 3})])
     runs.append(["sweep", "--config", storm, "--vary", "schedule.c_mu=1,0.5"])
     for i, argv in enumerate(runs):
         argv += ["--out", str(tmp_path / f"out{i}")]
