@@ -10,9 +10,10 @@ Subcommands:
 
 A rejected config (a config file that cannot be read or parsed, a bad
 value, a bad --vary key), a strategy its mixing matrix cannot carry, or
-an --out that cannot be made a directory (in a sweep, also two values
-that share one) prints "error: <message>" to stderr and exits with
-status 2 before any seed runs. Diverged seeds only print a warning.
+an --out that cannot be made a directory or that holds a directory
+named as a seed's CSV (in a sweep, also two values that share one)
+prints "error: <message>" to stderr and exits with status 2 before any
+seed runs. Diverged seeds only print a warning.
 """
 
 import argparse

@@ -11,26 +11,34 @@ unit, so a cell whose rounding is more than TIE from a tie rounds as the
 exact value does. An integer cell is its integer's digits, exact at any
 size.
 
-Each cell is written into a slot of CELL bytes, four little-endian
-64-bit words made by integer operations on whole blocks of cells: a sign
-byte, the prefix "0." and zeros of fixed notation below 1, an 18-byte
-digit field (bytes 6 to 23), the exponent "e+dd" or "e-ddd" and the
-separator, with NUL in every byte the cell does not use. Digits go in
-through a table of 4-digit groups, and a frame row, chosen by the cell's
-exponent (or special value) and sign, is XORed over them. The point goes
-in as one more digit, a zero, that the frame turns into "."; a mask row
-keeps a prefix of the digit field, so trailing zeros, and a point with no
-digits after it, are cut. An integer's field (bytes 4 to 23) keeps its
-digits from the first nonzero one. Deleting the NULs (bytes.translate)
-leaves the rows' text.
+Each present cell is written into a slot of CELL bytes, four
+little-endian 64-bit words made by integer operations on whole blocks of
+cells: a sign byte, the prefix "0." and zeros of fixed notation below 1,
+an 18-byte digit field (bytes 6 to 23), the exponent "e+dd" or "e-ddd"
+and, in the three spare bytes at the end (_SEP onwards), the separators
+that follow the cell, with NUL in every byte the cell does not use.
+Digits go in through a table of 4-digit groups, and a frame row, chosen
+by the cell's exponent (or special value) and sign, is XORed over them.
+The point goes in as one more digit, a zero, that the frame turns into
+"."; a mask row keeps a prefix of the digit field, so trailing zeros, and
+a point with no digits after it, are cut. An integer's field (bytes 4 to
+23) keeps its digits from the first nonzero one. Deleting the NULs
+(bytes.translate) leaves the rows' text.
+
+Only present cells take slots. An absent column's empty cell is nothing
+but its comma, which the slot before it carries in its spare bytes
+beside its own comma (_layout); only a row's first column, or a fourth
+separator after one cell, takes a slot of NULs. A block's rows are one
+bytes buffer of (row, round, slot) slots; adjacent columns of one array
+are formatted in one pass on a view of it, and a column that every row
+shares (the round) is formatted once per span of rounds and copied into
+each row.
 
 Python's "%.17g" formats the cells numpy does not decide: |v| outside
 [LOW, HIGH], where the double-double products leave the normal range, and
 values within TIE of a rounding tie. inf, -inf and nan are written as
 Python writes them.
 """
-
-from itertools import groupby
 
 import numpy as np
 
@@ -41,7 +49,8 @@ TIE = 1e-6                     # distance from a rounding tie, in units
 
 _XLIM = 283                    # decimal exponents of the tables: |x| <= _XLIM
 _SPLIT = 134217729.0           # 2^27 + 1, Dekker's splitting constant
-_SEP = 29                      # the separator's bytes: _SEP and _SEP + 1
+_SEP = 29                      # a slot's separator bytes: _SEP onwards,
+_SPARE = CELL - _SEP           # 3 of them, which no cell's text reaches
 _ZERO, _INF, _NAN = 2 * _XLIM + 1, 2 * _XLIM + 2, 2 * _XLIM + 3  # frame rows
 _NEG = 2 * _XLIM + 4           # frame rows of a negative cell: row + _NEG
 
@@ -260,11 +269,48 @@ def _python_cells(cells, index, values, template):
         cell[:len(text)] = np.frombuffer(text, np.uint8)
 
 
-def row_blocks(seeds: int, rounds: int, columns: int):
-    """(seed slice, first round, end round) of blocks whose slots take at
-    most BLOCK_BYTES: as many whole seeds as fit, or one seed's rounds in
-    parts that fit (at least one round)."""
-    per_round = columns * CELL
+def _format(values, out):
+    """Write the cells of values, floats or int64s, into out, an array of
+    shape values.shape + (4,) of uint64 words, all but their separators."""
+    formatter, template = (float_cells, b"%.17g") if values.dtype.kind == "f" \
+        else (int_cells, b"%d")
+    _python_cells(out.view(np.uint8), formatter(values, out), values,
+                  template)
+
+
+def _layout(columns):
+    """The slots of a row of columns: (entry, first slot, slots) of each
+    entry that has slots, and the separator bytes after each slot's cell,
+    as a word to OR into its last word: at its end, in bytes _SEP
+    onwards, which a cell leaves NUL. An absent column's comma goes into
+    the spare bytes of the slot before it; it takes an empty slot, entry
+    None, only where none are left: as a row's first column, or after
+    _SPARE separators."""
+    parts, seps = [], []
+    for c in columns:
+        if c is None and seps and len(seps[-1]) < _SPARE:
+            seps[-1] += b","
+            continue
+        k = 1 if c is None or c.ndim < 3 else c.shape[-1]
+        parts.append((c, len(seps), k))
+        seps += [b","] * k
+    # the line ends in CR LF, in an empty slot of its own if it does not
+    # fit
+    last = seps.pop()[:-1] + b"\r\n"
+    if len(last) > _SPARE:
+        parts.append((None, len(seps) + 1, 1))
+        seps.append(last[:-2])
+        last = b"\r\n"
+    seps.append(last)
+    return parts, np.frombuffer(b"".join(s.rjust(8, b"\0") for s in seps),
+                                "<u8")
+
+
+def row_blocks(seeds: int, rounds: int, slots: int):
+    """(seed slice, first round, end round) of blocks whose slots, slots
+    per row, take at most BLOCK_BYTES: as many whole seeds as fit, or one
+    seed's rounds in parts that fit (at least one round)."""
+    per_round = slots * CELL
     fit = max(1, BLOCK_BYTES // per_round)
     if fit >= rounds:
         step = BLOCK_BYTES // (per_round * rounds)
@@ -276,29 +322,55 @@ def row_blocks(seeds: int, rounds: int, columns: int):
                 yield slice(s, s + 1), r, min(r + fit, rounds)
 
 
-def row_text(columns, rows, start, stop) -> list:
+def row_text(columns, rows, start, stop, scratch=None) -> list:
     """The CSV text of rounds start..stop-1 of each row in rows, as one
     bytes object per row. columns holds one entry per CSV column: a 2-d
-    (row, round) array of floats or int64s, or None for an empty slot. A
-    line ends in CR LF."""
-    text = bytearray(len(rows) * (stop - start) * len(columns) * CELL)
-    buf = np.frombuffer(text, np.uint8).reshape(len(rows), stop - start,
-                                                len(columns), CELL)
-    first = 0
-    for kind, run in groupby(columns,
-                             lambda c: None if c is None else c.dtype.kind):
-        run = list(run)
-        if kind is not None:
-            # a run of columns of one kind is formatted at once
-            values = np.stack([c[rows, start:stop] for c in run], axis=-1)
-            cells = buf[:, :, first:first + len(run)]
-            formatter, template = (float_cells, b"%.17g") if kind == "f" \
-                else (int_cells, b"%d")
-            _python_cells(cells, formatter(values, cells.view("<u8")),
-                          values, template)
-        first += len(run)
-    buf[..., _SEP] = ord(",")
-    buf[..., -1, _SEP:_SEP + 2] = (ord("\r"), ord("\n"))
-    size = len(text) // len(rows)
+    (row, round) array of floats or int64s, a 3-d (row, round, k) array
+    of k adjacent columns of one kind, a 1-d (round,) array that every
+    row shares, or None for an absent column, which takes no slot where
+    its comma fits into the slot before it (_layout). A line ends in
+    CR LF. scratch, a dict kept between calls on the same columns, keeps
+    the block's bytes for the next call, and a shared column's cells of
+    the last span, so that they are made once per span, not per call."""
+    rows = np.asarray(rows)
+    parts, seps = _layout(columns)
+    scratch = {} if scratch is None else scratch
+    n = stop - start
+    size = len(rows) * n * len(seps) * CELL
+    if len(scratch.get("text", b"")) != size:
+        scratch["text"] = bytearray(size)
+    text = scratch["text"]
+    words = np.frombuffer(text, "<u8").reshape(len(rows), n, len(seps), 4)
+    # consecutive rows are a view of each column; others are gathered
+    take = slice(rows[0], rows[-1] + 1) if (np.diff(rows) == 1).all() \
+        else rows
+    for c, first, k in parts:
+        if c is None:
+            words[:, :, first] = 0
+        elif c.ndim == 1:
+            span, cells = scratch.get(first, (None, None))
+            if span != (start, stop):
+                cells = np.empty((n, 4), np.uint64)
+                _format(c[start:stop], cells)
+                scratch[first] = (start, stop), cells
+            words[:, :, first] = cells
+        else:
+            _format(c[take, start:stop].reshape(len(rows), n, k),
+                    words[:, :, first:first + k])
+    words[..., 3] |= seps
+    size //= len(rows)
     return [text[i:i + size].translate(None, b"\0")
             for i in range(0, len(text), size)]
+
+
+def text_blocks(columns, rows, rounds: int):
+    """(row, first round, end round, text) of each block of row_blocks
+    over rows, rounds 0..rounds-1 of the columns (see row_text): a row's
+    blocks in order of rounds, each block's rows in the order of rows."""
+    scratch = {}
+    for part, start, stop in row_blocks(len(rows), rounds,
+                                        len(_layout(columns)[1])):
+        block = rows[part]
+        for row, text in zip(block, row_text(columns, block, start, stop,
+                                             scratch)):
+            yield row, start, stop, text

@@ -64,7 +64,8 @@ CHUNK_ROUNDS = 32
 CHUNK_MAX_BYTES = 1024 * 1024
 DIAG_BYTES = 64 * 1024
 
-# the metric columns of one round, in CSV order after "round"
+# the metric columns of one round, in CSV order after "round": the float
+# columns, the ehat ones last among them, then the integer samples_used
 COLUMNS = ("grad_x_sq", "grad_y_sq", "consensus_sq", "delta_c", "est_err_sq",
            "est_err_avg_sq", "ehat_x_sq", "ehat_y_sq", "samples_used")
 
@@ -89,8 +90,10 @@ class EngineConfig:
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct and non-empty, "
                               f"got {self.seeds}")
-        # numpy must be able to index the bytes of an (S, T+1) column
-        if len(self.seeds) * (self.T + 1) > np.iinfo(np.intp).max // 8:
+        # numpy must be able to index the bytes of the (S, T+1, columns)
+        # array of the float columns
+        if len(self.seeds) * (self.T + 1) * len(COLUMNS) \
+                > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"round budget T={self.T} is too large for "
                               f"the metric columns")
 
@@ -100,22 +103,32 @@ class MetricsSeries:
     """Metric columns of a batch: columns[name][s] holds rounds 0..T of
     seeds[s]. A failed seed's row is NaN (-1 for samples_used) past its
     last recorded round; without a transform bundle the ehat columns are
-    absent."""
+    absent. The float columns are views of one array, floats[s, r, i]
+    the i-th of them in COLUMNS order, so a seed's rounds of every float
+    column are contiguous."""
     seeds: tuple
-    columns: dict
+    floats: np.ndarray
+    samples_used: np.ndarray
     failures: dict = field(default_factory=dict)  # seed -> DivergenceError
+    columns: dict = field(init=False)
+
+    def __post_init__(self):
+        names = COLUMNS[:self.floats.shape[-1]]
+        self.columns = {n: self.floats[..., i] for i, n in enumerate(names)}
+        self.columns["samples_used"] = self.samples_used
 
     @classmethod
     def empty(cls, seeds, T: int, diagnostics: bool) -> "MetricsSeries":
-        names = [n for n in COLUMNS if diagnostics or not n.startswith("ehat")]
+        floats = [n for n in COLUMNS[:-1]
+                  if diagnostics or not n.startswith("ehat")]
         shape = (len(seeds), T + 1)
         try:
-            columns = {n: np.full(shape, np.nan) for n in names}
-            columns["samples_used"] = np.full(shape, -1)
+            return cls(seeds=tuple(seeds),
+                       floats=np.full(shape + (len(floats),), np.nan),
+                       samples_used=np.full(shape, -1))
         except MemoryError as exc:
             raise ConfigError(f"round budget T={T} is too large for the "
                               f"metric columns: {exc}") from exc
-        return cls(seeds=tuple(seeds), columns=columns)
 
     @property
     def ok_rows(self) -> np.ndarray:

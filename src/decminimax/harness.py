@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import yaml
 
-from .csvtext import row_blocks, row_text
+from .csvtext import text_blocks
 from .engine import COLUMNS, EngineConfig, MetricsSeries, run_and_measure
 from .errors import ConfigError
 from .estimator import GraceParams
@@ -36,6 +36,7 @@ from .strategies import SQRT_STRATEGIES, StrategyKind, build_strategy
 from .transform import build_transform_bundle
 
 CSV_HEADER = ["round", *COLUMNS]
+NAME_MAX = 255  # bytes of a file name (Linux, macOS and Windows file systems)
 
 _REQUIRED = object()  # the default of a key that has none
 
@@ -175,6 +176,10 @@ def config_from_dict(raw: dict) -> RunConfig:
     seeds = tuple(_typed("each seed", s, int, 0) for s in seeds)
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"'seeds' has duplicates: {list(seeds)}")
+    for seed in seeds:
+        if len(f"seed_{seed}.csv") > NAME_MAX:
+            raise ConfigError(f"seed {seed} is too large: its file name "
+                              f"seed_<seed>.csv would pass {NAME_MAX} bytes")
     if prob["kind"] not in ("quadratic", "sinpl"):
         raise ConfigError(f"unknown problem kind {prob['kind']!r}")
     if prob["kind"] == "sinpl":
@@ -396,40 +401,44 @@ def write_outputs(result: RunResult, out_dir) -> list:
     config.resolved.json, and remove every other seed_<digits>.csv in
     out_dir, which an earlier run left for a seed that failed in this one
     or that this one does not have. A CSV line holds the round and each
-    recorded column, an empty slot per absent ehat column, and a CR LF
+    recorded column, an empty cell per absent ehat column, and a CR LF
     end: a float as Python's "%.17g" writes it, an integer column
     (samples_used) in its exact digits. numpy makes the text (see
-    csvtext) in blocks of whole rows whose cells take at most
+    csvtext) in blocks of whole rows whose cell slots take at most
     csvtext.BLOCK_BYTES, and each block goes to its file as soon as it is
-    made, so writing takes memory bounded in T. Python's "%.17g" formats
-    only the cells numpy does not decide: magnitudes outside
+    made, so writing takes memory bounded in T. Only present cells take
+    a slot: an absent ehat cell is its comma, in the spare separator
+    bytes of the slot before it. The float columns reach the formatter
+    as one view of the batch's array, and the round column, the same in
+    every row, is formatted once per span of rounds. Python's "%.17g"
+    formats only the cells numpy does not decide: magnitudes outside
     [1e-280, 1e280] and values next to a rounding tie."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     series = result.series
     rounds = result.config.T + 1
-    columns = [np.broadcast_to(np.arange(rounds), (len(series.seeds), rounds)),
-               *(series.columns.get(n) for n in COLUMNS)]
+    # the round column is every row's; the float columns are one array,
+    # and only the ehat ones, last among them, can be absent
+    absent = len(COLUMNS) - 1 - series.floats.shape[-1]
+    columns = [np.arange(rounds), series.floats, *[None] * absent,
+               series.samples_used]
     header = (",".join(CSV_HEADER) + "\r\n").encode()
-    ok = series.ok_rows
     with ExitStack() as files:
-        for seeds, start, stop in row_blocks(len(ok), rounds, len(columns)):
-            rows = ok[seeds]
-            for row, text in zip(rows, row_text(columns, rows, start, stop)):
-                # a seed's blocks come in order; its file is open until
-                # its last one
-                if start == 0:
-                    path = out / f"seed_{series.seeds[row]}.csv"
-                    written.append(path)
-                    f = files.enter_context(path.open("wb"))
-                    f.write(header)
-                f.write(text)
-                if stop == rounds:
-                    f.close()
-    for path in out.glob("seed_*.csv"):
-        if re.fullmatch(r"seed_[0-9]+\.csv", path.name) \
-                and path not in written:
+        for row, start, stop, text in text_blocks(columns, series.ok_rows,
+                                                  rounds):
+            # a seed's blocks come in order; its file is open until its
+            # last one
+            if start == 0:
+                path = out / f"seed_{series.seeds[row]}.csv"
+                written.append(path)
+                f = files.enter_context(path.open("wb"))
+                f.write(header)
+            f.write(text)
+            if stop == rounds:
+                f.close()
+    for path in _seed_csvs(out):
+        if path not in written:
             path.unlink()
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(result.summary, indent=2,
@@ -459,9 +468,17 @@ def _set_nested(raw: dict, dotted: str, value):
     node[last] = value
 
 
+def _seed_csvs(out: Path) -> list:
+    """The paths in out named as a seed's CSV, seed_<digits>.csv."""
+    return [path for path in out.glob("seed_*.csv")
+            if re.fullmatch(r"seed_[0-9]+\.csv", path.name)]
+
+
 def _make_dirs(paths: list) -> None:
-    """Create each output directory; a path named twice, or one that cannot
-    be made a directory, raises ConfigError."""
+    """Create each output directory; a path named twice, one that cannot
+    be made a directory, or one that holds a directory named as a seed's
+    CSV, which write_outputs could neither write nor remove, raises
+    ConfigError."""
     for i, path in enumerate(paths):
         if path in paths[:i]:
             raise ConfigError(f"two variants write to one directory: {path}")
@@ -471,6 +488,10 @@ def _make_dirs(paths: list) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {path}: "
                               f"{exc}") from exc
+        for csv in _seed_csvs(path):
+            if csv.is_dir():
+                raise ConfigError(f"{csv} is a directory, where the run "
+                                  f"writes or removes a seed's CSV")
 
 
 def sweep(config_path, dotted_key: str, values, out_root) -> list:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -115,6 +116,23 @@ def test_oversized_round_budget_exits_2_before_any_seed_runs(
         assert err == (f"error: round budget T={10**19} is too large for "
                        f"the metric columns\n"), argv
         assert not out.exists()
+
+
+def test_round_budget_past_the_float_columns_exits_2(tmp_path, capsys,
+                                                     monkeypatch):
+    """At S=2 and this T an (S, T+1) column could be indexed, but the
+    (S, T+1, 6) array of the float columns could not: rejected at set-up,
+    before anything is allocated."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(harness, "run_and_measure", no_run)
+    T = np.iinfo(np.intp).max // 8 // 2 - 1
+    argv = ["run", "--config", write_config(tmp_path, dict(CONFIG, T=T)),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (f"error: round budget T={T} is too "
+                                       f"large for the metric columns\n")
 
 
 def overflow_config(**sizes):
@@ -364,6 +382,68 @@ def test_bad_output_path_exits_2_before_any_seed_runs(tmp_path, capsys,
     if command == "sweep_clash":
         assert "schedule.mu_y=0.01" in captured.err
         assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_seed_too_long_for_a_file_name_exits_2_before_any_seed_runs(
+        tmp_path, capsys, monkeypatch, command):
+    """seed_<s>.csv of a seed of 247 digits has 256 bytes, past a file
+    name's 255: the config is rejected at load, naming the seed."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(harness, "run_and_measure", no_run)
+    seed = 10**246
+    assert len(f"seed_{seed}.csv") == harness.NAME_MAX + 1
+    out = tmp_path / "out"
+    config = write_config(tmp_path, dict(CONFIG, seeds=[0, seed]))
+    argv = {"run": ["run", "--config", config],
+            "sweep": ["sweep", "--config", config, "--vary",
+                      "schedule.mu_y=0.01,0.02"]}[command]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: seed {seed} is too large")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_seed_of_the_longest_file_name_runs(tmp_path, capsys):
+    seed = 10**246 - 1
+    out = tmp_path / "out"
+    config = write_config(tmp_path, dict(CONFIG, seeds=[seed]))
+    assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+    name = f"seed_{seed}.csv"
+    assert len(name) == harness.NAME_MAX
+    assert (out / name).read_bytes().startswith(b"round,")
+    assert str(out / name) in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("command, name", [
+    ("run", "seed_0.csv"), ("run", "seed_9.csv"), ("sweep", "seed_1.csv")],
+    ids=["run_own_seed", "run_stale_seed", "sweep"])
+def test_directory_named_as_a_seed_csv_exits_2_before_any_seed_runs(
+        tmp_path, capsys, monkeypatch, command, name):
+    """A directory in --out named seed_<n>.csv, for one of the run's seeds
+    (it could not be written) or another (it could not be removed), is
+    rejected once --out exists, before the first round."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(harness, "run_and_measure", no_run)
+    config = write_config(tmp_path, CONFIG)
+    out = tmp_path / "out"
+    argv = {"run": ["run", "--config", config, "--out", str(out)],
+            "sweep": ["sweep", "--config", config, "--vary",
+                      "schedule.mu_y=0.01,0.02", "--out", str(out)]}[command]
+    blocker = out / name if command == "run" \
+        else out / "schedule.mu_y=0.02" / name
+    blocker.mkdir(parents=True)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {blocker} is a directory, where the "
+                            f"run writes or removes a seed's CSV\n")
+    assert captured.out == ""
+    assert blocker.is_dir() and not any(blocker.iterdir())
 
 
 def test_removed_options_are_usage_errors(tmp_path, capsys):

@@ -145,19 +145,119 @@ def test_rows_of_mixed_columns():
         assert bytes(text).decode() == "".join(line + "\r\n" for line in lines)
 
 
-@pytest.mark.parametrize("seeds, rounds", [(5, 1), (3, 700), (1, 10**5)])
-def test_blocks_cover_each_row_once_within_the_budget(seeds, rounds):
-    columns = 11
-    blocks = list(row_blocks(seeds, rounds, columns))
+def assert_blocks_cover(seeds, rounds, slots):
+    blocks = list(row_blocks(seeds, rounds, slots))
     covered = np.zeros((seeds, rounds), int)
     for part, start, stop in blocks:
-        assert (part.stop - part.start) * (stop - start) * columns \
+        assert (part.stop - part.start) * (stop - start) * slots \
             * csvtext.CELL <= csvtext.BLOCK_BYTES
         covered[part, start:stop] += 1
     assert (covered == 1).all()
     # a seed's blocks come in order of rounds, so they can be appended
     order = [(part.start, start) for part, start, _ in blocks]
     assert order == sorted(order)
+
+
+@pytest.mark.parametrize("seeds, rounds", [(5, 1), (3, 700), (1, 10**5)])
+def test_blocks_cover_each_row_once_within_the_budget(seeds, rounds):
+    assert_blocks_cover(seeds, rounds, 11)
+
+
+@pytest.mark.parametrize("seeds, rounds, slots", [
+    (8, 501, 8), (8, 501, 10), (3, 20001, 8), (2, 4001, 8)])
+def test_blocks_of_present_cells_cover_each_row_once(seeds, rounds, slots):
+    """The budget counts the slots a row takes, its present cells (8 for
+    a diagnostics-off row, 10 with the ehat columns)."""
+    assert_blocks_cover(seeds, rounds, slots)
+
+
+def test_blocks_are_as_large_as_the_budget_allows():
+    """A row of the storm_online workload (T=500) without its two ehat
+    columns takes 8 slots, so a block holds 2 seeds, where 10 slots
+    would hold 1; a long seed's parts take 1024 rounds each."""
+    assert {p.stop - p.start for p, _, _ in row_blocks(8, 501, 8)} == {2}
+    assert {p.stop - p.start for p, _, _ in row_blocks(8, 501, 10)} == {1}
+    assert [(start, stop) for _, start, stop in row_blocks(1, 2500, 8)] \
+        == [(0, 1024), (1024, 2048), (2048, 2500)]
+
+
+def reference_rows(columns, rows, start, stop) -> list:
+    """Python's text of row_text's entries, one column at a time."""
+    cells = []
+    for c in columns:
+        if c is None:
+            cells.append(lambda row, r: [""])
+        elif c.ndim == 1:
+            cells.append(lambda row, r, c=c: [str(c[r])])
+        else:
+            cells.append(lambda row, r, c=c: [
+                str(v) if isinstance(v, int) else "%.17g" % v
+                for v in np.asarray(c[row, r]).reshape(-1).tolist()])
+    return ["".join(",".join(sum((f(row, r) for f in cells), [])) + "\r\n"
+                    for r in range(start, stop)) for row in rows]
+
+
+def layout_columns(spec):
+    """Columns from a letter each: f a float column, i an int64 column,
+    F three adjacent float columns, r a shared round column, - absent."""
+    rng = np.random.default_rng(RNG_SEED)
+    make = {
+        "f": lambda: rng.standard_normal((3, 9)) * 10.0 ** rng.integers(
+            -8, 8, (3, 9)),
+        "i": lambda: rng.integers(-10**12, 10**12, (3, 9)),
+        "F": lambda: rng.standard_normal((3, 9, 3)),
+        "r": lambda: np.arange(9),
+        "-": lambda: None,
+    }
+    return [make[letter]() for letter in spec]
+
+
+@pytest.mark.parametrize("spec, slots", [
+    ("rF--i", 5), ("if--f", 3), ("i--", 2), ("i---f", 3), ("f-", 1),
+    ("f---", 2), ("-f", 2), ("--f-", 2), ("r-F-", 4), ("rff--i", 4)])
+def test_absent_columns_take_no_slot_where_their_commas_fit(spec, slots):
+    """An absent column's comma sits in the spare bytes of the slot
+    before it; it takes a slot only as the first column, or after three
+    separators (a CR LF counts two)."""
+    columns = layout_columns(spec)
+    assert len(csvtext._layout(columns)[1]) == slots
+    for rows, start, stop in (([0, 1, 2], 0, 9), ([2, 0], 3, 8),
+                              ([1], 4, 5)):
+        got = [bytes(t).decode()
+               for t in row_text(columns, np.array(rows), start, stop)]
+        assert got == reference_rows(columns, rows, start, stop)
+
+
+def test_a_diagnostics_off_row_gives_the_ehat_columns_no_slot():
+    """write_outputs's columns without diagnostics, round, six floats,
+    two absent ehat columns and samples_used, take 8 slots: none is
+    empty, and the two absent commas follow est_err_avg_sq's cell."""
+    columns = [np.arange(4), np.ones((1, 4, 6)), None, None,
+               np.ones((1, 4), np.int64)]
+    parts, seps = csvtext._layout(columns)
+    assert len(seps) == 8 and all(c is not None for c, _, _ in parts)
+    assert seps[6].tobytes() == b"\0" * 5 + b",,,"
+    assert bytes(row_text(columns, np.array([0]), 0, 1)[0]) \
+        == b"0,1,1,1,1,1,1,,,1\r\n"
+
+
+def test_a_shared_column_is_formatted_once_per_span(monkeypatch):
+    calls = []
+    original = csvtext.int_cells
+
+    def counted(v, out):
+        calls.append(v.ndim)
+        return original(v, out)
+
+    monkeypatch.setattr(csvtext, "int_cells", counted)
+    columns = [np.arange(30), np.ones((4, 30, 2))]
+    scratch = {}
+    texts = [bytes(t) for rows in ([0, 1], [2, 3], [1, 3])
+             for t in row_text(columns, np.array(rows), 5, 30, scratch)]
+    assert calls == [1]
+    assert len(set(texts)) == 1
+    row_text(columns, np.array([0]), 0, 5, scratch)
+    assert calls == [1, 1]
 
 
 def test_exponent_found_from_either_side():

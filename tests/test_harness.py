@@ -359,6 +359,12 @@ NON_FINITE = dict(MINIMAL, T=5,
 # noise of 1e150: est_err columns near 1e300, which Python formats
 PYTHON_CELLS = dict(NON_FINITE, problem=dict(NON_FINITE["problem"],
                                              sigma=1e150))
+# diagnostics off, so a row takes 8 slots of 32 bytes: six seeds share one
+# block of 21 rounds; a seed of 2501 rounds takes three blocks; seed 2 of
+# the DIVERGENT batch fails between the two others of its block
+SHARED_BLOCK = dict(MINIMAL, seeds=[0, 1, 2, 3, 5, 8])
+LONG_SEEDS = dict(MINIMAL, T=2500)
+ONE_FAILED = dict(DIVERGENT, seeds=[1, 2, 7])
 
 
 class TestWriteOutputs:
@@ -371,8 +377,12 @@ class TestWriteOutputs:
         (BIG_COUNTS, set()),
         (NON_FINITE, set()),
         (PYTHON_CELLS, set()),
+        (SHARED_BLOCK, set()),
+        (LONG_SEEDS, set()),
+        (ONE_FAILED, {2}),
     ], ids=["diagnostics_off", "diagnostics_on", "failed_seeds", "sinpl",
-            "samples_above_2_53", "non_finite", "python_cells"])
+            "samples_above_2_53", "non_finite", "python_cells",
+            "seeds_share_a_block", "seed_spans_blocks", "one_seed_failed"])
     def test_csv_bytes_match_reference(self, tmp_path, raw, failed):
         if raw["problem"]["kind"] == "sinpl":
             raw = dict(raw, schedule=dict(raw["schedule"], B_big=8))
@@ -385,6 +395,32 @@ class TestWriteOutputs:
         for row in ok:
             path = tmp_path / f"seed_{result.series.seeds[row]}.csv"
             assert path.read_bytes() == reference_csv(result, row), path.name
+
+    @pytest.mark.parametrize("raw, slots, blocks", [
+        (SHARED_BLOCK, 8, [(0, 6, 0, 21)]),
+        (LONG_SEEDS, 8, [(s, s + 1, a, b) for s in (0, 1) for a, b in
+                         ((0, 1024), (1024, 2048), (2048, 2501))]),
+        (ONE_FAILED, 8, [(0, 2, 0, 4)]),
+        (dict(MINIMAL, diagnostics={"transform": True}), 10,
+         [(0, 2, 0, 21)]),
+    ], ids=["seeds_share_a_block", "seed_spans_blocks", "one_seed_failed",
+            "diagnostics_on"])
+    def test_blocks_count_only_present_cells(self, tmp_path, monkeypatch,
+                                             raw, slots, blocks):
+        """Without diagnostics the two ehat columns take no slot, so the
+        block budget counts 8 slots a row, not 10."""
+        seen, row_blocks = [], csvtext.row_blocks
+
+        def spy(seeds, rounds, n):
+            seen.append(n)
+            for part, start, stop in row_blocks(seeds, rounds, n):
+                seen.append((part.start, part.stop, start, stop))
+                yield part, start, stop
+
+        result = run_experiment(config_from_dict(raw))
+        monkeypatch.setattr(csvtext, "row_blocks", spy)
+        write_outputs(result, tmp_path)
+        assert seen == [slots, *blocks]
 
     def test_edge_runs_reach_their_cells(self):
         """BIG_COUNTS, NON_FINITE and PYTHON_CELLS write what their
