@@ -25,14 +25,13 @@ a point with no digits after it, are cut. An integer's field (bytes 4 to
 23) keeps its digits from the first nonzero one. Deleting the NULs
 (bytes.translate) leaves the rows' text.
 
-Only present cells take slots. An absent column's empty cell is nothing
-but its comma, which the slot before it carries in its spare bytes
-beside its own comma (_layout); only a row's first column, or a fourth
-separator after one cell, takes a slot of NULs. A block's rows are one
-bytes buffer of (row, round, slot) slots; adjacent columns of one array
-are formatted in one pass on a view of it, and a column that every row
-shares (the round) is formatted once per span of rounds and copied into
-each row.
+A run's CSV has one row format (text_blocks): the round, k floats, the
+absent ehat cells and the sample count. Its separators are fixed: a
+comma after each cell, one more per absent cell in the spare bytes of
+the last float's slot, and CR LF after the count. A block's rows are
+one bytes buffer of (row, round, slot) slots; the floats are formatted
+in one pass on a view of the batch's array, and the round cells, the
+same in every row, once per span of rounds.
 
 Python's "%.17g" formats the cells numpy does not decide: |v| outside
 [LOW, HIGH], where the double-double products leave the normal range, and
@@ -49,8 +48,8 @@ TIE = 1e-6                     # distance from a rounding tie, in units
 
 _XLIM = 283                    # decimal exponents of the tables: |x| <= _XLIM
 _SPLIT = 134217729.0           # 2^27 + 1, Dekker's splitting constant
-_SEP = 29                      # a slot's separator bytes: _SEP onwards,
-_SPARE = CELL - _SEP           # 3 of them, which no cell's text reaches
+_SEP = 29                      # a slot's 3 separator bytes: _SEP onwards,
+                               # which no cell's text reaches
 _ZERO, _INF, _NAN = 2 * _XLIM + 1, 2 * _XLIM + 2, 2 * _XLIM + 3  # frame rows
 _NEG = 2 * _XLIM + 4           # frame rows of a negative cell: row + _NEG
 
@@ -117,15 +116,16 @@ def _scaled(a, x):
     where it can, to keep few block-sized arrays alive."""
     k = _XLIM - x
     p = a * _HI[k]
+    hh, hl = _HH[k], _HL[k]
     ah = a * _SPLIT
     ah -= ah - a
-    t = ah * _HH[k]
+    t = ah * hh
     t -= p
-    t += ah * _HL[k]
+    t += ah * hl
     al = np.subtract(a, ah, out=ah)
-    t += al * _HH[k]
-    t += al * _HL[k]
-    del al, ah
+    t += al * hh
+    t += al * hl
+    del al, ah, hh, hl
     t += a * _LO[k]
     r = np.rint(p)
     p -= r
@@ -278,34 +278,6 @@ def _format(values, out):
                   template)
 
 
-def _layout(columns):
-    """The slots of a row of columns: (entry, first slot, slots) of each
-    entry that has slots, and the separator bytes after each slot's cell,
-    as a word to OR into its last word: at its end, in bytes _SEP
-    onwards, which a cell leaves NUL. An absent column's comma goes into
-    the spare bytes of the slot before it; it takes an empty slot, entry
-    None, only where none are left: as a row's first column, or after
-    _SPARE separators."""
-    parts, seps = [], []
-    for c in columns:
-        if c is None and seps and len(seps[-1]) < _SPARE:
-            seps[-1] += b","
-            continue
-        k = 1 if c is None or c.ndim < 3 else c.shape[-1]
-        parts.append((c, len(seps), k))
-        seps += [b","] * k
-    # the line ends in CR LF, in an empty slot of its own if it does not
-    # fit
-    last = seps.pop()[:-1] + b"\r\n"
-    if len(last) > _SPARE:
-        parts.append((None, len(seps) + 1, 1))
-        seps.append(last[:-2])
-        last = b"\r\n"
-    seps.append(last)
-    return parts, np.frombuffer(b"".join(s.rjust(8, b"\0") for s in seps),
-                                "<u8")
-
-
 def row_blocks(seeds: int, rounds: int, slots: int):
     """(seed slice, first round, end round) of blocks whose slots, slots
     per row, take at most BLOCK_BYTES: as many whole seeds as fit, or one
@@ -322,55 +294,37 @@ def row_blocks(seeds: int, rounds: int, slots: int):
                 yield slice(s, s + 1), r, min(r + fit, rounds)
 
 
-def row_text(columns, rows, start, stop, scratch=None) -> list:
-    """The CSV text of rounds start..stop-1 of each row in rows, as one
-    bytes object per row. columns holds one entry per CSV column: a 2-d
-    (row, round) array of floats or int64s, a 3-d (row, round, k) array
-    of k adjacent columns of one kind, a 1-d (round,) array that every
-    row shares, or None for an absent column, which takes no slot where
-    its comma fits into the slot before it (_layout). A line ends in
-    CR LF. scratch, a dict kept between calls on the same columns, keeps
-    the block's bytes for the next call, and a shared column's cells of
-    the last span, so that they are made once per span, not per call."""
-    rows = np.asarray(rows)
-    parts, seps = _layout(columns)
-    scratch = {} if scratch is None else scratch
-    n = stop - start
-    size = len(rows) * n * len(seps) * CELL
-    if len(scratch.get("text", b"")) != size:
-        scratch["text"] = bytearray(size)
-    text = scratch["text"]
-    words = np.frombuffer(text, "<u8").reshape(len(rows), n, len(seps), 4)
-    # consecutive rows are a view of each column; others are gathered
-    take = slice(rows[0], rows[-1] + 1) if (np.diff(rows) == 1).all() \
-        else rows
-    for c, first, k in parts:
-        if c is None:
-            words[:, :, first] = 0
-        elif c.ndim == 1:
-            span, cells = scratch.get(first, (None, None))
-            if span != (start, stop):
-                cells = np.empty((n, 4), np.uint64)
-                _format(c[start:stop], cells)
-                scratch[first] = (start, stop), cells
-            words[:, :, first] = cells
-        else:
-            _format(c[take, start:stop].reshape(len(rows), n, k),
-                    words[:, :, first:first + k])
-    words[..., 3] |= seps
-    size //= len(rows)
-    return [text[i:i + size].translate(None, b"\0")
-            for i in range(0, len(text), size)]
-
-
-def text_blocks(columns, rows, rounds: int):
+def text_blocks(floats, counts, rows, absent: int):
     """(row, first round, end round, text) of each block of row_blocks
-    over rows, rounds 0..rounds-1 of the columns (see row_text): a row's
-    blocks in order of rounds, each block's rows in the order of rows."""
-    scratch = {}
-    for part, start, stop in row_blocks(len(rows), rounds,
-                                        len(_layout(columns)[1])):
-        block = rows[part]
-        for row, text in zip(block, row_text(columns, block, start, stop,
-                                             scratch)):
-            yield row, start, stop, text
+    over rows, a row's blocks in order of rounds and each block's rows in
+    the order of rows. A line of round r of row `row` is r, the k floats
+    floats[row, r], absent empty cells and the int64 counts[row, r], and
+    ends in CR LF. A row takes k + 2 slots: an absent cell is one more
+    comma in the spare bytes of the last float's slot."""
+    rounds, k = floats.shape[1:]
+    # the separators after each slot's cell, as words to OR into its last
+    # word: at its end, in bytes _SEP onwards, which a cell leaves NUL
+    seps = np.frombuffer(b"".join(s.rjust(8, b"\0") for s in [b","] * k + [
+        b"," * (1 + absent), b"\r\n"]), "<u8")
+    text, span = b"", None
+    for part, start, stop in row_blocks(len(rows), rounds, k + 2):
+        block, n = rows[part], stop - start
+        size = len(block) * n * (k + 2) * CELL
+        if len(text) != size:
+            text = bytearray(size)
+        words = np.frombuffer(text, "<u8").reshape(len(block), n, k + 2, 4)
+        # the round cells are every row's: made once per span of rounds
+        if span != (start, stop):
+            span, round_cells = (start, stop), np.empty((n, 4), np.uint64)
+            _format(np.arange(start, stop), round_cells)
+        words[:, :, 0] = round_cells
+        # consecutive rows are a view of each array; others are gathered
+        take = slice(block[0], block[-1] + 1) \
+            if (np.diff(block) == 1).all() else block
+        _format(floats[take, start:stop], words[:, :, 1:k + 1])
+        _format(counts[take, start:stop], words[:, :, k + 1])
+        words[..., 3] |= seps
+        size //= len(block)
+        for i, row in enumerate(block):
+            yield row, start, stop, text[i * size:(i + 1) * size].translate(
+                None, b"\0")

@@ -334,6 +334,8 @@ def _setup(config: RunConfig):
     except MemoryError as exc:
         raise ConfigError(f"the set-up's arrays do not fit in memory: "
                           f"{exc}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"the set-up overflows float range: {exc}") from exc
     return problem, mixing, ops, bundle, engine, info
 
 
@@ -367,12 +369,17 @@ def _summarize(result: RunResult, bundle) -> dict:
     samples = last["samples_used"]
 
     def mean_std(vals):
-        if not vals:
-            return {"mean": None, "std": None}
-        return {
-            "mean": float(statistics.fmean(vals)),
-            "std": float(statistics.pstdev(vals)) if len(vals) > 1 else 0.0,
-        }
+        """The mean and population std of vals; both null, as strict JSON
+        has no Infinity or NaN, for no values, a value that is not finite
+        or a sum that passes float range (fmean's OverflowError)."""
+        try:
+            if vals and all(map(math.isfinite, vals)):
+                return {"mean": statistics.fmean(vals),
+                        "std": statistics.pstdev(vals) if len(vals) > 1
+                        else 0.0}
+        except OverflowError:
+            pass
+        return {"mean": None, "std": None}
 
     return {
         "constants": {
@@ -400,33 +407,25 @@ def write_outputs(result: RunResult, out_dir) -> list:
     """Write seed_<s>.csv per surviving seed, summary.json and
     config.resolved.json, and remove every other seed_<digits>.csv in
     out_dir, which an earlier run left for a seed that failed in this one
-    or that this one does not have. A CSV line holds the round and each
-    recorded column, an empty cell per absent ehat column, and a CR LF
-    end: a float as Python's "%.17g" writes it, an integer column
-    (samples_used) in its exact digits. numpy makes the text (see
-    csvtext) in blocks of whole rows whose cell slots take at most
-    csvtext.BLOCK_BYTES, and each block goes to its file as soon as it is
-    made, so writing takes memory bounded in T. Only present cells take
-    a slot: an absent ehat cell is its comma, in the spare separator
-    bytes of the slot before it. The float columns reach the formatter
-    as one view of the batch's array, and the round column, the same in
-    every row, is formatted once per span of rounds. Python's "%.17g"
-    formats only the cells numpy does not decide: magnitudes outside
-    [1e-280, 1e280] and values next to a rounding tie."""
+    or that this one does not have. A CSV line holds the round, each
+    recorded float column, an empty cell per absent ehat column,
+    samples_used and a CR LF end: a float as Python's "%.17g" writes it,
+    the integers in their exact digits. numpy makes the text
+    (csvtext.text_blocks) in blocks of whole rows whose cell slots take
+    at most csvtext.BLOCK_BYTES, from views of the batch's float and count
+    arrays, and each block goes to its file as soon as it is made, so
+    writing takes memory bounded in T."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     series = result.series
     rounds = result.config.T + 1
-    # the round column is every row's; the float columns are one array,
-    # and only the ehat ones, last among them, can be absent
+    # only the ehat columns, the last float columns, can be absent
     absent = len(COLUMNS) - 1 - series.floats.shape[-1]
-    columns = [np.arange(rounds), series.floats, *[None] * absent,
-               series.samples_used]
     header = (",".join(CSV_HEADER) + "\r\n").encode()
     with ExitStack() as files:
-        for row, start, stop, text in text_blocks(columns, series.ok_rows,
-                                                  rounds):
+        for row, start, stop, text in text_blocks(
+                series.floats, series.samples_used, series.ok_rows, absent):
             # a seed's blocks come in order; its file is open until its
             # last one
             if start == 0:

@@ -60,24 +60,38 @@ class ScheduleSpec:
 
 
 def schedule_for_mode(spec: ScheduleSpec):
-    """Resolve (mu_x, mu_y, GraceParams) for one schedule mode."""
-    T, K, kap = spec.T, spec.K, spec.kappa
+    """Resolve (mu_x, mu_y, GraceParams) for one schedule mode, with
+    mu_x = mu_y / kappa^2; steps that are not finite, or a step or batch
+    size that overflows, raise ConfigError."""
+    try:
+        mu_y, grace = _preset(spec)
+        mu_x = mu_y / spec.kappa**2
+    except OverflowError as exc:
+        raise ConfigError(f"the {spec.mode.value} preset's steps or batch "
+                          f"sizes overflow: {exc}") from exc
+    if not (math.isfinite(mu_x) and math.isfinite(mu_y)):
+        raise ConfigError(f"the {spec.mode.value} preset's steps mu_x={mu_x}, "
+                          f"mu_y={mu_y} are not finite")
+    return mu_x, mu_y, grace
+
+
+def _preset(spec: ScheduleSpec):
+    """(mu_y, GraceParams) of spec's schedule mode."""
+    T, K = spec.T, spec.K
     if spec.mode in (ScheduleMode.STORM_ED, ScheduleMode.STORM_EXTRA,
                      ScheduleMode.STORM_ATCGT):
         mu_y = spec.c_mu * K ** (2 / 3) / T ** (1 / 3)
-        mu_x = mu_y / kap**2
         beta = min(1.0, spec.c_beta * K ** (1 / 3) / T ** (2 / 3))
         b0 = max(1, math.ceil(spec.c_b * T ** (1 / 3) / K ** (2 / 3)))
         grace = GraceParams(beta=beta, p=0.0, b=1, b0=b0)
-        return mu_x, mu_y, grace
+        return mu_y, grace
     if spec.mode == ScheduleMode.PAGE_OFFLINE:
         N = spec.N
         b = max(1, math.ceil(spec.c_b * math.sqrt(N / K)))
         p = min(1.0, spec.c_p / math.sqrt(K * N))
         mu_y = spec.c_mu * min(1.0, K / math.sqrt(N))
-        mu_x = mu_y / kap**2
         grace = GraceParams(beta=0.0, p=p, b=b, B_big=N, b0=b)
-        return mu_x, mu_y, grace
+        return mu_y, grace
     if spec.mode == ScheduleMode.PAGE_ONLINE:
         gap = 1.0 - spec.lam
         if gap <= 0:
@@ -86,18 +100,16 @@ def schedule_for_mode(spec: ScheduleSpec):
         b = max(1, math.ceil(spec.c_b * gap**0.75 * math.sqrt(T) / K))
         p = min(1.0, spec.c_p / (gap**0.75 * math.sqrt(T)))
         mu_y = spec.c_mu * gap**1.5
-        mu_x = mu_y / kap**2
         grace = GraceParams(beta=0.0, p=p, b=b, B_big=B, b0=b)
-        return mu_x, mu_y, grace
+        return mu_y, grace
     if spec.mode == ScheduleMode.LSARAH_OFFLINE:
         N = spec.N
         b0 = max(1, math.ceil(spec.c_b * math.sqrt(N) / K))
         p = min(1.0, spec.c_p * K / N)
         mu_y = spec.c_mu * min(1.0, K / math.sqrt(N))
-        mu_x = mu_y / kap**2
         grace = GraceParams(beta=0.0, p=p, b=1, B_big=max(1, math.ceil(N / K)),
                             b0=b0)
-        return mu_x, mu_y, grace
+        return mu_y, grace
     raise ConfigError(f"unknown schedule mode {spec.mode!r}")
 
 

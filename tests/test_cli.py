@@ -167,6 +167,40 @@ def test_overflowing_sample_counts_exit_2_before_any_seed_runs(
     assert list(tmp_path.rglob("*.csv")) == []
 
 
+@pytest.mark.parametrize("problem, schedule", [
+    ({}, {"mode": "storm_ed", "c_b": 1e308}),
+    ({"N": 40}, {"mode": "page_offline", "c_b": 1e308}),
+    ({"q_spread": 1e200}, {"mode": "storm_ed"}),
+    ({"q_spread": 1e200}, {"mode": "explicit", "mu_x": 0.01, "mu_y": 0.01}),
+    ({"q_spread": 1e200}, {"mode": "explicit", "mu_x": 0.01, "mu_y": 0.01,
+                           "shrink_to_valid": True}),
+    ({"r_scale": 1e300}, {"mode": "storm_ed"}),
+    ({"nu_target": 1e308, "s_spread": 1e308}, {"mode": "storm_ed"}),
+    ({}, {"mode": "storm_ed", "c_mu": 1e308, "shrink_to_valid": True}),
+    ({}, {"mode": "storm_ed", "c_mu": 1e308})],
+    ids=["storm_c_b", "page_c_b", "preset_kappa", "conditions_kappa",
+         "shrink_kappa", "r_scale", "nu_and_s_spread", "c_mu_shrink", "c_mu"])
+def test_overflowing_presets_and_conditions_exit_2_before_any_seed_runs(
+        tmp_path, capsys, monkeypatch, problem, schedule):
+    """A preset whose step or batch size overflows or is infinite, a kappa
+    whose square overflows and a problem whose draws pass float range
+    are rejected at set-up, not raised raw or run with infinite steps."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(harness, "run_and_measure", no_run)
+    raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+           "problem": {"kind": "quadratic", "d1": 2, "d2": 1, "sigma": 0.1,
+                       **problem},
+           "schedule": schedule, "T": 100}
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_oversized_round_budget_keeps_its_message_beside_huge_batches(
         tmp_path, capsys):
     raw = dict(overflow_config(b=10**340), T=10**19)
@@ -469,6 +503,7 @@ def test_removed_options_are_usage_errors(tmp_path, capsys):
     ("storm_ed", "--kappa=nan"),
     ("storm_ed", "--kappa=inf"),
     ("storm_ed", "--kappa=0"),
+    ("storm_ed", "--kappa=1e200"),
 ])
 def test_schedule_rejects_bad_numbers(mode, arg, capsys):
     assert cli.main(["schedule", "--mode", mode, "--T", "1000", "--K", "4",

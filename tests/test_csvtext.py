@@ -3,6 +3,7 @@
 that reach each branch of the formatter (notation, exponent digits,
 trailing zeros, carries, ties, the Python fallback)."""
 
+import itertools
 from decimal import Decimal
 
 import numpy as np
@@ -10,17 +11,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from decminimax import csvtext
-from decminimax.csvtext import row_blocks, row_text
+from decminimax.csvtext import row_blocks, text_blocks
 
 RNG_SEED = 20261021
 
 
 def cells(values) -> list:
-    """The cells of values as row_text writes them, one column of one row."""
-    col = np.asarray(values).reshape(1, -1)
-    text = bytes(row_text([col], np.array([0]), 0, col.shape[1])[0]).decode()
-    assert text.endswith("\r\n")
-    return text[:-2].split("\r\n")
+    """The cells of values as text_blocks writes them: floats as a row's
+    one float column, int64s as its count column."""
+    values = np.asarray(values)
+    n, floats = values.size, values.dtype.kind == "f"
+    text = b"".join(t for *_, t in text_blocks(
+        values.reshape(1, n, 1) if floats else np.zeros((1, n, 1)),
+        np.zeros((1, n), np.int64) if floats else values.reshape(1, n),
+        np.array([0]), 0)).decode()
+    lines = text.split("\r\n")
+    assert lines.pop() == "" and len(lines) == n
+    return [line.split(",")[1 if floats else 2] for line in lines]
 
 
 def near_tie(v) -> bool:
@@ -130,21 +137,6 @@ def test_integer_cells_are_exact():
     assert cells(values) == [str(v) for v in values.tolist()]
 
 
-def test_rows_of_mixed_columns():
-    rng = np.random.default_rng(RNG_SEED)
-    floats = rng.standard_normal((3, 7)) * 10.0 ** rng.integers(-8, 8, (3, 7))
-    ints = rng.integers(0, 10**12, (3, 7))
-    columns = [ints, floats, None, floats[::-1], None, ints[::-1]]
-    rows = np.array([2, 0])
-    got = row_text(columns, rows, 1, 6)
-    for row, text in zip(rows, got):
-        lines = [",".join("" if c is None else
-                          str(c[row, r]) if c.dtype.kind == "i"
-                          else "%.17g" % c[row, r] for c in columns)
-                 for r in range(1, 6)]
-        assert bytes(text).decode() == "".join(line + "\r\n" for line in lines)
-
-
 def assert_blocks_cover(seeds, rounds, slots):
     blocks = list(row_blocks(seeds, rounds, slots))
     covered = np.zeros((seeds, rounds), int)
@@ -181,67 +173,59 @@ def test_blocks_are_as_large_as_the_budget_allows():
         == [(0, 1024), (1024, 2048), (2048, 2500)]
 
 
-def reference_rows(columns, rows, start, stop) -> list:
-    """Python's text of row_text's entries, one column at a time."""
-    cells = []
-    for c in columns:
-        if c is None:
-            cells.append(lambda row, r: [""])
-        elif c.ndim == 1:
-            cells.append(lambda row, r, c=c: [str(c[r])])
-        else:
-            cells.append(lambda row, r, c=c: [
-                str(v) if isinstance(v, int) else "%.17g" % v
-                for v in np.asarray(c[row, r]).reshape(-1).tolist()])
-    return ["".join(",".join(sum((f(row, r) for f in cells), [])) + "\r\n"
-                    for r in range(start, stop)) for row in rows]
+def reference_text(floats, counts, row, absent) -> str:
+    """Python's text of a row's lines: the round, its floats, absent
+    empty cells and its count."""
+    return "".join(",".join([str(r), *("%.17g" % v for v in f), *[""] * absent,
+                             str(c)]) + "\r\n"
+                   for r, (f, c) in enumerate(zip(floats[row].tolist(),
+                                                  counts[row].tolist())))
 
 
-def layout_columns(spec):
-    """Columns from a letter each: f a float column, i an int64 column,
-    F three adjacent float columns, r a shared round column, - absent."""
+def test_rows_of_mixed_columns():
+    """Both of a run's row formats, diagnostics off (six floats and two
+    absent ehat cells) and on (eight floats), against Python's text: rows
+    gathered out of order into one block, or each split across blocks."""
     rng = np.random.default_rng(RNG_SEED)
-    make = {
-        "f": lambda: rng.standard_normal((3, 9)) * 10.0 ** rng.integers(
-            -8, 8, (3, 9)),
-        "i": lambda: rng.integers(-10**12, 10**12, (3, 9)),
-        "F": lambda: rng.standard_normal((3, 9, 3)),
-        "r": lambda: np.arange(9),
-        "-": lambda: None,
-    }
-    return [make[letter]() for letter in spec]
+    for (k, absent), (rounds, split) in itertools.product(
+            [(6, 2), (8, 0)], [(9, False), (2500, True)]):
+        floats = rng.standard_normal((4, rounds, k)) * 10.0 ** rng.integers(
+            -8, 8, (4, rounds, k))
+        floats[1, 0] = [np.nan, -np.inf, -0.0, 1e300, 5e-300, 0.5, 1e17,
+                        1e-5][:k]
+        counts = rng.integers(0, 10**18, (4, rounds))
+        spans, texts = {}, {}
+        for row, start, stop, text in text_blocks(
+                floats, counts, np.array([3, 1, 0]), absent):
+            spans.setdefault(row, []).append((start, stop))
+            texts[row] = texts.get(row, "") + bytes(text).decode()
+        assert list(spans) == [3, 1, 0]
+        for row, parts in spans.items():
+            assert (len(parts) > 1) == split, (k, rounds)
+            assert texts[row] == reference_text(floats, counts, row, absent), \
+                (k, rounds, row)
 
 
-@pytest.mark.parametrize("spec, slots", [
-    ("rF--i", 5), ("if--f", 3), ("i--", 2), ("i---f", 3), ("f-", 1),
-    ("f---", 2), ("-f", 2), ("--f-", 2), ("r-F-", 4), ("rff--i", 4)])
-def test_absent_columns_take_no_slot_where_their_commas_fit(spec, slots):
-    """An absent column's comma sits in the spare bytes of the slot
-    before it; it takes a slot only as the first column, or after three
-    separators (a CR LF counts two)."""
-    columns = layout_columns(spec)
-    assert len(csvtext._layout(columns)[1]) == slots
-    for rows, start, stop in (([0, 1, 2], 0, 9), ([2, 0], 3, 8),
-                              ([1], 4, 5)):
-        got = [bytes(t).decode()
-               for t in row_text(columns, np.array(rows), start, stop)]
-        assert got == reference_rows(columns, rows, start, stop)
+def test_a_diagnostics_off_row_gives_the_ehat_columns_no_slot(monkeypatch):
+    """A row of round, six floats, two absent ehat cells and a count
+    takes 8 slots: the two absent commas follow the last float's cell."""
+    slots, original = [], csvtext.row_blocks
 
+    def spy(seeds, rounds, n):
+        slots.append(n)
+        return original(seeds, rounds, n)
 
-def test_a_diagnostics_off_row_gives_the_ehat_columns_no_slot():
-    """write_outputs's columns without diagnostics, round, six floats,
-    two absent ehat columns and samples_used, take 8 slots: none is
-    empty, and the two absent commas follow est_err_avg_sq's cell."""
-    columns = [np.arange(4), np.ones((1, 4, 6)), None, None,
-               np.ones((1, 4), np.int64)]
-    parts, seps = csvtext._layout(columns)
-    assert len(seps) == 8 and all(c is not None for c, _, _ in parts)
-    assert seps[6].tobytes() == b"\0" * 5 + b",,,"
-    assert bytes(row_text(columns, np.array([0]), 0, 1)[0]) \
-        == b"0,1,1,1,1,1,1,,,1\r\n"
+    monkeypatch.setattr(csvtext, "row_blocks", spy)
+    [(_, _, _, text)] = text_blocks(np.ones((1, 1, 6)),
+                                    np.ones((1, 1), np.int64), np.array([0]), 2)
+    assert slots == [8]
+    assert bytes(text) == b"0,1,1,1,1,1,1,,,1\r\n"
 
 
 def test_a_shared_column_is_formatted_once_per_span(monkeypatch):
+    """12 seeds of 500 rounds of 4 slots take 3 blocks of 4 seeds, one
+    span of rounds: the round cells are made once, the counts per
+    block."""
     calls = []
     original = csvtext.int_cells
 
@@ -250,14 +234,11 @@ def test_a_shared_column_is_formatted_once_per_span(monkeypatch):
         return original(v, out)
 
     monkeypatch.setattr(csvtext, "int_cells", counted)
-    columns = [np.arange(30), np.ones((4, 30, 2))]
-    scratch = {}
-    texts = [bytes(t) for rows in ([0, 1], [2, 3], [1, 3])
-             for t in row_text(columns, np.array(rows), 5, 30, scratch)]
-    assert calls == [1]
-    assert len(set(texts)) == 1
-    row_text(columns, np.array([0]), 0, 5, scratch)
-    assert calls == [1, 1]
+    texts = [bytes(t) for *_, t in text_blocks(
+        np.ones((12, 500, 2)), np.ones((12, 500), np.int64), np.arange(12),
+        0)]
+    assert calls == [1, 2, 2, 2]
+    assert len(texts) == 12 and len(set(texts)) == 1
 
 
 def test_exponent_found_from_either_side():

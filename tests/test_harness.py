@@ -496,14 +496,38 @@ class TestWriteOutputs:
             assert (tmp_path / f"alone_{seed}" / name).read_bytes() == \
                 (tmp_path / "both" / name).read_bytes()
 
+    # sigma 0 and steps of 1e-250 keep each seed at its start, where the
+    # linear terms make the stationarity metrics overflow: to inf at
+    # hetero 1e200, and at 3.1e153 to 3.4e307 a seed, which six seeds'
+    # sum (statistics.fmean's) takes past float range
+    OVERFLOW = {name: {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+                       "problem": {"kind": "quadratic", "d1": 2, "d2": 1,
+                                   "sigma": 0, "hetero": hetero},
+                       "schedule": {"mode": "explicit", "mu_x": 1e-250,
+                                    "mu_y": 1e-250, "beta": 1},
+                       "T": 5, "seeds": seeds}
+                for name, hetero, seeds in (
+                    ("overflow", 1e200, [0, 1]),
+                    ("overflow_one_seed", 1e200, [0]),
+                    ("overflow_sum", 3.1e153, [0, 1, 2, 3, 4, 5]))}
+
     @pytest.mark.parametrize("name", ["ring_quadratic_page.yaml",
-                                      "sinpl_storm.yaml"])
+                                      "sinpl_storm.yaml", *OVERFLOW])
     def test_summary_is_strict_json(self, tmp_path, name):
         """The PAGE preset has beta = 0, so a condition's value is 0 and its
-        margin infinite: summary.json writes it as null, not Infinity."""
-        raw = yaml.safe_load((ROOT / "scripts" / "configs" / name).read_text())
-        raw["T"] = 30
-        write_outputs(run_experiment(config_from_dict(raw)), tmp_path)
+        margin infinite: summary.json writes it as null, not Infinity. The
+        stationarity mean and std of seeds whose metrics overflow, or
+        whose sum does, are null too."""
+        if name in self.OVERFLOW:
+            raw = self.OVERFLOW[name]
+        else:
+            raw = yaml.safe_load((ROOT / "scripts" / "configs" / name)
+                                 .read_text())
+            raw["T"] = 30
+        result = run_experiment(config_from_dict(raw))
+        write_outputs(result, tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("seed_*.csv")) == \
+            sorted(f"seed_{s}.csv" for s in raw["seeds"])
 
         def reject(token):
             raise ValueError(f"non-strict JSON constant {token}")
@@ -513,6 +537,10 @@ class TestWriteOutputs:
         margins = [c["margin"] for c in
                    summary["schedule"]["conditions"]["conditions"]]
         assert (None in margins) == (name == "ring_quadratic_page.yaml")
+        overflow = {"mean": None, "std": None}
+        assert (summary["avg_stationarity"] == overflow) \
+            == (summary["final_stationarity"] == overflow) \
+            == (name in self.OVERFLOW)
 
 
 class TestSweep:
