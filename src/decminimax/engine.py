@@ -146,7 +146,8 @@ class MetricsSeries:
         metric (the final row, recorded after the last update, is
         excluded)."""
         stat = self.columns["grad_x_sq"] + self.columns["grad_y_sq"]
-        return np.mean(stat[:, :-1], axis=1)
+        with np.errstate(over="ignore"):
+            return np.mean(stat[:, :-1], axis=1)
 
 
 def _start_row(problem, x0, y0) -> np.ndarray:

@@ -1,13 +1,9 @@
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from decminimax import (
-    ConfigError,
-    GraceParams,
-    ProblemConstants,
     StrategyKind,
     Topology,
     TransformBundle,
@@ -22,6 +18,20 @@ from decminimax.estimator import agent_mean, draw, estimator_error, \
     init_estimator, update_estimator
 from decminimax.problems import QuadraticMinimaxProblem, SinPLProblem
 from decminimax.transform import coupled_error_norms
+
+
+# a small offline run on a ring of four agents, the raw config the
+# harness, command-line and determinism checks vary
+MINIMAL = {
+    "topology": {"kind": "ring", "K": 4},
+    "strategy": "ed",
+    "problem": {"kind": "quadratic", "d1": 2, "d2": 2, "N": 16,
+                "sigma": 0.4, "seed": 3},
+    "schedule": {"mode": "explicit", "mu_x": 0.002, "mu_y": 0.01,
+                 "p": 0.2, "b": 2, "b0": 4},
+    "T": 20,
+    "seeds": [0, 1],
+}
 
 
 @pytest.fixture(scope="session")
@@ -522,52 +532,3 @@ def check_consensus_bound(Z, ehat, bundle: TransformBundle) -> ConsensusBoundRep
     lhs = float(np.sum((Z - Z.mean(axis=0)) ** 2))
     rhs = float(K * bundle.v1_sq * bundle.v2_sq * np.sum(ehat**2))
     return ConsensusBoundReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs + 1e-9 * max(1.0, rhs))
-
-
-@dataclass(frozen=True)
-class TheoremConstants:
-    a_prime: float
-    b_prime: float
-    c_prime: float
-    d_prime: float
-    e_prime: float
-    f_prime: float
-    beta_prime: float
-    beta_bar: float
-    rho: float
-    lam_a: float
-    lam_b_underline: float
-
-
-def theorem_constants(grace: GraceParams, bundle: TransformBundle,
-                      constants: ProblemConstants, T: int,
-                      is_online: bool) -> TheoremConstants:
-    """Bookkeeping constants of the stationarity bound."""
-    bb = grace.beta_bar
-    if bb == 0.0:
-        raise ConfigError("p = beta = 0: the estimator never refreshes")
-    L_f = constants.L_f
-    rho = bundle.rho
-    lam_a_sq = bundle.lam_a_sq
-    lam_b_sq = bundle.lam_b_underline_sq
-    K = bundle.K
-    b, b0, beta, p = grace.b, grace.b0, grace.beta, grace.p
-    beta_p = p + beta**2
-    gap = 1.0 - rho
-    online = 1.0 if is_online else 0.0
-    B = grace.B_big if grace.B_big is not None else math.inf
-    a_p = L_f**2 / (b * K * bb * gap * lam_b_sq)
-    b_p = L_f**2 * lam_a_sq * beta_p / (b * b0 * K * bb**2 * gap**2 * lam_b_sq)
-    c_p_const = L_f**4 * lam_a_sq * beta_p / (b**2 * K * bb**2 * gap**2 * lam_b_sq**2)
-    d_p = (L_f**2 * lam_a_sq / (b * K * bb * gap**2 * lam_b_sq)
-           * (p / B * online + beta**2 / b))
-    e_p = (1.0 / (b0 * bb * K * T)
-           + beta**2 / (K * b * bb)
-           + p / (K * B * bb) * online)
-    f_p = L_f**2 / (b * K * bb * lam_b_sq)
-    return TheoremConstants(
-        a_prime=a_p, b_prime=b_p, c_prime=c_p_const, d_prime=d_p,
-        e_prime=e_p, f_prime=f_p, beta_prime=beta_p, beta_bar=bb,
-        rho=rho, lam_a=math.sqrt(lam_a_sq),
-        lam_b_underline=math.sqrt(lam_b_sq),
-    )

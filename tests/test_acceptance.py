@@ -5,7 +5,6 @@ accumulator), so this module is order-dependent by design.
 """
 
 import numpy as np
-import pytest
 
 from decminimax import (
     EngineConfig,
@@ -26,9 +25,10 @@ from decminimax import (
 )
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
-from conftest import HandEstimator, HandRun, ascent_maximizer, \
+from conftest import MINIMAL, HandEstimator, HandRun, ascent_maximizer, \
     check_consensus_bound, grad_x_is_x_problem, mode_blocks, objective, \
-    run_ok, step, update_checked, verify_strategy_assumptions
+    random_connected_mixing, run_ok, step, update_checked, \
+    verify_strategy_assumptions
 
 ALL_KINDS = list(StrategyKind)
 CLOSED_FORM_KINDS = (StrategyKind.ED, StrategyKind.EXTRA, StrategyKind.ATC_GT)
@@ -51,35 +51,26 @@ def report(num, desc, ok, detail=""):
     assert ok, line
 
 
-@pytest.fixture(scope="module")
-def ring8():
-    return mixing_for_topology(Topology(kind="ring", K=8), lazy=True)
-
-
-@pytest.fixture(scope="module")
-def quad8(ring8):
-    return make_quadratic_problem(K=8, d1=3, d2=2, N=64, sigma=0.5, seed=5)
-
-
-def test_criterion_1_strategy_fidelity(ring8):
+def test_criterion_1_strategy_fidelity(ring8_lazy, ring4_lazy):
     worst = 0.0
-    for kind in ALL_KINDS:
-        ops = build_strategy(kind, ring8)
-        rep = verify_strategy_assumptions(ops)
-        worst = max(worst, rep.res_A_ones, rep.res_C_ones, rep.res_ones_B2)
-    report(1, "strategy-matrix fidelity on lazy ring K=8", worst <= 1e-10,
-           f"max residual {worst:.2e}")
+    for mixing in (ring8_lazy, ring4_lazy):
+        for kind in ALL_KINDS:
+            rep = verify_strategy_assumptions(build_strategy(kind, mixing))
+            worst = max(worst, rep.res_A_ones, rep.res_C_ones,
+                        rep.res_ones_B2)
+    report(1, "strategy-matrix fidelity on lazy rings K=8 and K=4",
+           worst <= 1e-10, f"max residual {worst:.2e}")
 
 
-def test_criterion_2_centroid_identity(ring8, quad8):
+def test_criterion_2_centroid_identity(ring8_lazy, quad_problem):
     grace = GraceParams(beta=0.2, p=0.2, b=4, b0=4)
     worst = 0.0
     for kind in ALL_KINDS:
-        ops = build_strategy(kind, ring8)
+        ops = build_strategy(kind, ring8_lazy)
         config = EngineConfig(mu_x=0.003, mu_y=0.01,
                               grace=grace, T=200, seeds=(2,))
         mu = config.signed_step(3, 2)
-        run = HandRun(config, quad8, x0=np.ones(3))
+        run = HandRun(config, quad_problem, x0=np.ones(3))
         for _ in range(200):
             update_checked(run, run.Z)
             zc = run.Z.mean(axis=1)
@@ -97,15 +88,18 @@ def test_criterion_2_centroid_identity(ring8, quad8):
            worst <= 1e-10, f"max residual {worst:.2e}")
 
 
-def test_criterion_3_spectral_constants():
+def test_criterion_3_spectral_constants(ring4_lazy):
     rng = np.random.default_rng(42)
-    graphs = []
+    graphs = [random_connected_mixing(rng, K)
+              for K in (4, 8, 16) for _ in range(7 if K < 16 else 6)]
+    # seven more graphs per K from a seed of each closed-form kind, and
+    # the lazy ring K=4; every kind is checked on every graph
     for K in (4, 8, 16):
-        for _ in range(7 if K < 16 else 6):
-            topo = Topology(kind="random", K=K, edge_prob=0.4,
-                            seed=int(rng.integers(0, 2**31)))
-            graphs.append(mixing_for_topology(topo, lazy=True))
-    assert len(graphs) == 20
+        for kind in CLOSED_FORM_KINDS:
+            rng = np.random.default_rng(K * 31 + ALL_KINDS.index(kind))
+            graphs += [random_connected_mixing(rng, K) for _ in range(7)]
+    graphs.append(ring4_lazy)
+    assert len(graphs) == 84
     ok = True
     detail = ""
     for mix in graphs:
@@ -135,21 +129,21 @@ def test_criterion_3_spectral_constants():
             if not all(checks):
                 ok = False
                 detail = f"{kind.value} on K={mix.K} graph: {checks}"
-    report(3, "closed-form spectral constants on 20 random graphs", ok,
-           detail or "all within bounds")
+    report(3, "closed-form spectral constants on 83 random graphs and the "
+           "lazy ring K=4", ok, detail or "all within bounds")
 
 
-def test_criterion_4_consensus_inequality(ring8, quad8):
+def test_criterion_4_consensus_inequality(ring8_lazy, quad_problem):
     grace = GraceParams(beta=0.1, p=0.1, b=4, b0=8)
     ok = True
     detail = ""
     for kind in CLOSED_FORM_KINDS:
-        ops = build_strategy(kind, ring8)
-        bundle = build_transform_bundle(kind, ring8)
+        ops = build_strategy(kind, ring8_lazy)
+        bundle = build_transform_bundle(kind, ring8_lazy)
         config = EngineConfig(mu_x=0.005, mu_y=0.02,
                               grace=grace, T=500, seeds=(3,))
         mu = config.signed_step(3, 2)
-        run = HandRun(config, quad8, x0=np.ones(3))
+        run = HandRun(config, quad_problem, x0=np.ones(3))
         for _ in range(500):
             update_checked(run, run.Z)
             ehat = coupled_error_norms(run.Z[0], mu * run.M[0], run.D[0],
@@ -165,7 +159,7 @@ def test_criterion_4_consensus_inequality(ring8, quad8):
            detail or "held everywhere")
 
 
-def test_criterion_5_deterministic_convergence(ring8):
+def test_criterion_5_deterministic_convergence(ring8_lazy):
     # zero-mean linear terms put the global saddle at the origin, so the
     # admissible (conservative) step sizes can be exercised end to end;
     # heterogeneous per-agent gradients still drive nontrivial consensus
@@ -178,8 +172,8 @@ def test_criterion_5_deterministic_convergence(ring8):
     ok = True
     detail = ""
     for kind in CLOSED_FORM_KINDS:
-        ops = build_strategy(kind, ring8)
-        bundle = build_transform_bundle(kind, ring8)
+        ops = build_strategy(kind, ring8_lazy)
+        bundle = build_transform_bundle(kind, ring8_lazy)
         mu_y0 = min(1 / c.nu, 1 / (2 * c.L_f))
         mu_x0 = min(1 / (32 * c.L), mu_y0 / (16 * c.kappa**2))
         mu_x, mu_y, _, _ = shrink_to_valid(mu_x0, mu_y0, grace, c, bundle)
@@ -225,13 +219,13 @@ def test_criterion_6_single_agent_reduction():
            worst <= 1e-12, f"max deviation {worst:.2e}")
 
 
-def test_criterion_7_estimator_degenerations(ring8, quad8):
+def test_criterion_7_estimator_degenerations(ring8_lazy, quad_problem):
     # (a) full refresh every round: zero estimation error
-    ops = build_strategy(StrategyKind.ED, ring8)
+    ops = build_strategy(StrategyKind.ED, ring8_lazy)
     grace_a = GraceParams(beta=0.0, p=1.0, b0=64)
     config = EngineConfig(mu_x=0.002, mu_y=0.01, grace=grace_a, T=100,
                           seeds=(0,))
-    series = run_ok(config, quad8, ops, x0=np.ones(3))
+    series = run_ok(config, quad_problem, ops, x0=np.ones(3))
     _track_delta_c(series)
     ok_a = bool((series.columns["est_err_sq"] == 0.0).all())
     # (b) beta=1, p=0 on a noiseless online problem
@@ -254,7 +248,7 @@ def test_criterion_7_estimator_degenerations(ring8, quad8):
            ok_a and ok_b and ok_c, f"a={ok_a} b={ok_b} c={ok_c}")
 
 
-def test_criterion_8_storm_rate_scaling(ring8):
+def test_criterion_8_storm_rate_scaling(ring8_lazy):
     problem = make_quadratic_problem(K=8, d1=3, d2=2, N=None, sigma=1.0,
                                      seed=5, zero_mean_linear=True)
     kappa = problem.constants.kappa
@@ -262,7 +256,7 @@ def test_criterion_8_storm_rate_scaling(ring8):
     for T in (500, 4000):
         spec = ScheduleSpec(mode=ScheduleMode.STORM_ED, T=T, K=8, kappa=kappa)
         mu_x, mu_y, grace = schedule_for_mode(spec)
-        ops = build_strategy(StrategyKind.ED, ring8)
+        ops = build_strategy(StrategyKind.ED, ring8_lazy)
         # the 32 seeds run as one batch
         config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
                               grace=grace, T=T, seeds=tuple(range(32)))
@@ -323,68 +317,74 @@ def test_criterion_10_gradient_correctness():
             g[i] = (f(zp) - f(zm)) / (2 * h)
         return g
 
-    def row(problem, k, x, y):
-        G = problem.exact_grads_block(np.tile(np.r_[x, y], (problem.K, 1)))
-        return G[k, :problem.d1], G[k, problem.d1:]
+    def j_quad(p, k, x, y):
+        return (0.5 * x @ p.Q[k] @ x + x @ p.R[k] @ y + p.a[k] @ x
+                - 0.5 * y @ p.S[k] @ y + p.b[k] @ y)
+
+    def j_sinpl(p, k, x, y):
+        return objective(p, x, y) + p.cx[k] * x[0] + p.cy[k] * y[0]
+
+    def normal(p, rng):
+        return rng.standard_normal(p.d1), rng.standard_normal(p.d2)
+
+    def uniform(p, rng):
+        return rng.uniform(-3, 3, size=1), rng.uniform(-3, 3, size=1)
+
+    worst_rel = worst_abs = worst_oracle = 0.0
+
+    def fd_sweep(problem, J, point, rng):
+        """25 agent gradients at random points against central
+        differences of the agent objective J."""
+        nonlocal worst_rel, worst_abs
+        for _ in range(25):
+            k = int(rng.integers(0, problem.K))
+            x, y = point(problem, rng)
+            G = problem.exact_grads_block(np.tile(np.r_[x, y], (problem.K, 1)))
+            for g_fd, g in ((fd(lambda z: J(problem, k, z, y), x),
+                             G[k, :problem.d1]),
+                            (fd(lambda z: J(problem, k, x, z), y),
+                             G[k, problem.d1:])):
+                err = np.linalg.norm(g_fd - g)
+                worst_abs = max(worst_abs, err)
+                worst_rel = max(worst_rel, err / max(1.0, min(
+                    np.linalg.norm(g_fd), np.linalg.norm(g))))
+
+    def oracle_sweep(problem, rng):
+        nonlocal worst_oracle
+        for _ in range(5):
+            x = rng.standard_normal(problem.d1)
+            y_cf, P_cf = maximizer_oracle(problem, x)
+            y_it, P_it = ascent_maximizer(problem, x, tol=1e-12)
+            worst_oracle = max(worst_oracle,
+                               float(np.linalg.norm(y_cf - y_it)),
+                               abs(P_cf - P_it))
 
     quad = make_quadratic_problem(K=3, d1=3, d2=2, N=8, sigma=0.3, seed=1)
     sinpl = make_sinpl_problem(K=4, sigma=0.0, seed=2)
     rng = np.random.default_rng(0)
-    worst_rel = 0.0
-    for _ in range(25):
-        k = int(rng.integers(0, 3))
-        x = rng.standard_normal(3)
-        y = rng.standard_normal(2)
-
-        def jq(xx, yy, kk=k):
-            return (0.5 * xx @ quad.Q[kk] @ xx + xx @ quad.R[kk] @ yy
-                    + quad.a[kk] @ xx - 0.5 * yy @ quad.S[kk] @ yy
-                    + quad.b[kk] @ yy)
-
-        gx = fd(lambda z: jq(z, y), x)
-        gy = fd(lambda z: jq(x, z), y)
-        gx_a, gy_a = row(quad, k, x, y)
-        worst_rel = max(
-            worst_rel,
-            np.linalg.norm(gx - gx_a) / max(1.0, np.linalg.norm(gx)),
-            np.linalg.norm(gy - gy_a) / max(1.0, np.linalg.norm(gy)),
-        )
-    for _ in range(25):
-        k = int(rng.integers(0, 4))
-        x = rng.uniform(-3, 3, size=1)
-        y = rng.uniform(-3, 3, size=1)
-
-        def js(xx, yy, kk=k):
-            return (objective(sinpl, xx, yy) + sinpl.cx[kk] * xx[0]
-                    + sinpl.cy[kk] * yy[0])
-
-        gx = fd(lambda z: js(z, y), x)
-        gy = fd(lambda z: js(x, z), y)
-        gx_a, gy_a = row(sinpl, k, x, y)
-        worst_rel = max(
-            worst_rel,
-            np.linalg.norm(gx - gx_a) / max(1.0, np.linalg.norm(gx)),
-            np.linalg.norm(gy - gy_a) / max(1.0, np.linalg.norm(gy)),
-        )
-    ok_fd = worst_rel <= 1e-6
-    worst_oracle = 0.0
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        y_cf, P_cf = maximizer_oracle(quad, x)
-        y_it, P_it = ascent_maximizer(quad, x, tol=1e-12)
-        worst_oracle = max(worst_oracle,
-                           float(np.linalg.norm(y_cf - y_it)),
-                           abs(P_cf - P_it))
+    fd_sweep(quad, j_quad, normal, rng)
+    fd_sweep(sinpl, j_sinpl, uniform, rng)
+    oracle_sweep(quad, rng)
+    # each problem seed with a stream of its own, and a noiseless
+    # quadratic with d1 = 2 for the oracle
+    for seed in (0, 1):
+        fd_sweep(make_quadratic_problem(K=3, d1=3, d2=2, N=8, sigma=0.3,
+                                        seed=seed),
+                 j_quad, normal, np.random.default_rng(seed))
+    fd_sweep(sinpl, j_sinpl, uniform, np.random.default_rng(0))
+    oracle_sweep(make_quadratic_problem(K=3, d1=2, d2=2, N=8, sigma=0.0,
+                                        seed=7), np.random.default_rng(0))
+    ok_fd = worst_rel <= 1e-6 and worst_abs <= 1e-5
     ok_oracle = worst_oracle <= 1e-8
     ok_gap = DELTA_C_MIN["value"] >= -1e-10
     report(10, "gradients, inner-max oracle, and envelope-gap positivity",
            ok_fd and ok_oracle and ok_gap,
-           f"fd rel {worst_rel:.1e}; oracle {worst_oracle:.1e}; "
-           f"min gap {DELTA_C_MIN['value']:.1e}")
+           f"fd rel {worst_rel:.1e}, abs {worst_abs:.1e}; "
+           f"oracle {worst_oracle:.1e}; min gap {DELTA_C_MIN['value']:.1e}")
 
 
 def test_criterion_11_determinism(tmp_path):
-    raw = {
+    ring8 = {
         "topology": {"kind": "ring", "K": 8},
         "strategy": "ed",
         "problem": {"kind": "quadratic", "d1": 3, "d2": 2, "N": 64,
@@ -395,18 +395,20 @@ def test_criterion_11_determinism(tmp_path):
         "seeds": [0, 1, 2],
         "diagnostics": {"transform": True},
     }
-    for label in ("run", "rerun"):
-        write_outputs(run_experiment(config_from_dict(raw)), tmp_path / label)
-    ok = all((tmp_path / "run" / name).read_bytes()
-             == (tmp_path / "rerun" / name).read_bytes()
-             for name in ("seed_0.csv", "seed_1.csv", "seed_2.csv",
-                          "summary.json"))
-    # each seed alone writes the bytes it wrote among the others
-    for seed in raw["seeds"]:
-        alone = dict(raw, seeds=[seed])
-        write_outputs(run_experiment(config_from_dict(alone)),
-                      tmp_path / f"alone_{seed}")
-        name = f"seed_{seed}.csv"
-        ok = ok and ((tmp_path / f"alone_{seed}" / name).read_bytes()
-                     == (tmp_path / "run" / name).read_bytes())
+    ok = True
+    for raw in (ring8, MINIMAL):
+        out = tmp_path / f"K{raw['topology']['K']}"
+        for label in ("run", "rerun"):
+            write_outputs(run_experiment(config_from_dict(raw)), out / label)
+        names = [f"seed_{seed}.csv" for seed in raw["seeds"]]
+        ok = ok and all((out / "run" / name).read_bytes()
+                        == (out / "rerun" / name).read_bytes()
+                        for name in names + ["summary.json"])
+        # each seed alone writes the bytes it wrote among the others
+        for seed, name in zip(raw["seeds"], names):
+            alone = dict(raw, seeds=[seed])
+            write_outputs(run_experiment(config_from_dict(alone)),
+                          out / f"alone_{seed}")
+            ok = ok and ((out / f"alone_{seed}" / name).read_bytes()
+                         == (out / "run" / name).read_bytes())
     report(11, "byte-identical outputs across reruns and seed sets", ok)

@@ -11,22 +11,26 @@ import yaml
 from decminimax import cli, harness
 from decminimax.schedules import ScheduleMode, ScheduleSpec, schedule_for_mode
 
-CONFIG = {
-    "topology": {"kind": "ring", "K": 4},
-    "strategy": "ed",
-    "problem": {"kind": "quadratic", "d1": 2, "d2": 2, "N": 16,
-                "sigma": 0.4, "seed": 3},
-    "schedule": {"mode": "explicit", "mu_x": 0.002, "mu_y": 0.01,
-                 "p": 0.2, "b": 2, "b0": 4},
-    "T": 5,
-    "seeds": [0, 1],
-}
+from conftest import MINIMAL
+
+CONFIG = dict(MINIMAL, T=5)
 
 
 def write_config(tmp_path, raw):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(raw))
     return str(path)
+
+
+def run_in_subprocess(tmp_path, raw, timeout=60):
+    """`decminimax run` of raw in a fresh interpreter, its outputs under
+    tmp_path/out, so stderr holds every warning the run prints."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "decminimax.cli", "run", "--config",
+         write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=timeout)
 
 
 def test_run_writes_outputs_and_prints_paths(tmp_path, capsys):
@@ -247,14 +251,8 @@ def test_oversized_setup_exits_2_before_any_seed_runs(
 def test_unconnectable_random_topology_exits_2(tmp_path):
     """A random topology that no draw connects is rejected after a bounded
     number of redraws; the command returns instead of redrawing forever."""
-    path = write_config(tmp_path, dict(CONFIG, topology={
-        "kind": "random", "K": 40, "edge_prob": 0.02, "seed": 0}))
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "decminimax.cli", "run", "--config", path,
-         "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=30)
+    done = run_in_subprocess(tmp_path, dict(CONFIG, topology={
+        "kind": "random", "K": 40, "edge_prob": 0.02, "seed": 0}), timeout=30)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: no connected random graph on K=40 "
                                   "with edge_prob=0.02 in 1000 draws")
@@ -272,12 +270,7 @@ def test_run_with_overflowing_estimates_prints_only_its_warning(tmp_path):
            "schedule": {"mode": "explicit", "mu_x": 0.001, "mu_y": 0.001,
                         "beta": 1.0},
            "T": 50, "seeds": [1, 2]}
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "decminimax.cli", "run", "--config",
-         write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=60)
+    done = run_in_subprocess(tmp_path, raw)
     assert done.returncode == 0, done.stderr
     assert done.stderr == (
         "binding condition: beta_bar <= nu mu_y / 2 (margin 0.000416385)\n"
@@ -293,12 +286,7 @@ def test_run_with_overflowing_metric_squares_prints_only_its_warning(
     raw = dict(CONFIG, topology={"kind": "ring", "K": 8},
                problem=dict(CONFIG["problem"], d1=3), seeds=[0],
                x0=[1e200, 0, 0])
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "decminimax.cli", "run", "--config",
-         write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=60)
+    done = run_in_subprocess(tmp_path, raw)
     assert done.returncode == 0, done.stderr
     assert done.stderr == (
         "binding condition: mu_y <= (1-rho) lam_b/(sqrt(620) L_f v1 v2 "
@@ -306,6 +294,24 @@ def test_run_with_overflowing_metric_squares_prints_only_its_warning(
         "warning: 1 seed(s) diverged ([0])\n")
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert list(summary["seeds_failed"]) == ["0"]
+
+
+def test_run_with_overflowing_stationarity_sum_prints_no_warning(tmp_path):
+    """A stationarity metric of 1.2e308 every round, so a seed's sum over
+    its rounds overflows: the stationarity mean and std are null, and
+    stderr holds the binding condition alone, no numpy warning."""
+    raw = {"topology": {"kind": "ring", "K": 4}, "strategy": "ed",
+           "problem": {"kind": "quadratic", "d1": 2, "d2": 1, "sigma": 0,
+                       "hetero": 5.85e153},
+           "schedule": {"mode": "explicit", "mu_x": 1e-250,
+                        "mu_y": 1e-250, "beta": 1},
+           "T": 5, "seeds": [0, 1]}
+    done = run_in_subprocess(tmp_path, raw)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == (
+        "binding condition: beta_bar <= nu mu_y / 2 (margin 4.16385e-251)\n")
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["avg_stationarity"] == {"mean": None, "std": None}
 
 
 def test_run_diverging_inside_a_chunk_prints_only_its_warning(tmp_path):
@@ -319,12 +325,7 @@ def test_run_diverging_inside_a_chunk_prints_only_its_warning(tmp_path):
            "schedule": {"mode": "explicit", "mu_x": 3e5, "mu_y": 3e5,
                         "beta": 0.2, "p": 0},
            "T": 300, "seeds": [1, 2, 3]}
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        [sys.executable, "-m", "decminimax.cli", "run", "--config",
-         write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=60)
+    done = run_in_subprocess(tmp_path, raw)
     assert done.returncode == 0, done.stderr
     assert done.stderr == (
         "binding condition: mu_y <= (1-rho)^(2/3) lam_b^(2/3) "

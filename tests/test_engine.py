@@ -26,8 +26,8 @@ from decminimax.engine import COLUMNS, DIVERGENCE_CAP, _first_failures, \
     advance
 from decminimax.estimator import draw, init_estimator, update_estimator
 
-from conftest import DEFAULT_CHUNK_ROUNDS, HandEstimator, HandRun, \
-    PaperRecursion, assert_close, iterate_errors, random_connected_mixing, \
+from conftest import DEFAULT_CHUNK_ROUNDS, HandRun, PaperRecursion, \
+    assert_close, iterate_errors, random_connected_mixing, \
     reference_run_and_measure, run_ok, set_chunk_rounds, step, \
     update_checked
 
@@ -94,25 +94,6 @@ class TestInit:
 
 
 class TestStep:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_centroid_identity(self, ring8_lazy, quad_problem, kind):
-        ops = build_strategy(kind, ring8_lazy)
-        grace = GraceParams(beta=0.2, p=0.2, b=4, b0=4)
-        config = EngineConfig(mu_x=0.003, mu_y=0.01,
-                              grace=grace, T=100, seeds=(2,))
-        run = HandRun(config, quad_problem, x0=np.ones(3))
-        mu = config.signed_step(3, 2)
-        for _ in range(100):
-            update_checked(run, run.Z)
-            zc = run.Z.mean(axis=1)
-            g = run.M.mean(axis=1)
-            run.advance(mu, ops)
-            zc_new = run.Z.mean(axis=1)
-            assert_close(zc_new[:, :3], zc[:, :3] - config.mu_x * g[:, :3],
-                         1e-10, f"x centroid round {run.round}")
-            assert_close(zc_new[:, 3:], zc[:, 3:] + config.mu_y * g[:, 3:],
-                         1e-10, f"y centroid round {run.round}")
-
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_dual_average_conserved(self, ring8_lazy, quad_problem, kind):
         ops = build_strategy(kind, ring8_lazy)
@@ -192,39 +173,6 @@ class TestStep:
             0: "non-finite gradient estimate at agent 0",
             1: "non-finite gradient estimate at agent 0"}
         assert np.isnan(series.columns["grad_x_sq"]).all()
-
-
-class TestReduction:
-    def test_k1_all_strategies_equal_centralized(self):
-        problem = make_quadratic_problem(K=1, d1=2, d2=2, N=32, sigma=0.8,
-                                         seed=6)
-        mixing = mixing_for_topology(Topology(kind="complete", K=1))
-        grace = GraceParams(beta=0.05, p=0.05, b=2, b0=4)
-        mu_x, mu_y = 0.01, 0.04
-
-        # reference: centralized descent/ascent driven by the same estimator
-        ref_X = np.ones((1, 1, 2))
-        ref_Y = np.zeros((1, 1, 2))
-        ref = HandEstimator(problem, grace, seeds=(9,),
-                            Z0=np.concatenate([ref_X, ref_Y], axis=2))
-        ref_traj = []
-        for _ in range(1000):
-            update_checked(ref, np.concatenate([ref_X, ref_Y], axis=2))
-            ref_X = ref_X - mu_x * ref.M[..., :2]
-            ref_Y = ref_Y + mu_y * ref.M[..., 2:]
-            ref_traj.append((ref_X.copy(), ref_Y.copy()))
-
-        for kind in ALL_KINDS:
-            ops = build_strategy(kind, mixing)
-            config = EngineConfig(mu_x=mu_x, mu_y=mu_y,
-                                  grace=grace, T=1000, seeds=(9,))
-            run = HandRun(config, problem, x0=np.ones(2))
-            for i in range(1000):
-                step(run, config, problem, ops)
-                assert_close(run.Z[..., :2], ref_traj[i][0], 1e-12,
-                             f"{kind.value} x round {i}")
-                assert_close(run.Z[..., 2:], ref_traj[i][1], 1e-12,
-                             f"{kind.value} y round {i}")
 
 
 class TestPaperRecursion:

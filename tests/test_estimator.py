@@ -2,14 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decminimax import (
     ConfigError,
     EngineConfig,
     GraceParams,
-    ScheduleMode,
-    ScheduleSpec,
     StrategyKind,
     build_strategy,
     draw,
@@ -17,21 +15,16 @@ from decminimax import (
     init_estimator,
     make_quadratic_problem,
     run_and_measure,
-    schedule_for_mode,
 )
 from decminimax.estimator import agent_mean
 
-from conftest import HandEstimator, assert_close, grad_x_is_x_problem, \
-    update_checked, update_unchecked
+from conftest import HandEstimator, assert_close, update_checked, \
+    update_unchecked
 
 
 def noise_stream(seed):
     """The replicate's noise stream, rebuilt as the estimator documents it."""
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
-
-
-def grace_of(mode, **spec):
-    return schedule_for_mode(ScheduleSpec(mode=mode, kappa=1.0, **spec))[2]
 
 
 def start_block(problem, S=1):
@@ -40,11 +33,8 @@ def start_block(problem, S=1):
 
 
 class TestParams:
-    def test_beta_bar_identity(self):
-        p = GraceParams(beta=0.3, p=0.2)
-        assert p.beta_bar == pytest.approx(0.2 + 0.3 - 0.06, abs=1e-15)
-
     @given(beta=st.floats(0, 1), p=st.floats(0, 1))
+    @example(beta=0.3, p=0.2)
     @settings(max_examples=200, deadline=None)
     def test_beta_bar_product_form(self, beta, p):
         params = GraceParams(beta=beta, p=p)
@@ -58,33 +48,6 @@ class TestParams:
             GraceParams(beta=0.0, p=-0.1)
         with pytest.raises(ConfigError):
             GraceParams(beta=0.0, p=0.0, b=0)
-
-
-class TestPresets:
-    def test_page_offline_example(self):
-        params = grace_of(ScheduleMode.PAGE_OFFLINE, N=1024, K=4, T=1000)
-        assert params.b == 16
-        assert params.b0 == 16
-        assert params.p == pytest.approx(1 / 64)
-        assert params.B_big == 1024
-        assert params.beta == 0.0
-
-    def test_lsarah_offline_example(self):
-        params = grace_of(ScheduleMode.LSARAH_OFFLINE, N=1024, K=4, T=1000)
-        assert params.b == 1
-        assert params.b0 == 8
-        assert params.p == pytest.approx(1 / 256)
-        assert params.B_big == 256
-
-    def test_storm_degenerate(self):
-        params = grace_of(ScheduleMode.STORM_ED, K=1, T=1)
-        assert params.beta == 1.0
-        assert params.p == 0.0
-        assert params.b0 == 1
-
-    def test_offline_modes_need_N(self):
-        with pytest.raises(ConfigError):
-            grace_of(ScheduleMode.PAGE_OFFLINE, K=4, T=1000)
 
 
 class TestInit:
@@ -159,16 +122,6 @@ class TestUpdate:
         update_checked(est, Zc)
         err, _ = estimator_error(est.M - est.G)
         assert err[0] <= 1e-24
-
-    def test_sarah_hand_example(self):
-        # J = x^2/2 so grad(x) = x; beta=0, p=0, b=1, prev x=1, cur x=0.5,
-        # g_prev = 1 gives g = 1 - 1 + 0.5 = 0.5
-        problem = grad_x_is_x_problem()
-        params = GraceParams(beta=0.0, p=0.0, b=1, b0=8)
-        est = HandEstimator(problem, params, (0,), np.array([[[1.0, 0.0]]]))
-        est.M[..., 0] = 1.0  # g_{i-1} = 1 at prev x = 1
-        update_checked(est, np.array([[[0.5, 0.0]]]))
-        assert est.M[0, 0, 0] == 0.5
 
     def test_shared_switch_across_agents(self, quad_problem):
         Z = start_block(quad_problem, S=3)

@@ -16,20 +16,10 @@ from decminimax import csvtext, harness
 from decminimax.engine import COLUMNS
 from decminimax.harness import CSV_HEADER, sweep
 
+from conftest import MINIMAL
+
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-
-MINIMAL = {
-    "topology": {"kind": "ring", "K": 4},
-    "strategy": "ed",
-    "problem": {"kind": "quadratic", "d1": 2, "d2": 2, "N": 16,
-                "sigma": 0.4, "seed": 3},
-    "schedule": {"mode": "explicit", "mu_x": 0.002, "mu_y": 0.01,
-                 "p": 0.2, "b": 2, "b0": 4},
-    "T": 20,
-    "seeds": [0, 1],
-}
-
 
 # every key of the schema, dotted, and one unknown key per section
 KEYS = [f"{section}.{key}" if isinstance(keys, dict) else section
@@ -476,25 +466,6 @@ class TestWriteOutputs:
         lines = (tmp_path / "out" / "seed_0.csv").read_text().splitlines()
         first = lines[1].split(",")
         assert first[CSV_HEADER.index("ehat_x_sq")] != ""
-
-    def test_byte_identical_reruns(self, tmp_path):
-        for sub in ("a", "b"):
-            result = run_experiment(config_from_dict(MINIMAL))
-            write_outputs(result, tmp_path / sub)
-        for name in ("seed_0.csv", "seed_1.csv", "summary.json"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
-
-    def test_seed_alone_matches_seed_among_others(self, tmp_path):
-        write_outputs(run_experiment(config_from_dict(MINIMAL)),
-                      tmp_path / "both")
-        for seed in MINIMAL["seeds"]:
-            alone = dict(MINIMAL, seeds=[seed])
-            write_outputs(run_experiment(config_from_dict(alone)),
-                          tmp_path / f"alone_{seed}")
-            name = f"seed_{seed}.csv"
-            assert (tmp_path / f"alone_{seed}" / name).read_bytes() == \
-                (tmp_path / "both" / name).read_bytes()
 
     # sigma 0 and steps of 1e-250 keep each seed at its start, where the
     # linear terms make the stationarity metrics overflow: to inf at

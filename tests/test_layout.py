@@ -1,7 +1,8 @@
 """src/ holds only what a run calls: every function defined in
 src/decminimax/ is entered by a handful of command-line runs, so a helper
 that only tests use lives in tests/conftest.py instead. And each module
-keeps its private names: no module of src/ reads another's."""
+keeps its private names: no module of src/ reads another's. No module of
+src/ or tests/ imports a name it never reads."""
 
 import ast
 import sys
@@ -141,3 +142,25 @@ def test_no_module_reads_another_modules_private_name():
     found = {path.name: private_reads(ast.parse(path.read_text()))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def unread_imports(tree):
+    """The names a module imports and never reads (a `from __future__`
+    import is a compiler switch, not a name)."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree)
+                           if isinstance(node, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports its public names to export them
+    paths = [path for path in sorted(SRC.glob("*.py"))
+             if path.name != "__init__.py"] + sorted(ROOT.glob("tests/*.py"))
+    found = {path.name: unread_imports(ast.parse(path.read_text()))
+             for path in paths}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -16,30 +16,6 @@ from conftest import ascent_maximizer, assert_close, objective, \
     reference_exact_grads, reference_quadratic_problem
 
 
-def finite_difference(f, z, h=1e-5):
-    g = np.zeros_like(z)
-    for i in range(z.size):
-        zp = z.copy()
-        zm = z.copy()
-        zp[i] += h
-        zm[i] -= h
-        g[i] = (f(zp) - f(zm)) / (2 * h)
-    return g
-
-
-def agent_grads(problem, k, x, y):
-    """Row k of exact_grads_block with every agent at (x, y), split into
-    its x and y parts."""
-    G = problem.exact_grads_block(np.tile(np.r_[x, y], (problem.K, 1)))
-    return G[k, :problem.d1], G[k, problem.d1:]
-
-
-def agent_objective_quadratic(problem, k, x, y):
-    return (0.5 * x @ problem.Q[k] @ x + x @ problem.R[k] @ y
-            + problem.a[k] @ x - 0.5 * y @ problem.S[k] @ y
-            + problem.b[k] @ y)
-
-
 class TestQuadraticConstruction:
     def test_pure_concave_instance(self):
         problem = make_quadratic_problem(K=1, d1=1, d2=1, N=4, sigma=0.0,
@@ -135,41 +111,6 @@ class TestArrayConstruction:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_finite_difference_quadratic(self, seed):
-        problem = make_quadratic_problem(K=3, d1=3, d2=2, N=8, sigma=0.3,
-                                         seed=seed)
-        rng = np.random.default_rng(seed)
-        for _ in range(25):
-            k = int(rng.integers(0, 3))
-            x = rng.standard_normal(3)
-            y = rng.standard_normal(2)
-            gx = finite_difference(
-                lambda z: agent_objective_quadratic(problem, k, z, y), x)
-            gy = finite_difference(
-                lambda z: agent_objective_quadratic(problem, k, x, z), y)
-            gx_a, gy_a = agent_grads(problem, k, x, y)
-            assert np.linalg.norm(gx - gx_a) <= 1e-6 * max(1, np.linalg.norm(gx_a))
-            assert np.linalg.norm(gy - gy_a) <= 1e-6 * max(1, np.linalg.norm(gy_a))
-
-    def test_finite_difference_sinpl(self):
-        problem = make_sinpl_problem(K=4, sigma=0.0, seed=2)
-
-        def agent_obj(k, x, y):
-            return (objective(problem, x, y) + problem.cx[k] * x[0]
-                    + problem.cy[k] * y[0])
-
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            k = int(rng.integers(0, 4))
-            x = rng.uniform(-3, 3, size=1)
-            y = rng.uniform(-3, 3, size=1)
-            gx = finite_difference(lambda z: agent_obj(k, z, y), x)
-            gy = finite_difference(lambda z: agent_obj(k, x, z), y)
-            gx_a, gy_a = agent_grads(problem, k, x, y)
-            assert np.linalg.norm(gx - gx_a) <= 1e-5
-            assert np.linalg.norm(gy - gy_a) <= 1e-5
-
     def test_offline_sample_mean_matches_exact(self):
         problem = make_quadratic_problem(K=2, d1=2, d2=2, N=16, sigma=0.5,
                                          seed=4)
@@ -389,17 +330,6 @@ class TestMaximizerOracle:
         y_opt, P = maximizer_oracle(problem, np.array([2.0]))
         assert_close(y_opt, [0.0], 1e-12, "y_opt")
         assert P == pytest.approx(0.0, abs=1e-12)
-
-    def test_fallback_matches_closed_form(self):
-        problem = make_quadratic_problem(K=3, d1=2, d2=2, N=8, sigma=0.0,
-                                         seed=7)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = rng.standard_normal(2)
-            y_cf, P_cf = maximizer_oracle(problem, x)
-            y_it, P_it = ascent_maximizer(problem, x, tol=1e-12)
-            assert np.linalg.norm(y_cf - y_it) <= 1e-8
-            assert abs(P_cf - P_it) <= 1e-8
 
     def test_sinpl_closed_form_matches_ascent(self):
         problem = make_sinpl_problem(K=4, sigma=0.0, seed=2)

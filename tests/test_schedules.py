@@ -1,9 +1,7 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from decminimax import (
     ConfigError,
@@ -19,13 +17,6 @@ from decminimax import (
     shrink_to_valid,
     validate_conditions,
 )
-
-from conftest import theorem_constants
-
-
-@pytest.fixture(scope="module")
-def quad_small():
-    return make_quadratic_problem(K=8, d1=3, d2=2, N=64, sigma=0.5, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +74,7 @@ class TestScheduleForMode:
         assert grace.b0 == 16
         assert grace.p == pytest.approx(1 / 64)
         assert grace.B_big == 1024
+        assert grace.beta == 0.0
 
     def test_lsarah_offline_example(self):
         spec = ScheduleSpec(mode=ScheduleMode.LSARAH_OFFLINE, T=1000, K=4,
@@ -92,6 +84,14 @@ class TestScheduleForMode:
         assert grace.b0 == 8
         assert grace.p == pytest.approx(1 / 256)
         assert grace.B_big == 256
+
+    def test_storm_degenerate(self):
+        # at K = T = 1 beta is 1: each round takes a fresh minibatch
+        spec = ScheduleSpec(mode=ScheduleMode.STORM_ED, T=1, K=1, kappa=1.0)
+        _, _, grace = schedule_for_mode(spec)
+        assert grace.beta == 1.0
+        assert grace.p == 0.0
+        assert grace.b0 == 1
 
     def test_page_online_needs_lam(self):
         with pytest.raises(ConfigError):
@@ -113,25 +113,25 @@ class TestScheduleForMode:
 
 
 class TestValidateConditions:
-    def test_tiny_steps_pass_stepsize_rows(self, quad_small, ed_bundle):
+    def test_tiny_steps_pass_stepsize_rows(self, quad_problem, ed_bundle):
         grace = GraceParams(beta=1e-5, p=0.0, b=1, b0=4)
         report = validate_conditions(1e-11, 1e-7, grace,
-                                     quad_small.constants, ed_bundle)
+                                     quad_problem.constants, ed_bundle)
         for cond in report.conditions:
             if cond.name.startswith("mu_"):
                 assert cond.satisfied, cond.name
 
-    def test_simple_estimator_rows(self, quad_small, ed_bundle):
+    def test_simple_estimator_rows(self, quad_problem, ed_bundle):
         grace = GraceParams(beta=0.5, p=0.0, b=1, b0=1)
         report = validate_conditions(1e-6, 1e-4, grace,
-                                     quad_small.constants, ed_bundle)
+                                     quad_problem.constants, ed_bundle)
         by_name = {c.name: c for c in report.conditions}
         assert by_name["p + beta <= 1"].satisfied
         assert by_name["beta + b p <= b"].satisfied
         assert by_name["beta <= 1"].satisfied
 
-    def test_violated_condition_has_margin(self, quad_small, ed_bundle):
-        c = quad_small.constants
+    def test_violated_condition_has_margin(self, quad_problem, ed_bundle):
+        c = quad_problem.constants
         rho = ed_bundle.rho
         lam_a = math.sqrt(ed_bundle.lam_a_sq)
         lam_b = math.sqrt(ed_bundle.lam_b_underline_sq)
@@ -145,16 +145,16 @@ class TestValidateConditions:
         assert not cond.satisfied
         assert cond.margin == pytest.approx(0.5, rel=1e-9)
 
-    def test_storm_preset_large_T_passes(self, quad_small, ed_bundle):
+    def test_storm_preset_large_T_passes(self, quad_problem, ed_bundle):
         # the order-level preset fixes constants at 1, so the generator's
         # geometric shrink supplies the missing constant factors; the
         # window between the step-size caps and beta_bar <= nu mu_y / 2
         # opens once T is large enough
         spec = ScheduleSpec(mode=ScheduleMode.STORM_ED, T=10**12, K=8,
-                            kappa=quad_small.constants.kappa)
+                            kappa=quad_problem.constants.kappa)
         mu_x, mu_y, grace = schedule_for_mode(spec)
         mu_x, mu_y, halvings, report = shrink_to_valid(
-            mu_x, mu_y, grace, quad_small.constants, ed_bundle)
+            mu_x, mu_y, grace, quad_problem.constants, ed_bundle)
         assert halvings > 0
         assert report.passed, [c.name for c in report.failing()]
 
@@ -175,7 +175,7 @@ class TestValidateConditions:
                                           problem.constants, bundle))
                 assert got[2] > 0, (K, seed)
 
-    def test_halving_count_matches_loop_on_random_steps(self, quad_small,
+    def test_halving_count_matches_loop_on_random_steps(self, quad_problem,
                                                         ed_bundle):
         """Steps from 1e-6 to 1e6, estimator settings with and without a
         refresh (p = beta = 0 makes a limit 0, and large steps then need
@@ -190,49 +190,15 @@ class TestValidateConditions:
             mu_x = mu_y * 10 ** rng.uniform(-4, 1)
             grace = graces[rng.integers(len(graces))]
             raised += assert_same_shrink((mu_x, mu_y, grace,
-                                          quad_small.constants,
+                                          quad_problem.constants,
                                           ed_bundle)) is None
         assert 0 < raised < 300
 
-    def test_shrink_reaches_admissible_steps(self, quad_small, ed_bundle):
+    def test_shrink_reaches_admissible_steps(self, quad_problem, ed_bundle):
         grace = GraceParams(beta=0.0, p=1.0, b=1, b0=64)
-        c = quad_small.constants
+        c = quad_problem.constants
         mu_x, mu_y, n, report = shrink_to_valid(0.1, 0.5, grace, c, ed_bundle)
         assert n > 0
         for cond in report.conditions:
             if cond.name.startswith("mu_"):
                 assert cond.satisfied, cond.name
-
-
-class TestTheoremConstants:
-    def test_degenerate_estimator_rejected(self, quad_small, ed_bundle):
-        grace = GraceParams(beta=0.0, p=0.0, b=1, b0=1)
-        with pytest.raises(ConfigError):
-            theorem_constants(grace, ed_bundle, quad_small.constants, T=100,
-                              is_online=False)
-
-    @pytest.mark.parametrize("beta,p", [(0.0, 1.0), (1.0, 0.0)])
-    def test_unit_beta_bar(self, quad_small, ed_bundle, beta, p):
-        grace = GraceParams(beta=beta, p=p, b=1, b0=1, B_big=4)
-        tc = theorem_constants(grace, ed_bundle, quad_small.constants, T=100,
-                               is_online=True)
-        assert tc.beta_bar == 1.0
-        assert tc.beta_prime == 1.0
-
-    def test_a_prime_formula(self, quad_small, ed_bundle):
-        grace = GraceParams(beta=0.25, p=0.5, b=2, b0=4, B_big=8)
-        tc = theorem_constants(grace, ed_bundle, quad_small.constants, T=100,
-                               is_online=False)
-        c = quad_small.constants
-        bb = grace.beta_bar
-        expected = c.L_f**2 / (2 * 8 * bb * (1 - ed_bundle.rho)
-                               * ed_bundle.lam_b_underline_sq)
-        assert tc.a_prime == pytest.approx(expected, rel=1e-12)
-        assert all(v >= 0 for v in dataclasses.asdict(tc).values())
-
-    @given(beta=st.floats(0, 1), p=st.floats(0, 1))
-    @settings(max_examples=100, deadline=None)
-    def test_beta_bar_identity(self, beta, p):
-        grace = GraceParams(beta=beta, p=p)
-        assert grace.beta_bar == pytest.approx(1 - (1 - p) * (1 - beta),
-                                               abs=1e-15)

@@ -33,18 +33,6 @@ SQRT_GRID = np.r_[-1e-10, -2e-16, 0.0, 1e-13, 2.4e-10, 2.6e-10, 1e-9,
 GT_GRID = np.linspace(-0.999, 0.999, 101)
 
 
-def closed_form_bounds(kind, mixing):
-    """(rho bound, exact flag, lam_a, lam_b_underline, v1_sq cap, v2_sq cap)"""
-    lam = mixing.lam
-    lam_min = mixing.lam_min_nonzero
-    if kind in (StrategyKind.ED, StrategyKind.EXTRA):
-        lam_a = lam if kind == StrategyKind.ED else 1.0
-        return np.sqrt(lam), True, lam_a, np.sqrt(1 - lam), 4.0, 2.0 / lam_min
-    if kind == StrategyKind.ATC_GT:
-        return (1 + lam) / 2, False, lam**2, 1 - lam, 3.0, 9.0
-    raise ValueError(kind)
-
-
 def reference_similarity(P, disc_tol=1e-9):
     """The dense route's similarity of one 2x2 mode block with a complex
     pair or a repeated eigenvalue, one mode at a time: (Q, T) with
@@ -199,42 +187,6 @@ class TestSpectralForm:
 
 
 class TestBundleConstants:
-    @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
-    def test_lazy_ring4(self, ring4_lazy, kind):
-        bundle = build_transform_bundle(kind, ring4_lazy)
-        rho_ref, exact, lam_a, lam_b_u, v1_cap, v2_cap = closed_form_bounds(
-            kind, ring4_lazy)
-        if exact:
-            assert bundle.rho == pytest.approx(rho_ref, abs=1e-8)
-        else:
-            assert bundle.rho <= rho_ref + 1e-8
-        assert bundle.lam_a_sq == pytest.approx(lam_a**2, abs=1e-8)
-        assert bundle.lam_b_underline_sq == pytest.approx(lam_b_u**2, abs=1e-8)
-        assert bundle.v1_sq <= v1_cap + 1e-8
-        assert bundle.v2_sq <= v2_cap + 1e-8
-
-    @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
-    @pytest.mark.parametrize("K", [4, 8, 16])
-    def test_random_graphs(self, kind, K):
-        rng = np.random.default_rng(K * 31 + list(StrategyKind).index(kind))
-        for _ in range(7):
-            mixing = random_connected_mixing(rng, K, lazy=True)
-            bundle = build_transform_bundle(kind, mixing)
-            rho_ref, exact, lam_a, lam_b_u, v1_cap, v2_cap = \
-                closed_form_bounds(kind, mixing)
-            if exact:
-                assert bundle.rho == pytest.approx(rho_ref, abs=1e-8)
-            else:
-                assert bundle.rho <= rho_ref + 1e-8
-            assert bundle.lam_a_sq == pytest.approx(lam_a**2, abs=1e-8)
-            assert bundle.lam_b_underline_sq == pytest.approx(lam_b_u**2,
-                                                              abs=1e-8)
-            assert bundle.v1_sq <= v1_cap + 1e-8
-            assert bundle.v2_sq <= v2_cap + 1e-8
-            P = mode_blocks(bundle)
-            res = np.linalg.norm(P - bundle.Q @ bundle.T_mat @ bundle.Q_inv)
-            assert res <= 1e-8
-
     def test_all_strategies_contract(self, ring8_lazy):
         for kind in StrategyKind:
             bundle = build_transform_bundle(kind, ring8_lazy)
@@ -407,23 +359,6 @@ class TestCoupledError:
         for s in range(4):
             one = coupled_error_norms(*(a[s] for a in blocks), bundle)
             assert batch[:, :, s].tobytes() == one.tobytes()
-
-    @pytest.mark.parametrize("kind", CLOSED_FORM_STRATEGIES)
-    def test_consensus_bound_along_trajectory(self, ring8_lazy, quad_problem,
-                                           kind):
-        ops, bundle = self._setup(kind, ring8_lazy)
-        grace = GraceParams(beta=0.1, p=0.1, b=4, b0=8)
-        config = EngineConfig(mu_x=0.005, mu_y=0.02,
-                              grace=grace, T=200, seeds=(3,))
-        mu = config.signed_step(3, 2)
-        run = HandRun(config, quad_problem, x0=np.ones(3))
-        for _ in range(200):
-            update_checked(run, run.Z)
-            ehat = coupled_error_norms(run.Z[0], mu * run.M[0], run.D[0],
-                                       bundle)
-            report = check_consensus_bound(run.Z[0], ehat, bundle)
-            assert report.passed, (run.round, report.lhs, report.rhs)
-            run.advance(mu, ops)
 
 
 class TestTransformedRecursion:
