@@ -235,9 +235,9 @@ class _Chunk:
         signed step mu the chunk started with and the cumulative sample
         counts cum_used, (S, n), of its draws, and move slot n, the next
         chunk's first round, to slot 0. Once slot n of G has moved, G's
-        slots of the n rounds hold M - G, then its squares, then mu M;
-        once the diagnostics have read D's, they hold Z - z_c and its
-        squares."""
+        slots of the n rounds hold M - G, then its squares, then mu M
+        less its agent mean; once mu M is formed, M's hold Z - z_c, which
+        the diagnostics project, and then its squares."""
         d1 = self.problem.d1
         self.M[0], self.G[0] = self.M[n], self.G[n]
         Z, D = self.ZD[0, :n], self.ZD[1, :n]
@@ -255,20 +255,23 @@ class _Chunk:
             "est_err_avg_sq": est_err_avg,
             "samples_used": cum_used.T,
         }
+        muM = None if self.bundle is None else np.multiply(mu, M, out=spent)
+        dev = np.subtract(Z, z_c[:, :, None], out=M)
         if self.bundle is not None:
-            muM = np.multiply(mu, M, out=spent)
+            muM -= agent_mean(muM)[:, :, None]
             # ehat^2 summed over the modes and their two components, per
-            # round, replicate and column, then over the x or y columns
+            # round, replicate and column, then over the x or y columns;
+            # the projected Z and mu M are centred, so no mode picks up
+            # the rounding of their agent means
             sq = np.empty(z_c.shape)
             for a in range(0, n, self.diag_rounds):
                 part = slice(a, min(a + self.diag_rounds, n))
-                ehat = coupled_error_norms(Z[part], muM[part], D[part],
+                ehat = coupled_error_norms(dev[part], muM[part], D[part],
                                            self.bundle, out=self.X)
                 e = ehat.reshape(-1, sq[part].size)
                 np.einsum("jx,jx->x", e, e, out=sq[part].reshape(-1))
             cols["ehat_x_sq"] = sq[..., :d1].sum(-1)
             cols["ehat_y_sq"] = sq[..., d1:].sum(-1)
-        dev = np.subtract(Z, z_c[:, :, None], out=D)
         # the squares of a replicate's (K, d1+d2) block are contiguous
         cols["consensus_sq"] = np.square(dev, out=dev).reshape(
             dev.shape[:2] + (-1,)).sum(-1)
@@ -284,8 +287,9 @@ def _chunk_rounds(shape, T: int) -> tuple:
     rounds, but no more than the run's T+1 rounds and no more than
     CHUNK_MAX_BYTES per slot array, and at least 1. A chunk of R rounds
     holds 4 (R+1) blocks, ZD's two slot arrays, M and G, so at most about
-    4 CHUNK_MAX_BYTES, beside a fixed d+3 blocks whatever R is: two of
-    round scratch and the gradient kernel's tiles of H and c. The
+    4 CHUNK_MAX_BYTES, beside a fixed 5 blocks whatever R is: two of
+    round scratch, and the gradient kernel's tile of c and its input and
+    output rows, each padded to a whole number of 8 replicates. The
     diagnostics evaluate it in the fewest equal sub-blocks of at most
     DIAG_BYTES per slot array (or 1 round), and their agent-first block
     holds 3 blocks per round of a sub-block, about 3 DIAG_BYTES."""

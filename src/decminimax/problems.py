@@ -16,7 +16,10 @@ d1 + d2, with any leading batch axes, (..., K, d1+d2), so one call serves
 a whole batch of seed replicates and returns gradients [grad_x | grad_y]
 in the same layout; gradient_kernel binds the gradients for one batch
 shape, once, to a function of the batch's flat (S K, d1+d2) rows that
-allocates nothing, which the engine calls every round. centroid_metrics
+allocates nothing, which the engine calls every round. For the
+quadratics it is one BLAS product per agent and block of exactly 8
+replicate rows, the batch zero-padded to whole blocks, so a seed's bytes
+do not depend on the batch it runs in. centroid_metrics
 gives the metrics at the network centroid in closed form: the gradient
 of the network objective there (Hbar z_c + cbar for the quadratics, from
 the agents' mean Hessian and linear term) and the envelope gap
@@ -30,6 +33,8 @@ import numpy as np
 from .errors import ConfigError
 
 _PL_GRID = np.linspace(-3.0, 3.0, 121)  # both axes of the PL-estimate grid
+# replicate rows per BLAS product of a quadratic's gradient kernel
+GRAD_BLOCK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -47,8 +52,8 @@ class ProblemConstants:
 class QuadraticMinimaxProblem:
     def __init__(self, Q, R, S, a, b, samples, sigma):
         # the blocks are read-only copies, like every array derived from
-        # them below, so a write cannot leave the cached constants, H and
-        # c and the tiles of a gradient kernel stale
+        # them below, so a write cannot leave the cached constants, H, Ht
+        # and c and the tile of a gradient kernel stale
         Q, R, S, a, b = map(_read_only, (Q, R, S, a, b))
         self.Q = Q  # (K, d1, d1)
         self.R = R  # (K, d1, d2)
@@ -66,6 +71,9 @@ class QuadraticMinimaxProblem:
         # the gradient in z = [x | y] is H_k z + c_k
         self.H = _read_only(np.block([[Q, R], [R.transpose(0, 2, 1), -S]]))
         self.c = _read_only(np.concatenate([a, b], axis=1))
+        # H_k transposed, so a block of replicate rows times Ht_k is the
+        # rows of H_k z
+        self.Ht = _read_only(np.ascontiguousarray(self.H.transpose(0, 2, 1)))
         # the gradient of the network objective J = mean_k J_k
         self.Hbar = _read_only(self.H.mean(axis=0))
         self.cbar = _read_only(self.c.mean(axis=0))
@@ -85,11 +93,14 @@ class QuadraticMinimaxProblem:
     def exact_grads_block(self, Z, out=None):
         """Every agent's gradient [grad_x | grad_y] at Z (..., K, d1+d2),
         written into out, a C-contiguous array of Z's shape, when given:
-        one call of a gradient_kernel bound for Z's shape."""
+        one call of a gradient_kernel bound for Z's shape. An entry that
+        overflows reads inf, silently, as in the engine's rounds."""
         d = Z.shape[-1]
         if out is None:
             out = np.empty(Z.shape)
-        self.gradient_kernel(Z.shape)(Z.reshape(-1, d), out.reshape(-1, d))
+        grads = self.gradient_kernel(Z.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads(Z.reshape(-1, d), out.reshape(-1, d))
         return out
 
     def gradient_kernel(self, shape):
@@ -97,24 +108,34 @@ class QuadraticMinimaxProblem:
         the iterates Z into out, both the flat (n, d) rows of
         C-contiguous (..., K, d) blocks of this shape, d = d1+d2.
 
-        H and c are tiled over the leading axes here, once, into
-        contiguous (n, d, d) and (n, d) blocks, S K d^2 and S K d floats
-        for a run's (S, K, d), so a call allocates nothing: one einsum
-        over the rows with a contiguous inner loop, whose rows have the
-        bits of the broadcast einsum over H, and one add of the tile of
-        c, which an in-place add of c by broadcast would buffer. It is
-        an einsum, not a BLAS product: BLAS over the batch would make a
-        seed's bytes depend on the batch size. H and c are fixed at
-        construction, so the tiles never go stale.
+        A call copies Z's rows into zero-padded input scratch of
+        8 ceil(S/8) replicates, S = prod(...), runs one np.matmul of Ht
+        over the scratch's (ceil(S/8), K, 8, d) view into the output
+        scratch, so every BLAS product is one agent's block of exactly 8
+        replicate rows (GRAD_BLOCK_ROWS), and adds a contiguous tile of c,
+        S K d floats, to the output rows into out. BLAS picks its kernels
+        by the row count, so a product over all the batch's rows would
+        make a row's bits depend on S; with 8 rows a replicate's row takes
+        the same path wherever it sits, and a seed's bytes do not depend
+        on its batch. The scratch, its views and the tile are bound here,
+        so a call allocates nothing; the copy costs less than viewing
+        each call's rows. H and c are fixed at construction, so the tile
+        never goes stale.
         """
-        d = shape[-1]
-        Ht = np.broadcast_to(self.H, tuple(shape[:-1]) + (d, d)).reshape(
-            -1, d, d)
+        *lead, K, d = shape
+        reps = -(-int(np.prod(lead)) // GRAD_BLOCK_ROWS) * GRAD_BLOCK_ROWS
+        pad_in, pad_out = np.zeros((2, reps * K, d))
+        blocks = (reps // GRAD_BLOCK_ROWS, GRAD_BLOCK_ROWS, K, d)
+        rows_in, rows_out = (a.reshape(blocks).swapaxes(1, 2)
+                             for a in (pad_in, pad_out))
         ct = np.broadcast_to(self.c, shape).reshape(-1, d)
+        Z_in, g_out = pad_in[:len(ct)], pad_out[:len(ct)]
+        Ht = self.Ht
 
         def grads(Z, out):
-            np.einsum("nij,nj->ni", Ht, Z, out=out)
-            np.add(out, ct, out=out)
+            Z_in[...] = Z
+            np.matmul(rows_in, Ht, out=rows_out)
+            np.add(g_out, ct, out=out)
         return grads
 
     def centroid_metrics(self, z_c):

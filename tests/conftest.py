@@ -32,6 +32,22 @@ MINIMAL = {
     "T": 20,
     "seeds": [0, 1],
 }
+# online noise of sigma 7e13 puts the first rounds' largest entries near
+# the divergence cap: seeds 1 and 7 stay below it, seed 4 passes it at
+# round 1 and seeds 2 and 5 at round 2
+DIVERGENT = dict(MINIMAL, T=3,
+                 problem={"kind": "quadratic", "d1": 2, "d2": 1, "N": None,
+                          "sigma": 7e13, "seed": 0},
+                 schedule={"mode": "explicit", "mu_x": 0.01, "mu_y": 0.01,
+                           "beta": 1.0, "p": 0.0, "b": 1, "b0": 1},
+                 seeds=[1, 2, 4, 5, 7])
+# online noise of 1e150 at steps of 1e-250: est_err columns near 1e300,
+# which Python formats
+PYTHON_CELLS = dict(MINIMAL, T=5,
+                    problem={"kind": "quadratic", "d1": 2, "d2": 1,
+                             "N": None, "sigma": 1e150, "seed": 0},
+                    schedule={"mode": "explicit", "mu_x": 1e-250,
+                              "mu_y": 1e-250, "beta": 1.0})
 
 
 @pytest.fixture(scope="session")
@@ -221,9 +237,22 @@ def verify_strategy_assumptions(ops, tol: float = 1e-10) -> StrategyReport:
 
 
 def reference_exact_grads(problem, Z):
-    """QuadraticMinimaxProblem.exact_grads_block as the broadcast einsum
-    over H, the reference its tiled form must match byte for byte."""
-    return np.einsum("kij,...kj->...ki", problem.H, Z) + problem.c
+    """QuadraticMinimaxProblem.exact_grads_block agent by agent, the
+    reference its one np.matmul must match byte for byte: agent k's
+    replicate rows of Z (..., K, d), in zero-padded blocks of 8, each
+    block times H_k^T by its own 2-D BLAS product, plus c_k."""
+    *lead, K, d = Z.shape
+    rows = Z.reshape(-1, K, d)
+    n = len(rows)
+    out = np.empty(rows.shape)
+    for k in range(K):
+        Ht = np.ascontiguousarray(problem.H[k].T)
+        for a in range(0, n, 8):
+            part = rows[a:a + 8, k]
+            block = np.zeros((8, d))
+            block[:len(part)] = part
+            out[a:a + 8, k] = (block @ Ht)[:len(part)] + problem.c[k]
+    return out.reshape(Z.shape)
 
 
 def grad_x_is_x_problem():
@@ -330,7 +359,8 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
     frozen at once, with its estimates zeroed, and each round copies what
     the columns need into chunk buffers of engine._chunk_rounds rounds,
     drawn when a buffer begins and evaluated when full and at the end,
-    the diagnostics of a buffer in one call."""
+    the diagnostics of a buffer in one call, on its Z and mu M less their
+    agent means."""
     run, seeds = HandRun(config, problem, x0=x0, y0=y0), config.seeds
     mu = np.tile(config.signed_step(problem.d1, problem.d2),
                  (len(seeds), problem.K, 1))
@@ -348,19 +378,21 @@ def reference_run_and_measure(config, problem, ops, bundle=None, x0=None,
         Z = np.array(held["Z"])
         n, d1 = len(Z), problem.d1
         z_c = agent_mean(Z)
+        dev = Z - z_c[:, :, None]
         grad, delta_c = problem.centroid_metrics(z_c)
         est_err, est_err_avg = estimator_error(np.array(held["err"]))
         cols = {
             "grad_x_sq": np.sum(grad[..., :d1] ** 2, axis=-1),
             "grad_y_sq": np.sum(grad[..., d1:] ** 2, axis=-1),
-            "consensus_sq": np.sum((Z - z_c[:, :, None]) ** 2, axis=(2, 3)),
+            "consensus_sq": np.sum(dev ** 2, axis=(2, 3)),
             "delta_c": delta_c,
             "est_err_sq": est_err,
             "est_err_avg_sq": est_err_avg,
             "samples_used": np.array(held["used"]),
         }
         if bundle is not None:
-            ehat = coupled_error_norms(Z, np.array(held["muM"]),
+            muM = np.array(held["muM"])
+            ehat = coupled_error_norms(dev, muM - agent_mean(muM)[:, :, None],
                                        np.array(held["D"]), bundle)
             e = ehat.reshape(-1, Z[:, :, 0].size)
             sq = np.einsum("jx,jx->x", e, e).reshape(Z[:, :, 0].shape)

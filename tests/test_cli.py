@@ -22,15 +22,16 @@ def write_config(tmp_path, raw):
     return str(path)
 
 
-def run_in_subprocess(tmp_path, raw, timeout=60):
+def run_in_subprocess(tmp_path, raw, timeout=60, env=()):
     """`decminimax run` of raw in a fresh interpreter, its outputs under
-    tmp_path/out, so stderr holds every warning the run prints."""
+    tmp_path/out, so stderr holds every warning the run prints; env holds
+    (name, value) pairs set in its environment."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
         [sys.executable, "-m", "decminimax.cli", "run", "--config",
          write_config(tmp_path, raw), "--out", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
-        text=True, timeout=timeout)
+        env={**os.environ, "PYTHONPATH": str(src), **dict(env)},
+        capture_output=True, text=True, timeout=timeout)
 
 
 def test_run_writes_outputs_and_prints_paths(tmp_path, capsys):
@@ -335,6 +336,32 @@ def test_run_diverging_inside_a_chunk_prints_only_its_warning(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert set(summary["seeds_failed"].values()) == {
         "iterate magnitude 6.407e+14 exceeds 1e+12 at round 8"}
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    """A wide_ring-shaped run (lazy ring K=96, ED, page preset with
+    shrink, N=256, diagnostics on) at T=100 with seeds 1 to 11, which the
+    gradient kernel pads to 16 replicates: every output byte is the same
+    with OPENBLAS_NUM_THREADS 1 and 2. At K >= 256 the eigenvectors of
+    np.linalg.eigh, and so the outputs, depend on the thread count."""
+    raw = {"topology": {"kind": "ring", "K": 96, "lazy": True},
+           "strategy": "ed",
+           "problem": {"kind": "quadratic", "d1": 3, "d2": 2, "N": 256,
+                       "sigma": 0.3, "seed": 777},
+           "schedule": {"mode": "page_offline", "shrink_to_valid": True},
+           "T": 100, "seeds": list(range(1, 12)),
+           "x0": [0.5, -1.0, 1.5], "y0": [1.0, -0.5],
+           "diagnostics": {"transform": True}}
+    files = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        done = run_in_subprocess(tmp_path / threads, raw,
+                                 env=[("OPENBLAS_NUM_THREADS", threads)])
+        assert done.returncode == 0, done.stderr
+        out = tmp_path / threads / "out"
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(files[0]) == 13
+    assert files[0] == files[1]
 
 
 def test_sweep_sets_key_in_null_section(tmp_path, capsys):

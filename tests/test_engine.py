@@ -16,22 +16,43 @@ from decminimax import (
     Topology,
     build_strategy,
     build_transform_bundle,
+    config_from_dict,
     make_quadratic_problem,
     make_sinpl_problem,
     mixing_for_topology,
     run_and_measure,
+    run_experiment,
 )
 from decminimax import engine, transform
 from decminimax.engine import COLUMNS, DIVERGENCE_CAP, _first_failures, \
     advance
 from decminimax.estimator import draw, init_estimator, update_estimator
 
-from conftest import DEFAULT_CHUNK_ROUNDS, HandRun, PaperRecursion, \
-    assert_close, iterate_errors, random_connected_mixing, \
-    reference_run_and_measure, run_ok, set_chunk_rounds, step, \
-    update_checked
+from conftest import DEFAULT_CHUNK_ROUNDS, DIVERGENT, HandRun, \
+    PaperRecursion, assert_close, iterate_errors, random_connected_mixing, \
+    reference_coupled_error_norms, reference_run_and_measure, run_ok, \
+    set_chunk_rounds, step, update_checked
 
 ALL_KINDS = list(StrategyKind)
+
+
+# the round cases of TestChunkMemory: strategy, N and p
+ROUND_CASES = {"online_storm": (StrategyKind.ED, None, 0.0),
+               "offline_refresh": (StrategyKind.ED, 64, 0.2),
+               "extra": (StrategyKind.EXTRA, 64, 0.2)}
+
+
+def divergent_batch():
+    """conftest's DIVERGENT as engine inputs: its problem, estimator
+    parameters, steps (mu_x, mu_y), T and seeds."""
+    p, sched = DIVERGENT["problem"], DIVERGENT["schedule"]
+    problem = make_quadratic_problem(K=DIVERGENT["topology"]["K"],
+                                     d1=p["d1"], d2=p["d2"], N=p["N"],
+                                     sigma=p["sigma"], seed=p["seed"])
+    grace = GraceParams(beta=sched["beta"], p=sched["p"], b=sched["b"],
+                        b0=sched["b0"])
+    return (problem, grace, (sched["mu_x"], sched["mu_y"]), DIVERGENT["T"],
+            tuple(DIVERGENT["seeds"]))
 
 
 def smoothness_steps(problem):
@@ -134,24 +155,21 @@ class TestStep:
         assert recorded[:err.round_index].all()
 
     def test_divergent_seed_frozen_in_batch(self, ring4_lazy):
-        # sigma puts the first rounds' largest entries near the cap: seeds 1
-        # and 7 stay below it, seed 4 passes it at round 1 and seeds 2 and 5
-        # at round 2, while seed 4 sits frozen beside them
-        problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None, sigma=7e13,
-                                         seed=0)
-        grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
+        # conftest's DIVERGENT: seed 4 sits frozen beside seeds 2 and 5
+        # until they fail a round later
+        problem, grace, steps, T, seeds = divergent_batch()
         ops = build_strategy(StrategyKind.ED, ring4_lazy)
 
         def run(seeds):
-            config = EngineConfig(mu_x=0.01, mu_y=0.01, grace=grace, T=3,
-                                  seeds=seeds)
+            config = EngineConfig(mu_x=steps[0], mu_y=steps[1], grace=grace,
+                                  T=T, seeds=seeds)
             return run_and_measure(config, problem, ops)
 
-        batch = run((1, 2, 4, 5, 7))
+        batch = run(seeds)
         assert batch.ok_seeds == [1, 7]
         assert {s: e.round_index for s, e in batch.failures.items()} == \
             {2: 2, 4: 1, 5: 2}
-        for seed in (1, 2, 4, 5, 7):
+        for seed in seeds:
             alone = run((seed,))
             assert {s: str(e) for s, e in alone.failures.items()} == \
                 {s: str(e) for s, e in batch.failures.items() if s == seed}
@@ -416,11 +434,7 @@ class TestChunks:
             grace = GraceParams(beta=0.2, p=0.1, b=2, B_big=8, b0=4)
             steps, T, seeds = (0.01, 0.01), 150, (1, 2)
         else:
-            # the batch of test_divergent_seed_frozen_in_batch
-            problem = make_quadratic_problem(K=4, d1=2, d2=1, N=None,
-                                             sigma=7e13, seed=0)
-            grace = GraceParams(beta=1.0, p=0.0, b=1, b0=1)
-            steps, T, seeds = (0.01, 0.01), 3, (1, 2, 4, 5, 7)
+            problem, grace, steps, T, seeds = divergent_batch()
         config = EngineConfig(mu_x=steps[0], mu_y=steps[1], grace=grace, T=T,
                               seeds=seeds)
         default = run_and_measure(config, problem, ops, bundle=bundle)
@@ -469,6 +483,43 @@ class TestChunks:
                     assert col[row].tobytes() == alone[name][0].tobytes(), \
                         (rounds, seeds, name)
         assert np.all(alone["ehat_x_sq"] > 0) and np.all(alone["ehat_y_sq"] > 0)
+
+    @pytest.mark.parametrize("K", [96, 512])
+    @pytest.mark.parametrize("kind", [StrategyKind.ED, StrategyKind.ATC_GT])
+    def test_ehat_matches_centred_reference(self, K, kind):
+        """The ehat columns of a wide_ring-shaped run (lazy ring, page
+        preset with shrink, N=256, two seeds, 20 rounds) within 1e-12
+        relative of reference_coupled_error_norms on each round's Z and
+        mu M less their agent means, replayed round by round: u_j is
+        orthogonal to 1, so the means add nothing to ehat but rounding.
+        Projected as they are, they moved ehat by up to 1.4e-4 relative
+        at K=96 and 1.9 (ATC-GT) at K=512."""
+        raw = {"topology": {"kind": "ring", "K": K, "lazy": True},
+               "strategy": kind.value,
+               "problem": {"kind": "quadratic", "d1": 3, "d2": 2, "N": 256,
+                           "sigma": 0.3, "seed": 5},
+               "schedule": {"mode": "page_offline", "shrink_to_valid": True},
+               "T": 20, "seeds": [1, 2], "x0": [0.5, -1.0, 1.5],
+               "y0": [1.0, -0.5], "diagnostics": {"transform": True}}
+        result = run_experiment(config_from_dict(raw))
+        assert not result.failures
+        ops = build_strategy(kind, result.mixing)
+        bundle = build_transform_bundle(kind, result.mixing)
+        run = HandRun(result.engine, result.problem, x0=raw["x0"],
+                      y0=raw["y0"])
+        mu = result.engine.signed_step(3, 2)
+        for r in range(raw["T"] + 1):
+            update_checked(run, run.Z)
+            Z, muM = run.Z, mu * run.M
+            ehat = reference_coupled_error_norms(
+                Z - Z.mean(axis=-2, keepdims=True),
+                muM - muM.mean(axis=-2, keepdims=True), run.D, bundle)
+            sq = np.sum(ehat**2, axis=(0, 1))
+            for name, want in (("ehat_x_sq", sq[:, :3].sum(-1)),
+                               ("ehat_y_sq", sq[:, 3:].sum(-1))):
+                rel = np.abs(result.series.columns[name][:, r] - want) / want
+                assert (rel <= 1e-12).all(), (name, r, rel.max())
+            run.advance(mu, ops)
 
     @pytest.mark.parametrize("rounds", [None, 1],
                              ids=["default_chunk", "one_row_chunk"])
@@ -665,17 +716,23 @@ class TestChunkMemory:
             sizes.add(chunk.X.nbytes)
         assert sizes == {transform.projection_buffer((8, 2, 96, 5)).nbytes}
 
-    @pytest.mark.parametrize("kind, N, p", [
-        (StrategyKind.ED, None, 0.0), (StrategyKind.ED, 64, 0.2),
-        (StrategyKind.EXTRA, 64, 0.2)],
-        ids=["online_storm", "offline_refresh", "extra"])
-    def test_rounds_allocate_no_block(self, ring8_lazy, kind, N, p):
-        """The rounds of a warmed chunk at S=64, K=8, d=5, where one
-        (S, K, d) block is 20480 bytes, allocate less than one block
-        between them: online STORM with noise, offline with refreshes and
-        EXTRA, whose C product the ED rows skip."""
-        S, shape = 64, (64, 8, 5)
-        block = 8 * int(np.prod(shape))
+    @pytest.mark.parametrize("case, S", [
+        (case, S) for S in (64, 61, 1) for case in ROUND_CASES],
+        ids=[case + ("" if S == 64 else f"-S{S}")
+             for S in (64, 61, 1) for case in ROUND_CASES])
+    def test_rounds_allocate_no_block(self, ring8_lazy, case, S):
+        """The rounds of a warmed chunk at K=8, d=5 allocate less than
+        one (S, K, d) block between them, 20480 bytes at S=64: online
+        STORM with noise, offline with refreshes and EXTRA, whose C
+        product the ED rows skip. At S=61 and S=1 the gradient kernel
+        pads the batch to 64 and 8 replicates. At S=1 the bound is one
+        block of those 8 replicates, 2560 bytes, since numpy's own
+        bookkeeping in a round's calls (about 0.9 KB whatever S is)
+        passes a 320-byte (1, 8, 5) block; a kernel that allocated its
+        padded rows per call would exceed it."""
+        kind, N, p = ROUND_CASES[case]
+        shape = (S, 8, 5)
+        block = 8 * int(np.prod((max(S, 8),) + shape[1:]))
         problem = make_quadratic_problem(K=8, d1=3, d2=2, N=N, sigma=0.5,
                                          seed=0)
         params = GraceParams(beta=0.3, p=p, b=2, B_big=16, b0=4)

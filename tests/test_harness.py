@@ -16,7 +16,7 @@ from decminimax import csvtext, harness
 from decminimax.engine import COLUMNS
 from decminimax.harness import CSV_HEADER, sweep
 
-from conftest import MINIMAL
+from conftest import DIVERGENT, MINIMAL, PYTHON_CELLS
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -324,31 +324,15 @@ def reference_csv(result, row) -> bytes:
     return buf.getvalue().encode()
 
 
-# the batch of TestStep.test_divergent_seed_frozen_in_batch: seeds 2, 4 and 5
-# diverge
-DIVERGENT = dict(MINIMAL, topology={"kind": "ring", "K": 4}, T=3,
-                 problem={"kind": "quadratic", "d1": 2, "d2": 1, "N": None,
-                          "sigma": 7e13, "seed": 0},
-                 schedule={"mode": "explicit", "mu_x": 0.01, "mu_y": 0.01,
-                           "beta": 1.0, "p": 0.0, "b": 1, "b0": 1},
-                 seeds=[1, 2, 4, 5, 7])
-
-
 # online refreshes of B_big = 10^15 + 1 samples: the counts pass 2^53
 BIG_COUNTS = dict(MINIMAL, problem=dict(MINIMAL["problem"], N=None),
                   schedule={"mode": "explicit", "mu_x": 0.002, "mu_y": 0.01,
                             "p": 0.5, "beta": 0.5, "b": 3,
                             "B_big": 1000000000000001})
-# noise of 1e200 at steps of 1e-250: inf in both est_err columns and
+# PYTHON_CELLS with noise of 1e200: inf in both est_err columns and
 # consensus_sq near 1e-100, with a three-digit exponent
-NON_FINITE = dict(MINIMAL, T=5,
-                  problem={"kind": "quadratic", "d1": 2, "d2": 1, "N": None,
-                           "sigma": 1e200, "seed": 0},
-                  schedule={"mode": "explicit", "mu_x": 1e-250,
-                            "mu_y": 1e-250, "beta": 1.0})
-# noise of 1e150: est_err columns near 1e300, which Python formats
-PYTHON_CELLS = dict(NON_FINITE, problem=dict(NON_FINITE["problem"],
-                                             sigma=1e150))
+NON_FINITE = dict(PYTHON_CELLS, problem=dict(PYTHON_CELLS["problem"],
+                                             sigma=1e200))
 # diagnostics off, so a row takes 8 slots of 32 bytes: six seeds share one
 # block of 21 rounds; a seed of 2501 rounds takes three blocks; seed 2 of
 # the DIVERGENT batch fails between the two others of its block

@@ -13,6 +13,8 @@ import yaml
 import decminimax
 from decminimax import cli
 
+from conftest import DIVERGENT, PYTHON_CELLS
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(decminimax.__file__).resolve().parent
 
@@ -62,23 +64,12 @@ def cli_runs(tmp_path):
         "schedule": {"mode": "storm_extra", "shrink_to_valid": True},
         "T": 30, "seeds": [0, 1]})
     runs.append(["run", "--config", storm])
-    # the batch of test_engine's test_divergent_seed_frozen_in_batch: seeds 2,
-    # 4 and 5 diverge, so the failure path runs
-    runs.append(["run", "--config", write_yaml(tmp_path / "diverge.yaml", {
-        "topology": {"kind": "ring", "K": 4},
-        "strategy": "ed",
-        "problem": {"kind": "quadratic", "d1": 2, "d2": 1, "sigma": 7e13},
-        "schedule": {"mode": "explicit", "mu_x": 0.01, "mu_y": 0.01,
-                     "beta": 1.0},
-        "T": 3, "seeds": [1, 2, 4, 5, 7]})])
+    # seeds 2, 4 and 5 diverge, so the failure path runs
+    runs.append(["run", "--config",
+                 write_yaml(tmp_path / "diverge.yaml", DIVERGENT)])
     # est_err columns near 1e300, which Python's "%.17g" formats
-    runs.append(["run", "--config", write_yaml(tmp_path / "huge.yaml", {
-        "topology": {"kind": "ring", "K": 4},
-        "strategy": "ed",
-        "problem": {"kind": "quadratic", "d1": 2, "d2": 1, "sigma": 1e150},
-        "schedule": {"mode": "explicit", "mu_x": 1e-250, "mu_y": 1e-250,
-                     "beta": 1.0},
-        "T": 3})])
+    runs.append(["run", "--config", write_yaml(
+        tmp_path / "huge.yaml", dict(PYTHON_CELLS, T=3, seeds=[0]))])
     runs.append(["sweep", "--config", storm, "--vary", "schedule.c_mu=1,0.5"])
     for i, argv in enumerate(runs):
         argv += ["--out", str(tmp_path / f"out{i}")]

@@ -380,46 +380,81 @@ class TestCentroidMetrics:
 
 
 class TestGradientKernel:
-    """exact_grads_block's tiled einsum keeps the bits of the broadcast
-    einsum over H, and a seed's rows of a batch the bits of its solo
-    call."""
+    """exact_grads_block's one np.matmul over blocks of 8 replicate rows
+    keeps the bits of a product per agent and block, and a seed's rows of
+    a batch the bits of its solo call, whatever the batch size."""
+
+    @staticmethod
+    def spread(rng, shape):
+        # entries over many magnitudes, so a change of summation order
+        # shows
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100,
+                                                                 shape)
+
+    def blocks(self, rng, K, d):
+        blocks = [self.spread(rng, lead + (K, d))
+                  for lead in [(), (1,), (3,), (8,), (33,), (2, 5)]]
+        # every other agent row and column of a wider block
+        blocks.append(self.spread(rng, (3, 2 * K, 2 * d))[:, ::2, ::2])
+        assert not blocks[-1].flags.c_contiguous
+        return blocks
 
     @pytest.mark.parametrize("K", [1, 2, 7, 8, 9, 96])
-    @pytest.mark.parametrize("d1, d2", [(1, 1), (3, 2), (4, 5), (9, 8)])
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (3, 2), (4, 5), (9, 8),
+                                        (16, 17)])
     def test_bytes_match_broadcast_einsum(self, K, d1, d2):
+        """The bytes of reference_exact_grads, one BLAS product per agent
+        and zero-padded 8-row block; the broadcast einsum's bytes do not
+        hold, and test_close_to_broadcast_einsum bounds the difference."""
         problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
                                          sigma=0.0, seed=K + d1)
         rng = np.random.default_rng(100 * K + d1 + d2)
-        d = d1 + d2
-
-        def block(shape):
-            # entries over many magnitudes, so a change of summation order
-            # shows
-            return rng.standard_normal(shape) * 10.0 ** rng.integers(-100,
-                                                                     100, shape)
-
-        blocks = [block(lead + (K, d))
-                  for lead in [(), (1,), (3,), (8,), (33,), (2, 5)]]
-        # every other agent row and column of a wider block
-        blocks.append(block((3, 2 * K, 2 * d))[:, ::2, ::2])
-        assert not blocks[-1].flags.c_contiguous
-        for Z in blocks:
+        for Z in self.blocks(rng, K, d1 + d2):
             got = problem.exact_grads_block(Z)
             assert got.shape == Z.shape
             assert got.tobytes() == \
                 reference_exact_grads(problem, Z).tobytes(), Z.shape
 
-    @pytest.mark.parametrize("K", [8, 96])
-    @pytest.mark.parametrize("S", [2, 3, 8, 17, 33, 64])
+    @pytest.mark.parametrize("K", [1, 8, 96])
+    @pytest.mark.parametrize("d1, d2", [(1, 1), (3, 2), (9, 8), (16, 17)])
+    def test_close_to_broadcast_einsum(self, K, d1, d2):
+        """Each entry is within 2 (d+1) eps of |H| |z| + |c| of the
+        broadcast einsum over H plus c: both sum the same d products."""
+        problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
+                                         sigma=0.0, seed=K + d1)
+        rng = np.random.default_rng(100 * K + d1 + d2)
+        d = d1 + d2
+        for Z in self.blocks(rng, K, d):
+            got = problem.exact_grads_block(Z)
+            einsum = np.einsum("kij,...kj->...ki", problem.H, Z) + problem.c
+            scale = np.einsum("kij,...kj->...ki", np.abs(problem.H),
+                              np.abs(Z)) + np.abs(problem.c)
+            bound = 2 * (d + 1) * np.finfo(float).eps * scale
+            assert (np.abs(got - einsum) <= bound).all(), Z.shape
+
+    @pytest.mark.parametrize("K", [1, 8, 96])
+    @pytest.mark.parametrize("S", [1, 2, 3, 7, 8, 9, 10, 11, 13, 17, 33, 64,
+                                   129])
     def test_seed_rows_match_solo_call(self, K, S):
-        problem = make_quadratic_problem(K=K, d1=3, d2=2, N=None, sigma=0.0,
-                                         seed=S)
-        Z = np.random.default_rng(S).standard_normal((S, K, 5))
-        batch = problem.exact_grads_block(Z)
-        for s in range(S):
-            for solo in (Z[s:s + 1], Z[s]):
-                assert problem.exact_grads_block(solo).tobytes() == \
-                    batch[s].tobytes(), s
+        """At d1+d2 = 33, 17 and 5, entries over 10^+-100: a product over
+        all S rows would take the bits of each row from S."""
+        for d1, d2 in [(3, 2), (9, 8), (16, 17)]:
+            problem = make_quadratic_problem(K=K, d1=d1, d2=d2, N=None,
+                                             sigma=0.0, seed=S)
+            Z = self.spread(np.random.default_rng(S), (S, K, d1 + d2))
+            batch = problem.exact_grads_block(Z)
+            for s in range(S):
+                for solo in (Z[s:s + 1], Z[s]):
+                    assert problem.exact_grads_block(solo).tobytes() == \
+                        batch[s].tobytes(), (d1, d2, s)
+
+    def test_overflow_reads_inf_silently(self):
+        problem = make_quadratic_problem(K=4, d1=2, d2=2, N=None, sigma=0.0,
+                                         seed=3)
+        Z = np.full((4, 4), 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(problem.exact_grads_block(Z)).any()
 
     def test_agent_count_must_match(self):
         problem = make_quadratic_problem(K=4, d1=1, d2=1, N=None, sigma=0.0,
@@ -448,8 +483,8 @@ class TestGradientKernel:
                                          seed=0)
         # the blocks, the constants cached from them and H and c: a write
         # into any of them would leave the others stale
-        for name in ("H", "c", "Q", "R", "S", "a", "b", "Hbar", "cbar",
-                     "Linv"):
+        for name in ("H", "Ht", "c", "Q", "R", "S", "a", "b", "Hbar",
+                     "cbar", "Linv"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(problem, name)[0] = 0.0
         # the sample table stays a live, writable view (see TestBatchNoise)
